@@ -37,7 +37,7 @@ use crate::view::{EpochBounds, ReadView, SnapshotError};
 use parking_lot::{Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard};
 use rnt_model::UpdateFn;
 use rnt_mvcc::{MvccStore, GENESIS_EPOCH};
-use rnt_wal::{Record, Wal, WalError, INIT_ACTION};
+use rnt_wal::{Record, Wal, WalError, WalForce, INIT_ACTION};
 use std::collections::HashMap;
 use std::hash::{BuildHasher, Hash, RandomState};
 use std::ops::RangeBounds;
@@ -471,25 +471,34 @@ enum CommitPayload<K, V> {
 /// `Db` impl — and every existing caller — keeps compiling without those
 /// bounds.
 struct WalState<K, V> {
+    /// The append side. Every record goes through this mutex (`Write`
+    /// records while a shard guard is held), so nothing slow may run
+    /// under it — in particular not the force.
     log: Mutex<Wal>,
+    /// The force side of `log`, usable without the mutex: see
+    /// [`DbInner::wal_force`].
+    force: WalForce,
     /// Fsync before acking top-level commits ([`Durability::WalFsync`]).
     fsync_commits: bool,
     /// Auto-checkpoint cadence in top-level commits (0 = never).
     checkpoint_every: u64,
     commits_since_ckpt: AtomicU64,
-    /// First append/fsync failure, if any: once set, top-level commits
-    /// report [`TxnError::Wal`] instead of acking unlogged durability.
-    broken: Mutex<Option<String>>,
+    /// First append/fsync failure, if any. Once set the log is
+    /// **fail-stop**: no further record is appended or forced (a log with
+    /// a record missing from its middle could replay half a transaction,
+    /// or not replay at all), and every top-level commit reports
+    /// [`TxnError::Wal`] instead of acking durability it does not have.
+    /// The file keeps the prefix written before the failure, which
+    /// recovers like a crash at that point.
+    broken: std::sync::OnceLock<String>,
     enc_key: fn(&K, &mut Vec<u8>),
     enc_val: fn(&V, &mut Vec<u8>),
 }
 
 impl<K, V> WalState<K, V> {
     fn mark_broken(&self, e: &WalError) {
-        let mut broken = self.broken.lock();
-        if broken.is_none() {
-            *broken = Some(e.to_string());
-        }
+        // Only the first failure is kept.
+        let _ = self.broken.set(e.to_string());
     }
 }
 
@@ -511,7 +520,12 @@ struct DbInner<K, V> {
     /// Checkpoint latch: transaction lifecycle transitions (begin, commit,
     /// abort) hold it shared so a checkpoint (exclusive) can never observe —
     /// or worse, rewrite away — a half-logged transition. Lock order:
-    /// latch → shard → { registry-read, wal }.
+    /// latch → shard → { registry-read, wal }. The log force
+    /// ([`DbInner::wal_force`]) runs under the latch only: it takes the
+    /// wal mutex to append the commit record and has released it before
+    /// the fsync starts, so the latch (shared) is what keeps a checkpoint's
+    /// `replace` from racing the force, and nothing keeps other
+    /// transactions from logging through it.
     ckpt: RwLock<()>,
     /// Committed version chains for lock-free snapshot reads. Top-level
     /// commits publish here (under the publish lock, then per-key under
@@ -934,11 +948,12 @@ where
     ) -> Result<(), WalError> {
         let config = &self.inner.config;
         let state = WalState {
+            force: log.force_handle(),
             log: Mutex::new(log),
             fsync_commits: config.durability == Durability::WalFsync,
             checkpoint_every: config.checkpoint_every,
             commits_since_ckpt: AtomicU64::new(0),
-            broken: Mutex::new(None),
+            broken: std::sync::OnceLock::new(),
             enc_key,
             enc_val,
         };
@@ -1062,12 +1077,18 @@ where
     }
 
     /// Append one record to the attached log, if any. Failures don't
-    /// interrupt the in-memory operation; they poison the log so the next
-    /// top-level commit reports [`TxnError::Wal`] instead of falsely
-    /// acking durability.
+    /// interrupt the in-memory operation; they poison the log (see
+    /// [`WalState::broken`]) so the next top-level commit reports
+    /// [`TxnError::Wal`] instead of falsely acking durability.
     fn wal_append(&self, record: &Record) {
         if let Some(w) = self.wal.get() {
-            match w.log.lock().append(record) {
+            // Checked and marked under the log mutex: no record can land
+            // behind one the disk refused.
+            let mut log = w.log.lock();
+            if w.broken.get().is_some() {
+                return;
+            }
+            match log.append(record) {
                 Ok(()) => self.stats.bump(|b| &b.wal_appends),
                 Err(e) => w.mark_broken(&e),
             }
@@ -1100,28 +1121,39 @@ where
         }
     }
 
-    /// Log a commit; for a top-level commit under [`Durability::WalFsync`],
-    /// force it to disk before the caller acks. `epoch` is the commit
-    /// epoch for top-level commits (`None` for nested ones); the caller
-    /// holds the MVCC publish lock while logging it, so commit-record log
-    /// order equals epoch order. Returns the durability verdict the
-    /// commit must report.
-    fn wal_log_commit(
-        &self,
-        t: TxnId,
-        top_level: bool,
-        epoch: Option<u64>,
-    ) -> Result<(), TxnError> {
+    /// Make top-level commits durable: append their commit record (a
+    /// `Commit`, or one `BatchCommit` for a whole batch) and, under
+    /// [`Durability::WalFsync`], force the log before the caller acks.
+    /// Returns the durability verdict every commit in `record` must
+    /// report. The only place the engine fsyncs outside a checkpoint.
+    ///
+    /// **The force holds no engine lock.** The log mutex is taken for the
+    /// append and released before `fsync` starts, so other transactions
+    /// keep appending `Begin`/`Write`/`Abort` records — and reach the
+    /// commit queue — while the disk works. Why that is safe:
+    ///
+    /// * the fsync begins after the commit record's append returned, so
+    ///   it covers that record and every byte logged before it;
+    /// * bytes it covers beyond that belong to actions with no commit
+    ///   record on disk — at a crash, replay aborts them deepest-first,
+    ///   exactly as if they had not been forced;
+    /// * there is one forcer at a time: the pipeline leader, or on the
+    ///   inline path the holder of the MVCC publish mutex, which the
+    ///   caller holds across this call (so commit-record log order is
+    ///   still epoch order);
+    /// * the forcing thread holds the checkpoint latch shared, so no
+    ///   checkpoint `replace` can swap the file under the force.
+    fn wal_force(&self, record: &Record) -> Result<(), TxnError> {
         let Some(w) = self.wal.get() else { return Ok(()) };
-        self.wal_append(&Record::Commit { action: t.0, epoch });
-        if top_level && w.fsync_commits {
-            match w.log.lock().fsync() {
+        self.wal_append(record);
+        if w.fsync_commits && w.broken.get().is_none() {
+            match w.force.fsync() {
                 Ok(()) => self.stats.bump(|b| &b.wal_fsyncs),
                 Err(e) => w.mark_broken(&e),
             }
         }
-        match top_level.then(|| w.broken.lock().clone()).flatten() {
-            Some(detail) => Err(TxnError::Wal { detail }),
+        match w.broken.get() {
+            Some(detail) => Err(TxnError::Wal { detail: detail.clone() }),
             None => Ok(()),
         }
     }
@@ -1169,15 +1201,7 @@ where
                     .collect(),
             }
         };
-        if let Some(w) = self.wal.get() {
-            self.wal_append(&record);
-            if w.fsync_commits {
-                match w.log.lock().fsync() {
-                    Ok(()) => self.stats.bump(|b| &b.wal_fsyncs),
-                    Err(e) => w.mark_broken(&e),
-                }
-            }
-        }
+        let verdict = self.wal_force(&record);
         for (i, staged) in batch.iter().enumerate() {
             let CommitPayload::Locking(keys) = &staged.payload else {
                 unreachable!("optimistic payload staged in a locking database")
@@ -1187,10 +1211,6 @@ where
         drop(publish);
         self.stats.bump(|b| &b.commit_batches);
         self.stats.add(|b| &b.commits_batched, batch.len() as u64);
-        let verdict = match self.wal.get().and_then(|w| w.broken.lock().clone()) {
-            Some(detail) => Err(TxnError::Wal { detail }),
-            None => Ok(()),
-        };
         batch.iter().map(|s| (s.seq, verdict.clone())).collect()
     }
 
@@ -1287,6 +1307,7 @@ where
             let id = batch[i].txn;
             self.audit_record(|reg| AuditRecord::Commit { path: reg.path(id).expect("known") });
         }
+        let mut durable = Ok(());
         if survivors.is_empty() {
             drop(gate);
         } else {
@@ -1305,15 +1326,7 @@ where
                     commits: survivors.iter().map(|&(i, e)| (batch[i].txn.0, e)).collect(),
                 }
             };
-            if let Some(w) = self.wal.get() {
-                self.wal_append(&record);
-                if w.fsync_commits {
-                    match w.log.lock().fsync() {
-                        Ok(()) => self.stats.bump(|b| &b.wal_fsyncs),
-                        Err(e) => w.mark_broken(&e),
-                    }
-                }
-            }
+            durable = self.wal_force(&record);
             let publish = gate.into_batch(survivors.len());
             for (n, &(i, epoch)) in survivors.iter().enumerate() {
                 debug_assert_eq!(publish.epoch_of(n), epoch);
@@ -1326,20 +1339,10 @@ where
         }
         self.stats.bump(|b| &b.commit_batches);
         self.stats.add(|b| &b.commits_batched, survivor_count);
-        let broken = self.wal.get().and_then(|w| w.broken.lock().clone());
         batch
             .into_iter()
             .zip(failures)
-            .map(|(s, failure)| {
-                let verdict = match failure {
-                    Some(e) => Err(e),
-                    None => match &broken {
-                        Some(detail) => Err(TxnError::Wal { detail: detail.clone() }),
-                        None => Ok(()),
-                    },
-                };
-                (s.seq, verdict)
-            })
+            .map(|(s, failure)| (s.seq, failure.map_or_else(|| durable.clone(), Err)))
             .collect()
     }
 
@@ -1370,6 +1373,9 @@ where
     /// post-checkpoint `Commit`/`Abort` records are tolerated by replay.
     fn do_checkpoint(&self) -> Result<(), WalError> {
         let Some(w) = self.wal.get() else { return Ok(()) };
+        if let Some(detail) = w.broken.get() {
+            return Err(WalError::Io { op: "checkpoint", detail: detail.clone() });
+        }
         let _latch = self.ckpt.write();
         let mut guards: Vec<MutexGuard<'_, ShardState<K, V>>> =
             self.shards.iter().map(|s| s.state.lock()).collect();
@@ -2129,7 +2135,15 @@ where
         // watermark advances when `publish` drops).
         let publish = top_level.then(|| self.inner.mvcc.begin_publish());
         let epoch = publish.as_ref().map(|p| p.epoch());
-        let durable = self.inner.wal_log_commit(id, top_level, epoch);
+        let record = Record::Commit { action: id.0, epoch };
+        let durable = if top_level {
+            self.inner.wal_force(&record)
+        } else {
+            // A nested commit is revocable until its ancestors commit:
+            // logged, never forced, and it reports no durability verdict.
+            self.inner.wal_append(&record);
+            Ok(())
+        };
         let keys = std::mem::take(&mut *self.touched.lock());
         self.inner.finish_locks(self.id, &keys, true, epoch);
         drop(publish);
@@ -2165,14 +2179,14 @@ where
             // the top of the tree — resilient nesting over buffers.
             inner.registry.commit(id).map_err(map_reg_err)?;
             inner.audit_record(|reg| AuditRecord::Commit { path: reg.path(id).expect("known") });
-            let durable = inner.wal_log_commit(id, false, None);
+            inner.wal_append(&Record::Commit { action: id.0, epoch: None });
             let parent = opt.parent.as_ref().expect("nested optimistic has a parent ctx");
             parent.writes.lock().append(&mut opt.writes.lock());
             parent.reads.lock().extend(opt.reads.lock().drain());
             parent.audit_buf.lock().append(&mut opt.audit_buf.lock());
             inner.stats.bump(|b| &b.committed);
             self.done = true;
-            return durable;
+            return Ok(());
         }
         // Top-level: children must be finished before validation freezes
         // the footprint. Side-effect-free check — the transaction stays
@@ -2272,7 +2286,7 @@ where
         for (key, value) in writes.iter() {
             inner.wal_log_write(id, key, value);
         }
-        let durable = inner.wal_log_commit(id, true, Some(epoch));
+        let durable = inner.wal_force(&Record::Commit { action: id.0, epoch: Some(epoch) });
         inner.publish_optimistic_writes(&writes, epoch);
         drop(publish);
         drop(writes);

@@ -2,10 +2,10 @@
 //! engine: committed top-level effects survive a crash, uncommitted and
 //! in-flight effects do not, and recovery is idempotent.
 
-use rnt_core::{Db, DbConfig, Durability};
+use rnt_core::{CcMode, Db, DbConfig, DeadlockPolicy, Durability, Txn, TxnError};
 use rnt_wal::faults::record_count;
-use rnt_wal::{frame, MemVfs, Record, Vfs, MAGIC};
-use std::sync::Arc;
+use rnt_wal::{frame, MemVfs, Record, Vfs, WalError, MAGIC};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 const LOG: &str = "db.wal";
@@ -26,7 +26,7 @@ fn open_mem(config: DbConfig) -> (Arc<MemVfs>, Db<String, i64>) {
 }
 
 /// Simulate a crash: recover a new db from the current bytes of `vfs`.
-fn crash_recover(vfs: &Arc<MemVfs>, config: DbConfig) -> Db<String, i64> {
+fn crash_recover(vfs: &MemVfs, config: DbConfig) -> Db<String, i64> {
     // Snapshot-and-install models the kernel's view surviving the process:
     // the recovered db sees exactly what reached the (mem) filesystem.
     let bytes = vfs.snapshot(LOG);
@@ -484,4 +484,285 @@ fn recovered_db_accepts_new_transactions_and_stays_durable() {
     v2.install(LOG, bytes);
     let r2 = Db::<String, i64>::recover_with_vfs(v2, LOG, wal_config()).unwrap();
     assert_eq!(r2.committed_value(&"a".to_string()), Some(20));
+}
+
+// ---- The force runs outside the log mutex; a Vfs that fails poisons ----
+
+/// A [`MemVfs`] whose `fsync` parks on a gate while the gate is closed —
+/// a slow disk the test controls. Everything else passes straight through,
+/// including the armed faults of the inner `MemVfs`.
+struct GateVfs {
+    mem: MemVfs,
+    /// `(closed, parked)`: whether fsyncs must wait, and how many are.
+    gate: Mutex<(bool, usize)>,
+    cv: Condvar,
+}
+
+impl GateVfs {
+    fn closed() -> Arc<Self> {
+        Arc::new(GateVfs { mem: MemVfs::new(), gate: Mutex::new((true, 0)), cv: Condvar::new() })
+    }
+
+    /// Block until an fsync is parked inside the Vfs.
+    fn wait_parked(&self) {
+        let guard = self.gate.lock().unwrap();
+        let (guard, timeout) =
+            self.cv.wait_timeout_while(guard, PATIENCE, |(_, parked)| *parked == 0).unwrap();
+        assert!(!timeout.timed_out(), "no fsync reached the disk");
+        drop(guard);
+    }
+
+    fn open(&self) {
+        self.gate.lock().unwrap().0 = false;
+        self.cv.notify_all();
+    }
+}
+
+impl Vfs for GateVfs {
+    fn append(&self, path: &str, data: &[u8]) -> Result<(), WalError> {
+        self.mem.append(path, data)
+    }
+    fn fsync(&self, path: &str) -> Result<(), WalError> {
+        let mut gate = self.gate.lock().unwrap();
+        gate.1 += 1;
+        self.cv.notify_all();
+        gate = self.cv.wait_while(gate, |(closed, _)| *closed).unwrap();
+        gate.1 -= 1;
+        drop(gate);
+        self.mem.fsync(path)
+    }
+    fn read(&self, path: &str) -> Result<Vec<u8>, WalError> {
+        self.mem.read(path)
+    }
+    fn replace(&self, path: &str, data: &[u8]) -> Result<(), WalError> {
+        self.mem.replace(path, data)
+    }
+    fn exists(&self, path: &str) -> bool {
+        self.mem.exists(path)
+    }
+}
+
+/// How long a test waits for something that must happen before it calls
+/// it a hang.
+const PATIENCE: Duration = Duration::from_secs(20);
+
+fn key(i: usize) -> String {
+    format!("k{i}")
+}
+
+fn group_fsync_config(cc: CcMode) -> DbConfig {
+    DbConfig::builder()
+        .durability(Durability::WalFsync)
+        .group_commit(true)
+        .cc_mode(cc)
+        // A held lock is an immediate error, not a wait: "the locks were
+        // released" is then checkable without a timeout.
+        .policy(DeadlockPolicy::NoWait)
+        .build()
+}
+
+/// A flat transaction that has done `+1` on each of `keys` and is ready
+/// to commit.
+fn bumped(
+    db: &Db<String, i64>,
+    keys: std::ops::Range<usize>,
+) -> Result<Txn<String, i64>, TxnError> {
+    let t = db.begin();
+    for k in keys {
+        t.rmw(&key(k), |v| v + 1)?;
+    }
+    Ok(t)
+}
+
+/// One whole flat transaction.
+fn bump(db: &Db<String, i64>, keys: std::ops::Range<usize>) -> Result<(), TxnError> {
+    bumped(db, keys)?.commit()
+}
+
+type Verdict = std::sync::mpsc::Receiver<Result<(), TxnError>>;
+
+/// Run `f` on its own thread; its verdict arrives on the channel, so a
+/// thread that never finishes fails the test instead of hanging it.
+fn spawn(f: impl FnOnce() -> Result<(), TxnError> + Send + 'static) -> Verdict {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(f());
+    });
+    rx
+}
+
+fn spawn_bump(db: &Db<String, i64>, keys: std::ops::Range<usize>) -> Verdict {
+    let db = db.clone();
+    spawn(move || bump(&db, keys))
+}
+
+/// Wait until `n` commits have been handed to the pipeline. False on
+/// timeout, so the caller can open the gate before failing.
+fn staged_reaches(db: &Db<String, i64>, n: u64) -> bool {
+    let deadline = std::time::Instant::now() + PATIENCE;
+    while db.stats().commits_staged < n {
+        if std::time::Instant::now() > deadline {
+            return false;
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    true
+}
+
+/// The regression this PR exists for: while the batch leader is parked
+/// inside the force, another transaction must be able to log its whole
+/// body and reach the commit queue. With the force under the log mutex it
+/// froze at its `Begin` record.
+#[test]
+fn transactions_keep_logging_while_a_batch_is_being_forced() {
+    let vfs = GateVfs::closed();
+    let db: Db<String, i64> =
+        Db::open_with_vfs(vfs.clone(), LOG, group_fsync_config(CcMode::Locking)).unwrap();
+    for k in 0..8 {
+        db.insert(key(k), 0);
+    }
+    let first = spawn_bump(&db, 0..4);
+    vfs.wait_parked();
+    assert_eq!(db.stats().commits_staged, 1);
+
+    let second = spawn_bump(&db, 4..8);
+    let reached_queue = staged_reaches(&db, 2);
+    // Whatever happened, let the disk finish so no thread outlives the test.
+    vfs.open();
+    assert!(reached_queue, "begin + 4 rmw + stage must not wait for another batch's fsync");
+    assert_eq!(first.recv_timeout(PATIENCE).unwrap(), Ok(()));
+    assert_eq!(second.recv_timeout(PATIENCE).unwrap(), Ok(()));
+
+    let s = db.stats();
+    assert_eq!((s.commit_batches, s.commits_batched, s.wal_fsyncs), (2, 2, 2));
+    let r = crash_recover(&vfs.mem, wal_config());
+    for k in 0..8 {
+        assert_eq!(r.committed_value(&key(k)), Some(1), "both acked commits recover ({k})");
+    }
+}
+
+#[derive(Clone, Copy, Debug)]
+enum VfsFault {
+    Fsync,
+    Append,
+}
+
+/// After a batch failed: its keys are writable (locks released / nothing
+/// left pinned), and the log stays poisoned — every later top-level
+/// commit completes in memory and still reports `Wal`.
+fn assert_released_and_poisoned(db: &Db<String, i64>, keys: std::ops::Range<usize>, what: &str) {
+    for round in 0..2 {
+        let t = db.begin();
+        for k in keys.clone() {
+            t.rmw(&key(k), |v| v + 1)
+                .unwrap_or_else(|e| panic!("{what}: key {k} still held after the failure: {e}"));
+        }
+        let verdict = t.commit();
+        assert!(
+            matches!(verdict, Err(TxnError::Wal { .. })),
+            "{what}: commit {round} after the failure must not ack, got {verdict:?}"
+        );
+    }
+}
+
+/// A singleton batch (and the inline, pipeline-off path) whose force or
+/// commit-record append fails.
+#[test]
+fn a_failing_force_poisons_singleton_commits_in_both_modes() {
+    for cc in [CcMode::Locking, CcMode::Optimistic] {
+        for group in [false, true] {
+            for fault in [VfsFault::Fsync, VfsFault::Append] {
+                let what = format!("{cc:?} group_commit={group} {fault:?}");
+                let mut config = group_fsync_config(cc);
+                config.group_commit = group;
+                let (vfs, db) = open_mem(config);
+                db.insert(key(0), 0);
+                db.insert(key(1), 0);
+                bump(&db, 0..2).unwrap_or_else(|e| panic!("{what}: healthy commit failed: {e}"));
+                let healthy = vfs.snapshot(LOG);
+
+                match fault {
+                    VfsFault::Fsync => vfs.arm_fsync_error(0),
+                    // Begin lands; the first Write (locking: at the rmw,
+                    // optimistic: at commit) is refused by the disk.
+                    VfsFault::Append => vfs.arm_append_error(1),
+                }
+                let verdict = bump(&db, 0..2);
+                assert!(matches!(verdict, Err(TxnError::Wal { .. })), "{what}: got {verdict:?}");
+                let at_failure = vfs.snapshot(LOG);
+                assert!(at_failure.starts_with(&healthy), "{what}: the log only grows");
+                assert_released_and_poisoned(&db, 0..2, &what);
+                // In memory all four commits happened; only the first was
+                // acked.
+                assert_eq!(db.committed_value(&key(0)), Some(4), "{what}");
+                let s = db.stats();
+                assert_eq!(s.commits_staged, s.commits_batched, "{what}: nobody left in the queue");
+                assert!(db.checkpoint().is_err(), "{what}: a poisoned log refuses checkpoints");
+                // Fail-stop: nothing lands behind the failure, so what is
+                // on disk recovers like a crash there — the acked commit
+                // at least, and never half a transaction.
+                assert_eq!(vfs.snapshot(LOG), at_failure, "{what}: written to after the failure");
+                let r = crash_recover(&vfs, wal_config());
+                let (k0, k1) = (r.committed_value(&key(0)), r.committed_value(&key(1)));
+                assert_eq!(k0, k1, "{what}: recovered half a transaction");
+                assert!((Some(1)..=Some(2)).contains(&k0), "{what}: recovered {k0:?}");
+            }
+        }
+    }
+}
+
+/// A multi-participant batch whose force fails: the leader is held on
+/// the disk while two more commits queue up behind it; they retire as one
+/// batch, the disk refuses it, and **both** must hear `Wal`.
+#[test]
+fn a_failing_force_fails_every_participant_of_a_multi_batch() {
+    for cc in [CcMode::Locking, CcMode::Optimistic] {
+        for fault in [VfsFault::Fsync, VfsFault::Append] {
+            let what = format!("{cc:?} {fault:?}");
+            let vfs = GateVfs::closed();
+            let db: Db<String, i64> =
+                Db::open_with_vfs(vfs.clone(), LOG, group_fsync_config(cc)).unwrap();
+            for k in 0..6 {
+                db.insert(key(k), 0);
+            }
+            // The followers begin before the leader takes the disk: an
+            // optimistic `begin` pins its snapshot under the publish
+            // gate, which the optimistic leader holds across the force.
+            let followers = [2..4, 4..6].map(|keys| bumped(&db, keys).unwrap());
+            let leader = spawn_bump(&db, 0..2);
+            vfs.wait_parked();
+            let followers = followers.map(|t| spawn(move || t.commit()));
+            let queued = staged_reaches(&db, 3);
+            match fault {
+                // The leader's own fsync is the first to reach the inner
+                // MemVfs once the gate opens; the next one fails.
+                VfsFault::Fsync => vfs.mem.arm_fsync_error(1),
+                // Everything the followers log before staging is in; the
+                // next append is their batch's (locking: the BatchCommit
+                // frame, optimistic: its first Write record).
+                VfsFault::Append => vfs.mem.arm_append_error(0),
+            }
+            vfs.open();
+            assert!(queued, "{what}: followers never reached the queue");
+            assert_eq!(leader.recv_timeout(PATIENCE).unwrap(), Ok(()), "{what}");
+            for f in followers {
+                let verdict = f.recv_timeout(PATIENCE).expect("a stager stayed parked");
+                assert!(matches!(verdict, Err(TxnError::Wal { .. })), "{what}: got {verdict:?}");
+            }
+            let s = db.stats();
+            assert_eq!(s.commit_batches, 2, "{what}: [leader] then [both followers]");
+            assert_eq!(s.commits_staged, s.commits_batched, "{what}: nobody left in the queue");
+            assert_released_and_poisoned(&db, 0..6, &what);
+
+            // The log stopped at the failure: the leader's acked commit
+            // recovers, the refused batch recovers whole or not at all.
+            let r = crash_recover(&vfs.mem, wal_config());
+            assert_eq!(r.committed_value(&key(0)), Some(1), "{what}: the acked commit");
+            let batch: Vec<_> = (2..6).map(|k| r.committed_value(&key(k))).collect();
+            assert!(
+                batch.iter().all(|v| *v == batch[0]) && batch[0] <= Some(1),
+                "{what}: the refused batch recovered as {batch:?}"
+            );
+        }
+    }
 }

@@ -43,7 +43,13 @@
 //! I/O goes through the [`Vfs`] trait so the chaos harness can drive
 //! crash points deterministically: [`StdVfs`] is the real-file impl,
 //! [`MemVfs`] the in-memory fault-injecting one (armed torn appends,
-//! byte-level snapshots for prefix-cut crash simulation).
+//! armed append/fsync *errors*, byte-level snapshots for prefix-cut
+//! crash simulation).
+//!
+//! Writing is two-sided: [`Wal`] appends (one write-through
+//! `Vfs::append` per record, `&mut self`, so the engine keeps it under a
+//! mutex) and [`WalForce`] forces (shared, lock-free), so a slow fsync
+//! never stands between other transactions and their log records.
 
 #![warn(missing_docs)]
 
@@ -57,7 +63,7 @@ pub mod faults;
 
 pub use codec::{encode_to_vec, WalCodec};
 pub use error::WalError;
-pub use log::{decode_strict, frame, scan, Tail, Wal, MAGIC};
+pub use log::{decode_strict, frame, frame_into, scan, Tail, Wal, WalForce, MAGIC};
 pub use record::{Record, INIT_ACTION};
 pub use vfs::{MemVfs, StdVfs, Vfs};
 

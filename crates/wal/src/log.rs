@@ -5,6 +5,7 @@ use crate::crc32;
 use crate::error::WalError;
 use crate::record::Record;
 use crate::vfs::Vfs;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// The 8-byte file header every log starts with. `03` added the
@@ -14,12 +15,24 @@ pub const MAGIC: &[u8; 8] = b"RNTWAL03";
 
 /// Wrap a record payload in a `[len][crc][payload]` frame.
 pub fn frame(record: &Record) -> Vec<u8> {
-    let payload = record.encode();
-    let mut out = Vec::with_capacity(8 + payload.len());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(&payload).to_le_bytes());
-    out.extend_from_slice(&payload);
+    let mut out = Vec::new();
+    frame_into(record, &mut out);
     out
+}
+
+/// Append `record`'s frame to `out`: the payload is encoded in place
+/// behind an 8-byte header that is filled in once its length and CRC are
+/// known, so a caller that reuses `out` frames without allocating.
+pub fn frame_into(record: &Record, out: &mut Vec<u8>) {
+    let header = out.len();
+    out.extend_from_slice(&[0; 8]);
+    record.encode_into(out);
+    let (len, crc) = {
+        let payload = &out[header + 8..];
+        (payload.len() as u32, crc32(payload))
+    };
+    out[header..header + 4].copy_from_slice(&len.to_le_bytes());
+    out[header + 4..header + 8].copy_from_slice(&crc.to_le_bytes());
 }
 
 /// How a [`scan`] ended.
@@ -125,13 +138,37 @@ pub fn decode_strict(bytes: &[u8]) -> Result<Vec<Record>, WalError> {
     Ok(records)
 }
 
-/// The append handle on one log file: frames records onto the Vfs and
-/// counts appends/fsyncs for the engine's stats.
-pub struct Wal {
+/// The force side of a log: everything an fsync needs and nothing an
+/// append does, so the engine can force the file **without** holding the
+/// lock that serializes appends. Cheap to clone; every clone counts into
+/// the same total, which [`Wal::fsyncs`] reports.
+#[derive(Clone)]
+pub struct WalForce {
     vfs: Arc<dyn Vfs>,
-    path: String,
+    path: Arc<str>,
+    fsyncs: Arc<AtomicU64>,
+}
+
+impl WalForce {
+    /// Durably flush every append that completed before this call began.
+    /// Appends racing the call may or may not be covered.
+    pub fn fsync(&self) -> Result<(), WalError> {
+        self.vfs.fsync(&self.path)?;
+        // A statistic: publishes no other data.
+        self.fsyncs.fetch_add(1, Ordering::Relaxed);
+        Ok(())
+    }
+}
+
+/// The append handle on one log file: frames records onto the Vfs and
+/// counts appends/fsyncs for the engine's stats. Appends need `&mut self`
+/// (the engine keeps the handle under a mutex); forcing goes through
+/// [`Wal::force_handle`] and does not.
+pub struct Wal {
+    force: WalForce,
     appends: u64,
-    fsyncs: u64,
+    /// Frame buffer reused by every append.
+    scratch: Vec<u8>,
 }
 
 impl Wal {
@@ -142,21 +179,23 @@ impl Wal {
         if !vfs.exists(path) {
             vfs.append(path, MAGIC)?;
         }
-        Ok(Wal { vfs, path: path.to_string(), appends: 0, fsyncs: 0 })
+        let force = WalForce { vfs, path: path.into(), fsyncs: Arc::new(AtomicU64::new(0)) };
+        Ok(Wal { force, appends: 0, scratch: Vec::new() })
     }
 
-    /// Append one framed record.
+    /// Append one framed record (write-through: one `Vfs::append` each).
     pub fn append(&mut self, record: &Record) -> Result<(), WalError> {
-        self.vfs.append(&self.path, &frame(record))?;
+        self.scratch.clear();
+        frame_into(record, &mut self.scratch);
+        self.force.vfs.append(&self.force.path, &self.scratch)?;
         self.appends += 1;
         Ok(())
     }
 
-    /// Durably flush all prior appends.
-    pub fn fsync(&mut self) -> Result<(), WalError> {
-        self.vfs.fsync(&self.path)?;
-        self.fsyncs += 1;
-        Ok(())
+    /// The handle that forces this log — the only way to fsync it, and
+    /// one that does not borrow the `Wal`.
+    pub fn force_handle(&self) -> WalForce {
+        self.force.clone()
     }
 
     /// Atomically rewrite the log as `records` (checkpoint truncation):
@@ -164,12 +203,11 @@ impl Wal {
     pub fn rewrite(&mut self, records: &[Record]) -> Result<(), WalError> {
         let mut bytes = MAGIC.to_vec();
         for r in records {
-            bytes.extend_from_slice(&frame(r));
+            frame_into(r, &mut bytes);
         }
-        self.vfs.replace(&self.path, &bytes)?;
-        self.vfs.fsync(&self.path)?;
+        self.force.vfs.replace(&self.force.path, &bytes)?;
+        self.force.fsync()?;
         self.appends += records.len() as u64;
-        self.fsyncs += 1;
         Ok(())
     }
 
@@ -178,19 +216,19 @@ impl Wal {
         self.appends
     }
 
-    /// Fsyncs issued through this handle.
+    /// Fsyncs issued through this handle and its force handles.
     pub fn fsyncs(&self) -> u64 {
-        self.fsyncs
+        self.force.fsyncs.load(Ordering::Relaxed)
     }
 
     /// The log's file path.
     pub fn path(&self) -> &str {
-        &self.path
+        &self.force.path
     }
 
     /// The Vfs this log writes through.
     pub fn vfs(&self) -> &Arc<dyn Vfs> {
-        &self.vfs
+        &self.force.vfs
     }
 }
 
@@ -225,13 +263,41 @@ mod tests {
         for r in sample() {
             wal.append(&r).unwrap();
         }
-        wal.fsync().unwrap();
+        wal.force_handle().fsync().unwrap();
         assert_eq!(wal.appends(), 6);
         assert_eq!(wal.fsyncs(), 1);
         let (records, tail) = scan(&vfs.snapshot("t.wal")).unwrap();
         assert_eq!(records, sample());
         assert_eq!(tail, Tail::Clean);
         assert_eq!(decode_strict(&vfs.snapshot("t.wal")).unwrap(), sample());
+    }
+
+    #[test]
+    fn frame_into_appends_the_bytes_frame_returns() {
+        let mut all = Vec::new();
+        let mut scratch = b"kept".to_vec();
+        for r in sample() {
+            frame_into(&r, &mut all);
+            scratch.truncate(4);
+            frame_into(&r, &mut scratch);
+            assert_eq!(&scratch[..4], b"kept", "frame_into appends, never overwrites");
+            assert_eq!(&scratch[4..], frame(&r));
+        }
+        assert_eq!(all, bytes_of(&sample())[MAGIC.len()..]);
+    }
+
+    #[test]
+    fn force_handle_fsyncs_without_the_wal_and_counts_into_it() {
+        let vfs = Arc::new(MemVfs::new());
+        let mut wal = Wal::open(vfs.clone(), "t.wal").unwrap();
+        let force = wal.force_handle();
+        wal.append(&Record::Begin { action: 0, parent: None }).unwrap();
+        force.fsync().unwrap();
+        force.clone().fsync().unwrap();
+        assert_eq!(wal.fsyncs(), 2);
+        vfs.arm_fsync_error(0);
+        assert!(force.fsync().is_err());
+        assert_eq!(wal.fsyncs(), 2, "a failed force is not counted");
     }
 
     #[test]

@@ -132,59 +132,65 @@ impl Record {
     /// Serialize this record's payload (the bytes the frame CRC covers).
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Append this record's payload to `out` (what [`Record::encode`]
+    /// returns, without the allocation).
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
         match self {
             Record::Begin { action, parent } => {
                 out.push(TAG_BEGIN);
-                put_u64(&mut out, *action);
+                put_u64(out, *action);
                 match parent {
                     None => out.push(0),
                     Some(p) => {
                         out.push(1);
-                        put_u64(&mut out, *p);
+                        put_u64(out, *p);
                     }
                 }
             }
             Record::Write { action, key, version } => {
                 out.push(TAG_WRITE);
-                put_u64(&mut out, *action);
-                put_bytes(&mut out, key);
-                put_bytes(&mut out, version);
+                put_u64(out, *action);
+                put_bytes(out, key);
+                put_bytes(out, version);
             }
             Record::Commit { action, epoch } => {
                 out.push(TAG_COMMIT);
-                put_u64(&mut out, *action);
+                put_u64(out, *action);
                 match epoch {
                     None => out.push(0),
                     Some(e) => {
                         out.push(1);
-                        put_u64(&mut out, *e);
+                        put_u64(out, *e);
                     }
                 }
             }
             Record::Abort { action } => {
                 out.push(TAG_ABORT);
-                put_u64(&mut out, *action);
+                put_u64(out, *action);
             }
             Record::BatchCommit { commits } => {
                 out.push(TAG_BATCH_COMMIT);
                 out.extend_from_slice(&(commits.len() as u32).to_le_bytes());
                 for (action, epoch) in commits {
-                    put_u64(&mut out, *action);
-                    put_u64(&mut out, *epoch);
+                    put_u64(out, *action);
+                    put_u64(out, *epoch);
                 }
             }
             Record::Checkpoint { epoch, snapshot } => {
                 out.push(TAG_CHECKPOINT);
-                put_u64(&mut out, *epoch);
+                put_u64(out, *epoch);
                 out.extend_from_slice(&(snapshot.len() as u32).to_le_bytes());
                 for (k, e, v) in snapshot {
-                    put_bytes(&mut out, k);
-                    put_u64(&mut out, *e);
-                    put_bytes(&mut out, v);
+                    put_bytes(out, k);
+                    put_u64(out, *e);
+                    put_bytes(out, v);
                 }
             }
         }
-        out
     }
 
     /// Parse a payload back into a record. `offset` is the frame's byte

@@ -4,7 +4,7 @@
 use crate::error::WalError;
 use std::collections::HashMap;
 use std::io::Write;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// The I/O surface a write-ahead log needs. Deliberately tiny: append,
 /// fsync, whole-file read, and an atomic replace for checkpoint rewrites.
@@ -28,9 +28,13 @@ fn io_err(op: &'static str) -> impl FnOnce(std::io::Error) -> WalError {
 
 /// The real-file [`Vfs`]: appends through a cached `File` handle, fsync is
 /// `sync_data`, replace is write-temp + rename (atomic on POSIX).
+///
+/// Appends are serialized by the handle-map lock; an fsync only clones
+/// the shared handle under it and syncs **outside**, so appends to the
+/// file proceed while a force is in flight.
 #[derive(Default)]
 pub struct StdVfs {
-    handles: Mutex<HashMap<String, std::fs::File>>,
+    handles: Mutex<HashMap<String, Arc<std::fs::File>>>,
 }
 
 impl StdVfs {
@@ -39,32 +43,37 @@ impl StdVfs {
         StdVfs::default()
     }
 
-    fn with_handle<R>(
-        &self,
+    /// The cached append handle of `path`, opened on first use.
+    fn handle(
+        handles: &mut HashMap<String, Arc<std::fs::File>>,
         path: &str,
         op: &'static str,
-        f: impl FnOnce(&mut std::fs::File) -> std::io::Result<R>,
-    ) -> Result<R, WalError> {
-        let mut handles = self.handles.lock().expect("vfs lock");
-        if !handles.contains_key(path) {
-            let file = std::fs::OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(path)
-                .map_err(io_err(op))?;
-            handles.insert(path.to_string(), file);
+    ) -> Result<Arc<std::fs::File>, WalError> {
+        if let Some(file) = handles.get(path) {
+            return Ok(file.clone());
         }
-        f(handles.get_mut(path).expect("just inserted")).map_err(io_err(op))
+        let file =
+            std::fs::OpenOptions::new().create(true).append(true).open(path).map_err(io_err(op))?;
+        let file = Arc::new(file);
+        handles.insert(path.to_string(), file.clone());
+        Ok(file)
     }
 }
 
 impl Vfs for StdVfs {
     fn append(&self, path: &str, data: &[u8]) -> Result<(), WalError> {
-        self.with_handle(path, "append", |f| f.write_all(data))
+        // Written under the map lock: one appender at a time, so a
+        // `write_all` that takes several `write`s cannot interleave.
+        let mut handles = self.handles.lock().expect("vfs lock");
+        let file = Self::handle(&mut handles, path, "append")?;
+        (&*file).write_all(data).map_err(io_err("append"))
     }
 
     fn fsync(&self, path: &str) -> Result<(), WalError> {
-        self.with_handle(path, "fsync", |f| f.sync_data())
+        // The map lock is gone by the end of this statement; the sync
+        // itself blocks nobody.
+        let file = Self::handle(&mut self.handles.lock().expect("vfs lock"), path, "fsync")?;
+        file.sync_data().map_err(io_err("fsync"))
     }
 
     fn read(&self, path: &str) -> Result<Vec<u8>, WalError> {
@@ -98,6 +107,11 @@ impl Vfs for StdVfs {
 /// a buffered write leaves behind. [`MemVfs::snapshot`] exposes the raw
 /// bytes so harnesses can also cut, flip, or truncate them explicitly
 /// (see [`crate::faults`]) and hand them to recovery.
+///
+/// It can also *fail loudly*, which a dying process never does:
+/// [`MemVfs::arm_append_error`] and [`MemVfs::arm_fsync_error`] make one
+/// later call return a typed [`WalError::Io`], the disk-full / EIO case
+/// the engine must answer by refusing to ack durability ever after.
 #[derive(Default)]
 pub struct MemVfs {
     files: Mutex<HashMap<String, Vec<u8>>>,
@@ -106,6 +120,31 @@ pub struct MemVfs {
     /// stops accepting writes.
     crash: Mutex<Option<(u64, usize)>>,
     crashed: Mutex<bool>,
+    /// `Some(n)`: the append after `n` more succeed returns an error.
+    append_error: Mutex<Option<u64>>,
+    /// `Some(n)`: the fsync after `n` more succeed returns an error.
+    fsync_error: Mutex<Option<u64>>,
+}
+
+/// Count one call against an armed error; true iff this call is the one
+/// that fails (which disarms the slot — the fault is one-shot).
+fn error_fires(slot: &Mutex<Option<u64>>) -> bool {
+    let mut slot = slot.lock().expect("vfs lock");
+    match slot.as_mut() {
+        Some(0) => {
+            *slot = None;
+            true
+        }
+        Some(left) => {
+            *left -= 1;
+            false
+        }
+        None => false,
+    }
+}
+
+fn injected(op: &'static str) -> WalError {
+    WalError::Io { op, detail: "injected fault".to_string() }
 }
 
 impl MemVfs {
@@ -119,6 +158,21 @@ impl MemVfs {
     /// every append past that is silently dropped (the process is "dead").
     pub fn arm_crash(&self, whole_appends: u64, keep_bytes: usize) {
         *self.crash.lock().expect("vfs lock") = Some((whole_appends, keep_bytes));
+    }
+
+    /// Arm an append failure: the next `after_n` appends succeed, the one
+    /// after returns [`WalError::Io`] and lands no bytes. One-shot — later
+    /// appends succeed again, so whatever keeps failing afterwards is the
+    /// caller's own poisoning, not this Vfs.
+    pub fn arm_append_error(&self, after_n: u64) {
+        *self.append_error.lock().expect("vfs lock") = Some(after_n);
+    }
+
+    /// Arm an fsync failure: the next `after_n` fsyncs succeed, the one
+    /// after returns [`WalError::Io`]. One-shot, like
+    /// [`MemVfs::arm_append_error`].
+    pub fn arm_fsync_error(&self, after_n: u64) {
+        *self.fsync_error.lock().expect("vfs lock") = Some(after_n);
     }
 
     /// True once an armed crash has fired.
@@ -142,6 +196,9 @@ impl Vfs for MemVfs {
         if *self.crashed.lock().expect("vfs lock") {
             return Ok(()); // post-crash writes vanish
         }
+        if error_fires(&self.append_error) {
+            return Err(injected("append"));
+        }
         let mut keep = data.len();
         {
             let mut crash = self.crash.lock().expect("vfs lock");
@@ -161,6 +218,9 @@ impl Vfs for MemVfs {
     }
 
     fn fsync(&self, _path: &str) -> Result<(), WalError> {
+        if error_fires(&self.fsync_error) {
+            return Err(injected("fsync"));
+        }
         Ok(())
     }
 
@@ -212,6 +272,19 @@ mod tests {
     }
 
     #[test]
+    fn mem_vfs_armed_errors_are_one_shot() {
+        let vfs = MemVfs::new();
+        vfs.arm_append_error(1);
+        vfs.append("a.wal", b"one").unwrap();
+        assert!(matches!(vfs.append("a.wal", b"two"), Err(WalError::Io { op: "append", .. })));
+        vfs.append("a.wal", b"three").unwrap();
+        assert_eq!(vfs.read("a.wal").unwrap(), b"onethree", "the failed append lands nothing");
+        vfs.arm_fsync_error(0);
+        assert!(matches!(vfs.fsync("a.wal"), Err(WalError::Io { op: "fsync", .. })));
+        vfs.fsync("a.wal").unwrap();
+    }
+
+    #[test]
     fn mem_vfs_replace_is_whole() {
         let vfs = MemVfs::new();
         vfs.append("a.wal", b"old").unwrap();
@@ -235,6 +308,52 @@ mod tests {
         assert_eq!(vfs.read(path).unwrap(), b"xyz");
         vfs.append(path, b"!").unwrap();
         assert_eq!(vfs.read(path).unwrap(), b"xyz!");
+        let _ = std::fs::remove_file(path);
+    }
+
+    /// Appends issued while other threads fsync the same file all land,
+    /// in order: the force shares the handle, it does not take it away.
+    #[test]
+    fn std_vfs_appends_during_fsync_all_land_in_order() {
+        let dir = std::env::temp_dir().join(format!("rnt-wal-force-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("concurrent.wal");
+        let path = path.to_str().unwrap();
+        let _ = std::fs::remove_file(path);
+        let vfs = StdVfs::new();
+        const APPENDS: u32 = 2000;
+        let done = std::sync::atomic::AtomicBool::new(false);
+        let start = std::sync::Barrier::new(3);
+        let fsyncs = std::thread::scope(|s| {
+            let forcers: Vec<_> = (0..2)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        let mut n = 0u32;
+                        // At least one force after the appender is done,
+                        // so the loop cannot end before it ever overlapped.
+                        loop {
+                            let last = done.load(std::sync::atomic::Ordering::SeqCst);
+                            vfs.fsync(path).unwrap();
+                            n += 1;
+                            if last {
+                                return n;
+                            }
+                        }
+                    })
+                })
+                .collect();
+            start.wait();
+            for i in 0..APPENDS {
+                vfs.append(path, &i.to_le_bytes()).unwrap();
+            }
+            done.store(true, std::sync::atomic::Ordering::SeqCst);
+            forcers.into_iter().map(|h| h.join().unwrap()).sum::<u32>()
+        });
+        assert!(fsyncs >= 2);
+        let bytes = vfs.read(path).unwrap();
+        let expected: Vec<u8> = (0..APPENDS).flat_map(|i| i.to_le_bytes()).collect();
+        assert_eq!(bytes, expected);
         let _ = std::fs::remove_file(path);
     }
 }
