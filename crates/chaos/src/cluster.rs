@@ -85,6 +85,8 @@ pub struct ClusterChaosReport {
     pub recoveries: u32,
     /// Link faults (delays/partitions) injected.
     pub link_faults: u32,
+    /// Commit statuses handed to the router (remote participants).
+    pub sends: u64,
     /// Committed deliveries re-applied as redo after a crash.
     pub redo_applied: u64,
     /// Level-5 events the validated journal expanded to.
@@ -453,6 +455,7 @@ pub fn run_cluster_chaos(cfg: &ClusterChaosConfig) -> Result<ClusterChaosReport,
         crashes: driver.crashes,
         recoveries: driver.recoveries,
         link_faults: driver.link_faults,
+        sends: stats.router.sends,
         redo_applied: stats.router.redo_applied,
         trace_events: report.events,
         fingerprint: h,

@@ -13,8 +13,12 @@ fn seeds_per_class() -> u64 {
     std::env::var("CLUSTER_SWEEP_SEEDS").ok().and_then(|s| s.parse().ok()).unwrap_or(180)
 }
 
+/// Run one fault class's seeds. First-touch homing sends nothing for a
+/// single-node footprint, so the sweep also has to show it still routes:
+/// a class whose walks never leave their home node would pass every
+/// oracle vacuously.
 fn sweep(fault: ClusterFaultClass, base: u64) -> Vec<ClusterChaosReport> {
-    (0..seeds_per_class())
+    let reports: Vec<ClusterChaosReport> = (0..seeds_per_class())
         .map(|i| {
             let seed = base + i;
             let cfg = ClusterChaosConfig { seed, nodes: 4, fault, ..Default::default() };
@@ -23,7 +27,11 @@ fn sweep(fault: ClusterFaultClass, base: u64) -> Vec<ClusterChaosReport> {
                 Err(e) => panic!("seed {seed} ({fault:?}): {e}"),
             }
         })
-        .collect()
+        .collect();
+    let (sends, commits): (u64, u64) =
+        reports.iter().fold((0, 0), |(s, c), r| (s + r.sends, c + r.commits));
+    assert!(sends > 0, "{fault:?}: {commits} commits never had a remote participant");
+    reports
 }
 
 #[test]

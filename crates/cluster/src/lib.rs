@@ -31,7 +31,7 @@ mod partition;
 mod router;
 mod trace;
 
-pub use cluster::{Cluster, ClusterConfig, ClusterSnapshot, ClusterStats, ClusterTxn};
+pub use cluster::{Cluster, ClusterConfig, ClusterSnapshot, ClusterStats, ClusterTxn, Key, Value};
 pub use partition::Partition;
 pub use router::RouterStats;
 pub use trace::TraceValue;

@@ -13,7 +13,7 @@
 //! | runtime                              | level-5 events                        |
 //! |--------------------------------------|---------------------------------------|
 //! | `Cluster::insert` seed               | object + initial value in the universe |
-//! | `Cluster::begin` / `ClusterTxn::child` | `create` at the home node            |
+//! | first access / `ClusterTxn::child`   | `create` at the home node (bound then) |
 //! | `put` at `home(x)`                   | `create` at home, gossip of the active chain, `perform`, eager `release-lock` of the access |
 //! | remote `put` acknowledgment          | gossip of the access's commit back home |
 //! | `commit` (home side)                 | `commit` at home + `release-lock` of home write keys |
@@ -98,18 +98,6 @@ pub(crate) enum RecOp<K> {
     /// Router delivery of that status at `node`: the `receive` plus the
     /// remote `release-lock`s it enables.
     Deliver { node: NodeId, action: Vec<u32>, released: Vec<(Vec<u32>, K)> },
-}
-
-/// The journal of one cluster run.
-#[derive(Debug)]
-pub(crate) struct Recorder<K> {
-    pub(crate) ops: Vec<RecOp<K>>,
-}
-
-impl<K> Recorder<K> {
-    pub(crate) fn new() -> Self {
-        Recorder { ops: Vec::new() }
-    }
 }
 
 /// Lock releases grouped by node: `(holder action path, key)` pairs.

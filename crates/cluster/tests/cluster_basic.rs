@@ -140,9 +140,11 @@ fn periodic_gossip_defers_remote_release() {
     for k in 0..8u64 {
         cluster.insert(k, 0);
     }
-    // Find a key homed away from txn 0's home node.
+    // The first access homes the transaction; a key of the other node
+    // then needs a remote participant.
     let txn = cluster.begin();
-    let home = txn.home();
+    txn.get(&0).unwrap();
+    let home = txn.home().unwrap();
     let remote_key = (0..8u64).find(|k| cluster.partition().home(k) != home).unwrap();
     txn.put(&remote_key, 42).unwrap();
     txn.commit().unwrap();
@@ -156,6 +158,48 @@ fn periodic_gossip_defers_remote_release() {
     cluster.pump();
     assert_eq!(cluster.stats().pending_deliveries, 0);
     assert_eq!(cluster.committed_value(&remote_key).unwrap(), Some(42));
+    cluster.validate_trace(true).expect("trace valid");
+}
+
+/// First-touch homing: the first key's node is the home, a footprint
+/// that stays there never meets the router, and each further node costs
+/// exactly one delivery.
+#[test]
+fn single_node_footprint_sends_nothing() {
+    let cluster = mem_cluster(3);
+    let partition = cluster.partition();
+    let first = 5u64;
+    let node = partition.home(&first);
+    let local: Vec<u64> = (0..64).filter(|k| partition.home(k) == node).collect();
+    let txn = cluster.begin();
+    assert_eq!(txn.home(), None, "no home before the first access");
+    for k in &local {
+        txn.rmw(k, |v| v + 1).unwrap();
+        assert_eq!(txn.home(), Some(node));
+    }
+    txn.commit().unwrap();
+    let stats = cluster.stats();
+    assert_eq!((stats.commits, stats.router.sends, stats.pending_deliveries), (1, 0, 0));
+    assert_eq!(cluster.committed_value(&first).unwrap(), Some(1), "no delivery was needed");
+
+    let remote_key = (0..64u64).find(|k| partition.home(k) != node).unwrap();
+    let txn = cluster.begin();
+    txn.put(&first, 7).unwrap();
+    txn.put(&remote_key, 8).unwrap();
+    assert_eq!(txn.home(), Some(node), "later accesses do not move the home");
+    txn.commit().unwrap();
+    assert_eq!(cluster.stats().router.sends, 1, "one remote participant, one delivery");
+    assert_eq!(cluster.delivery_log(partition.home(&remote_key)).len(), 1);
+
+    // Without an access, the first `child()` or the commit binds `ctid % k`.
+    let txn = cluster.begin();
+    let fallback = (txn.id() % 3) as usize;
+    txn.child().unwrap().commit().unwrap();
+    assert_eq!(txn.home(), Some(fallback));
+    txn.commit().unwrap();
+    cluster.begin().commit().unwrap();
+    assert_eq!(cluster.stats().commits, 4);
+    assert_eq!(cluster.stats().router.sends, 1);
     cluster.validate_trace(true).expect("trace valid");
 }
 
@@ -244,7 +288,8 @@ fn committed_work_survives_remote_crash_via_redo() {
         cluster.insert(k, 0);
     }
     let txn = cluster.begin();
-    let home = txn.home();
+    txn.get(&0).unwrap();
+    let home = txn.home().unwrap();
     let remote_key = (0..16u64).find(|k| cluster.partition().home(k) != home).unwrap();
     let remote = cluster.partition().home(&remote_key);
     txn.put(&remote_key, 77).unwrap();
