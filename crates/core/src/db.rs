@@ -38,9 +38,9 @@ use parking_lot::{Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard};
 use rnt_model::UpdateFn;
 use rnt_mvcc::{MvccStore, GENESIS_EPOCH};
 use rnt_wal::{Record, Wal, WalError, WalForce, INIT_ACTION};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::hash::{BuildHasher, Hash, RandomState};
-use std::ops::RangeBounds;
+use std::ops::{Bound, RangeBounds};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -381,6 +381,9 @@ struct AuditState<K> {
     keymap: Mutex<HashMap<K, u32>>,
 }
 
+/// A scanned interval, owned: the bounds of one [`ReadView::range`] call.
+type KeyRange<K> = (Bound<K>, Bound<K>);
+
 /// Per-transaction optimistic-mode context: the begin snapshot plus the
 /// private buffers that replace lock-table state ([`CcMode::Optimistic`]).
 ///
@@ -400,12 +403,18 @@ struct OptCtx<K, V> {
     /// The parent's context (`None` on the top-level transaction).
     parent: Option<Arc<OptCtx<K, V>>>,
     /// Private write buffer, newest value per key. A `BTreeMap` so the
-    /// commit publishes (and WAL-logs) in deterministic key order.
-    writes: Mutex<std::collections::BTreeMap<K, V>>,
+    /// commit publishes (and WAL-logs) in deterministic key order, and so
+    /// a scan can overlay the buffered writes inside its bounds.
+    writes: Mutex<BTreeMap<K, V>>,
     /// Keys read from the snapshot — the rw-antidependency half of the
     /// validation footprint. Buffered-write hits don't enter: they
     /// depend on this tree, not on the snapshot.
     reads: Mutex<std::collections::HashSet<K>>,
+    /// Intervals scanned from the snapshot, validated as intervals: one
+    /// entry per [`ReadView::range`] call, however many rows it returned.
+    /// An interval stands for every key inside it — a superset of the
+    /// keys the scan returned, so it can only add conflicts.
+    ranges: Mutex<Vec<KeyRange<K>>>,
     /// Access records buffered until top-level commit. Flushing them to
     /// the audit log under the publish gate makes audit data order equal
     /// commit (= epoch) order — the invariant the Theorem-9 oracle's
@@ -415,6 +424,18 @@ struct OptCtx<K, V> {
 }
 
 impl<K: Eq + Hash + Ord + Clone, V: Clone> OptCtx<K, V> {
+    /// A fresh context reading at `begin_epoch` under `parent`.
+    fn new(begin_epoch: u64, parent: Option<Arc<OptCtx<K, V>>>) -> Self {
+        OptCtx {
+            begin_epoch,
+            parent,
+            writes: Mutex::new(BTreeMap::new()),
+            reads: Mutex::new(std::collections::HashSet::new()),
+            ranges: Mutex::new(Vec::new()),
+            audit_buf: Mutex::new(Vec::new()),
+        }
+    }
+
     /// The nearest buffered value for `key`: own buffer first, then the
     /// ancestor chain outward.
     fn buffered(&self, key: &K) -> Option<V> {
@@ -424,11 +445,24 @@ impl<K: Eq + Hash + Ord + Clone, V: Clone> OptCtx<K, V> {
         self.parent.as_ref().and_then(|p| p.buffered(key))
     }
 
-    /// Enter `key` into the read set, cloning only on first contact.
+    /// Enter `key` into the read set: one hash, first contact or not (a
+    /// re-read pays a key clone instead of a second lookup).
     fn track_read(&self, key: &K) {
-        let mut reads = self.reads.lock();
-        if !reads.contains(key) {
-            reads.insert(key.clone());
+        self.reads.lock().insert(key.clone());
+    }
+
+    /// Lay this tree's buffered writes inside `bounds` over `rows` (the
+    /// snapshot's rows in key order): ancestors first, so the nearest
+    /// buffer wins, exactly as [`OptCtx::buffered`] resolves one key.
+    fn overlay(&self, bounds: &KeyRange<K>, rows: &mut Vec<(K, V)>) {
+        if let Some(parent) = &self.parent {
+            parent.overlay(bounds, rows);
+        }
+        for (key, value) in self.writes.lock().range((bounds.0.as_ref(), bounds.1.as_ref())) {
+            match rows.binary_search_by(|(k, _)| k.cmp(key)) {
+                Ok(i) => rows[i].1 = value.clone(),
+                Err(i) => rows.insert(i, (key.clone(), value.clone())),
+            }
         }
     }
 
@@ -456,9 +490,11 @@ enum CommitPayload<K, V> {
         /// The participant's pinned begin snapshot.
         begin_epoch: u64,
         /// Its buffered write set (key order, for deterministic logs).
-        writes: std::collections::BTreeMap<K, V>,
-        /// Its snapshot read set.
+        writes: BTreeMap<K, V>,
+        /// Its snapshot read set: keys…
         reads: std::collections::HashSet<K>,
+        /// …and scanned intervals.
+        ranges: Vec<KeyRange<K>>,
         /// Its buffered audit Access records.
         audit: Vec<AuditRecord>,
     },
@@ -531,7 +567,7 @@ struct DbInner<K, V> {
     /// commits publish here (under the publish lock, then per-key under
     /// the owning shard guard — so chain order = grant order = log order);
     /// [`Db::snapshot`] pins an epoch and reads without ever touching the
-    /// lock tables. Lock order: publish → shard → mvcc-shard.
+    /// lock tables. Lock order: publish → shard → the store's own locks.
     mvcc: MvccStore<K, V>,
     /// The group-commit sequencer (used iff [`DbConfig::group_commit`]).
     pipeline: CommitPipeline<CommitPayload<K, V>, Result<(), TxnError>>,
@@ -608,7 +644,7 @@ where
                 run_seq: AtomicU64::new(0),
                 wal: std::sync::OnceLock::new(),
                 ckpt: RwLock::new(()),
-                mvcc: MvccStore::with_opts(config_shards, max_versions, scaled),
+                mvcc: MvccStore::with_opts(max_versions, scaled),
                 pipeline: CommitPipeline::new(),
                 #[cfg(feature = "chaos-hooks")]
                 injector: parking_lot::RwLock::new(None),
@@ -716,15 +752,8 @@ where
         self.inner.stats.bump(|b| &b.begun);
         self.inner.audit_record(|reg| AuditRecord::Begin { path: reg.path(id).expect("fresh") });
         self.inner.wal_append(&Record::Begin { action: id.0, parent: None });
-        let opt = (self.inner.config.cc_mode == CcMode::Optimistic).then(|| {
-            Arc::new(OptCtx {
-                begin_epoch: self.inner.mvcc.pin(),
-                parent: None,
-                writes: Mutex::new(std::collections::BTreeMap::new()),
-                reads: Mutex::new(std::collections::HashSet::new()),
-                audit_buf: Mutex::new(Vec::new()),
-            })
-        });
+        let opt = (self.inner.config.cc_mode == CcMode::Optimistic)
+            .then(|| Arc::new(OptCtx::new(self.inner.mvcc.pin(), None)));
         Txn {
             inner: self.inner.clone(),
             id,
@@ -1219,12 +1248,13 @@ where
     /// the survivors as a contiguous epoch run and abort the losers.
     ///
     /// First committer wins *within* the batch too: a participant's
-    /// footprint is checked against both the committed chain heads and the
-    /// write sets of earlier in-batch survivors — exactly what it would
-    /// have observed had the batch committed one by one. The leader flips
-    /// the registry state of every participant (commit or abort) while its
-    /// staging thread is parked, so by the time a verdict is returned the
-    /// transaction is finished either way.
+    /// footprint — keys and scanned intervals — is checked against both
+    /// the committed chain heads and the write sets of earlier in-batch
+    /// survivors (an ordered overlay, so an interval can be probed) —
+    /// exactly what it would have observed had the batch committed one by
+    /// one. The leader flips the registry state of every participant
+    /// (commit or abort) while its staging thread is parked, so by the
+    /// time a verdict is returned the transaction is finished either way.
     fn process_optimistic_batch(
         &self,
         batch: Vec<StagedCommit<CommitPayload<K, V>>>,
@@ -1234,22 +1264,26 @@ where
         // Validation pass. A survivor's provisional epoch is `base` plus
         // the number of earlier survivors; its write set joins the
         // in-batch overlay later participants must also validate against.
-        let mut batch_writes: HashMap<K, u64> = HashMap::new();
+        let mut batch_writes: BTreeMap<K, u64> = BTreeMap::new();
         let mut epochs: Vec<Option<u64>> = Vec::with_capacity(batch.len());
         let mut failures: Vec<Option<TxnError>> = Vec::with_capacity(batch.len());
         let mut survivor_count: u64 = 0;
         for staged in batch.iter() {
-            let CommitPayload::Optimistic { begin_epoch, writes, reads, .. } = &staged.payload
+            let CommitPayload::Optimistic { begin_epoch, writes, reads, ranges, .. } =
+                &staged.payload
             else {
                 unreachable!("locking payload staged in an optimistic database")
             };
-            let newest = self.opt_conflict(writes.keys().chain(reads.iter()), *begin_epoch).max(
-                writes
-                    .keys()
-                    .chain(reads.iter())
-                    .filter_map(|k| batch_writes.get(k).copied())
-                    .max(),
-            );
+            // Every in-batch epoch is above the watermark, hence above any
+            // participant's begin epoch: a hit is a conflict.
+            let in_batch_keys =
+                writes.keys().chain(reads.iter()).filter_map(|k| batch_writes.get(k).copied());
+            let in_batch_spans = ranges.iter().filter_map(|(lo, hi)| {
+                batch_writes.range((lo.as_ref(), hi.as_ref())).map(|(_, &e)| e).max()
+            });
+            let newest = self
+                .opt_conflict(writes, reads, ranges, *begin_epoch)
+                .max(in_batch_keys.chain(in_batch_spans).max());
             if let Some(committed_epoch) = newest {
                 epochs.push(None);
                 failures
@@ -1813,34 +1847,29 @@ where
         });
     }
 
-    /// First-committer-wins validation: the newest committed epoch that
-    /// invalidates `footprint` against `begin_epoch`, or `None` if the
-    /// footprint is clean. The caller holds the publish gate, so chain
-    /// heads cannot move during the scan.
-    fn opt_conflict<'k>(
+    /// First-committer-wins validation: the newest committed epoch above
+    /// `floor` anywhere in the footprint — written keys, read keys and
+    /// scanned intervals, each interval judged as a whole — or `None` if
+    /// the footprint is clean. Under the publish gate chain heads cannot
+    /// move during the check.
+    fn opt_conflict(
         &self,
-        footprint: impl Iterator<Item = &'k K>,
-        begin_epoch: u64,
-    ) -> Option<u64>
-    where
-        K: 'k,
-    {
-        let mut newest = None;
-        for key in footprint {
-            if let Some(e) = self.mvcc.last_epoch(key) {
-                if e > begin_epoch && Some(e) > newest {
-                    newest = Some(e);
-                }
-            }
-        }
-        newest
+        writes: &BTreeMap<K, V>,
+        reads: &std::collections::HashSet<K>,
+        ranges: &[KeyRange<K>],
+        floor: u64,
+    ) -> Option<u64> {
+        let keys = writes.keys().chain(reads.iter()).filter_map(|k| self.mvcc.last_epoch(k));
+        let spans =
+            ranges.iter().filter_map(|(lo, hi)| self.mvcc.max_epoch_in((lo.as_ref(), hi.as_ref())));
+        keys.chain(spans).filter(|&e| e > floor).max()
     }
 
     /// Publish a validated optimistic write set at `epoch`: per key,
     /// replace the lock-table base and append the chain version under the
     /// owning shard guard (the caller holds the publish lock — the same
-    /// publish → shard → mvcc-shard order as the locking commit path).
-    fn publish_optimistic_writes(&self, writes: &std::collections::BTreeMap<K, V>, epoch: u64) {
+    /// publish → shard → store order as the locking commit path).
+    fn publish_optimistic_writes(&self, writes: &BTreeMap<K, V>, epoch: u64) {
         for (key, value) in writes {
             let shard = &self.shards[self.shard_of(key)];
             let mut guard = shard.state.lock();
@@ -1900,15 +1929,10 @@ where
         self.inner
             .audit_record(|reg| AuditRecord::Begin { path: reg.path(id).expect("fresh child") });
         self.inner.wal_append(&Record::Begin { action: id.0, parent: Some(self.id.0) });
-        let opt = self.opt.as_ref().map(|parent| {
-            Arc::new(OptCtx {
-                begin_epoch: parent.begin_epoch,
-                parent: Some(parent.clone()),
-                writes: Mutex::new(std::collections::BTreeMap::new()),
-                reads: Mutex::new(std::collections::HashSet::new()),
-                audit_buf: Mutex::new(Vec::new()),
-            })
-        });
+        let opt = self
+            .opt
+            .as_ref()
+            .map(|parent| Arc::new(OptCtx::new(parent.begin_epoch, Some(parent.clone()))));
         Ok(Txn {
             inner: self.inner.clone(),
             id,
@@ -1924,8 +1948,8 @@ where
     /// write in this transaction tree, else the committed value at the
     /// pinned begin snapshot.
     pub fn read(&self, key: &K) -> Result<V, TxnError> {
-        if let Some(opt) = self.opt.clone() {
-            let out = self.opt_read(key, &opt)?;
+        if let Some(opt) = &self.opt {
+            let out = self.opt_read(key, opt)?;
             self.inner.stats.bump(|b| &b.reads);
             return Ok(out);
         }
@@ -1966,8 +1990,8 @@ where
     /// into the private write buffer (optimistic mode). Returns the
     /// value seen.
     pub fn rmw(&self, key: &K, f: impl Fn(&V) -> V) -> Result<V, TxnError> {
-        if let Some(opt) = self.opt.clone() {
-            let out = self.opt_rmw(key, f, &opt)?;
+        if let Some(opt) = &self.opt {
+            let out = self.opt_rmw(key, f, opt)?;
             self.inner.stats.bump(|b| &b.writes);
             return Ok(out);
         }
@@ -1996,7 +2020,7 @@ where
     }
 
     /// Optimistic read: buffered overlay first, else the pinned snapshot.
-    fn opt_read(&self, key: &K, opt: &Arc<OptCtx<K, V>>) -> Result<V, TxnError> {
+    fn opt_read(&self, key: &K, opt: &OptCtx<K, V>) -> Result<V, TxnError> {
         let inner = &self.inner;
         inner.opt_preamble(self.id, inner.shard_of(key), opt.parent.is_none())?;
         if let Some(v) = opt.buffered(key) {
@@ -2018,12 +2042,7 @@ where
 
     /// Optimistic read-modify-write: `f` over the overlaid view, result
     /// into the private write buffer.
-    fn opt_rmw(
-        &self,
-        key: &K,
-        f: impl Fn(&V) -> V,
-        opt: &Arc<OptCtx<K, V>>,
-    ) -> Result<V, TxnError> {
+    fn opt_rmw(&self, key: &K, f: impl Fn(&V) -> V, opt: &OptCtx<K, V>) -> Result<V, TxnError> {
         let inner = &self.inner;
         inner.opt_preamble(self.id, inner.shard_of(key), opt.parent.is_none())?;
         let seen = match opt.buffered(key) {
@@ -2048,6 +2067,40 @@ where
         );
         opt.track_write(key, new);
         Ok(seen)
+    }
+
+    /// Optimistic scan: one store walk at the begin snapshot with this
+    /// tree's buffered writes laid over it, and one read-set entry — the
+    /// *bounds*, validated at commit as an interval — however many rows
+    /// come back. With auditing on, each returned row is one audited
+    /// read, as if read by key.
+    fn opt_range<R: RangeBounds<K>>(
+        &self,
+        bounds: R,
+        opt: &OptCtx<K, V>,
+    ) -> Result<Vec<(K, V)>, TxnError> {
+        let inner = &self.inner;
+        let is_top = opt.parent.is_none();
+        // A scan crosses every lock-table shard; the injector is told 0.
+        inner.opt_preamble(self.id, 0, is_top)?;
+        let mut rows =
+            inner.mvcc.range_at((bounds.start_bound(), bounds.end_bound()), opt.begin_epoch);
+        let bounds = (bounds.start_bound().cloned(), bounds.end_bound().cloned());
+        opt.overlay(&bounds, &mut rows);
+        // A racing ancestor abort may have unpinned the snapshot and let
+        // GC compact chains mid-walk: a dead transaction reports
+        // orphanhood, not a short scan (cf. `opt_absent_error`).
+        if !is_top && inner.registry.read_view().is_dead(self.id) {
+            return Err(TxnError::Orphaned);
+        }
+        opt.ranges.lock().push(bounds);
+        if inner.audit.is_some() {
+            for (key, value) in rows.iter() {
+                inner.opt_buffer_access(opt, self.id, key, UpdateFn::Read, hash_value(value));
+            }
+        }
+        inner.stats.add(|b| &b.reads, rows.len() as u64);
+        Ok(rows)
     }
 
     /// Run `body` in a subtransaction with automatic local retry: commits
@@ -2164,9 +2217,10 @@ where
     ///
     /// Nested commits are savepoint releases: buffers merge into the
     /// parent, no validation. A top-level commit validates its merged
-    /// footprint (read set ∪ write set) under the publish gate — first
-    /// committer wins: any footprint key with a committed epoch newer
-    /// than the begin snapshot aborts the transaction with
+    /// footprint (write set ∪ read keys ∪ scanned intervals) under the
+    /// publish gate — first committer wins: any footprint key, or any key
+    /// inside a scanned interval, with a committed epoch newer than the
+    /// begin snapshot aborts the transaction with
     /// [`TxnError::Conflict`]; a clean footprint publishes all buffered
     /// writes at one fresh epoch, WAL-logged before the watermark moves.
     fn commit_optimistic(&mut self) -> Result<(), TxnError> {
@@ -2183,6 +2237,7 @@ where
             let parent = opt.parent.as_ref().expect("nested optimistic has a parent ctx");
             parent.writes.lock().append(&mut opt.writes.lock());
             parent.reads.lock().extend(opt.reads.lock().drain());
+            parent.ranges.lock().append(&mut opt.ranges.lock());
             parent.audit_buf.lock().append(&mut opt.audit_buf.lock());
             inner.stats.bump(|b| &b.committed);
             self.done = true;
@@ -2204,6 +2259,7 @@ where
                 begin_epoch: opt.begin_epoch,
                 writes: std::mem::take(&mut *opt.writes.lock()),
                 reads: std::mem::take(&mut *opt.reads.lock()),
+                ranges: std::mem::take(&mut *opt.ranges.lock()),
                 audit: std::mem::take(&mut *opt.audit_buf.lock()),
             };
             inner.stats.bump(|b| &b.commits_staged);
@@ -2241,8 +2297,9 @@ where
         // loss). Losers found in phase 1 never touch the gate at all.
         let writes = opt.writes.lock();
         let reads = opt.reads.lock();
+        let ranges = opt.ranges.lock();
         let pre_watermark = inner.mvcc.watermark();
-        let mut conflict = inner.opt_conflict(writes.keys().chain(reads.iter()), opt.begin_epoch);
+        let mut conflict = inner.opt_conflict(&writes, &reads, &ranges, opt.begin_epoch);
         let gate = if conflict.is_none() {
             let gate = inner.mvcc.begin_publish_gate();
             if inner.mvcc.watermark() != pre_watermark {
@@ -2250,7 +2307,7 @@ where
                 // could not see. `pre_watermark ≥ begin_epoch` (the begin
                 // pin is at or below any later watermark read), so the
                 // tighter floor loses no conflicts.
-                conflict = inner.opt_conflict(writes.keys().chain(reads.iter()), pre_watermark);
+                conflict = inner.opt_conflict(&writes, &reads, &ranges, pre_watermark);
             }
             // A phase-2 conflict drops the gate right here — no epoch is
             // burned on a loser.
@@ -2260,6 +2317,7 @@ where
         };
         if let Some(committed_epoch) = conflict {
             // First committer won already: abort.
+            drop(ranges);
             drop(reads);
             drop(writes);
             inner.audit_record(|reg| AuditRecord::Abort { path: reg.path(id).expect("known") });
@@ -2291,6 +2349,7 @@ where
         drop(publish);
         drop(writes);
         drop(reads);
+        drop(ranges);
         inner.stats.bump(|b| &b.committed);
         inner.mvcc.unpin(opt.begin_epoch);
         self.done = true;
@@ -2381,28 +2440,37 @@ where
         }
     }
 
-    /// A *locked* range read: walks the ordered key index and acquires a
-    /// read lock on every key in `bounds`, in key order. The pairs
-    /// reflect this transaction's view — its own (and its ancestors')
-    /// uncommitted writes included — and the locks held afterwards keep
-    /// the scanned values stable until the transaction finishes, making
-    /// this the serializable counterpart of the lock-free
+    /// A serializable range read of this transaction's view — its own
+    /// (and its ancestors') uncommitted writes included.
+    ///
+    /// Locking mode walks the ordered keyspace and acquires a read lock
+    /// on every key in `bounds`, in key order; the locks held afterwards
+    /// keep the scanned values stable until the transaction finishes,
+    /// making this the locked counterpart of the lock-free
     /// [`Snapshot::range`]. Any single lock acquisition failing (die,
     /// deadlock, timeout) fails the whole scan.
     ///
+    /// Optimistic mode reads the begin snapshot in one walk and enters
+    /// the *interval* into the read set: at commit, a newer committed
+    /// write to any key inside `bounds` — returned by the scan or not —
+    /// is a [`TxnError::Conflict`].
+    ///
     /// A key seeded by a concurrent [`Db::insert`] mid-walk may or may
     /// not appear (seeding is non-transactional); keys born by replayed
-    /// checkpoints are always indexed and always appear.
+    /// checkpoints are always in the keyspace and always appear.
     fn range<R: RangeBounds<K>>(&self, bounds: R) -> Result<Vec<(K, V)>, TxnError> {
         self.inner.stats.bump(|b| &b.range_scans);
+        if let Some(opt) = &self.opt {
+            return self.opt_range(bounds, opt);
+        }
         let keys = self.inner.mvcc.keys_in(bounds);
         let mut out = Vec::with_capacity(keys.len());
         for key in keys {
             match self.read(&key) {
                 Ok(v) => out.push((key, v)),
-                // Indexed but not yet in the lock table: an in-flight
-                // seed. Skip it, matching a by-key read racing the same
-                // insert.
+                // In the keyspace but not yet in the lock table: an
+                // in-flight seed. Skip it, matching a by-key read racing
+                // the same insert.
                 Err(TxnError::UnknownKey) => {}
                 Err(e) => return Err(e),
             }
@@ -2454,8 +2522,8 @@ where
     }
 
     /// The committed value of `key` as of the pinned epoch (`None` if the
-    /// key did not exist yet). Lock-free: reads the version chain under a
-    /// sharded read lock, never the lock manager.
+    /// key did not exist yet). Lock-free: reads the version chain under
+    /// the version store's shared lock, never the lock manager.
     pub fn read(&self, key: &K) -> Option<V> {
         self.inner.stats.bump(|b| &b.snapshot_reads);
         self.inner.mvcc.read_at(key, self.epoch)
@@ -2465,9 +2533,8 @@ where
     /// pinned epoch, in ascending key order — a consistent scan: every
     /// pair is from the same committed state, no matter what writers
     /// commit while the walk runs. Lock-free like [`Snapshot::read`]:
-    /// walks the ordered key index shard by shard under sharded read
-    /// locks, never blocking (or blocked by) the lock manager or
-    /// publication.
+    /// one in-order walk of the version store under its shared lock,
+    /// never blocking (or blocked by) the lock manager or publication.
     pub fn range<R: RangeBounds<K>>(&self, bounds: R) -> Vec<(K, V)> {
         self.inner.stats.bump(|b| &b.range_scans);
         self.inner.mvcc.range_at(bounds, self.epoch)

@@ -1,7 +1,9 @@
 //! The unified read API: range scans, time travel, the `ReadView` trait,
 //! and the chain budget.
 
-use rnt_core::{Db, DbConfig, ReadView, Snapshot, SnapshotError, TxnError};
+use rnt_core::{
+    AuditRecord, CcMode, Db, DbConfig, DbConfigBuilder, ReadView, Snapshot, SnapshotError, TxnError,
+};
 
 fn db() -> Db<u64, i64> {
     let db = Db::new();
@@ -215,4 +217,198 @@ fn range_scans_are_counted() {
     let _ = ReadView::range(&t, 0..3).unwrap();
     t.abort();
     assert_eq!(db.stats().range_scans, before + 2);
+}
+
+// ------------------------------------------------ optimistic mode: a scan's
+// read-set entry is its interval, validated as one at commit.
+
+fn opt_db(config: DbConfigBuilder) -> Db<u64, i64> {
+    let db = Db::with_config(config.cc_mode(CcMode::Optimistic).build());
+    for k in 0..10 {
+        db.insert(k, k as i64 * 10);
+    }
+    db
+}
+
+/// Commit `key := value` in its own transaction; returns the commit epoch.
+fn commit_write(db: &Db<u64, i64>, key: u64, value: i64) -> u64 {
+    db.run(|t| t.write(&key, value).map(|_| ())).unwrap();
+    db.epochs().watermark
+}
+
+#[test]
+fn optimistic_scan_conflicts_with_a_committed_write_inside_its_interval() {
+    let db = opt_db(DbConfig::builder());
+    let reader = db.begin();
+    let begin = ReadView::epoch(&reader);
+    assert_eq!(sum_range(&reader, 2, 6).unwrap(), 20 + 30 + 40 + 50);
+    reader.write(&9, -1).unwrap(); // its own write is outside the interval
+    let writer_epoch = commit_write(&db, 4, 444);
+    match reader.commit().unwrap_err() {
+        TxnError::Conflict { begin_epoch, committed_epoch } => {
+            assert_eq!((begin_epoch, committed_epoch), (begin, writer_epoch));
+        }
+        other => panic!("expected Conflict, got {other:?}"),
+    }
+    assert_eq!(db.committed_value(&9), Some(90), "the loser published nothing");
+}
+
+#[test]
+fn optimistic_scan_ignores_committed_writes_outside_its_interval() {
+    let db = opt_db(DbConfig::builder());
+    let reader = db.begin();
+    assert_eq!(ReadView::range(&reader, 2..6).unwrap().len(), 4);
+    reader.write(&9, -1).unwrap();
+    commit_write(&db, 6, 666); // the excluded end bound
+    commit_write(&db, 1, 111);
+    reader.commit().unwrap();
+    assert_eq!(db.committed_value(&9), Some(-1));
+}
+
+#[test]
+fn optimistic_interval_covers_keys_the_scan_did_not_return() {
+    // The interval is a superset of the returned keys: a key seeded inside
+    // it after the scan, then written by a committed transaction, is a
+    // phantom the per-key read set could not have seen.
+    let db = opt_db(DbConfig::builder());
+    let reader = db.begin();
+    assert_eq!(ReadView::range(&reader, 20..30).unwrap(), vec![]);
+    reader.write(&0, 1).unwrap();
+    db.insert(25, 0);
+    let phantom_epoch = commit_write(&db, 25, 7);
+    assert!(matches!(
+        reader.commit(),
+        Err(TxnError::Conflict { committed_epoch, .. }) if committed_epoch == phantom_epoch
+    ));
+}
+
+#[test]
+fn optimistic_child_scan_is_inherited_on_commit_and_dropped_on_abort() {
+    let db = opt_db(DbConfig::builder());
+    // A committed child hands its interval to the parent...
+    let top = db.begin();
+    let child = top.child().unwrap();
+    assert_eq!(ReadView::range(&child, 2..6).unwrap().len(), 4);
+    child.commit().unwrap();
+    commit_write(&db, 3, 333);
+    assert!(matches!(top.commit(), Err(TxnError::Conflict { .. })));
+    // ...an aborted child takes it to the grave.
+    let top = db.begin();
+    let child = top.child().unwrap();
+    assert_eq!(ReadView::range(&child, 2..6).unwrap().len(), 4);
+    child.abort();
+    top.write(&9, 9).unwrap();
+    commit_write(&db, 3, 334);
+    top.commit().unwrap();
+}
+
+#[test]
+fn optimistic_scan_sees_own_and_ancestor_buffered_writes() {
+    let db = opt_db(DbConfig::builder());
+    let top = db.begin();
+    top.write(&3, 999).unwrap();
+    top.write(&4, 1).unwrap();
+    let child = top.child().unwrap();
+    child.write(&4, 888).unwrap(); // the nearest buffer wins
+    assert_eq!(
+        ReadView::range(&child, 2..6).unwrap(),
+        vec![(2, 20), (3, 999), (4, 888), (5, 50)],
+        "buffered writes overlay the snapshot rows, in key order"
+    );
+    assert_eq!(ReadView::range(&top, 3..=4).unwrap(), vec![(3, 999), (4, 1)]);
+    let before = db.stats();
+    child.commit().unwrap();
+    top.commit().unwrap();
+    assert_eq!(db.snapshot().range(3..=4), vec![(3, 999), (4, 888)]);
+    assert_eq!(db.stats().occ_conflicts, before.occ_conflicts);
+}
+
+#[test]
+fn optimistic_scans_count_one_scan_and_one_read_per_row() {
+    let db = opt_db(DbConfig::builder());
+    let before = db.stats();
+    let t = db.begin();
+    assert_eq!(ReadView::range(&t, 2..6).unwrap().len(), 4);
+    t.abort();
+    let after = db.stats();
+    assert_eq!(after.range_scans, before.range_scans + 1);
+    assert_eq!(after.reads, before.reads + 4);
+}
+
+#[test]
+fn optimistic_batch_writer_defeats_a_range_reader_staged_behind_it() {
+    // Two transactions scan the same interval and write *different* keys
+    // inside it, so only the intervals collide. `max_batch(2)` with a long
+    // window makes the leader wait for both: they validate in one batch,
+    // where the first staged survives and the second must lose to it
+    // through the in-batch write overlay (nothing is in the chains yet).
+    let db = opt_db(
+        DbConfig::builder()
+            .group_commit(true)
+            .max_batch(2)
+            .max_batch_wait(std::time::Duration::from_secs(30)),
+    );
+    let start = std::sync::Barrier::new(2);
+    let verdicts: Vec<Result<(), TxnError>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = [3u64, 5]
+            .into_iter()
+            .map(|key| {
+                let (db, start) = (&db, &start);
+                scope.spawn(move || {
+                    let t = db.begin();
+                    let rows = ReadView::range(&t, 0..8);
+                    let seen = t.rmw(&key, |v| v + 1);
+                    start.wait(); // both footprints are complete before either stages
+                    assert_eq!(rows?.len(), 8);
+                    seen?;
+                    t.commit()
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    let stats = db.stats();
+    assert_eq!(stats.commit_batches, 1, "both were validated in one batch");
+    let winner_epoch = db.epochs().watermark;
+    assert_eq!(verdicts.iter().filter(|v| v.is_ok()).count(), 1, "{verdicts:?}");
+    assert!(
+        verdicts.iter().any(|v| matches!(
+            v,
+            Err(TxnError::Conflict { committed_epoch, .. }) if *committed_epoch == winner_epoch
+        )),
+        "the loser names the in-batch winner's epoch: {verdicts:?}"
+    );
+    let bumped = [3u64, 5].iter().filter(|&&k| db.committed_value(&k) == Some(k as i64 * 10 + 1));
+    assert_eq!(bumped.count(), 1, "exactly one increment was published");
+    assert_eq!(stats.snapshot_pins_live, 0);
+}
+
+#[test]
+fn optimistic_audited_scan_logs_one_access_per_row_and_stays_serializable() {
+    let db = opt_db(DbConfig::builder().audit(true));
+    let accesses = |db: &Db<u64, i64>| {
+        let log = db.audit_log().unwrap().records();
+        log.iter().filter(|r| matches!(r, AuditRecord::Access { .. })).count()
+    };
+    let before = accesses(&db);
+    db.run(|t| ReadView::range(t, 2..6).map(|rows| assert_eq!(rows.len(), 4))).unwrap();
+    assert_eq!(accesses(&db), before + 4, "a scan of n rows is n audited reads");
+    // Scan-then-increment under contention, retried to success: the
+    // audited history must still be data-serializable (Theorem 9).
+    std::thread::scope(|scope| {
+        for i in 0..4u64 {
+            let db = &db;
+            scope.spawn(move || {
+                for _ in 0..20 {
+                    db.run(|t| {
+                        ReadView::range(t, 0..4)?;
+                        t.rmw(&(i % 4), |v| v + 1).map(|_| ())
+                    })
+                    .unwrap();
+                }
+            });
+        }
+    });
+    let (universe, aat) = db.audit_log().unwrap().reconstruct().unwrap();
+    assert!(aat.perm().is_data_serializable(&universe), "Theorem-9 check");
 }

@@ -26,13 +26,14 @@
 //! (the watermark rule — see [`MvccStore`] for the precise statement and
 //! why it is race-free against pin creation).
 //!
-//! The store also maintains a sharded **ordered key index** alongside the
-//! chains — updated under the same shard lock as every append, so the
-//! single-publish, batch-publish, and recovery-replay paths all keep it
-//! consistent for free. [`MvccStore::range_at`] walks it to produce
-//! key-ordered scans resolved at a pinned epoch, and [`MvccStore::pin_at`]
-//! pins *past* epochs (time travel) down to the oldest retained one, with
-//! [`PinError`] distinguishing pruned history from the unpublished future.
+//! The store *is* an **ordered keyspace**: one map from key to chain, in
+//! key order, so the single-publish, batch-publish, and recovery-replay
+//! paths all keep it consistent by appending. [`MvccStore::range_at`]
+//! walks it to produce key-ordered scans resolved at a pinned epoch,
+//! [`MvccStore::max_epoch_in`] judges a scanned interval for optimistic
+//! validation, and [`MvccStore::pin_at`] pins *past* epochs (time travel)
+//! down to the oldest retained one, with [`PinError`] distinguishing
+//! pruned history from the unpublished future.
 
 #![warn(missing_docs)]
 

@@ -1,10 +1,15 @@
-//! The sharded version-chain store, the ordered key index, the publish
-//! critical section, and epoch-based reclamation.
+//! The version-chain store — one ordered map from key to chain — the
+//! publish critical section, and epoch-based reclamation.
+//!
+//! **Lock order**: publish → pin table → map (`RwLock`, shared except on
+//! a key's first contact) → one chain `Mutex` at a time → dirty set. No
+//! path takes them in any other order, and none holds two chain locks or
+//! re-enters the map lock, so a first-contact seeder (the only map
+//! writer) can never deadlock against scanners, appenders or a sweep.
 
 use parking_lot::{Mutex, MutexGuard, RwLock};
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap, HashSet};
-use std::hash::{BuildHasher, Hash, RandomState};
+use std::collections::{BTreeMap, HashSet};
+use std::hash::Hash;
 use std::ops::RangeBounds;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -42,38 +47,6 @@ const MAX_FAST_EPOCH: u64 = u64::MAX >> COUNT_BITS;
 /// min-pin settle loop before falling back to the always-correct path.
 const FAST_PIN_TRIES: usize = 4;
 
-/// One shard of the store: keys → version chains, plus the shard's slice
-/// of the ordered key index, under a single lock.
-///
-/// The index is a `BTreeSet` over exactly the keys this shard holds a
-/// chain for. Hash-sharding scatters adjacent keys across shards, so each
-/// shard's index is an ordered *subsequence* of the global keyspace; a
-/// range scan walks every shard's slice and k-way merges the runs back
-/// into one key-ordered stream. Keys are never deleted (the engine has no
-/// transactional delete), so the index is insert-only and a key's index
-/// membership is exactly its chain's existence.
-struct ShardState<K, V> {
-    chains: HashMap<K, Chain<V>>,
-    index: BTreeSet<K>,
-    /// Keys whose chains currently hold more than one version — the only
-    /// chains a pin-release sweep could reclaim from. Appends maintain
-    /// the set (a chain enters when an append leaves it long, leaves when
-    /// a prune collapses it), so [`MvccStore::unpin`]'s sweep visits the
-    /// handful of pinned-down chains instead of walking the whole
-    /// keyspace — which would make every snapshot drop and every
-    /// optimistic commit O(total keys).
-    dirty: HashSet<K>,
-}
-
-/// One shard: its chain state under a reader-writer lock, plus a gauge of
-/// its dirty-chain count readable *without* the lock — the pin-release
-/// sweep consults the gauge to skip clean shards entirely, so a sweep's
-/// cost scales with the number of dirty shards, not the shard count.
-struct Shard<K, V> {
-    state: RwLock<ShardState<K, V>>,
-    dirty: AtomicU64,
-}
-
 /// Monotonic counters the store maintains (see [`MvccStore::counters`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MvccCounters {
@@ -109,9 +82,14 @@ pub enum PinError {
 
 /// The multi-version object store.
 ///
-/// Keys map to [version chains](Chain) sharded like the engine's lock
-/// table, with a per-shard ordered index for range scans. Three pieces of
-/// epoch state tie the chains to the commit order:
+/// One ordered map *is* the store: every key ever written, in key order,
+/// with its [version chain](Chain) inline under a per-chain lock. Point
+/// operations are one descent plus one chain lock under the map's shared
+/// lock; a range scan is a single in-order walk of the same map. Keys are
+/// never deleted (the engine has no transactional delete), so the map's
+/// exclusive lock is taken only on a key's first contact — seeding and
+/// replay. Three pieces of epoch state tie the chains to the commit
+/// order:
 ///
 /// * `watermark` — the highest *fully published* epoch: every commit with
 ///   epoch ≤ watermark has all its versions appended. Snapshots pin the
@@ -151,8 +129,16 @@ pub enum PinError {
 /// no version at or below the expired epoch anymore and reads as absent.
 /// Callers detect expiry by comparing the pin against `oldest_retained`.
 pub struct MvccStore<K, V> {
-    shards: Box<[Shard<K, V>]>,
-    hasher: RandomState,
+    map: RwLock<BTreeMap<K, Mutex<Chain<V>>>>,
+    /// Keys whose chains hold more than one version — the only chains a
+    /// pin-release sweep could reclaim from, so [`MvccStore::unpin`]'s
+    /// sweep visits the handful of pinned-down chains instead of walking
+    /// the keyspace. A chain enters when an append leaves it long and
+    /// leaves when a prune collapses it (both under the chain's lock); a
+    /// sweep works on the set it took and puts the still-long keys back,
+    /// so between sweeps the set covers every long chain and at worst
+    /// also names a few that have since collapsed.
+    dirty: Mutex<HashSet<K>>,
     /// Highest fully published epoch.
     watermark: AtomicU64,
     /// See the struct docs; held by [`MvccStore::begin_publish`] guards
@@ -191,10 +177,6 @@ pub struct MvccStore<K, V> {
     max_versions: usize,
     /// Unpins since the last non-quiescent sweep (see [`MvccStore::unpin`]).
     unswept: AtomicU64,
-    /// Store-wide count of dirty chains (chains longer than one version),
-    /// mirroring the per-shard `dirty` sets. Lets a sweep with nothing to
-    /// do return on one atomic load instead of write-locking every shard.
-    dirty_count: AtomicU64,
     created: AtomicU64,
     reclaimed: AtomicU64,
 }
@@ -379,6 +361,12 @@ fn prune<V>(chain: &mut Chain<V>, min_pin: u64) -> u64 {
     cut as u64
 }
 
+/// The latest version in `chain` with epoch ≤ `epoch`. Chains are short
+/// (reclamation keeps only pinned spans), so a reverse linear scan.
+fn resolve<V>(chain: &Chain<V>, epoch: u64) -> Option<&V> {
+    chain.iter().rev().find(|&&(e, _)| e <= epoch).map(|(_, v)| v)
+}
+
 impl<K, V> MvccStore<K, V> {
     /// The highest fully published epoch.
     pub fn watermark(&self) -> u64 {
@@ -508,7 +496,6 @@ impl<K, V> MvccStore<K, V> {
 impl<K, V> std::fmt::Debug for MvccStore<K, V> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MvccStore")
-            .field("shards", &self.shards.len())
             .field("watermark", &self.watermark())
             .field("oldest_retained", &self.oldest_retained())
             .field("max_versions", &self.max_versions)
@@ -522,36 +509,23 @@ where
     K: Eq + Hash + Ord + Clone,
     V: Clone,
 {
-    /// An empty store with `shards` chain shards (at least 1) and no
-    /// per-chain version budget.
-    pub fn new(shards: usize) -> Self {
-        Self::with_budget(shards, 0)
+    /// An empty store with no per-chain version budget. The argument is
+    /// unused: it sized the hash shards of an earlier layout and stays so
+    /// that callers written against it keep compiling.
+    pub fn new(_shards: usize) -> Self {
+        Self::with_opts(0, true)
     }
 
     /// An empty store with a per-chain version budget (`0` = unbounded):
     /// an append that grows a chain past `max_versions` force-prunes the
     /// oldest versions even if a live pin holds them, raising the
-    /// oldest-retained bound past the dropped span.
-    pub fn with_budget(shards: usize, max_versions: usize) -> Self {
-        Self::with_opts(shards, max_versions, true)
-    }
-
-    /// An empty store with full control over the scaling knobs:
-    /// `fast_pins = false` reproduces the pre-scaling locked pin table
-    /// exactly (the hot-path benchmark's legacy arm).
-    pub fn with_opts(shards: usize, max_versions: usize, fast_pins: bool) -> Self {
+    /// oldest-retained bound past the dropped span. `fast_pins = false`
+    /// reproduces the pre-scaling locked pin table exactly (the hot-path
+    /// benchmark's legacy arm).
+    pub fn with_opts(max_versions: usize, fast_pins: bool) -> Self {
         MvccStore {
-            shards: (0..shards.max(1))
-                .map(|_| Shard {
-                    state: RwLock::new(ShardState {
-                        chains: HashMap::new(),
-                        index: BTreeSet::new(),
-                        dirty: HashSet::new(),
-                    }),
-                    dirty: AtomicU64::new(0),
-                })
-                .collect(),
-            hasher: RandomState::new(),
+            map: RwLock::new(BTreeMap::new()),
+            dirty: Mutex::new(HashSet::new()),
             watermark: AtomicU64::new(GENESIS_EPOCH),
             publish: Mutex::new(()),
             publish_seq: AtomicU64::new(0),
@@ -564,14 +538,9 @@ where
             oldest_retained: AtomicU64::new(GENESIS_EPOCH),
             max_versions,
             unswept: AtomicU64::new(0),
-            dirty_count: AtomicU64::new(0),
             created: AtomicU64::new(0),
             reclaimed: AtomicU64::new(0),
         }
-    }
-
-    fn shard_of(&self, key: &K) -> usize {
-        (self.hasher.hash_one(key) as usize) % self.shards.len()
     }
 
     /// Enter the publish critical section for one top-level commit,
@@ -612,24 +581,31 @@ where
         PublishGate { watermark: &self.watermark, crit, guard }
     }
 
-    /// Append a version to `key`'s chain, entering the key into the
-    /// ordered index on first contact. `epoch` must be strictly above the
-    /// chain's last (per-key publications are serialized by the lock
-    /// manager, so callers get this for free). Reclaims any versions the
-    /// append just made droppable, and enforces the per-chain version
-    /// budget if one is set.
+    /// Append a version to `key`'s chain, entering the key into the map on
+    /// first contact. `epoch` must be strictly above the chain's last
+    /// (per-key publications are serialized by the lock manager, so
+    /// callers get this for free). Reclaims any versions the append just
+    /// made droppable, and enforces the per-chain version budget if one
+    /// is set.
     pub fn append(&self, key: &K, epoch: u64, value: V) {
-        let shard = &self.shards[self.shard_of(key)];
-        let mut guard = shard.state.write();
-        let state = &mut *guard;
-        // First contact clones the key into the chain map and the index;
-        // every later append to the key is clone-free.
-        if !state.chains.contains_key(key) {
-            state.index.insert(key.clone());
-            state.chains.insert(key.clone(), Chain::new());
+        {
+            let map = self.map.read();
+            if let Some(slot) = map.get(key) {
+                return self.push_version(key, &mut slot.lock(), epoch, value);
+            }
         }
-        let chain = state.chains.get_mut(key).expect("chain just ensured");
+        // First contact: the only exclusive use of the map lock, and the
+        // only key clone. `entry`, because a racing seeder may have won
+        // between the two locks.
+        let mut map = self.map.write();
+        let slot = map.entry(key.clone()).or_insert_with(|| Mutex::new(Chain::new()));
+        self.push_version(key, slot.get_mut(), epoch, value);
+    }
+
+    /// [`MvccStore::append`] under `key`'s chain lock.
+    fn push_version(&self, key: &K, chain: &mut Chain<V>, epoch: u64, value: V) {
         debug_assert!(chain.last().is_none_or(|&(e, _)| e < epoch), "chain epochs must ascend");
+        let was_long = chain.len() > 1;
         chain.push((epoch, value));
         self.created.fetch_add(1, Ordering::Relaxed);
         let mut dropped = prune(chain, self.min_pin.load(Ordering::Acquire));
@@ -645,7 +621,7 @@ where
         if self.max_versions > 0 && chain.len() > self.max_versions {
             // Budget overflow: a stuck pin is holding this chain hostage.
             // Force-prune the oldest versions and concede every epoch
-            // below the new head — raised *before* the shard lock drops,
+            // below the new head — raised *before* the chain lock drops,
             // so `pin_at` (serialized against this publisher by the
             // publish lock) can never validate into the dropped span.
             let cut = chain.len() - self.max_versions;
@@ -653,21 +629,16 @@ where
             chain.drain(..cut);
             dropped += cut as u64;
         }
-        // Dirty-set upkeep: a live pin just kept superseded versions
-        // alive on this chain — remember it so the pin-release sweep can
-        // find it without walking every chain in the store. Both gauges
-        // (per-shard and store-wide) move under the shard's write lock.
-        if chain.len() > 1 {
-            if !state.dirty.contains(key) {
-                state.dirty.insert(key.clone());
-                shard.dirty.fetch_add(1, Ordering::Release);
-                self.dirty_count.fetch_add(1, Ordering::Relaxed);
-            }
-        } else if state.dirty.remove(key) {
-            shard.dirty.fetch_sub(1, Ordering::Release);
-            self.dirty_count.fetch_sub(1, Ordering::Relaxed);
-        }
         self.reclaimed.fetch_add(dropped, Ordering::Relaxed);
+        // Dirty-set upkeep, only when the chain crossed between short and
+        // long: a live pin just kept a superseded version alive (remember
+        // the chain for the pin-release sweep), or the last one went.
+        let is_long = chain.len() > 1;
+        if is_long && !was_long {
+            self.dirty.lock().insert(key.clone());
+        } else if was_long && !is_long {
+            self.dirty.lock().remove(key);
+        }
     }
 
     /// Pin the current watermark for a snapshot. Balance with
@@ -709,11 +680,15 @@ where
                     return epoch;
                 }
                 // A publisher overlapped the registration: the watermark
-                // we pinned may already be stale. Undo and retry. (Ring
-                // counts at one epoch are fungible, so decrementing a
-                // slot another thread also bumped nets out correctly;
-                // `min_pin` stays conservatively low until a settle.)
-                self.ring_unregister(epoch);
+                // we pinned may already be stale. Undo and retry. Counts
+                // at one epoch are fungible between ring and tree, so a
+                // concurrent `unpin` of a *tree* pin at this epoch may
+                // have consumed our ring count — the undo must then
+                // release the tree entry that unpin left standing, or it
+                // holds `min_pin` down forever. (`min_pin` stays
+                // conservatively low until a settle.)
+                let undone = self.release_at(epoch);
+                debug_assert!(undone, "a registered pin is in the ring or the tree");
             }
         }
         self.pin_slow()
@@ -825,25 +800,34 @@ where
         if !self.fast_pins {
             return self.unpin_legacy(epoch);
         }
-        if !self.ring_unregister(epoch) {
-            // Tree-resident pin (collision/overflow/`pin_at`).
-            let mut pins = self.pins.lock();
-            match pins.get_mut(&epoch) {
-                Some(n) if *n > 1 => *n -= 1,
-                Some(_) => {
-                    pins.remove(&epoch);
-                }
-                None => {
-                    debug_assert!(false, "unpin of an epoch never pinned");
-                    return;
-                }
-            }
+        if !self.release_at(epoch) {
+            debug_assert!(false, "unpin of an epoch never pinned");
+            return;
         }
         let left = self.live_pins.fetch_sub(1, Ordering::SeqCst) - 1;
         let backlog = self.unswept.fetch_add(1, Ordering::Relaxed) + 1;
         if left == 0 || backlog >= SWEEP_EVERY {
             self.sweep_locked();
         }
+    }
+
+    /// Release one pin count at `epoch` — the ring's if it has one, else
+    /// the tree's (collision/overflow/`pin_at`, or the count a release
+    /// that found the ring first left behind). False when neither holds
+    /// a pin at `epoch`.
+    fn release_at(&self, epoch: u64) -> bool {
+        if self.ring_unregister(epoch) {
+            return true;
+        }
+        let mut pins = self.pins.lock();
+        match pins.get_mut(&epoch) {
+            Some(n) if *n > 1 => *n -= 1,
+            Some(_) => {
+                pins.remove(&epoch);
+            }
+            None => return false,
+        }
+        true
     }
 
     /// Raise `min_pin` and the `oldest_retained` floor to the settled
@@ -910,7 +894,7 @@ where
         // lets go) and a staleness bound of [`SWEEP_EVERY`] unpins, so a
         // busy store still reclaims promptly. Without this, every
         // snapshot drop and every optimistic commit serializes behind a
-        // store-wide shard-lock walk under the pin-table lock.
+        // store-wide chain walk under the pin-table lock.
         let backlog = self.unswept.fetch_add(1, Ordering::Relaxed) + 1;
         if pins.is_empty() || backlog >= SWEEP_EVERY {
             self.unswept.store(0, Ordering::Relaxed);
@@ -921,157 +905,113 @@ where
 
     /// Drop every version reclaimable under `min_pin`, store-wide.
     ///
-    /// Only chains in a shard's dirty set can hold a reclaimable version
+    /// Only chains in the dirty set can hold a reclaimable version
     /// (append prunes eagerly, so a chain is long only when some pin held
     /// its old versions back), so the sweep visits exactly those — O(live
-    /// multi-version chains), not O(keyspace). Chains still long after
-    /// the prune (an older pin persists) stay in the set.
+    /// multi-version chains), not O(keyspace). It takes the set, prunes
+    /// outside the set's lock, and puts back the chains still long (an
+    /// older pin persists); a key an append dirties meanwhile lands in
+    /// the fresh set and waits for the next sweep.
     fn sweep(&self, min_pin: u64) {
-        if self.dirty_count.load(Ordering::Acquire) == 0 {
+        let mut taken = std::mem::take(&mut *self.dirty.lock());
+        if taken.is_empty() {
             return;
         }
         let mut dropped = 0;
-        for shard in self.shards.iter() {
-            // The gauge is read without the lock: a clean shard costs one
-            // load. (A racing append can dirty it right after — that key
-            // waits for the next sweep, like any key written mid-sweep.)
-            if shard.dirty.load(Ordering::Acquire) == 0 {
-                continue;
-            }
-            let mut guard = shard.state.write();
-            let state = &mut *guard;
-            let before = state.dirty.len() as u64;
-            let chains = &mut state.chains;
-            state.dirty.retain(|key| {
-                let Some(chain) = chains.get_mut(key) else { return false };
-                dropped += prune(chain, min_pin);
+        {
+            let map = self.map.read();
+            taken.retain(|key| {
+                let Some(slot) = map.get(key) else { return false };
+                let mut chain = slot.lock();
+                dropped += prune(&mut chain, min_pin);
                 chain.len() > 1
             });
-            let cleaned = before - state.dirty.len() as u64;
-            if cleaned > 0 {
-                shard.dirty.fetch_sub(cleaned, Ordering::Release);
-                self.dirty_count.fetch_sub(cleaned, Ordering::Release);
-            }
         }
         self.reclaimed.fetch_add(dropped, Ordering::Relaxed);
+        let mut dirty = self.dirty.lock();
+        if dirty.is_empty() {
+            *dirty = taken; // keeps the allocation across sweeps
+        } else {
+            dirty.extend(taken);
+        }
     }
 
-    /// The latest version of `key` with epoch ≤ `epoch`, if any. Chains
-    /// are short (reclamation keeps only pinned spans), so this is a
-    /// reverse linear scan under the shard's read lock.
+    /// The latest version of `key` with epoch ≤ `epoch`, if any: one
+    /// descent and one chain lock under the map's shared lock.
     pub fn read_at(&self, key: &K, epoch: u64) -> Option<V> {
-        let shard = self.shards[self.shard_of(key)].state.read();
-        let chain = shard.chains.get(key)?;
-        chain.iter().rev().find(|&&(e, _)| e <= epoch).map(|(_, v)| v.clone())
+        let map = self.map.read();
+        let chain = map.get(key)?.lock();
+        resolve(&chain, epoch).cloned()
     }
 
     /// A consistent key-ordered walk over every chain in `bounds`,
-    /// resolved at `epoch`: for each indexed key in range, the latest
-    /// version with epoch ≤ `epoch` (keys with no such version — born
-    /// after the pinned epoch by checkpoint replay — are skipped).
+    /// resolved at `epoch`: for each key in range, the latest version
+    /// with epoch ≤ `epoch` (keys with no such version — born after the
+    /// pinned epoch by checkpoint replay — are skipped).
     ///
-    /// Shards are visited one at a time under their read locks and the
-    /// sorted per-shard runs are k-way merged, so the scan never holds
-    /// more than one shard lock and never blocks publication. Consistency
-    /// comes from the epoch filter, not the locking: versions at or below
-    /// a pinned epoch are immutable and GC-protected, and any commit
-    /// racing the walk publishes at an epoch above it — invisible by
-    /// construction. (Non-transactional genesis seeds are the one
-    /// exception, exactly as for [`MvccStore::read_at`]: a seed landing
-    /// mid-scan may appear in later shards only.)
+    /// One in-order walk of the map under its shared lock, taking each
+    /// chain's lock in turn, so the scan blocks no publication (appends
+    /// to known keys share the map lock) — only a first-contact seeder
+    /// waits for it. Consistency comes from the epoch filter, not the
+    /// locking: versions at or below a pinned epoch are immutable and
+    /// GC-protected, and any commit racing the walk publishes at an epoch
+    /// above it — invisible by construction.
     pub fn range_at<R>(&self, bounds: R, epoch: u64) -> Vec<(K, V)>
     where
         R: RangeBounds<K>,
     {
-        let mut runs: Vec<std::iter::Peekable<std::vec::IntoIter<(K, V)>>> =
-            Vec::with_capacity(self.shards.len());
-        for shard in self.shards.iter() {
-            let state = shard.state.read();
-            let mut run = Vec::new();
-            for key in state.index.range((bounds.start_bound(), bounds.end_bound())) {
-                let Some(chain) = state.chains.get(key) else { continue };
-                if let Some((_, v)) = chain.iter().rev().find(|&&(e, _)| e <= epoch) {
-                    run.push((key.clone(), v.clone()));
-                }
-            }
-            runs.push(run.into_iter().peekable());
-        }
-        merge_runs(runs)
+        let map = self.map.read();
+        map.range((bounds.start_bound(), bounds.end_bound()))
+            .filter_map(|(k, slot)| resolve(&slot.lock(), epoch).map(|v| (k.clone(), v.clone())))
+            .collect()
     }
 
-    /// Every indexed key in `bounds`, ascending. (The key set is
-    /// insert-only, so this is stable under concurrent commits; only a
-    /// concurrent non-transactional seed can extend it.)
+    /// Every key in `bounds`, ascending. (The key set is insert-only, so
+    /// this is stable under concurrent commits; only a concurrent
+    /// non-transactional seed can extend it.)
     pub fn keys_in<R>(&self, bounds: R) -> Vec<K>
     where
         R: RangeBounds<K>,
     {
-        let mut runs: Vec<std::iter::Peekable<std::vec::IntoIter<(K, ())>>> =
-            Vec::with_capacity(self.shards.len());
-        for shard in self.shards.iter() {
-            let state = shard.state.read();
-            let run: Vec<(K, ())> = state
-                .index
-                .range((bounds.start_bound(), bounds.end_bound()))
-                .map(|k| (k.clone(), ()))
-                .collect();
-            runs.push(run.into_iter().peekable());
-        }
-        merge_runs(runs).into_iter().map(|(k, ())| k).collect()
+        let map = self.map.read();
+        map.range((bounds.start_bound(), bounds.end_bound())).map(|(k, _)| k.clone()).collect()
+    }
+
+    /// The newest epoch at which any key in `bounds` was written (`None`
+    /// for an empty range): what first-committer-wins validation compares
+    /// against a begin epoch to judge a scanned interval as a whole.
+    pub fn max_epoch_in<R>(&self, bounds: R) -> Option<u64>
+    where
+        R: RangeBounds<K>,
+    {
+        let map = self.map.read();
+        map.range((bounds.start_bound(), bounds.end_bound()))
+            .filter_map(|(_, slot)| slot.lock().last().map(|&(e, _)| e))
+            .max()
     }
 
     /// The epoch of `key`'s newest version (`None` for unknown keys).
     pub fn last_epoch(&self, key: &K) -> Option<u64> {
-        let shard = self.shards[self.shard_of(key)].state.read();
-        shard.chains.get(key).and_then(|c| c.last()).map(|&(e, _)| e)
+        let map = self.map.read();
+        let chain = map.get(key)?.lock();
+        chain.last().map(|&(e, _)| e)
     }
 
     /// `key`'s full committed version chain, oldest first.
     pub fn chain(&self, key: &K) -> Vec<(u64, V)> {
-        let shard = self.shards[self.shard_of(key)].state.read();
-        shard.chains.get(key).cloned().unwrap_or_default()
+        self.map.read().get(key).map(|slot| slot.lock().clone()).unwrap_or_default()
     }
 
-    /// Every key's chain (unordered; callers sort as needed).
+    /// Every key's chain, in key order.
     pub fn chains(&self) -> Vec<(K, Vec<(u64, V)>)> {
-        let mut out = Vec::new();
-        for shard in self.shards.iter() {
-            let shard = shard.state.read();
-            out.extend(shard.chains.iter().map(|(k, c)| (k.clone(), c.clone())));
-        }
-        out
+        self.map.read().iter().map(|(k, slot)| (k.clone(), slot.lock().clone())).collect()
     }
 
     /// Total versions currently held across all chains. Conservation:
     /// always equals `created - reclaimed` (property-tested).
     pub fn total_versions(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.state.read().chains.values().map(|c| c.len() as u64).sum::<u64>())
-            .sum()
+        self.map.read().values().map(|slot| slot.lock().len() as u64).sum()
     }
-}
-
-/// K-way merge of key-sorted runs with pairwise-disjoint key sets (each
-/// key lives in exactly one shard) into one key-ordered vector.
-fn merge_runs<K: Ord + Clone, V>(
-    mut runs: Vec<std::iter::Peekable<std::vec::IntoIter<(K, V)>>>,
-) -> Vec<(K, V)> {
-    let mut heap: BinaryHeap<Reverse<(K, usize)>> = BinaryHeap::with_capacity(runs.len());
-    for (i, run) in runs.iter_mut().enumerate() {
-        if let Some((k, _)) = run.peek() {
-            heap.push(Reverse((k.clone(), i)));
-        }
-    }
-    let mut out = Vec::new();
-    while let Some(Reverse((_, i))) = heap.pop() {
-        let (k, v) = runs[i].next().expect("heap entry implies a head");
-        out.push((k, v));
-        if let Some((next, _)) = runs[i].peek() {
-            heap.push(Reverse((next.clone(), i)));
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -1079,7 +1019,7 @@ mod tests {
     use super::*;
 
     fn store() -> MvccStore<u64, i64> {
-        MvccStore::new(4)
+        MvccStore::new(0)
     }
 
     /// Publish one single-key commit, returning its epoch.
@@ -1296,6 +1236,11 @@ mod tests {
         // A key whose chain starts above the scanned epoch is skipped.
         s.append(&3, 5, 30); // checkpoint-style late-born key
         assert_eq!(s.range_at(.., pin), vec![(1, 10), (2, 20)]);
+        // Interval validation sees the newest write anywhere in bounds.
+        assert_eq!(s.max_epoch_in(1..=1), Some(1));
+        assert_eq!(s.max_epoch_in(1..3), Some(2));
+        assert_eq!(s.max_epoch_in(..), Some(5));
+        assert_eq!(s.max_epoch_in(10..), None, "no key in range");
         s.unpin(pin);
     }
 
@@ -1344,7 +1289,7 @@ mod tests {
 
     #[test]
     fn version_budget_bounds_chains_under_a_stuck_pin() {
-        let s: MvccStore<u64, i64> = MvccStore::with_budget(4, 3);
+        let s: MvccStore<u64, i64> = MvccStore::with_opts(3, true);
         s.append(&1, GENESIS_EPOCH, 0);
         let stuck = s.pin(); // never dropped: simulates a wedged reader
         for i in 1..=10 {
@@ -1442,7 +1387,7 @@ mod tests {
         use std::sync::atomic::AtomicBool;
         use std::sync::Arc;
         const KEYS: u64 = 8;
-        let s = Arc::new(MvccStore::<u64, i64>::with_opts(4, 0, false));
+        let s = Arc::new(MvccStore::<u64, i64>::with_opts(0, false));
         for k in 0..KEYS {
             s.append(&k, GENESIS_EPOCH, k as i64);
         }
@@ -1522,5 +1467,44 @@ mod tests {
         s.unpin(tree_pin);
         assert_eq!(s.counters().pins_live, 0);
         assert_eq!(s.chain(&1), vec![(2, 2)]);
+    }
+    #[test]
+    fn pin_churn_leaves_no_pin_behind() {
+        // Regression: when the fast pin's seqlock validation failed, the
+        // undo released only a *ring* count and ignored failure. A
+        // concurrent `unpin` of a tree-resident pin at the same epoch
+        // could already have consumed that count, so the tree entry it
+        // left standing was never released: `min_pin` stuck there, every
+        // later append left a two-version chain, and the dirty set (and
+        // each quiescent sweep over it) grew without bound.
+        use std::sync::{Arc, Barrier};
+        let s = Arc::new(store());
+        for k in 0..2u64 {
+            s.append(&k, GENESIS_EPOCH, 0);
+        }
+        let start = Arc::new(Barrier::new(2));
+        let threads: Vec<_> = (0..2u64)
+            .map(|t| {
+                let s = Arc::clone(&s);
+                let start = Arc::clone(&start);
+                std::thread::spawn(move || {
+                    start.wait();
+                    for i in 0..300_000i64 {
+                        let pin = s.pin();
+                        commit(&s, t, i);
+                        s.unpin(pin);
+                    }
+                })
+            })
+            .collect();
+        for h in threads {
+            h.join().unwrap();
+        }
+        let tree = s.pins.lock().clone();
+        assert!(tree.is_empty(), "tree pins leaked: {tree:?}");
+        assert_eq!(s.ring_min(), u64::MAX, "ring pins leaked");
+        assert_eq!(s.counters().pins_live, 0);
+        assert_eq!(s.total_versions(), 2, "nothing pinned: chains collapse");
+        assert!(s.dirty.lock().is_empty());
     }
 }

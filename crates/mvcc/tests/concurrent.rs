@@ -1,0 +1,116 @@
+//! Scanners, appenders and a first-contact seeder on one store at once.
+//!
+//! The store's locks nest map → chain → dirty set (see the module docs of
+//! `store.rs`); this drives every path that takes them together — ordered
+//! walks, publish-path appends that dirty and collapse chains, quiescent
+//! sweeps from `unpin`, and the map's exclusive lock from a seeder — and
+//! finishing at all is the no-deadlock check. Every scan through a live
+//! pin must be the state at the pinned epoch, in key order.
+
+use rnt_mvcc::{MvccStore, GENESIS_EPOCH};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Barrier;
+
+/// Keys each appender rewrites, all in one commit, with the commit epoch
+/// as the value — so at any epoch a group's keys are equal, and the
+/// newest group value *is* the epoch.
+const GROUP: u64 = 4;
+const APPENDERS: u64 = 2;
+const SCANNERS: usize = 2;
+const SCANS: usize = 2_000;
+const SEEDS: u64 = 2_000;
+/// Group keys sit `STRIDE` apart and seeded keys `SEED_GAP` apart, off
+/// the stride, so fresh keys land all through the scanned keyspace.
+const STRIDE: u64 = 1_000;
+const SEED_GAP: u64 = APPENDERS * GROUP * STRIDE / SEEDS;
+
+fn group_key(appender: u64, i: u64) -> u64 {
+    (appender * GROUP + i) * STRIDE
+}
+
+#[test]
+fn scans_at_a_live_pin_are_the_pinned_state_under_appends_and_seeding() {
+    let store: MvccStore<u64, i64> = MvccStore::new(0);
+    for a in 0..APPENDERS {
+        for i in 0..GROUP {
+            store.append(&group_key(a, i), GENESIS_EPOCH, 0);
+        }
+    }
+    let stop = AtomicBool::new(false);
+    let scanned = AtomicU64::new(0);
+    let start = Barrier::new(APPENDERS as usize + SCANNERS + 1);
+    std::thread::scope(|scope| {
+        for a in 0..APPENDERS {
+            let (store, stop, start) = (&store, &stop, &start);
+            scope.spawn(move || {
+                start.wait();
+                while !stop.load(Ordering::Relaxed) {
+                    let publish = store.begin_publish();
+                    for i in 0..GROUP {
+                        store.append(&group_key(a, i), publish.epoch(), publish.epoch() as i64);
+                    }
+                }
+            });
+        }
+        // First contact of fresh keys between the groups' keys — the only
+        // taker of the map's exclusive lock — paced by the scanners'
+        // progress so that seeding spans the whole run.
+        let seeder = {
+            let (store, start, scanned) = (&store, &start, &scanned);
+            scope.spawn(move || {
+                start.wait();
+                for n in 0..SEEDS {
+                    while scanned.load(Ordering::Relaxed) * SEEDS < n * (SCANNERS * SCANS) as u64 {
+                        std::thread::yield_now();
+                    }
+                    store.append(&(n * SEED_GAP + 1), GENESIS_EPOCH, -1);
+                }
+            })
+        };
+        let scanners: Vec<_> = (0..SCANNERS)
+            .map(|_| {
+                let (store, start, scanned) = (&store, &start, &scanned);
+                scope.spawn(move || {
+                    start.wait();
+                    for _ in 0..SCANS {
+                        let pin = store.pin();
+                        let rows = store.range_at(.., pin);
+                        assert!(rows.windows(2).all(|w| w[0].0 < w[1].0), "scan out of key order");
+                        let value_of = |key: u64| {
+                            rows.binary_search_by_key(&key, |&(k, _)| k).map(|i| rows[i].1)
+                        };
+                        let mut newest = 0;
+                        for a in 0..APPENDERS {
+                            let first = value_of(group_key(a, 0)).expect("a live pin lost a key");
+                            for i in 1..GROUP {
+                                assert_eq!(
+                                    value_of(group_key(a, i)),
+                                    Ok(first),
+                                    "torn commit at {pin}"
+                                );
+                            }
+                            newest = newest.max(first);
+                        }
+                        assert_eq!(newest as u64, pin, "scan is not the state at its pin");
+                        assert!(rows.iter().all(|&(k, v)| k % STRIDE == 0 || v == -1));
+                        assert!(store.max_epoch_in(..) >= Some(pin));
+                        scanned.fetch_add(1, Ordering::Relaxed);
+                        store.unpin(pin);
+                    }
+                })
+            })
+            .collect();
+        // Stop the appenders before surfacing any panic, or the scope
+        // would wait on them forever.
+        let mut joined: Vec<_> = scanners.into_iter().map(|h| h.join()).collect();
+        joined.push(seeder.join());
+        stop.store(true, Ordering::Relaxed);
+        for outcome in joined {
+            outcome.expect("a scanner or the seeder panicked");
+        }
+    });
+    assert_eq!(store.keys_in(..).len() as u64, APPENDERS * GROUP + SEEDS);
+    assert_eq!(store.counters().pins_live, 0);
+    store.unpin(store.pin()); // quiescent release: settle + sweep
+    assert_eq!(store.total_versions(), APPENDERS * GROUP + SEEDS, "chains collapse");
+}

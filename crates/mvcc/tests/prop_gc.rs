@@ -8,7 +8,10 @@
 //! * **liveness** — once every pin drops, every chain shrinks back to
 //!   length 1;
 //! * **conservation** — `created - reclaimed` equals the number of
-//!   versions currently held, at every step.
+//!   versions currently held, at every step;
+//! * **ordered keyspace** — `range_at`, `keys_in` and `max_epoch_in` agree
+//!   with a shadow `BTreeMap` over arbitrary bounds, including keys that
+//!   first enter the store through a publish.
 
 use proptest::prelude::*;
 use rnt_mvcc::{MvccStore, GENESIS_EPOCH};
@@ -25,7 +28,8 @@ enum Op {
     /// Read `key` through live pin `idx % live`, checking the shadow.
     Read { pin: usize, key: u64 },
     /// Range-scan `[lo, hi)` through live pin `idx % live`, checking the
-    /// shadow filtered to the bounds in key order.
+    /// shadow filtered to the bounds in key order; and check the key set
+    /// and the newest write epoch in the same bounds.
     RangeRead { pin: usize, lo: u64, hi: u64 },
     /// Drop live pin `idx % live`.
     Unpin(usize),
@@ -47,11 +51,15 @@ proptest! {
     #[test]
     fn gc_is_safe_live_and_conservative(ops in proptest::collection::vec(op_strategy(), 1..120)) {
         let store: MvccStore<u64, i64> = MvccStore::new(4);
-        // Shadow of the committed state, updated at each publish.
+        // Shadow of the committed state, updated at each publish, and of
+        // the epoch each key was last written at.
         let mut committed: BTreeMap<u64, i64> = BTreeMap::new();
-        for k in 0..KEYS {
+        let mut written_at: BTreeMap<u64, u64> = BTreeMap::new();
+        // Odd keys are not seeded: their first contact is a publish.
+        for k in (0..KEYS).step_by(2) {
             store.append(&k, GENESIS_EPOCH, 0);
             committed.insert(k, 0);
+            written_at.insert(k, GENESIS_EPOCH);
         }
         // Live pins with the state captured when they were taken.
         let mut pins: Vec<(u64, BTreeMap<u64, i64>)> = Vec::new();
@@ -64,6 +72,7 @@ proptest! {
                     let publish = store.begin_publish();
                     for (k, v) in merged {
                         committed.insert(k, v);
+                        written_at.insert(k, publish.epoch());
                         store.append(&k, publish.epoch(), v);
                     }
                 }
@@ -83,8 +92,18 @@ proptest! {
                     }
                 }
                 Op::RangeRead { pin, lo, hi } => {
+                    let hi = hi.max(lo); // empty, not inverted
+                    prop_assert_eq!(
+                        store.keys_in(lo..hi),
+                        committed.range(lo..hi).map(|(k, _)| *k).collect::<Vec<_>>(),
+                        "key set in bounds diverged from the shadow"
+                    );
+                    prop_assert_eq!(
+                        store.max_epoch_in(lo..hi),
+                        written_at.range(lo..hi).map(|(_, e)| *e).max(),
+                        "newest write epoch in bounds diverged from the shadow"
+                    );
                     if !pins.is_empty() {
-                        let hi = hi.max(lo); // empty, not inverted
                         let (epoch, shadow) = &pins[pin % pins.len()];
                         let expect: Vec<(u64, i64)> =
                             shadow.range(lo..hi).map(|(k, v)| (*k, *v)).collect();
@@ -126,7 +145,7 @@ proptest! {
             prop_assert_eq!(chain[0].1, committed[&key]);
         }
         let c = store.counters();
-        prop_assert_eq!(c.created - c.reclaimed, KEYS);
+        prop_assert_eq!(c.created - c.reclaimed, committed.len() as u64);
         prop_assert_eq!(c.pins_live, 0);
     }
 }
