@@ -45,12 +45,14 @@ pub(crate) struct StagedCommit<P> {
     pub txn: TxnId,
     /// Mode-specific commit payload.
     pub payload: P,
-    /// Queue ticket, unique per staging.
-    pub seq: u64,
 }
 
 struct PipelineState<P, R> {
+    /// Staged commits in ticket order: tickets are handed out and pushed
+    /// under one lock and the queue is drained from the front, so the
+    /// front's ticket is always `next_seq - queue.len()`.
     queue: VecDeque<StagedCommit<P>>,
+    /// Posted results, by ticket.
     results: HashMap<u64, R>,
     leader_active: bool,
     /// True only while the leader is parked inside its batch window.
@@ -88,7 +90,7 @@ impl<P, R: Clone> CommitPipeline<P, R> {
     /// containing it has been durably retired; returns its result.
     ///
     /// `process` retires one drained batch — append + force + publish —
-    /// and returns one result per participant, keyed by `seq`. It runs
+    /// and returns one result per participant, in batch order. It runs
     /// outside the pipeline lock (so staging never blocks behind an
     /// fsync) on whichever thread holds leadership at the time.
     pub fn stage(
@@ -97,13 +99,13 @@ impl<P, R: Clone> CommitPipeline<P, R> {
         payload: P,
         max_batch: usize,
         max_batch_wait: Duration,
-        process: impl Fn(Vec<StagedCommit<P>>) -> Vec<(u64, R)>,
+        process: impl Fn(Vec<StagedCommit<P>>) -> Vec<R>,
     ) -> R {
         let max_batch = max_batch.max(1);
         let mut state = self.state.lock();
         let seq = state.next_seq;
         state.next_seq += 1;
-        state.queue.push_back(StagedCommit { txn, payload, seq });
+        state.queue.push_back(StagedCommit { txn, payload });
         // Wake a leader parked in its batch window only when this arrival
         // *fills* the batch — below that the leader sleeps to its deadline
         // regardless, and a notify per arrival would drag every parked
@@ -134,12 +136,14 @@ impl<P, R: Clone> CommitPipeline<P, R> {
                         state.leader_waiting = false;
                     }
                     let take = state.queue.len().min(max_batch);
+                    let first = state.next_seq - state.queue.len() as u64;
                     let batch: Vec<StagedCommit<P>> = state.queue.drain(..take).collect();
                     debug_assert!(!batch.is_empty(), "leader with an empty queue");
                     drop(state);
                     let results = process(batch);
+                    debug_assert_eq!(results.len(), take, "one result per participant");
                     state = self.state.lock();
-                    state.results.extend(results);
+                    state.results.extend((first..).zip(results));
                     if let Some(result) = state.results.remove(&seq) {
                         state.leader_active = false;
                         // Release the lock *before* waking the batch: a
@@ -177,8 +181,8 @@ mod tests {
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
 
-    fn retire_all(batch: Vec<StagedCommit<()>>) -> Vec<(u64, Result<(), ()>)> {
-        batch.iter().map(|s| (s.seq, Ok(()))).collect()
+    fn retire_all(batch: Vec<StagedCommit<()>>) -> Vec<Result<(), ()>> {
+        batch.iter().map(|_| Ok(())).collect()
     }
 
     #[test]
@@ -228,7 +232,7 @@ mod tests {
                 // Result = the staging transaction's id: each stager must
                 // get its own back, never a batchmate's.
                 let out = p.stage(TxnId(t), (), 8, Duration::from_micros(200), |b| {
-                    b.iter().map(|s| (s.seq, Ok(s.txn.0))).collect()
+                    b.iter().map(|s| Ok(s.txn.0)).collect()
                 });
                 assert_eq!(out, Ok(t));
             }));

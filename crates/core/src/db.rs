@@ -21,8 +21,7 @@
 //! restore, top-level publish — bumps that key's generation and notifies
 //! only the transactions blocked on *that key*. The generation counter
 //! doubles as the spurious/productive wakeup classifier feeding
-//! [`Stats`]. [`WakeupMode::Broadcast`] keeps the old shard-wide
-//! `notify_all` + poll-slice behavior as a measurable baseline.
+//! [`Stats`].
 
 use crate::audit::{hash_value, AuditLog, AuditRecord};
 #[cfg(feature = "chaos-hooks")]
@@ -36,7 +35,7 @@ use crate::stats::{Stats, StatsSnapshot};
 use crate::view::{EpochBounds, ReadView, SnapshotError};
 use parking_lot::{Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard};
 use rnt_model::UpdateFn;
-use rnt_mvcc::{MvccStore, GENESIS_EPOCH};
+use rnt_mvcc::{MvccStore, PublishBatch, PublishGate, GENESIS_EPOCH};
 use rnt_wal::{Record, Wal, WalError, WalForce, INIT_ACTION};
 use std::collections::{BTreeMap, HashMap};
 use std::hash::{BuildHasher, Hash, RandomState};
@@ -82,18 +81,6 @@ pub enum Durability {
     WalFsync,
 }
 
-/// How blocked lock waiters are woken when a lock is released.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum WakeupMode {
-    /// Per-key wait gates: a `release-lock`/`lose-lock` wakes only the
-    /// transactions blocked on keys whose lock state actually changed.
-    #[default]
-    Targeted,
-    /// Per-shard `notify_all` plus short poll slices — the pre-rewrite
-    /// engine, kept as a benchmark baseline.
-    Broadcast,
-}
-
 /// Which concurrency-control subsystem runs transactions.
 ///
 /// Both modes share the action tree, the audit oracle, the MVCC version
@@ -120,23 +107,6 @@ pub enum CcMode {
     Optimistic,
 }
 
-/// Which generation of hot-path internals the engine runs on.
-///
-/// Both generations implement identical semantics — the toggle exists so
-/// the hot-path benchmark can run paired same-seed arms against the same
-/// binary and attribute speedups to the internals alone. Nothing else
-/// should select [`HotPath::Legacy`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum HotPath {
-    /// The scaled internals: sharded transaction registry, striped
-    /// statistics counters, and lock-free snapshot pins. The default.
-    #[default]
-    Scaled,
-    /// The pre-scaling internals: one registry map under one lock, one
-    /// shared stats block, a fully locked pin table.
-    Legacy,
-}
-
 /// Engine configuration. Construct via [`DbConfig::builder`] (or start
 /// from [`DbConfig::default`] and adjust fields); the struct is
 /// `#[non_exhaustive]` so new knobs can be added without breaking callers.
@@ -149,15 +119,15 @@ pub struct DbConfig {
     pub policy: DeadlockPolicy,
     /// Overall lock-wait bound for [`DeadlockPolicy::Timeout`].
     pub lock_timeout: Duration,
-    /// Fallback re-check bound for a single condvar wait. With
-    /// [`WakeupMode::Targeted`] notifications drive progress and this only
-    /// bounds pathological cases; with [`WakeupMode::Broadcast`] it is the
-    /// poll period.
+    /// Fallback re-check bound for a single condvar wait. Notifications
+    /// drive progress — a release wakes the waiters of that key, an abort
+    /// wakes the parked transactions it orphaned — so this is never a
+    /// poll period: it only caps how long a waiter sleeps before
+    /// re-running its conflict check (and, under
+    /// [`DeadlockPolicy::Timeout`], its deadline check) unprompted.
     pub wait_slice: Duration,
     /// Record an audit log for serializability checking.
     pub audit: bool,
-    /// Wakeup protocol for blocked lock waiters.
-    pub wakeups: WakeupMode,
     /// Write-ahead logging mode. Takes effect only when the database is
     /// created with [`Db::open`] or [`Db::recover`] (which supply the log
     /// file); [`Db::new`]/[`Db::with_config`] are always in-memory.
@@ -195,9 +165,6 @@ pub struct DbConfig {
     /// [`CcMode`]). Mode is a per-database decision: every transaction of
     /// one [`Db`] runs under the same discipline.
     pub cc_mode: CcMode,
-    /// Which generation of hot-path internals to run on (see [`HotPath`]).
-    /// Benchmark plumbing; leave at the default.
-    pub hot_path: HotPath,
 }
 
 impl Default for DbConfig {
@@ -208,7 +175,6 @@ impl Default for DbConfig {
             lock_timeout: Duration::from_millis(100),
             wait_slice: Duration::from_millis(2),
             audit: false,
-            wakeups: WakeupMode::Targeted,
             durability: Durability::None,
             checkpoint_every: 0,
             group_commit: false,
@@ -216,7 +182,6 @@ impl Default for DbConfig {
             max_batch_wait: Duration::ZERO,
             max_versions_per_key: 0,
             cc_mode: CcMode::Locking,
-            hot_path: HotPath::Scaled,
         }
     }
 }
@@ -276,12 +241,6 @@ impl DbConfigBuilder {
         self
     }
 
-    /// Wakeup protocol for blocked lock waiters.
-    pub fn wakeups(mut self, mode: WakeupMode) -> Self {
-        self.config.wakeups = mode;
-        self
-    }
-
     /// Write-ahead logging mode (effective with [`Db::open`]/[`Db::recover`]).
     pub fn durability(mut self, durability: Durability) -> Self {
         self.config.durability = durability;
@@ -327,13 +286,6 @@ impl DbConfigBuilder {
         self
     }
 
-    /// Which generation of hot-path internals to run on (benchmark
-    /// plumbing; see [`HotPath`]).
-    pub fn hot_path(mut self, hot_path: HotPath) -> Self {
-        self.config.hot_path = hot_path;
-        self
-    }
-
     /// Finish, yielding the configuration.
     pub fn build(self) -> DbConfig {
         self.config
@@ -359,12 +311,6 @@ struct KeyGate {
 struct ShardState<K, V> {
     objects: HashMap<K, LockState<V>>,
     gates: HashMap<K, Arc<KeyGate>>,
-}
-
-struct Shard<K, V> {
-    state: Mutex<ShardState<K, V>>,
-    /// Shard-wide condvar used by [`WakeupMode::Broadcast`] only.
-    cv: Condvar,
 }
 
 /// A parked lock waiter, registered so aborts can wake transactions that
@@ -476,28 +422,74 @@ impl<K: Eq + Hash + Ord + Clone, V: Clone> OptCtx<K, V> {
             }
         }
     }
+
+    /// Move the merged buffers out for a top-level commit (moves only:
+    /// nothing is allocated or cloned).
+    fn take_footprint(&self) -> OptFootprint<K, V> {
+        OptFootprint {
+            begin_epoch: self.begin_epoch,
+            writes: std::mem::take(&mut *self.writes.lock()),
+            reads: std::mem::take(&mut *self.reads.lock()),
+            ranges: std::mem::take(&mut *self.ranges.lock()),
+            audit: std::mem::take(&mut *self.audit_buf.lock()),
+        }
+    }
 }
 
-/// What one top-level commit stages into the group-commit sequencer —
-/// the mode-specific half of [`StagedCommit`].
+/// Everything an optimistic top-level commit brings to validation and
+/// publication: the merged buffers of its whole tree.
+struct OptFootprint<K, V> {
+    /// The pinned begin snapshot.
+    begin_epoch: u64,
+    /// The buffered write set (key order, for deterministic logs).
+    writes: BTreeMap<K, V>,
+    /// The snapshot read set: keys…
+    reads: std::collections::HashSet<K>,
+    /// …and scanned intervals.
+    ranges: Vec<KeyRange<K>>,
+    /// The buffered audit Access records.
+    audit: Vec<AuditRecord>,
+}
+
+/// The mode-specific half of a top-level commit on its way to
+/// publication (see [`Participant`]).
 enum CommitPayload<K, V> {
     /// Locking mode: the keys whose locks the commit holds.
     Locking(std::collections::HashSet<K>),
-    /// Optimistic mode: the whole validation footprint, so the batch
-    /// leader can validate, publish, or abort each participant under one
-    /// publish-gate acquisition.
-    Optimistic {
-        /// The participant's pinned begin snapshot.
-        begin_epoch: u64,
-        /// Its buffered write set (key order, for deterministic logs).
-        writes: BTreeMap<K, V>,
-        /// Its snapshot read set: keys…
-        reads: std::collections::HashSet<K>,
-        /// …and scanned intervals.
-        ranges: Vec<KeyRange<K>>,
-        /// Its buffered audit Access records.
-        audit: Vec<AuditRecord>,
-    },
+    /// Optimistic mode: the whole footprint, so whoever runs the
+    /// publication sequence can validate, publish, or abort it.
+    Optimistic(OptFootprint<K, V>),
+}
+
+impl<K, V> CommitPayload<K, V> {
+    /// The footprint of a commit in an optimistic database (a [`Db`]
+    /// runs one mode for life, so the other variant never arrives).
+    fn optimistic(&mut self) -> &mut OptFootprint<K, V> {
+        match self {
+            CommitPayload::Optimistic(footprint) => footprint,
+            CommitPayload::Locking(_) => unreachable!("locking payload in an optimistic database"),
+        }
+    }
+}
+
+/// One top-level commit on its way through a publication sequence: what
+/// the group-commit sequencer queues for its leader, and what the inline
+/// path builds on its own stack and passes as a batch of one.
+type Participant<K, V> = StagedCommit<CommitPayload<K, V>>;
+
+/// The commit record of one publication, participant `i` at the ticket's
+/// `i`-th epoch: a plain `Commit` for a single participant — so a
+/// degenerate batch logs byte for byte what an unbatched commit does,
+/// and logs only diverge when batching actually coalesced commits — else
+/// one `BatchCommit` frame, which replays exactly like the `n` plain
+/// records except atomically (the frame is torn wholly or not at all).
+fn commit_record<P>(participants: &[StagedCommit<P>], publish: &PublishBatch<'_>) -> Record {
+    match participants {
+        [only] => Record::Commit { action: only.txn.0, epoch: Some(publish.epoch_of(0)) },
+        _ => Record::BatchCommit {
+            commits: (0..).zip(participants).map(|(i, p)| (p.txn.0, publish.epoch_of(i))).collect(),
+        },
+    }
 }
 
 /// The attached write-ahead log plus everything needed to feed it.
@@ -540,7 +532,8 @@ impl<K, V> WalState<K, V> {
 
 struct DbInner<K, V> {
     registry: Registry,
-    shards: Box<[Shard<K, V>]>,
+    /// The lock tables, one mutex per shard (see [`ShardState`]).
+    shards: Box<[Mutex<ShardState<K, V>>]>,
     hasher: RandomState,
     stats: Stats,
     wfg: WaitForGraph,
@@ -621,22 +614,17 @@ where
         let config_shards = config.shards.max(1);
         let max_versions = config.max_versions_per_key;
         let shards = (0..config_shards)
-            .map(|_| Shard {
-                state: Mutex::new(ShardState { objects: HashMap::new(), gates: HashMap::new() }),
-                cv: Condvar::new(),
-            })
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
+            .map(|_| Mutex::new(ShardState { objects: HashMap::new(), gates: HashMap::new() }))
+            .collect();
         let audit = config
             .audit
             .then(|| AuditState { log: AuditLog::new(), keymap: Mutex::new(HashMap::new()) });
-        let scaled = config.hot_path == HotPath::Scaled;
         Db {
             inner: Arc::new(DbInner {
-                registry: if scaled { Registry::new() } else { Registry::legacy() },
+                registry: Registry::new(),
                 shards,
                 hasher: RandomState::new(),
-                stats: if scaled { Stats::default() } else { Stats::striped(1) },
+                stats: Stats::default(),
                 wfg: WaitForGraph::new(),
                 config,
                 audit,
@@ -644,7 +632,7 @@ where
                 run_seq: AtomicU64::new(0),
                 wal: std::sync::OnceLock::new(),
                 ckpt: RwLock::new(()),
-                mvcc: MvccStore::with_opts(max_versions, scaled),
+                mvcc: MvccStore::with_opts(max_versions),
                 pipeline: CommitPipeline::new(),
                 #[cfg(feature = "chaos-hooks")]
                 injector: parking_lot::RwLock::new(None),
@@ -657,7 +645,7 @@ where
     pub fn insert(&self, key: K, value: V) -> bool {
         let inner = &self.inner;
         let shard = inner.shard_of(&key);
-        let mut guard = inner.shards[shard].state.lock();
+        let mut guard = inner.shards[shard].lock();
         if guard.objects.contains_key(&key) {
             return false;
         }
@@ -671,7 +659,7 @@ where
         }
         // Logged under the shard guard, like transactional writes, so the
         // per-key log order is the true lock-table mutation order.
-        inner.wal_log_init(&key, &value);
+        inner.wal_log_write(INIT_ACTION, &key, &value);
         // Seeds enter the version chain at the genesis epoch: seeding is
         // not a transaction, so the value is visible to every snapshot
         // regardless of when the key was inserted.
@@ -684,7 +672,7 @@ where
     pub fn committed_value(&self, key: &K) -> Option<V> {
         let inner = &self.inner;
         let shard = inner.shard_of(key);
-        let guard = inner.shards[shard].state.lock();
+        let guard = inner.shards[shard].lock();
         guard.objects.get(key).map(|s| s.base_value().clone())
     }
 
@@ -893,7 +881,7 @@ where
     pub(crate) fn raw_insert(&self, key: K, value: V, epoch: u64) -> bool {
         let inner = &self.inner;
         let shard = inner.shard_of(&key);
-        let mut guard = inner.shards[shard].state.lock();
+        let mut guard = inner.shards[shard].lock();
         if guard.objects.contains_key(&key) {
             return false;
         }
@@ -932,7 +920,7 @@ where
     ) -> Option<R> {
         let inner = &self.inner;
         let shard = inner.shard_of(key);
-        let mut guard = inner.shards[shard].state.lock();
+        let mut guard = inner.shards[shard].lock();
         let state = guard.objects.get_mut(key)?;
         let view = inner.registry.read_view();
         Some(f(state, &view))
@@ -954,7 +942,7 @@ where
         let Some(audit) = &self.inner.audit else { return };
         let mut keymap = audit.keymap.lock();
         for shard in self.inner.shards.iter() {
-            let guard = shard.state.lock();
+            let guard = shard.lock();
             for (key, state) in guard.objects.iter() {
                 // Contains-first keeps registration idempotent (a key
                 // already mapped keeps its id and is not re-registered)
@@ -1020,18 +1008,16 @@ where
     /// allowed to defer — so the harness may call it at any point.
     pub fn chaos_reap_all(&self) {
         for shard in self.inner.shards.iter() {
-            let mut guard = shard.state.lock();
+            let mut guard = shard.lock();
             let view = self.inner.registry.read_view();
             for state in guard.objects.values_mut() {
                 state.reap(&view);
             }
-            drop(view);
             // Every key's state may have changed: wake all gates.
             for gate in guard.gates.values() {
                 gate.generation.fetch_add(1, Ordering::Relaxed);
                 gate.cv.notify_all();
             }
-            shard.cv.notify_all();
         }
     }
 
@@ -1045,7 +1031,7 @@ where
         let mut out = Vec::new();
         let quiescent = self.inner.registry.chaos_active().is_empty();
         for shard in self.inner.shards.iter() {
-            let guard = shard.state.lock();
+            let guard = shard.lock();
             let view = self.inner.registry.read_view();
             for (key, state) in guard.objects.iter() {
                 if let Err(violation) = state.chaos_check(&view) {
@@ -1124,8 +1110,12 @@ where
         }
     }
 
-    /// Log a non-transactional base-value seed (the paper's `init(x)`).
-    fn wal_log_init(&self, key: &K, value: &V) {
+    /// Log one `Write` record: a granted transactional write by `action`,
+    /// or a non-transactional base-value seed (the paper's `init(x)`)
+    /// under [`INIT_ACTION`]. Called under the owning shard's guard, so
+    /// per-key log order equals lock-grant order — the property that
+    /// makes replay conflict-free.
+    fn wal_log_write(&self, action: u64, key: &K, value: &V) {
         if let Some(w) = self.wal.get() {
             // Sized for the common fixed-width integer encodings, so the
             // two buffers are one allocation each, no regrow.
@@ -1133,20 +1123,7 @@ where
             (w.enc_key)(key, &mut kb);
             let mut vb = Vec::with_capacity(16);
             (w.enc_val)(value, &mut vb);
-            self.wal_append(&Record::Write { action: INIT_ACTION, key: kb, version: vb });
-        }
-    }
-
-    /// Log a granted transactional write. Called under the owning shard's
-    /// guard, so per-key log order equals lock-grant order — the property
-    /// that makes replay conflict-free.
-    fn wal_log_write(&self, t: TxnId, key: &K, value: &V) {
-        if let Some(w) = self.wal.get() {
-            let mut kb = Vec::with_capacity(16);
-            (w.enc_key)(key, &mut kb);
-            let mut vb = Vec::with_capacity(16);
-            (w.enc_val)(value, &mut vb);
-            self.wal_append(&Record::Write { action: t.0, key: kb, version: vb });
+            self.wal_append(&Record::Write { action, key: kb, version: vb });
         }
     }
 
@@ -1166,10 +1143,9 @@ where
     /// * bytes it covers beyond that belong to actions with no commit
     ///   record on disk — at a crash, replay aborts them deepest-first,
     ///   exactly as if they had not been forced;
-    /// * there is one forcer at a time: the pipeline leader, or on the
-    ///   inline path the holder of the MVCC publish mutex, which the
-    ///   caller holds across this call (so commit-record log order is
-    ///   still epoch order);
+    /// * there is one forcer at a time: both publication sequences call
+    ///   this holding the MVCC publish mutex (so commit-record log order
+    ///   is still epoch order);
     /// * the forcing thread holds the checkpoint latch shared, so no
     ///   checkpoint `replace` can swap the file under the force.
     fn wal_force(&self, record: &Record) -> Result<(), TxnError> {
@@ -1187,65 +1163,79 @@ where
         }
     }
 
-    /// Retire one group-commit batch under the mode the database runs in.
-    fn process_commit_batch(
-        &self,
-        batch: Vec<StagedCommit<CommitPayload<K, V>>>,
-    ) -> Vec<(u64, Result<(), TxnError>)> {
-        match self.config.cc_mode {
-            CcMode::Locking => self.process_locking_batch(batch),
-            CcMode::Optimistic => self.process_optimistic_batch(batch),
-        }
+    /// Queue one finished top-level commit for the group-commit sequencer
+    /// and park until a batch containing it has been retired — by this
+    /// thread, if it ends up the leader.
+    fn stage(&self, txn: TxnId, payload: CommitPayload<K, V>) -> Result<(), TxnError> {
+        self.stats.bump(|b| &b.commits_staged);
+        self.pipeline.stage(
+            txn,
+            payload,
+            self.config.max_batch,
+            self.config.max_batch_wait,
+            |batch| self.process_commit_batch(batch),
+        )
     }
 
-    /// Retire one locking-mode batch: append the batch's commit record,
-    /// force it with a single fsync, then publish every participant's
-    /// version chains under one publish-mutex acquisition (a contiguous
-    /// epoch run, assigned in staging order). Returns each participant's
-    /// durability verdict, keyed by staging ticket.
+    /// Retire one group-commit batch under the mode the database runs
+    /// in, returning each participant's verdict in staging order. The
+    /// sequencer's counters move here and in [`DbInner::stage`] only, so
+    /// `commits_staged == commits_batched` (plus, in optimistic mode,
+    /// the losers) holds whatever the inline path does.
+    fn process_commit_batch(&self, batch: Vec<Participant<K, V>>) -> Vec<Result<(), TxnError>> {
+        let (retired, verdicts) = match self.config.cc_mode {
+            CcMode::Locking => {
+                let durable = self.publish_locking(&batch);
+                (batch.len() as u64, vec![durable; batch.len()])
+            }
+            CcMode::Optimistic => self.process_optimistic_batch(batch),
+        };
+        self.stats.bump(|b| &b.commit_batches);
+        self.stats.add(|b| &b.commits_batched, retired);
+        verdicts
+    }
+
+    /// The locking publication sequence, for participants whose registry
+    /// transition and audit `Commit` are done and whose locks are still
+    /// held: take the MVCC publish mutex once and a contiguous epoch run
+    /// with it (slice order), append one commit record and force it with
+    /// a single fsync, then release every participant's locks — each key
+    /// it wrote gaining a chain version at its epoch — and let the
+    /// watermark pass the whole run as the ticket drops. Returns the
+    /// durability verdict every participant reports.
     ///
-    /// A single-participant batch appends a plain `Commit` record — byte-
-    /// identical to the non-batched path — so logs only diverge when
-    /// batching actually coalesced commits, and even then only in framing:
-    /// a `BatchCommit` of `n` commits replays exactly like the `n` plain
-    /// records, except atomically (the frame is torn wholly or not at all).
+    /// The order is the invariant. The commit record lands before any
+    /// lock moves: once `finish_locks` runs, other threads can acquire
+    /// those locks and log accesses whose prefix-visibility depends on
+    /// this commit. Holding the publish mutex across the append makes
+    /// commit-record log order equal epoch order; holding it across
+    /// `finish_locks` means no snapshot can pin one of these epochs until
+    /// every chain append landed. A WAL failure surfaces only after the
+    /// locks are cleanly released: in-memory state stays consistent,
+    /// durability doesn't.
     ///
     /// Participants' write sets are necessarily disjoint (each still holds
     /// its write locks, and none is an ancestor of another), so chain
-    /// appends across the batch never race on a key and per-key epoch
+    /// appends across the slice never race on a key and per-key epoch
     /// order stays ascending.
-    fn process_locking_batch(
-        &self,
-        batch: Vec<StagedCommit<CommitPayload<K, V>>>,
-    ) -> Vec<(u64, Result<(), TxnError>)> {
-        let publish = self.mvcc.begin_publish_batch(batch.len());
-        let record = if batch.len() == 1 {
-            Record::Commit { action: batch[0].txn.0, epoch: Some(publish.epoch_of(0)) }
-        } else {
-            Record::BatchCommit {
-                commits: batch
-                    .iter()
-                    .enumerate()
-                    .map(|(i, s)| (s.txn.0, publish.epoch_of(i)))
-                    .collect(),
-            }
-        };
-        let verdict = self.wal_force(&record);
-        for (i, staged) in batch.iter().enumerate() {
-            let CommitPayload::Locking(keys) = &staged.payload else {
-                unreachable!("optimistic payload staged in a locking database")
+    fn publish_locking(&self, participants: &[Participant<K, V>]) -> Result<(), TxnError> {
+        let publish = self.mvcc.begin_publish_batch(participants.len());
+        let durable = self.wal_force(&commit_record(participants, &publish));
+        for (i, p) in participants.iter().enumerate() {
+            let CommitPayload::Locking(keys) = &p.payload else {
+                unreachable!("optimistic payload in a locking database")
             };
-            self.finish_locks(staged.txn, keys, true, Some(publish.epoch_of(i)));
+            self.finish_locks(p.txn, keys, true, Some(publish.epoch_of(i)));
         }
         drop(publish);
-        self.stats.bump(|b| &b.commit_batches);
-        self.stats.add(|b| &b.commits_batched, batch.len() as u64);
-        batch.iter().map(|s| (s.seq, verdict.clone())).collect()
+        durable
     }
 
     /// Retire one optimistic batch: validate every participant in staging
-    /// order under a single publish-gate acquisition, then log and publish
-    /// the survivors as a contiguous epoch run and abort the losers.
+    /// order under a single publish-gate acquisition, then run the loser
+    /// sequence over those that failed and the publication sequence over
+    /// the survivors (a contiguous epoch run). Returns the survivor count
+    /// and each participant's verdict.
     ///
     /// First committer wins *within* the batch too: a participant's
     /// footprint — keys and scanned intervals — is checked against both
@@ -1257,127 +1247,192 @@ where
     /// time a verdict is returned the transaction is finished either way.
     fn process_optimistic_batch(
         &self,
-        batch: Vec<StagedCommit<CommitPayload<K, V>>>,
-    ) -> Vec<(u64, Result<(), TxnError>)> {
+        mut batch: Vec<Participant<K, V>>,
+    ) -> (u64, Vec<Result<(), TxnError>>) {
         let gate = self.mvcc.begin_publish_gate();
         let base = gate.next_epoch();
-        // Validation pass. A survivor's provisional epoch is `base` plus
-        // the number of earlier survivors; its write set joins the
-        // in-batch overlay later participants must also validate against.
+        // A survivor's epoch is `base` plus the number of earlier
+        // survivors; its write set joins the in-batch overlay later
+        // participants must also validate against.
         let mut batch_writes: BTreeMap<K, u64> = BTreeMap::new();
-        let mut epochs: Vec<Option<u64>> = Vec::with_capacity(batch.len());
-        let mut failures: Vec<Option<TxnError>> = Vec::with_capacity(batch.len());
-        let mut survivor_count: u64 = 0;
-        for staged in batch.iter() {
-            let CommitPayload::Optimistic { begin_epoch, writes, reads, ranges, .. } =
-                &staged.payload
-            else {
-                unreachable!("locking payload staged in an optimistic database")
-            };
+        let mut verdicts = Vec::with_capacity(batch.len());
+        let mut survivors: u64 = 0;
+        for staged in batch.iter_mut() {
+            let footprint = staged.payload.optimistic();
             // Every in-batch epoch is above the watermark, hence above any
             // participant's begin epoch: a hit is a conflict.
-            let in_batch_keys =
-                writes.keys().chain(reads.iter()).filter_map(|k| batch_writes.get(k).copied());
-            let in_batch_spans = ranges.iter().filter_map(|(lo, hi)| {
+            let in_batch_keys = footprint
+                .writes
+                .keys()
+                .chain(footprint.reads.iter())
+                .filter_map(|k| batch_writes.get(k).copied());
+            let in_batch_spans = footprint.ranges.iter().filter_map(|(lo, hi)| {
                 batch_writes.range((lo.as_ref(), hi.as_ref())).map(|(_, &e)| e).max()
             });
             let newest = self
-                .opt_conflict(writes, reads, ranges, *begin_epoch)
+                .opt_conflict(footprint, footprint.begin_epoch)
                 .max(in_batch_keys.chain(in_batch_spans).max());
-            if let Some(committed_epoch) = newest {
-                epochs.push(None);
-                failures
-                    .push(Some(TxnError::Conflict { begin_epoch: *begin_epoch, committed_epoch }));
-                continue;
-            }
-            // Passing validation makes the commit final: flip the registry
-            // state while still under the gate, so no later observation can
-            // see a validated participant still active.
-            if let Err(e) = self.registry.commit(staged.txn) {
-                epochs.push(None);
-                failures.push(Some(map_reg_err(e)));
-                continue;
-            }
-            let epoch = base + survivor_count;
-            survivor_count += 1;
-            for key in writes.keys() {
-                match batch_writes.get_mut(key) {
-                    Some(slot) => *slot = epoch,
-                    None => {
-                        batch_writes.insert(key.clone(), epoch);
+            let verdict = self.opt_verdict(staged.txn, footprint.begin_epoch, newest);
+            if verdict.is_ok() {
+                let epoch = base + survivors;
+                survivors += 1;
+                for key in footprint.writes.keys() {
+                    match batch_writes.get_mut(key) {
+                        Some(slot) => *slot = epoch,
+                        None => {
+                            batch_writes.insert(key.clone(), epoch);
+                        }
                     }
                 }
             }
-            epochs.push(Some(epoch));
-            failures.push(None);
+            verdicts.push(verdict);
         }
-        // Losers: audited and logged as aborts by the leader (their
-        // staging threads are parked — someone must finish them).
-        for (staged, failure) in batch.iter().zip(failures.iter()) {
-            let Some(failure) = failure else { continue };
-            let id = staged.txn;
-            self.audit_record(|reg| AuditRecord::Abort { path: reg.path(id).expect("known") });
-            self.wal_append(&Record::Abort { action: id.0 });
-            let _ = self.registry.abort(id);
+        self.abort_optimistic(&batch, &verdicts);
+        let mut fates = verdicts.iter();
+        batch.retain(|_| fates.next().is_some_and(Result::is_ok));
+        if !batch.is_empty() {
+            if let Err(e) = self.publish_optimistic(gate, &mut batch) {
+                for verdict in verdicts.iter_mut().filter(|v| v.is_ok()) {
+                    *verdict = Err(e.clone());
+                }
+            }
+        }
+        (survivors, verdicts)
+    }
+
+    /// Retire one optimistic commit without the sequencer: the same
+    /// loser and publication sequences a batch leader runs, over a batch
+    /// of one. What differs is the validation, which is two-phase
+    /// (Kung-Robinson). Phase 1 runs *before* the gate against a pre-read
+    /// watermark: every commit fully published by then is visible to the
+    /// scan, so the gate only has to re-check the footprint when the
+    /// watermark moved in between — under low contention the expensive
+    /// O(footprint) walk happens outside the publish critical section and
+    /// the gate hold shrinks to the publish itself. A commit racing phase
+    /// 1 either finished first (watermark advanced past `pre_watermark` —
+    /// phase 2 catches it via the `> pre_watermark` floor) or is
+    /// mid-publish holding the gate (its appends may be visible early,
+    /// but it can no longer fail — aborting on it is ordinary
+    /// first-committer loss). Losers found in phase 1 never touch the
+    /// gate at all.
+    fn commit_optimistic_inline(&self, mut commit: Participant<K, V>) -> Result<(), TxnError> {
+        let footprint = commit.payload.optimistic();
+        let begin_epoch = footprint.begin_epoch;
+        let pre_watermark = self.mvcc.watermark();
+        let mut newest = self.opt_conflict(footprint, begin_epoch);
+        let mut gate = None;
+        if newest.is_none() {
+            let held = self.mvcc.begin_publish_gate();
+            if self.mvcc.watermark() != pre_watermark {
+                // Someone published since phase 1; re-validate the span it
+                // could not see. `pre_watermark ≥ begin_epoch` (the begin
+                // pin is at or below any later watermark read), so the
+                // tighter floor loses no conflicts.
+                newest = self.opt_conflict(footprint, pre_watermark);
+            }
+            // A phase-2 conflict drops the gate right here — no epoch is
+            // burned on a loser.
+            gate = newest.is_none().then_some(held);
+        }
+        let verdict = self.opt_verdict(commit.txn, begin_epoch, newest);
+        match gate {
+            Some(gate) if verdict.is_ok() => {
+                self.publish_optimistic(gate, std::slice::from_mut(&mut commit))
+            }
+            gate => {
+                drop(gate);
+                self.abort_optimistic(
+                    std::slice::from_ref(&commit),
+                    std::slice::from_ref(&verdict),
+                );
+                verdict
+            }
+        }
+    }
+
+    /// Settle a validated participant's fate. A committed epoch newer
+    /// than its snapshot anywhere in the footprint means the first
+    /// committer won already. A clean footprint makes the commit final:
+    /// the registry state flips while still under the gate, so no later
+    /// observation can see a validated participant still active.
+    fn opt_verdict(
+        &self,
+        txn: TxnId,
+        begin_epoch: u64,
+        newest: Option<u64>,
+    ) -> Result<(), TxnError> {
+        match newest {
+            Some(committed_epoch) => Err(TxnError::Conflict { begin_epoch, committed_epoch }),
+            None => self.registry.commit(txn).map_err(map_reg_err),
+        }
+    }
+
+    /// The optimistic loser sequence, for every participant whose verdict
+    /// is an error: audit `Abort`, WAL `Abort`, registry transition,
+    /// counters. Whoever validated runs it — a staged loser's own thread
+    /// is parked, so someone must finish it.
+    fn abort_optimistic(
+        &self,
+        participants: &[Participant<K, V>],
+        verdicts: &[Result<(), TxnError>],
+    ) {
+        for (p, verdict) in participants.iter().zip(verdicts) {
+            let Err(failure) = verdict else { continue };
+            self.abort_action(p.txn);
             if matches!(failure, TxnError::Conflict { .. }) {
                 self.stats.bump(|b| &b.occ_conflicts);
             }
             self.stats.bump(|b| &b.aborted);
         }
-        // Survivors: flush buffered Access records in epoch order (audit
-        // data order = commit order, the Theorem-9 invariant), then write
-        // records + one commit frame, then publish — all under the gate.
-        let survivors: Vec<(usize, u64)> =
-            epochs.iter().enumerate().filter_map(|(i, e)| e.map(|e| (i, e))).collect();
-        for &(i, _) in survivors.iter() {
-            let CommitPayload::Optimistic { audit, .. } = &batch[i].payload else {
-                unreachable!("validated above")
-            };
-            if let Some(state) = &self.audit {
-                for record in audit.iter() {
-                    state.log.push(record.clone());
+    }
+
+    /// The optimistic publication sequence, for survivors (in epoch
+    /// order) that passed validation under `gate` and are committed in
+    /// the registry: flush each one's buffered Access records and its
+    /// `Commit` to the audit log — under the gate, so audit data order =
+    /// commit (= epoch) order, the Theorem-9 reconstruction invariant —
+    /// log every buffered write, append one commit record and force it
+    /// with a single fsync, then publish each write set at its epoch. The
+    /// gate becomes the publication ticket: the watermark passes the
+    /// whole run when it drops, WAL-logged before it moves. Returns the
+    /// durability verdict every survivor reports.
+    fn publish_optimistic(
+        &self,
+        gate: PublishGate<'_>,
+        survivors: &mut [Participant<K, V>],
+    ) -> Result<(), TxnError> {
+        for p in survivors.iter_mut() {
+            let id = p.txn;
+            let footprint = p.payload.optimistic();
+            if let Some(audit) = &self.audit {
+                for record in footprint.audit.drain(..) {
+                    audit.log.push(record);
                 }
             }
-            let id = batch[i].txn;
             self.audit_record(|reg| AuditRecord::Commit { path: reg.path(id).expect("known") });
-        }
-        let mut durable = Ok(());
-        if survivors.is_empty() {
-            drop(gate);
-        } else {
-            for &(i, _) in survivors.iter() {
-                let CommitPayload::Optimistic { writes, .. } = &batch[i].payload else {
-                    unreachable!("validated above")
-                };
-                for (key, value) in writes.iter() {
-                    self.wal_log_write(batch[i].txn, key, value);
-                }
+            for (key, value) in footprint.writes.iter() {
+                self.wal_log_write(id.0, key, value);
             }
-            let record = if survivors.len() == 1 {
-                Record::Commit { action: batch[survivors[0].0].txn.0, epoch: Some(survivors[0].1) }
-            } else {
-                Record::BatchCommit {
-                    commits: survivors.iter().map(|&(i, e)| (batch[i].txn.0, e)).collect(),
-                }
-            };
-            durable = self.wal_force(&record);
-            let publish = gate.into_batch(survivors.len());
-            for (n, &(i, epoch)) in survivors.iter().enumerate() {
-                debug_assert_eq!(publish.epoch_of(n), epoch);
-                let CommitPayload::Optimistic { writes, .. } = &batch[i].payload else {
-                    unreachable!("validated above")
-                };
-                self.publish_optimistic_writes(writes, epoch);
-            }
-            drop(publish);
         }
-        self.stats.bump(|b| &b.commit_batches);
-        self.stats.add(|b| &b.commits_batched, survivor_count);
-        batch
-            .into_iter()
-            .zip(failures)
-            .map(|(s, failure)| (s.seq, failure.map_or_else(|| durable.clone(), Err)))
-            .collect()
+        let publish = gate.into_batch(survivors.len());
+        let durable = self.wal_force(&commit_record(survivors, &publish));
+        for (i, p) in survivors.iter_mut().enumerate() {
+            self.publish_optimistic_writes(&p.payload.optimistic().writes, publish.epoch_of(i));
+        }
+        drop(publish);
+        durable
+    }
+
+    /// The head of every abort: audit `Abort`, WAL `Abort`, then the
+    /// registry transition, in that order. The moment the registry marks
+    /// a transaction dead, any conflicting thread may lazily reap its
+    /// locks, read the restored value, and log its access — which must
+    /// sort *after* this abort in both logs. Returns whether the
+    /// transition happened (false: the transaction had already finished).
+    fn abort_action(&self, id: TxnId) -> bool {
+        self.audit_record(|reg| AuditRecord::Abort { path: reg.path(id).expect("known") });
+        self.wal_append(&Record::Abort { action: id.0 });
+        self.registry.abort(id).is_ok()
     }
 
     /// Checkpoint after a top-level commit if the configured cadence says
@@ -1412,7 +1467,7 @@ where
         }
         let _latch = self.ckpt.write();
         let mut guards: Vec<MutexGuard<'_, ShardState<K, V>>> =
-            self.shards.iter().map(|s| s.state.lock()).collect();
+            self.shards.iter().map(|s| s.lock()).collect();
         {
             let view = self.registry.read_view();
             for guard in guards.iter_mut() {
@@ -1472,10 +1527,10 @@ where
 
     /// Run one lock-acquiring operation with conflict resolution.
     ///
-    /// Lock order is always shard → registry-read (→ waiting); the
-    /// registry view is dropped before any condvar wait so registry
-    /// writers (transaction begins) are never blocked by a sleeping
-    /// waiter. The shard guard itself is held from the conflict check
+    /// Lock order is always shard → registry-read (→ waiting); a registry
+    /// view holds no lock between its queries, so registry writers
+    /// (transaction begins) are never blocked by a sleeping waiter. The
+    /// shard guard itself is held from the conflict check
     /// through the wait — the condvar releases it atomically — which is
     /// what makes the release path's bump-then-notify under the same
     /// lock free of lost-wakeup windows.
@@ -1491,8 +1546,7 @@ where
     ) -> Result<R, TxnError> {
         let start = Instant::now();
         let shard_idx = self.shard_of(key);
-        let shard = &self.shards[shard_idx];
-        let mut guard = shard.state.lock();
+        let mut guard = self.shards[shard_idx].lock();
         loop {
             let view = self.registry.read_view();
             // The liveness preamble runs only for nested transactions,
@@ -1545,14 +1599,13 @@ where
                     return Err(TxnError::Die { blocker: conflict.blockers[0] });
                 }
                 DeadlockPolicy::Timeout => {
-                    drop(view);
                     let elapsed = start.elapsed();
                     if elapsed >= self.config.lock_timeout {
                         self.stats.bump(|b| &b.timeouts);
                         return Err(TxnError::Timeout(self.config.lock_timeout));
                     }
                     let bound = (self.config.lock_timeout - elapsed).min(self.config.wait_slice);
-                    self.wait_for_key_change(&mut guard, shard, shard_idx, key, t, bound)?;
+                    self.wait_for_key_change(&mut guard, shard_idx, key, t, bound)?;
                 }
                 DeadlockPolicy::WaitDie => {
                     // Wait-die on (root, id): older requesters wait, younger
@@ -1568,9 +1621,8 @@ where
                         self.stats.bump(|b| &b.dies);
                         return Err(TxnError::Die { blocker: b });
                     }
-                    drop(view);
                     let bound = self.config.wait_slice;
-                    self.wait_for_key_change(&mut guard, shard, shard_idx, key, t, bound)?;
+                    self.wait_for_key_change(&mut guard, shard_idx, key, t, bound)?;
                 }
                 DeadlockPolicy::Detect => {
                     // Waiting on a holder means waiting on its whole active
@@ -1586,10 +1638,8 @@ where
                         self.stats.bump(|b| &b.deadlocks);
                         return Err(TxnError::Deadlock { cycle });
                     }
-                    drop(view);
                     let bound = self.config.wait_slice;
-                    let woke =
-                        self.wait_for_key_change(&mut guard, shard, shard_idx, key, t, bound);
+                    let woke = self.wait_for_key_change(&mut guard, shard_idx, key, t, bound);
                     self.wfg.unblock(t);
                     woke?;
                 }
@@ -1599,8 +1649,8 @@ where
 
     /// Park `t` until `key`'s lock state may have changed, for at most
     /// `bound`. The caller holds the shard guard; this registers the wait,
-    /// re-checks liveness, sleeps on the key's gate (or the shard condvar
-    /// in broadcast mode), classifies the wakeup, and deregisters.
+    /// re-checks liveness, sleeps on the key's gate, classifies the
+    /// wakeup, and deregisters.
     ///
     /// Returns `Err(Orphaned)` if `t` died before sleeping. The liveness
     /// re-check happens *after* registration: an abort first marks the
@@ -1612,7 +1662,6 @@ where
     fn wait_for_key_change(
         &self,
         guard: &mut MutexGuard<'_, ShardState<K, V>>,
-        shard: &Shard<K, V>,
         shard_idx: usize,
         key: &K,
         t: TxnId,
@@ -1632,10 +1681,7 @@ where
         if !died {
             self.stats.bump(|b| &b.waits);
             let slept = Instant::now();
-            match self.config.wakeups {
-                WakeupMode::Targeted => gate.cv.wait_for(guard, bound),
-                WakeupMode::Broadcast => shard.cv.wait_for(guard, bound),
-            };
+            gate.cv.wait_for(guard, bound);
             self.stats.add(|b| &b.wait_nanos, slept.elapsed().as_nanos() as u64);
             if gate.generation.load(Ordering::Relaxed) != gen_before {
                 self.stats.bump(|b| &b.wakeups_productive);
@@ -1672,16 +1718,11 @@ where
     /// Wake the waiters of `key` after its lock state changed. Must be
     /// called under the shard lock (so the generation bump is ordered
     /// against every waiter's pre-sleep generation read).
-    fn notify_released(&self, state: &ShardState<K, V>, shard: &Shard<K, V>, key: &K) {
+    fn notify_released(&self, state: &ShardState<K, V>, key: &K) {
         if let Some(gate) = state.gates.get(key) {
             gate.generation.fetch_add(1, Ordering::Relaxed);
             self.stats.bump(|b| &b.notifies);
-            if self.config.wakeups == WakeupMode::Targeted {
-                gate.cv.notify_all();
-            }
-        }
-        if self.config.wakeups == WakeupMode::Broadcast {
-            shard.cv.notify_all();
+            gate.cv.notify_all();
         }
     }
 
@@ -1718,8 +1759,7 @@ where
     ) {
         let parent = self.registry.parent(t);
         for key in keys {
-            let shard = &self.shards[self.shard_of(key)];
-            let mut guard = shard.state.lock();
+            let mut guard = self.shards[self.shard_of(key)].lock();
             if let Some(state) = guard.objects.get_mut(key) {
                 if commit {
                     // Shard → registry-read, the global lock order.
@@ -1730,7 +1770,6 @@ where
                     // version.
                     let wrote = publish_epoch.is_some() && state.write_holders().any(|h| h == t);
                     state.commit_to_parent(t, parent, &view);
-                    drop(view);
                     if wrote {
                         let epoch = publish_epoch.expect("checked above");
                         self.mvcc.append(key, epoch, state.base_value().clone());
@@ -1739,7 +1778,7 @@ where
                     state.abort_discard(t);
                 }
             }
-            self.notify_released(&guard, shard, key);
+            self.notify_released(&guard, key);
         }
     }
 
@@ -1762,11 +1801,9 @@ where
                 .collect()
         };
         for (shard_idx, gate) in doomed {
-            let shard = &self.shards[shard_idx];
-            let _guard = shard.state.lock();
+            let _guard = self.shards[shard_idx].lock();
             gate.generation.fetch_add(1, Ordering::Relaxed);
             gate.cv.notify_all();
-            shard.cv.notify_all();
         }
     }
 
@@ -1852,13 +1889,8 @@ where
     /// scanned intervals, each interval judged as a whole — or `None` if
     /// the footprint is clean. Under the publish gate chain heads cannot
     /// move during the check.
-    fn opt_conflict(
-        &self,
-        writes: &BTreeMap<K, V>,
-        reads: &std::collections::HashSet<K>,
-        ranges: &[KeyRange<K>],
-        floor: u64,
-    ) -> Option<u64> {
+    fn opt_conflict(&self, footprint: &OptFootprint<K, V>, floor: u64) -> Option<u64> {
+        let OptFootprint { writes, reads, ranges, .. } = footprint;
         let keys = writes.keys().chain(reads.iter()).filter_map(|k| self.mvcc.last_epoch(k));
         let spans =
             ranges.iter().filter_map(|(lo, hi)| self.mvcc.max_epoch_in((lo.as_ref(), hi.as_ref())));
@@ -1871,13 +1903,12 @@ where
     /// publish → shard → store order as the locking commit path).
     fn publish_optimistic_writes(&self, writes: &BTreeMap<K, V>, epoch: u64) {
         for (key, value) in writes {
-            let shard = &self.shards[self.shard_of(key)];
-            let mut guard = shard.state.lock();
+            let mut guard = self.shards[self.shard_of(key)].lock();
             if let Some(state) = guard.objects.get_mut(key) {
                 state.publish_base(value.clone());
             }
             self.mvcc.append(key, epoch, value.clone());
-            self.notify_released(&guard, shard, key);
+            self.notify_released(&guard, key);
         }
     }
 }
@@ -2011,7 +2042,7 @@ where
                 seen: hash_value(&seen),
             });
             // Still under the shard guard: per-key log order = grant order.
-            inner.wal_log_write(self.id, key, written.as_ref().expect("written set"));
+            inner.wal_log_write(self.id.0, key, written.as_ref().expect("written set"));
             Ok((seen, record))
         })?;
         self.touch(key);
@@ -2147,69 +2178,41 @@ where
         if self.opt.is_some() {
             return self.commit_optimistic();
         }
-        let latch = self.inner.wal_latch();
-        self.inner.registry.commit(self.id).map_err(map_reg_err)?;
-        // The Commit record must land before the locks move: once
+        let inner = &self.inner;
+        let latch = inner.wal_latch();
+        inner.registry.commit(self.id).map_err(map_reg_err)?;
+        // The audit Commit record must land before the locks move: once
         // finish_locks runs, other threads can acquire them and log
         // accesses whose prefix-visibility depends on this commit. The
-        // WAL Commit record follows the same rule, and a top-level fsync
-        // happens here — before release, before the ack.
+        // WAL Commit record follows the same rule.
         let id = self.id;
-        let top_level = self.parent_touched.is_none();
-        self.inner.audit_record(|reg| AuditRecord::Commit { path: reg.path(id).expect("known") });
-        if top_level && self.inner.config.group_commit {
-            // Group-commit path: hand the finished commit to the
-            // sequencer and block until a batch containing it has been
-            // appended, forced, and published. Our locks stay held until
-            // the leader runs finish_locks for us, so no conflicting
-            // access can be logged ahead of our batch's commit record —
-            // the same ordering invariant as the inline path below.
-            let keys = std::mem::take(&mut *self.touched.lock());
-            self.inner.stats.bump(|b| &b.commits_staged);
-            let inner = &self.inner;
-            let durable = inner.pipeline.stage(
-                id,
-                CommitPayload::Locking(keys),
-                inner.config.max_batch,
-                inner.config.max_batch_wait,
-                |batch| inner.process_commit_batch(batch),
-            );
-            inner.stats.bump(|b| &b.committed);
-            self.done = true;
-            drop(latch);
-            self.inner.maybe_auto_checkpoint(true);
-            return durable;
-        }
-        // A top-level commit publishes to the committed version chains:
-        // enter the MVCC publish critical section to get the next commit
-        // epoch. Holding it across the WAL append makes commit-record log
-        // order equal epoch order; holding it across finish_locks means no
-        // snapshot can pin this epoch until every chain append landed (the
-        // watermark advances when `publish` drops).
-        let publish = top_level.then(|| self.inner.mvcc.begin_publish());
-        let epoch = publish.as_ref().map(|p| p.epoch());
-        let record = Record::Commit { action: id.0, epoch };
-        let durable = if top_level {
-            self.inner.wal_force(&record)
-        } else {
-            // A nested commit is revocable until its ancestors commit:
-            // logged, never forced, and it reports no durability verdict.
-            self.inner.wal_append(&record);
-            Ok(())
-        };
+        inner.audit_record(|reg| AuditRecord::Commit { path: reg.path(id).expect("known") });
         let keys = std::mem::take(&mut *self.touched.lock());
-        self.inner.finish_locks(self.id, &keys, true, epoch);
-        drop(publish);
-        if let Some(parent) = &self.parent_touched {
-            // Inherited locks become the parent's responsibility.
-            parent.lock().extend(keys);
-        }
-        self.inner.stats.bump(|b| &b.committed);
+        let durable = match &self.parent_touched {
+            Some(parent) => {
+                // A nested commit is revocable until its ancestors commit:
+                // logged, never forced, and it reports no durability
+                // verdict. Its locks become the parent's responsibility.
+                inner.wal_append(&Record::Commit { action: id.0, epoch: None });
+                inner.finish_locks(id, &keys, true, None);
+                parent.lock().extend(keys);
+                Ok(())
+            }
+            // Top level: the locking publication sequence, run by a batch
+            // leader when group commit is on (our locks stay held until it
+            // runs `finish_locks` for us) and right here otherwise — the
+            // same sequence over a batch of one.
+            None if inner.config.group_commit => inner.stage(id, CommitPayload::Locking(keys)),
+            None => inner.publish_locking(std::slice::from_ref(&StagedCommit {
+                txn: id,
+                payload: CommitPayload::Locking(keys),
+            })),
+        };
+        inner.stats.bump(|b| &b.committed);
+        let top_level = self.parent_touched.is_none();
         self.done = true;
         drop(latch);
         self.inner.maybe_auto_checkpoint(top_level);
-        // A WAL failure surfaces only after the locks are cleanly
-        // released: in-memory state stays consistent, durability doesn't.
         durable
     }
 
@@ -2228,13 +2231,12 @@ where
         let opt = self.opt.clone().expect("optimistic commit without context");
         let latch = inner.wal_latch();
         let id = self.id;
-        if self.parent_touched.is_some() {
+        if let Some(parent) = &opt.parent {
             // Nested: merge into the parent's buffers. Judged once, at
             // the top of the tree — resilient nesting over buffers.
             inner.registry.commit(id).map_err(map_reg_err)?;
             inner.audit_record(|reg| AuditRecord::Commit { path: reg.path(id).expect("known") });
             inner.wal_append(&Record::Commit { action: id.0, epoch: None });
-            let parent = opt.parent.as_ref().expect("nested optimistic has a parent ctx");
             parent.writes.lock().append(&mut opt.writes.lock());
             parent.reads.lock().extend(opt.reads.lock().drain());
             parent.ranges.lock().append(&mut opt.ranges.lock());
@@ -2251,111 +2253,26 @@ where
         if kids > 0 {
             return Err(TxnError::ChildrenActive(kids));
         }
-        if inner.config.group_commit {
-            // Hand the whole validation footprint to the sequencer; the
-            // batch leader validates, publishes or aborts us under one
-            // gate acquisition and returns the verdict.
-            let payload = CommitPayload::Optimistic {
-                begin_epoch: opt.begin_epoch,
-                writes: std::mem::take(&mut *opt.writes.lock()),
-                reads: std::mem::take(&mut *opt.reads.lock()),
-                ranges: std::mem::take(&mut *opt.ranges.lock()),
-                audit: std::mem::take(&mut *opt.audit_buf.lock()),
-            };
-            inner.stats.bump(|b| &b.commits_staged);
-            let verdict = inner.pipeline.stage(
-                id,
-                payload,
-                inner.config.max_batch,
-                inner.config.max_batch_wait,
-                |batch| inner.process_commit_batch(batch),
-            );
-            // A WAL failure means the commit happened in memory but
-            // durability is broken; anything else failing means the
-            // leader aborted us.
-            let committed = matches!(&verdict, Ok(()) | Err(TxnError::Wal { .. }));
-            if committed {
-                inner.stats.bump(|b| &b.committed);
-            }
-            inner.mvcc.unpin(opt.begin_epoch);
-            self.done = true;
-            drop(latch);
-            inner.maybe_auto_checkpoint(committed);
-            return verdict;
-        }
-        // Inline path: two-phase (Kung-Robinson) validation. Phase 1 runs
-        // *before* the gate against a pre-read watermark: every commit
-        // fully published by then is visible to the scan, so the gate
-        // only has to re-check the footprint when the watermark moved in
-        // between — under low contention the expensive O(footprint) walk
-        // happens outside the publish critical section and the gate hold
-        // shrinks to the publish itself. A commit racing phase 1 either
-        // finished first (watermark advanced past `pre_watermark` — phase
-        // 2 catches it via the `> pre_watermark` floor) or is mid-publish
-        // holding the gate (its appends may be visible early, but it can
-        // no longer fail — aborting on it is ordinary first-committer
-        // loss). Losers found in phase 1 never touch the gate at all.
-        let writes = opt.writes.lock();
-        let reads = opt.reads.lock();
-        let ranges = opt.ranges.lock();
-        let pre_watermark = inner.mvcc.watermark();
-        let mut conflict = inner.opt_conflict(&writes, &reads, &ranges, opt.begin_epoch);
-        let gate = if conflict.is_none() {
-            let gate = inner.mvcc.begin_publish_gate();
-            if inner.mvcc.watermark() != pre_watermark {
-                // Someone published since phase 1; re-validate the span it
-                // could not see. `pre_watermark ≥ begin_epoch` (the begin
-                // pin is at or below any later watermark read), so the
-                // tighter floor loses no conflicts.
-                conflict = inner.opt_conflict(&writes, &reads, &ranges, pre_watermark);
-            }
-            // A phase-2 conflict drops the gate right here — no epoch is
-            // burned on a loser.
-            conflict.is_none().then_some(gate)
+        // Whoever validates — a batch leader under one gate acquisition
+        // for the whole batch, or this thread — publishes or aborts us
+        // and returns the verdict; either way we are finished after it.
+        let payload = CommitPayload::Optimistic(opt.take_footprint());
+        let verdict = if inner.config.group_commit {
+            inner.stage(id, payload)
         } else {
-            None
+            inner.commit_optimistic_inline(StagedCommit { txn: id, payload })
         };
-        if let Some(committed_epoch) = conflict {
-            // First committer won already: abort.
-            drop(ranges);
-            drop(reads);
-            drop(writes);
-            inner.audit_record(|reg| AuditRecord::Abort { path: reg.path(id).expect("known") });
-            inner.wal_append(&Record::Abort { action: id.0 });
-            let _ = inner.registry.abort(id);
-            inner.stats.bump(|b| &b.occ_conflicts);
-            inner.stats.bump(|b| &b.aborted);
-            inner.mvcc.unpin(opt.begin_epoch);
-            self.done = true;
-            return Err(TxnError::Conflict { begin_epoch: opt.begin_epoch, committed_epoch });
+        // A WAL failure means the commit happened in memory but
+        // durability is broken; anything else failing means we lost.
+        let committed = matches!(&verdict, Ok(()) | Err(TxnError::Wal { .. }));
+        if committed {
+            inner.stats.bump(|b| &b.committed);
         }
-        let gate = gate.expect("a conflict-free commit holds the gate");
-        inner.registry.commit(id).map_err(map_reg_err)?;
-        // Flush buffered Access records under the gate: audit data order =
-        // commit (= epoch) order, the Theorem-9 reconstruction invariant.
-        if let Some(audit) = &inner.audit {
-            for record in opt.audit_buf.lock().drain(..) {
-                audit.log.push(record);
-            }
-        }
-        inner.audit_record(|reg| AuditRecord::Commit { path: reg.path(id).expect("known") });
-        let publish = gate.into_publish();
-        let epoch = publish.epoch();
-        for (key, value) in writes.iter() {
-            inner.wal_log_write(id, key, value);
-        }
-        let durable = inner.wal_force(&Record::Commit { action: id.0, epoch: Some(epoch) });
-        inner.publish_optimistic_writes(&writes, epoch);
-        drop(publish);
-        drop(writes);
-        drop(reads);
-        drop(ranges);
-        inner.stats.bump(|b| &b.committed);
         inner.mvcc.unpin(opt.begin_epoch);
         self.done = true;
         drop(latch);
-        inner.maybe_auto_checkpoint(true);
-        durable
+        inner.maybe_auto_checkpoint(committed);
+        verdict
     }
 
     /// Abort this transaction: every version it wrote is discarded and the
@@ -2368,16 +2285,8 @@ where
         if self.done {
             return;
         }
-        // The Abort record must land before the registry transition: the
-        // moment the registry marks us dead, any conflicting thread may
-        // lazily reap our locks, read the restored value, and log its
-        // access — which must sort *after* this abort in the log. The WAL
-        // Abort record obeys the same ordering for the same reason.
         let _latch = self.inner.wal_latch();
-        let id = self.id;
-        self.inner.audit_record(|reg| AuditRecord::Abort { path: reg.path(id).expect("known") });
-        self.inner.wal_append(&Record::Abort { action: id.0 });
-        if self.inner.registry.abort(self.id).is_ok() {
+        if self.inner.abort_action(self.id) {
             if let Some(opt) = &self.opt {
                 // Optimistic: the buffers die with this context (nothing
                 // ever reached shared state), and nobody is parked on a
@@ -2754,14 +2663,12 @@ mod tests {
             .lock_timeout(Duration::from_millis(7))
             .wait_slice(Duration::from_micros(300))
             .audit(true)
-            .wakeups(WakeupMode::Broadcast)
             .build();
         assert_eq!(config.shards, 64);
         assert_eq!(config.policy, DeadlockPolicy::WaitDie);
         assert_eq!(config.lock_timeout, Duration::from_millis(7));
         assert_eq!(config.wait_slice, Duration::from_micros(300));
         assert!(config.audit);
-        assert_eq!(config.wakeups, WakeupMode::Broadcast);
     }
 
     #[test]

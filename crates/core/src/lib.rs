@@ -45,10 +45,7 @@ mod stats;
 mod view;
 
 pub use audit::{hash_value, AuditLog, AuditRecord};
-pub use db::{
-    CcMode, Db, DbConfig, DbConfigBuilder, DeadlockPolicy, Durability, HotPath, Snapshot, Txn,
-    WakeupMode,
-};
+pub use db::{CcMode, Db, DbConfig, DbConfigBuilder, DeadlockPolicy, Durability, Snapshot, Txn};
 pub use deadlock::WaitForGraph;
 pub use error::TxnError;
 pub use lock::{Conflict, LockEnv, LockState};

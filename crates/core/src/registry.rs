@@ -6,36 +6,27 @@
 //! functions of registry state.
 //!
 //! Hot-path queries (status, liveness, ancestry) go through a
-//! [`RegistryView`]. Two table layouts exist behind the same API:
+//! [`RegistryView`] over the table: a fixed power-of-two array of shards,
+//! each an insert-only slot vector indexed by `TxnId`. Consecutive ids
+//! round-robin across shards, so concurrent begins and lookups touch
+//! different locks; a lookup is one short shard read-lock plus an `Arc`
+//! clone, with no hashing at all.
 //!
-//! * **Sharded** (default): a fixed power-of-two array of shards, each an
-//!   insert-only slot vector indexed by `TxnId`. Consecutive ids
-//!   round-robin across shards, so concurrent begins and lookups touch
-//!   different locks; a lookup is one short shard read-lock plus an
-//!   `Arc` clone, with no hashing at all.
-//! * **Legacy**: the pre-scaling single `RwLock<HashMap>`; a view holds
-//!   one global read guard for its whole lifetime. Kept so the hot-path
-//!   benchmark can run paired same-seed before/after arms in one binary.
-//!
-//! # Consistency semantics (sharded mode)
+//! # Consistency semantics
 //!
 //! The table is *insert-only*: a registered id is never removed, so a
-//! `TxnMeta` can never be lost or resurrected. A sharded view no longer
-//! freezes table membership across queries the way the legacy global
-//! guard did, but no caller could observe that freeze: per-transaction
-//! state (status, active-children) always lived in atomics that mutate
-//! under a read guard, and an id becomes visible to other threads only
-//! after its meta is published (begin returns after the insert). The one
-//! pre-existing window — a child id appears in its parent's `child_ids`
-//! just before its meta is inserted — resolves the same way in both
-//! layouts: `active_subtree` skips ids it cannot resolve, exactly as the
-//! legacy code skipped ids missing from the frozen map. Wait-for-graph
-//! expansion only needs per-id atomicity plus "no id disappears", both
-//! of which hold; the liveness storm test below exercises this.
+//! `TxnMeta` can never be lost or resurrected. A view does not freeze
+//! table membership across its queries, and no caller can tell:
+//! per-transaction state (status, active-children) lives in atomics, and
+//! an id becomes visible to other threads only after its meta is
+//! published (begin returns after the insert). The one window — a child
+//! id appears in its parent's `child_ids` just before its meta is
+//! inserted — is closed by `active_subtree` skipping ids it cannot
+//! resolve. Wait-for-graph expansion only needs per-id atomicity plus
+//! "no id disappears", both of which hold; the liveness storm test below
+//! exercises this.
 
-use parking_lot::{RwLock, RwLockReadGuard};
-use std::collections::HashMap;
-use std::ops::Deref;
+use parking_lot::RwLock;
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 
@@ -104,16 +95,8 @@ impl TxnMeta {
     }
 }
 
-/// One shard of the scaled layout: an insert-only slot vector.
+/// One shard of the table: an insert-only slot vector.
 type Shard = RwLock<Vec<Option<Arc<TxnMeta>>>>;
-
-#[derive(Debug)]
-enum Table {
-    /// Pre-scaling layout: one map, one guard per view.
-    Legacy(RwLock<HashMap<TxnId, Arc<TxnMeta>>>),
-    /// Scaled layout: insert-only slot vectors, one per shard.
-    Sharded(Box<[Shard]>),
-}
 
 /// The registry of all transactions ever created in a database.
 ///
@@ -126,7 +109,7 @@ enum Table {
 pub struct Registry {
     next: AtomicU64,
     top_count: AtomicU64,
-    table: Table,
+    shards: Box<[Shard]>,
 }
 
 impl Default for Registry {
@@ -135,35 +118,10 @@ impl Default for Registry {
     }
 }
 
-/// A resolved transaction meta: borrowed from a held legacy guard, or an
-/// owned `Arc` cloned out of a shard.
-enum MetaRef<'a> {
-    Borrowed(&'a TxnMeta),
-    Owned(Arc<TxnMeta>),
-}
-
-impl Deref for MetaRef<'_> {
-    type Target = TxnMeta;
-    fn deref(&self) -> &TxnMeta {
-        match self {
-            MetaRef::Borrowed(m) => m,
-            MetaRef::Owned(m) => m,
-        }
-    }
-}
-
 /// A read view over the registry: arbitrarily many queries per view.
-///
-/// Over the legacy table this holds the global read guard for its whole
-/// lifetime (the pre-scaling behaviour); over the sharded table it is a
-/// free handle and each query briefly read-locks one shard.
+/// A free handle — each query briefly read-locks one shard.
 pub struct RegistryView<'a> {
-    inner: ViewInner<'a>,
-}
-
-enum ViewInner<'a> {
-    Legacy(RwLockReadGuard<'a, HashMap<TxnId, Arc<TxnMeta>>>),
-    Sharded(&'a [Shard]),
+    shards: &'a [Shard],
 }
 
 fn shard_slot(id: TxnId) -> (usize, usize) {
@@ -171,14 +129,9 @@ fn shard_slot(id: TxnId) -> (usize, usize) {
 }
 
 impl<'a> RegistryView<'a> {
-    fn meta(&self, id: TxnId) -> Option<MetaRef<'_>> {
-        match &self.inner {
-            ViewInner::Legacy(map) => map.get(&id).map(|m| MetaRef::Borrowed(m)),
-            ViewInner::Sharded(shards) => {
-                let (s, slot) = shard_slot(id);
-                shards[s].read().get(slot).and_then(|m| m.clone()).map(MetaRef::Owned)
-            }
-        }
+    fn meta(&self, id: TxnId) -> Option<Arc<TxnMeta>> {
+        let (s, slot) = shard_slot(id);
+        self.shards[s].read().get(slot).and_then(|m| m.clone())
     }
 
     /// The status of `id`.
@@ -266,69 +219,43 @@ impl crate::lock::LockEnv for RegistryView<'_> {
 }
 
 impl Registry {
-    /// Create an empty registry with the sharded (scaled) table.
+    /// Create an empty registry.
     pub fn new() -> Self {
-        let shards: Vec<_> = (0..SHARD_COUNT).map(|_| RwLock::new(Vec::new())).collect();
         Registry {
             next: AtomicU64::new(0),
             top_count: AtomicU64::new(0),
-            table: Table::Sharded(shards.into_boxed_slice()),
-        }
-    }
-
-    /// Create an empty registry with the pre-scaling single-map table.
-    ///
-    /// Only used by the legacy arm of the hot-path benchmark and by tests
-    /// that check both layouts agree; semantics are identical.
-    pub fn legacy() -> Self {
-        Registry {
-            next: AtomicU64::new(0),
-            top_count: AtomicU64::new(0),
-            table: Table::Legacy(RwLock::new(HashMap::new())),
+            shards: (0..SHARD_COUNT).map(|_| RwLock::new(Vec::new())).collect(),
         }
     }
 
     /// Take a read view for a batch of queries.
     pub fn read_view(&self) -> RegistryView<'_> {
-        let inner = match &self.table {
-            Table::Legacy(map) => ViewInner::Legacy(map.read()),
-            Table::Sharded(shards) => ViewInner::Sharded(shards),
-        };
-        RegistryView { inner }
+        RegistryView { shards: &self.shards }
     }
 
     fn insert(&self, id: TxnId, meta: Arc<TxnMeta>) {
-        match &self.table {
-            Table::Legacy(map) => {
-                map.write().insert(id, meta);
-            }
-            Table::Sharded(shards) => {
-                let (s, slot) = shard_slot(id);
-                let mut g = shards[s].write();
-                if g.len() <= slot {
-                    g.resize(slot + 1, None);
-                }
-                g[slot] = Some(meta);
-            }
+        let (s, slot) = shard_slot(id);
+        let mut g = self.shards[s].write();
+        if g.len() <= slot {
+            g.resize(slot + 1, None);
         }
+        g[slot] = Some(meta);
     }
 
     fn contains(&self, id: TxnId) -> bool {
-        match &self.table {
-            Table::Legacy(map) => map.read().contains_key(&id),
-            Table::Sharded(shards) => {
-                let (s, slot) = shard_slot(id);
-                shards[s].read().get(slot).is_some_and(|m| m.is_some())
-            }
-        }
+        self.read_view().meta(id).is_some()
     }
 
     /// Register a new top-level transaction.
     pub fn begin_top(&self) -> TxnId {
         let id = TxnId(self.next.fetch_add(1, Ordering::Relaxed));
+        self.register_top(id);
+        id
+    }
+
+    fn register_top(&self, id: TxnId) {
         let top = self.top_count.fetch_add(1, Ordering::Relaxed) as u32;
         self.insert(id, TxnMeta::new(None, id, vec![top]));
-        id
     }
 
     /// Register a child of `parent`.
@@ -342,8 +269,12 @@ impl Registry {
     /// the atomic counter updates here rely on that.
     pub fn begin_child(&self, parent: TxnId) -> Result<TxnId, RegistryError> {
         let id = TxnId(self.next.fetch_add(1, Ordering::Relaxed));
-        let view = self.read_view();
-        let pm = view.meta(parent).ok_or(RegistryError::Unknown(parent))?;
+        self.register_child(id, parent)?;
+        Ok(id)
+    }
+
+    fn register_child(&self, id: TxnId, parent: TxnId) -> Result<(), RegistryError> {
+        let pm = self.read_view().meta(parent).ok_or(RegistryError::Unknown(parent))?;
         if pm.status.load(Ordering::Acquire) != ST_ACTIVE {
             return Err(RegistryError::NotActive(parent));
         }
@@ -351,12 +282,9 @@ impl Registry {
         pm.active_children.fetch_add(1, Ordering::AcqRel);
         let mut path = pm.path.clone();
         path.push(idx);
-        let root = pm.root;
         pm.child_ids.write().push(id);
-        drop(pm);
-        drop(view);
-        self.insert(id, TxnMeta::new(Some(parent), root, path));
-        Ok(id)
+        self.insert(id, TxnMeta::new(Some(parent), pm.root, path));
+        Ok(())
     }
 
     /// Allocate the next child *index* under `id` without registering a
@@ -448,36 +376,24 @@ impl Registry {
     /// recovery only). Advances the id allocator past `id` so transactions
     /// begun after recovery can never collide with replayed ones.
     pub fn replay_top(&self, id: TxnId) -> Result<(), RegistryError> {
-        self.next.fetch_max(id.0.saturating_add(1), Ordering::Relaxed);
-        if self.contains(id) {
-            return Err(RegistryError::Duplicate(id));
-        }
-        let top = self.top_count.fetch_add(1, Ordering::Relaxed) as u32;
-        self.insert(id, TxnMeta::new(None, id, vec![top]));
+        self.claim_replayed(id)?;
+        self.register_top(id);
         Ok(())
     }
 
     /// Re-register a child transaction under its logged id (crash recovery
     /// only); the parent must already be replayed and active.
     pub fn replay_child(&self, id: TxnId, parent: TxnId) -> Result<(), RegistryError> {
+        self.claim_replayed(id)?;
+        self.register_child(id, parent)
+    }
+
+    /// Move the allocator past a logged id and refuse one already taken.
+    fn claim_replayed(&self, id: TxnId) -> Result<(), RegistryError> {
         self.next.fetch_max(id.0.saturating_add(1), Ordering::Relaxed);
         if self.contains(id) {
             return Err(RegistryError::Duplicate(id));
         }
-        let view = self.read_view();
-        let pm = view.meta(parent).ok_or(RegistryError::Unknown(parent))?;
-        if pm.status.load(Ordering::Acquire) != ST_ACTIVE {
-            return Err(RegistryError::NotActive(parent));
-        }
-        let idx = pm.children.fetch_add(1, Ordering::Relaxed);
-        pm.active_children.fetch_add(1, Ordering::AcqRel);
-        let mut path = pm.path.clone();
-        path.push(idx);
-        let root = pm.root;
-        pm.child_ids.write().push(id);
-        drop(pm);
-        drop(view);
-        self.insert(id, TxnMeta::new(Some(parent), root, path));
         Ok(())
     }
 
@@ -495,36 +411,14 @@ impl Registry {
 
     /// Snapshot of all transactions: `(id, parent, status, path)`.
     pub fn snapshot(&self) -> Vec<(TxnId, Option<TxnId>, TxnStatus, Vec<u32>)> {
-        let mut out: Vec<_> = match &self.table {
-            Table::Legacy(map) => map
-                .read()
-                .iter()
-                .map(|(&id, m)| {
-                    (id, m.parent, decode(m.status.load(Ordering::Acquire)), m.path.clone())
-                })
-                .collect(),
-            Table::Sharded(shards) => shards
-                .iter()
-                .enumerate()
-                .flat_map(|(s, shard)| {
-                    shard
-                        .read()
-                        .iter()
-                        .enumerate()
-                        .filter_map(|(slot, m)| {
-                            let m = m.as_ref()?;
-                            let id = TxnId(((slot as u64) << SHARD_BITS) | s as u64);
-                            Some((
-                                id,
-                                m.parent,
-                                decode(m.status.load(Ordering::Acquire)),
-                                m.path.clone(),
-                            ))
-                        })
-                        .collect::<Vec<_>>()
-                })
-                .collect(),
-        };
+        let mut out = Vec::new();
+        for (s, shard) in self.shards.iter().enumerate() {
+            for (slot, m) in shard.read().iter().enumerate() {
+                let Some(m) = m else { continue };
+                let id = TxnId(((slot as u64) << SHARD_BITS) | s as u64);
+                out.push((id, m.parent, decode(m.status.load(Ordering::Acquire)), m.path.clone()));
+            }
+        }
         out.sort_by_key(|(id, ..)| *id);
         out
     }
@@ -564,179 +458,161 @@ impl std::error::Error for RegistryError {}
 mod tests {
     use super::*;
 
-    fn both_layouts(test: impl Fn(Registry)) {
-        test(Registry::new());
-        test(Registry::legacy());
-    }
-
     #[test]
     fn begin_and_status() {
-        both_layouts(|r| {
-            let t = r.begin_top();
-            assert_eq!(r.status(t), Some(TxnStatus::Active));
-            assert_eq!(r.parent(t), None);
-            assert_eq!(r.root(t), Some(t));
-            assert!(r.is_live(t));
-        });
+        let r = Registry::new();
+        let t = r.begin_top();
+        assert_eq!(r.status(t), Some(TxnStatus::Active));
+        assert_eq!(r.parent(t), None);
+        assert_eq!(r.root(t), Some(t));
+        assert!(r.is_live(t));
     }
 
     #[test]
     fn child_paths_extend_parent() {
-        both_layouts(|r| {
-            let t = r.begin_top();
-            let c1 = r.begin_child(t).unwrap();
-            let c2 = r.begin_child(t).unwrap();
-            let g = r.begin_child(c1).unwrap();
-            let tp = r.path(t).unwrap();
-            assert_eq!(r.path(c1).unwrap(), [tp.clone(), vec![0]].concat());
-            assert_eq!(r.path(c2).unwrap(), [tp.clone(), vec![1]].concat());
-            assert_eq!(r.path(g).unwrap(), [tp, vec![0, 0]].concat());
-            assert_eq!(r.root(g), Some(t));
-        });
+        let r = Registry::new();
+        let t = r.begin_top();
+        let c1 = r.begin_child(t).unwrap();
+        let c2 = r.begin_child(t).unwrap();
+        let g = r.begin_child(c1).unwrap();
+        let tp = r.path(t).unwrap();
+        assert_eq!(r.path(c1).unwrap(), [tp.clone(), vec![0]].concat());
+        assert_eq!(r.path(c2).unwrap(), [tp.clone(), vec![1]].concat());
+        assert_eq!(r.path(g).unwrap(), [tp, vec![0, 0]].concat());
+        assert_eq!(r.root(g), Some(t));
     }
 
     #[test]
     fn distinct_top_level_paths() {
-        both_layouts(|r| {
-            let a = r.begin_top();
-            let b = r.begin_top();
-            assert_ne!(r.path(a), r.path(b));
-        });
+        let r = Registry::new();
+        let a = r.begin_top();
+        let b = r.begin_top();
+        assert_ne!(r.path(a), r.path(b));
     }
 
     #[test]
     fn ancestor_checks() {
-        both_layouts(|r| {
-            let t = r.begin_top();
-            let c = r.begin_child(t).unwrap();
-            let g = r.begin_child(c).unwrap();
-            let other = r.begin_top();
-            assert!(r.is_ancestor(t, g));
-            assert!(r.is_ancestor(c, g));
-            assert!(r.is_ancestor(g, g));
-            assert!(!r.is_ancestor(g, t));
-            assert!(!r.is_ancestor(other, g));
-        });
+        let r = Registry::new();
+        let t = r.begin_top();
+        let c = r.begin_child(t).unwrap();
+        let g = r.begin_child(c).unwrap();
+        let other = r.begin_top();
+        assert!(r.is_ancestor(t, g));
+        assert!(r.is_ancestor(c, g));
+        assert!(r.is_ancestor(g, g));
+        assert!(!r.is_ancestor(g, t));
+        assert!(!r.is_ancestor(other, g));
     }
 
     #[test]
     fn commit_requires_children_done() {
-        both_layouts(|r| {
-            let t = r.begin_top();
-            let c = r.begin_child(t).unwrap();
-            assert_eq!(r.commit(t), Err(RegistryError::ChildrenActive(t, 1)));
-            r.commit(c).unwrap();
-            r.commit(t).unwrap();
-            assert_eq!(r.status(t), Some(TxnStatus::Committed));
-            assert_eq!(r.commit(t), Err(RegistryError::NotActive(t)));
-        });
+        let r = Registry::new();
+        let t = r.begin_top();
+        let c = r.begin_child(t).unwrap();
+        assert_eq!(r.commit(t), Err(RegistryError::ChildrenActive(t, 1)));
+        r.commit(c).unwrap();
+        r.commit(t).unwrap();
+        assert_eq!(r.status(t), Some(TxnStatus::Committed));
+        assert_eq!(r.commit(t), Err(RegistryError::NotActive(t)));
     }
 
     #[test]
     fn abort_orphans_descendants() {
-        both_layouts(|r| {
-            let t = r.begin_top();
-            let c = r.begin_child(t).unwrap();
-            let g = r.begin_child(c).unwrap();
-            r.abort(c).unwrap();
-            assert!(r.is_dead(c));
-            assert!(r.is_dead(g), "descendants of aborted are dead");
-            assert!(r.is_live(t));
-            assert_eq!(r.status(g), Some(TxnStatus::Active), "orphan is still 'active'");
-        });
+        let r = Registry::new();
+        let t = r.begin_top();
+        let c = r.begin_child(t).unwrap();
+        let g = r.begin_child(c).unwrap();
+        r.abort(c).unwrap();
+        assert!(r.is_dead(c));
+        assert!(r.is_dead(g), "descendants of aborted are dead");
+        assert!(r.is_live(t));
+        assert_eq!(r.status(g), Some(TxnStatus::Active), "orphan is still 'active'");
     }
 
     #[test]
     fn abort_with_active_children_allowed() {
-        both_layouts(|r| {
-            let t = r.begin_top();
-            let _c = r.begin_child(t).unwrap();
-            r.abort(t).unwrap();
-            assert!(r.is_dead(t));
-        });
+        let r = Registry::new();
+        let t = r.begin_top();
+        let _c = r.begin_child(t).unwrap();
+        r.abort(t).unwrap();
+        assert!(r.is_dead(t));
     }
 
     #[test]
     fn no_children_under_done_parent() {
-        both_layouts(|r| {
-            let t = r.begin_top();
-            r.commit(t).unwrap();
-            assert_eq!(r.begin_child(t), Err(RegistryError::NotActive(t)));
-        });
+        let r = Registry::new();
+        let t = r.begin_top();
+        r.commit(t).unwrap();
+        assert_eq!(r.begin_child(t), Err(RegistryError::NotActive(t)));
     }
 
     #[test]
     fn wait_die_timestamps_monotone() {
-        both_layouts(|r| {
-            let a = r.begin_top();
-            let b = r.begin_top();
-            assert!(a < b, "ids are monotone");
-            let ac = r.begin_child(a).unwrap();
-            assert_eq!(r.root(ac), Some(a), "children inherit root timestamp");
-        });
+        let r = Registry::new();
+        let a = r.begin_top();
+        let b = r.begin_top();
+        assert!(a < b, "ids are monotone");
+        let ac = r.begin_child(a).unwrap();
+        assert_eq!(r.root(ac), Some(a), "children inherit root timestamp");
     }
 
     #[test]
     fn active_subtree_walks_children() {
-        both_layouts(|r| {
-            let t = r.begin_top();
-            let c = r.begin_child(t).unwrap();
-            let g = r.begin_child(c).unwrap();
-            let mut sub = r.active_subtree(t);
-            sub.sort();
-            assert_eq!(sub, vec![t, c, g]);
-            r.commit(g).unwrap();
-            let mut sub = r.active_subtree(t);
-            sub.sort();
-            assert_eq!(sub, vec![t, c]);
-        });
+        let r = Registry::new();
+        let t = r.begin_top();
+        let c = r.begin_child(t).unwrap();
+        let g = r.begin_child(c).unwrap();
+        let mut sub = r.active_subtree(t);
+        sub.sort();
+        assert_eq!(sub, vec![t, c, g]);
+        r.commit(g).unwrap();
+        let mut sub = r.active_subtree(t);
+        sub.sort();
+        assert_eq!(sub, vec![t, c]);
     }
 
     #[test]
     fn view_batches_queries() {
-        both_layouts(|r| {
-            let t = r.begin_top();
-            let c = r.begin_child(t).unwrap();
-            let view = r.read_view();
-            assert_eq!(view.status(t), Some(TxnStatus::Active));
-            assert!(view.is_ancestor(t, c));
-            assert!(!view.is_dead(c));
-            assert_eq!(view.root(c), Some(t));
-            assert_eq!(view.parent(c), Some(t));
-        });
+        let r = Registry::new();
+        let t = r.begin_top();
+        let c = r.begin_child(t).unwrap();
+        let view = r.read_view();
+        assert_eq!(view.status(t), Some(TxnStatus::Active));
+        assert!(view.is_ancestor(t, c));
+        assert!(!view.is_dead(c));
+        assert_eq!(view.root(c), Some(t));
+        assert_eq!(view.parent(c), Some(t));
     }
 
     #[test]
     fn replay_preserves_ids_and_advances_allocator() {
-        both_layouts(|r| {
-            r.replay_top(TxnId(0)).unwrap();
-            r.replay_child(TxnId(1), TxnId(0)).unwrap();
-            r.replay_child(TxnId(5), TxnId(1)).unwrap();
-            assert!(r.is_ancestor(TxnId(0), TxnId(5)));
-            assert_eq!(r.root(TxnId(5)), Some(TxnId(0)));
-            assert_eq!(r.active_children(TxnId(0)), 1);
-            // Fresh ids allocated after replay never collide with logged ones.
-            let fresh = r.begin_top();
-            assert!(fresh > TxnId(5), "allocator past replayed ids, got {fresh:?}");
-            // Duplicate and orphan replays are rejected.
-            assert_eq!(r.replay_top(TxnId(0)), Err(RegistryError::Duplicate(TxnId(0))));
-            assert_eq!(r.replay_child(TxnId(9), TxnId(99)), Err(RegistryError::Unknown(TxnId(99))));
-            r.commit(TxnId(5)).unwrap();
-            r.commit(TxnId(1)).unwrap();
-            assert_eq!(r.replay_child(TxnId(9), TxnId(1)), Err(RegistryError::NotActive(TxnId(1))));
-        });
+        let r = Registry::new();
+        r.replay_top(TxnId(0)).unwrap();
+        r.replay_child(TxnId(1), TxnId(0)).unwrap();
+        r.replay_child(TxnId(5), TxnId(1)).unwrap();
+        assert!(r.is_ancestor(TxnId(0), TxnId(5)));
+        assert_eq!(r.root(TxnId(5)), Some(TxnId(0)));
+        assert_eq!(r.active_children(TxnId(0)), 1);
+        // Fresh ids allocated after replay never collide with logged ones.
+        let fresh = r.begin_top();
+        assert!(fresh > TxnId(5), "allocator past replayed ids, got {fresh:?}");
+        // Duplicate and orphan replays are rejected.
+        assert_eq!(r.replay_top(TxnId(0)), Err(RegistryError::Duplicate(TxnId(0))));
+        assert_eq!(r.replay_child(TxnId(9), TxnId(99)), Err(RegistryError::Unknown(TxnId(99))));
+        r.commit(TxnId(5)).unwrap();
+        r.commit(TxnId(1)).unwrap();
+        assert_eq!(r.replay_child(TxnId(9), TxnId(1)), Err(RegistryError::NotActive(TxnId(1))));
     }
 
     #[test]
     fn replay_sparse_ids_leave_gaps_unregistered() {
-        both_layouts(|r| {
-            r.replay_top(TxnId(1000)).unwrap();
-            assert_eq!(r.status(TxnId(1000)), Some(TxnStatus::Active));
-            assert_eq!(r.status(TxnId(999)), None, "gap slots resolve to nothing");
-            assert!(r.is_dead(TxnId(999)), "unknown ids are dead");
-            let fresh = r.begin_top();
-            assert!(fresh > TxnId(1000));
-        });
+        let r = Registry::new();
+        r.replay_top(TxnId(1000)).unwrap();
+        assert_eq!(r.status(TxnId(1000)), Some(TxnStatus::Active));
+        assert_eq!(r.status(TxnId(999)), None, "gap slots resolve to nothing");
+        assert!(r.is_dead(TxnId(999)), "unknown ids are dead");
+        let fresh = r.begin_top();
+        assert!(fresh > TxnId(1000));
     }
 
     #[test]
@@ -766,8 +642,7 @@ mod tests {
         assert_eq!(r.active_children(t), 400);
     }
 
-    /// Satellite regression: concurrent begin/finish/lookup storm over the
-    /// sharded table. Asserts no meta is ever lost (every id begun resolves
+    /// Regression: concurrent begin/finish/lookup storm over the table. Asserts no meta is ever lost (every id begun resolves
     /// forever after) and none resurrected (a finished id never reads
     /// `Active` again), while a reader thread hammers views.
     #[test]

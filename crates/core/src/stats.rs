@@ -6,9 +6,7 @@
 //! cores stop bouncing a shared counter line. [`Stats::snapshot`] folds
 //! the stripes into the same [`StatsSnapshot`] totals a single block
 //! would produce — every conservation identity over the snapshot is
-//! unaffected by striping. A stripe count of 1 reproduces the
-//! pre-scaling single-block layout exactly (used by the legacy arm of
-//! the hot-path benchmark).
+//! unaffected by striping (unit-tested against a one-stripe instance).
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -50,9 +48,9 @@ pub struct StatsBlock {
     /// Wakeups after which the awaited key's lock state had changed
     /// (a targeted `release-lock` notification did its job).
     pub wakeups_productive: AtomicU64,
-    /// Wakeups with the awaited key's lock state unchanged — fallback-slice
-    /// expiries or broadcast wakeups for unrelated keys. Near zero when
-    /// targeted notifications, not polling, drive progress.
+    /// Wakeups with the awaited key's lock state unchanged: a
+    /// [`wait_slice`](crate::DbConfig::wait_slice) expiry. Zero when
+    /// per-key notifications, not the fallback slice, drive progress.
     pub wakeups_spurious: AtomicU64,
     /// Release-path notifications issued to waiters.
     pub notifies: AtomicU64,
@@ -124,15 +122,15 @@ fn thread_ordinal() -> usize {
 }
 
 impl Stats {
-    /// Counters striped over `n` blocks (rounded up to a power of two;
-    /// 1 reproduces the pre-scaling single-block layout).
-    pub fn striped(n: usize) -> Self {
+    /// Counters striped over `n` blocks (rounded up to a power of two).
+    fn striped(n: usize) -> Self {
         let n = n.max(1).next_power_of_two();
         Stats { stripes: (0..n).map(|_| StatsBlock::default()).collect() }
     }
 
     /// Number of stripes (a power of two).
-    pub fn stripe_count(&self) -> usize {
+    #[cfg(test)]
+    fn stripe_count(&self) -> usize {
         self.stripes.len()
     }
 
@@ -216,8 +214,8 @@ pub struct StatsSnapshot {
     pub timeouts: u64,
     /// Wakeups that observed a changed lock state on the awaited key.
     pub wakeups_productive: u64,
-    /// Wakeups that observed an unchanged lock state (poll expiry or
-    /// broadcast overreach).
+    /// Wakeups that observed an unchanged lock state (a wait-slice
+    /// expiry).
     pub wakeups_spurious: u64,
     /// Release-path notifications issued.
     pub notifies: u64,

@@ -8,7 +8,7 @@
 //! lost, the test would stall for seconds and the elapsed-time asserts
 //! would fail.
 
-use rnt_core::{Db, DbConfig, DeadlockPolicy, TxnError, WakeupMode};
+use rnt_core::{Db, DbConfig, DeadlockPolicy, TxnError};
 use std::time::{Duration, Instant};
 
 /// A config where polling cannot masquerade as progress: a waiter that
@@ -86,8 +86,7 @@ fn writer_churn_single_key_converges() {
 /// (shards = 1), each contended by its own pair of threads. Targeted
 /// wakeups never wake the other key's waiters, so with polling disabled
 /// every recorded wakeup is productive and the spurious counter stays at
-/// exactly zero. (Under Broadcast the same schedule wakes the whole
-/// shard per release — that contrast is the benchmark's job to measure.)
+/// exactly zero.
 #[test]
 fn disjoint_keys_produce_no_spurious_wakeups() {
     let config = DbConfig::builder()
@@ -95,7 +94,6 @@ fn disjoint_keys_produce_no_spurious_wakeups() {
         .policy(DeadlockPolicy::Timeout)
         .lock_timeout(Duration::from_secs(30))
         .wait_slice(Duration::from_secs(10))
-        .wakeups(WakeupMode::Targeted)
         .build();
     let db: Db<u64, i64> = Db::with_config(config);
     db.insert(0, 0);

@@ -161,15 +161,16 @@ pub struct MvccStore<K, V> {
     /// detect registrations racing its recompute-and-store of `min_pin`.
     reg_seq: AtomicU64,
     /// Gauge of live pins across ring and tree (the `pins_live` counter
-    /// and the quiescence trigger for sweeps in fast-pin mode).
+    /// and the quiescence trigger for sweeps).
     live_pins: AtomicU64,
-    /// Whether [`MvccStore::pin`] may use the lock-free ring fast path.
-    /// Off reproduces the pre-scaling locked pin table exactly (the
-    /// benchmark's legacy arm).
-    fast_pins: bool,
-    /// Live pins: epoch → snapshot count.
+    /// The locked pin table, epoch → count: where a pin lands when the
+    /// ring cannot take it (slot collision, count overflow, a publisher
+    /// overlapping every retry) and where [`MvccStore::pin_at`] always
+    /// lands, since a past epoch has no seqlock to validate against.
     pins: Mutex<BTreeMap<u64, u64>>,
-    /// Cached minimum of `pins` (`u64::MAX` when empty).
+    /// A lower bound on every live pin, ring or tree (`u64::MAX` when
+    /// none): registrations only lower it, [`MvccStore::settle_min`]
+    /// alone raises it.
     min_pin: AtomicU64,
     /// Oldest epoch still consistently resolvable (see the struct docs).
     oldest_retained: AtomicU64,
@@ -513,16 +514,14 @@ where
     /// unused: it sized the hash shards of an earlier layout and stays so
     /// that callers written against it keep compiling.
     pub fn new(_shards: usize) -> Self {
-        Self::with_opts(0, true)
+        Self::with_opts(0)
     }
 
     /// An empty store with a per-chain version budget (`0` = unbounded):
     /// an append that grows a chain past `max_versions` force-prunes the
     /// oldest versions even if a live pin holds them, raising the
-    /// oldest-retained bound past the dropped span. `fast_pins = false`
-    /// reproduces the pre-scaling locked pin table exactly (the hot-path
-    /// benchmark's legacy arm).
-    pub fn with_opts(max_versions: usize, fast_pins: bool) -> Self {
+    /// oldest-retained bound past the dropped span.
+    pub fn with_opts(max_versions: usize) -> Self {
         MvccStore {
             map: RwLock::new(BTreeMap::new()),
             dirty: Mutex::new(HashSet::new()),
@@ -532,7 +531,6 @@ where
             ring: (0..RING_SLOTS).map(|_| AtomicU64::new(0)).collect(),
             reg_seq: AtomicU64::new(0),
             live_pins: AtomicU64::new(0),
-            fast_pins,
             pins: Mutex::new(BTreeMap::new()),
             min_pin: AtomicU64::new(u64::MAX),
             oldest_retained: AtomicU64::new(GENESIS_EPOCH),
@@ -644,7 +642,7 @@ where
     /// Pin the current watermark for a snapshot. Balance with
     /// [`MvccStore::unpin`].
     ///
-    /// **Fast path** (when enabled): instead of taking the publish lock,
+    /// **Fast path**: instead of taking the publish lock,
     /// register in the ring and *validate* that no publisher overlapped,
     /// via the publish seqlock. The registration order is load-bearing:
     ///
@@ -659,60 +657,51 @@ where
     ///    changed, undo the slot and retry (a publisher may have missed
     ///    us and pruned as if we weren't there).
     ///
-    /// This is the pre-scaling guarantee — "a pin either lands before
+    /// This is the struct docs' guarantee — "a pin either lands before
     /// the publisher reads the pin set or after the watermark advance" —
     /// enforced by optimistic validation instead of the lock.
     pub fn pin(&self) -> u64 {
-        if self.fast_pins {
-            for _ in 0..FAST_PIN_TRIES {
-                let seq = self.publish_seq.load(Ordering::SeqCst);
-                if seq & 1 == 1 {
-                    break; // publisher active — queue on its lock instead
-                }
-                let epoch = self.watermark.load(Ordering::SeqCst);
-                if !self.ring_register(epoch) {
-                    break; // slot collision or overflow — locked path
-                }
-                self.min_pin.fetch_min(epoch, Ordering::SeqCst);
-                self.reg_seq.fetch_add(1, Ordering::SeqCst);
-                if self.publish_seq.load(Ordering::SeqCst) == seq {
-                    self.live_pins.fetch_add(1, Ordering::SeqCst);
-                    return epoch;
-                }
-                // A publisher overlapped the registration: the watermark
-                // we pinned may already be stale. Undo and retry. Counts
-                // at one epoch are fungible between ring and tree, so a
-                // concurrent `unpin` of a *tree* pin at this epoch may
-                // have consumed our ring count — the undo must then
-                // release the tree entry that unpin left standing, or it
-                // holds `min_pin` down forever. (`min_pin` stays
-                // conservatively low until a settle.)
-                let undone = self.release_at(epoch);
-                debug_assert!(undone, "a registered pin is in the ring or the tree");
+        for _ in 0..FAST_PIN_TRIES {
+            let seq = self.publish_seq.load(Ordering::SeqCst);
+            if seq & 1 == 1 {
+                break; // publisher active — queue on its lock instead
             }
+            let epoch = self.watermark.load(Ordering::SeqCst);
+            if !self.ring_register(epoch) {
+                break; // slot collision or overflow — locked path
+            }
+            self.min_pin.fetch_min(epoch, Ordering::SeqCst);
+            self.reg_seq.fetch_add(1, Ordering::SeqCst);
+            if self.publish_seq.load(Ordering::SeqCst) == seq {
+                self.live_pins.fetch_add(1, Ordering::SeqCst);
+                return epoch;
+            }
+            // A publisher overlapped the registration: the watermark
+            // we pinned may already be stale. Undo and retry. Counts
+            // at one epoch are fungible between ring and tree, so a
+            // concurrent `unpin` of a *tree* pin at this epoch may
+            // have consumed our ring count — the undo must then
+            // release the tree entry that unpin left standing, or it
+            // holds `min_pin` down forever. (`min_pin` stays
+            // conservatively low until a settle.)
+            let undone = self.release_at(epoch);
+            debug_assert!(undone, "a registered pin is in the ring or the tree");
         }
-        self.pin_slow()
-    }
-
-    /// The locked pin path: serialized against publishers by the publish
-    /// lock (see the struct docs for why). In legacy mode this *is*
-    /// [`MvccStore::pin`], byte for byte the pre-scaling behavior.
-    fn pin_slow(&self) -> u64 {
+        // The locked path: serialized against publishers by the publish
+        // lock (see the struct docs for why).
         let _publish = self.publish.lock();
         let epoch = self.watermark.load(Ordering::Acquire);
-        let mut pins = self.pins.lock();
-        *pins.entry(epoch).or_insert(0) += 1;
-        if self.fast_pins {
-            // Ring pins may sit below the tree minimum, so never
-            // recompute-and-store here — only lower. Raising `min_pin`
-            // is exclusively `sweep_locked`'s job.
-            self.min_pin.fetch_min(epoch, Ordering::SeqCst);
-        } else {
-            let min = *pins.keys().next().expect("just inserted");
-            self.min_pin.store(min, Ordering::Release);
-        }
-        self.live_pins.fetch_add(1, Ordering::SeqCst);
+        self.tree_register(&mut self.pins.lock(), epoch);
         epoch
+    }
+
+    /// Land one pin at `epoch` in the locked table. Ring pins may sit
+    /// below the tree minimum, so `min_pin` is only ever lowered here —
+    /// raising it is exclusively [`MvccStore::sweep_locked`]'s job.
+    fn tree_register(&self, pins: &mut BTreeMap<u64, u64>, epoch: u64) {
+        *pins.entry(epoch).or_insert(0) += 1;
+        self.min_pin.fetch_min(epoch, Ordering::SeqCst);
+        self.live_pins.fetch_add(1, Ordering::SeqCst);
     }
 
     /// Pin a *specific* epoch for a time-travel snapshot. Fails with
@@ -732,74 +721,44 @@ where
         if epoch < oldest_retained {
             return Err(PinError::Pruned { requested: epoch, oldest_retained });
         }
-        *pins.entry(epoch).or_insert(0) += 1;
-        if self.fast_pins {
-            // Only lower: ring pins may sit below the tree minimum.
-            self.min_pin.fetch_min(epoch, Ordering::SeqCst);
-        } else {
-            let min = *pins.keys().next().expect("just inserted");
-            self.min_pin.store(min, Ordering::Release);
-        }
-        self.live_pins.fetch_add(1, Ordering::SeqCst);
+        self.tree_register(&mut pins, epoch);
         Ok(epoch)
     }
 
     /// Add one more pin to an epoch that is already pinned (snapshot
-    /// cloning). The epoch's versions are protected by the existing pin,
-    /// so no publisher/sweep coordination is needed.
-    ///
-    /// # Panics
-    /// If `epoch` has no live pin (debug builds).
+    /// cloning). The epoch's versions are protected by the caller's
+    /// existing pin (ring or tree), so no publisher validation is needed
+    /// — the count lands wherever there is room.
     pub fn repin(&self, epoch: u64) {
-        if self.fast_pins {
-            // The epoch is already protected by the caller's existing
-            // pin (ring or tree), so no publisher validation is needed —
-            // just land the count wherever there is room.
-            if self.ring_register(epoch) {
-                self.min_pin.fetch_min(epoch, Ordering::SeqCst);
-                self.reg_seq.fetch_add(1, Ordering::SeqCst);
-            } else {
-                // The base pin may live in the ring, so a missing tree
-                // entry is legitimate here (unlike legacy mode).
-                *self.pins.lock().entry(epoch).or_insert(0) += 1;
-                self.min_pin.fetch_min(epoch, Ordering::SeqCst);
-            }
+        if self.ring_register(epoch) {
+            self.min_pin.fetch_min(epoch, Ordering::SeqCst);
+            self.reg_seq.fetch_add(1, Ordering::SeqCst);
             self.live_pins.fetch_add(1, Ordering::SeqCst);
-            return;
+        } else {
+            // The base pin may live in the ring, so a missing tree entry
+            // is legitimate here.
+            self.tree_register(&mut self.pins.lock(), epoch);
         }
-        let mut pins = self.pins.lock();
-        match pins.get_mut(&epoch) {
-            Some(n) => *n += 1,
-            None => {
-                debug_assert!(false, "repin of an epoch never pinned");
-                pins.insert(epoch, 1);
-                let min = *pins.keys().next().expect("just inserted");
-                self.min_pin.store(min, Ordering::Release);
-            }
-        }
-        self.live_pins.fetch_add(1, Ordering::SeqCst);
     }
 
     /// Release a pin taken by [`MvccStore::pin`] / [`MvccStore::pin_at`].
-    /// If the minimum live pin rose, sweep every chain — the liveness half
+    /// A ring-resident pin releases with one CAS; the `min_pin` raise,
+    /// the `oldest_retained` concession and the sweep — the liveness half
     /// of reclamation: once all snapshots drop, chains shrink back to
-    /// length 1.
-    ///
-    /// **Fast-pin mode**: a ring-resident pin releases with one CAS; the
-    /// `min_pin` raise, `oldest_retained` concession and sweep happen at
-    /// sweep points only — quiescence (the gauge draining) or the
-    /// [`SWEEP_EVERY`] staleness bound — inside [`MvccStore::sweep_locked`],
-    /// which takes the publish lock so the recompute can never race a
-    /// publisher. Deferring the floor raise is safe: the floor only ever
-    /// lags, admitting `pin_at`s the per-unpin raise would have rejected
-    /// a little earlier, and those epochs are still resolvable (nothing
-    /// was swept). Ring and tree counts at one epoch are fungible, so
+    /// length 1 — happen at sweep points only: quiescence (the gauge
+    /// draining) or the [`SWEEP_EVERY`] staleness bound, inside
+    /// [`MvccStore::sweep_locked`], which takes the publish lock so the
+    /// recompute can never race a publisher. Skipping a sweep is always
+    /// safe (it only delays reclamation; appends already prune their own
+    /// chains eagerly), and without the amortization every snapshot drop
+    /// and every optimistic commit would serialize behind a chain walk.
+    /// Deferring the floor raise is safe too: the floor only ever lags,
+    /// admitting `pin_at`s a per-unpin raise would have rejected a little
+    /// earlier, and those epochs are still resolvable (nothing was
+    /// swept). Ring and tree counts at one epoch are fungible, so
     /// releasing "a" pin at the epoch — whichever copy is found first —
     /// keeps the totals exact.
     pub fn unpin(&self, epoch: u64) {
-        if !self.fast_pins {
-            return self.unpin_legacy(epoch);
-        }
         if !self.release_at(epoch) {
             debug_assert!(false, "unpin of an epoch never pinned");
             return;
@@ -833,10 +792,14 @@ where
     /// Raise `min_pin` and the `oldest_retained` floor to the settled
     /// minimum live pin, then sweep. The publish lock excludes
     /// publishers and `pin_at` for the duration, so the bound cannot go
-    /// stale mid-sweep; fast pins may still land concurrently, but they
-    /// pin the current watermark, and no prune drops a chain's newest
-    /// version (epoch ≤ watermark), so they are safe under any bound
-    /// this computes.
+    /// stale mid-sweep, and the pin-table lock is held through the sweep
+    /// so pin accounting and its sweep are one atomic step against tree
+    /// pins; fast pins may still land concurrently, but they pin the
+    /// current watermark, and no prune drops a chain's newest version
+    /// (epoch ≤ watermark), so they are safe under any bound this
+    /// computes. The floor is conceded *before* anything is dropped and
+    /// capped at the watermark, so a pin-free store still allows pinning
+    /// the present.
     fn sweep_locked(&self) {
         let _publish = self.publish.lock();
         let pins = self.pins.lock();
@@ -846,60 +809,6 @@ where
         self.oldest_retained.fetch_max(min.min(cap), Ordering::AcqRel);
         self.unswept.store(0, Ordering::Relaxed);
         self.sweep(min);
-        drop(pins);
-    }
-
-    /// The pre-scaling unpin, byte for byte (plus the live-pin gauge):
-    /// every release recomputes the minimum, concedes the floor, and
-    /// sweeps at quiescence or staleness — all inside the pin-table lock.
-    fn unpin_legacy(&self, epoch: u64) {
-        let mut pins = self.pins.lock();
-        match pins.get_mut(&epoch) {
-            Some(n) if *n > 1 => {
-                *n -= 1;
-                self.live_pins.fetch_sub(1, Ordering::SeqCst);
-            }
-            Some(_) => {
-                pins.remove(&epoch);
-                self.live_pins.fetch_sub(1, Ordering::SeqCst);
-            }
-            None => debug_assert!(false, "unpin of an epoch never pinned"),
-        }
-        let min = pins.keys().next().copied().unwrap_or(u64::MAX);
-        self.min_pin.store(min, Ordering::Release);
-        // Concede everything below the sweep bound *before* pruning,
-        // still inside the pin-table lock: a concurrent `pin_at` either
-        // locks the table after us (sees the raise, rejects an epoch the
-        // sweep may drop) or locked it before us (its pin is in `pins`,
-        // so `min` respects it). Capped at the watermark so a pin-free
-        // store still allows pinning the present.
-        let cap = self.watermark.load(Ordering::Acquire);
-        self.oldest_retained.fetch_max(min.min(cap), Ordering::AcqRel);
-        // The sweep itself must also run inside the pin-table lock. If it
-        // ran after releasing it with the captured `min`, a fresh pin
-        // could land (its epoch ≥ the raised floor, so `pin_at` admits
-        // it) and a publisher could append — pruning that chain down to
-        // the new pin, correctly — before our stale, laxer `min` swept
-        // the very version the new pin resolves to. Holding the lock
-        // makes pin-accounting and its sweep one atomic step; new pins
-        // wait, and everything they need survives a prune at `min`
-        // (prune keeps the newest version ≤ `min` and all later ones).
-        //
-        // Sweeping is amortized: while other pins are live, most unpins
-        // skip it (appends already prune their own chains eagerly, so
-        // only written-then-idle chains wait on a sweep). Skipping is
-        // always safe — it only delays reclamation, never drops more —
-        // and two events force a real sweep: the pin table draining
-        // (quiescence: chains must collapse the moment the last snapshot
-        // lets go) and a staleness bound of [`SWEEP_EVERY`] unpins, so a
-        // busy store still reclaims promptly. Without this, every
-        // snapshot drop and every optimistic commit serializes behind a
-        // store-wide chain walk under the pin-table lock.
-        let backlog = self.unswept.fetch_add(1, Ordering::Relaxed) + 1;
-        if pins.is_empty() || backlog >= SWEEP_EVERY {
-            self.unswept.store(0, Ordering::Relaxed);
-            self.sweep(min);
-        }
         drop(pins);
     }
 
@@ -1289,7 +1198,7 @@ mod tests {
 
     #[test]
     fn version_budget_bounds_chains_under_a_stuck_pin() {
-        let s: MvccStore<u64, i64> = MvccStore::with_opts(3, true);
+        let s: MvccStore<u64, i64> = MvccStore::with_opts(3);
         s.append(&1, GENESIS_EPOCH, 0);
         let stuck = s.pin(); // never dropped: simulates a wedged reader
         for i in 1..=10 {
@@ -1380,54 +1289,6 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_pins_never_lose_their_version_legacy_mode() {
-        // The same churn storm against the pre-scaling locked pin table
-        // (`fast_pins = false`), which the hot-path benchmark's legacy
-        // arm runs — it must stay exactly as safe as before.
-        use std::sync::atomic::AtomicBool;
-        use std::sync::Arc;
-        const KEYS: u64 = 8;
-        let s = Arc::new(MvccStore::<u64, i64>::with_opts(0, false));
-        for k in 0..KEYS {
-            s.append(&k, GENESIS_EPOCH, k as i64);
-        }
-        let stop = Arc::new(AtomicBool::new(false));
-        let writer = {
-            let s = Arc::clone(&s);
-            let stop = Arc::clone(&stop);
-            std::thread::spawn(move || {
-                let mut v = 0i64;
-                while !stop.load(Ordering::Relaxed) {
-                    let publish = s.begin_publish();
-                    let epoch = publish.epoch();
-                    s.append(&(v as u64 % KEYS), epoch, v);
-                    drop(publish);
-                    v += 1;
-                }
-            })
-        };
-        let pinners: Vec<_> = (0..2)
-            .map(|p| {
-                let s = Arc::clone(&s);
-                std::thread::spawn(move || {
-                    for i in 0..5_000u64 {
-                        let pin = s.pin();
-                        let key = (p + i) % KEYS;
-                        assert!(s.read_at(&key, pin).is_some(), "live pin at {pin} lost key {key}");
-                        s.unpin(pin);
-                    }
-                })
-            })
-            .collect();
-        for h in pinners {
-            h.join().unwrap();
-        }
-        stop.store(true, Ordering::Relaxed);
-        writer.join().unwrap();
-        assert_eq!(s.counters().pins_live, 0);
-    }
-
-    #[test]
     fn fast_pins_fall_back_on_ring_slot_collision() {
         // Two live pins whose epochs collide modulo the ring size cannot
         // share a slot: the second lands in the locked table instead,
@@ -1468,6 +1329,7 @@ mod tests {
         assert_eq!(s.counters().pins_live, 0);
         assert_eq!(s.chain(&1), vec![(2, 2)]);
     }
+
     #[test]
     fn pin_churn_leaves_no_pin_behind() {
         // Regression: when the fast pin's seqlock validation failed, the
