@@ -17,6 +17,9 @@
 //! * [`interleave`] — deterministic seeded interleaving of logical workers
 //!   against the engine (reproducible schedule sweeps, E4b).
 //!
+//! The experiments themselves are the root package's `experiments` example
+//! (`examples/experiments/`).
+//!
 //! ```
 //! use rnt_sim::gen::{random_run, random_universe, UniverseConfig};
 //! use rnt_spec::Level2;

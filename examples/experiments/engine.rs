@@ -151,7 +151,10 @@ pub fn e5_throughput(quick: bool) -> Table {
     }
     let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     t.verdict(format!(
-        "host has {cores} core(s): with a single core the thread sweep measures scheduling/contention          overhead rather than parallel speedup; the valid readings are the per-shape overhead ranking          (serial ≈ flat > nested, which pays ~5 registry transitions per 4 ops) and throughput falling          as the key space shrinks (contention)"
+        "host has {cores} core(s): with a single core the thread sweep measures \
+         scheduling/contention overhead rather than parallel speedup; the valid readings are \
+         the per-shape overhead ranking (serial ≈ flat > nested, which pays ~5 registry \
+         transitions per 4 ops) and throughput falling as the key space shrinks (contention)"
     ));
     t
 }

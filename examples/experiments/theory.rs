@@ -341,7 +341,9 @@ pub fn e9_orphan_views(quick: bool) -> Table {
     }
     let live_total: usize = acc.iter().map(|a| a.3).sum();
     t.verdict(format!(
-        "live performs are never anomalous (total live anomalies: {live_total}); the level-2          spec permits orphan anomalies while the locking levels pin orphans to lock-stack views          — matching the paper's remark that its conditions do not yet cover orphans' views"
+        "live performs are never anomalous (total live anomalies: {live_total}); the level-2 \
+         spec permits orphan anomalies while the locking levels pin orphans to lock-stack \
+         views — matching the paper's remark that its conditions do not yet cover orphans' views"
     ));
     t
 }
