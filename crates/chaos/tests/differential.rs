@@ -4,7 +4,7 @@
 //! Two angles:
 //!
 //! 1. **Seed sweep** — every chaos seed is run twice, `group_commit` off
-//!    and on. The driver is single-threaded, so every batch is a
+//!    and on, in each concurrency-control mode. The driver is single-threaded, so every batch is a
 //!    singleton, and singleton batches log a plain `Commit` record — the
 //!    two runs must therefore agree on *everything*: audit-log
 //!    fingerprint (which the Theorem-9 oracle consumed), commit/abort
@@ -29,9 +29,22 @@ use std::time::Duration;
 /// fingerprints, WAL bytes, counts, and passing verdicts on both sides.
 #[test]
 fn group_commit_is_invisible_across_1000_seeds() {
+    group_commit_is_invisible(ChaosConfig::seeded_wal, ChaosConfig::seeded_wal_group);
+}
+
+/// The same sweep under optimistic concurrency control, where a commit
+/// with the pipeline off and a staged one run the same batch retire.
+#[test]
+fn optimistic_group_commit_is_invisible_across_1000_seeds() {
+    group_commit_is_invisible(
+        |seed| ChaosConfig::seeded_wal(seed).optimistic(),
+        |seed| ChaosConfig::seeded_wal_group(seed).optimistic(),
+    );
+}
+
+fn group_commit_is_invisible(off: fn(u64) -> ChaosConfig, on: fn(u64) -> ChaosConfig) {
     for seed in 0..1000u64 {
-        let off = run(&ChaosConfig::seeded_wal(seed));
-        let on = run(&ChaosConfig::seeded_wal_group(seed));
+        let (off, on) = (run(&off(seed)), run(&on(seed)));
         assert!(off.verdict.is_ok(), "seed {seed} (off): {:?}", off.verdict);
         assert!(on.verdict.is_ok(), "seed {seed} (on): {:?}", on.verdict);
         assert_eq!(

@@ -35,10 +35,13 @@ mod audit;
 #[cfg(feature = "chaos-hooks")]
 pub mod chaos;
 mod commit_pipeline;
+mod config;
 mod db;
 mod deadlock;
 mod error;
 mod lock;
+mod locking;
+mod optimistic;
 mod recover;
 mod registry;
 mod stats;

@@ -1,4 +1,5 @@
-//! Crash recovery: replay a write-ahead log into a fresh [`Db`].
+//! Crash recovery: replay a write-ahead log into a fresh [`Db`] — and the
+//! checkpoint writer whose `Checkpoint` record replay starts from.
 //!
 //! Replay reconstructs the action tree (registry), the per-key version
 //! stacks (lock states), and the committed bases so that `perm(T)` — the
@@ -19,11 +20,15 @@
 //! [`WalError`] — a recovered database is never built on a log whose
 //! middle is unreadable.
 
-use crate::db::{Db, DbConfig, Durability};
+use crate::db::{Db, DbConfig, DbInner, Durability};
+use crate::locking::ShardState;
 use crate::registry::{TxnId, TxnStatus};
+use parking_lot::MutexGuard;
+use rnt_mvcc::GENESIS_EPOCH;
 use rnt_wal::{scan, Record, StdVfs, Vfs, Wal, WalCodec, WalError, INIT_ACTION};
 use std::collections::{HashMap, HashSet};
 use std::hash::Hash;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 fn encode_of<T: WalCodec>(value: &T, out: &mut Vec<u8>) {
@@ -32,6 +37,87 @@ fn encode_of<T: WalCodec>(value: &T, out: &mut Vec<u8>) {
 
 fn replay_err(detail: impl Into<String>) -> WalError {
     WalError::Replay { detail: detail.into() }
+}
+
+impl<K, V> DbInner<K, V>
+where
+    K: Eq + Hash + Ord + Clone + Send + Sync + 'static,
+    V: Clone + Hash + Send + Sync + 'static,
+{
+    /// Checkpoint after a top-level commit if the configured cadence says
+    /// so. Must be called *after* the commit's latch guard is dropped (the
+    /// latch is not reentrant).
+    pub(crate) fn maybe_auto_checkpoint(&self, top_level: bool) {
+        let Some(w) = self.wal.get() else { return };
+        let every = self.config.checkpoint_every;
+        if !top_level || every == 0 {
+            return;
+        }
+        let n = w.commits_since_ckpt.fetch_add(1, Ordering::Relaxed) + 1;
+        if n % every == 0 {
+            let _ = self.do_checkpoint(); // failure poisons the log
+        }
+    }
+
+    /// Rewrite the log as `Checkpoint{bases}` followed by re-logged
+    /// `Begin`/`Write` records for every still-live active transaction, so
+    /// recovery cost is bounded by the snapshot plus post-checkpoint
+    /// traffic instead of the whole history.
+    ///
+    /// Holding the latch exclusively plus every shard guard freezes the
+    /// engine in a transition-free state: no half-appended commit can be
+    /// rewritten away, and no begin can land twice (once re-logged, once
+    /// self-appended). Dead (orphaned) subtrees are reaped, not re-logged —
+    /// their versions are doomed and `perm` never sees them; their stray
+    /// post-checkpoint `Commit`/`Abort` records are tolerated by replay.
+    pub(crate) fn do_checkpoint(&self) -> Result<(), WalError> {
+        let Some(w) = self.wal.get() else { return Ok(()) };
+        if let Some(detail) = w.broken.get() {
+            return Err(WalError::Io { op: "checkpoint", detail: detail.clone() });
+        }
+        let _latch = self.ckpt.write();
+        let mut guards: Vec<MutexGuard<'_, ShardState<K, V>>> =
+            self.shards.iter().map(|s| s.lock()).collect();
+        let view = self.registry.read_view();
+        for guard in guards.iter_mut() {
+            for state in guard.objects.values_mut() {
+                state.reap(&view);
+            }
+        }
+        let mut snapshot = Vec::new();
+        for guard in guards.iter() {
+            for (key, state) in guard.objects.iter() {
+                let (kb, vb) = w.encode(key, state.base_value());
+                // Each entry carries the epoch of the key's newest
+                // committed version so recovery rebuilds chains identical
+                // to the pre-crash store (not merely value-equal).
+                snapshot.push((kb, self.mvcc.last_epoch(key).unwrap_or(GENESIS_EPOCH), vb));
+            }
+        }
+        snapshot.sort();
+        let mut records = vec![Record::Checkpoint { epoch: self.mvcc.watermark(), snapshot }];
+        // Live active transactions, ascending id: every parent precedes
+        // its children (child ids are allocated after the parent exists),
+        // and the live-active set is ancestor-closed (an active child
+        // keeps its ancestors active; an aborted ancestor makes it dead).
+        // The live view agrees with the snapshot: every registry
+        // transition runs under the latch held shared, and we hold it
+        // exclusively.
+        for (id, parent, status, _) in self.registry.snapshot() {
+            if status == TxnStatus::Active && !view.is_dead(id) {
+                records.push(Record::Begin { action: id.0, parent: parent.map(|p| p.0) });
+            }
+        }
+        for guard in guards.iter() {
+            for (key, state) in guard.objects.iter() {
+                for (holder, value) in state.write_entries() {
+                    let (key, version) = w.encode(key, value);
+                    records.push(Record::Write { action: holder.0, key, version });
+                }
+            }
+        }
+        w.log.lock().rewrite(&records).inspect_err(|e| w.mark_broken(e))
+    }
 }
 
 impl<K, V> Db<K, V>
@@ -83,15 +169,15 @@ where
         let db = Db::with_config(config.clone());
         let bytes = if vfs.exists(path) { vfs.read(path)? } else { Vec::new() };
         let (records, _tail) = scan(&bytes)?;
-        let recovered = replay(&db, &records)?;
-        db.stats_raw().add(|b| &b.recovered_actions, recovered);
+        let recovered = replay(&db.inner, &records)?;
+        db.inner.stats.add(|b| &b.recovered_actions, recovered);
         db.audit_register_all();
         if config.durability != Durability::None {
             let log = Wal::open(vfs, path)?;
             db.install_wal(log, encode_of::<K>, encode_of::<V>)?;
             // Make the implicit in-flight aborts physical and drop any
             // torn tail from the file: the recovered log is born clean.
-            db.checkpoint_wal()?;
+            db.inner.do_checkpoint()?;
         }
         Ok(db)
     }
@@ -109,7 +195,7 @@ where
 /// allocated — trusting it would replay a commit the pre-crash store
 /// never published (or publish two commits at one epoch).
 fn apply_commit<K, V>(
-    db: &Db<K, V>,
+    db: &DbInner<K, V>,
     touched: &mut HashMap<TxnId, HashSet<K>>,
     i: usize,
     id: TxnId,
@@ -119,7 +205,7 @@ where
     K: Eq + Hash + Ord + Clone + Send + Sync + WalCodec + 'static,
     V: Clone + Hash + Send + Sync + WalCodec + 'static,
 {
-    let registry = db.registry();
+    let registry = &db.registry;
     registry.commit(id).map_err(|e| replay_err(format!("record {i}: {e}")))?;
     let parent = registry.parent(id);
     if parent.is_none() && epoch.is_none() {
@@ -129,7 +215,7 @@ where
     }
     let publish_epoch = if parent.is_none() { epoch } else { None };
     if let Some(e) = publish_epoch {
-        let watermark = db.raw_mvcc_watermark();
+        let watermark = db.mvcc.watermark();
         if e <= watermark {
             return Err(replay_err(format!(
                 "record {i}: commit epoch {e} of {id:?} not above watermark {watermark} — \
@@ -137,23 +223,12 @@ where
             )));
         }
     }
+    // The live engine's own release: a top-level commit appends a chain
+    // version for exactly the keys the committer holds a write lock on.
     let keys = touched.remove(&id).unwrap_or_default();
-    for key in &keys {
-        let published = db.raw_with_state(key, |state, view| {
-            // Mirror the live engine's publication rule: a top-level
-            // commit appends a chain version for exactly the keys the
-            // committer holds a write lock on (its own writes plus
-            // inherited ones).
-            let wrote = publish_epoch.is_some() && state.write_holders().any(|h| h == id);
-            state.commit_to_parent(id, parent, view);
-            wrote.then(|| state.base_value().clone())
-        });
-        if let Some(Some(value)) = published {
-            db.raw_mvcc_append(key, publish_epoch.expect("wrote implies epoch"), value);
-        }
-    }
+    db.finish_locks(id, &keys, true, publish_epoch);
     if let Some(e) = publish_epoch {
-        db.raw_mvcc_advance(e);
+        db.mvcc.advance_watermark(e);
     }
     if let Some(p) = parent {
         touched.entry(p).or_default().extend(keys);
@@ -163,12 +238,12 @@ where
 
 /// Replay `records` into the (fresh, log-less) `db`. Returns the number of
 /// actions reconstructed (`Begin` records processed).
-fn replay<K, V>(db: &Db<K, V>, records: &[Record]) -> Result<u64, WalError>
+fn replay<K, V>(db: &DbInner<K, V>, records: &[Record]) -> Result<u64, WalError>
 where
     K: Eq + Hash + Ord + Clone + Send + Sync + WalCodec + 'static,
     V: Clone + Hash + Send + Sync + WalCodec + 'static,
 {
-    let registry = db.registry();
+    let registry = &db.registry;
     // Keys each action holds write versions on, for commit inheritance
     // and abort restore (the engine's `touched` sets, rebuilt).
     let mut touched: HashMap<TxnId, HashSet<K>> = HashMap::new();
@@ -188,26 +263,26 @@ where
                         V::decode(vb).ok_or_else(|| replay_err("undecodable checkpoint value"))?;
                     // Seed the chain at the key's checkpointed last-commit
                     // epoch, so recovered chains match pre-crash ones.
-                    if !db.raw_insert(key, value, *e) {
+                    if !db.seed(key, value, *e, |_, _| {}) {
                         return Err(replay_err("duplicate key in checkpoint snapshot"));
                     }
                 }
                 // Epoch numbering resumes at the checkpointed watermark,
                 // not at the max per-key epoch: keys whose latest commits
                 // were reclaimed must not see their epochs reissued.
-                db.raw_mvcc_advance(*epoch);
+                db.mvcc.advance_watermark(*epoch);
                 // And time travel must not reach beneath the checkpoint:
                 // recovered chains start at their per-key epochs, not at
                 // the versions that existed pre-compaction, so a snapshot
                 // pinned below the checkpointed watermark would see keys
                 // flicker out of existence.
-                db.raw_mvcc_concede(*epoch);
+                db.mvcc.concede_retained(*epoch);
             }
             Record::Write { action, key, version } if *action == INIT_ACTION => {
                 let key = K::decode(key).ok_or_else(|| replay_err("undecodable init key"))?;
                 let value =
                     V::decode(version).ok_or_else(|| replay_err("undecodable init value"))?;
-                if !db.raw_insert(key, value, rnt_mvcc::GENESIS_EPOCH) {
+                if !db.seed(key, value, GENESIS_EPOCH, |_, _| {}) {
                     return Err(replay_err("duplicate init for an existing key"));
                 }
             }
@@ -231,12 +306,12 @@ where
                 }
                 let key = K::decode(key).ok_or_else(|| replay_err("undecodable key"))?;
                 let value = V::decode(version).ok_or_else(|| replay_err("undecodable version"))?;
-                let granted = db
-                    .raw_with_state(&key, |state, view| {
-                        state.try_write(id, view, |_| value.clone()).is_ok()
-                    })
+                let mut guard = db.shards[db.shard_of(&key)].lock();
+                let state = guard
+                    .objects
+                    .get_mut(&key)
                     .ok_or_else(|| replay_err(format!("record {i}: write to unseeded key")))?;
-                if !granted {
+                if state.try_write(id, &registry.read_view(), |_| value).is_err() {
                     // Log order is grant order; a conflict here means the
                     // log is not one the engine produced.
                     return Err(replay_err(format!(
@@ -293,9 +368,7 @@ where
                     return Err(replay_err(format!("record {i}: abort of unknown action {id:?}")));
                 }
                 registry.abort(id).map_err(|e| replay_err(format!("record {i}: {e}")))?;
-                for key in touched.remove(&id).unwrap_or_default() {
-                    db.raw_with_state(&key, |state, _| state.abort_discard(id));
-                }
+                db.finish_locks(id, &touched.remove(&id).unwrap_or_default(), false, None);
             }
         }
     }
@@ -311,9 +384,7 @@ where
     in_flight.sort_by(|a, b| b.1.cmp(&a.1).then(b.0.cmp(&a.0)));
     for (id, _) in in_flight {
         registry.abort(id).map_err(|e| replay_err(format!("in-flight abort: {e}")))?;
-        for key in touched.remove(&id).unwrap_or_default() {
-            db.raw_with_state(&key, |state, _| state.abort_discard(id));
-        }
+        db.finish_locks(id, &touched.remove(&id).unwrap_or_default(), false, None);
     }
     Ok(recovered)
 }

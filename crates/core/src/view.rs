@@ -18,8 +18,11 @@
 //! Code written against `ReadView` (examples, benchmark mixes, chaos
 //! oracles) runs unchanged over either surface.
 
+use crate::db::DbInner;
 use crate::error::TxnError;
+use std::hash::Hash;
 use std::ops::RangeBounds;
+use std::sync::Arc;
 
 /// A readable view of the keyspace at (or after) one commit epoch.
 ///
@@ -113,6 +116,117 @@ impl std::fmt::Display for SnapshotError {
 }
 
 impl std::error::Error for SnapshotError {}
+
+/// A lock-free read-only view of the committed state at one commit epoch,
+/// opened by [`Db::snapshot`](crate::Db::snapshot). Reads are served from
+/// the MVCC version chains and never touch the lock manager. Dropping the
+/// snapshot releases its epoch pin, letting GC reclaim the versions it
+/// held.
+pub struct Snapshot<K, V>
+where
+    K: Eq + Hash + Ord + Clone + Send + Sync + 'static,
+    V: Clone + Hash + Send + Sync + 'static,
+{
+    pub(crate) inner: Arc<DbInner<K, V>>,
+    pub(crate) epoch: u64,
+}
+
+impl<K, V> Snapshot<K, V>
+where
+    K: Eq + Hash + Ord + Clone + Send + Sync + 'static,
+    V: Clone + Hash + Send + Sync + 'static,
+{
+    /// The commit epoch this snapshot is pinned to.
+    pub fn epoch(&self) -> u64 {
+        self.epoch
+    }
+
+    /// The committed value of `key` as of the pinned epoch (`None` if the
+    /// key did not exist yet). Lock-free: reads the version chain under
+    /// the version store's shared lock, never the lock manager.
+    pub fn read(&self, key: &K) -> Option<V> {
+        self.inner.stats.bump(|b| &b.snapshot_reads);
+        self.inner.mvcc.read_at(key, self.epoch)
+    }
+
+    /// All committed `(key, value)` pairs with keys in `bounds` as of the
+    /// pinned epoch, in ascending key order — a consistent scan: every
+    /// pair is from the same committed state, no matter what writers
+    /// commit while the walk runs. Lock-free like [`Snapshot::read`]:
+    /// one in-order walk of the version store under its shared lock,
+    /// never blocking (or blocked by) the lock manager or publication.
+    pub fn range<R: RangeBounds<K>>(&self, bounds: R) -> Vec<(K, V)> {
+        self.inner.stats.bump(|b| &b.range_scans);
+        self.inner.mvcc.range_at(bounds, self.epoch)
+    }
+
+    /// True iff this snapshot's epoch fell below the retained floor — only
+    /// possible when
+    /// [`DbConfig::max_versions_per_key`](crate::DbConfig::max_versions_per_key)
+    /// force-pruned versions this pin was holding. Reads from an expired
+    /// snapshot may see force-pruned keys as absent.
+    pub fn is_expired(&self) -> bool {
+        self.epoch < self.inner.mvcc.oldest_retained()
+    }
+}
+
+impl<K, V> std::fmt::Debug for Snapshot<K, V>
+where
+    K: Eq + Hash + Ord + Clone + Send + Sync + 'static,
+    V: Clone + Hash + Send + Sync + 'static,
+{
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Snapshot")
+            .field("epoch", &self.epoch)
+            .field("expired", &self.is_expired())
+            .finish_non_exhaustive()
+    }
+}
+
+/// Cloning a snapshot adds a pin to the *same* epoch: the clone sees the
+/// identical frozen state, and the versions stay protected until both
+/// (all) clones drop. Sound because the original's pin already protects
+/// the epoch — the clone can never observe a half-reclaimed state.
+impl<K, V> Clone for Snapshot<K, V>
+where
+    K: Eq + Hash + Ord + Clone + Send + Sync + 'static,
+    V: Clone + Hash + Send + Sync + 'static,
+{
+    fn clone(&self) -> Self {
+        self.inner.mvcc.repin(self.epoch);
+        Snapshot { inner: self.inner.clone(), epoch: self.epoch }
+    }
+}
+
+impl<K, V> ReadView<K, V> for Snapshot<K, V>
+where
+    K: Eq + Hash + Ord + Clone + Send + Sync + 'static,
+    V: Clone + Hash + Send + Sync + 'static,
+{
+    fn epoch(&self) -> u64 {
+        self.epoch
+    }
+
+    /// Infallible on this surface: always `Ok`.
+    fn get(&self, key: &K) -> Result<Option<V>, TxnError> {
+        Ok(self.read(key))
+    }
+
+    /// Infallible on this surface: always `Ok`.
+    fn range<R: RangeBounds<K>>(&self, bounds: R) -> Result<Vec<(K, V)>, TxnError> {
+        Ok(Snapshot::range(self, bounds))
+    }
+}
+
+impl<K, V> Drop for Snapshot<K, V>
+where
+    K: Eq + Hash + Ord + Clone + Send + Sync + 'static,
+    V: Clone + Hash + Send + Sync + 'static,
+{
+    fn drop(&mut self) {
+        self.inner.mvcc.unpin(self.epoch);
+    }
+}
 
 impl From<rnt_mvcc::PinError> for SnapshotError {
     fn from(e: rnt_mvcc::PinError) -> Self {

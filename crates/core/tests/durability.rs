@@ -516,6 +516,10 @@ impl GateVfs {
         self.gate.lock().unwrap().0 = false;
         self.cv.notify_all();
     }
+
+    fn close(&self) {
+        self.gate.lock().unwrap().0 = true;
+    }
 }
 
 impl Vfs for GateVfs {
@@ -639,6 +643,35 @@ fn transactions_keep_logging_while_a_batch_is_being_forced() {
     for k in 0..8 {
         assert_eq!(r.committed_value(&key(k)), Some(1), "both acked commits recover ({k})");
     }
+}
+
+/// Optimistic phase-1 validation runs before the publish gate: with the
+/// pipeline off, a commit whose footprint an earlier commit overtook is
+/// refused while another commit holds the gate, parked in its fsync — and
+/// it burns no epoch.
+#[test]
+fn an_overtaken_optimistic_commit_loses_outside_the_gate() {
+    let vfs = GateVfs::closed();
+    vfs.open();
+    let config =
+        DbConfig::builder().durability(Durability::WalFsync).cc_mode(CcMode::Optimistic).build();
+    let db: Db<String, i64> = Db::open_with_vfs(vfs.clone(), LOG, config).unwrap();
+    db.insert(key(0), 0);
+    db.insert(key(1), 0);
+    let loser = bumped(&db, 0..1).unwrap();
+    bump(&db, 0..1).unwrap();
+    // Begun before the disk stalls: an optimistic begin pins its snapshot
+    // through the gate's lock while a publisher holds it.
+    let forcer = bumped(&db, 1..2).unwrap();
+    vfs.close();
+    let forcing = spawn(move || forcer.commit());
+    vfs.wait_parked();
+    let watermark = db.epochs().watermark;
+    let lost = spawn(move || loser.commit()).recv_timeout(PATIENCE);
+    vfs.open();
+    assert!(matches!(lost, Ok(Err(TxnError::Conflict { .. }))), "got {lost:?}");
+    assert_eq!(forcing.recv_timeout(PATIENCE).unwrap(), Ok(()));
+    assert_eq!(db.epochs().watermark, watermark + 1, "only the forcing commit took an epoch");
 }
 
 #[derive(Clone, Copy, Debug)]
