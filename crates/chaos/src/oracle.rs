@@ -13,7 +13,8 @@
 //! 3. **Lock invariants** — after an eager `lose-lock` pass, no lock is
 //!    held by a dead transaction, every write stack is an ancestor chain
 //!    (so version stacks restore correctly on abort), and at quiescence
-//!    all lock tables are empty.
+//!    all lock tables are empty and no transaction is resident
+//!    (`txns_resident == 0`: every finished tree was retired).
 //!
 //! The oracle is sound mid-run: active transactions are simply excluded
 //! from the committed permutation, so it may be invoked after every

@@ -99,6 +99,18 @@ impl<V: Clone> LockState<V> {
         if let Some(first_dead) = self.writes.iter().position(|&(t, _)| env.is_dead(t)) {
             self.writes.truncate(first_dead);
         }
+        self.free_drained();
+    }
+
+    /// Give back the allocation of a stack that drained: most keys are
+    /// locked now and then, so an idle key holds no buffer.
+    fn free_drained(&mut self) {
+        if self.writes.is_empty() {
+            self.writes = Vec::new();
+        }
+        if self.readers.is_empty() {
+            self.readers = Vec::new();
+        }
     }
 
     /// Try to acquire (or re-affirm) a read lock for `t` and return the
@@ -230,6 +242,7 @@ impl<V: Clone> LockState<V> {
                 }
             }
         }
+        self.free_drained();
     }
 
     /// Abort (`lose-lock` for the aborter's own locks): discard `t`'s read
@@ -240,6 +253,7 @@ impl<V: Clone> LockState<V> {
             // Anything above t is a descendant of t — dead with it.
             self.writes.truncate(pos);
         }
+        self.free_drained();
     }
 
     /// Structural invariants of this lock state (chaos harness only):
@@ -407,9 +421,10 @@ mod tests {
         l.commit_to_parent(C1, Some(T1), &e);
         assert_eq!(l.write_holders().collect::<Vec<_>>(), vec![T1]);
         assert_eq!(*l.current_value(), 9);
-        // Top-level commit publishes to base.
+        // Top-level commit publishes to base, and the drained stack gives
+        // its buffer back.
         l.commit_to_parent(T1, None, &e);
-        assert_eq!(l.write_holders().count(), 0);
+        assert_eq!(l.writes.capacity(), 0);
         assert_eq!(*l.base_value(), 9);
     }
 
@@ -433,9 +448,9 @@ mod tests {
         l.try_read(C1, &e).unwrap();
         l.commit_to_parent(C1, Some(T1), &e);
         assert_eq!(l.read_holders(), &[T1]);
-        // Top-level read commit just drops the lock.
+        // Top-level read commit just drops the lock, and its buffer.
         l.commit_to_parent(T1, None, &e);
-        assert!(l.read_holders().is_empty());
+        assert_eq!(l.readers.capacity(), 0);
     }
 
     #[test]
@@ -448,6 +463,7 @@ mod tests {
         assert_eq!(*l.current_value(), 8, "child's version discarded");
         l.abort_discard(T1);
         assert_eq!(*l.current_value(), 7, "base restored");
+        assert_eq!(l.writes.capacity(), 0, "drained stack freed");
     }
 
     #[test]
@@ -476,6 +492,9 @@ mod tests {
         l.reap(&e);
         assert_eq!(l.write_holders().collect::<Vec<_>>(), vec![T1]);
         assert_eq!(*l.current_value(), 1);
+        e.dead.insert(T1);
+        l.reap(&e);
+        assert_eq!(l.writes.capacity(), 0, "a reap that drains the stack frees it");
     }
 
     #[test]

@@ -105,13 +105,18 @@ where
     /// Check every per-object lock state against the engine invariants
     /// (see [`LockState::chaos_check`]); additionally, when no transaction
     /// is active, every lock table must be empty (all versions either
-    /// published to base or restored). Returns human-readable violations,
+    /// published to base or restored) and every tree retired
+    /// (`txns_resident == 0`). Returns human-readable violations,
     /// sorted; empty means all invariants hold. Call
     /// [`Db::chaos_reap_all`](crate::Db::chaos_reap_all) first so
     /// lazily-reapable dead holders are not reported.
     pub fn chaos_lock_violations(&self) -> Vec<String> {
         let mut out = Vec::new();
         let quiescent = self.inner.registry.chaos_active().is_empty();
+        let resident = self.inner.registry.resident();
+        if quiescent && resident != 0 {
+            out.push(format!("{resident} transactions resident at quiescence"));
+        }
         for shard in self.inner.shards.iter() {
             let guard = shard.lock();
             let view = self.inner.registry.read_view();
@@ -250,9 +255,9 @@ where
         t: TxnId,
         bound: Duration,
     ) -> Result<(), TxnError> {
-        // Clone the key only when this is the key's first-ever waiter:
-        // the gate map is insert-only, so the common conflict re-waits
-        // on an existing gate.
+        // Clone the key only when the key has no gate yet: a gate lives
+        // while anyone waits on it (the last waiter out removes it,
+        // below), so a conflict that re-waits finds its gate.
         let gate = match guard.gates.get(key) {
             Some(gate) => gate.clone(),
             None => guard.gates.entry(key.clone()).or_default().clone(),

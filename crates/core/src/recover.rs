@@ -12,6 +12,9 @@
 //! * actions still active at end-of-log are the crash's in-flight
 //!   casualties: they are aborted deepest-first, exactly as if every
 //!   outstanding handle had been dropped — `perm` never contained them;
+//! * each active action holds a count on its tree, as its handle did, so
+//!   the record that finishes a tree's last active member retires the
+//!   tree, and a recovered registry starts empty;
 //! * recovery ends with a checkpoint rewrite, so the implicit aborts
 //!   become physical and a recovered log never replays a stale suffix.
 //!
@@ -22,7 +25,7 @@
 
 use crate::db::{Db, DbConfig, DbInner, Durability};
 use crate::locking::ShardState;
-use crate::registry::{TxnId, TxnStatus};
+use crate::registry::{Registry, Tree, TxnId, TxnStatus};
 use parking_lot::MutexGuard;
 use rnt_mvcc::GENESIS_EPOCH;
 use rnt_wal::{scan, Record, StdVfs, Vfs, Wal, WalCodec, WalError, INIT_ACTION};
@@ -102,7 +105,8 @@ where
         // keeps its ancestors active; an aborted ancestor makes it dead).
         // The live view agrees with the snapshot: every registry
         // transition runs under the latch held shared, and we hold it
-        // exclusively.
+        // exclusively. A retirement may still run, but only finished
+        // trees retire, and they have nothing to re-log.
         for (id, parent, status, _) in self.registry.snapshot() {
             if status == TxnStatus::Active && !view.is_dead(id) {
                 records.push(Record::Begin { action: id.0, parent: parent.map(|p| p.0) });
@@ -186,7 +190,7 @@ where
 /// Apply one logged commit (record index `i`, for error labels) to the
 /// replaying `db`: registry transition, lock inheritance/publication, and
 /// — for top-level commits — the version-chain appends at the logged
-/// epoch.
+/// epoch; then `id` closes its count on its tree.
 ///
 /// Top-level epochs must land strictly above the current watermark. The
 /// engine allocates epochs as `watermark + 1` under the publish mutex and
@@ -197,6 +201,7 @@ where
 fn apply_commit<K, V>(
     db: &DbInner<K, V>,
     touched: &mut HashMap<TxnId, HashSet<K>>,
+    trees: &mut HashMap<TxnId, Tree>,
     i: usize,
     id: TxnId,
     epoch: Option<u64>,
@@ -233,7 +238,16 @@ where
     if let Some(p) = parent {
         touched.entry(p).or_default().extend(keys);
     }
+    close(registry, trees, id);
     Ok(())
+}
+
+/// Replay's counterpart of a finished action's handle dropping: `id` gives
+/// its count on its tree back, and the last one out retires the tree.
+fn close(registry: &Registry, trees: &mut HashMap<TxnId, Tree>, id: TxnId) {
+    if let Some(tree) = trees.remove(&id) {
+        registry.close(&tree);
+    }
 }
 
 /// Replay `records` into the (fresh, log-less) `db`. Returns the number of
@@ -247,6 +261,8 @@ where
     // Keys each action holds write versions on, for commit inheritance
     // and abort restore (the engine's `touched` sets, rebuilt).
     let mut touched: HashMap<TxnId, HashSet<K>> = HashMap::new();
+    // Each active action's count on its tree, as its handle held one.
+    let mut trees: HashMap<TxnId, Tree> = HashMap::new();
     let mut seen_checkpoint = false;
     let mut recovered = 0u64;
     for (i, record) in records.iter().enumerate() {
@@ -291,11 +307,13 @@ where
                     return Err(replay_err("begin record with the reserved init action id"));
                 }
                 let id = TxnId(*action);
-                match parent {
+                let tree = match parent.map(TxnId) {
                     None => registry.replay_top(id),
-                    Some(p) => registry.replay_child(id, TxnId(*p)),
+                    // Replayed, the parent is active, so it holds a count.
+                    Some(p) => registry.replay_child(id, p).map(|()| trees[&p].share()),
                 }
                 .map_err(|e| replay_err(format!("record {i}: {e}")))?;
+                trees.insert(id, tree);
                 touched.insert(id, HashSet::new());
                 recovered += 1;
             }
@@ -331,7 +349,7 @@ where
                     }
                     return Err(replay_err(format!("record {i}: commit of unknown action {id:?}")));
                 }
-                apply_commit(db, &mut touched, i, id, *epoch)?;
+                apply_commit(db, &mut touched, &mut trees, i, id, *epoch)?;
             }
             Record::BatchCommit { commits } => {
                 // A group-commit batch: semantically the listed top-level
@@ -356,7 +374,7 @@ where
                             "record {i}: batched commit of nested action {id:?}"
                         )));
                     }
-                    apply_commit(db, &mut touched, i, id, Some(epoch))?;
+                    apply_commit(db, &mut touched, &mut trees, i, id, Some(epoch))?;
                 }
             }
             Record::Abort { action } => {
@@ -369,6 +387,7 @@ where
                 }
                 registry.abort(id).map_err(|e| replay_err(format!("record {i}: {e}")))?;
                 db.finish_locks(id, &touched.remove(&id).unwrap_or_default(), false, None);
+                close(registry, &mut trees, id);
             }
         }
     }
@@ -385,6 +404,7 @@ where
     for (id, _) in in_flight {
         registry.abort(id).map_err(|e| replay_err(format!("in-flight abort: {e}")))?;
         db.finish_locks(id, &touched.remove(&id).unwrap_or_default(), false, None);
+        close(registry, &mut trees, id);
     }
     Ok(recovered)
 }

@@ -7,26 +7,47 @@
 //!
 //! Hot-path queries (status, liveness, ancestry) go through a
 //! [`RegistryView`] over the table: a fixed power-of-two array of shards,
-//! each an insert-only slot vector indexed by `TxnId`. Consecutive ids
-//! round-robin across shards, so concurrent begins and lookups touch
-//! different locks; a lookup is one short shard read-lock plus an `Arc`
-//! clone, with no hashing at all.
+//! each a deque of slots indexed by `TxnId`. Consecutive ids round-robin
+//! across shards, so concurrent begins and lookups touch different locks;
+//! a lookup is one short shard read-lock plus an `Arc` clone, with no
+//! hashing at all.
+//!
+//! # Retirement
+//!
+//! In the paper an action's status matters only while something can still
+//! ask about it. So a transaction tree retires when the last handle on it
+//! drops ([`Registry::close`]): that handle takes every member's slot, and
+//! a retired id answers like one never registered — no status, `is_dead`
+//! true, `is_ancestor` false. Each shard pops its emptied prefix on its
+//! next insert, so slot storage is bounded by the ids issued since the
+//! oldest unfinished tree, not by history.
+//!
+//! This is sound because of one invariant: **once a tree's last handle has
+//! dropped, the only references left to its ids are lock entries of dead
+//! holders waiting for a lazy `lose-lock`.** Every member has finished, so
+//! each either committed up to a committed top, which released every lock
+//! passed to it (`finish_locks`) before its handle dropped, or is dead by
+//! its own abort or an ancestor's. What a dead member can still hold (a
+//! version a child handed up just as its parent aborted on another
+//! thread, say) gets "unknown ⇒ dead", the answer it got anyway.
 //!
 //! # Consistency semantics
 //!
-//! The table is *insert-only*: a registered id is never removed, so a
-//! `TxnMeta` can never be lost or resurrected. A view does not freeze
-//! table membership across its queries, and no caller can tell:
-//! per-transaction state (status, active-children) lives in atomics, and
-//! an id becomes visible to other threads only after its meta is
-//! published (begin returns after the insert). The one window — a child
-//! id appears in its parent's `child_ids` just before its meta is
-//! inserted — is closed by `active_subtree` skipping ids it cannot
-//! resolve. Wait-for-graph expansion only needs per-id atomicity plus
-//! "no id disappears", both of which hold; the liveness storm test below
-//! exercises this.
+//! A view does not freeze table membership across its queries, and no
+//! caller can tell: per-transaction state (status, active-children) lives
+//! in atomics, an id becomes visible to other threads only after its meta
+//! is published (begin returns after the insert), and it disappears only
+//! once no handle can ask about it. A lock-table query racing a
+//! retirement gets the pre-retirement answer or the unknown one, which
+//! agree for the dead holders that are all such a query can meet.
+//! The one window — a child id appears in its parent's `child_ids` just
+//! before its meta is inserted — is closed by `active_subtree` skipping
+//! ids it cannot resolve; a retired blocker likewise expands to nothing,
+//! which is right, since it holds nothing a live transaction waits for.
+//! The storm test below exercises all of this.
 
 use parking_lot::RwLock;
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 
@@ -76,9 +97,11 @@ struct TxnMeta {
     children: AtomicU32,
     /// Number of children still active.
     active_children: AtomicU32,
-    /// Child transaction ids (for wait-for expansion over subtrees);
-    /// guarded by its own lock, never by the table's.
+    /// Child transaction ids (for wait-for expansion over subtrees and
+    /// retirement); guarded by its own lock, never by the table's.
     child_ids: RwLock<Vec<TxnId>>,
+    /// Open handles on the tree (meaningful in a root's meta only).
+    open: AtomicU32,
 }
 
 impl TxnMeta {
@@ -91,20 +114,79 @@ impl TxnMeta {
             children: AtomicU32::new(0),
             active_children: AtomicU32::new(0),
             child_ids: RwLock::new(Vec::new()),
+            open: AtomicU32::new(u32::from(parent.is_none())),
         })
     }
 }
 
-/// One shard of the table: an insert-only slot vector.
-type Shard = RwLock<Vec<Option<Arc<TxnMeta>>>>;
+/// One shard of the table: slot `base + i` of the shard (the id
+/// `(base + i) << SHARD_BITS | shard`) is `metas[i]`. An empty slot is an
+/// id not registered here, or not yet.
+#[derive(Debug, Default)]
+struct Slots {
+    base: usize,
+    metas: VecDeque<Option<Arc<TxnMeta>>>,
+}
 
-/// The registry of all transactions ever created in a database.
+impl Slots {
+    fn get(&self, slot: usize) -> Option<&Arc<TxnMeta>> {
+        self.metas.get(slot.checked_sub(self.base)?)?.as_ref()
+    }
+
+    fn take(&mut self, slot: usize) -> Option<Arc<TxnMeta>> {
+        self.metas.get_mut(slot.checked_sub(self.base)?)?.take()
+    }
+
+    /// Every resident meta with its slot.
+    fn resident(&self) -> impl Iterator<Item = (usize, &Arc<TxnMeta>)> {
+        (self.base..).zip(&self.metas).filter_map(|(slot, m)| Some((slot, m.as_ref()?)))
+    }
+
+    /// Store `meta` in `slot`, popping the empty prefix first. An id
+    /// issued before one inserted here later can find its slot popped
+    /// from under it: the front regrows to take it.
+    fn insert(&mut self, slot: usize, meta: Arc<TxnMeta>) {
+        while self.metas.front().is_some_and(Option::is_none) {
+            self.metas.pop_front();
+            self.base += 1;
+        }
+        if self.metas.is_empty() {
+            self.base = slot;
+        }
+        while slot < self.base {
+            self.metas.push_front(None);
+            self.base -= 1;
+        }
+        let at = slot - self.base;
+        if self.metas.len() <= at {
+            self.metas.resize(at + 1, None);
+        }
+        self.metas[at] = Some(meta);
+    }
+}
+
+type Shard = RwLock<Slots>;
+
+/// A transaction tree's open-handle count, one per handle on the tree and
+/// carried by each. It lives in the root's meta, so opening a tree
+/// allocates nothing; [`Registry::close`] takes a handle's count back.
+pub(crate) struct Tree(Arc<TxnMeta>);
+
+impl Tree {
+    /// Count one more handle on this tree (a new child's).
+    pub(crate) fn share(&self) -> Tree {
+        self.0.open.fetch_add(1, Ordering::Relaxed);
+        Tree(self.0.clone())
+    }
+}
+
+/// The registry of a database's transactions, from begin until their tree
+/// retires.
 ///
-/// Completed subtrees are *not* garbage-collected: dead-ness of orphans is
-/// decided by walking ancestors, so history must remain available while any
-/// descendant can still act. (A production system would prune fully-done
-/// subtrees; the registry keeps everything so the audit can reconstruct the
-/// full action tree.)
+/// Dead-ness of orphans is decided by walking ancestors, so a tree stays
+/// resident as a whole while any handle on it is open; the handle that
+/// closes it last retires it (see the module docs). Trees begun with
+/// [`Registry::begin_top`] have no handle to close them and never retire.
 #[derive(Debug)]
 pub struct Registry {
     next: AtomicU64,
@@ -131,7 +213,7 @@ fn shard_slot(id: TxnId) -> (usize, usize) {
 impl<'a> RegistryView<'a> {
     fn meta(&self, id: TxnId) -> Option<Arc<TxnMeta>> {
         let (s, slot) = shard_slot(id);
-        self.shards[s].read().get(slot).and_then(|m| m.clone())
+        self.shards[s].read().get(slot).cloned()
     }
 
     /// The status of `id`.
@@ -181,7 +263,9 @@ impl<'a> RegistryView<'a> {
         let mut cur = Some(id);
         while let Some(c) = cur {
             match self.meta(c) {
-                None => return true, // unknown ⇒ treat as dead
+                // Unknown ⇒ dead: a retired id is only ever asked about
+                // by a lock entry a dead member left behind.
+                None => return true,
                 Some(m) if m.status.load(Ordering::Acquire) == ST_ABORTED => return true,
                 Some(m) => cur = m.parent,
             }
@@ -224,7 +308,7 @@ impl Registry {
         Registry {
             next: AtomicU64::new(0),
             top_count: AtomicU64::new(0),
-            shards: (0..SHARD_COUNT).map(|_| RwLock::new(Vec::new())).collect(),
+            shards: (0..SHARD_COUNT).map(|_| RwLock::default()).collect(),
         }
     }
 
@@ -235,27 +319,65 @@ impl Registry {
 
     fn insert(&self, id: TxnId, meta: Arc<TxnMeta>) {
         let (s, slot) = shard_slot(id);
-        let mut g = self.shards[s].write();
-        if g.len() <= slot {
-            g.resize(slot + 1, None);
-        }
-        g[slot] = Some(meta);
+        self.shards[s].write().insert(slot, meta);
     }
 
     fn contains(&self, id: TxnId) -> bool {
         self.read_view().meta(id).is_some()
     }
 
-    /// Register a new top-level transaction.
+    /// Register a new top-level transaction (its tree never retires).
     pub fn begin_top(&self) -> TxnId {
-        let id = TxnId(self.next.fetch_add(1, Ordering::Relaxed));
-        self.register_top(id);
-        id
+        self.begin_tree().0
     }
 
-    fn register_top(&self, id: TxnId) {
+    /// Register a new top-level transaction and open its tree for the
+    /// first handle.
+    pub(crate) fn begin_tree(&self) -> (TxnId, Tree) {
+        let id = TxnId(self.next.fetch_add(1, Ordering::Relaxed));
+        (id, self.register_top(id))
+    }
+
+    fn register_top(&self, id: TxnId) -> Tree {
         let top = self.top_count.fetch_add(1, Ordering::Relaxed) as u32;
-        self.insert(id, TxnMeta::new(None, id, vec![top]));
+        let meta = TxnMeta::new(None, id, vec![top]);
+        self.insert(id, meta.clone());
+        Tree(meta)
+    }
+
+    /// Take one handle's count back from `tree`. The handle that takes it
+    /// to zero retires every member, all finished by then (a handle
+    /// finishes its transaction before it closes), by taking its slot: the
+    /// metas are freed here, on the thread that built most of them, and
+    /// not by whichever thread inserts next into their shards.
+    pub(crate) fn close(&self, tree: &Tree) {
+        if tree.0.open.fetch_sub(1, Ordering::AcqRel) != 1 {
+            return;
+        }
+        let mut rest = Vec::new();
+        let mut id = tree.0.root;
+        loop {
+            let (s, slot) = shard_slot(id);
+            let taken = self.shards[s].write().take(slot);
+            if let Some(meta) = taken {
+                rest.extend(meta.child_ids.read().iter().copied());
+            }
+            match rest.pop() {
+                Some(next) => id = next,
+                None => break,
+            }
+        }
+    }
+
+    /// Transactions registered and not retired.
+    pub(crate) fn resident(&self) -> u64 {
+        self.shards.iter().map(|s| s.read().resident().count() as u64).sum()
+    }
+
+    /// Slots the shards have room for, resident or not.
+    #[cfg(test)]
+    pub(crate) fn slot_capacity(&self) -> usize {
+        self.shards.iter().map(|s| s.read().metas.capacity()).sum()
     }
 
     /// Register a child of `parent`.
@@ -373,17 +495,17 @@ impl Registry {
     }
 
     /// Re-register a top-level transaction under its *logged* id (crash
-    /// recovery only). Advances the id allocator past `id` so transactions
-    /// begun after recovery can never collide with replayed ones.
-    pub fn replay_top(&self, id: TxnId) -> Result<(), RegistryError> {
+    /// recovery only) and open its tree. Advances the id allocator past
+    /// `id` so transactions begun after recovery can never collide with
+    /// replayed ones.
+    pub(crate) fn replay_top(&self, id: TxnId) -> Result<Tree, RegistryError> {
         self.claim_replayed(id)?;
-        self.register_top(id);
-        Ok(())
+        Ok(self.register_top(id))
     }
 
     /// Re-register a child transaction under its logged id (crash recovery
     /// only); the parent must already be replayed and active.
-    pub fn replay_child(&self, id: TxnId, parent: TxnId) -> Result<(), RegistryError> {
+    pub(crate) fn replay_child(&self, id: TxnId, parent: TxnId) -> Result<(), RegistryError> {
         self.claim_replayed(id)?;
         self.register_child(id, parent)
     }
@@ -409,12 +531,11 @@ impl Registry {
             .collect()
     }
 
-    /// Snapshot of all transactions: `(id, parent, status, path)`.
+    /// Snapshot of the resident transactions: `(id, parent, status, path)`.
     pub fn snapshot(&self) -> Vec<(TxnId, Option<TxnId>, TxnStatus, Vec<u32>)> {
         let mut out = Vec::new();
         for (s, shard) in self.shards.iter().enumerate() {
-            for (slot, m) in shard.read().iter().enumerate() {
-                let Some(m) = m else { continue };
+            for (slot, m) in shard.read().resident() {
                 let id = TxnId(((slot as u64) << SHARD_BITS) | s as u64);
                 out.push((id, m.parent, decode(m.status.load(Ordering::Acquire)), m.path.clone()));
             }
@@ -597,7 +718,7 @@ mod tests {
         let fresh = r.begin_top();
         assert!(fresh > TxnId(5), "allocator past replayed ids, got {fresh:?}");
         // Duplicate and orphan replays are rejected.
-        assert_eq!(r.replay_top(TxnId(0)), Err(RegistryError::Duplicate(TxnId(0))));
+        assert_eq!(r.replay_top(TxnId(0)).err(), Some(RegistryError::Duplicate(TxnId(0))));
         assert_eq!(r.replay_child(TxnId(9), TxnId(99)), Err(RegistryError::Unknown(TxnId(99))));
         r.commit(TxnId(5)).unwrap();
         r.commit(TxnId(1)).unwrap();
@@ -642,72 +763,71 @@ mod tests {
         assert_eq!(r.active_children(t), 400);
     }
 
-    /// Regression: concurrent begin/finish/lookup storm over the table. Asserts no meta is ever lost (every id begun resolves
-    /// forever after) and none resurrected (a finished id never reads
-    /// `Active` again), while a reader thread hammers views.
+    /// Regression: concurrent begin/finish/close/lookup storm over the
+    /// table, while reader threads hammer views. No meta is lost — an id
+    /// resolves, with its status, until its tree's last handle closes,
+    /// whatever other threads' inserts pop from or regrow at the front of
+    /// its shard — and none is resurrected: a retired id answers like an
+    /// unknown one, and the table ends empty.
     #[test]
     fn sharded_storm_no_lost_or_resurrected_metas() {
         use std::sync::atomic::AtomicBool;
         use std::sync::Arc;
         let r = Arc::new(Registry::new());
         let stop = Arc::new(AtomicBool::new(false));
-        let mut workers = Vec::new();
-        for w in 0..4 {
-            let r = r.clone();
-            workers.push(std::thread::spawn(move || {
-                let mut done = Vec::new();
-                for i in 0..500 {
-                    let t = r.begin_top();
-                    let c = r.begin_child(t).unwrap();
-                    assert_eq!(r.status(c), Some(TxnStatus::Active), "fresh child resolves");
-                    if (i + w) % 2 == 0 {
-                        r.commit(c).unwrap();
-                        r.commit(t).unwrap();
-                        done.push((t, TxnStatus::Committed));
-                    } else {
-                        r.abort(t).unwrap();
-                        assert!(r.is_dead(c), "orphan of aborted parent is dead");
-                        r.abort(c).unwrap();
-                        done.push((t, TxnStatus::Aborted));
+        let workers: Vec<_> = (0..4)
+            .map(|w| {
+                let r = r.clone();
+                std::thread::spawn(move || {
+                    for i in 0..1_000 {
+                        let orphan = (i + w) % 2 == 1;
+                        let (t, top) = r.begin_tree();
+                        let c = r.begin_child(t).unwrap();
+                        let child = top.share();
+                        assert_eq!(r.status(c), Some(TxnStatus::Active), "fresh child resolves");
+                        if orphan {
+                            r.abort(t).unwrap();
+                        } else {
+                            r.commit(c).unwrap();
+                            r.commit(t).unwrap();
+                        }
+                        r.close(&top);
+                        // The child's handle is still open: so is its tree.
+                        assert_eq!(r.is_dead(c), orphan, "orphan of aborted parent is dead");
+                        assert!(r.is_ancestor(t, c));
+                        if orphan {
+                            r.abort(c).unwrap();
+                        }
+                        r.close(&child);
+                        assert_eq!((r.status(t), r.status(c)), (None, None), "retired");
+                        assert!(r.is_dead(c) && !r.is_ancestor(t, c));
                     }
-                }
-                done
-            }));
-        }
+                })
+            })
+            .collect();
         let readers: Vec<_> = (0..2)
             .map(|_| {
                 let r = r.clone();
                 let stop = stop.clone();
                 std::thread::spawn(move || {
-                    let mut seen = 0usize;
+                    let mut k = 0;
                     while !stop.load(Ordering::Relaxed) {
                         let view = r.read_view();
-                        // Any id below the allocator either resolves or is a
-                        // not-yet-published begin; it must never flap back to
-                        // None once seen (checked via the final pass below).
-                        seen = seen.max(view.active_subtree(TxnId(0)).len());
+                        view.active_subtree(TxnId(k % 8_000));
+                        view.is_dead(TxnId(k % 8_000));
+                        k += 1;
                     }
-                    seen
                 })
             })
             .collect();
-        let mut finished = Vec::new();
         for w in workers {
-            finished.extend(w.join().unwrap());
+            w.join().unwrap();
         }
         stop.store(true, Ordering::Relaxed);
         for rd in readers {
             rd.join().unwrap();
         }
-        // No lost metas: every begun id still resolves, with its final status.
-        for (t, want) in finished {
-            assert_eq!(r.status(t), Some(want), "{t:?} kept its terminal status");
-        }
-        // No resurrected metas: snapshot ids are unique and statuses terminal
-        // for every root the workers finished.
-        let snap = r.snapshot();
-        let mut ids: Vec<_> = snap.iter().map(|(id, ..)| *id).collect();
-        ids.dedup();
-        assert_eq!(ids.len(), snap.len(), "snapshot ids unique");
+        assert_eq!(r.resident(), 0);
+        assert!(r.snapshot().is_empty());
     }
 }

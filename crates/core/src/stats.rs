@@ -250,6 +250,10 @@ pub struct StatsSnapshot {
     pub versions_reclaimed: u64,
     /// Snapshots currently holding an epoch pin (a gauge, not monotonic).
     pub snapshot_pins_live: u64,
+    /// Transactions the registry still holds (a gauge): the members of
+    /// every tree some handle is still open on. Zero once every handle
+    /// has dropped.
+    pub txns_resident: u64,
 }
 
 impl StatsSnapshot {

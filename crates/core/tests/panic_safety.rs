@@ -39,6 +39,7 @@ fn assert_clean(db: &Db<u64, i64>, arm: (CcMode, bool)) {
     assert_eq!(s.begun, s.committed + s.aborted, "{arm:?}: ledger");
     assert_eq!(s.aborted, s.begun - 1, "{arm:?}: everything but the probe aborted");
     assert_eq!(s.snapshot_pins_live, 0, "{arm:?}: leaked pin");
+    assert_eq!(s.txns_resident, 0, "{arm:?}: an unwound tree was not retired");
 }
 
 #[test]
