@@ -12,8 +12,10 @@
 //!    other than its counterfactual expected value;
 //! 3. **Lock invariants** — after an eager `lose-lock` pass, no lock is
 //!    held by a dead transaction, every write stack is an ancestor chain
-//!    (so version stacks restore correctly on abort), and at quiescence
-//!    all lock tables are empty and no transaction is resident
+//!    (so version stacks restore correctly on abort), no holder box
+//!    outlives its holders, and an optimistic database has no lock-table
+//!    entry at all; at quiescence every lock-table entry is idle — `(key,
+//!    base)`, no holders — and no transaction is resident
 //!    (`txns_resident == 0`: every finished tree was retired).
 //!
 //! The oracle is sound mid-run: active transactions are simply excluded

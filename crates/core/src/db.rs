@@ -186,11 +186,12 @@ pub(crate) struct DbInner<K, V> {
     /// `replace` from racing the force, and nothing keeps other
     /// transactions from logging through it.
     pub(crate) ckpt: RwLock<()>,
-    /// Committed version chains for lock-free snapshot reads. Top-level
-    /// commits publish here (under the publish lock, then per-key under
-    /// the owning shard guard — so chain order = grant order = log order);
-    /// [`Db::snapshot`] pins an epoch and reads without ever touching the
-    /// lock tables. Lock order: publish → shard → the store's own locks.
+    /// Committed version chains — the one record of what is committed.
+    /// Top-level commits publish here under the publish lock (locking
+    /// ones per key under the owning shard guard, so chain order = grant
+    /// order = log order); [`Db::snapshot`] pins an epoch and reads
+    /// without ever touching the lock tables. Lock order: publish →
+    /// shard (locking only) → the store's own locks.
     pub(crate) mvcc: MvccStore<K, V>,
     /// The group-commit sequencer (used iff [`DbConfig::group_commit`]).
     pipeline: CommitPipeline<CommitPayload<K, V>, Result<(), TxnError>>,
@@ -276,12 +277,10 @@ where
         })
     }
 
-    /// The committed (top-level) value of a key, outside any transaction.
+    /// The committed (top-level) value of a key, outside any transaction:
+    /// its chain head.
     pub fn committed_value(&self, key: &K) -> Option<V> {
-        let inner = &self.inner;
-        let shard = inner.shard_of(key);
-        let guard = inner.shards[shard].lock();
-        guard.objects.get(key).map(|s| s.base_value().clone())
+        self.inner.mvcc.read_at(key, u64::MAX)
     }
 
     /// Open a lock-free read-only snapshot of the committed state.
@@ -428,17 +427,14 @@ where
         self.inner.do_checkpoint().map_err(|e| TxnError::Wal { detail: e.to_string() })
     }
 
-    /// Register every seeded key with the audit log at its *current* base
-    /// value. Recovery calls this after replay (not during) so the audit's
-    /// initial object values are the recovered bases, matching what
-    /// post-recovery transactions will actually observe.
+    /// Register every seeded key with the audit log at its *current*
+    /// committed value (its chain head). Recovery calls this after replay
+    /// (not during) so the audit's initial object values are the
+    /// recovered ones, matching what post-recovery transactions will
+    /// actually observe.
     pub(crate) fn audit_register_all(&self) {
         let Some(audit) = &self.inner.audit else { return };
-        for shard in self.inner.shards.iter() {
-            for (key, state) in shard.lock().objects.iter() {
-                audit.register(key, state.base_value());
-            }
-        }
+        self.inner.mvcc.for_each_head(|key, _, value| audit.register(key, value));
     }
 
     /// Attach a write-ahead log (at most once, by [`Db::open`]/[`Db::recover`]).
@@ -559,18 +555,21 @@ where
         }
     }
 
-    /// Enter `key` into the lock table and its version chain at `epoch`
-    /// unless it exists, running `log` first, under the shard guard.
-    /// Replay's `log` is a no-op: no log is attached yet, and the audit
-    /// registers the recovered bases once replay is done.
+    /// Enter `key` into its version chain at `epoch` unless it has one —
+    /// and, in a locking database, into the lock table as an idle entry —
+    /// running `log` first, under the shard guard (which serializes seeds
+    /// of one key). Replay's `log` is a no-op: no log is attached yet, and
+    /// the audit registers the recovered values once replay is done.
     pub(crate) fn seed(&self, key: K, value: V, epoch: u64, log: impl FnOnce(&K, &V)) -> bool {
         let mut guard = self.shards[self.shard_of(&key)].lock();
-        if guard.objects.contains_key(&key) {
+        if self.mvcc.last_epoch(&key).is_some() {
             return false;
         }
         log(&key, &value);
-        self.mvcc.append(&key, epoch, value.clone());
-        guard.objects.insert(key, LockState::new(value));
+        if self.config.cc_mode == CcMode::Locking {
+            guard.objects.insert(key.clone(), LockState::new(value.clone()));
+        }
+        self.mvcc.append(&key, epoch, value);
         true
     }
 
@@ -1111,6 +1110,63 @@ mod tests {
         assert_eq!(db.stats().txns_resident, 0);
         let slots = db.inner.registry.slot_capacity();
         assert!(slots * 4 < 250_000, "{slots} slots kept for 250k ids");
+    }
+
+    /// Lock-table entries across every shard.
+    fn lock_entries(db: &Db<u64, i64>) -> usize {
+        db.inner.shards.iter().map(|s| s.lock().objects.len()).sum()
+    }
+
+    /// An optimistic `Db` keeps no lock table: not after seeding, commits
+    /// with nested children, a checkpoint, or a replay of its log.
+    #[test]
+    fn optimistic_db_keeps_no_lock_table() {
+        let config =
+            || DbConfig::builder().cc_mode(CcMode::Optimistic).durability(Durability::Wal).build();
+        let vfs = Arc::new(rnt_wal::MemVfs::new());
+        let db: Db<u64, i64> = Db::open_with_vfs(vfs.clone(), "db.wal", config()).unwrap();
+        for k in 0..8 {
+            db.insert(k, k as i64);
+        }
+        assert_eq!(lock_entries(&db), 0, "seeding");
+        for k in 0..4u64 {
+            db.run(|t| {
+                t.run_child(0, |c| c.rmw(&k, |v| v + 10))?;
+                t.rmw(&(k + 4), |v| v + 1)
+            })
+            .unwrap();
+        }
+        assert_eq!(lock_entries(&db), 0, "commits with nested children");
+        db.checkpoint().unwrap();
+        assert_eq!(lock_entries(&db), 0, "checkpoint");
+        // After the checkpoint, so replay also drives `Write` records.
+        db.run(|t| t.rmw(&0, |v| v * 2)).unwrap();
+        let crashed = Arc::new(rnt_wal::MemVfs::new());
+        crashed.install("db.wal", vfs.snapshot("db.wal"));
+        let recovered: Db<u64, i64> = Db::recover_with_vfs(crashed, "db.wal", config()).unwrap();
+        assert_eq!(lock_entries(&recovered), 0, "replay");
+        assert_eq!(recovered.committed_value(&0), Some(20));
+        assert_eq!(recovered.committed_value(&4), Some(5));
+    }
+
+    /// `committed_value` and a duplicate `insert` answer from the chain
+    /// heads, alike in both modes.
+    #[test]
+    fn committed_value_and_duplicate_insert_in_both_modes() {
+        for mode in [CcMode::Locking, CcMode::Optimistic] {
+            let db: Db<u64, i64> = Db::with_config(DbConfig::builder().cc_mode(mode).build());
+            assert!(db.insert(0, 1));
+            assert!(!db.insert(0, 2), "{mode:?}: duplicate refused");
+            assert_eq!(db.committed_value(&0), Some(1), "{mode:?}: the first seed stands");
+            assert_eq!(db.committed_value(&9), None, "{mode:?}: unknown key");
+            let t = db.begin();
+            t.write(&0, 5).unwrap();
+            assert_eq!(db.committed_value(&0), Some(1), "{mode:?}: uncommitted write");
+            t.commit().unwrap();
+            assert_eq!(db.committed_value(&0), Some(5), "{mode:?}: committed write");
+            assert!(!db.insert(0, 7), "{mode:?}: duplicate of a written key refused");
+            assert_eq!(db.committed_value(&0), Some(5), "{mode:?}");
+        }
     }
 
     #[test]

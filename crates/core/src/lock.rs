@@ -33,11 +33,24 @@ pub struct Conflict {
     pub blockers: Vec<TxnId>,
 }
 
-/// The lock/version state of one object.
+/// The lock/version state of one object: its committed value, plus —
+/// only while someone holds a lock on it — the holders, out of line.
+///
+/// An idle key is `(key, base)`: 16 bytes for a `u64` value, no heap.
+/// The first grant boxes the holders; whichever commit, abort or reap
+/// drains both of its stacks drops the box again, so a key pays for the
+/// paper's value-map stack only while that stack is non-empty.
 #[derive(Clone, Debug)]
 pub struct LockState<V> {
     /// The permanently committed value (the paper's `V(x, U)`).
     base: V,
+    /// The lock holders; `None` exactly when nobody holds a lock.
+    held: Option<Box<Holders<V>>>,
+}
+
+/// The holders of a locked object.
+#[derive(Clone, Debug)]
+struct Holders<V> {
     /// Write-lock holders, outermost first — an ancestor chain; each holds
     /// the object's value as of that holder (the value-map stack).
     writes: Vec<(TxnId, V)>,
@@ -45,15 +58,21 @@ pub struct LockState<V> {
     readers: Vec<TxnId>,
 }
 
+impl<V> Default for Holders<V> {
+    fn default() -> Self {
+        Holders { writes: Vec::new(), readers: Vec::new() }
+    }
+}
+
 impl<V: Clone> LockState<V> {
     /// A fresh object with its initial value.
     pub fn new(initial: V) -> Self {
-        LockState { base: initial, writes: Vec::new(), readers: Vec::new() }
+        LockState { base: initial, held: None }
     }
 
     /// The value the deepest live holder sees (the principal value).
     pub fn current_value(&self) -> &V {
-        self.writes.last().map_or(&self.base, |(_, v)| v)
+        self.held.as_ref().and_then(|h| h.writes.last()).map_or(&self.base, |(_, v)| v)
     }
 
     /// The permanently committed value.
@@ -61,56 +80,46 @@ impl<V: Clone> LockState<V> {
         &self.base
     }
 
-    /// Publish a validated optimistic commit's value directly to base.
-    ///
-    /// Optimistic transactions never enter the lock table — their writes
-    /// live in a private buffer until first-committer-wins validation
-    /// passes under the publish gate — so at publication time the object
-    /// has no holders to inherit through: the committed value simply
-    /// replaces base, exactly as a top-level `commit_to_parent` would
-    /// have done had the write gone through a lock.
-    pub fn publish_base(&mut self, value: V) {
-        debug_assert!(self.writes.is_empty(), "optimistic publication under live lock holders");
-        self.base = value;
-    }
-
     /// Current write-lock holders, outermost first.
     pub fn write_holders(&self) -> impl Iterator<Item = TxnId> + '_ {
-        self.writes.iter().map(|(t, _)| *t)
+        self.write_entries().map(|(t, _)| t)
     }
 
     /// Current read-lock holders.
     pub fn read_holders(&self) -> &[TxnId] {
-        &self.readers
+        self.held.as_ref().map_or(&[], |h| &h.readers)
     }
 
     /// Write-lock holders with their pending versions, outermost first
     /// (checkpointing re-logs these so a later crash can still resolve
     /// post-checkpoint commit/abort records).
     pub fn write_entries(&self) -> impl Iterator<Item = (TxnId, &V)> {
-        self.writes.iter().map(|(t, v)| (*t, v))
+        self.held.iter().flat_map(|h| h.writes.iter().map(|(t, v)| (*t, v)))
+    }
+
+    /// The innermost write-lock holder, if any.
+    fn top_writer(&self) -> Option<TxnId> {
+        self.held.as_ref()?.writes.last().map(|&(t, _)| t)
+    }
+
+    /// Drop the holder box once both stacks drained.
+    fn release_if_drained(&mut self) {
+        if self.held.as_ref().is_some_and(|h| h.writes.is_empty() && h.readers.is_empty()) {
+            self.held = None;
+        }
     }
 
     /// Reap locks held by dead transactions (`lose-lock`): dead readers are
     /// dropped; the write stack is truncated at the first dead holder
     /// (everything above a dead holder is a descendant of it, hence dead).
+    /// A reap that drains both stacks drops the holder box.
     pub fn reap(&mut self, env: &impl LockEnv) {
-        self.readers.retain(|&t| !env.is_dead(t));
-        if let Some(first_dead) = self.writes.iter().position(|&(t, _)| env.is_dead(t)) {
-            self.writes.truncate(first_dead);
+        let Some(held) = &mut self.held else { return };
+        held.readers.retain(|&t| !env.is_dead(t));
+        if let Some(first_dead) = held.writes.iter().position(|&(t, _)| env.is_dead(t)) {
+            held.writes.truncate(first_dead);
         }
-        self.free_drained();
-    }
-
-    /// Give back the allocation of a stack that drained: most keys are
-    /// locked now and then, so an idle key holds no buffer.
-    fn free_drained(&mut self) {
-        if self.writes.is_empty() {
-            self.writes = Vec::new();
-        }
-        if self.readers.is_empty() {
-            self.readers = Vec::new();
-        }
+        self.release_if_drained();
     }
 
     /// Try to acquire (or re-affirm) a read lock for `t` and return the
@@ -120,36 +129,26 @@ impl<V: Clone> LockState<V> {
     /// holder is live and an ancestor of `t`, every holder is — the grant
     /// needs one ancestry test, no stack scan and no reap.
     pub fn try_read(&mut self, t: TxnId, env: &impl LockEnv) -> Result<&V, Conflict> {
-        match self.writes.last() {
-            Some(&(top, _)) => {
-                if top == t {
-                    // A write holder needs no separate read lock.
-                    return Ok(self.current_value());
-                }
-                if env.is_ancestor(top, t) && !env.is_dead(top) {
-                    if !self.readers.contains(&t) {
-                        self.readers.push(t);
-                    }
-                    return Ok(self.current_value());
-                }
-            }
-            None => {
-                // No write holders at all: reads always share.
-                if !self.readers.contains(&t) {
-                    self.readers.push(t);
-                }
-                return Ok(self.current_value());
+        let fast = match self.top_writer() {
+            // No write holders at all: reads always share.
+            None => true,
+            // A write holder needs no separate read lock.
+            Some(top) => top == t || (env.is_ancestor(top, t) && !env.is_dead(top)),
+        };
+        if !fast {
+            // Slow path: reap dead holders, then scan for live blockers.
+            self.reap(env);
+            let blockers: Vec<TxnId> =
+                self.write_holders().filter(|&h| !env.is_ancestor(h, t)).collect();
+            if !blockers.is_empty() {
+                return Err(Conflict { blockers });
             }
         }
-        // Slow path: reap dead holders, then scan for live blockers.
-        self.reap(env);
-        let blockers: Vec<TxnId> =
-            self.writes.iter().map(|&(h, _)| h).filter(|&h| !env.is_ancestor(h, t)).collect();
-        if !blockers.is_empty() {
-            return Err(Conflict { blockers });
-        }
-        if self.writes.last().map(|&(h, _)| h) != Some(t) && !self.readers.contains(&t) {
-            self.readers.push(t);
+        if self.top_writer() != Some(t) {
+            let held = self.held.get_or_insert_with(Box::default);
+            if !held.readers.contains(&t) {
+                held.readers.push(t);
+            }
         }
         Ok(self.current_value())
     }
@@ -167,8 +166,8 @@ impl<V: Clone> LockState<V> {
         // reader exists that could block a re-write — update in place
         // without scanning or reaping. (Callers guarantee `t` is live,
         // which makes the ancestor chain below it live too.)
-        if self.readers.is_empty() {
-            if let Some((h, slot)) = self.writes.last_mut() {
+        if let Some(held) = self.held.as_mut().filter(|h| h.readers.is_empty()) {
+            if let Some((h, slot)) = held.writes.last_mut() {
                 if *h == t {
                     let seen = slot.clone();
                     *slot = new_value(&seen);
@@ -178,10 +177,8 @@ impl<V: Clone> LockState<V> {
         }
         self.reap(env);
         let blockers: Vec<TxnId> = self
-            .writes
-            .iter()
-            .map(|&(h, _)| h)
-            .chain(self.readers.iter().copied())
+            .write_holders()
+            .chain(self.read_holders().iter().copied())
             .filter(|&h| h != t && !env.is_ancestor(h, t))
             .collect();
         if !blockers.is_empty() {
@@ -189,18 +186,19 @@ impl<V: Clone> LockState<V> {
         }
         let seen = self.current_value().clone();
         let value = new_value(&seen);
-        match self.writes.last_mut() {
+        let held = self.held.get_or_insert_with(Box::default);
+        match held.writes.last_mut() {
             Some((h, slot)) if *h == t => *slot = value,
-            _ => self.writes.push((t, value)),
+            _ => held.writes.push((t, value)),
         }
         // Upgrade: t's read lock is subsumed by its write lock.
-        self.readers.retain(|&r| r != t);
+        held.readers.retain(|&r| r != t);
         Ok(seen)
     }
 
     /// True iff `t` holds any lock here (used to build per-txn lock lists).
     pub fn holds(&self, t: TxnId) -> bool {
-        self.readers.contains(&t) || self.writes.iter().any(|&(h, _)| h == t)
+        self.read_holders().contains(&t) || self.write_holders().any(|h| h == t)
     }
 
     /// Lock inheritance on commit (`release-lock`): `t`'s locks pass to
@@ -208,52 +206,54 @@ impl<V: Clone> LockState<V> {
     /// becomes the new base and read locks evaporate.
     pub fn commit_to_parent(&mut self, t: TxnId, parent: Option<TxnId>, env: &impl LockEnv) {
         self.reap(env);
-        if let Some(pos) = self.writes.iter().position(|&(h, _)| h == t) {
+        let Some(held) = &mut self.held else { return };
+        if let Some(pos) = held.writes.iter().position(|&(h, _)| h == t) {
             match parent {
                 None => {
-                    let (_, v) = self.writes.remove(pos);
-                    debug_assert!(self.writes.is_empty(), "top-level commit under other holders");
+                    let (_, v) = held.writes.remove(pos);
+                    debug_assert!(held.writes.is_empty(), "top-level commit under other holders");
                     self.base = v;
                 }
                 Some(p) => {
-                    if let Some(ppos) = self.writes.iter().position(|&(h, _)| h == p) {
+                    if let Some(ppos) = held.writes.iter().position(|&(h, _)| h == p) {
                         // The parent already holds an (older) version:
                         // the child's version replaces it.
-                        let (_, v) = self.writes.remove(pos);
-                        self.writes[ppos].1 = v;
+                        let (_, v) = held.writes.remove(pos);
+                        held.writes[ppos].1 = v;
                     } else {
                         // Hand the version over in place: `p` lies strictly
                         // between the entry's ancestors and `t`, so retagging
                         // the holder keeps the chain ordered — no element
                         // shifting, no version move.
-                        self.writes[pos].0 = p;
+                        held.writes[pos].0 = p;
                     }
                     // The parent's write subsumes any read lock it held.
-                    self.readers.retain(|&r| r != p);
+                    held.readers.retain(|&r| r != p);
                 }
             }
         }
-        if let Some(pos) = self.readers.iter().position(|&r| r == t) {
-            self.readers.swap_remove(pos);
+        if let Some(pos) = held.readers.iter().position(|&r| r == t) {
+            held.readers.swap_remove(pos);
             if let Some(p) = parent {
-                let p_writes = self.writes.iter().any(|&(h, _)| h == p);
-                if !p_writes && !self.readers.contains(&p) {
-                    self.readers.push(p);
+                let p_writes = held.writes.iter().any(|&(h, _)| h == p);
+                if !p_writes && !held.readers.contains(&p) {
+                    held.readers.push(p);
                 }
             }
         }
-        self.free_drained();
+        self.release_if_drained();
     }
 
     /// Abort (`lose-lock` for the aborter's own locks): discard `t`'s read
     /// lock and write version, restoring the enclosing version.
     pub fn abort_discard(&mut self, t: TxnId) {
-        self.readers.retain(|&r| r != t);
-        if let Some(pos) = self.writes.iter().position(|&(h, _)| h == t) {
+        let Some(held) = &mut self.held else { return };
+        held.readers.retain(|&r| r != t);
+        if let Some(pos) = held.writes.iter().position(|&(h, _)| h == t) {
             // Anything above t is a descendant of t — dead with it.
-            self.writes.truncate(pos);
+            held.writes.truncate(pos);
         }
-        self.free_drained();
+        self.release_if_drained();
     }
 
     /// Structural invariants of this lock state (chaos harness only):
@@ -263,10 +263,16 @@ impl<V: Clone> LockState<V> {
     /// * read holders are duplicate-free and disjoint from write holders
     ///   (a write lock subsumes the holder's read lock);
     /// * no holder is dead — valid after a [`LockState::reap`], since
-    ///   `lose-lock` is otherwise lazily performable.
+    ///   `lose-lock` is otherwise lazily performable;
+    /// * a holder box exists only while it holds someone (an idle key is
+    ///   `(key, base)`).
     #[cfg(feature = "chaos-hooks")]
     pub fn chaos_check(&self, env: &impl LockEnv) -> Result<(), String> {
-        for pair in self.writes.windows(2) {
+        let Some(held) = &self.held else { return Ok(()) };
+        if held.writes.is_empty() && held.readers.is_empty() {
+            return Err("holder box present but empty (a drain kept it)".to_string());
+        }
+        for pair in held.writes.windows(2) {
             let (outer, inner) = (pair[0].0, pair[1].0);
             if outer == inner {
                 return Err(format!("duplicate write holder {outer:?}"));
@@ -277,20 +283,16 @@ impl<V: Clone> LockState<V> {
                 ));
             }
         }
-        for (i, &r) in self.readers.iter().enumerate() {
-            if self.readers[..i].contains(&r) {
+        for (i, &r) in held.readers.iter().enumerate() {
+            if held.readers[..i].contains(&r) {
                 return Err(format!("duplicate read holder {r:?}"));
             }
-            if self.writes.iter().any(|&(w, _)| w == r) {
+            if self.write_holders().any(|w| w == r) {
                 return Err(format!("{r:?} holds both a read and a write lock"));
             }
         }
-        let dead = self
-            .writes
-            .iter()
-            .map(|&(t, _)| t)
-            .chain(self.readers.iter().copied())
-            .find(|&t| env.is_dead(t));
+        let dead =
+            self.write_holders().chain(held.readers.iter().copied()).find(|&t| env.is_dead(t));
         if let Some(t) = dead {
             return Err(format!(
                 "dead transaction {t:?} still holds a lock after reap (lose-lock not performed)"
@@ -343,6 +345,14 @@ mod tests {
         let mut e = Env::default();
         e.parent.insert(C1, T1);
         e
+    }
+
+    /// An idle key costs its committed value plus one pointer: the
+    /// holders live out of line, and only while someone holds a lock.
+    #[test]
+    fn idle_entry_is_base_plus_a_pointer() {
+        assert_eq!(std::mem::size_of::<LockState<u64>>(), 16);
+        assert!(LockState::new(0u64).held.is_none());
     }
 
     #[test]
@@ -421,10 +431,10 @@ mod tests {
         l.commit_to_parent(C1, Some(T1), &e);
         assert_eq!(l.write_holders().collect::<Vec<_>>(), vec![T1]);
         assert_eq!(*l.current_value(), 9);
-        // Top-level commit publishes to base, and the drained stack gives
-        // its buffer back.
+        // Top-level commit publishes to base, and the drained key is idle
+        // again: no holder box.
         l.commit_to_parent(T1, None, &e);
-        assert_eq!(l.writes.capacity(), 0);
+        assert!(l.held.is_none(), "holders gone");
         assert_eq!(*l.base_value(), 9);
     }
 
@@ -448,9 +458,9 @@ mod tests {
         l.try_read(C1, &e).unwrap();
         l.commit_to_parent(C1, Some(T1), &e);
         assert_eq!(l.read_holders(), &[T1]);
-        // Top-level read commit just drops the lock, and its buffer.
+        // Top-level read commit just drops the lock, and the holder box.
         l.commit_to_parent(T1, None, &e);
-        assert_eq!(l.readers.capacity(), 0);
+        assert!(l.held.is_none(), "holders gone");
     }
 
     #[test]
@@ -463,7 +473,7 @@ mod tests {
         assert_eq!(*l.current_value(), 8, "child's version discarded");
         l.abort_discard(T1);
         assert_eq!(*l.current_value(), 7, "base restored");
-        assert_eq!(l.writes.capacity(), 0, "drained stack freed");
+        assert!(l.held.is_none(), "holders gone");
     }
 
     #[test]
@@ -494,7 +504,7 @@ mod tests {
         assert_eq!(*l.current_value(), 1);
         e.dead.insert(T1);
         l.reap(&e);
-        assert_eq!(l.writes.capacity(), 0, "a reap that drains the stack frees it");
+        assert!(l.held.is_none(), "a reap that drains the stacks drops the holders");
     }
 
     #[test]

@@ -44,7 +44,8 @@ struct KeyGate {
 }
 
 /// Everything a shard's mutex protects: the lock table itself plus the
-/// wait gates of keys someone is currently blocked on.
+/// wait gates of keys someone is currently blocked on. An idle key is
+/// `(key, base)`; an optimistic database keeps no entries at all.
 pub(crate) struct ShardState<K, V> {
     pub(crate) objects: HashMap<K, LockState<V>>,
     gates: HashMap<K, Arc<KeyGate>>,
@@ -103,9 +104,10 @@ where
     }
 
     /// Check every per-object lock state against the engine invariants
-    /// (see [`LockState::chaos_check`]); additionally, when no transaction
-    /// is active, every lock table must be empty (all versions either
-    /// published to base or restored) and every tree retired
+    /// (see [`LockState::chaos_check`]), and that an optimistic database
+    /// has no lock-table entry at all; additionally, when no transaction
+    /// is active, no lock may be held (all versions either published to
+    /// base or restored) and every tree must be retired
     /// (`txns_resident == 0`). Returns human-readable violations,
     /// sorted; empty means all invariants hold. Call
     /// [`Db::chaos_reap_all`](crate::Db::chaos_reap_all) first so
@@ -113,6 +115,7 @@ where
     pub fn chaos_lock_violations(&self) -> Vec<String> {
         let mut out = Vec::new();
         let quiescent = self.inner.registry.chaos_active().is_empty();
+        let optimistic = self.inner.config.cc_mode == crate::CcMode::Optimistic;
         let resident = self.inner.registry.resident();
         if quiescent && resident != 0 {
             out.push(format!("{resident} transactions resident at quiescence"));
@@ -121,6 +124,9 @@ where
             let guard = shard.lock();
             let view = self.inner.registry.read_view();
             for (key, state) in guard.objects.iter() {
+                if optimistic {
+                    out.push(format!("{key:?}: lock-table entry in an optimistic database"));
+                }
                 if let Err(violation) = state.chaos_check(&view) {
                     out.push(format!("{key:?}: {violation}"));
                 }
@@ -306,7 +312,7 @@ where
     /// Wake the waiters of `key` after its lock state changed. Must be
     /// called under the shard lock (so the generation bump is ordered
     /// against every waiter's pre-sleep generation read).
-    pub(crate) fn notify_released(&self, state: &ShardState<K, V>, key: &K) {
+    fn notify_released(&self, state: &ShardState<K, V>, key: &K) {
         if let Some(gate) = state.gates.get(key) {
             gate.generation.fetch_add(1, Ordering::Relaxed);
             self.stats.bump(|b| &b.notifies);

@@ -306,17 +306,12 @@ where
         }
         let publish = gate.into_batch(survivors.len());
         let durable = self.wal_force(&commit_record(survivors, &publish));
-        // Per key, the lock-table base and the chain version change under
-        // the owning shard guard: the publish → shard → store order of the
-        // locking commit path.
+        // The chain is the only home of an optimistic commit: there is no
+        // lock table to update and no lock waiter to wake, so publication
+        // is publish → store, no shard in between.
         for (i, p) in survivors.iter_mut().enumerate() {
             for (key, value) in &p.payload.optimistic().writes {
-                let mut guard = self.shards[self.shard_of(key)].lock();
-                if let Some(state) = guard.objects.get_mut(key) {
-                    state.publish_base(value.clone());
-                }
                 self.mvcc.append(key, publish.epoch_of(i), value.clone());
-                self.notify_released(&guard, key);
             }
         }
         drop(publish);

@@ -2,7 +2,8 @@
 //! checkpoint writer whose `Checkpoint` record replay starts from.
 //!
 //! Replay reconstructs the action tree (registry), the per-key version
-//! stacks (lock states), and the committed bases so that `perm(T)` — the
+//! stacks (lock states — made on demand and dropped at the end in an
+//! optimistic database), and the committed chains so that `perm(T)` — the
 //! set of effects the paper's Lemma 7 calls permanent — is identical
 //! before and after the crash:
 //!
@@ -23,7 +24,8 @@
 //! [`WalError`] — a recovered database is never built on a log whose
 //! middle is unreadable.
 
-use crate::db::{Db, DbConfig, DbInner, Durability};
+use crate::db::{CcMode, Db, DbConfig, DbInner, Durability};
+use crate::lock::LockState;
 use crate::locking::ShardState;
 use crate::registry::{Registry, Tree, TxnId, TxnStatus};
 use parking_lot::MutexGuard;
@@ -62,17 +64,18 @@ where
         }
     }
 
-    /// Rewrite the log as `Checkpoint{bases}` followed by re-logged
+    /// Rewrite the log as `Checkpoint{chain heads}` followed by re-logged
     /// `Begin`/`Write` records for every still-live active transaction, so
     /// recovery cost is bounded by the snapshot plus post-checkpoint
     /// traffic instead of the whole history.
     ///
     /// Holding the latch exclusively plus every shard guard freezes the
     /// engine in a transition-free state: no half-appended commit can be
-    /// rewritten away, and no begin can land twice (once re-logged, once
-    /// self-appended). Dead (orphaned) subtrees are reaped, not re-logged —
-    /// their versions are doomed and `perm` never sees them; their stray
-    /// post-checkpoint `Commit`/`Abort` records are tolerated by replay.
+    /// rewritten away, no begin can land twice (once re-logged, once
+    /// self-appended), and no seed lands mid-walk. Dead (orphaned)
+    /// subtrees are reaped, not re-logged — their versions are doomed and
+    /// `perm` never sees them; their stray post-checkpoint `Commit`/`Abort`
+    /// records are tolerated by replay.
     pub(crate) fn do_checkpoint(&self) -> Result<(), WalError> {
         let Some(w) = self.wal.get() else { return Ok(()) };
         if let Some(detail) = w.broken.get() {
@@ -87,16 +90,14 @@ where
                 state.reap(&view);
             }
         }
+        // The committed state is the chain heads. Each entry carries its
+        // head's epoch so recovery rebuilds chains identical to the
+        // pre-crash store (not merely value-equal).
         let mut snapshot = Vec::new();
-        for guard in guards.iter() {
-            for (key, state) in guard.objects.iter() {
-                let (kb, vb) = w.encode(key, state.base_value());
-                // Each entry carries the epoch of the key's newest
-                // committed version so recovery rebuilds chains identical
-                // to the pre-crash store (not merely value-equal).
-                snapshot.push((kb, self.mvcc.last_epoch(key).unwrap_or(GENESIS_EPOCH), vb));
-            }
-        }
+        self.mvcc.for_each_head(|key, epoch, value| {
+            let (kb, vb) = w.encode(key, value);
+            snapshot.push((kb, epoch, vb));
+        });
         snapshot.sort();
         let mut records = vec![Record::Checkpoint { epoch: self.mvcc.watermark(), snapshot }];
         // Live active transactions, ascending id: every parent precedes
@@ -325,10 +326,15 @@ where
                 let key = K::decode(key).ok_or_else(|| replay_err("undecodable key"))?;
                 let value = V::decode(version).ok_or_else(|| replay_err("undecodable version"))?;
                 let mut guard = db.shards[db.shard_of(&key)].lock();
-                let state = guard
-                    .objects
-                    .get_mut(&key)
-                    .ok_or_else(|| replay_err(format!("record {i}: write to unseeded key")))?;
+                if !guard.objects.contains_key(&key) {
+                    // An optimistic database keeps no lock table: the
+                    // entry is made on demand, from the chain head.
+                    let head = db.mvcc.read_at(&key, u64::MAX);
+                    let head =
+                        head.ok_or_else(|| replay_err(format!("record {i}: unseeded key")))?;
+                    guard.objects.insert(key.clone(), LockState::new(head));
+                }
+                let state = guard.objects.get_mut(&key).expect("entered above");
                 if state.try_write(id, &registry.read_view(), |_| value).is_err() {
                     // Log order is grant order; a conflict here means the
                     // log is not one the engine produced.
@@ -405,6 +411,12 @@ where
         registry.abort(id).map_err(|e| replay_err(format!("in-flight abort: {e}")))?;
         db.finish_locks(id, &touched.remove(&id).unwrap_or_default(), false, None);
         close(registry, &mut trees, id);
+    }
+    // Every entry is idle now; an optimistic database keeps none.
+    if db.config.cc_mode == CcMode::Optimistic {
+        for shard in db.shards.iter() {
+            shard.lock().objects = HashMap::new();
+        }
     }
     Ok(recovered)
 }

@@ -83,7 +83,7 @@ pub enum PinError {
 /// The multi-version object store.
 ///
 /// One ordered map *is* the store: every key ever written, in key order,
-/// with its [version chain](Chain) inline under a per-chain lock. Point
+/// with its version chain inline under a per-chain lock. Point
 /// operations are one descent plus one chain lock under the map's shared
 /// lock; a range scan is a single in-order walk of the same map. Keys are
 /// never deleted (the engine has no transactional delete), so the map's
@@ -746,8 +746,8 @@ where
     /// the `oldest_retained` concession and the sweep — the liveness half
     /// of reclamation: once all snapshots drop, chains shrink back to
     /// length 1 — happen at sweep points only: quiescence (the gauge
-    /// draining) or the [`SWEEP_EVERY`] staleness bound, inside
-    /// [`MvccStore::sweep_locked`], which takes the publish lock so the
+    /// draining) or the `SWEEP_EVERY` staleness bound, inside
+    /// `MvccStore::sweep_locked`, which takes the publish lock so the
     /// recompute can never race a publisher. Skipping a sweep is always
     /// safe (it only delays reclamation; appends already prune their own
     /// chains eagerly), and without the amortization every snapshot drop
@@ -904,6 +904,18 @@ where
         let map = self.map.read();
         let chain = map.get(key)?.lock();
         chain.last().map(|&(e, _)| e)
+    }
+
+    /// Visit every chain's head — each key's newest version, the committed
+    /// state — as `(key, epoch, value)`, in key order, without cloning.
+    /// `visit` runs under the map's shared lock and the chain's lock, so it
+    /// must not call back into the store.
+    pub fn for_each_head(&self, mut visit: impl FnMut(&K, u64, &V)) {
+        for (key, slot) in self.map.read().iter() {
+            if let Some((epoch, value)) = slot.lock().last() {
+                visit(key, *epoch, value);
+            }
+        }
     }
 
     /// `key`'s full committed version chain, oldest first.
