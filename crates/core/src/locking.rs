@@ -108,8 +108,10 @@ where
     /// has no lock-table entry at all; additionally, when no transaction
     /// is active, no lock may be held (all versions either published to
     /// base or restored) and every tree must be retired
-    /// (`txns_resident == 0`). Returns human-readable violations,
-    /// sorted; empty means all invariants hold. Call
+    /// (`txns_resident == 0`). The version store's layout is checked too
+    /// ([`MvccStore::layout_violations`](rnt_mvcc::MvccStore::layout_violations)).
+    /// Returns human-readable violations, sorted; empty means all
+    /// invariants hold. Call
     /// [`Db::chaos_reap_all`](crate::Db::chaos_reap_all) first so
     /// lazily-reapable dead holders are not reported.
     pub fn chaos_lock_violations(&self) -> Vec<String> {
@@ -137,6 +139,7 @@ where
                 }
             }
         }
+        out.extend(self.inner.mvcc.layout_violations());
         out.sort();
         out
     }

@@ -8,8 +8,9 @@
 //! writer) can never deadlock against scanners, appenders or a sweep.
 
 use parking_lot::{Mutex, MutexGuard, RwLock};
-use std::collections::{BTreeMap, HashSet};
+use std::collections::{btree_map::Entry, BTreeMap, HashSet};
 use std::hash::Hash;
+use std::mem::take;
 use std::ops::RangeBounds;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -20,15 +21,48 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// not a transaction and takes no place in the commit order.
 pub const GENESIS_EPOCH: u64 = 0;
 
-/// A committed version chain: `(epoch, value)` pairs in strictly
-/// ascending epoch order. The last entry is the current committed value.
-type Chain<V> = Vec<(u64, V)>;
+/// A committed version chain, never empty, epochs strictly ascending: the
+/// newest version (the committed value) inline in the map slot, and the
+/// superseded ones a live pin may still need in a spill, never empty.
+struct Chain<V> {
+    head: (u64, V),
+    older: Option<Spill<V>>,
+}
+
+/// Out-of-line storage for superseded versions, recycled, not freed.
+type Spill<V> = Box<Vec<(u64, V)>>;
+
+impl<V> Chain<V> {
+    /// Every version, oldest first.
+    fn versions(&self) -> impl Iterator<Item = &(u64, V)> {
+        self.older.iter().flat_map(|older| older.iter()).chain(std::iter::once(&self.head))
+    }
+}
+
+/// The dirty set and, under the same lock, the spare list.
+struct Dirty<K, V> {
+    /// Keys whose chains hold more than one version — the only chains a
+    /// pin-release sweep could reclaim from, so [`MvccStore::unpin`]'s
+    /// sweep visits the handful of pinned-down chains instead of walking
+    /// the keyspace. A chain enters when an append leaves it long and
+    /// leaves when a prune collapses it (both under the chain's lock); a
+    /// sweep works on the set it took and puts the still-long keys back,
+    /// so between sweeps the set covers every long chain and at worst
+    /// also names a few that have since collapsed.
+    keys: HashSet<K>,
+    /// Emptied spill buffers for the next spill, at most `SPARE_CAP`.
+    spare: Vec<Spill<V>>,
+}
 
 /// Staleness bound for the amortized pin-release sweep: while other pins
 /// are live, at most this many unpins may pass before a sweep runs anyway
 /// (see [`MvccStore::unpin`]). Quiescence — the pin table draining —
 /// always sweeps immediately.
 const SWEEP_EVERY: u64 = 64;
+
+/// Spare spills kept for reuse: the thousands a preempted pin lets writers
+/// spill, since freeing them from whichever thread sweeps mixes arenas.
+const SPARE_CAP: usize = 64 * SWEEP_EVERY as usize;
 
 /// Slots in the fast-pin ring (a power of two). Two live pins whose
 /// epochs collide modulo the ring size can't share a slot; the loser
@@ -130,15 +164,7 @@ pub enum PinError {
 /// Callers detect expiry by comparing the pin against `oldest_retained`.
 pub struct MvccStore<K, V> {
     map: RwLock<BTreeMap<K, Mutex<Chain<V>>>>,
-    /// Keys whose chains hold more than one version — the only chains a
-    /// pin-release sweep could reclaim from, so [`MvccStore::unpin`]'s
-    /// sweep visits the handful of pinned-down chains instead of walking
-    /// the keyspace. A chain enters when an append leaves it long and
-    /// leaves when a prune collapses it (both under the chain's lock); a
-    /// sweep works on the set it took and puts the still-long keys back,
-    /// so between sweeps the set covers every long chain and at worst
-    /// also names a few that have since collapsed.
-    dirty: Mutex<HashSet<K>>,
+    dirty: Mutex<Dirty<K, V>>,
     /// Highest fully published epoch.
     watermark: AtomicU64,
     /// See the struct docs; held by [`MvccStore::begin_publish`] guards
@@ -352,20 +378,22 @@ impl std::fmt::Debug for PublishGate<'_> {
 
 /// Drop every superseded version whose successor is ≤ `min_pin`.
 /// Successor epochs ascend along the chain, so the droppable set is a
-/// prefix. Returns how many versions were dropped.
+/// prefix of the spill. Returns how many versions were dropped.
 fn prune<V>(chain: &mut Chain<V>, min_pin: u64) -> u64 {
-    let mut cut = 0;
-    while cut + 1 < chain.len() && chain[cut + 1].0 <= min_pin {
-        cut += 1;
-    }
-    chain.drain(..cut);
+    let Some(older) = chain.older.as_mut() else { return 0 };
+    let successors = older.iter().skip(1).map(|&(e, _)| e).chain([chain.head.0]);
+    let cut = successors.take_while(|&e| e <= min_pin).count();
+    older.drain(..cut);
     cut as u64
 }
 
-/// The latest version in `chain` with epoch ≤ `epoch`. Chains are short
-/// (reclamation keeps only pinned spans), so a reverse linear scan.
+/// The latest version in `chain` with epoch ≤ `epoch`: the head, else a
+/// reverse scan of the spill (short: reclamation keeps only pinned spans).
 fn resolve<V>(chain: &Chain<V>, epoch: u64) -> Option<&V> {
-    chain.iter().rev().find(|&&(e, _)| e <= epoch).map(|(_, v)| v)
+    if chain.head.0 <= epoch {
+        return Some(&chain.head.1);
+    }
+    chain.older.as_ref()?.iter().rev().find(|&&(e, _)| e <= epoch).map(|(_, v)| v)
 }
 
 impl<K, V> MvccStore<K, V> {
@@ -524,7 +552,7 @@ where
     pub fn with_opts(max_versions: usize) -> Self {
         MvccStore {
             map: RwLock::new(BTreeMap::new()),
-            dirty: Mutex::new(HashSet::new()),
+            dirty: Mutex::new(Dirty { keys: HashSet::new(), spare: Vec::new() }),
             watermark: AtomicU64::new(GENESIS_EPOCH),
             publish: Mutex::new(()),
             publish_seq: AtomicU64::new(0),
@@ -595,47 +623,66 @@ where
         // First contact: the only exclusive use of the map lock, and the
         // only key clone. `entry`, because a racing seeder may have won
         // between the two locks.
-        let mut map = self.map.write();
-        let slot = map.entry(key.clone()).or_insert_with(|| Mutex::new(Chain::new()));
-        self.push_version(key, slot.get_mut(), epoch, value);
+        match self.map.write().entry(key.clone()) {
+            Entry::Occupied(e) => self.push_version(key, e.into_mut().get_mut(), epoch, value),
+            Entry::Vacant(slot) => {
+                slot.insert(Mutex::new(Chain { head: (epoch, value), older: None }));
+                self.created.fetch_add(1, Ordering::Relaxed);
+            }
+        }
     }
 
     /// [`MvccStore::append`] under `key`'s chain lock.
     fn push_version(&self, key: &K, chain: &mut Chain<V>, epoch: u64, value: V) {
-        debug_assert!(chain.last().is_none_or(|&(e, _)| e < epoch), "chain epochs must ascend");
-        let was_long = chain.len() > 1;
-        chain.push((epoch, value));
+        debug_assert!(chain.head.0 < epoch, "chain epochs must ascend");
         self.created.fetch_add(1, Ordering::Relaxed);
-        let mut dropped = prune(chain, self.min_pin.load(Ordering::Acquire));
+        let old = std::mem::replace(&mut chain.head, (epoch, value));
+        let min_pin = self.min_pin.load(Ordering::Acquire);
+        let was_long = chain.older.is_some();
+        // Taken only when the chain crosses between short and long.
+        let mut dirty = None;
+        let mut dropped = if !was_long && epoch <= min_pin {
+            1 // no pin resolves below the new head: it overwrote the old one
+        } else {
+            let older = chain.older.get_or_insert_with(|| {
+                dirty.insert(self.dirty.lock()).spare.pop().unwrap_or_default()
+            });
+            older.push(old);
+            prune(chain, min_pin)
+        };
         if dropped > 0 {
-            // Epochs below the new head just lost resolution on this
-            // chain: concede them so no later `pin_at` lands there. The
-            // new head is ≤ every live pin (the prune rule keeps the
+            // Epochs below the chain's first version just lost resolution
+            // on this chain: concede them so no later `pin_at` lands there.
+            // That version is ≤ every live pin (the prune rule keeps the
             // latest version at or below the minimum pin), so no live pin
             // is invalidated; and publish-path appends hold the publish
             // lock, serializing this raise against `pin_at`'s check.
-            self.oldest_retained.fetch_max(chain[0].0, Ordering::AcqRel);
+            let first = chain.versions().next().map_or(epoch, |v| v.0);
+            self.oldest_retained.fetch_max(first, Ordering::AcqRel);
         }
-        if self.max_versions > 0 && chain.len() > self.max_versions {
+        if self.max_versions > 0 && chain.versions().count() > self.max_versions {
             // Budget overflow: a stuck pin is holding this chain hostage.
             // Force-prune the oldest versions and concede every epoch
-            // below the new head — raised *before* the chain lock drops,
-            // so `pin_at` (serialized against this publisher by the
-            // publish lock) can never validate into the dropped span.
-            let cut = chain.len() - self.max_versions;
-            self.oldest_retained.fetch_max(chain[cut].0, Ordering::AcqRel);
-            chain.drain(..cut);
+            // below the new first one — raised *before* the chain lock
+            // drops, so `pin_at` (serialized against this publisher by
+            // the publish lock) can never validate into the dropped span.
+            let cut = chain.versions().count() - self.max_versions;
+            let older = chain.older.as_mut().expect("a long chain has spilled");
+            self.oldest_retained.fetch_max(older.get(cut).map_or(epoch, |v| v.0), Ordering::AcqRel);
+            older.drain(..cut);
             dropped += cut as u64;
         }
         self.reclaimed.fetch_add(dropped, Ordering::Relaxed);
         // Dirty-set upkeep, only when the chain crossed between short and
         // long: a live pin just kept a superseded version alive (remember
         // the chain for the pin-release sweep), or the last one went.
-        let is_long = chain.len() > 1;
-        if is_long && !was_long {
-            self.dirty.lock().insert(key.clone());
-        } else if was_long && !is_long {
-            self.dirty.lock().remove(key);
+        if let Some(spill) = chain.older.take_if(|older| older.is_empty()) {
+            let guard = dirty.get_or_insert_with(|| self.dirty.lock());
+            guard.keys.remove(key);
+            guard.spare.push(spill);
+            guard.spare.truncate(SPARE_CAP);
+        } else if !was_long && chain.older.is_some() {
+            dirty.get_or_insert_with(|| self.dirty.lock()).keys.insert(key.clone());
         }
     }
 
@@ -822,10 +869,12 @@ where
     /// older pin persists); a key an append dirties meanwhile lands in
     /// the fresh set and waits for the next sweep.
     fn sweep(&self, min_pin: u64) {
-        let mut taken = std::mem::take(&mut *self.dirty.lock());
-        if taken.is_empty() {
+        let mut dirty = self.dirty.lock();
+        if dirty.keys.is_empty() {
             return;
         }
+        let (mut taken, mut spare) = (take(&mut dirty.keys), take(&mut dirty.spare));
+        drop(dirty);
         let mut dropped = 0;
         {
             let map = self.map.read();
@@ -833,16 +882,21 @@ where
                 let Some(slot) = map.get(key) else { return false };
                 let mut chain = slot.lock();
                 dropped += prune(&mut chain, min_pin);
-                chain.len() > 1
+                let Some(spill) = chain.older.take_if(|older| older.is_empty()) else {
+                    return chain.older.is_some();
+                };
+                spare.push(spill);
+                false
             });
         }
         self.reclaimed.fetch_add(dropped, Ordering::Relaxed);
+        // Swapped back to keep the allocations; what landed meanwhile merges in.
         let mut dirty = self.dirty.lock();
-        if dirty.is_empty() {
-            *dirty = taken; // keeps the allocation across sweeps
-        } else {
-            dirty.extend(taken);
-        }
+        std::mem::swap(&mut dirty.keys, &mut taken);
+        dirty.keys.extend(taken);
+        std::mem::swap(&mut dirty.spare, &mut spare);
+        dirty.spare.extend(spare);
+        dirty.spare.truncate(SPARE_CAP);
     }
 
     /// The latest version of `key` with epoch ≤ `epoch`, if any: one
@@ -895,15 +949,13 @@ where
     {
         let map = self.map.read();
         map.range((bounds.start_bound(), bounds.end_bound()))
-            .filter_map(|(_, slot)| slot.lock().last().map(|&(e, _)| e))
+            .map(|(_, slot)| slot.lock().head.0)
             .max()
     }
 
     /// The epoch of `key`'s newest version (`None` for unknown keys).
     pub fn last_epoch(&self, key: &K) -> Option<u64> {
-        let map = self.map.read();
-        let chain = map.get(key)?.lock();
-        chain.last().map(|&(e, _)| e)
+        Some(self.map.read().get(key)?.lock().head.0)
     }
 
     /// Visit every chain's head — each key's newest version, the committed
@@ -912,26 +964,54 @@ where
     /// must not call back into the store.
     pub fn for_each_head(&self, mut visit: impl FnMut(&K, u64, &V)) {
         for (key, slot) in self.map.read().iter() {
-            if let Some((epoch, value)) = slot.lock().last() {
-                visit(key, *epoch, value);
-            }
+            let (epoch, value) = &slot.lock().head;
+            visit(key, *epoch, value);
         }
     }
 
     /// `key`'s full committed version chain, oldest first.
     pub fn chain(&self, key: &K) -> Vec<(u64, V)> {
-        self.map.read().get(key).map(|slot| slot.lock().clone()).unwrap_or_default()
+        let map = self.map.read();
+        map.get(key).map(|slot| slot.lock().versions().cloned().collect()).unwrap_or_default()
     }
 
     /// Every key's chain, in key order.
     pub fn chains(&self) -> Vec<(K, Vec<(u64, V)>)> {
-        self.map.read().iter().map(|(k, slot)| (k.clone(), slot.lock().clone())).collect()
+        let map = self.map.read();
+        map.iter().map(|(k, slot)| (k.clone(), slot.lock().versions().cloned().collect())).collect()
     }
 
     /// Total versions currently held across all chains. Conservation:
     /// always equals `created - reclaimed` (property-tested).
     pub fn total_versions(&self) -> u64 {
-        self.map.read().values().map(|slot| slot.lock().len() as u64).sum()
+        self.map.read().values().map(|slot| slot.lock().versions().count() as u64).sum()
+    }
+
+    /// The store's layout faults, empty when there are none: a spill
+    /// buffer present but empty, a long chain missing from the dirty set
+    /// (no pin-release sweep would reclaim it), a spare list over its
+    /// cap. Holds the publish lock, so no sweep has keys out of the set.
+    pub fn layout_violations(&self) -> Vec<String>
+    where
+        K: std::fmt::Debug,
+    {
+        let _publish = self.publish.lock();
+        let spare = self.dirty.lock().spare.len();
+        let mut out: Vec<_> = (spare > SPARE_CAP)
+            .then(|| format!("{spare} spare buffers, cap {SPARE_CAP}"))
+            .into_iter()
+            .collect();
+        for (key, slot) in self.map.read().iter() {
+            let fault = match &slot.lock().older {
+                Some(older) if older.is_empty() => "empty spill buffer",
+                Some(_) if !self.dirty.lock().keys.contains(key) => {
+                    "long chain not in the dirty set"
+                }
+                _ => continue,
+            };
+            out.push(format!("{key:?}: {fault}"));
+        }
+        out
     }
 }
 
@@ -1379,6 +1459,129 @@ mod tests {
         assert_eq!(s.ring_min(), u64::MAX, "ring pins leaked");
         assert_eq!(s.counters().pins_live, 0);
         assert_eq!(s.total_versions(), 2, "nothing pinned: chains collapse");
-        assert!(s.dirty.lock().is_empty());
+        assert!(s.dirty.lock().keys.is_empty());
+    }
+
+    /// The number of spill buffers waiting on the spare list.
+    fn spares(s: &MvccStore<u64, i64>) -> usize {
+        s.dirty.lock().spare.len()
+    }
+
+    /// Whether `key`'s chain has a spill buffer.
+    fn spilled(s: &MvccStore<u64, i64>, key: u64) -> bool {
+        s.map.read()[&key].lock().older.is_some()
+    }
+
+    #[test]
+    fn a_chain_slot_is_as_small_as_an_empty_vec() {
+        // The head lives in the slot, so a key with one committed version
+        // costs its B-tree slot and nothing on the heap.
+        assert_eq!(std::mem::size_of::<Mutex<Chain<u64>>>(), 32);
+        assert_eq!(
+            std::mem::size_of::<Mutex<Chain<u64>>>(),
+            std::mem::size_of::<Mutex<Vec<u64>>>()
+        );
+    }
+
+    #[test]
+    fn an_unpinned_append_overwrites_the_head_in_place() {
+        let s = store();
+        s.append(&1, GENESIS_EPOCH, 0);
+        for i in 1..=5 {
+            commit(&s, 1, i);
+            assert!(!spilled(&s, 1), "no pin, so nothing to spill");
+        }
+        assert_eq!(s.chain(&1), vec![(5, 5)]);
+        assert_eq!(spares(&s), 0, "no buffer was ever allocated");
+        assert!(s.dirty.lock().keys.is_empty());
+        assert_eq!(s.layout_violations(), Vec::<String>::new());
+    }
+
+    #[test]
+    fn a_pinned_append_spills_and_the_unpin_recycles_the_buffer() {
+        let s = store();
+        s.append(&1, GENESIS_EPOCH, 0);
+        s.append(&2, GENESIS_EPOCH, 0);
+        let pin = s.pin();
+        commit(&s, 1, 1);
+        assert!(spilled(&s, 1), "the pin still resolves to the old head");
+        assert!(s.dirty.lock().keys.contains(&1));
+        assert_eq!(s.layout_violations(), Vec::<String>::new());
+        s.unpin(pin);
+        assert!(!spilled(&s, 1), "the sweep collapsed the chain");
+        assert_eq!(s.chain(&1), vec![(1, 1)]);
+        assert_eq!(spares(&s), 1, "its buffer waits for the next spill");
+        // The next spill, on another key, takes that buffer, and the
+        // next sweep gives it back again: one buffer serves both.
+        let pin = s.pin();
+        commit(&s, 2, 2);
+        assert!(spilled(&s, 2));
+        assert_eq!(spares(&s), 0);
+        s.unpin(pin);
+        assert_eq!(spares(&s), 1);
+        assert_eq!(s.layout_violations(), Vec::<String>::new());
+    }
+
+    #[test]
+    fn the_spare_list_stops_at_its_cap() {
+        let s = store();
+        let keys = (SPARE_CAP + 8) as u64;
+        for k in 0..keys {
+            s.append(&k, GENESIS_EPOCH, 0);
+        }
+        let pin = s.pin();
+        let publish = s.begin_publish();
+        for k in 0..keys {
+            s.append(&k, publish.epoch(), 1);
+        }
+        drop(publish);
+        assert_eq!(s.dirty.lock().keys.len() as u64, keys, "every chain spilled");
+        s.unpin(pin);
+        assert_eq!(spares(&s), SPARE_CAP, "more chains collapsed than the cap keeps");
+        assert_eq!(s.total_versions(), keys);
+        assert_eq!(s.layout_violations(), Vec::<String>::new());
+    }
+
+    #[test]
+    fn the_version_budget_bounds_the_spill_under_a_stuck_pin() {
+        for budget in [1usize, 2, 3] {
+            let s: MvccStore<u64, i64> = MvccStore::with_opts(budget);
+            s.append(&1, GENESIS_EPOCH, 0);
+            let stuck = s.pin();
+            for i in 1..=10 {
+                commit(&s, 1, i);
+                assert!(s.chain(&1).len() <= budget, "budget {budget}: {:?}", s.chain(&1));
+                assert_eq!(s.layout_violations(), Vec::<String>::new(), "budget {budget}");
+            }
+            assert_eq!(spilled(&s, 1), budget > 1, "a budget of one never keeps a spill");
+            let c = s.counters();
+            assert_eq!(c.created - c.reclaimed, s.total_versions());
+            s.unpin(stuck);
+            assert_eq!(s.chain(&1), vec![(10, 10)]);
+            assert_eq!(spares(&s), 1, "budget {budget}: the buffer was recycled");
+        }
+    }
+
+    #[test]
+    fn the_layout_check_reports_each_fault() {
+        let s = store();
+        for k in 0..3 {
+            s.append(&k, GENESIS_EPOCH, 0);
+        }
+        let pin = s.pin();
+        commit(&s, 0, 1);
+        commit(&s, 1, 1);
+        assert_eq!(s.layout_violations(), Vec::<String>::new());
+        // A spill left empty, a long chain the dirty set lost, and a
+        // spare list over its cap: each is reported.
+        s.map.read()[&2].lock().older = Some(Box::default());
+        s.dirty.lock().keys.remove(&1);
+        s.dirty.lock().spare.resize_with(SPARE_CAP + 1, Box::default);
+        let found = s.layout_violations();
+        assert_eq!(found.len(), 3, "{found:?}");
+        assert!(found.iter().any(|v| v.starts_with("2: empty spill")), "{found:?}");
+        assert!(found.iter().any(|v| v.starts_with("1: long chain")), "{found:?}");
+        assert!(found.iter().any(|v| v.contains("spare")), "{found:?}");
+        s.unpin(pin);
     }
 }

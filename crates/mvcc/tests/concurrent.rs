@@ -114,3 +114,90 @@ fn scans_at_a_live_pin_are_the_pinned_state_under_appends_and_seeding() {
     store.unpin(store.pin()); // quiescent release: settle + sweep
     assert_eq!(store.total_versions(), APPENDERS * GROUP + SEEDS, "chains collapse");
 }
+
+/// Appenders, a pinning scanner and a pin churner that triggers sweeps,
+/// on four threads. Every chain spills and collapses many times over and
+/// spill buffers pass between chains through the spare list. The layout
+/// check holds at every point a sweep is not running, and once the pins
+/// drop the store holds one version per key, as if none had been taken.
+#[test]
+fn spills_collapse_and_recycle_under_a_pin_and_sweep_storm() {
+    const KEYS: u64 = 512;
+    const WINDOW: u64 = 32;
+    let store: MvccStore<u64, u64> = MvccStore::with_opts(8);
+    for k in 0..KEYS {
+        store.append(&k, GENESIS_EPOCH, 0);
+    }
+    let stop = AtomicBool::new(false);
+    let start = Barrier::new(4);
+    std::thread::scope(|scope| {
+        for a in 0..2u64 {
+            let (store, stop, start) = (&store, &stop, &start);
+            scope.spawn(move || {
+                start.wait();
+                let mut n = a;
+                while !stop.load(Ordering::Relaxed) {
+                    // Each commit writes its epoch to two keys.
+                    let publish = store.begin_publish();
+                    for key in [n * 7 % KEYS, n * 13 % KEYS + 1] {
+                        store.append(&(key % KEYS), publish.epoch(), publish.epoch());
+                    }
+                    n += 2;
+                }
+            });
+        }
+        let scanner = {
+            let (store, start) = (&store, &start);
+            scope.spawn(move || {
+                start.wait();
+                for i in 0..2_000u64 {
+                    let pin = store.pin();
+                    let lo = i * WINDOW % KEYS;
+                    // The version budget may expire a pin that writers
+                    // overtake: it then reads force-pruned keys as absent,
+                    // and the floor, raised before any drop, shows it.
+                    let expired = || pin < store.oldest_retained();
+                    let rows = store.range_at(lo..lo + WINDOW, pin);
+                    let whole = rows.len() as u64 == WINDOW.min(KEYS - lo);
+                    assert!(whole || expired(), "a live pin lost a key");
+                    for &(key, value) in &rows {
+                        // A value is the epoch that wrote it (or 0, the
+                        // seed): never above the pin, and a point read
+                        // through the same pin agrees.
+                        assert!(value <= pin, "key {key} shows {value} above pin {pin}");
+                        let point = store.read_at(&key, pin);
+                        assert!(point == Some(value) || expired(), "key {key}: {point:?}");
+                    }
+                    store.unpin(pin);
+                }
+            })
+        };
+        let churner = {
+            let (store, start) = (&store, &start);
+            scope.spawn(move || {
+                start.wait();
+                for i in 0..20_000u32 {
+                    let pin = store.pin();
+                    store.unpin(pin);
+                    if i % 2_000 == 0 {
+                        // Takes the publish lock: no sweep and no
+                        // publish-path append is mid-way.
+                        assert_eq!(store.layout_violations(), Vec::<String>::new());
+                    }
+                }
+            })
+        };
+        let joined = [scanner.join(), churner.join()];
+        stop.store(true, Ordering::Relaxed);
+        for outcome in joined {
+            outcome.expect("the scanner or the churner panicked");
+        }
+    });
+    assert_eq!(store.counters().pins_live, 0);
+    store.unpin(store.pin()); // quiescent release: settle + sweep
+    let c = store.counters();
+    assert_eq!(c.created - c.reclaimed, store.total_versions(), "conservation");
+    assert_eq!(store.total_versions(), KEYS, "every chain collapsed to its head");
+    assert!(store.chains().iter().all(|(_, chain)| chain.len() == 1));
+    assert_eq!(store.layout_violations(), Vec::<String>::new());
+}

@@ -9,6 +9,8 @@
 //!   length 1;
 //! * **conservation** — `created - reclaimed` equals the number of
 //!   versions currently held, at every step;
+//! * **layout** — no empty spill buffer, no long chain missing from the
+//!   dirty set, no spare list over its cap, at every step;
 //! * **ordered keyspace** — `range_at`, `keys_in` and `max_epoch_in` agree
 //!   with a shadow `BTreeMap` over arbitrary bounds, including keys that
 //!   first enter the store through a publish.
@@ -123,10 +125,11 @@ proptest! {
                     }
                 }
             }
-            // Conservation holds at every step.
+            // Conservation and the store's layout hold at every step.
             let c = store.counters();
             prop_assert_eq!(c.created - c.reclaimed, store.total_versions());
             prop_assert_eq!(c.pins_live, pins.len() as u64);
+            prop_assert_eq!(store.layout_violations(), Vec::<String>::new());
         }
 
         // Re-verify every surviving pin after the full workload.
