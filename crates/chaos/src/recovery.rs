@@ -3,22 +3,22 @@
 //! pass.
 //!
 //! The engine's own replay ([`rnt_core::Db::recover`]) reuses the engine's
-//! lock and registry machinery, so a bug shared by the forward path and
-//! replay would cancel out there. This module interprets the *raw record
-//! stream* with none of that machinery — a dozen lines of
-//! merge-on-commit / discard-on-abort over plain maps — and demands the
+//! seeding, chain and lock-table machinery, so a bug shared by the forward
+//! path and replay would cancel out there. This module interprets the
+//! *raw record stream* with none of that machinery — each commit entry's
+//! write set laid over a plain map at its epoch — and demands the
 //! recovered database agree with it. [`check_crash_recovery`] bundles the
 //! full post-crash obligation:
 //!
 //! 1. **Differential**: the recovered committed state equals the reference
 //!    interpreter's, key by key;
 //! 2. **Prefix soundness**: uncommitted and in-flight writes are absent
-//!    (the reference only applies effects whose top-level `Commit` record
+//!    (the reference only applies effects whose top-level commit frame
 //!    survived the cut — Lemma 7's `perm` boundary);
 //! 3. **Lock invariants**: the recovered engine passes the chaos lock
 //!    oracle (no dead holders, write stacks are ancestor chains, lock
 //!    tables drain at quiescence);
-//! 4. **Accounting**: `recovered_actions` equals the `Begin` records in
+//! 4. **Accounting**: `recovered_commits` equals the commit entries in
 //!    the surviving prefix;
 //! 5. **Idempotence**: recovering the recovered log changes nothing —
 //!    `recover ∘ recover ≡ recover`, byte-for-byte.
@@ -26,7 +26,7 @@
 use crate::oracle;
 use rnt_core::{Db, DbConfig, DeadlockPolicy, Durability};
 use rnt_wal::{scan, MemVfs, Record, Tail, WalCodec, INIT_ACTION};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// The log path WAL-backed chaos runs write to (inside a [`MemVfs`]).
@@ -39,15 +39,8 @@ pub struct RecoveryReport {
     pub records: usize,
     /// Whether the prefix ended in a torn (partially written) record.
     pub torn: bool,
-    /// Actions the engine reconstructed (`Begin` records replayed).
-    pub recovered_actions: u64,
-}
-
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum RefStatus {
-    Active,
-    Committed,
-    Aborted,
+    /// Top-level commits the engine redid (commit entries replayed).
+    pub recovered_commits: u64,
 }
 
 fn dec_u64(bytes: &[u8], what: &str) -> Result<u64, String> {
@@ -67,8 +60,8 @@ pub struct ReferenceTrace {
     /// Genesis state: checkpoint snapshot entries plus init writes. These
     /// are epoch-0 (or pre-checkpoint) values, visible at every epoch.
     base: BTreeMap<u64, i64>,
-    /// Per-epoch committed effect batches, one per effective top-level
-    /// commit, keyed by the epoch its `Commit` record carries.
+    /// Per-epoch committed effect batches, one per top-level commit,
+    /// keyed by the epoch its commit entry carries.
     batches: BTreeMap<u64, BTreeMap<u64, i64>>,
 }
 
@@ -93,18 +86,16 @@ impl ReferenceTrace {
     }
 }
 
-/// Interpret a record stream with plain maps: per-action pending write
-/// sets, merged into the parent on commit, discarded on abort, applied to
-/// the base only by a *top-level* commit — at the commit epoch the record
-/// carries. Returns the full epoch-indexed trace; the committed state is
+/// Interpret a record stream with plain maps: seeds and the checkpoint
+/// form the base, and each commit entry lays its write set over it at its
+/// epoch. Entries must carry strictly increasing epochs in log order, and
+/// each write set must name seeded keys in ascending key order. Returns
+/// the full epoch-indexed trace; the committed state is
 /// [`ReferenceTrace::committed`] — what a crash immediately after the last
 /// record must preserve, and nothing more.
 pub fn reference_trace(records: &[Record]) -> Result<ReferenceTrace, String> {
     let mut trace = ReferenceTrace::default();
     let mut last_epoch = 0u64;
-    let mut parent: HashMap<u64, Option<u64>> = HashMap::new();
-    let mut status: HashMap<u64, RefStatus> = HashMap::new();
-    let mut pending: HashMap<u64, BTreeMap<u64, i64>> = HashMap::new();
     for (i, record) in records.iter().enumerate() {
         match record {
             Record::Checkpoint { epoch, snapshot } => {
@@ -123,112 +114,47 @@ pub fn reference_trace(records: &[Record]) -> Result<ReferenceTrace, String> {
                         .insert(dec_u64(kb, "checkpoint key")?, dec_i64(vb, "checkpoint value")?);
                 }
             }
-            Record::Write { action, key, version } if *action == INIT_ACTION => {
+            Record::Write { action, key, version } => {
+                if *action != INIT_ACTION {
+                    return Err(format!("record {i}: write by {action} outside a commit frame"));
+                }
                 trace.base.insert(dec_u64(key, "init key")?, dec_i64(version, "init value")?);
             }
-            Record::Begin { action, parent: p } => {
-                parent.insert(*action, *p);
-                status.insert(*action, RefStatus::Active);
-                pending.insert(*action, BTreeMap::new());
-            }
-            Record::Write { action, key, version } => {
-                if status.get(action) != Some(&RefStatus::Active) {
-                    return Err(format!("record {i}: write by a non-active action {action}"));
-                }
-                pending
-                    .entry(*action)
-                    .or_default()
-                    .insert(dec_u64(key, "key")?, dec_i64(version, "value")?);
-            }
-            Record::Commit { action, epoch } => {
-                match status.get(action) {
-                    None => continue, // pruned by a checkpoint: no effect left
-                    Some(RefStatus::Active) => {}
-                    Some(_) => return Err(format!("record {i}: double finish of {action}")),
-                }
-                status.insert(*action, RefStatus::Committed);
-                let effects = pending.remove(action).unwrap_or_default();
-                match parent.get(action).copied().flatten() {
-                    // A subtransaction's effects move up one level; if that
-                    // parent is already dead this is a dead-end entry that
-                    // can never commit again — exactly an orphan's fate.
-                    Some(p) => {
-                        if epoch.is_some() {
-                            return Err(format!(
-                                "record {i}: nested commit of {action} carries a commit epoch"
-                            ));
-                        }
-                        pending.entry(p).or_default().extend(effects)
-                    }
-                    // Only a top-level commit reaches the permanent base,
-                    // and every top-level commit must carry a fresh,
-                    // strictly increasing epoch — the engine serializes
-                    // publication, so the log must prove it did.
-                    None => {
-                        let e = epoch.ok_or_else(|| {
-                            format!("record {i}: top-level commit of {action} without an epoch")
-                        })?;
-                        if e <= last_epoch {
-                            return Err(format!(
-                                "record {i}: commit epoch {e} not above the last ({last_epoch})"
-                            ));
-                        }
-                        last_epoch = e;
-                        trace.batches.insert(e, effects);
-                    }
-                }
-            }
-            Record::BatchCommit { commits } => {
-                // A group-commit batch: the listed top-level commits in
-                // epoch order, atomic because they share one frame — the
-                // interpreter either sees the whole batch or none of it
-                // (a torn frame never reaches `scan`'s output). Batch
-                // participants are never checkpoint-pruned: committers
-                // hold the checkpoint latch from registry transition
-                // through batch retirement, so unknown actions here mean
-                // a corrupt log, not a pruned orphan.
-                if commits.is_empty() {
-                    return Err(format!("record {i}: empty commit batch"));
-                }
-                for &(action, epoch) in commits {
-                    match status.get(&action) {
-                        None => {
-                            return Err(format!(
-                                "record {i}: batched commit of unknown action {action}"
-                            ))
-                        }
-                        Some(RefStatus::Active) => {}
-                        Some(_) => return Err(format!("record {i}: double finish of {action}")),
-                    }
-                    if parent.get(&action).copied().flatten().is_some() {
+            // Only top-level commits reach the log, each with a fresh,
+            // strictly increasing epoch — the engine serializes
+            // publication, so the log must prove it did. A frame is
+            // atomic: a torn one never reaches `scan`'s output.
+            Record::Commit { commits } => {
+                for c in commits {
+                    if c.epoch <= last_epoch {
                         return Err(format!(
-                            "record {i}: batched commit of nested action {action}"
+                            "record {i}: commit epoch {} not above the last ({last_epoch})",
+                            c.epoch
                         ));
                     }
-                    if epoch <= last_epoch {
-                        return Err(format!(
-                            "record {i}: batch epoch {epoch} not above the last ({last_epoch})"
-                        ));
+                    last_epoch = c.epoch;
+                    let mut effects = BTreeMap::new();
+                    for (kb, vb) in &c.writes {
+                        let k = dec_u64(kb, "key")?;
+                        if !trace.base.contains_key(&k) {
+                            return Err(format!(
+                                "record {i}: {} writes unseeded key {k}",
+                                c.action
+                            ));
+                        }
+                        if effects.last_key_value().is_some_and(|(&last, _)| last >= k) {
+                            return Err(format!(
+                                "record {i}: write set of {} not in key order",
+                                c.action
+                            ));
+                        }
+                        effects.insert(k, dec_i64(vb, "value")?);
                     }
-                    last_epoch = epoch;
-                    status.insert(action, RefStatus::Committed);
-                    let effects = pending.remove(&action).unwrap_or_default();
-                    trace.batches.insert(epoch, effects);
+                    trace.batches.insert(c.epoch, effects);
                 }
-            }
-            Record::Abort { action } => {
-                match status.get(action) {
-                    None => continue, // pruned by a checkpoint
-                    Some(RefStatus::Active) => {}
-                    Some(_) => return Err(format!("record {i}: double finish of {action}")),
-                }
-                status.insert(*action, RefStatus::Aborted);
-                pending.remove(action);
             }
         }
     }
-    // End of stream: every still-pending write set belonged to an action
-    // in flight at the crash and simply never happened.
     Ok(trace)
 }
 
@@ -260,7 +186,13 @@ pub fn check_crash_recovery(bytes: &[u8]) -> Result<RecoveryReport, String> {
     let (records, tail) = scan(bytes).map_err(|e| format!("scan: {e}"))?;
     let trace = reference_trace(&records)?;
     let expected = trace.committed();
-    let begins = records.iter().filter(|r| matches!(r, Record::Begin { .. })).count() as u64;
+    let commits: u64 = records
+        .iter()
+        .map(|r| match r {
+            Record::Commit { commits } => commits.len() as u64,
+            _ => 0,
+        })
+        .sum();
 
     let (vfs, db) = recover_from(bytes)?;
     for (k, v) in &expected {
@@ -348,10 +280,10 @@ pub fn check_crash_recovery(bytes: &[u8]) -> Result<RecoveryReport, String> {
             trace.max_epoch()
         ));
     }
-    let recovered_actions = db.stats().recovered_actions;
-    if recovered_actions != begins {
+    let recovered_commits = db.stats().recovered_commits;
+    if recovered_commits != commits {
         return Err(format!(
-            "recovered_actions miscounts: stat {recovered_actions}, {begins} begin record(s)"
+            "recovered_commits miscounts: stat {recovered_commits}, {commits} commit entries"
         ));
     }
 
@@ -380,48 +312,57 @@ pub fn check_crash_recovery(bytes: &[u8]) -> Result<RecoveryReport, String> {
     Ok(RecoveryReport {
         records: records.len(),
         torn: matches!(tail, Tail::Torn(_)),
-        recovered_actions,
+        recovered_commits,
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rnt_wal::CommitEntry;
 
-    #[test]
-    fn reference_applies_only_top_level_commits() {
-        let records = vec![
-            Record::Write { action: INIT_ACTION, key: enc(0), version: enc_v(10) },
-            Record::Begin { action: 1, parent: None },
-            Record::Begin { action: 2, parent: Some(1) },
-            Record::Write { action: 2, key: enc(0), version: enc_v(99) },
-            Record::Commit { action: 2, epoch: None },
-        ];
-        // Child committed but the top level is in flight: base unchanged.
-        let base = reference_committed(&records).unwrap();
-        assert_eq!(base.get(&0), Some(&10));
-        let mut done = records.clone();
-        done.push(Record::Commit { action: 1, epoch: Some(1) });
-        let trace = reference_trace(&done).unwrap();
-        assert_eq!(trace.committed().get(&0), Some(&99));
-        // The epoch index resolves per-epoch states.
-        assert_eq!(trace.state_at(0).get(&0), Some(&10));
-        assert_eq!(trace.state_at(1).get(&0), Some(&99));
-        assert_eq!(trace.max_epoch(), 1);
+    fn commit(action: u64, epoch: u64, writes: &[(u64, i64)]) -> CommitEntry {
+        let writes = writes.iter().map(|&(k, v)| (enc(k), enc_v(v))).collect();
+        CommitEntry { action, epoch, writes }
+    }
+
+    fn seeds() -> Vec<Record> {
+        (0..3)
+            .map(|k| Record::Write { action: INIT_ACTION, key: enc(k), version: enc_v(10) })
+            .collect()
     }
 
     #[test]
-    fn reference_discards_aborted_subtrees() {
-        let records = vec![
-            Record::Write { action: INIT_ACTION, key: enc(0), version: enc_v(10) },
-            Record::Begin { action: 1, parent: None },
-            Record::Begin { action: 2, parent: Some(1) },
-            Record::Write { action: 2, key: enc(0), version: enc_v(99) },
-            Record::Abort { action: 2 },
-            Record::Commit { action: 1, epoch: Some(1) },
+    fn reference_applies_commit_frames_at_their_epochs() {
+        let mut records = seeds();
+        records.push(Record::Commit { commits: vec![commit(1, 1, &[(0, 99)])] });
+        records.push(Record::Commit {
+            commits: vec![commit(2, 2, &[(1, 5), (2, 6)]), commit(3, 3, &[])],
+        });
+        let trace = reference_trace(&records).unwrap();
+        assert_eq!(trace.state_at(0).get(&0), Some(&10));
+        assert_eq!(trace.state_at(1).get(&0), Some(&99));
+        assert_eq!(trace.state_at(1).get(&2), Some(&10));
+        assert_eq!(trace.committed(), BTreeMap::from([(0, 99), (1, 5), (2, 6)]));
+        assert_eq!(trace.max_epoch(), 3);
+    }
+
+    #[test]
+    fn reference_rejects_malformed_commits() {
+        let bad = [
+            (commit(1, 0, &[]), "not above"),
+            (commit(1, 1, &[(7, 1)]), "unseeded"),
+            (commit(1, 1, &[(2, 1), (1, 1)]), "key order"),
         ];
-        let base = reference_committed(&records).unwrap();
-        assert_eq!(base.get(&0), Some(&10));
+        for (entry, why) in bad {
+            let mut records = seeds();
+            records.push(Record::Commit { commits: vec![entry] });
+            let err = reference_trace(&records).unwrap_err();
+            assert!(err.contains(why), "{err}");
+        }
+        let mut records = seeds();
+        records.push(Record::Write { action: 4, key: enc(0), version: enc_v(1) });
+        assert!(reference_trace(&records).unwrap_err().contains("outside a commit frame"));
     }
 
     #[test]
@@ -435,7 +376,8 @@ mod tests {
         let hang = db.begin();
         hang.rmw(&0, |v| v + 1).unwrap(); // in flight at the "crash"
         let report = check_crash_recovery(&vfs.snapshot(WAL_PATH)).unwrap();
-        assert_eq!(report.recovered_actions, 2);
+        assert_eq!(report.recovered_commits, 1);
+        assert_eq!(report.records, 2, "one seed, one commit frame, nothing of `hang`");
         assert!(!report.torn);
         drop(hang);
     }

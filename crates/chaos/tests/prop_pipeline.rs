@@ -12,12 +12,12 @@
 //!   rejects any log whose commit epochs are not strictly increasing in
 //!   record order, so a passing [`reference_trace`] *is* the ordering
 //!   proof; its committed state must equal the live engine's;
-//! * **bounded batches** — no `BatchCommit` frame carries more than
-//!   `max_batch` participants;
+//! * **bounded batches** — no commit frame carries more than `max_batch`
+//!   commits, and each retired batch is exactly one frame;
 //! * **the force holds no engine lock** — on a disk whose fsync takes
-//!   tens of microseconds, other transactions' `Begin`/`Write` records
-//!   land *while* a batch is being forced, there is never more than one
-//!   force in flight, and everything above still holds.
+//!   tens of microseconds, other transactions' begins and `rmw`s run to
+//!   completion *while* a batch is being forced, there is never more than
+//!   one force in flight, and everything above still holds.
 
 use proptest::prelude::*;
 use rnt_chaos::recovery::{reference_trace, WAL_PATH};
@@ -29,12 +29,33 @@ use std::time::Duration;
 
 /// A [`MemVfs`] whose fsync takes `latency` (a sleep, so the other
 /// threads run even on one core). It counts the appends that arrive while
-/// a force is in flight and refuses a second concurrent force.
+/// a force is in flight, and the engine calls that start and finish
+/// inside one force ([`SlowVfs::inside`]); it refuses a second concurrent
+/// force.
 struct SlowVfs {
     mem: MemVfs,
     latency: Duration,
     forcing: AtomicBool,
+    /// Forces started so far: tells one force from the next.
+    forces: AtomicU64,
     appends_during_force: AtomicU64,
+    calls_during_force: AtomicU64,
+}
+
+impl SlowVfs {
+    /// Run `call`, counting it if one force was in flight from before it
+    /// began until after it returned — which it could not be, were the
+    /// force holding a lock `call` needs.
+    fn inside<R>(&self, call: impl FnOnce() -> R) -> R {
+        let during =
+            || self.forcing.load(Ordering::SeqCst).then(|| self.forces.load(Ordering::SeqCst));
+        let before = during();
+        let out = call();
+        if before.is_some() && during() == before {
+            self.calls_during_force.fetch_add(1, Ordering::Relaxed);
+        }
+        out
+    }
 }
 
 impl Vfs for SlowVfs {
@@ -45,6 +66,7 @@ impl Vfs for SlowVfs {
         self.mem.append(path, data)
     }
     fn fsync(&self, path: &str) -> Result<(), WalError> {
+        self.forces.fetch_add(1, Ordering::SeqCst);
         assert!(!self.forcing.swap(true, Ordering::SeqCst), "two forces in flight");
         std::thread::sleep(self.latency);
         self.forcing.store(false, Ordering::SeqCst);
@@ -63,8 +85,9 @@ impl Vfs for SlowVfs {
 
 /// `threads` clients, each committing `commits_per` flat transactions of
 /// `rmws` writes to its own keys, through the pipeline onto a [`SlowVfs`].
-/// Checks the sequencer's counters and that commit records sit in the log
-/// in epoch order; returns how many appends overlapped a force.
+/// Checks the sequencer's counters and that commit frames sit in the log
+/// in epoch order, one per batch; returns how many begins, `rmw`s and
+/// appends overlapped a force.
 fn run_on_slow_disk(
     threads: u64,
     commits_per: u64,
@@ -75,7 +98,9 @@ fn run_on_slow_disk(
         mem: MemVfs::new(),
         latency,
         forcing: AtomicBool::new(false),
+        forces: AtomicU64::new(0),
         appends_during_force: AtomicU64::new(0),
+        calls_during_force: AtomicU64::new(0),
     });
     let config = DbConfig::builder()
         .policy(DeadlockPolicy::NoWait)
@@ -88,12 +113,12 @@ fn run_on_slow_disk(
     }
     std::thread::scope(|s| {
         for t in 0..threads {
-            let db = &db;
+            let (db, vfs) = (&db, &vfs);
             s.spawn(move || {
                 for _ in 0..commits_per {
-                    let txn = db.begin();
+                    let txn = vfs.inside(|| db.begin());
                     for k in t * rmws..(t + 1) * rmws {
-                        txn.rmw(&k, |v| v + 1).unwrap();
+                        vfs.inside(|| txn.rmw(&k, |v| v + 1)).unwrap();
                     }
                     txn.commit().unwrap();
                 }
@@ -107,11 +132,15 @@ fn run_on_slow_disk(
     prop_assert_eq!(stats.commits_batched, total, "conservation: staged = retired");
     prop_assert_eq!(stats.wal_fsyncs, stats.commit_batches, "one force per retired batch");
     let (records, _) = scan(&vfs.mem.snapshot(WAL_PATH)).expect("live log scans clean");
+    prop_assert_eq!(
+        records.len() as u64,
+        threads * rmws + stats.commit_batches,
+        "one record per seed and one frame per retired batch"
+    );
     let epochs: Vec<u64> = records
         .iter()
         .flat_map(|r| match r {
-            Record::Commit { epoch: Some(e), .. } => vec![*e],
-            Record::BatchCommit { commits } => commits.iter().map(|&(_, e)| e).collect(),
+            Record::Commit { commits } => commits.iter().map(|c| c.epoch).collect(),
             _ => Vec::new(),
         })
         .collect();
@@ -122,15 +151,17 @@ fn run_on_slow_disk(
     for k in 0..threads * rmws {
         prop_assert_eq!(committed.get(&k).copied(), Some(commits_per as i64), "key {}", k);
     }
-    Ok(vfs.appends_during_force.load(Ordering::Relaxed))
+    Ok(vfs.appends_during_force.load(Ordering::Relaxed)
+        + vfs.calls_during_force.load(Ordering::Relaxed))
 }
 
-/// Fixed-size run long enough that, if the force let anybody log, somebody
-/// did: with the fsync under the log mutex the count is exactly zero.
+/// Fixed-size run long enough that, if the force let anybody run, somebody
+/// did: with the fsync under an engine lock a begin or an `rmw` needs, the
+/// count is exactly zero.
 #[test]
 fn records_land_while_a_slow_disk_forces() {
     let overlapped = run_on_slow_disk(4, 60, 4, Duration::from_micros(50)).unwrap();
-    assert!(overlapped > 0, "no record was appended during any of the forces");
+    assert!(overlapped > 0, "no begin, rmw or append completed inside any of the forces");
 }
 
 proptest! {
@@ -212,13 +243,14 @@ proptest! {
             );
         }
 
-        // The log side: bounded frames, and the reference interpreter's
-        // strictly-increasing-epoch rule doubles as the ordering oracle.
+        // The log side: one bounded frame per batch, and the reference
+        // interpreter's strictly-increasing-epoch rule doubles as the
+        // ordering oracle.
         let bytes = vfs.snapshot(WAL_PATH);
         let (records, _) = scan(&bytes).expect("live log scans clean");
+        prop_assert_eq!(records.len() as u64, threads as u64 + stats.commit_batches);
         for r in &records {
-            if let Record::BatchCommit { commits } = r {
-                prop_assert!(commits.len() >= 2, "singleton batches log plain Commits");
+            if let Record::Commit { commits } = r {
                 prop_assert!(
                     commits.len() <= max_batch,
                     "a frame with {} participants exceeds max_batch {}",

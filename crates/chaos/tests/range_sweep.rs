@@ -16,7 +16,7 @@
 //!    live, and again after recovering the full log.
 //! 3. **Batch publication**: under multithreaded group commit, snapshots
 //!    never observe a half-published transaction and never pin an epoch
-//!    strictly inside a `BatchCommit` epoch run.
+//!    strictly inside a batch's epoch run.
 
 use proptest::prelude::*;
 use rnt_chaos::recovery::{check_crash_recovery, reference_trace, WAL_PATH};
@@ -290,16 +290,19 @@ fn snapshots_never_observe_a_half_published_batch() {
     let pinned: Vec<u64> = scanners.into_iter().flat_map(|h| h.join().unwrap()).collect();
     assert!(!pinned.is_empty());
 
-    // Epoch runs published by one BatchCommit frame are atomic: no
+    // Epoch runs published by one multi-commit frame are atomic: no
     // scanner may have pinned an epoch strictly inside one (the
     // watermark jumps from below the run to its last epoch).
     let bytes = vfs.snapshot(WAL_PATH);
     let (records, _) = scan(&bytes).expect("live log scans clean");
     let mut frames = 0usize;
     for r in &records {
-        if let Record::BatchCommit { commits } = r {
+        if let Record::Commit { commits } = r {
+            if commits.len() < 2 {
+                continue;
+            }
             frames += 1;
-            let epochs: Vec<u64> = commits.iter().map(|(_, e)| *e).collect();
+            let epochs: Vec<u64> = commits.iter().map(|c| c.epoch).collect();
             assert!(
                 epochs.windows(2).all(|w| w[1] == w[0] + 1),
                 "batch epochs not consecutive: {epochs:?}"

@@ -35,7 +35,7 @@ use crate::view::{EpochBounds, ReadView, SnapshotError};
 use parking_lot::{Mutex, RwLock, RwLockReadGuard};
 use rnt_model::UpdateFn;
 use rnt_mvcc::{MvccStore, PublishBatch, GENESIS_EPOCH};
-use rnt_wal::{Record, Wal, WalError, WalForce, INIT_ACTION};
+use rnt_wal::{CommitEntry, Record, Wal, WalError, WalForce, INIT_ACTION};
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasher, Hash, RandomState};
 use std::ops::RangeBounds;
@@ -74,6 +74,17 @@ pub(crate) enum CommitPayload<K, V> {
 }
 
 impl<K, V> CommitPayload<K, V> {
+    /// The held keys of a commit in a locking database (a [`Db`] runs one
+    /// mode for life, so the other variant never arrives).
+    pub(crate) fn locking(&self) -> &HashSet<K> {
+        match self {
+            CommitPayload::Locking(keys) => keys,
+            CommitPayload::Optimistic(_) => {
+                unreachable!("optimistic payload in a locking database")
+            }
+        }
+    }
+
     /// The footprint of a commit in an optimistic database (a [`Db`]
     /// runs one mode for life, so the other variant never arrives).
     pub(crate) fn optimistic(&mut self) -> &mut OptFootprint<K, V> {
@@ -89,23 +100,10 @@ impl<K, V> CommitPayload<K, V> {
 /// with the pipeline off retires itself as a batch of one.
 pub(crate) type Participant<K, V> = StagedCommit<CommitPayload<K, V>>;
 
-/// The commit record of one publication, participant `i` at the ticket's
-/// `i`-th epoch: a plain `Commit` for a single participant — so a
-/// degenerate batch logs byte for byte what an unbatched commit does,
-/// and logs only diverge when batching actually coalesced commits — else
-/// one `BatchCommit` frame, which replays exactly like the `n` plain
-/// records except atomically (the frame is torn wholly or not at all).
-pub(crate) fn commit_record<P>(
-    participants: &[StagedCommit<P>],
-    publish: &PublishBatch<'_>,
-) -> Record {
-    match participants {
-        [only] => Record::Commit { action: only.txn.0, epoch: Some(publish.epoch_of(0)) },
-        _ => Record::BatchCommit {
-            commits: (0..).zip(participants).map(|(i, p)| (p.txn.0, publish.epoch_of(i))).collect(),
-        },
-    }
-}
+/// One commit's write set on its way into a commit frame: the encoded
+/// `(key, version)` of every key whose committed value it changes, in key
+/// order.
+pub(crate) type WriteSet = Vec<(Vec<u8>, Vec<u8>)>;
 
 /// Whether a top-level verdict means the commit happened: a WAL failure
 /// leaves it committed in memory with durability broken; any other
@@ -121,9 +119,10 @@ fn is_committed(verdict: &Result<(), TxnError>) -> bool {
 /// `Db` impl — and every existing caller — keeps compiling without those
 /// bounds.
 pub(crate) struct WalState<K, V> {
-    /// The append side. Every record goes through this mutex (`Write`
-    /// records while a shard guard is held), so nothing slow may run
-    /// under it — in particular not the force.
+    /// The append side. Every record goes through this mutex (a seed
+    /// while its shard guard is held, a commit frame under the publish
+    /// gate), so nothing slow may run under it — in particular not the
+    /// force.
     pub(crate) log: Mutex<Wal>,
     /// The force side of `log`, usable without the mutex: see
     /// [`DbInner::wal_force`].
@@ -133,9 +132,10 @@ pub(crate) struct WalState<K, V> {
     pub(crate) commits_since_ckpt: AtomicU64,
     /// First append/fsync failure, if any. Once set the log is
     /// **fail-stop**: no further record is appended or forced (a log with
-    /// a record missing from its middle could replay half a transaction,
-    /// or not replay at all), and every top-level commit reports
-    /// [`TxnError::Wal`] instead of acking durability it does not have.
+    /// a record missing from its middle could replay a commit over a key
+    /// it never seeded, or not replay at all), and every top-level commit
+    /// reports [`TxnError::Wal`] instead of acking durability it does not
+    /// have.
     /// The file keeps the prefix written before the failure, which
     /// recovers like a crash at that point.
     pub(crate) broken: std::sync::OnceLock<String>,
@@ -149,9 +149,9 @@ impl<K, V> WalState<K, V> {
         let _ = self.broken.set(e.to_string());
     }
 
-    /// Encode a key and a value for a `Write` record or a checkpoint
-    /// entry. Sized for the common fixed-width integer encodings, so the
-    /// two buffers are one allocation each, no regrow.
+    /// Encode a key and a value for a seed, a commit frame's write set or
+    /// a checkpoint entry. Sized for the common fixed-width integer
+    /// encodings, so the two buffers are one allocation each, no regrow.
     pub(crate) fn encode(&self, key: &K, value: &V) -> (Vec<u8>, Vec<u8>) {
         let (mut kb, mut vb) = (Vec::with_capacity(16), Vec::with_capacity(16));
         (self.enc_key)(key, &mut kb);
@@ -176,15 +176,17 @@ pub(crate) struct DbInner<K, V> {
     /// The attached write-ahead log (set once by [`Db::open`]/[`Db::recover`];
     /// never set for purely in-memory databases).
     pub(crate) wal: std::sync::OnceLock<WalState<K, V>>,
-    /// Checkpoint latch: transaction lifecycle transitions (begin, commit,
-    /// abort) hold it shared so a checkpoint (exclusive) can never observe —
-    /// or worse, rewrite away — a half-logged transition. Lock order:
-    /// latch → shard → { registry-read, wal }. The log force
+    /// Checkpoint latch: the two things that append — a top-level commit,
+    /// from before its frame is logged until its versions are published,
+    /// and a seed — hold it shared, so a checkpoint (exclusive) can never
+    /// rewrite away a logged record whose effect its snapshot misses.
+    /// Begins, nested commits and aborts log nothing and never take it.
+    /// Lock order: latch → shard → { registry-read, wal }. The log force
     /// ([`DbInner::wal_force`]) runs under the latch only: it takes the
-    /// wal mutex to append the commit record and has released it before
+    /// wal mutex to append the commit frame and has released it before
     /// the fsync starts, so the latch (shared) is what keeps a checkpoint's
-    /// `replace` from racing the force, and nothing keeps other
-    /// transactions from logging through it.
+    /// `replace` from racing the force, and nothing keeps seeds from
+    /// logging through it.
     pub(crate) ckpt: RwLock<()>,
     /// Committed version chains — the one record of what is committed.
     /// Top-level commits publish here under the publish lock (locking
@@ -264,6 +266,7 @@ where
     /// the paper's `init(x)`). Returns false if the key already exists.
     pub fn insert(&self, key: K, value: V) -> bool {
         let inner = &self.inner;
+        let _latch = inner.wal_latch();
         // Seeds enter the version chain at the genesis epoch: seeding is
         // not a transaction, so the value is visible to every snapshot
         // regardless of when the key was inserted.
@@ -271,9 +274,9 @@ where
             if let Some(audit) = &inner.audit {
                 audit.register(key, value);
             }
-            // Logged under the shard guard, like transactional writes, so
-            // the per-key log order is the true lock-table mutation order.
-            inner.wal_log_write(INIT_ACTION, key, value);
+            // Logged under the shard guard, so a seed's record precedes
+            // every commit frame that writes the key.
+            inner.wal_log_seed(key, value);
         })
     }
 
@@ -342,11 +345,9 @@ where
     /// the transaction's begin snapshot, released when the transaction
     /// finishes (either way).
     pub fn begin(&self) -> Txn<K, V> {
-        let _latch = self.inner.wal_latch();
         let (id, tree) = self.inner.registry.begin_tree();
         self.inner.stats.bump(|b| &b.begun);
         self.inner.audit_record(|reg| AuditRecord::Begin { path: reg.path(id).expect("fresh") });
-        self.inner.wal_append(&Record::Begin { action: id.0, parent: None });
         let mode = match self.inner.config.cc_mode {
             CcMode::Locking => TxnMode::Locking { touched: Arc::default(), parent: None },
             CcMode::Optimistic => {
@@ -420,9 +421,9 @@ where
     }
 
     /// Checkpoint the write-ahead log now: rewrite it as a snapshot of the
-    /// committed key space plus re-logged records for in-flight
-    /// transactions, truncating all earlier history. A no-op without an
-    /// attached log.
+    /// committed key space, truncating all earlier history. In-flight
+    /// transactions lose nothing: their work reaches the log only in
+    /// their own commit frames. A no-op without an attached log.
     pub fn checkpoint(&self) -> Result<(), TxnError> {
         self.inner.do_checkpoint().map_err(|e| TxnError::Wal { detail: e.to_string() })
     }
@@ -518,7 +519,7 @@ where
         Some(AuditRecord::Access { path, object, update, seen })
     }
 
-    /// Hold the checkpoint latch shared for one lifecycle transition
+    /// Hold the checkpoint latch shared for one seed or top-level commit
     /// (no-op `None` when no log is attached).
     fn wal_latch(&self) -> Option<RwLockReadGuard<'_, ()>> {
         self.wal.get().is_some().then(|| self.ckpt.read())
@@ -543,15 +544,12 @@ where
         }
     }
 
-    /// Log one `Write` record: a granted transactional write by `action`,
-    /// or a non-transactional base-value seed (the paper's `init(x)`)
-    /// under [`INIT_ACTION`]. Called under the owning shard's guard, so
-    /// per-key log order equals lock-grant order — the property that
-    /// makes replay conflict-free.
-    pub(crate) fn wal_log_write(&self, action: u64, key: &K, value: &V) {
+    /// Log a non-transactional base-value seed (the paper's `init(x)`): a
+    /// `Write` record under [`INIT_ACTION`].
+    fn wal_log_seed(&self, key: &K, value: &V) {
         if let Some(w) = self.wal.get() {
             let (key, version) = w.encode(key, value);
-            self.wal_append(&Record::Write { action, key, version });
+            self.wal_append(&Record::Write { action: INIT_ACTION, key, version });
         }
     }
 
@@ -573,30 +571,45 @@ where
         true
     }
 
-    /// Make top-level commits durable: append their commit record (a
-    /// `Commit`, or one `BatchCommit` for a whole batch) and, under
-    /// [`Durability::WalFsync`], force the log before the caller acks.
-    /// Returns the durability verdict every commit in `record` must
-    /// report. The only place the engine fsyncs outside a checkpoint.
+    /// Make top-level commits durable: append ONE `Commit` frame in which
+    /// participant `i` commits at the ticket's `i`-th epoch with write set
+    /// `writes[i]` and, under [`Durability::WalFsync`], force the log
+    /// before the caller acks. A batch of one frames exactly what an
+    /// unbatched commit does. Returns the durability verdict every
+    /// participant must report. The only place the engine fsyncs outside
+    /// a checkpoint.
     ///
     /// **The force holds no engine lock.** The log mutex is taken for the
-    /// append and released before `fsync` starts, so other transactions
-    /// keep appending `Begin`/`Write`/`Abort` records — and reach the
-    /// commit queue — while the disk works. Why that is safe:
+    /// append and released before `fsync` starts, so transactions keep
+    /// running, seeds keep logging, and commits reach the queue while the
+    /// disk works. Why that is safe:
     ///
-    /// * the fsync begins after the commit record's append returned, so
-    ///   it covers that record and every byte logged before it;
-    /// * bytes it covers beyond that belong to actions with no commit
-    ///   record on disk — at a crash, replay aborts them deepest-first,
-    ///   exactly as if they had not been forced;
+    /// * the fsync begins after the frame's append returned, so it covers
+    ///   that frame and every byte logged before it;
+    /// * bytes it covers beyond that are seeds, whose keys no forced
+    ///   commit can have written yet;
     /// * there is one forcer at a time: both publication sequences call
-    ///   this holding the MVCC publish mutex (so commit-record log order
-    ///   is still epoch order);
+    ///   this holding the MVCC publish mutex (so commit-frame log order
+    ///   is epoch order);
     /// * the forcing thread holds the checkpoint latch shared, so no
     ///   checkpoint `replace` can swap the file under the force.
-    pub(crate) fn wal_force(&self, record: &Record) -> Result<(), TxnError> {
+    pub(crate) fn wal_force(
+        &self,
+        participants: &[Participant<K, V>],
+        publish: &PublishBatch<'_>,
+        writes: Vec<WriteSet>,
+    ) -> Result<(), TxnError> {
         let Some(w) = self.wal.get() else { return Ok(()) };
-        self.wal_append(record);
+        let commits = (0..)
+            .zip(participants)
+            .zip(writes)
+            .map(|((i, p), writes)| CommitEntry {
+                action: p.txn.0,
+                epoch: publish.epoch_of(i),
+                writes,
+            })
+            .collect();
+        self.wal_append(&Record::Commit { commits });
         if self.config.durability == Durability::WalFsync && w.broken.get().is_none() {
             match w.force.fsync() {
                 Ok(()) => self.stats.bump(|b| &b.wal_fsyncs),
@@ -637,15 +650,14 @@ where
         }
     }
 
-    /// The head of every abort: audit `Abort`, WAL `Abort`, then the
-    /// registry transition, in that order. The moment the registry marks
-    /// a transaction dead, any conflicting thread may lazily reap its
-    /// locks, read the restored value, and log its access — which must
-    /// sort *after* this abort in both logs. Returns whether the
-    /// transition happened (false: the transaction had already finished).
+    /// The head of every abort: audit `Abort`, then the registry
+    /// transition. The moment the registry marks a transaction dead, any
+    /// conflicting thread may lazily reap its locks, read the restored
+    /// value, and log its access — which must sort *after* this abort in
+    /// the audit log. Returns whether the transition happened (false: the
+    /// transaction had already finished).
     pub(crate) fn abort_action(&self, id: TxnId) -> bool {
         self.audit_record(|reg| AuditRecord::Abort { path: reg.path(id).expect("known") });
-        self.wal_append(&Record::Abort { action: id.0 });
         self.registry.abort(id).is_ok()
     }
 
@@ -755,12 +767,10 @@ where
             self.inner.stats.bump(|b| &b.dies);
             return Err(TxnError::Die { blocker: self.id });
         }
-        let _latch = self.inner.wal_latch();
         let id = self.inner.registry.begin_child(self.id).map_err(map_reg_err)?;
         self.inner.stats.bump(|b| &b.begun);
         self.inner
             .audit_record(|reg| AuditRecord::Begin { path: reg.path(id).expect("fresh child") });
-        self.inner.wal_append(&Record::Begin { action: id.0, parent: Some(self.id.0) });
         let mode = match &self.mode {
             TxnMode::Locking { touched, .. } => {
                 TxnMode::Locking { touched: Arc::default(), parent: Some(touched.clone()) }
@@ -833,7 +843,7 @@ where
         let inner = &self.inner;
         let id = self.id;
         let top_level = self.mode.is_top_level();
-        let latch = inner.wal_latch();
+        let latch = if top_level { inner.wal_latch() } else { None };
         if top_level && matches!(self.mode, TxnMode::Optimistic(_)) {
             // Validation flips this commit's registry state, and freezes
             // the footprint: children must be finished first. A
@@ -848,16 +858,15 @@ where
             // The audit Commit record must land before the footprint
             // moves: once locks pass on, other threads can acquire them
             // and log accesses whose prefix-visibility depends on this
-            // commit. The WAL Commit record follows the same rule.
+            // commit.
             inner.audit_record(|reg| AuditRecord::Commit { path: reg.path(id).expect("known") });
         }
         self.done = true;
         if !top_level {
-            // Revocable until every ancestor commits: logged, never
-            // forced, and no durability verdict to report. The footprint
-            // becomes the parent's: locks by inheritance, their keys
-            // joining its set; buffers by merge, judged once at the top.
-            inner.wal_append(&Record::Commit { action: id.0, epoch: None });
+            // Revocable until every ancestor commits: not logged, and no
+            // durability verdict to report. The footprint becomes the
+            // parent's: locks by inheritance, their keys joining its set;
+            // buffers by merge, judged once at the top.
             match &self.mode {
                 TxnMode::Locking { touched, parent } => {
                     let keys = std::mem::take(&mut *touched.lock());
@@ -913,7 +922,6 @@ where
         if self.done {
             return;
         }
-        let _latch = self.inner.wal_latch();
         if self.inner.abort_action(self.id) {
             match &self.mode {
                 TxnMode::Locking { touched, .. } => {
@@ -1068,9 +1076,7 @@ where
 
 pub(crate) fn map_reg_err(e: RegistryError) -> TxnError {
     match e {
-        RegistryError::Unknown(_) | RegistryError::NotActive(_) | RegistryError::Duplicate(_) => {
-            TxnError::NotActive
-        }
+        RegistryError::Unknown(_) | RegistryError::NotActive(_) => TxnError::NotActive,
         RegistryError::ChildrenActive(_, n) => TxnError::ChildrenActive(n),
     }
 }
@@ -1139,7 +1145,7 @@ mod tests {
         assert_eq!(lock_entries(&db), 0, "commits with nested children");
         db.checkpoint().unwrap();
         assert_eq!(lock_entries(&db), 0, "checkpoint");
-        // After the checkpoint, so replay also drives `Write` records.
+        // After the checkpoint, so replay also applies a commit frame.
         db.run(|t| t.rmw(&0, |v| v * 2)).unwrap();
         let crashed = Arc::new(rnt_wal::MemVfs::new());
         crashed.install("db.wal", vfs.snapshot("db.wal"));

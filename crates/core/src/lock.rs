@@ -90,9 +90,8 @@ impl<V: Clone> LockState<V> {
         self.held.as_ref().map_or(&[], |h| &h.readers)
     }
 
-    /// Write-lock holders with their pending versions, outermost first
-    /// (checkpointing re-logs these so a later crash can still resolve
-    /// post-checkpoint commit/abort records).
+    /// Write-lock holders with their pending versions, outermost first (a
+    /// committing top-level holder's entry is what its commit frame logs).
     pub fn write_entries(&self) -> impl Iterator<Item = (TxnId, &V)> {
         self.held.iter().flat_map(|h| h.writes.iter().map(|(t, v)| (*t, v)))
     }

@@ -17,7 +17,7 @@
 
 use crate::audit::{hash_value, AuditRecord};
 use crate::config::DeadlockPolicy;
-use crate::db::{commit_record, CommitPayload, DbInner, Participant, Txn};
+use crate::db::{DbInner, Participant, Txn, WalState, WriteSet};
 use crate::error::TxnError;
 use crate::lock::{Conflict, LockEnv, LockState};
 use crate::registry::{Registry, RegistryView, TxnId};
@@ -388,18 +388,21 @@ where
 
     /// The locking publication sequence, for participants whose registry
     /// transition and audit `Commit` are done and whose locks are still
-    /// held: take the MVCC publish mutex once and a contiguous epoch run
-    /// with it (slice order), append one commit record and force it with
-    /// a single fsync, then release every participant's locks — each key
-    /// it wrote gaining a chain version at its epoch — and let the
-    /// watermark pass the whole run as the ticket drops. Returns the
-    /// durability verdict every participant reports.
+    /// held: read each one's write set (only with a log attached), then
+    /// take the MVCC publish mutex once and a contiguous epoch run with it
+    /// (slice order), append one commit frame and force it with a single
+    /// fsync, then release every participant's locks — each key it wrote
+    /// gaining a chain version at its epoch — and let the watermark pass
+    /// the whole run as the ticket drops. Returns the durability verdict
+    /// every participant reports.
     ///
-    /// The order is the invariant. The commit record lands before any
-    /// lock moves: once `finish_locks` runs, other threads can acquire
-    /// those locks and log accesses whose prefix-visibility depends on
-    /// this commit. Holding the publish mutex across the append makes
-    /// commit-record log order equal epoch order; holding it across
+    /// The order is the invariant. The write sets are read before the
+    /// gate: they cannot change, because every key is still write-locked
+    /// by its committer. The commit frame lands before any lock moves:
+    /// once `finish_locks` runs, other threads can acquire those locks
+    /// and log accesses whose prefix-visibility depends on this commit.
+    /// Holding the publish mutex across the append makes commit-frame
+    /// log order equal epoch order; holding it across
     /// `finish_locks` means no snapshot can pin one of these epochs until
     /// every chain append landed. A WAL failure surfaces only after the
     /// locks are cleanly released: in-memory state stays consistent,
@@ -413,16 +416,37 @@ where
         &self,
         participants: &[Participant<K, V>],
     ) -> Result<(), TxnError> {
+        let writes = match self.wal.get() {
+            Some(w) => {
+                participants.iter().map(|p| self.write_set(w, p.txn, p.payload.locking())).collect()
+            }
+            None => Vec::new(),
+        };
         let publish = self.mvcc.begin_publish_batch(participants.len());
-        let durable = self.wal_force(&commit_record(participants, &publish));
+        let durable = self.wal_force(participants, &publish, writes);
         for (i, p) in participants.iter().enumerate() {
-            let CommitPayload::Locking(keys) = &p.payload else {
-                unreachable!("optimistic payload in a locking database")
-            };
-            self.finish_locks(p.txn, keys, true, Some(publish.epoch_of(i)));
+            self.finish_locks(p.txn, p.payload.locking(), true, Some(publish.epoch_of(i)));
         }
         drop(publish);
         durable
+    }
+
+    /// What a committing top-level `t` changes in the committed state:
+    /// its own entry on the write stack of every key in `keys` it holds a
+    /// write lock on (own writes plus those inherited from committed
+    /// children), read under each shard guard and encoded in key order —
+    /// a deterministic frame, whatever the order of the hashed set.
+    fn write_set(&self, w: &WalState<K, V>, t: TxnId, keys: &HashSet<K>) -> WriteSet {
+        let mut keys: Vec<&K> = keys.iter().collect();
+        keys.sort_unstable();
+        keys.into_iter()
+            .filter_map(|key| {
+                let guard = self.shards[self.shard_of(key)].lock();
+                let state = guard.objects.get(key)?;
+                let (_, value) = state.write_entries().find(|&(h, _)| h == t)?;
+                Some(w.encode(key, value))
+            })
+            .collect()
     }
 }
 
@@ -469,18 +493,16 @@ where
     ) -> Result<V, TxnError> {
         let inner = &self.inner;
         let out = inner.with_locked_state(self.id, top_level, key, |state, reg| {
-            let mut written: Option<V> = None;
+            // Only the audit needs the written value, and only its hash.
+            let mut written = None;
             let seen = state.try_write(self.id, reg, |old| {
                 let new = f(old);
-                written = Some(new.clone());
+                written = inner.audit.as_ref().map(|_| hash_value(&new));
                 new
             })?;
             let record = inner.access_record(reg, self.id, key, || {
-                let written = written.as_ref().expect("written set");
-                (UpdateFn::Write(hash_value(written)), hash_value(&seen))
+                (UpdateFn::Write(written.expect("hashed under audit")), hash_value(&seen))
             });
-            // Still under the shard guard: per-key log order = grant order.
-            inner.wal_log_write(self.id.0, key, written.as_ref().expect("written set"));
             Ok((seen, record))
         })?;
         touch(touched, key);

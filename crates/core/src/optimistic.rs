@@ -6,7 +6,7 @@
 //! [`CcMode::Optimistic`]: crate::CcMode::Optimistic
 
 use crate::audit::{hash_value, AuditRecord};
-use crate::db::{commit_record, map_reg_err, DbInner, Participant, Txn};
+use crate::db::{map_reg_err, DbInner, Participant, Txn, WriteSet};
 use crate::error::TxnError;
 use crate::registry::TxnId;
 use parking_lot::Mutex;
@@ -40,7 +40,7 @@ pub(crate) struct OptCtx<K, V> {
     /// The parent's context (`None` on the top-level transaction).
     pub(crate) parent: Option<Arc<OptCtx<K, V>>>,
     /// Private write buffer, newest value per key. A `BTreeMap` so the
-    /// commit publishes (and WAL-logs) in deterministic key order, and so
+    /// commit publishes (and logs) in deterministic key order, and so
     /// a scan can overlay the buffered writes inside its bounds.
     writes: Mutex<BTreeMap<K, V>>,
     /// Keys read from the snapshot — the rw-antidependency half of the
@@ -258,9 +258,9 @@ where
     }
 
     /// The optimistic loser sequence, for every participant whose verdict
-    /// is an error: audit `Abort`, WAL `Abort`, registry transition,
-    /// counters. Whoever validated runs it — a staged loser's own thread
-    /// is parked, so someone must finish it.
+    /// is an error: audit `Abort`, registry transition, counters. Whoever
+    /// validated runs it — a staged loser's own thread is parked, so
+    /// someone must finish it.
     fn abort_optimistic(
         &self,
         participants: &[Participant<K, V>],
@@ -281,16 +281,18 @@ where
     /// the registry: flush each one's buffered Access records and its
     /// `Commit` to the audit log — under the gate, so audit data order =
     /// commit (= epoch) order, the Theorem-9 reconstruction invariant —
-    /// log every buffered write, append one commit record and force it
-    /// with a single fsync, then publish each write set at its epoch. The
-    /// gate becomes the publication ticket: the watermark passes the
-    /// whole run when it drops, WAL-logged before it moves. Returns the
-    /// durability verdict every survivor reports.
+    /// append one commit frame carrying every survivor's buffered writes
+    /// and force it with a single fsync, then publish each write set at
+    /// its epoch. The gate becomes the publication ticket: the watermark
+    /// passes the whole run when it drops, WAL-logged before it moves.
+    /// Returns the durability verdict every survivor reports.
     fn publish_optimistic(
         &self,
         gate: PublishGate<'_>,
         survivors: &mut [Participant<K, V>],
     ) -> Result<(), TxnError> {
+        let wal = self.wal.get();
+        let mut writes: Vec<WriteSet> = Vec::new();
         for p in survivors.iter_mut() {
             let id = p.txn;
             let footprint = p.payload.optimistic();
@@ -300,12 +302,12 @@ where
                 }
             }
             self.audit_record(|reg| AuditRecord::Commit { path: reg.path(id).expect("known") });
-            for (key, value) in footprint.writes.iter() {
-                self.wal_log_write(id.0, key, value);
+            if let Some(w) = wal {
+                writes.push(footprint.writes.iter().map(|(k, v)| w.encode(k, v)).collect());
             }
         }
         let publish = gate.into_batch(survivors.len());
-        let durable = self.wal_force(&commit_record(survivors, &publish));
+        let durable = self.wal_force(survivors, &publish, writes);
         // The chain is the only home of an optimistic commit: there is no
         // lock table to update and no lock waiter to wake, so publication
         // is publish → store, no shard in between.

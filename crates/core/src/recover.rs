@@ -1,37 +1,32 @@
 //! Crash recovery: replay a write-ahead log into a fresh [`Db`] — and the
 //! checkpoint writer whose `Checkpoint` record replay starts from.
 //!
-//! Replay reconstructs the action tree (registry), the per-key version
-//! stacks (lock states — made on demand and dropped at the end in an
-//! optimistic database), and the committed chains so that `perm(T)` — the
-//! set of effects the paper's Lemma 7 calls permanent — is identical
-//! before and after the crash:
+//! The log is redo-at-commit (see [`rnt_wal`]), so replay applies commits
+//! and nothing else. It rebuilds the committed chains and, in a locking
+//! database, the lock table's bases, so that `perm(T)` — the set of
+//! effects the paper's Lemma 7 calls permanent — is identical before and
+//! after the crash:
 //!
-//! * records replay **in log order**, which the engine guarantees is a
-//!   legal grant order (writes are logged under their shard guard, commit
-//!   and abort records are ordered before any acquisition they enable);
-//! * actions still active at end-of-log are the crash's in-flight
-//!   casualties: they are aborted deepest-first, exactly as if every
-//!   outstanding handle had been dropped — `perm` never contained them;
-//! * each active action holds a count on its tree, as its handle did, so
-//!   the record that finishes a tree's last active member retires the
-//!   tree, and a recovered registry starts empty;
-//! * recovery ends with a checkpoint rewrite, so the implicit aborts
-//!   become physical and a recovered log never replays a stale suffix.
+//! * the checkpoint and the `INIT_ACTION` writes seed keys;
+//! * each commit entry, **in log order** (which the engine makes epoch
+//!   order), appends its write set at its epoch and advances the
+//!   watermark; an epoch at or below the watermark, or a write to an
+//!   unseeded key, is an error;
+//! * there is no registry to rebuild and nothing to abort: a tree that
+//!   aborted, or was in flight at the crash, left no bytes in the log —
+//!   that absence *is* its abort — and a recovered registry starts empty;
+//! * recovery ends with a checkpoint rewrite, so a recovered log never
+//!   replays a stale suffix.
 //!
 //! Torn tails (see [`rnt_wal::scan`]) are the expected crash artifact and
 //! are silently discarded; corruption anywhere earlier is a typed
 //! [`WalError`] — a recovered database is never built on a log whose
 //! middle is unreadable.
 
-use crate::db::{CcMode, Db, DbConfig, DbInner, Durability};
+use crate::db::{Db, DbConfig, DbInner, Durability};
 use crate::lock::LockState;
-use crate::locking::ShardState;
-use crate::registry::{Registry, Tree, TxnId, TxnStatus};
-use parking_lot::MutexGuard;
 use rnt_mvcc::GENESIS_EPOCH;
-use rnt_wal::{scan, Record, StdVfs, Vfs, Wal, WalCodec, WalError, INIT_ACTION};
-use std::collections::{HashMap, HashSet};
+use rnt_wal::{scan, CommitEntry, Record, StdVfs, Vfs, Wal, WalCodec, WalError, INIT_ACTION};
 use std::hash::Hash;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -64,32 +59,24 @@ where
         }
     }
 
-    /// Rewrite the log as `Checkpoint{chain heads}` followed by re-logged
-    /// `Begin`/`Write` records for every still-live active transaction, so
-    /// recovery cost is bounded by the snapshot plus post-checkpoint
-    /// traffic instead of the whole history.
+    /// Rewrite the log as one `Checkpoint { chain heads }`, so recovery
+    /// cost is bounded by the snapshot plus post-checkpoint traffic
+    /// instead of the whole history.
     ///
-    /// Holding the latch exclusively plus every shard guard freezes the
-    /// engine in a transition-free state: no half-appended commit can be
-    /// rewritten away, no begin can land twice (once re-logged, once
-    /// self-appended), and no seed lands mid-walk. Dead (orphaned)
-    /// subtrees are reaped, not re-logged — their versions are doomed and
-    /// `perm` never sees them; their stray post-checkpoint `Commit`/`Abort`
-    /// records are tolerated by replay.
+    /// The exclusive latch alone orders the checkpoint against everything
+    /// that appends: a seed, and a top-level commit from before its frame
+    /// is logged until its versions are in the chains, hold it shared. So
+    /// the heads read here include every logged effect, and no record the
+    /// rewrite drops is missing from them. No shard is frozen and nothing
+    /// is reaped or re-logged: a transaction in flight has no bytes in
+    /// the log to keep, and its commit frame, when it comes, is
+    /// self-contained.
     pub(crate) fn do_checkpoint(&self) -> Result<(), WalError> {
         let Some(w) = self.wal.get() else { return Ok(()) };
         if let Some(detail) = w.broken.get() {
             return Err(WalError::Io { op: "checkpoint", detail: detail.clone() });
         }
         let _latch = self.ckpt.write();
-        let mut guards: Vec<MutexGuard<'_, ShardState<K, V>>> =
-            self.shards.iter().map(|s| s.lock()).collect();
-        let view = self.registry.read_view();
-        for guard in guards.iter_mut() {
-            for state in guard.objects.values_mut() {
-                state.reap(&view);
-            }
-        }
         // The committed state is the chain heads. Each entry carries its
         // head's epoch so recovery rebuilds chains identical to the
         // pre-crash store (not merely value-equal).
@@ -99,29 +86,8 @@ where
             snapshot.push((kb, epoch, vb));
         });
         snapshot.sort();
-        let mut records = vec![Record::Checkpoint { epoch: self.mvcc.watermark(), snapshot }];
-        // Live active transactions, ascending id: every parent precedes
-        // its children (child ids are allocated after the parent exists),
-        // and the live-active set is ancestor-closed (an active child
-        // keeps its ancestors active; an aborted ancestor makes it dead).
-        // The live view agrees with the snapshot: every registry
-        // transition runs under the latch held shared, and we hold it
-        // exclusively. A retirement may still run, but only finished
-        // trees retire, and they have nothing to re-log.
-        for (id, parent, status, _) in self.registry.snapshot() {
-            if status == TxnStatus::Active && !view.is_dead(id) {
-                records.push(Record::Begin { action: id.0, parent: parent.map(|p| p.0) });
-            }
-        }
-        for guard in guards.iter() {
-            for (key, state) in guard.objects.iter() {
-                for (holder, value) in state.write_entries() {
-                    let (key, version) = w.encode(key, value);
-                    records.push(Record::Write { action: holder.0, key, version });
-                }
-            }
-        }
-        w.log.lock().rewrite(&records).inspect_err(|e| w.mark_broken(e))
+        let checkpoint = Record::Checkpoint { epoch: self.mvcc.watermark(), snapshot };
+        w.log.lock().rewrite(&[checkpoint]).inspect_err(|e| w.mark_broken(e))
     }
 }
 
@@ -158,9 +124,9 @@ where
     }
 
     /// Recover a database from the write-ahead log at `path`: replay every
-    /// intact record, abort the crash's in-flight transactions, checkpoint
-    /// the log, and continue appending to it. A missing file is an empty
-    /// database (first boot).
+    /// intact record, checkpoint the log, and continue appending to it.
+    /// Transactions in flight at the crash are simply absent. A missing
+    /// file is an empty database (first boot).
     pub fn recover(path: &str, config: DbConfig) -> Result<Self, WalError> {
         Self::recover_with_vfs(Arc::new(StdVfs::new()), path, config)
     }
@@ -175,96 +141,66 @@ where
         let bytes = if vfs.exists(path) { vfs.read(path)? } else { Vec::new() };
         let (records, _tail) = scan(&bytes)?;
         let recovered = replay(&db.inner, &records)?;
-        db.inner.stats.add(|b| &b.recovered_actions, recovered);
+        db.inner.stats.add(|b| &b.recovered_commits, recovered);
         db.audit_register_all();
         if config.durability != Durability::None {
             let log = Wal::open(vfs, path)?;
             db.install_wal(log, encode_of::<K>, encode_of::<V>)?;
-            // Make the implicit in-flight aborts physical and drop any
-            // torn tail from the file: the recovered log is born clean.
+            // Drop the replayed history and any torn tail from the file:
+            // the recovered log is born as one checkpoint.
             db.inner.do_checkpoint()?;
         }
         Ok(db)
     }
 }
 
-/// Apply one logged commit (record index `i`, for error labels) to the
-/// replaying `db`: registry transition, lock inheritance/publication, and
-/// — for top-level commits — the version-chain appends at the logged
-/// epoch; then `id` closes its count on its tree.
+/// Redo one commit entry of record `i` on the replaying `db`: append each
+/// written version to its key's chain at the entry's epoch — and, in a
+/// locking database, make it the lock entry's base — then advance the
+/// watermark.
 ///
-/// Top-level epochs must land strictly above the current watermark. The
-/// engine allocates epochs as `watermark + 1` under the publish mutex and
-/// logs the commit record while holding it, so any log claiming an epoch
-/// at or below the watermark carries an epoch that was never durably
-/// allocated — trusting it would replay a commit the pre-crash store
-/// never published (or publish two commits at one epoch).
-fn apply_commit<K, V>(
-    db: &DbInner<K, V>,
-    touched: &mut HashMap<TxnId, HashSet<K>>,
-    trees: &mut HashMap<TxnId, Tree>,
-    i: usize,
-    id: TxnId,
-    epoch: Option<u64>,
-) -> Result<(), WalError>
+/// The epoch must land strictly above the current watermark. The engine
+/// allocates epochs as `watermark + 1` under the publish mutex and logs
+/// the commit frame while holding it, so any log claiming an epoch at or
+/// below the watermark carries an epoch that was never durably allocated
+/// — trusting it would replay a commit the pre-crash store never
+/// published (or publish two commits at one epoch).
+fn redo<K, V>(db: &DbInner<K, V>, i: usize, commit: &CommitEntry) -> Result<(), WalError>
 where
     K: Eq + Hash + Ord + Clone + Send + Sync + WalCodec + 'static,
     V: Clone + Hash + Send + Sync + WalCodec + 'static,
 {
-    let registry = &db.registry;
-    registry.commit(id).map_err(|e| replay_err(format!("record {i}: {e}")))?;
-    let parent = registry.parent(id);
-    if parent.is_none() && epoch.is_none() {
+    let (action, epoch) = (commit.action, commit.epoch);
+    let watermark = db.mvcc.watermark();
+    if epoch <= watermark {
         return Err(replay_err(format!(
-            "record {i}: top-level commit of {id:?} without a commit epoch"
+            "record {i}: commit epoch {epoch} of action {action} not above watermark \
+             {watermark} — epoch never durably allocated"
         )));
     }
-    let publish_epoch = if parent.is_none() { epoch } else { None };
-    if let Some(e) = publish_epoch {
-        let watermark = db.mvcc.watermark();
-        if e <= watermark {
-            return Err(replay_err(format!(
-                "record {i}: commit epoch {e} of {id:?} not above watermark {watermark} — \
-                 epoch never durably allocated"
-            )));
+    for (kb, vb) in &commit.writes {
+        let key = K::decode(kb).ok_or_else(|| replay_err("undecodable key"))?;
+        let value = V::decode(vb).ok_or_else(|| replay_err("undecodable version"))?;
+        let mut guard = db.shards[db.shard_of(&key)].lock();
+        if db.mvcc.last_epoch(&key).is_none() {
+            return Err(replay_err(format!("record {i}: action {action} writes an unseeded key")));
         }
+        if let Some(state) = guard.objects.get_mut(&key) {
+            *state = LockState::new(value.clone());
+        }
+        db.mvcc.append(&key, epoch, value);
     }
-    // The live engine's own release: a top-level commit appends a chain
-    // version for exactly the keys the committer holds a write lock on.
-    let keys = touched.remove(&id).unwrap_or_default();
-    db.finish_locks(id, &keys, true, publish_epoch);
-    if let Some(e) = publish_epoch {
-        db.mvcc.advance_watermark(e);
-    }
-    if let Some(p) = parent {
-        touched.entry(p).or_default().extend(keys);
-    }
-    close(registry, trees, id);
+    db.mvcc.advance_watermark(epoch);
     Ok(())
 }
 
-/// Replay's counterpart of a finished action's handle dropping: `id` gives
-/// its count on its tree back, and the last one out retires the tree.
-fn close(registry: &Registry, trees: &mut HashMap<TxnId, Tree>, id: TxnId) {
-    if let Some(tree) = trees.remove(&id) {
-        registry.close(&tree);
-    }
-}
-
 /// Replay `records` into the (fresh, log-less) `db`. Returns the number of
-/// actions reconstructed (`Begin` records processed).
+/// commit entries replayed.
 fn replay<K, V>(db: &DbInner<K, V>, records: &[Record]) -> Result<u64, WalError>
 where
     K: Eq + Hash + Ord + Clone + Send + Sync + WalCodec + 'static,
     V: Clone + Hash + Send + Sync + WalCodec + 'static,
 {
-    let registry = &db.registry;
-    // Keys each action holds write versions on, for commit inheritance
-    // and abort restore (the engine's `touched` sets, rebuilt).
-    let mut touched: HashMap<TxnId, HashSet<K>> = HashMap::new();
-    // Each active action's count on its tree, as its handle held one.
-    let mut trees: HashMap<TxnId, Tree> = HashMap::new();
-    let mut seen_checkpoint = false;
     let mut recovered = 0u64;
     for (i, record) in records.iter().enumerate() {
         match record {
@@ -272,7 +208,6 @@ where
                 if i != 0 {
                     return Err(replay_err(format!("checkpoint at record {i}, not at log start")));
                 }
-                seen_checkpoint = true;
                 for (kb, e, vb) in snapshot {
                     let key =
                         K::decode(kb).ok_or_else(|| replay_err("undecodable checkpoint key"))?;
@@ -295,7 +230,12 @@ where
                 // flicker out of existence.
                 db.mvcc.concede_retained(*epoch);
             }
-            Record::Write { action, key, version } if *action == INIT_ACTION => {
+            Record::Write { action, key, version } => {
+                if *action != INIT_ACTION {
+                    return Err(replay_err(format!(
+                        "record {i}: write by action {action} outside a commit frame"
+                    )));
+                }
                 let key = K::decode(key).ok_or_else(|| replay_err("undecodable init key"))?;
                 let value =
                     V::decode(version).ok_or_else(|| replay_err("undecodable init value"))?;
@@ -303,119 +243,12 @@ where
                     return Err(replay_err("duplicate init for an existing key"));
                 }
             }
-            Record::Begin { action, parent } => {
-                if *action == INIT_ACTION {
-                    return Err(replay_err("begin record with the reserved init action id"));
-                }
-                let id = TxnId(*action);
-                let tree = match parent.map(TxnId) {
-                    None => registry.replay_top(id),
-                    // Replayed, the parent is active, so it holds a count.
-                    Some(p) => registry.replay_child(id, p).map(|()| trees[&p].share()),
-                }
-                .map_err(|e| replay_err(format!("record {i}: {e}")))?;
-                trees.insert(id, tree);
-                touched.insert(id, HashSet::new());
-                recovered += 1;
-            }
-            Record::Write { action, key, version } => {
-                let id = TxnId(*action);
-                if registry.status(id).is_none() {
-                    return Err(replay_err(format!("record {i}: write by unknown action {id:?}")));
-                }
-                let key = K::decode(key).ok_or_else(|| replay_err("undecodable key"))?;
-                let value = V::decode(version).ok_or_else(|| replay_err("undecodable version"))?;
-                let mut guard = db.shards[db.shard_of(&key)].lock();
-                if !guard.objects.contains_key(&key) {
-                    // An optimistic database keeps no lock table: the
-                    // entry is made on demand, from the chain head.
-                    let head = db.mvcc.read_at(&key, u64::MAX);
-                    let head =
-                        head.ok_or_else(|| replay_err(format!("record {i}: unseeded key")))?;
-                    guard.objects.insert(key.clone(), LockState::new(head));
-                }
-                let state = guard.objects.get_mut(&key).expect("entered above");
-                if state.try_write(id, &registry.read_view(), |_| value).is_err() {
-                    // Log order is grant order; a conflict here means the
-                    // log is not one the engine produced.
-                    return Err(replay_err(format!(
-                        "record {i}: write by {id:?} conflicts at replay"
-                    )));
-                }
-                touched.entry(id).or_default().insert(key);
-            }
-            Record::Commit { action, epoch } => {
-                let id = TxnId(*action);
-                if registry.status(id).is_none() {
-                    if seen_checkpoint {
-                        // A checkpoint prunes dead (orphaned) subtrees; a
-                        // pruned orphan's handle may still have logged its
-                        // no-effect commit afterwards. Harmless.
-                        continue;
-                    }
-                    return Err(replay_err(format!("record {i}: commit of unknown action {id:?}")));
-                }
-                apply_commit(db, &mut touched, &mut trees, i, id, *epoch)?;
-            }
-            Record::BatchCommit { commits } => {
-                // A group-commit batch: semantically the listed top-level
-                // commits in epoch order, durably atomic because they
-                // share this one frame. Participants are always known —
-                // they were alive and top-level when staged, and the
-                // committing threads hold the checkpoint latch from
-                // registry transition through batch retirement, so no
-                // checkpoint can prune a batch participant's Begin.
-                if commits.is_empty() {
-                    return Err(replay_err(format!("record {i}: empty commit batch")));
-                }
-                for &(action, epoch) in commits {
-                    let id = TxnId(action);
-                    if registry.status(id).is_none() {
-                        return Err(replay_err(format!(
-                            "record {i}: batched commit of unknown action {id:?}"
-                        )));
-                    }
-                    if registry.parent(id).is_some() {
-                        return Err(replay_err(format!(
-                            "record {i}: batched commit of nested action {id:?}"
-                        )));
-                    }
-                    apply_commit(db, &mut touched, &mut trees, i, id, Some(epoch))?;
+            Record::Commit { commits } => {
+                for commit in commits {
+                    redo(db, i, commit)?;
+                    recovered += 1;
                 }
             }
-            Record::Abort { action } => {
-                let id = TxnId(*action);
-                if registry.status(id).is_none() {
-                    if seen_checkpoint {
-                        continue; // pruned orphan's abort — see Commit arm
-                    }
-                    return Err(replay_err(format!("record {i}: abort of unknown action {id:?}")));
-                }
-                registry.abort(id).map_err(|e| replay_err(format!("record {i}: {e}")))?;
-                db.finish_locks(id, &touched.remove(&id).unwrap_or_default(), false, None);
-                close(registry, &mut trees, id);
-            }
-        }
-    }
-    // End of log: everything still active was in flight at the crash.
-    // Abort deepest-first so children discard their versions before their
-    // parents do (restoring each enclosing version in turn).
-    let mut in_flight: Vec<(TxnId, usize)> = registry
-        .snapshot()
-        .into_iter()
-        .filter(|(_, _, status, _)| *status == TxnStatus::Active)
-        .map(|(id, _, _, path)| (id, path.len()))
-        .collect();
-    in_flight.sort_by(|a, b| b.1.cmp(&a.1).then(b.0.cmp(&a.0)));
-    for (id, _) in in_flight {
-        registry.abort(id).map_err(|e| replay_err(format!("in-flight abort: {e}")))?;
-        db.finish_locks(id, &touched.remove(&id).unwrap_or_default(), false, None);
-        close(registry, &mut trees, id);
-    }
-    // Every entry is idle now; an optimistic database keeps none.
-    if db.config.cc_mode == CcMode::Optimistic {
-        for shard in db.shards.iter() {
-            shard.lock().objects = HashMap::new();
         }
     }
     Ok(recovered)

@@ -322,10 +322,6 @@ impl Registry {
         self.shards[s].write().insert(slot, meta);
     }
 
-    fn contains(&self, id: TxnId) -> bool {
-        self.read_view().meta(id).is_some()
-    }
-
     /// Register a new top-level transaction (its tree never retires).
     pub fn begin_top(&self) -> TxnId {
         self.begin_tree().0
@@ -335,14 +331,10 @@ impl Registry {
     /// first handle.
     pub(crate) fn begin_tree(&self) -> (TxnId, Tree) {
         let id = TxnId(self.next.fetch_add(1, Ordering::Relaxed));
-        (id, self.register_top(id))
-    }
-
-    fn register_top(&self, id: TxnId) -> Tree {
         let top = self.top_count.fetch_add(1, Ordering::Relaxed) as u32;
         let meta = TxnMeta::new(None, id, vec![top]);
         self.insert(id, meta.clone());
-        Tree(meta)
+        (id, Tree(meta))
     }
 
     /// Take one handle's count back from `tree`. The handle that takes it
@@ -391,11 +383,6 @@ impl Registry {
     /// the atomic counter updates here rely on that.
     pub fn begin_child(&self, parent: TxnId) -> Result<TxnId, RegistryError> {
         let id = TxnId(self.next.fetch_add(1, Ordering::Relaxed));
-        self.register_child(id, parent)?;
-        Ok(id)
-    }
-
-    fn register_child(&self, id: TxnId, parent: TxnId) -> Result<(), RegistryError> {
         let pm = self.read_view().meta(parent).ok_or(RegistryError::Unknown(parent))?;
         if pm.status.load(Ordering::Acquire) != ST_ACTIVE {
             return Err(RegistryError::NotActive(parent));
@@ -406,7 +393,7 @@ impl Registry {
         path.push(idx);
         pm.child_ids.write().push(id);
         self.insert(id, TxnMeta::new(Some(parent), pm.root, path));
-        Ok(())
+        Ok(id)
     }
 
     /// Allocate the next child *index* under `id` without registering a
@@ -494,31 +481,6 @@ impl Registry {
         self.finish(id, ST_ABORTED, false)
     }
 
-    /// Re-register a top-level transaction under its *logged* id (crash
-    /// recovery only) and open its tree. Advances the id allocator past
-    /// `id` so transactions begun after recovery can never collide with
-    /// replayed ones.
-    pub(crate) fn replay_top(&self, id: TxnId) -> Result<Tree, RegistryError> {
-        self.claim_replayed(id)?;
-        Ok(self.register_top(id))
-    }
-
-    /// Re-register a child transaction under its logged id (crash recovery
-    /// only); the parent must already be replayed and active.
-    pub(crate) fn replay_child(&self, id: TxnId, parent: TxnId) -> Result<(), RegistryError> {
-        self.claim_replayed(id)?;
-        self.register_child(id, parent)
-    }
-
-    /// Move the allocator past a logged id and refuse one already taken.
-    fn claim_replayed(&self, id: TxnId) -> Result<(), RegistryError> {
-        self.next.fetch_max(id.0.saturating_add(1), Ordering::Relaxed);
-        if self.contains(id) {
-            return Err(RegistryError::Duplicate(id));
-        }
-        Ok(())
-    }
-
     /// Ids of transactions whose own status is still `Active`, in id order
     /// (chaos harness only). Orphans count as active: their status only
     /// changes when their handle aborts or drops.
@@ -554,8 +516,6 @@ pub enum RegistryError {
     NotActive(TxnId),
     /// Commit attempted with active children.
     ChildrenActive(TxnId, u32),
-    /// A replay tried to register an id that is already registered.
-    Duplicate(TxnId),
 }
 
 impl std::fmt::Display for RegistryError {
@@ -565,9 +525,6 @@ impl std::fmt::Display for RegistryError {
             RegistryError::NotActive(id) => write!(f, "transaction {id:?} not active"),
             RegistryError::ChildrenActive(id, n) => {
                 write!(f, "transaction {id:?} has {n} active children")
-            }
-            RegistryError::Duplicate(id) => {
-                write!(f, "transaction {id:?} already registered")
             }
         }
     }
@@ -703,37 +660,6 @@ mod tests {
         assert!(!view.is_dead(c));
         assert_eq!(view.root(c), Some(t));
         assert_eq!(view.parent(c), Some(t));
-    }
-
-    #[test]
-    fn replay_preserves_ids_and_advances_allocator() {
-        let r = Registry::new();
-        r.replay_top(TxnId(0)).unwrap();
-        r.replay_child(TxnId(1), TxnId(0)).unwrap();
-        r.replay_child(TxnId(5), TxnId(1)).unwrap();
-        assert!(r.is_ancestor(TxnId(0), TxnId(5)));
-        assert_eq!(r.root(TxnId(5)), Some(TxnId(0)));
-        assert_eq!(r.active_children(TxnId(0)), 1);
-        // Fresh ids allocated after replay never collide with logged ones.
-        let fresh = r.begin_top();
-        assert!(fresh > TxnId(5), "allocator past replayed ids, got {fresh:?}");
-        // Duplicate and orphan replays are rejected.
-        assert_eq!(r.replay_top(TxnId(0)).err(), Some(RegistryError::Duplicate(TxnId(0))));
-        assert_eq!(r.replay_child(TxnId(9), TxnId(99)), Err(RegistryError::Unknown(TxnId(99))));
-        r.commit(TxnId(5)).unwrap();
-        r.commit(TxnId(1)).unwrap();
-        assert_eq!(r.replay_child(TxnId(9), TxnId(1)), Err(RegistryError::NotActive(TxnId(1))));
-    }
-
-    #[test]
-    fn replay_sparse_ids_leave_gaps_unregistered() {
-        let r = Registry::new();
-        r.replay_top(TxnId(1000)).unwrap();
-        assert_eq!(r.status(TxnId(1000)), Some(TxnStatus::Active));
-        assert_eq!(r.status(TxnId(999)), None, "gap slots resolve to nothing");
-        assert!(r.is_dead(TxnId(999)), "unknown ids are dead");
-        let fresh = r.begin_top();
-        assert!(fresh > TxnId(1000));
     }
 
     #[test]

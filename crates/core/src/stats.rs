@@ -56,13 +56,14 @@ pub struct StatsBlock {
     pub notifies: AtomicU64,
     /// Total time spent blocked on lock waits, in nanoseconds.
     pub wait_nanos: AtomicU64,
-    /// Records appended to the write-ahead log (excludes checkpoint
-    /// rewrites, which replace records rather than add them).
+    /// Records appended to the write-ahead log: one per seed and one per
+    /// commit frame (excludes checkpoint rewrites, which replace records
+    /// rather than add them).
     pub wal_appends: AtomicU64,
     /// Fsyncs issued for top-level commit durability.
     pub wal_fsyncs: AtomicU64,
-    /// Transactions reconstructed by crash recovery (replayed `Begin`s).
-    pub recovered_actions: AtomicU64,
+    /// Top-level commits crash recovery redid (commit entries replayed).
+    pub recovered_commits: AtomicU64,
     /// Reads served from a pinned snapshot (lock-free: these never touch
     /// the lock tables, so they add nothing to `reads`/`conflicts`/`waits`).
     pub snapshot_reads: AtomicU64,
@@ -177,7 +178,7 @@ impl Stats {
             snap.wait_nanos += b.wait_nanos.load(Ordering::Relaxed);
             snap.wal_appends += b.wal_appends.load(Ordering::Relaxed);
             snap.wal_fsyncs += b.wal_fsyncs.load(Ordering::Relaxed);
-            snap.recovered_actions += b.recovered_actions.load(Ordering::Relaxed);
+            snap.recovered_commits += b.recovered_commits.load(Ordering::Relaxed);
             snap.snapshot_reads += b.snapshot_reads.load(Ordering::Relaxed);
             snap.range_scans += b.range_scans.load(Ordering::Relaxed);
             snap.commits_staged += b.commits_staged.load(Ordering::Relaxed);
@@ -225,8 +226,8 @@ pub struct StatsSnapshot {
     pub wal_appends: u64,
     /// Fsyncs issued for top-level commit durability.
     pub wal_fsyncs: u64,
-    /// Transactions reconstructed by crash recovery.
-    pub recovered_actions: u64,
+    /// Top-level commits crash recovery redid (commit entries replayed).
+    pub recovered_commits: u64,
     /// Reads served from a pinned snapshot (lock-free).
     pub snapshot_reads: u64,
     /// Range scans started through any read view.
@@ -263,16 +264,19 @@ impl StatsSnapshot {
     }
 
     /// The WAL append-conservation total: in a log-enabled run with no
-    /// checkpoint rewrites, every begin, write/rmw, commit, and abort
-    /// appends exactly one record, and every seeded key appends one init
-    /// record — so `wal_appends` must equal this sum for `inserts` keys.
+    /// checkpoint rewrite, every seeded key appends one init record and
+    /// every commit frame one record — so `wal_appends` must equal this
+    /// sum for `inserts` keys and `top_level_commits` committed top-level
+    /// transactions (`committed` cannot say: it counts nested commits
+    /// too). Begins, writes, nested commits and aborts append nothing.
     ///
-    /// Group-commit runs break the one-record-per-commit assumption: a
-    /// batch of `n` coalesced commits appends ONE `BatchCommit` record, so
-    /// `wal_appends` falls short of this sum by
-    /// `commits_batched - commit_batches`.
-    pub fn wal_appends_expected(&self, inserts: u64) -> u64 {
-        self.begun + self.writes + self.committed + self.aborted + inserts
+    /// Without group commit a frame is one commit. With it, a batch of
+    /// `n` coalesced commits appends ONE frame, which takes
+    /// `commits_batched - commit_batches` off the total (a batch whose
+    /// every participant lost validation would append nothing and is not
+    /// accounted for).
+    pub fn wal_appends_expected(&self, inserts: u64, top_level_commits: u64) -> u64 {
+        inserts + top_level_commits + self.commit_batches - self.commits_batched
     }
 
     /// Mean blocked time per wait episode, in microseconds (0 if none).
@@ -304,21 +308,20 @@ mod tests {
     #[test]
     fn wal_counters_snapshot_and_conservation() {
         let s = Stats::default();
-        s.bump(|b| &b.begun);
-        s.bump(|b| &b.writes);
-        s.bump(|b| &b.writes);
-        s.bump(|b| &b.committed);
-        // begin + 2 writes + commit + 3 init records.
-        for _ in 0..7 {
+        // 3 init records, one unbatched commit frame, and one frame for a
+        // batch of 3 commits.
+        for _ in 0..5 {
             s.bump(|b| &b.wal_appends);
         }
+        s.bump(|b| &b.commit_batches);
+        s.add(|b| &b.commits_batched, 3);
         s.bump(|b| &b.wal_fsyncs);
-        s.add(|b| &b.recovered_actions, 4);
+        s.add(|b| &b.recovered_commits, 4);
         let snap = s.snapshot();
-        assert_eq!(snap.wal_appends, 7);
+        assert_eq!(snap.wal_appends, 5);
         assert_eq!(snap.wal_fsyncs, 1);
-        assert_eq!(snap.recovered_actions, 4);
-        assert_eq!(snap.wal_appends_expected(3), snap.wal_appends);
+        assert_eq!(snap.recovered_commits, 4);
+        assert_eq!(snap.wal_appends_expected(3, 4), snap.wal_appends);
     }
 
     #[test]

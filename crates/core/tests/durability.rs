@@ -4,7 +4,8 @@
 
 use rnt_core::{CcMode, Db, DbConfig, DeadlockPolicy, Durability, Txn, TxnError};
 use rnt_wal::faults::record_count;
-use rnt_wal::{frame, MemVfs, Record, Vfs, WalError, MAGIC};
+use rnt_wal::{frame, scan, CommitEntry, MemVfs, Record, Vfs, WalError, INIT_ACTION, MAGIC};
+use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
@@ -117,7 +118,7 @@ fn deep_nesting_recovers_exact_values() {
 
     let r = crash_recover(&vfs, wal_config());
     assert_eq!(r.committed_value(&"x".to_string()), Some(17));
-    assert!(r.stats().recovered_actions >= 3);
+    assert_eq!(r.stats().recovered_commits, 1, "one tree, one commit entry");
 }
 
 #[test]
@@ -158,7 +159,8 @@ fn wal_append_conservation_holds() {
     t.commit().unwrap();
 
     let s = db.stats();
-    assert_eq!(s.wal_appends, s.wal_appends_expected(2));
+    assert_eq!(s.wal_appends, s.wal_appends_expected(2, 1));
+    assert_eq!(s.wal_appends, 3, "two seeds and one commit frame");
 }
 
 #[test]
@@ -239,7 +241,7 @@ fn checkpoint_preserves_live_transactions() {
 
     let t = db.begin();
     t.rmw(&"a".to_string(), |v| v + 100).unwrap();
-    db.checkpoint().unwrap(); // t is live: its Begin+Write must be re-logged
+    db.checkpoint().unwrap(); // t is live: nothing of it is in the log yet
     t.rmw(&"b".to_string(), |v| v + 100).unwrap();
     t.commit().unwrap();
 
@@ -263,8 +265,8 @@ fn torn_tail_recovers_to_last_intact_record() {
     let fresh = Arc::new(MemVfs::new());
     fresh.install(LOG, torn);
     let r = Db::<String, i64>::recover_with_vfs(fresh, LOG, wal_config()).unwrap();
-    // The final Commit record was torn: the transaction is in flight and
-    // rolls back; the seed survives.
+    // The final commit frame was torn: the transaction never happened;
+    // the seed survives.
     assert_eq!(r.committed_value(&"a".to_string()), Some(1));
 }
 
@@ -315,7 +317,7 @@ fn durability_none_writes_no_log() {
     assert_eq!(db.stats().wal_appends, 0);
 }
 
-// ---- group commit and the format-03 batch frame ----
+// ---- group commit and hand-written format-04 logs ----
 
 fn install_log(records: &[Record]) -> Arc<MemVfs> {
     let mut bytes = MAGIC.to_vec();
@@ -335,16 +337,21 @@ fn enc_v(v: i64) -> Vec<u8> {
     rnt_wal::encode_to_vec(&v)
 }
 
+fn seed(k: &str, v: i64) -> Record {
+    Record::Write { action: INIT_ACTION, key: enc(k), version: enc_v(v) }
+}
+
+fn commit(action: u64, epoch: u64, writes: &[(&str, i64)]) -> CommitEntry {
+    let writes = writes.iter().map(|&(k, v)| (enc(k), enc_v(v))).collect();
+    CommitEntry { action, epoch, writes }
+}
+
 #[test]
 fn batch_commit_replays_every_participant() {
     let vfs = install_log(&[
-        Record::Write { action: rnt_wal::INIT_ACTION, key: enc("a"), version: enc_v(1) },
-        Record::Write { action: rnt_wal::INIT_ACTION, key: enc("b"), version: enc_v(2) },
-        Record::Begin { action: 0, parent: None },
-        Record::Write { action: 0, key: enc("a"), version: enc_v(10) },
-        Record::Begin { action: 1, parent: None },
-        Record::Write { action: 1, key: enc("b"), version: enc_v(20) },
-        Record::BatchCommit { commits: vec![(0, 1), (1, 2)] },
+        seed("a", 1),
+        seed("b", 2),
+        Record::Commit { commits: vec![commit(0, 1, &[("a", 10)]), commit(1, 2, &[("b", 20)])] },
     ]);
     let r = Db::<String, i64>::recover_with_vfs(vfs, LOG, wal_config()).unwrap();
     assert_eq!(r.committed_value(&"a".to_string()), Some(10));
@@ -352,21 +359,17 @@ fn batch_commit_replays_every_participant() {
     assert_eq!(r.epochs().watermark, 2, "replay advances the watermark over the batch's run");
     assert_eq!(r.history(&"a".to_string()), vec![(1, 10)]);
     assert_eq!(r.history(&"b".to_string()), vec![(2, 20)]);
+    assert_eq!(r.stats().recovered_commits, 2);
 }
 
-/// The latent gap this PR closes: a `Commit` record at the log tail whose
-/// epoch was never durably allocated (it is not above the replayed
-/// watermark) must be *rejected*, not silently replayed at a fabricated
-/// position in the serial order.
+/// A commit frame at the log tail whose epoch was never durably
+/// allocated (it is not above the replayed watermark) must be *rejected*,
+/// not silently replayed at a fabricated position in the serial order.
 #[test]
 fn replay_rejects_a_commit_epoch_at_or_below_the_watermark() {
     // Epoch 0 is the genesis watermark: nothing can commit "at" it.
-    let vfs = install_log(&[
-        Record::Write { action: rnt_wal::INIT_ACTION, key: enc("a"), version: enc_v(1) },
-        Record::Begin { action: 0, parent: None },
-        Record::Write { action: 0, key: enc("a"), version: enc_v(5) },
-        Record::Commit { action: 0, epoch: Some(0) },
-    ]);
+    let vfs =
+        install_log(&[seed("a", 1), Record::Commit { commits: vec![commit(0, 0, &[("a", 5)])] }]);
     let err = Db::<String, i64>::recover_with_vfs(vfs, LOG, wal_config())
         .expect_err("a never-allocated epoch must fail replay");
     assert!(err.to_string().contains("never durably allocated"), "unexpected error: {err}");
@@ -375,36 +378,46 @@ fn replay_rejects_a_commit_epoch_at_or_below_the_watermark() {
     // reached 5, so a later commit claiming epoch 3 is corrupt.
     let vfs = install_log(&[
         Record::Checkpoint { epoch: 5, snapshot: vec![(enc("a"), 2, enc_v(1))] },
-        Record::Begin { action: 7, parent: None },
-        Record::Write { action: 7, key: enc("a"), version: enc_v(9) },
-        Record::Commit { action: 7, epoch: Some(3) },
+        Record::Commit { commits: vec![commit(7, 3, &[("a", 9)])] },
     ]);
     let err = Db::<String, i64>::recover_with_vfs(vfs, LOG, wal_config())
         .expect_err("an epoch below the checkpoint watermark must fail replay");
     assert!(err.to_string().contains("never durably allocated"), "unexpected error: {err}");
 }
 
-/// The same obligation at a format-03 batch boundary: a batch whose epoch
-/// run dips to or below the replayed watermark is rejected wholesale.
+/// The same obligation inside a batch frame: a batch whose epoch run dips
+/// to or below the replayed watermark is rejected wholesale.
 #[test]
 fn replay_rejects_a_batch_epoch_at_or_below_the_watermark() {
     let vfs = install_log(&[
         Record::Checkpoint { epoch: 4, snapshot: vec![(enc("a"), 2, enc_v(1))] },
-        Record::Begin { action: 0, parent: None },
-        Record::Write { action: 0, key: enc("a"), version: enc_v(10) },
-        Record::Begin { action: 1, parent: None },
-        Record::BatchCommit { commits: vec![(0, 5), (1, 4)] },
+        Record::Commit { commits: vec![commit(0, 5, &[("a", 10)]), commit(1, 4, &[])] },
     ]);
     let err = Db::<String, i64>::recover_with_vfs(vfs, LOG, wal_config())
         .expect_err("a batch epoch at the watermark must fail replay");
     assert!(err.to_string().contains("never durably allocated"), "unexpected error: {err}");
 }
 
+/// Replay refuses what the engine never writes: a commit to an unseeded
+/// key, and a write record outside a commit frame.
+#[test]
+fn replay_rejects_unseeded_keys_and_loose_writes() {
+    let vfs =
+        install_log(&[seed("a", 1), Record::Commit { commits: vec![commit(0, 1, &[("b", 5)])] }]);
+    let err = Db::<String, i64>::recover_with_vfs(vfs, LOG, wal_config()).unwrap_err();
+    assert!(err.to_string().contains("unseeded key"), "unexpected error: {err}");
+
+    let vfs =
+        install_log(&[seed("a", 1), Record::Write { action: 0, key: enc("a"), version: enc_v(5) }]);
+    let err = Db::<String, i64>::recover_with_vfs(vfs, LOG, wal_config()).unwrap_err();
+    assert!(err.to_string().contains("outside a commit frame"), "unexpected error: {err}");
+}
+
 #[test]
 fn group_commit_log_recovers_identically_to_plain_commit_log() {
-    // The same single-threaded workload, pipeline off and on: singleton
-    // batches log plain Commit records, so the logs are byte-identical
-    // and so are the recoveries.
+    // The same single-threaded workload, pipeline off and on: a batch of
+    // one frames exactly what an unbatched commit does, so the logs are
+    // byte-identical and so are the recoveries.
     let run = |group: bool| {
         let config = DbConfig::builder()
             .durability(Durability::Wal)
@@ -489,18 +502,32 @@ fn recovered_db_accepts_new_transactions_and_stays_durable() {
 // ---- The force runs outside the log mutex; a Vfs that fails poisons ----
 
 /// A [`MemVfs`] whose `fsync` parks on a gate while the gate is closed —
-/// a slow disk the test controls. Everything else passes straight through,
+/// a slow disk the test controls — and which counts the appends that
+/// land and their bytes. Everything else passes straight through,
 /// including the armed faults of the inner `MemVfs`.
 struct GateVfs {
     mem: MemVfs,
     /// `(closed, parked)`: whether fsyncs must wait, and how many are.
     gate: Mutex<(bool, usize)>,
     cv: Condvar,
+    appends: AtomicU64,
+    bytes: AtomicU64,
 }
 
 impl GateVfs {
     fn closed() -> Arc<Self> {
-        Arc::new(GateVfs { mem: MemVfs::new(), gate: Mutex::new((true, 0)), cv: Condvar::new() })
+        Arc::new(GateVfs {
+            mem: MemVfs::new(),
+            gate: Mutex::new((true, 0)),
+            cv: Condvar::new(),
+            appends: AtomicU64::new(0),
+            bytes: AtomicU64::new(0),
+        })
+    }
+
+    /// `(appends, bytes)` landed so far.
+    fn counts(&self) -> (u64, u64) {
+        (self.appends.load(SeqCst), self.bytes.load(SeqCst))
     }
 
     /// Block until an fsync is parked inside the Vfs.
@@ -524,7 +551,10 @@ impl GateVfs {
 
 impl Vfs for GateVfs {
     fn append(&self, path: &str, data: &[u8]) -> Result<(), WalError> {
-        self.mem.append(path, data)
+        self.mem.append(path, data)?;
+        self.appends.fetch_add(1, SeqCst);
+        self.bytes.fetch_add(data.len() as u64, SeqCst);
+        Ok(())
     }
     fn fsync(&self, path: &str) -> Result<(), WalError> {
         let mut gate = self.gate.lock().unwrap();
@@ -613,10 +643,9 @@ fn staged_reaches(db: &Db<String, i64>, n: u64) -> bool {
     true
 }
 
-/// The regression this PR exists for: while the batch leader is parked
-/// inside the force, another transaction must be able to log its whole
-/// body and reach the commit queue. With the force under the log mutex it
-/// froze at its `Begin` record.
+/// While the batch leader is parked inside the force, another transaction
+/// must be able to run its whole body and reach the commit queue: the
+/// force holds no engine lock.
 #[test]
 fn transactions_keep_logging_while_a_batch_is_being_forced() {
     let vfs = GateVfs::closed();
@@ -716,9 +745,9 @@ fn a_failing_force_poisons_singleton_commits_in_both_modes() {
 
                 match fault {
                     VfsFault::Fsync => vfs.arm_fsync_error(0),
-                    // Begin lands; the first Write (locking: at the rmw,
-                    // optimistic: at commit) is refused by the disk.
-                    VfsFault::Append => vfs.arm_append_error(1),
+                    // The transaction's one append, its commit frame, is
+                    // refused by the disk.
+                    VfsFault::Append => vfs.arm_append_error(0),
                 }
                 let verdict = bump(&db, 0..2);
                 assert!(matches!(verdict, Err(TxnError::Wal { .. })), "{what}: got {verdict:?}");
@@ -770,9 +799,8 @@ fn a_failing_force_fails_every_participant_of_a_multi_batch() {
                 // The leader's own fsync is the first to reach the inner
                 // MemVfs once the gate opens; the next one fails.
                 VfsFault::Fsync => vfs.mem.arm_fsync_error(1),
-                // Everything the followers log before staging is in; the
-                // next append is their batch's (locking: the BatchCommit
-                // frame, optimistic: its first Write record).
+                // The followers log nothing before staging; the next
+                // append is their batch's commit frame.
                 VfsFault::Append => vfs.mem.arm_append_error(0),
             }
             vfs.open();
@@ -796,6 +824,223 @@ fn a_failing_force_fails_every_participant_of_a_multi_batch() {
                 batch.iter().all(|v| *v == batch[0]) && batch[0] <= Some(1),
                 "{what}: the refused batch recovered as {batch:?}"
             );
+        }
+    }
+}
+
+// ---- redo at commit: what reaches the log, and what does not ----
+
+fn records_of(vfs: &MemVfs) -> Vec<Record> {
+    scan(&vfs.snapshot(LOG)).expect("a live log scans").0
+}
+
+/// A 3-deep tree with a committed grandchild, an aborted child and an
+/// orphaned grandchild under it logs one frame with one commit entry, and
+/// that entry's write set is exactly the committed values, in key order.
+#[test]
+fn a_nested_tree_logs_one_commit_entry_holding_its_committed_writes() {
+    for cc in [CcMode::Locking, CcMode::Optimistic] {
+        let (vfs, db) =
+            open_mem(DbConfig::builder().durability(Durability::Wal).cc_mode(cc).build());
+        for k in ["a", "b", "c", "d"] {
+            db.insert(k.to_string(), 1);
+        }
+        let t = db.begin();
+        let keep = t.child().unwrap();
+        let deep = keep.child().unwrap();
+        deep.rmw(&"d".to_string(), |v| v + 10).unwrap();
+        deep.commit().unwrap();
+        keep.rmw(&"d".to_string(), |v| v * 2).unwrap();
+        keep.commit().unwrap();
+        let lose = t.child().unwrap();
+        lose.rmw(&"b".to_string(), |v| v + 100).unwrap();
+        let orphan = lose.child().unwrap();
+        orphan.rmw(&"c".to_string(), |v| v + 100).unwrap();
+        lose.abort();
+        drop(orphan);
+        t.rmw(&"a".to_string(), |v| v + 5).unwrap();
+        t.commit().unwrap();
+
+        let records = records_of(&vfs);
+        assert_eq!(records.len(), 5, "{cc:?}: four seeds and one commit frame");
+        let Record::Commit { commits } = &records[4] else { panic!("{cc:?}: {records:?}") };
+        assert_eq!(commits.len(), 1, "{cc:?}");
+        let committed: Vec<_> = ["a", "d"]
+            .iter()
+            .map(|k| (enc(k), enc_v(db.committed_value(&k.to_string()).unwrap())))
+            .collect();
+        assert_eq!(commits[0].writes, committed, "{cc:?}");
+        assert_eq!((commits[0].epoch, db.committed_value(&"d".to_string())), (1, Some(22)));
+    }
+}
+
+/// A top-level abort appends nothing, and neither does a tree in flight
+/// at the crash: their absence from the log is their abort.
+#[test]
+fn aborted_and_in_flight_trees_append_zero_bytes() {
+    for cc in [CcMode::Locking, CcMode::Optimistic] {
+        let (vfs, db) =
+            open_mem(DbConfig::builder().durability(Durability::Wal).cc_mode(cc).build());
+        db.insert("a".to_string(), 1);
+        let seeded = vfs.snapshot(LOG);
+        let t = db.begin();
+        let c = t.child().unwrap();
+        c.rmw(&"a".to_string(), |v| v + 1).unwrap();
+        c.commit().unwrap();
+        t.rmw(&"a".to_string(), |v| v + 1).unwrap();
+        t.abort();
+        assert_eq!(vfs.snapshot(LOG), seeded, "{cc:?}: a top-level abort");
+        let hang = db.begin();
+        let c = hang.child().unwrap();
+        c.rmw(&"a".to_string(), |v| v + 1).unwrap();
+        c.commit().unwrap();
+        hang.child().unwrap().abort();
+        assert_eq!(vfs.snapshot(LOG), seeded, "{cc:?}: a tree in flight");
+        assert_eq!(db.stats().wal_appends, 1, "{cc:?}: only the seed");
+        let r = crash_recover(&vfs, wal_config());
+        assert_eq!(r.committed_value(&"a".to_string()), Some(1), "{cc:?}");
+        assert_eq!(r.stats().recovered_commits, 0, "{cc:?}");
+        drop(hang);
+    }
+}
+
+/// A seed logs while a commit's force is parked on the disk: the force
+/// holds neither the checkpoint latch exclusively nor the log mutex, so
+/// the seed's record lands behind the parked commit's frame.
+#[test]
+fn a_seed_appends_while_a_force_is_parked() {
+    let vfs = GateVfs::closed();
+    let config = DbConfig::builder().durability(Durability::WalFsync).build();
+    let db: Db<String, i64> = Db::open_with_vfs(vfs.clone(), LOG, config).unwrap();
+    db.insert(key(0), 0);
+    let forcing = spawn_bump(&db, 0..1);
+    vfs.wait_parked();
+    let seeding = {
+        let db = db.clone();
+        spawn(move || {
+            assert!(db.insert(key(1), 7));
+            Ok(())
+        })
+    };
+    let seeded = seeding.recv_timeout(PATIENCE);
+    let records = records_of(&vfs.mem);
+    vfs.open();
+    assert_eq!(seeded, Ok(Ok(())), "the seed waited for another commit's fsync");
+    assert_eq!(forcing.recv_timeout(PATIENCE).unwrap(), Ok(()));
+    assert!(matches!(
+        records.as_slice(),
+        [Record::Write { .. }, Record::Commit { .. }, Record::Write { .. }]
+    ));
+    let r = crash_recover(&vfs.mem, wal_config());
+    assert_eq!((r.committed_value(&key(0)), r.committed_value(&key(1))), (Some(1), Some(7)));
+}
+
+/// A format-03 log, as committed next to the format's golden fixtures, is
+/// refused by recovery at its magic.
+#[test]
+fn a_format_03_log_is_rejected_with_bad_magic() {
+    let old = include_bytes!("../../wal/tests/golden/format03_single_commit.wal");
+    assert_eq!(&old[..MAGIC.len()], b"RNTWAL03");
+    let vfs = Arc::new(MemVfs::new());
+    vfs.install(LOG, old.to_vec());
+    let err = Db::<String, i64>::recover_with_vfs(vfs, LOG, wal_config()).unwrap_err();
+    assert_eq!(err, WalError::BadMagic);
+}
+
+// ---- The log's budget: bytes and appends per commit ----
+
+/// The frame of a flat commit of four `u64` writes: 8 header bytes, a tag
+/// and a count, the entry's action, epoch and write count, and four
+/// length-prefixed `(key, value)` pairs — 129 bytes.
+const FLAT_COMMIT_BUDGET: u64 = 130;
+
+/// A `u64` database on `vfs` with `keys` seeded keys.
+fn u64_db(vfs: &Arc<GateVfs>, cc: CcMode, group: bool, keys: u64) -> Db<u64, u64> {
+    let config = DbConfig::builder()
+        .durability(Durability::WalFsync)
+        .cc_mode(cc)
+        .group_commit(group)
+        .build();
+    let db = Db::open_with_vfs(vfs.clone(), LOG, config).unwrap();
+    for k in 0..keys {
+        db.insert(k, 0);
+    }
+    db
+}
+
+/// A flat transaction that has incremented each of `keys`.
+fn u64_bumped(db: &Db<u64, u64>, keys: std::ops::Range<u64>) -> Txn<u64, u64> {
+    let t = db.begin();
+    for k in keys {
+        t.rmw(&k, |v| v + 1).unwrap();
+    }
+    t
+}
+
+/// `durable-commit`'s transaction shape: each flat commit of four `u64`
+/// increments appends one frame within budget, in both modes, with the
+/// pipeline off and on. Format 03 took six appends and 208 bytes.
+#[test]
+fn a_flat_commit_of_four_writes_is_one_frame_within_budget() {
+    for cc in [CcMode::Locking, CcMode::Optimistic] {
+        for group in [false, true] {
+            let vfs = GateVfs::closed();
+            vfs.open();
+            let db = u64_db(&vfs, cc, group, 16);
+            for i in 0..4 {
+                let before = vfs.counts();
+                u64_bumped(&db, i * 4..i * 4 + 4).commit().unwrap();
+                let (appends, bytes) = vfs.counts();
+                let what = format!("{cc:?} group_commit={group} commit {i}");
+                assert_eq!(appends - before.0, 1, "{what}: appends");
+                let framed = bytes - before.1;
+                assert!(framed <= FLAT_COMMIT_BUDGET, "{what}: {framed} B over budget");
+            }
+        }
+    }
+}
+
+/// A batch of `n` commits, for every `n` from 1 to 4, retires with
+/// exactly one `Vfs::append`: the followers queue behind a leader parked
+/// in its fsync, then retire together once the disk opens. No timing
+/// decides what is asserted.
+#[test]
+fn a_retired_batch_of_any_size_is_one_append() {
+    for cc in [CcMode::Locking, CcMode::Optimistic] {
+        for n in 1..=4u64 {
+            let what = format!("{cc:?} batch of {n}");
+            let vfs = GateVfs::closed();
+            vfs.open();
+            let db = u64_db(&vfs, cc, true, 2 * (n + 1));
+            // Begun before the leader holds the disk: an optimistic begin
+            // pins its snapshot under the gate the leader holds.
+            let followers: Vec<_> = (1..=n).map(|i| u64_bumped(&db, 2 * i..2 * i + 2)).collect();
+            vfs.close();
+            let leader = {
+                let db = db.clone();
+                std::thread::spawn(move || u64_bumped(&db, 0..2).commit())
+            };
+            vfs.wait_parked();
+            let followers: Vec<_> =
+                followers.into_iter().map(|t| std::thread::spawn(move || t.commit())).collect();
+            let deadline = std::time::Instant::now() + PATIENCE;
+            while db.stats().commits_staged < n + 1 && std::time::Instant::now() < deadline {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            let queued = db.stats().commits_staged == n + 1;
+            let before = vfs.counts().0;
+            vfs.open();
+            assert!(queued, "{what}: followers never reached the queue");
+            assert_eq!(leader.join().unwrap(), Ok(()), "{what}");
+            for f in followers {
+                assert_eq!(f.join().unwrap(), Ok(()), "{what}");
+            }
+            assert_eq!(vfs.counts().0 - before, 1, "{what}: appends to retire the batch");
+            assert_eq!(db.stats().commit_batches, 2, "{what}: [leader] then the followers");
+            match records_of(&vfs.mem).last() {
+                Some(Record::Commit { commits }) => assert_eq!(commits.len() as u64, n, "{what}"),
+                other => panic!("{what}: the log ends in {other:?}"),
+            }
         }
     }
 }

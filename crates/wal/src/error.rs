@@ -10,7 +10,7 @@ pub enum WalError {
         /// Human-readable cause.
         detail: String,
     },
-    /// The file does not start with the `RNTWAL01` magic.
+    /// The file does not start with this format's [`crate::MAGIC`].
     BadMagic,
     /// The file is shorter than the magic header.
     TruncatedMagic,
@@ -48,7 +48,8 @@ pub enum WalError {
         detail: String,
     },
     /// The record stream is well-formed but semantically unreplayable
-    /// (unknown action id, write to an unseeded key, duplicate init, …).
+    /// (a commit epoch never allocated, a write to an unseeded key, a
+    /// duplicate init, …).
     Replay {
         /// What the replay tripped over.
         detail: String,

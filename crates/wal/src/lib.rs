@@ -7,29 +7,31 @@
 //! The paper's resilience model says a top-level action's effects are
 //! permanent exactly when its commit event happens (`perm(T)`, Lemma 7);
 //! everything below the top level is conditional and may be discarded.
-//! The log records mirror that: every action-tree transition is appended
-//! ([`Record::Begin`], [`Record::Write`], [`Record::Commit`],
-//! [`Record::Abort`]), but only *top-level* commits are durability
-//! points — they are the only records a caller may need fsynced before
-//! acking, because a subtransaction's commit is revocable until its
-//! ancestors all commit.
+//! The log records exactly that event and nothing else: **redo at
+//! commit**. A top-level commit appends one [`Record::Commit`] frame
+//! holding its action id, its commit epoch and the encoded `(key,
+//! version)` of every key whose committed value it changes; a
+//! group-committed batch appends one frame for all of its commits. Begins,
+//! subtransaction commits and aborts leave no bytes — an aborted or
+//! in-flight tree is absent from the log, and that absence is how a crash
+//! aborts it. The only other records are the seeds ([`Record::Write`]
+//! under [`INIT_ACTION`]) and the [`Record::Checkpoint`] a rewritten log
+//! starts with.
 //!
 //! Layout of a log file:
 //!
 //! ```text
-//! [8-byte magic "RNTWAL03"]
+//! [8-byte magic "RNTWAL04"]
 //! [frame]*            frame = [len: u32 LE][crc32(payload): u32 LE][payload]
 //! ```
 //!
-//! Format `02` added the MVCC **commit epoch**: top-level `Commit`
-//! records stamp the epoch their versions publish at, and `Checkpoint`
-//! records store the watermark plus each object's last commit epoch, so
-//! recovery rebuilds version chains identical to the pre-crash store.
-//! Format `03` adds the [`Record::BatchCommit`] frame: a group-committed
-//! batch of top-level commits encoded as ONE record, so the whole batch
-//! is atomic-in-log-or-absent — a crash tears the entire frame (dropped
-//! by [`scan`]'s tail rule) or none of it, and no prefix of a batch can
-//! ever be replayed as committed.
+//! Every commit frame is self-contained, so replay needs no record but
+//! the seeds or checkpoint before it. Because one frame carries a whole
+//! batch, the batch is atomic-in-log-or-absent: a crash tears the entire
+//! frame (dropped by [`scan`]'s tail rule) or none of it, and no prefix of
+//! a batch can ever be replayed as committed. Format `02` added the MVCC
+//! commit epoch, `03` the batch frame and `04` the write set in the
+//! commit frame; older logs are refused by the magic check.
 //!
 //! Reading is two-mode:
 //!
@@ -49,7 +51,7 @@
 //! Writing is two-sided: [`Wal`] appends (one write-through
 //! `Vfs::append` per record, `&mut self`, so the engine keeps it under a
 //! mutex) and [`WalForce`] forces (shared, lock-free), so a slow fsync
-//! never stands between other transactions and their log records.
+//! never stands between a seed and its record.
 
 #![warn(missing_docs)]
 
@@ -64,7 +66,7 @@ pub mod faults;
 pub use codec::{encode_to_vec, WalCodec};
 pub use error::WalError;
 pub use log::{decode_strict, frame, frame_into, scan, Tail, Wal, WalForce, MAGIC};
-pub use record::{Record, INIT_ACTION};
+pub use record::{CommitEntry, Record, INIT_ACTION};
 pub use vfs::{MemVfs, StdVfs, Vfs};
 
 /// CRC-32 (IEEE 802.3, reflected) over `bytes` — the frame checksum.

@@ -8,10 +8,11 @@ use crate::vfs::Vfs;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// The 8-byte file header every log starts with. `03` added the
-/// `BatchCommit` group-commit frame; `02` added the commit epoch to
-/// `Commit`/`Checkpoint` records; older logs are not readable.
-pub const MAGIC: &[u8; 8] = b"RNTWAL03";
+/// The 8-byte file header every log starts with. `04` logs redo at
+/// commit: one `Commit` frame per top-level commit or batch, carrying the
+/// write set, and no action-tree transitions. `03` added the group-commit
+/// frame; `02` the commit epoch. Older logs are not readable.
+pub const MAGIC: &[u8; 8] = b"RNTWAL04";
 
 /// Wrap a record payload in a `[len][crc][payload]` frame.
 pub fn frame(record: &Record) -> Vec<u8> {
@@ -235,16 +236,22 @@ impl Wal {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::{CommitEntry, INIT_ACTION};
     use crate::vfs::MemVfs;
+
+    fn commit(action: u64, epoch: u64, key: u8, value: u8) -> Record {
+        let writes = vec![(vec![key], vec![value])];
+        Record::Commit { commits: vec![CommitEntry { action, epoch, writes }] }
+    }
 
     fn sample() -> Vec<Record> {
         vec![
-            Record::Begin { action: 0, parent: None },
-            Record::Write { action: 0, key: vec![1], version: vec![10] },
-            Record::Begin { action: 1, parent: Some(0) },
-            Record::Write { action: 1, key: vec![1], version: vec![20] },
-            Record::Commit { action: 1, epoch: None },
-            Record::Commit { action: 0, epoch: Some(1) },
+            Record::Write { action: INIT_ACTION, key: vec![1], version: vec![0] },
+            Record::Write { action: INIT_ACTION, key: vec![2], version: vec![0] },
+            commit(0, 1, 1, 10),
+            commit(1, 2, 2, 20),
+            commit(2, 3, 1, 30),
+            commit(3, 4, 2, 40),
         ]
     }
 
@@ -291,7 +298,7 @@ mod tests {
         let vfs = Arc::new(MemVfs::new());
         let mut wal = Wal::open(vfs.clone(), "t.wal").unwrap();
         let force = wal.force_handle();
-        wal.append(&Record::Begin { action: 0, parent: None }).unwrap();
+        wal.append(&commit(0, 1, 1, 1)).unwrap();
         force.fsync().unwrap();
         force.clone().fsync().unwrap();
         assert_eq!(wal.fsyncs(), 2);
@@ -304,10 +311,10 @@ mod tests {
     fn reopen_appends_after_existing() {
         let vfs = Arc::new(MemVfs::new());
         let mut wal = Wal::open(vfs.clone(), "t.wal").unwrap();
-        wal.append(&Record::Begin { action: 0, parent: None }).unwrap();
+        wal.append(&commit(0, 1, 1, 1)).unwrap();
         drop(wal);
         let mut wal = Wal::open(vfs.clone(), "t.wal").unwrap();
-        wal.append(&Record::Abort { action: 0 }).unwrap();
+        wal.append(&commit(1, 2, 1, 2)).unwrap();
         let (records, tail) = scan(&vfs.snapshot("t.wal")).unwrap();
         assert_eq!(records.len(), 2);
         assert_eq!(tail, Tail::Clean);
@@ -318,7 +325,7 @@ mod tests {
         let full = bytes_of(&sample());
         // Every strict prefix that cuts into the last frame scans to the
         // first 5 records with a Torn tail.
-        let last_frame = frame(&Record::Commit { action: 0, epoch: Some(1) });
+        let last_frame = frame(sample().last().unwrap());
         for cut in (full.len() - last_frame.len() + 1)..full.len() {
             let prefix = &full[..cut];
             let (records, tail) = scan(prefix).unwrap();
@@ -398,7 +405,7 @@ mod tests {
         assert_eq!(records, vec![checkpoint]);
         assert_eq!(tail, Tail::Clean);
         // Appends continue after the rewritten contents.
-        wal.append(&Record::Begin { action: 9, parent: None }).unwrap();
+        wal.append(&commit(9, 2, 1, 9)).unwrap();
         let (records, _) = scan(&vfs.snapshot("t.wal")).unwrap();
         assert_eq!(records.len(), 2);
     }

@@ -1,5 +1,7 @@
-//! The record vocabulary: one variant per action-tree status transition
-//! the paper's resilience model makes durable, plus the checkpoint.
+//! The record vocabulary: redo-at-commit. The only event the paper's
+//! resilience model makes durable is a top-level commit (Lemma 7), so a
+//! commit is one record carrying its whole write set; the seeds and the
+//! checkpoint are the other two.
 
 use crate::error::WalError;
 
@@ -8,30 +10,40 @@ use crate::error::WalError;
 /// object's base value directly instead of pushing a version.
 pub const INIT_ACTION: u64 = u64::MAX;
 
-const TAG_BEGIN: u8 = 1;
 const TAG_WRITE: u8 = 2;
 const TAG_COMMIT: u8 = 3;
-const TAG_ABORT: u8 = 4;
 const TAG_CHECKPOINT: u8 = 5;
-const TAG_BATCH_COMMIT: u8 = 6;
+
+/// One top-level commit inside a [`Record::Commit`] frame: everything
+/// replay needs to redo it, with no reference to any other record.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct CommitEntry {
+    /// The committing top-level action (the engine's `TxnId`). A label
+    /// for error messages and oracles: replay needs no id, and a
+    /// recovered engine numbers its transactions afresh.
+    pub action: u64,
+    /// The commit epoch: the monotonically increasing counter the MVCC
+    /// store stamps on the versions this commit publishes.
+    pub epoch: u64,
+    /// `(key, version)` for every key whose committed value this commit
+    /// changes, in key order. Empty for a read-only commit, which still
+    /// takes an epoch.
+    pub writes: Vec<(Vec<u8>, Vec<u8>)>,
+}
 
 /// One durable event. Keys and versions are opaque byte strings — the
 /// engine encodes its `K`/`V` types via [`crate::WalCodec`] before
 /// appending, so the log format is independent of the store's type
 /// parameters.
+///
+/// Nothing below the top level is logged: a subtransaction's work reaches
+/// the log only inside its top-level ancestor's commit, and an aborted or
+/// in-flight tree leaves no bytes at all.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Record {
-    /// An action entered the tree (`create(T)`): top-level iff `parent`
-    /// is `None`.
-    Begin {
-        /// The action's id (the engine's `TxnId`).
-        action: u64,
-        /// The parent action, if nested.
-        parent: Option<u64>,
-    },
-    /// An action wrote a version of a key. With `action ==`
-    /// [`INIT_ACTION`] this is a base-value seed, not a transactional
-    /// version.
+    /// A key written outside any commit. The engine appends only seeds
+    /// (`action ==` [`INIT_ACTION`]), which set an object's base value;
+    /// replay refuses any other action.
     Write {
         /// The writing action.
         action: u64,
@@ -40,33 +52,15 @@ pub enum Record {
         /// Encoded version (the value written).
         version: Vec<u8>,
     },
-    /// The action committed to its parent (top-level: permanently — the
-    /// only record class that is a durability point).
+    /// Top-level commits made durable as one unit: a lone commit, or a
+    /// group-committed batch. The frame is atomic-in-log-or-absent — a
+    /// crash tears the whole frame (discarded by [`crate::scan`]'s tail
+    /// rule) or none of it, so no prefix of a batch is ever replayed as
+    /// committed. A batch of one is byte-identical to an unbatched commit.
     Commit {
-        /// The committing action.
-        action: u64,
-        /// The commit epoch, present iff this is a top-level commit: the
-        /// monotonically increasing counter the MVCC store stamps on the
-        /// versions this commit publishes. Nested commits carry `None` —
-        /// they publish to their parent, not to the committed state.
-        epoch: Option<u64>,
-    },
-    /// The action aborted; its subtree's versions are discarded.
-    Abort {
-        /// The aborting action.
-        action: u64,
-    },
-    /// A group-committed batch of top-level commits, durable as one unit.
-    ///
-    /// Semantically equivalent to the listed `Commit { action, epoch:
-    /// Some(epoch) }` records applied in order, but framed as a *single*
-    /// record so the batch is atomic-in-log-or-absent: a crash can only
-    /// tear the whole frame (discarded by [`crate::scan`]'s tail rule),
-    /// never leave a prefix of the batch replayable as committed.
-    BatchCommit {
-        /// `(action, epoch)` pairs in epoch order — epochs are the
-        /// contiguous run the sequencer allocated for the batch.
-        commits: Vec<(u64, u64)>,
+        /// The commits in epoch order — the contiguous run the sequencer
+        /// allocated for the batch. Never empty.
+        commits: Vec<CommitEntry>,
     },
     /// A full snapshot of the committed key space, written as the first
     /// record of a rewritten log so recovery cost stays bounded.
@@ -86,8 +80,12 @@ fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
+fn put_u32(out: &mut Vec<u8>, n: usize) {
+    out.extend_from_slice(&(n as u32).to_le_bytes());
+}
+
 fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
-    out.extend_from_slice(&(b.len() as u32).to_le_bytes());
+    put_u32(out, b.len());
     out.extend_from_slice(b);
 }
 
@@ -140,50 +138,29 @@ impl Record {
     /// returns, without the allocation).
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         match self {
-            Record::Begin { action, parent } => {
-                out.push(TAG_BEGIN);
-                put_u64(out, *action);
-                match parent {
-                    None => out.push(0),
-                    Some(p) => {
-                        out.push(1);
-                        put_u64(out, *p);
-                    }
-                }
-            }
             Record::Write { action, key, version } => {
                 out.push(TAG_WRITE);
                 put_u64(out, *action);
                 put_bytes(out, key);
                 put_bytes(out, version);
             }
-            Record::Commit { action, epoch } => {
+            Record::Commit { commits } => {
                 out.push(TAG_COMMIT);
-                put_u64(out, *action);
-                match epoch {
-                    None => out.push(0),
-                    Some(e) => {
-                        out.push(1);
-                        put_u64(out, *e);
+                put_u32(out, commits.len());
+                for c in commits {
+                    put_u64(out, c.action);
+                    put_u64(out, c.epoch);
+                    put_u32(out, c.writes.len());
+                    for (key, version) in &c.writes {
+                        put_bytes(out, key);
+                        put_bytes(out, version);
                     }
-                }
-            }
-            Record::Abort { action } => {
-                out.push(TAG_ABORT);
-                put_u64(out, *action);
-            }
-            Record::BatchCommit { commits } => {
-                out.push(TAG_BATCH_COMMIT);
-                out.extend_from_slice(&(commits.len() as u32).to_le_bytes());
-                for (action, epoch) in commits {
-                    put_u64(out, *action);
-                    put_u64(out, *epoch);
                 }
             }
             Record::Checkpoint { epoch, snapshot } => {
                 out.push(TAG_CHECKPOINT);
                 put_u64(out, *epoch);
-                out.extend_from_slice(&(snapshot.len() as u32).to_le_bytes());
+                put_u32(out, snapshot.len());
                 for (k, e, v) in snapshot {
                     put_bytes(out, k);
                     put_u64(out, *e);
@@ -201,15 +178,6 @@ impl Record {
         let record = (|| -> Result<Record, String> {
             let tag = c.u8()?;
             let record = match tag {
-                TAG_BEGIN => {
-                    let action = c.u64()?;
-                    let parent = match c.u8()? {
-                        0 => None,
-                        1 => Some(c.u64()?),
-                        other => return Err(format!("bad parent flag {other}")),
-                    };
-                    Record::Begin { action, parent }
-                }
                 TAG_WRITE => {
                     let action = c.u64()?;
                     let key = c.bytes()?;
@@ -217,27 +185,22 @@ impl Record {
                     Record::Write { action, key, version }
                 }
                 TAG_COMMIT => {
-                    let action = c.u64()?;
-                    let epoch = match c.u8()? {
-                        0 => None,
-                        1 => Some(c.u64()?),
-                        other => return Err(format!("bad epoch flag {other}")),
-                    };
-                    Record::Commit { action, epoch }
-                }
-                TAG_ABORT => Record::Abort { action: c.u64()? },
-                TAG_BATCH_COMMIT => {
                     let n = c.u32()? as usize;
                     if n == 0 {
-                        return Err("empty batch commit".to_string());
+                        return Err("empty commit frame".to_string());
                     }
                     let mut commits = Vec::with_capacity(n.min(1 << 16));
                     for _ in 0..n {
                         let action = c.u64()?;
                         let epoch = c.u64()?;
-                        commits.push((action, epoch));
+                        let w = c.u32()? as usize;
+                        let mut writes = Vec::with_capacity(w.min(1 << 16));
+                        for _ in 0..w {
+                            writes.push((c.bytes()?, c.bytes()?));
+                        }
+                        commits.push(CommitEntry { action, epoch, writes });
                     }
-                    Record::BatchCommit { commits }
+                    Record::Commit { commits }
                 }
                 TAG_CHECKPOINT => {
                     let epoch = c.u64()?;
@@ -261,18 +224,6 @@ impl Record {
         }
         Ok(record)
     }
-
-    /// The acting id, if this record names exactly one (`None` for
-    /// checkpoints and batch commits, which name zero or many).
-    pub fn action(&self) -> Option<u64> {
-        match self {
-            Record::Begin { action, .. }
-            | Record::Write { action, .. }
-            | Record::Commit { action, .. }
-            | Record::Abort { action } => Some(*action),
-            Record::Checkpoint { .. } | Record::BatchCommit { .. } => None,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -284,17 +235,24 @@ mod tests {
         assert_eq!(Record::decode(&payload, 0).unwrap(), r);
     }
 
+    fn entry(action: u64, epoch: u64, writes: &[(&[u8], &[u8])]) -> CommitEntry {
+        let writes = writes.iter().map(|(k, v)| (k.to_vec(), v.to_vec())).collect();
+        CommitEntry { action, epoch, writes }
+    }
+
     #[test]
     fn all_variants_roundtrip() {
-        roundtrip(Record::Begin { action: 7, parent: None });
-        roundtrip(Record::Begin { action: 8, parent: Some(7) });
         roundtrip(Record::Write { action: 8, key: vec![1, 2], version: vec![] });
         roundtrip(Record::Write { action: INIT_ACTION, key: vec![0; 300], version: vec![9] });
-        roundtrip(Record::Commit { action: 8, epoch: None });
-        roundtrip(Record::Commit { action: 8, epoch: Some(3) });
-        roundtrip(Record::Abort { action: 7 });
-        roundtrip(Record::BatchCommit { commits: vec![(3, 11)] });
-        roundtrip(Record::BatchCommit { commits: vec![(3, 11), (9, 12), (1, 13)] });
+        roundtrip(Record::Commit { commits: vec![entry(3, 11, &[])] });
+        roundtrip(Record::Commit { commits: vec![entry(3, 11, &[(&[1], &[2, 3])])] });
+        roundtrip(Record::Commit {
+            commits: vec![
+                entry(3, 11, &[(&[1], &[2]), (&[4, 5], &[])]),
+                entry(9, 12, &[]),
+                entry(1, 13, &[(&[], &[7; 40])]),
+            ],
+        });
         roundtrip(Record::Checkpoint { epoch: 0, snapshot: vec![] });
         roundtrip(Record::Checkpoint {
             epoch: 9,
@@ -306,24 +264,28 @@ mod tests {
     fn unknown_tag_rejected() {
         let err = Record::decode(&[99], 16).unwrap_err();
         assert!(matches!(err, WalError::BadRecord { offset: 16, .. }), "{err:?}");
+        // The retired tags of format 03 (begin, abort, batch commit).
+        for tag in [1, 4, 6] {
+            assert!(Record::decode(&[tag, 0, 0, 0, 0], 0).is_err(), "tag {tag}");
+        }
     }
 
     #[test]
     fn short_payload_rejected() {
-        let mut payload = Record::Commit { action: 5, epoch: None }.encode();
-        payload.truncate(4);
+        let mut payload = Record::Commit { commits: vec![entry(5, 1, &[(&[1], &[2])])] }.encode();
+        payload.truncate(payload.len() - 1);
         assert!(matches!(Record::decode(&payload, 0), Err(WalError::BadRecord { .. })));
     }
 
     #[test]
-    fn empty_batch_commit_rejected() {
-        let err = Record::decode(&[TAG_BATCH_COMMIT, 0, 0, 0, 0], 0).unwrap_err();
-        assert!(err.to_string().contains("empty batch"), "{err}");
+    fn empty_commit_frame_rejected() {
+        let err = Record::decode(&[TAG_COMMIT, 0, 0, 0, 0], 0).unwrap_err();
+        assert!(err.to_string().contains("empty commit frame"), "{err}");
     }
 
     #[test]
     fn trailing_bytes_rejected() {
-        let mut payload = Record::Abort { action: 5 }.encode();
+        let mut payload = Record::Commit { commits: vec![entry(5, 1, &[])] }.encode();
         payload.push(0);
         let err = Record::decode(&payload, 0).unwrap_err();
         assert!(err.to_string().contains("trailing"), "{err}");

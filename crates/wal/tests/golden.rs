@@ -6,16 +6,20 @@
 //! records — so any accidental format change fails loudly. Regenerate
 //! fixtures intentionally with `REGEN_GOLDEN=1 cargo test -p rnt-wal`.
 //!
-//! The committed fixtures are format **03** (`RNTWAL03`): format 02's
-//! epoch-carrying `Commit`/`Checkpoint` records (top-level `Commit`s
-//! carry their MVCC commit epoch behind a flag byte; `Checkpoint`
-//! snapshot entries are `(key, epoch, value)` triples plus the
-//! watermark) plus the `BatchCommit` frame — a group-committed batch of
-//! top-level `(action, epoch)` pairs encoded as ONE record so the batch
-//! is atomic-in-log-or-absent. Older-format logs are rejected by the
-//! magic check — there is no cross-format migration path.
+//! The committed fixtures are format **04** (`RNTWAL04`): redo at
+//! commit. A top-level commit — or a group-committed batch — is ONE
+//! `Commit` frame listing, per commit, its action id, its epoch and the
+//! `(key, version)` of every key it changes, in key order; seeds are
+//! `Write` records under `INIT_ACTION`; a rewritten log starts with a
+//! `Checkpoint` of `(key, epoch, value)` triples plus the watermark.
+//! Begins, nested commits and aborts are not logged. Older-format logs
+//! are rejected by the magic check — there is no cross-format migration
+//! path. `format03_single_commit.wal` is the last format-03 fixture, kept
+//! as committed for `rnt-core`'s durability suite to prove it.
 
-use rnt_wal::{decode_strict, faults, frame, scan, Record, Tail, WalError, INIT_ACTION, MAGIC};
+use rnt_wal::{
+    decode_strict, faults, frame, scan, CommitEntry, Record, Tail, WalError, INIT_ACTION, MAGIC,
+};
 
 fn golden_dir() -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden")
@@ -55,43 +59,42 @@ fn golden_empty() {
     check_golden("empty.wal", &[]);
 }
 
+fn seed(key: &[u8], version: &[u8]) -> Record {
+    Record::Write { action: INIT_ACTION, key: key.to_vec(), version: version.to_vec() }
+}
+
+/// `(action, epoch, writes)` of one commit entry.
+type Entry<'a> = (u64, u64, &'a [(&'a [u8], &'a [u8])]);
+
+fn commit(entries: &[Entry<'_>]) -> Record {
+    let commits = entries
+        .iter()
+        .map(|&(action, epoch, writes)| CommitEntry {
+            action,
+            epoch,
+            writes: writes.iter().map(|(k, v)| (k.to_vec(), v.to_vec())).collect(),
+        })
+        .collect();
+    Record::Commit { commits }
+}
+
 /// One top-level action writing one key and committing.
 #[test]
 fn golden_single_commit() {
     check_golden(
         "single_commit.wal",
-        &[
-            Record::Write {
-                action: INIT_ACTION,
-                key: b"k0".to_vec(),
-                version: 0u64.to_le_bytes().to_vec(),
-            },
-            Record::Begin { action: 0, parent: None },
-            Record::Write { action: 0, key: b"k0".to_vec(), version: 7u64.to_le_bytes().to_vec() },
-            Record::Commit { action: 0, epoch: Some(1) },
-        ],
+        &[seed(b"k0", &0u64.to_le_bytes()), commit(&[(0, 1, &[(b"k0", &7u64.to_le_bytes())])])],
     );
 }
 
+/// A 3-deep nested tree — a grandchild writes `x` and commits, its
+/// parent's sibling writes `y` and aborts, the root commits — logs one
+/// frame: the root's commit with the surviving write. The rest of the
+/// tree leaves no bytes.
 fn nested_records() -> Vec<Record> {
-    vec![
-        Record::Write { action: INIT_ACTION, key: b"x".to_vec(), version: vec![1] },
-        Record::Write { action: INIT_ACTION, key: b"y".to_vec(), version: vec![2] },
-        Record::Begin { action: 0, parent: None },
-        Record::Begin { action: 1, parent: Some(0) },
-        Record::Begin { action: 2, parent: Some(1) },
-        Record::Write { action: 2, key: b"x".to_vec(), version: vec![10] },
-        Record::Commit { action: 2, epoch: None },
-        Record::Begin { action: 3, parent: Some(1) },
-        Record::Write { action: 3, key: b"y".to_vec(), version: vec![20] },
-        Record::Abort { action: 3 },
-        Record::Commit { action: 1, epoch: None },
-        Record::Commit { action: 0, epoch: Some(1) },
-    ]
+    vec![seed(b"x", &[1]), seed(b"y", &[2]), commit(&[(0, 1, &[(b"x", &[10])])])]
 }
 
-/// A 3-deep nested tree with an aborted sibling — exercises every record
-/// kind except Checkpoint.
 #[test]
 fn golden_nested_tree() {
     check_golden("nested_tree.wal", &nested_records());
@@ -99,23 +102,16 @@ fn golden_nested_tree() {
 
 fn batch_records() -> Vec<Record> {
     vec![
-        Record::Write { action: INIT_ACTION, key: b"a".to_vec(), version: vec![0] },
-        Record::Write { action: INIT_ACTION, key: b"b".to_vec(), version: vec![0] },
-        Record::Write { action: INIT_ACTION, key: b"c".to_vec(), version: vec![0] },
-        Record::Begin { action: 0, parent: None },
-        Record::Write { action: 0, key: b"a".to_vec(), version: vec![10] },
-        Record::Begin { action: 1, parent: None },
-        Record::Write { action: 1, key: b"b".to_vec(), version: vec![20] },
-        Record::Begin { action: 2, parent: None },
-        Record::Write { action: 2, key: b"c".to_vec(), version: vec![30] },
+        seed(b"a", &[0]),
+        seed(b"b", &[0]),
+        seed(b"c", &[0]),
         // Three disjoint top-level commits group-committed as one frame:
         // a contiguous epoch run in staging order.
-        Record::BatchCommit { commits: vec![(0, 1), (1, 2), (2, 3)] },
+        commit(&[(0, 1, &[(b"a", &[10])]), (1, 2, &[(b"b", &[20])]), (2, 3, &[(b"c", &[30])])]),
     ]
 }
 
-/// Three concurrent top-level commits retired as one group-commit batch —
-/// the format-03 frame.
+/// Three concurrent top-level commits retired as one group-commit batch.
 #[test]
 fn golden_batch_commit() {
     check_golden("batch_commit.wal", &batch_records());
@@ -131,9 +127,7 @@ fn golden_checkpoint() {
                 epoch: 3,
                 snapshot: vec![(b"a".to_vec(), 2, vec![1]), (b"b".to_vec(), 3, vec![2, 0, 2])],
             },
-            Record::Begin { action: 5, parent: None },
-            Record::Write { action: 5, key: b"a".to_vec(), version: vec![9] },
-            Record::Commit { action: 5, epoch: Some(4) },
+            commit(&[(5, 4, &[(b"a", &[9])])]),
         ],
     );
 }
@@ -188,7 +182,7 @@ fn rejects_bad_magic() {
     assert_eq!(decode_strict(&bytes), Err(WalError::BadMagic));
 }
 
-// ---- batch atomicity at the torn tail (the format-03 guarantee) ----
+// ---- batch atomicity at the torn tail ----
 
 /// Pin the single-commit tail behavior: an INTACT `Commit` frame at the
 /// end of the log is trusted by recovery — its fsync may or may not have
@@ -200,14 +194,14 @@ fn intact_tail_commit_is_replayed() {
     let bytes = encode_log(&records);
     let (scanned, tail) = scan(&bytes).unwrap();
     assert_eq!(tail, Tail::Clean);
-    assert_eq!(scanned.last(), Some(&Record::Commit { action: 0, epoch: Some(1) }));
+    assert_eq!(scanned.last(), records.last());
 }
 
 /// The batch all-or-nothing invariant at the byte level: cutting the log
-/// ANYWHERE inside the `BatchCommit` frame discards the whole batch — no
-/// prefix of a batch ever scans as committed. (Contrast with what n
-/// separate `Commit` records would give: a cut between them leaves an
-/// arbitrary prefix of the batch durable without its shared fsync.)
+/// ANYWHERE inside the batch's `Commit` frame discards the whole batch —
+/// no prefix of a batch ever scans as committed. (Contrast with what n
+/// separate frames would give: a cut between them leaves an arbitrary
+/// prefix of the batch durable without its shared fsync.)
 #[test]
 fn torn_batch_commit_is_all_or_nothing() {
     let records = batch_records();
@@ -219,7 +213,7 @@ fn torn_batch_commit_is_all_or_nothing() {
         let (scanned, tail) = scan(&prefix).unwrap_or_else(|e| panic!("cut {cut}: {e}"));
         assert!(matches!(tail, Tail::Torn(_)), "cut {cut} inside the batch frame must tear");
         assert!(
-            !scanned.iter().any(|r| matches!(r, Record::BatchCommit { .. })),
+            !scanned.iter().any(|r| matches!(r, Record::Commit { .. })),
             "cut {cut}: a torn batch must vanish wholly, never partially"
         );
         assert_eq!(scanned.len(), records.len() - 1, "cut {cut}");
@@ -228,7 +222,7 @@ fn torn_batch_commit_is_all_or_nothing() {
     let (scanned, tail) = scan(&bytes).unwrap();
     assert_eq!(tail, Tail::Clean);
     match scanned.last() {
-        Some(Record::BatchCommit { commits }) => assert_eq!(commits.len(), 3),
+        Some(Record::Commit { commits }) => assert_eq!(commits.len(), 3),
         other => panic!("expected the intact batch, got {other:?}"),
     }
 }
@@ -244,7 +238,7 @@ fn corrupt_tail_batch_commit_is_discarded_wholly() {
         let corrupt = faults::flip_bit(&bytes, (payload_start + bit / 8) * 8 + bit % 8);
         let (scanned, tail) = scan(&corrupt).unwrap();
         assert!(matches!(tail, Tail::Torn(WalError::BadCrc { .. })), "bit {bit}");
-        assert!(!scanned.iter().any(|r| matches!(r, Record::BatchCommit { .. })), "bit {bit}");
+        assert!(!scanned.iter().any(|r| matches!(r, Record::Commit { .. })), "bit {bit}");
     }
 }
 
