@@ -7,7 +7,8 @@
 //!   thread's writes are all in the committed state;
 //! * **force-before-ack** — under [`Durability::WalFsync`] the pipeline
 //!   issues exactly one fsync per retired batch (`wal_fsyncs ==
-//!   commit_batches`), and no acked commit is missing from the log;
+//!   commit_batches`), and every acked commit's frame lies inside a log
+//!   prefix some force had covered before the ack;
 //! * **epoch order = log order** — the independent reference interpreter
 //!   rejects any log whose commit epochs are not strictly increasing in
 //!   record order, so a passing [`reference_trace`] *is* the ordering
@@ -16,39 +17,59 @@
 //!   commits, and each retired batch is exactly one frame;
 //! * **the force holds no engine lock** — on a disk whose fsync takes
 //!   tens of microseconds, other transactions' begins and `rmw`s run to
-//!   completion *while* a batch is being forced, there is never more than
-//!   one force in flight, and everything above still holds.
+//!   completion *while* a batch is being forced, other batches' forces
+//!   overlap it, and everything above still holds.
 
 use proptest::prelude::*;
 use rnt_chaos::recovery::{reference_trace, WAL_PATH};
 use rnt_core::{Db, DbConfig, DeadlockPolicy, Durability};
-use rnt_wal::{scan, MemVfs, Record, Vfs, WalError};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use rnt_wal::{frame, scan, MemVfs, Record, Vfs, WalError, MAGIC};
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// A [`MemVfs`] whose fsync takes `latency` (a sleep, so the other
-/// threads run even on one core). It counts the appends that arrive while
-/// a force is in flight, and the engine calls that start and finish
-/// inside one force ([`SlowVfs::inside`]); it refuses a second concurrent
-/// force.
+/// threads run even on one core). Each fsync covers the bytes appended
+/// before it began, and publishes that length as durable when it
+/// returns. It counts the forces in flight at once, the appends that
+/// arrive while one is, and the engine calls that start and finish
+/// inside one force ([`SlowVfs::inside`]).
 struct SlowVfs {
     mem: MemVfs,
     latency: Duration,
-    forcing: AtomicBool,
+    /// Forces in flight now, and the most ever at once.
+    forcing: AtomicU64,
+    most_forcing: AtomicU64,
     /// Forces started so far: tells one force from the next.
     forces: AtomicU64,
+    /// The longest log prefix a returned force covered.
+    durable: AtomicU64,
     appends_during_force: AtomicU64,
     calls_during_force: AtomicU64,
 }
 
 impl SlowVfs {
-    /// Run `call`, counting it if one force was in flight from before it
-    /// began until after it returned — which it could not be, were the
-    /// force holding a lock `call` needs.
+    fn new(latency: Duration) -> Self {
+        SlowVfs {
+            mem: MemVfs::new(),
+            latency,
+            forcing: AtomicU64::new(0),
+            most_forcing: AtomicU64::new(0),
+            forces: AtomicU64::new(0),
+            durable: AtomicU64::new(0),
+            appends_during_force: AtomicU64::new(0),
+            calls_during_force: AtomicU64::new(0),
+        }
+    }
+
+    /// Run `call`, counting it if forces were in flight from before it
+    /// began until after it returned, with none starting meanwhile —
+    /// which could not be, were the force holding a lock `call` needs.
     fn inside<R>(&self, call: impl FnOnce() -> R) -> R {
-        let during =
-            || self.forcing.load(Ordering::SeqCst).then(|| self.forces.load(Ordering::SeqCst));
+        let during = || {
+            (self.forcing.load(Ordering::SeqCst) > 0).then(|| self.forces.load(Ordering::SeqCst))
+        };
         let before = during();
         let out = call();
         if before.is_some() && during() == before {
@@ -60,17 +81,21 @@ impl SlowVfs {
 
 impl Vfs for SlowVfs {
     fn append(&self, path: &str, data: &[u8]) -> Result<(), WalError> {
-        if self.forcing.load(Ordering::SeqCst) {
+        if self.forcing.load(Ordering::SeqCst) > 0 {
             self.appends_during_force.fetch_add(1, Ordering::Relaxed);
         }
         self.mem.append(path, data)
     }
     fn fsync(&self, path: &str) -> Result<(), WalError> {
+        let covers = self.mem.snapshot(path).len() as u64;
         self.forces.fetch_add(1, Ordering::SeqCst);
-        assert!(!self.forcing.swap(true, Ordering::SeqCst), "two forces in flight");
+        let now = self.forcing.fetch_add(1, Ordering::SeqCst) + 1;
+        self.most_forcing.fetch_max(now, Ordering::SeqCst);
         std::thread::sleep(self.latency);
-        self.forcing.store(false, Ordering::SeqCst);
-        self.mem.fsync(path)
+        self.forcing.fetch_sub(1, Ordering::SeqCst);
+        self.mem.fsync(path)?;
+        self.durable.fetch_max(covers, Ordering::SeqCst);
+        Ok(())
     }
     fn read(&self, path: &str) -> Result<Vec<u8>, WalError> {
         self.mem.read(path)
@@ -83,25 +108,26 @@ impl Vfs for SlowVfs {
     }
 }
 
+/// How a run on a [`SlowVfs`] overlapped its forces.
+struct Overlap {
+    /// Begins, `rmw`s and appends that ran inside a force.
+    calls: u64,
+    /// The most forces ever in flight at once.
+    forces: u64,
+}
+
 /// `threads` clients, each committing `commits_per` flat transactions of
 /// `rmws` writes to its own keys, through the pipeline onto a [`SlowVfs`].
-/// Checks the sequencer's counters and that commit frames sit in the log
-/// in epoch order, one per batch; returns how many begins, `rmw`s and
-/// appends overlapped a force.
+/// Checks the sequencer's counters, that commit frames sit in the log in
+/// epoch order, one per batch, and that each acked commit's frame was
+/// durable at its ack.
 fn run_on_slow_disk(
     threads: u64,
     commits_per: u64,
     rmws: u64,
     latency: Duration,
-) -> Result<u64, TestCaseError> {
-    let vfs = Arc::new(SlowVfs {
-        mem: MemVfs::new(),
-        latency,
-        forcing: AtomicBool::new(false),
-        forces: AtomicU64::new(0),
-        appends_during_force: AtomicU64::new(0),
-        calls_during_force: AtomicU64::new(0),
-    });
+) -> Result<Overlap, TestCaseError> {
+    let vfs = Arc::new(SlowVfs::new(latency));
     let config = DbConfig::builder()
         .policy(DeadlockPolicy::NoWait)
         .durability(Durability::WalFsync)
@@ -111,16 +137,21 @@ fn run_on_slow_disk(
     for k in 0..threads * rmws {
         db.insert(k, 0);
     }
+    // Per acked commit: its action id and the durable prefix at its ack.
+    let acks = Mutex::new(Vec::new());
     std::thread::scope(|s| {
         for t in 0..threads {
-            let (db, vfs) = (&db, &vfs);
+            let (db, vfs, acks) = (&db, &vfs, &acks);
             s.spawn(move || {
                 for _ in 0..commits_per {
                     let txn = vfs.inside(|| db.begin());
                     for k in t * rmws..(t + 1) * rmws {
                         vfs.inside(|| txn.rmw(&k, |v| v + 1)).unwrap();
                     }
+                    let action = txn.id().0;
                     txn.commit().unwrap();
+                    let durable = vfs.durable.load(Ordering::SeqCst);
+                    acks.lock().unwrap().push((action, durable));
                 }
             });
         }
@@ -145,23 +176,49 @@ fn run_on_slow_disk(
         })
         .collect();
     prop_assert_eq!(epochs, (1..=total).collect::<Vec<_>>(), "commit-record order = epoch order");
+    // Force-before-ack: where each commit's frame ends in the log, against
+    // the prefix some force had covered when the commit was acked.
+    let mut frame_end = HashMap::new();
+    let mut end = MAGIC.len() as u64;
+    for record in &records {
+        end += frame(record).len() as u64;
+        if let Record::Commit { commits } = record {
+            frame_end.extend(commits.iter().map(|c| (c.action, end)));
+        }
+    }
+    for (action, durable) in acks.into_inner().unwrap() {
+        let end = frame_end.get(&action).copied();
+        prop_assert!(end.is_some(), "acked commit {} is not in the log", action);
+        prop_assert!(
+            end.unwrap() <= durable,
+            "commit {} acked with its frame ending at byte {} but only {} forced",
+            action,
+            end.unwrap(),
+            durable
+        );
+    }
     let trace = reference_trace(&records);
     prop_assert!(trace.is_ok(), "reference interpreter rejected the log: {:?}", trace.err());
     let committed = trace.unwrap().committed();
     for k in 0..threads * rmws {
         prop_assert_eq!(committed.get(&k).copied(), Some(commits_per as i64), "key {}", k);
     }
-    Ok(vfs.appends_during_force.load(Ordering::Relaxed)
-        + vfs.calls_during_force.load(Ordering::Relaxed))
+    Ok(Overlap {
+        calls: vfs.appends_during_force.load(Ordering::Relaxed)
+            + vfs.calls_during_force.load(Ordering::Relaxed),
+        forces: vfs.most_forcing.load(Ordering::SeqCst),
+    })
 }
 
 /// Fixed-size run long enough that, if the force let anybody run, somebody
 /// did: with the fsync under an engine lock a begin or an `rmw` needs, the
-/// count is exactly zero.
+/// count is exactly zero; with it under the publish gate or pipeline
+/// leadership, no two forces ever overlap.
 #[test]
 fn records_land_while_a_slow_disk_forces() {
-    let overlapped = run_on_slow_disk(4, 60, 4, Duration::from_micros(50)).unwrap();
-    assert!(overlapped > 0, "no begin, rmw or append completed inside any of the forces");
+    let overlap = run_on_slow_disk(4, 60, 4, Duration::from_micros(50)).unwrap();
+    assert!(overlap.calls > 0, "no begin, rmw or append completed inside any of the forces");
+    assert!(overlap.forces >= 2, "no two forces were ever in flight at once");
 }
 
 proptest! {

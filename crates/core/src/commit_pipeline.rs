@@ -2,29 +2,41 @@
 //! many threads and lets one **leader** retire them as a batch.
 //!
 //! The paper's Lemma 7 requires the log be forced before a top-level
-//! commit becomes visible — it does *not* require one force per commit.
-//! The sequencer exploits that: every staged commit in a batch shares one
-//! WAL append + fsync and one publish-mutex acquisition (a contiguous
-//! epoch run), amortizing the two measured serial bottlenecks of the
-//! commit path across the batch.
+//! commit becomes visible — it does *not* require one force per commit,
+//! nor a force under any lock. The sequencer exploits both: every staged
+//! commit in a batch shares one WAL append + fsync and one contiguous
+//! epoch run, and the slow half of a batch's retirement (the force)
+//! overlaps other batches' retirement.
 //!
 //! # Protocol (leader with handoff)
 //!
 //! A committing thread *stages* its commit into a FIFO queue. If no
-//! leader is active, it becomes the leader itself; otherwise it parks
-//! until its result is posted. The leader optionally waits up to
-//! `max_batch_wait` for the queue to reach `max_batch`, drains a batch,
-//! releases the pipeline lock, processes the batch (WAL + fsync + epoch
-//! publication — supplied by the caller), posts every participant's
-//! result, and repeats until its own commit has been retired. When the
-//! leader steps down it wakes everyone, so a parked stager whose result
-//! is still pending takes over leadership (handoff) — no thread ever
-//! depends on another thread *arriving*, which keeps the protocol live
-//! under a single-threaded deterministic scheduler.
+//! leader is active **and its own entry is still queued**, it becomes
+//! the leader; otherwise it parks until its result is posted. The leader
+//! optionally waits up to `max_batch_wait` for the queue to reach
+//! `max_batch`, drains a batch, releases the pipeline lock and runs the
+//! caller's `sequence` step on it — the serialized half: epochs reserved
+//! and the commit frame appended. Then it **steps down** at once, waking
+//! the queue so the next batch can be sequenced while this one is being
+//! forced, and runs the caller's `finish` step — the concurrent half:
+//! force, then publication in epoch order — and posts every
+//! participant's result. A thread sequences one batch per leadership, so
+//! a leader whose own commit sat deeper than `max_batch` finishes the
+//! batch it drained and then competes for leadership again, like any
+//! queued stager. Batches form only while a leader sequences; the force
+//! holds no leadership, so a commit arriving during a force is
+//! sequenced (and forced) without waiting for it.
+//!
+//! No thread ever depends on another thread *arriving*, which keeps the
+//! protocol live under a single-threaded deterministic scheduler. And no
+//! thread is left waiting on one that unwound: if `sequence` or `finish`
+//! panics, a guard releases leadership and posts the pipeline's
+//! `unwound` result to every batchmate not yet posted.
 
 use crate::registry::TxnId;
 use parking_lot::{Condvar, Mutex};
 use std::collections::{HashMap, VecDeque};
+use std::ops::Range;
 use std::time::{Duration, Instant};
 
 /// Fallback re-check bound for a parked stager. Notifications (results
@@ -64,16 +76,59 @@ struct PipelineState<P, R> {
     next_seq: u64,
 }
 
+impl<P, R> PipelineState<P, R> {
+    /// Whether ticket `seq` is still waiting in the queue (not drained).
+    fn queued(&self, seq: u64) -> bool {
+        seq >= self.next_seq - self.queue.len() as u64
+    }
+}
+
 /// The sequencer shared by all committing threads of one database.
 pub(crate) struct CommitPipeline<P, R> {
     state: Mutex<PipelineState<P, R>>,
     /// Wakes parked stagers (results posted / leadership released) and a
     /// leader waiting out `max_batch_wait` (new arrivals).
     cv: Condvar,
+    /// The result a batchmate hears when its batch's retirement unwound.
+    unwound: R,
+}
+
+/// The unwind half of one leadership: armed while a thread leads or owes
+/// a drained batch its results. Dropped armed — `sequence` or `finish`
+/// panicked — it steps down and posts `unwound` to every batchmate, so
+/// nobody parks forever on a thread that is gone.
+struct Tenure<'a, P, R: Clone> {
+    pipeline: &'a CommitPipeline<P, R>,
+    /// The drained batch's tickets.
+    batch: Range<u64>,
+    /// The unwinding thread's own ticket: nobody waits for its result.
+    own: u64,
+    leading: bool,
+    armed: bool,
+}
+
+impl<P, R: Clone> Drop for Tenure<'_, P, R> {
+    fn drop(&mut self) {
+        if !self.armed {
+            return;
+        }
+        let mut state = self.pipeline.state.lock();
+        if self.leading {
+            state.leader_active = false;
+        }
+        let unwound = &self.pipeline.unwound;
+        for seq in self.batch.clone().filter(|&s| s != self.own) {
+            state.results.insert(seq, unwound.clone());
+        }
+        drop(state);
+        self.pipeline.cv.notify_all();
+    }
 }
 
 impl<P, R: Clone> CommitPipeline<P, R> {
-    pub fn new() -> Self {
+    /// An empty pipeline whose batchmates hear `unwound` when the thread
+    /// retiring their batch panics.
+    pub fn new(unwound: R) -> Self {
         CommitPipeline {
             state: Mutex::new(PipelineState {
                 queue: VecDeque::new(),
@@ -83,23 +138,28 @@ impl<P, R: Clone> CommitPipeline<P, R> {
                 next_seq: 0,
             }),
             cv: Condvar::new(),
+            unwound,
         }
     }
 
     /// Stage one finished top-level commit and block until a batch
     /// containing it has been durably retired; returns its result.
     ///
-    /// `process` retires one drained batch — append + force + publish —
-    /// and returns one result per participant, in batch order. It runs
-    /// outside the pipeline lock (so staging never blocks behind an
-    /// fsync) on whichever thread holds leadership at the time.
-    pub fn stage(
+    /// A batch retires in two steps, both outside the pipeline lock (so
+    /// staging never blocks behind an fsync), on the thread that led when
+    /// it was drained: `sequence` runs under leadership and must do
+    /// everything whose order is the commit order; `finish` runs after
+    /// the thread stepped down — concurrently with later batches'
+    /// `sequence` and `finish` — and returns one result per participant,
+    /// in batch order.
+    pub fn stage<S>(
         &self,
         txn: TxnId,
         payload: P,
         max_batch: usize,
         max_batch_wait: Duration,
-        process: impl Fn(Vec<StagedCommit<P>>) -> Vec<R>,
+        sequence: impl Fn(Vec<StagedCommit<P>>) -> S,
+        finish: impl Fn(S) -> Vec<R>,
     ) -> R {
         let max_batch = max_batch.max(1);
         let mut state = self.state.lock();
@@ -117,53 +177,67 @@ impl<P, R: Clone> CommitPipeline<P, R> {
             if let Some(result) = state.results.remove(&seq) {
                 return result;
             }
-            if !state.leader_active {
+            // Only a stager whose entry is still queued may lead: one whose
+            // batch was drained waits for the thread finishing it.
+            if !state.leader_active && state.queued(seq) {
                 state.leader_active = true;
-                // Lead until our own commit is retired. We may retire
-                // batches that do not contain us first (our entry can sit
-                // deeper than `max_batch` in the queue).
-                loop {
-                    if !max_batch_wait.is_zero() {
-                        let deadline = Instant::now() + max_batch_wait;
-                        state.leader_waiting = true;
-                        while state.queue.len() < max_batch {
-                            let now = Instant::now();
-                            if now >= deadline {
-                                break;
-                            }
-                            self.cv.wait_for(&mut state, deadline - now);
+                if !max_batch_wait.is_zero() {
+                    let deadline = Instant::now() + max_batch_wait;
+                    state.leader_waiting = true;
+                    while state.queue.len() < max_batch {
+                        let now = Instant::now();
+                        if now >= deadline {
+                            break;
                         }
-                        state.leader_waiting = false;
+                        self.cv.wait_for(&mut state, deadline - now);
                     }
-                    let take = state.queue.len().min(max_batch);
-                    let first = state.next_seq - state.queue.len() as u64;
-                    let batch: Vec<StagedCommit<P>> = state.queue.drain(..take).collect();
-                    debug_assert!(!batch.is_empty(), "leader with an empty queue");
-                    drop(state);
-                    let results = process(batch);
-                    debug_assert_eq!(results.len(), take, "one result per participant");
-                    state = self.state.lock();
-                    state.results.extend((first..).zip(results));
-                    if let Some(result) = state.results.remove(&seq) {
-                        state.leader_active = false;
-                        // Release the lock *before* waking the batch: a
-                        // notify under the mutex makes every woken stager
-                        // immediately block on it again (two context
-                        // switches per waiter). The wake also hands
-                        // leadership to any stager queued behind this
-                        // batch, so nobody stays parked leaderless.
-                        drop(state);
-                        self.cv.notify_all();
-                        return result;
-                    }
-                    // Our own commit sat deeper than this batch: wake its
-                    // participants and keep leading. (Rare path — holding
-                    // the lock across the notify is fine here.)
+                    state.leader_waiting = false;
+                }
+                let take = state.queue.len().min(max_batch);
+                let first = state.next_seq - state.queue.len() as u64;
+                let batch: Vec<StagedCommit<P>> = state.queue.drain(..take).collect();
+                debug_assert!(!batch.is_empty(), "leader with an empty queue");
+                drop(state);
+                let batch_seqs = first..first + take as u64;
+                let mut tenure = Tenure {
+                    pipeline: self,
+                    batch: batch_seqs.clone(),
+                    own: seq,
+                    leading: true,
+                    armed: true,
+                };
+                let sequenced = sequence(batch);
+                // Step down before the slow half: whoever is queued behind
+                // this batch can lead the next one while it is forced.
+                state = self.state.lock();
+                state.leader_active = false;
+                tenure.leading = false;
+                let waiting = !state.queue.is_empty();
+                drop(state);
+                if waiting {
                     self.cv.notify_all();
                 }
+                let results = finish(sequenced);
+                debug_assert_eq!(results.len(), take, "one result per participant");
+                state = self.state.lock();
+                state.results.extend(batch_seqs.zip(results));
+                tenure.armed = false;
+                // Release the lock *before* waking the batch: a notify
+                // under the mutex makes every woken stager immediately
+                // block on it again (two context switches per waiter).
+                let mine = state.results.remove(&seq);
+                drop(state);
+                self.cv.notify_all();
+                if let Some(result) = mine {
+                    return result;
+                }
+                // Our own commit sat deeper than this batch: compete for
+                // leadership again (or find it retired by someone else).
+                state = self.state.lock();
+                continue;
             }
-            // A leader is processing (possibly our batch): park until
-            // results land or leadership frees up.
+            // A leader is sequencing, or our batch is being finished: park
+            // until results land or leadership frees up.
             self.cv.wait_for(&mut state, STAGER_WAIT_SLICE);
         }
     }
@@ -178,24 +252,31 @@ impl<P, R: Clone> CommitPipeline<P, R> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
     use std::sync::Arc;
 
-    fn retire_all(batch: Vec<StagedCommit<()>>) -> Vec<Result<(), ()>> {
+    type Batch = Vec<StagedCommit<()>>;
+
+    fn retire_all(batch: Batch) -> Vec<Result<(), ()>> {
         batch.iter().map(|_| Ok(())).collect()
+    }
+
+    fn pipeline<R: Clone>(unwound: R) -> Arc<CommitPipeline<(), R>> {
+        Arc::new(CommitPipeline::new(unwound))
     }
 
     #[test]
     fn solo_stager_leads_itself() {
-        let p: CommitPipeline<(), Result<(), ()>> = CommitPipeline::new();
-        let out = p.stage(TxnId(1), (), 8, Duration::ZERO, retire_all);
+        let p = pipeline(Err(()));
+        let out = p.stage(TxnId(1), (), 8, Duration::ZERO, |b| b, retire_all);
         assert_eq!(out, Ok(()));
         assert_eq!(p.queued(), 0);
     }
 
     #[test]
     fn many_threads_all_retire() {
-        let p: Arc<CommitPipeline<(), Result<(), ()>>> = Arc::new(CommitPipeline::new());
+        let p = pipeline(Err(()));
         let batches = Arc::new(AtomicU64::new(0));
         let mut handles = Vec::new();
         for t in 0..16u64 {
@@ -203,12 +284,19 @@ mod tests {
             let batches = batches.clone();
             handles.push(std::thread::spawn(move || {
                 for i in 0..25 {
-                    let out =
-                        p.stage(TxnId(t * 100 + i), (), 4, Duration::from_micros(50), |batch| {
-                            batches.fetch_add(1, Ordering::Relaxed);
-                            assert!(batch.len() <= 4, "batch over max_batch");
-                            retire_all(batch)
-                        });
+                    let sequence = |batch: Batch| {
+                        batches.fetch_add(1, Ordering::Relaxed);
+                        assert!(batch.len() <= 4, "batch over max_batch");
+                        batch
+                    };
+                    let out = p.stage(
+                        TxnId(t * 100 + i),
+                        (),
+                        4,
+                        Duration::from_micros(50),
+                        sequence,
+                        retire_all,
+                    );
                     assert_eq!(out, Ok(()));
                 }
             }));
@@ -224,16 +312,21 @@ mod tests {
 
     #[test]
     fn results_reach_the_right_stager() {
-        let p: Arc<CommitPipeline<(), Result<u64, ()>>> = Arc::new(CommitPipeline::new());
+        let p = pipeline(Err(()));
         let mut handles = Vec::new();
         for t in 0..8u64 {
             let p = p.clone();
             handles.push(std::thread::spawn(move || {
                 // Result = the staging transaction's id: each stager must
                 // get its own back, never a batchmate's.
-                let out = p.stage(TxnId(t), (), 8, Duration::from_micros(200), |b| {
-                    b.iter().map(|s| Ok(s.txn.0)).collect()
-                });
+                let out = p.stage(
+                    TxnId(t),
+                    (),
+                    8,
+                    Duration::from_micros(200),
+                    |b| b,
+                    |b| b.iter().map(|s| Ok(s.txn.0)).collect(),
+                );
                 assert_eq!(out, Ok(t));
             }));
         }
@@ -247,8 +340,70 @@ mod tests {
         // max_batch 64 but nobody else ever stages: with a zero window the
         // solo stager must retire immediately instead of waiting for 63
         // peers that will never come.
-        let p: CommitPipeline<(), Result<(), ()>> = CommitPipeline::new();
-        let out = p.stage(TxnId(9), (), 64, Duration::ZERO, retire_all);
+        let p = pipeline(Err(()));
+        let out = p.stage(TxnId(9), (), 64, Duration::ZERO, |b| b, retire_all);
         assert_eq!(out, Ok(()));
+    }
+
+    /// Two batches' `finish` steps run at once: a leader steps down before
+    /// finishing, so the next stager leads while the first batch is still
+    /// in its slow half. Each finish waits (bounded) for the other.
+    #[test]
+    fn finishes_of_consecutive_batches_overlap() {
+        let p = pipeline(Err(()));
+        let in_finish = Arc::new((std::sync::Mutex::new(0usize), std::sync::Condvar::new()));
+        let handles: Vec<_> = (0..2u64)
+            .map(|t| {
+                let (p, in_finish) = (p.clone(), in_finish.clone());
+                std::thread::spawn(move || {
+                    let finish = |batch: Batch| {
+                        let (count, cv) = &*in_finish;
+                        let mut n = count.lock().unwrap();
+                        *n += 1;
+                        cv.notify_all();
+                        let (n, _) =
+                            cv.wait_timeout_while(n, Duration::from_secs(10), |n| *n < 2).unwrap();
+                        vec![if *n >= 2 { Ok(()) } else { Err(()) }; batch.len()]
+                    };
+                    p.stage(TxnId(t), (), 1, Duration::ZERO, |b| b, finish)
+                })
+            })
+            .collect();
+        for h in handles {
+            assert_eq!(h.join().unwrap(), Ok(()), "a finish ran alone");
+        }
+    }
+
+    /// A leader whose `sequence` panics takes only itself down: its
+    /// batchmates hear the `unwound` result, and the pipeline keeps
+    /// retiring later commits.
+    #[test]
+    fn an_unwinding_leader_releases_its_batchmates() {
+        let p = pipeline(Err("unwound"));
+        let armed = Arc::new(AtomicBool::new(true));
+        let handles: Vec<_> = (0..3u64)
+            .map(|t| {
+                let (p, armed) = (p.clone(), armed.clone());
+                std::thread::spawn(move || {
+                    catch_unwind(AssertUnwindSafe(|| {
+                        let sequence = |b: Batch| {
+                            assert!(!armed.swap(false, Ordering::SeqCst), "sequencing failed");
+                            b
+                        };
+                        // The window only closes on a full batch of three.
+                        let wait = Duration::from_secs(10);
+                        p.stage(TxnId(t), (), 3, wait, sequence, |b| vec![Ok(()); b.len()])
+                    }))
+                })
+            })
+            .collect();
+        let outcomes: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+        assert_eq!(outcomes.iter().filter(|o| o.is_err()).count(), 1, "one leader panicked");
+        for o in outcomes.into_iter().flatten() {
+            assert_eq!(o, Err("unwound"));
+        }
+        let later = p.stage(TxnId(9), (), 3, Duration::ZERO, |b| b, |b| vec![Ok(()); b.len()]);
+        assert_eq!(later, Ok(()), "leadership was released");
+        assert_eq!(p.queued(), 0);
     }
 }

@@ -26,7 +26,7 @@ pub use crate::config::{CcMode, DbConfig, DbConfigBuilder, DeadlockPolicy, Durab
 use crate::deadlock::WaitForGraph;
 use crate::error::TxnError;
 use crate::lock::LockState;
-use crate::locking::{ShardState, WaitEntry};
+use crate::locking::{LockingRun, ShardState, WaitEntry};
 use crate::optimistic::{OptCtx, OptFootprint};
 use crate::registry::{Registry, RegistryError, RegistryView, Tree, TxnId, TxnStatus};
 use crate::stats::{Stats, StatsSnapshot};
@@ -34,7 +34,7 @@ pub use crate::view::Snapshot;
 use crate::view::{EpochBounds, ReadView, SnapshotError};
 use parking_lot::{Mutex, RwLock, RwLockReadGuard};
 use rnt_model::UpdateFn;
-use rnt_mvcc::{MvccStore, PublishBatch, GENESIS_EPOCH};
+use rnt_mvcc::{MvccStore, GENESIS_EPOCH};
 use rnt_wal::{CommitEntry, Record, Wal, WalError, WalForce, INIT_ACTION};
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasher, Hash, RandomState};
@@ -100,6 +100,20 @@ impl<K, V> CommitPayload<K, V> {
 /// with the pipeline off retires itself as a batch of one.
 pub(crate) type Participant<K, V> = StagedCommit<CommitPayload<K, V>>;
 
+/// A batch of top-level commits between the two halves of its
+/// retirement ([`DbInner::sequence`], then [`DbInner::finish`]).
+pub(crate) enum Sequenced<'a, K, V>
+where
+    K: Eq + Hash + Ord + Clone + Send + Sync + 'static,
+    V: Clone + Hash + Send + Sync + 'static,
+{
+    /// Locking: epochs reserved and the frame logged; the force and the
+    /// publication in turn are left.
+    Locking(LockingRun<'a, K, V>),
+    /// Optimistic: retired whole under one gate hold; its verdicts.
+    Optimistic(Vec<Result<(), TxnError>>),
+}
+
 /// One commit's write set on its way into a commit frame: the encoded
 /// `(key, version)` of every key whose committed value it changes, in key
 /// order.
@@ -110,6 +124,20 @@ pub(crate) type WriteSet = Vec<(Vec<u8>, Vec<u8>)>;
 /// failure means it lost.
 fn is_committed(verdict: &Result<(), TxnError>) -> bool {
     matches!(verdict, Ok(()) | Err(TxnError::Wal { .. }))
+}
+
+/// Armed across a log force: dropped during an unwind, it marks the log
+/// broken from `epoch` on, so no later run acks durability the unwound
+/// force may not have delivered.
+struct BreakOnUnwind<'a, K, V> {
+    wal: &'a WalState<K, V>,
+    epoch: u64,
+}
+
+impl<K, V> Drop for BreakOnUnwind<'_, K, V> {
+    fn drop(&mut self) {
+        self.wal.mark_broken(self.epoch, "the log force unwound");
+    }
 }
 
 /// The attached write-ahead log plus everything needed to feed it.
@@ -125,28 +153,68 @@ pub(crate) struct WalState<K, V> {
     /// force.
     pub(crate) log: Mutex<Wal>,
     /// The force side of `log`, usable without the mutex: see
-    /// [`DbInner::wal_force`].
+    /// [`DbInner::force_log`].
     force: WalForce,
     /// Top-level commits since the last auto-checkpoint
     /// ([`DbConfig::checkpoint_every`]).
     pub(crate) commits_since_ckpt: AtomicU64,
-    /// First append/fsync failure, if any. Once set the log is
-    /// **fail-stop**: no further record is appended or forced (a log with
-    /// a record missing from its middle could replay a commit over a key
-    /// it never seeded, or not replay at all), and every top-level commit
-    /// reports [`TxnError::Wal`] instead of acking durability it does not
-    /// have.
-    /// The file keeps the prefix written before the failure, which
-    /// recovers like a crash at that point.
-    pub(crate) broken: std::sync::OnceLock<String>,
+    /// The lowest-epoch append/fsync failure, if any: the first epoch it
+    /// loses and its detail. Once set the log is **fail-stop**: no
+    /// further record is appended (a log with a record missing from its
+    /// middle could replay a commit over a key it never seeded, or not
+    /// replay at all), and every run from that epoch on reports
+    /// [`TxnError::Wal`] instead of acking durability it does not have.
+    /// A run below it logged its frame before the failure; it still
+    /// forces and acks (see [`WalState::verdict`]). The file keeps the
+    /// prefix written before the failure, which recovers like a crash at
+    /// that point.
+    broken: Mutex<Option<(u64, String)>>,
+    /// `broken`'s epoch, `u64::MAX` while the log is healthy: what every
+    /// commit reads, without the mutex.
+    broken_at: AtomicU64,
     enc_key: fn(&K, &mut Vec<u8>),
     enc_val: fn(&V, &mut Vec<u8>),
 }
 
 impl<K, V> WalState<K, V> {
-    pub(crate) fn mark_broken(&self, e: &WalError) {
-        // Only the first failure is kept.
-        let _ = self.broken.set(e.to_string());
+    /// Record a failure that loses every run whose epochs reach `epoch`:
+    /// the failing run's first epoch, or 0 for a failure that belongs to
+    /// no run (a seed's append, a checkpoint's rewrite), which loses
+    /// every run not yet published. The lowest such failure is kept.
+    pub(crate) fn mark_broken(&self, epoch: u64, detail: impl std::fmt::Display) {
+        let mut broken = self.broken.lock();
+        if broken.as_ref().is_none_or(|&(at, _)| epoch < at) {
+            *broken = Some((epoch, detail.to_string()));
+            self.broken_at.store(epoch, Ordering::Release);
+        }
+    }
+
+    /// Whether any failure has been recorded.
+    fn is_broken(&self) -> bool {
+        self.broken_at.load(Ordering::Acquire) != u64::MAX
+    }
+
+    /// Whether a failure loses the run ending at epoch `last`.
+    fn loses(&self, last: u64) -> bool {
+        self.broken_at.load(Ordering::Acquire) <= last
+    }
+
+    /// The recorded failure's detail, if any.
+    pub(crate) fn failure(&self) -> Option<String> {
+        self.broken.lock().as_ref().map(|(_, detail)| detail.clone())
+    }
+
+    /// The durability verdict of the run ending at epoch `last`, taken at
+    /// its turn, once every earlier run has published: [`TxnError::Wal`]
+    /// iff an append or force failed in this run or an earlier one. A
+    /// later run's failure retracts nothing — this run's own force
+    /// covered its frame — but an earlier one's fails it: with that frame
+    /// lost, recovery stops before this one.
+    fn verdict(&self, last: u64) -> Result<(), TxnError> {
+        if !self.loses(last) {
+            return Ok(());
+        }
+        Err(TxnError::Wal { detail: self.failure().unwrap_or_default() })
     }
 
     /// Encode a key and a value for a seed, a commit frame's write set or
@@ -181,12 +249,12 @@ pub(crate) struct DbInner<K, V> {
     /// and a seed — hold it shared, so a checkpoint (exclusive) can never
     /// rewrite away a logged record whose effect its snapshot misses.
     /// Begins, nested commits and aborts log nothing and never take it.
-    /// Lock order: latch → shard → { registry-read, wal }. The log force
-    /// ([`DbInner::wal_force`]) runs under the latch only: it takes the
-    /// wal mutex to append the commit frame and has released it before
-    /// the fsync starts, so the latch (shared) is what keeps a checkpoint's
-    /// `replace` from racing the force, and nothing keeps seeds from
-    /// logging through it.
+    /// Lock order: latch → shard → { registry-read, wal }. A log force
+    /// ([`DbInner::force_log`]) runs under the latch only — no wal mutex,
+    /// no publish gate, no pipeline leadership — so the latch (shared) is
+    /// what keeps a checkpoint's `replace` from racing the forces in
+    /// flight, and nothing keeps seeds or other runs from logging
+    /// through them.
     pub(crate) ckpt: RwLock<()>,
     /// Committed version chains — the one record of what is committed.
     /// Top-level commits publish here under the publish lock (locking
@@ -255,7 +323,9 @@ where
                 wal: std::sync::OnceLock::new(),
                 ckpt: RwLock::new(()),
                 mvcc: MvccStore::with_opts(max_versions),
-                pipeline: CommitPipeline::new(),
+                pipeline: CommitPipeline::new(Err(TxnError::Wal {
+                    detail: "the thread retiring this commit's batch panicked".to_string(),
+                })),
                 #[cfg(feature = "chaos-hooks")]
                 injector: parking_lot::RwLock::new(None),
             }),
@@ -449,7 +519,8 @@ where
             force: log.force_handle(),
             log: Mutex::new(log),
             commits_since_ckpt: AtomicU64::new(0),
-            broken: std::sync::OnceLock::new(),
+            broken: Mutex::new(None),
+            broken_at: AtomicU64::new(u64::MAX),
             enc_key,
             enc_val,
         };
@@ -526,20 +597,20 @@ where
     }
 
     /// Append one record to the attached log, if any. Failures don't
-    /// interrupt the in-memory operation; they poison the log (see
-    /// [`WalState::broken`]) so the next top-level commit reports
-    /// [`TxnError::Wal`] instead of falsely acking durability.
-    fn wal_append(&self, record: &Record) {
+    /// interrupt the in-memory operation; they poison the log from
+    /// `epoch` on (see [`WalState::mark_broken`]) so the runs it loses
+    /// report [`TxnError::Wal`] instead of falsely acking durability.
+    fn wal_append(&self, record: &Record, epoch: u64) {
         if let Some(w) = self.wal.get() {
             // Checked and marked under the log mutex: no record can land
             // behind one the disk refused.
             let mut log = w.log.lock();
-            if w.broken.get().is_some() {
+            if w.is_broken() {
                 return;
             }
             match log.append(record) {
                 Ok(()) => self.stats.bump(|b| &b.wal_appends),
-                Err(e) => w.mark_broken(&e),
+                Err(e) => w.mark_broken(epoch, &e),
             }
         }
     }
@@ -549,7 +620,7 @@ where
     fn wal_log_seed(&self, key: &K, value: &V) {
         if let Some(w) = self.wal.get() {
             let (key, version) = w.encode(key, value);
-            self.wal_append(&Record::Write { action: INIT_ACTION, key, version });
+            self.wal_append(&Record::Write { action: INIT_ACTION, key, version }, 0);
         }
     }
 
@@ -571,82 +642,116 @@ where
         true
     }
 
-    /// Make top-level commits durable: append ONE `Commit` frame in which
-    /// participant `i` commits at the ticket's `i`-th epoch with write set
-    /// `writes[i]` and, under [`Durability::WalFsync`], force the log
-    /// before the caller acks. A batch of one frames exactly what an
-    /// unbatched commit does. Returns the durability verdict every
-    /// participant must report. The only place the engine fsyncs outside
-    /// a checkpoint.
-    ///
-    /// **The force holds no engine lock.** The log mutex is taken for the
-    /// append and released before `fsync` starts, so transactions keep
-    /// running, seeds keep logging, and commits reach the queue while the
-    /// disk works. Why that is safe:
-    ///
-    /// * the fsync begins after the frame's append returned, so it covers
-    ///   that frame and every byte logged before it;
-    /// * bytes it covers beyond that are seeds, whose keys no forced
-    ///   commit can have written yet;
-    /// * there is one forcer at a time: both publication sequences call
-    ///   this holding the MVCC publish mutex (so commit-frame log order
-    ///   is epoch order);
-    /// * the forcing thread holds the checkpoint latch shared, so no
-    ///   checkpoint `replace` can swap the file under the force.
-    pub(crate) fn wal_force(
+    /// The serialized half of making a run of top-level commits durable:
+    /// append ONE `Commit` frame in which participant `i` commits at
+    /// epoch `first + i` with write set `writes[i]`. The caller holds the
+    /// publish gate from the run's epoch allocation through this call, so
+    /// commit-frame log order is epoch order. A batch of one frames
+    /// exactly what an unbatched commit does.
+    pub(crate) fn log_commit_frame(
         &self,
         participants: &[Participant<K, V>],
-        publish: &PublishBatch<'_>,
+        first: u64,
         writes: Vec<WriteSet>,
-    ) -> Result<(), TxnError> {
-        let Some(w) = self.wal.get() else { return Ok(()) };
-        let commits = (0..)
+    ) {
+        if self.wal.get().is_none() {
+            return;
+        }
+        let commits = (first..)
             .zip(participants)
             .zip(writes)
-            .map(|((i, p), writes)| CommitEntry {
-                action: p.txn.0,
-                epoch: publish.epoch_of(i),
-                writes,
-            })
+            .map(|((epoch, p), writes)| CommitEntry { action: p.txn.0, epoch, writes })
             .collect();
-        self.wal_append(&Record::Commit { commits });
-        if self.config.durability == Durability::WalFsync && w.broken.get().is_none() {
-            match w.force.fsync() {
-                Ok(()) => self.stats.bump(|b| &b.wal_fsyncs),
-                Err(e) => w.mark_broken(&e),
-            }
+        self.wal_append(&Record::Commit { commits }, first);
+    }
+
+    /// The concurrent half: under [`Durability::WalFsync`], force the log
+    /// for the run `first ..= last` before it publishes — unless a failure
+    /// already lost the run (see [`WalState::verdict`], which then fails
+    /// it anyway). The only place the engine fsyncs outside a checkpoint,
+    /// and a no-op without a log or without `WalFsync`.
+    ///
+    /// **The force holds no engine lock.** No publish gate, no log mutex,
+    /// no pipeline leadership: transactions keep running, seeds keep
+    /// logging, and other runs are sequenced and forced while the disk
+    /// works. Why that is safe:
+    ///
+    /// * the fsync begins after the run's frame was appended, so it
+    ///   covers that frame and every byte logged before it;
+    /// * bytes it covers beyond that are seeds and later runs' frames,
+    ///   none of which is acked on the strength of this force;
+    /// * the forcing thread holds the checkpoint latch shared, so no
+    ///   checkpoint `replace` can swap the file under the force.
+    ///
+    /// Should the force unwind (a panicking [`rnt_wal::Vfs`]), the log is
+    /// marked broken from this run on before the panic leaves.
+    pub(crate) fn force_log(&self, first: u64, last: u64) {
+        let Some(w) = self.wal.get().filter(|_| self.must_force(last)) else { return };
+        let unwinding = BreakOnUnwind { wal: w, epoch: first };
+        match w.force.fsync() {
+            Ok(()) => self.stats.bump(|b| &b.wal_fsyncs),
+            Err(e) => w.mark_broken(first, &e),
         }
-        match w.broken.get() {
-            Some(detail) => Err(TxnError::Wal { detail: detail.clone() }),
-            None => Ok(()),
-        }
+        std::mem::forget(unwinding);
+    }
+
+    /// Whether the run ending at `last` is forced before it publishes:
+    /// under [`Durability::WalFsync`], unless a failure already lost it.
+    /// Once false for a run it stays false (failures only accumulate).
+    pub(crate) fn must_force(&self, last: u64) -> bool {
+        self.config.durability == Durability::WalFsync
+            && self.wal.get().is_some_and(|w| !w.loses(last))
+    }
+
+    /// The durability verdict of the run ending at `last` (always `Ok`
+    /// without a log): see [`WalState::verdict`].
+    pub(crate) fn wal_verdict(&self, last: u64) -> Result<(), TxnError> {
+        self.wal.get().map_or(Ok(()), |w| w.verdict(last))
     }
 
     /// Queue one finished top-level commit for the group-commit sequencer
     /// and park until a batch containing it has been retired — by this
     /// thread, if it ends up the leader. The sequencer's counters move
     /// here only, so `commits_staged == commits_batched` (plus, in
-    /// optimistic mode, the losers) holds whatever unstaged commits do.
+    /// optimistic mode, the losers) holds whatever unstaged commits do:
+    /// each stager counts its own verdict, so only a stager that unwinds
+    /// goes uncounted.
     fn stage(&self, txn: TxnId, payload: CommitPayload<K, V>) -> Result<(), TxnError> {
         self.stats.bump(|b| &b.commits_staged);
         let (max_batch, max_wait) = (self.config.max_batch, self.config.max_batch_wait);
-        self.pipeline.stage(txn, payload, max_batch, max_wait, |batch| {
-            let verdicts = self.retire(batch);
+        let sequence = |batch| {
             self.stats.bump(|b| &b.commit_batches);
-            let retired = verdicts.iter().filter(|v| is_committed(v)).count();
-            self.stats.add(|b| &b.commits_batched, retired as u64);
-            verdicts
-        })
+            self.sequence(batch)
+        };
+        let finish = |run| self.finish(run);
+        let verdict = self.pipeline.stage(txn, payload, max_batch, max_wait, sequence, finish);
+        if is_committed(&verdict) {
+            self.stats.bump(|b| &b.commits_batched);
+        }
+        verdict
     }
 
-    /// Retire a batch of top-level commits under the mode the database
-    /// runs in — a leader's drained batch, or one commit of its own with
-    /// the pipeline off — returning each participant's verdict in batch
-    /// order.
-    fn retire(&self, batch: Vec<Participant<K, V>>) -> Vec<Result<(), TxnError>> {
+    /// The serialized half of retiring a batch of top-level commits under
+    /// the mode the database runs in — a leader's drained batch, or one
+    /// commit of its own with the pipeline off. Locking reserves the
+    /// batch's epochs and logs its frame; optimistic, whose validation
+    /// must see the previous batch's writes in the chains, retires the
+    /// batch whole.
+    fn sequence(&self, batch: Vec<Participant<K, V>>) -> Sequenced<'_, K, V> {
         match self.config.cc_mode {
-            CcMode::Locking => vec![self.publish_locking(&batch); batch.len()],
-            CcMode::Optimistic => self.process_optimistic_batch(batch),
+            CcMode::Locking => Sequenced::Locking(self.sequence_locking(batch)),
+            CcMode::Optimistic => Sequenced::Optimistic(self.process_optimistic_batch(batch)),
+        }
+    }
+
+    /// The concurrent half: each participant's verdict, in batch order.
+    fn finish(&self, sequenced: Sequenced<'_, K, V>) -> Vec<Result<(), TxnError>> {
+        match sequenced {
+            Sequenced::Locking(run) => {
+                let n = run.len();
+                vec![self.publish_locking(run); n]
+            }
+            Sequenced::Optimistic(verdicts) => verdicts,
         }
     }
 
@@ -898,7 +1003,7 @@ where
             inner.stage(id, footprint)
         } else {
             let batch = vec![StagedCommit { txn: id, payload: footprint }];
-            inner.retire(batch).pop().expect("a verdict per participant")
+            inner.finish(inner.sequence(batch)).pop().expect("a verdict per participant")
         };
         let committed = is_committed(&verdict);
         if committed {

@@ -23,6 +23,7 @@ use crate::lock::{Conflict, LockEnv, LockState};
 use crate::registry::{Registry, RegistryView, TxnId};
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use rnt_model::UpdateFn;
+use rnt_mvcc::Reservation;
 use std::collections::{HashMap, HashSet};
 use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -386,49 +387,82 @@ where
         }
     }
 
-    /// The locking publication sequence, for participants whose registry
-    /// transition and audit `Commit` are done and whose locks are still
-    /// held: read each one's write set (only with a log attached), then
-    /// take the MVCC publish mutex once and a contiguous epoch run with it
-    /// (slice order), append one commit frame and force it with a single
-    /// fsync, then release every participant's locks — each key it wrote
-    /// gaining a chain version at its epoch — and let the watermark pass
-    /// the whole run as the ticket drops. Returns the durability verdict
-    /// every participant reports.
+    /// The serialized half of the locking publication sequence, for
+    /// participants whose registry transition and audit `Commit` are done
+    /// and whose locks are still held: read each one's write set (only
+    /// with a log attached), then, in one publish-gate hold, reserve a
+    /// contiguous epoch run (slice order) and append one commit frame.
+    /// The caller holds pipeline leadership, if any, for exactly this
+    /// long; [`DbInner::publish_locking`] does the rest.
     ///
-    /// The order is the invariant. The write sets are read before the
-    /// gate: they cannot change, because every key is still write-locked
-    /// by its committer. The commit frame lands before any lock moves:
-    /// once `finish_locks` runs, other threads can acquire those locks
-    /// and log accesses whose prefix-visibility depends on this commit.
-    /// Holding the publish mutex across the append makes commit-frame
-    /// log order equal epoch order; holding it across
+    /// The write sets are read before the gate: they cannot change,
+    /// because every key is still write-locked by its committer. Holding
+    /// the gate from the reservation across the append makes commit-frame
+    /// log order equal epoch order. A run with a force ahead of it leaves
+    /// the gate here; one without (no log, no `WalFsync`, or a log already
+    /// lost) keeps it and publishes in the same hold — nothing slow runs
+    /// under it, and no later run can reserve, reach its turn first and
+    /// park.
+    pub(crate) fn sequence_locking(
+        &self,
+        participants: Vec<Participant<K, V>>,
+    ) -> LockingRun<'_, K, V> {
+        let mut run = LockingRun { inner: self, participants, reservation: None };
+        let writes = match self.wal.get() {
+            Some(w) => run
+                .participants
+                .iter()
+                .map(|p| self.write_set(w, p.txn, p.payload.locking()))
+                .collect(),
+            None => Vec::new(),
+        };
+        let reservation = run.reservation.insert(self.mvcc.reserve(run.participants.len()));
+        self.log_commit_frame(&run.participants, reservation.first_epoch(), writes);
+        if self.must_force(reservation.last_epoch()) {
+            reservation.leave_gate();
+        }
+        run
+    }
+
+    /// The concurrent half, holding no leadership, and no gate while it
+    /// forces: force the log, then — at the run's turn, once every
+    /// earlier run published — release every participant's locks, each
+    /// key it wrote gaining a chain version at its epoch, and let the
+    /// watermark pass the whole run as the ticket drops. Returns the
+    /// durability verdict every participant reports.
+    ///
+    /// The order is the invariant. No lock moves before the force
+    /// returned: once `finish_locks` runs, other threads can acquire
+    /// those locks and commit on what they read (Lemma 7). Publication is
+    /// in epoch order, not force-completion order: a chain head is
+    /// overwritten in place when no pin is below the new epoch, so a run
+    /// publishing ahead of an earlier one could hide a version a pin on
+    /// the earlier run's base still needs. Holding the gate across
     /// `finish_locks` means no snapshot can pin one of these epochs until
     /// every chain append landed. A WAL failure surfaces only after the
     /// locks are cleanly released: in-memory state stays consistent,
     /// durability doesn't.
     ///
-    /// Participants' write sets are necessarily disjoint (each still holds
-    /// its write locks, and none is an ancestor of another), so chain
-    /// appends across the slice never race on a key and per-key epoch
-    /// order stays ascending.
-    pub(crate) fn publish_locking(
-        &self,
-        participants: &[Participant<K, V>],
-    ) -> Result<(), TxnError> {
-        let writes = match self.wal.get() {
-            Some(w) => {
-                participants.iter().map(|p| self.write_set(w, p.txn, p.payload.locking())).collect()
-            }
-            None => Vec::new(),
-        };
-        let publish = self.mvcc.begin_publish_batch(participants.len());
-        let durable = self.wal_force(participants, &publish, writes);
+    /// Participants' write sets are necessarily disjoint, from each other
+    /// and from every unpublished run's (each still holds its write locks,
+    /// and none is an ancestor of another), so chain appends never race
+    /// on a key and per-key epoch order stays ascending.
+    pub(crate) fn publish_locking(&self, mut run: LockingRun<'_, K, V>) -> Result<(), TxnError> {
+        let reservation = run.reservation.as_ref().expect("a sequenced run");
+        let (first, last) = (reservation.first_epoch(), reservation.last_epoch());
+        self.force_log(first, last);
+        let participants = std::mem::take(&mut run.participants);
+        self.publish_run(&participants, run.reservation.take().expect("a sequenced run"));
+        self.wal_verdict(last)
+    }
+
+    /// Publish a reserved run at its turn (see
+    /// [`DbInner::publish_locking`]).
+    fn publish_run(&self, participants: &[Participant<K, V>], reservation: Reservation<'_>) {
+        let publish = reservation.publish();
         for (i, p) in participants.iter().enumerate() {
             self.finish_locks(p.txn, p.payload.locking(), true, Some(publish.epoch_of(i)));
         }
-        drop(publish);
-        durable
     }
 
     /// What a committing top-level `t` changes in the committed state:
@@ -447,6 +481,56 @@ where
                 Some(w.encode(key, value))
             })
             .collect()
+    }
+}
+
+/// A locking batch between the two halves of its publication:
+/// [`DbInner::sequence_locking`] reserved its epochs and logged its
+/// frame; [`DbInner::publish_locking`] forces and publishes it.
+///
+/// Dropped with participants unpublished — a panic between the halves,
+/// say in the force or a key encoder — it marks the log broken from its
+/// epochs on and still publishes the run in turn: locks released,
+/// versions appended at its epochs, watermark advanced. Nothing stays
+/// locked, and no later run waits forever at its turn.
+pub(crate) struct LockingRun<'a, K, V>
+where
+    K: Eq + Hash + Ord + Clone + Send + Sync + 'static,
+    V: Clone + Hash + Send + Sync + 'static,
+{
+    inner: &'a DbInner<K, V>,
+    participants: Vec<Participant<K, V>>,
+    /// Taken once the write sets are read; `None` before.
+    reservation: Option<Reservation<'a>>,
+}
+
+impl<K, V> LockingRun<'_, K, V>
+where
+    K: Eq + Hash + Ord + Clone + Send + Sync + 'static,
+    V: Clone + Hash + Send + Sync + 'static,
+{
+    /// How many commits the run carries.
+    pub(crate) fn len(&self) -> usize {
+        self.participants.len()
+    }
+}
+
+impl<K, V> Drop for LockingRun<'_, K, V>
+where
+    K: Eq + Hash + Ord + Clone + Send + Sync + 'static,
+    V: Clone + Hash + Send + Sync + 'static,
+{
+    fn drop(&mut self) {
+        if self.participants.is_empty() {
+            return;
+        }
+        let inner = self.inner;
+        let reservation =
+            self.reservation.take().unwrap_or_else(|| inner.mvcc.reserve(self.participants.len()));
+        if let Some(w) = inner.wal.get() {
+            w.mark_broken(reservation.first_epoch(), "a commit's retirement unwound");
+        }
+        inner.publish_run(&self.participants, reservation);
     }
 }
 

@@ -307,7 +307,9 @@ where
             }
         }
         let publish = gate.into_batch(survivors.len());
-        let durable = self.wal_force(survivors, &publish, writes);
+        let (first, last) = (publish.first_epoch(), publish.last_epoch());
+        self.log_commit_frame(survivors, first, writes);
+        self.force_log(first, last);
         // The chain is the only home of an optimistic commit: there is no
         // lock table to update and no lock waiter to wake, so publication
         // is publish → store, no shard in between.
@@ -316,6 +318,7 @@ where
                 self.mvcc.append(key, publish.epoch_of(i), value.clone());
             }
         }
+        let durable = self.wal_verdict(last);
         drop(publish);
         durable
     }

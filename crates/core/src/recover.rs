@@ -73,8 +73,8 @@ where
     /// self-contained.
     pub(crate) fn do_checkpoint(&self) -> Result<(), WalError> {
         let Some(w) = self.wal.get() else { return Ok(()) };
-        if let Some(detail) = w.broken.get() {
-            return Err(WalError::Io { op: "checkpoint", detail: detail.clone() });
+        if let Some(detail) = w.failure() {
+            return Err(WalError::Io { op: "checkpoint", detail });
         }
         let _latch = self.ckpt.write();
         // The committed state is the chain heads. Each entry carries its
@@ -87,7 +87,7 @@ where
         });
         snapshot.sort();
         let checkpoint = Record::Checkpoint { epoch: self.mvcc.watermark(), snapshot };
-        w.log.lock().rewrite(&[checkpoint]).inspect_err(|e| w.mark_broken(e))
+        w.log.lock().rewrite(&[checkpoint]).inspect_err(|e| w.mark_broken(0, e))
     }
 }
 

@@ -501,24 +501,40 @@ fn recovered_db_accepts_new_transactions_and_stays_durable() {
 
 // ---- The force runs outside the log mutex; a Vfs that fails poisons ----
 
-/// A [`MemVfs`] whose `fsync` parks on a gate while the gate is closed —
-/// a slow disk the test controls — and which counts the appends that
-/// land and their bytes. Everything else passes straight through,
-/// including the armed faults of the inner `MemVfs`.
+/// A [`MemVfs`] the test can stall — a slow disk it controls. Fsyncs
+/// park while the disk is closed, unless let through one by one by
+/// arrival ticket; appends park while held, passing one per token. It
+/// counts the appends that land and their bytes. Everything else passes
+/// straight through, including the armed faults of the inner `MemVfs`.
 struct GateVfs {
     mem: MemVfs,
-    /// `(closed, parked)`: whether fsyncs must wait, and how many are.
-    gate: Mutex<(bool, usize)>,
+    gate: Mutex<Gate>,
     cv: Condvar,
     appends: AtomicU64,
     bytes: AtomicU64,
+}
+
+#[derive(Default)]
+struct Gate {
+    /// Whether fsyncs must wait.
+    closed: bool,
+    /// Fsyncs parked now; fsyncs ever arrived (an fsync's ticket is the
+    /// count before it); fsyncs returned from the inner `MemVfs`.
+    parked: usize,
+    arrived: u64,
+    returned: u64,
+    /// Tickets let through a closed disk.
+    released: Vec<u64>,
+    /// `Some(n)`: appends are held, and `n` more may pass.
+    append_tokens: Option<u64>,
+    appends_parked: usize,
 }
 
 impl GateVfs {
     fn closed() -> Arc<Self> {
         Arc::new(GateVfs {
             mem: MemVfs::new(),
-            gate: Mutex::new((true, 0)),
+            gate: Mutex::new(Gate { closed: true, ..Gate::default() }),
             cv: Condvar::new(),
             appends: AtomicU64::new(0),
             bytes: AtomicU64::new(0),
@@ -530,27 +546,78 @@ impl GateVfs {
         (self.appends.load(SeqCst), self.bytes.load(SeqCst))
     }
 
-    /// Block until an fsync is parked inside the Vfs.
-    fn wait_parked(&self) {
+    /// Wait (bounded) until `done` holds; false on timeout, so the caller
+    /// can open the disk before failing.
+    fn reaches(&self, done: impl Fn(&Gate) -> bool) -> bool {
         let guard = self.gate.lock().unwrap();
-        let (guard, timeout) =
-            self.cv.wait_timeout_while(guard, PATIENCE, |(_, parked)| *parked == 0).unwrap();
-        assert!(!timeout.timed_out(), "no fsync reached the disk");
-        drop(guard);
+        let (_guard, timeout) = self.cv.wait_timeout_while(guard, PATIENCE, |g| !done(g)).unwrap();
+        !timeout.timed_out()
     }
 
-    fn open(&self) {
-        self.gate.lock().unwrap().0 = false;
+    /// Wait until `n` fsyncs are parked inside the Vfs at once.
+    fn parks(&self, n: usize) -> bool {
+        self.reaches(|g| g.parked >= n)
+    }
+
+    /// Block until an fsync is parked inside the Vfs.
+    fn wait_parked(&self) {
+        assert!(self.parks(1), "no fsync reached the disk");
+    }
+
+    /// Block until an append is parked inside the Vfs.
+    fn wait_append_parked(&self) {
+        assert!(self.reaches(|g| g.appends_parked > 0), "no append reached the disk");
+    }
+
+    /// Block until `n` fsyncs have returned from the inner `MemVfs`.
+    fn wait_returned(&self, n: u64) {
+        assert!(self.reaches(|g| g.returned >= n), "a released fsync never returned");
+    }
+
+    fn update(&self, change: impl FnOnce(&mut Gate)) {
+        change(&mut self.gate.lock().unwrap());
         self.cv.notify_all();
     }
 
+    /// Open the disk: nothing parks any more.
+    fn open(&self) {
+        self.update(|g| (g.closed, g.append_tokens) = (false, None));
+    }
+
+    /// Let fsyncs through; held appends stay held.
+    fn open_fsyncs(&self) {
+        self.update(|g| g.closed = false);
+    }
+
     fn close(&self) {
-        self.gate.lock().unwrap().0 = true;
+        self.update(|g| g.closed = true);
+    }
+
+    /// Let the fsync with arrival ticket `ticket` through a closed disk.
+    fn release(&self, ticket: u64) {
+        self.update(|g| g.released.push(ticket));
+    }
+
+    /// Park every append from now on, until passed or the disk opens.
+    fn hold_appends(&self) {
+        self.update(|g| g.append_tokens = Some(0));
+    }
+
+    /// Let one held append through.
+    fn pass_append(&self) {
+        self.update(|g| g.append_tokens = g.append_tokens.map(|n| n + 1));
     }
 }
 
 impl Vfs for GateVfs {
     fn append(&self, path: &str, data: &[u8]) -> Result<(), WalError> {
+        let mut gate = self.gate.lock().unwrap();
+        gate.appends_parked += 1;
+        self.cv.notify_all();
+        gate = self.cv.wait_while(gate, |g| g.append_tokens == Some(0)).unwrap();
+        gate.appends_parked -= 1;
+        gate.append_tokens = gate.append_tokens.map(|n| n - 1);
+        drop(gate);
         self.mem.append(path, data)?;
         self.appends.fetch_add(1, SeqCst);
         self.bytes.fetch_add(data.len() as u64, SeqCst);
@@ -558,12 +625,16 @@ impl Vfs for GateVfs {
     }
     fn fsync(&self, path: &str) -> Result<(), WalError> {
         let mut gate = self.gate.lock().unwrap();
-        gate.1 += 1;
+        let ticket = gate.arrived;
+        gate.arrived += 1;
+        gate.parked += 1;
         self.cv.notify_all();
-        gate = self.cv.wait_while(gate, |(closed, _)| *closed).unwrap();
-        gate.1 -= 1;
+        gate = self.cv.wait_while(gate, |g| g.closed && !g.released.contains(&ticket)).unwrap();
+        gate.parked -= 1;
         drop(gate);
-        self.mem.fsync(path)
+        let out = self.mem.fsync(path);
+        self.update(|g| g.returned += 1);
+        out
     }
     fn read(&self, path: &str) -> Result<Vec<u8>, WalError> {
         self.mem.read(path)
@@ -773,14 +844,20 @@ fn a_failing_force_poisons_singleton_commits_in_both_modes() {
     }
 }
 
-/// A multi-participant batch whose force fails: the leader is held on
-/// the disk while two more commits queue up behind it; they retire as one
-/// batch, the disk refuses it, and **both** must hear `Wal`.
+/// A multi-participant batch whose force fails: the leader is held while
+/// two more commits queue up behind it; they retire as one batch, the
+/// disk refuses it, and **both** must hear `Wal`. An optimistic leader
+/// holds leadership across its force, so it is held in its fsync. A
+/// locking one holds leadership only while it sequences, so it is held
+/// in its commit-frame append — and then, its frame landed, its force
+/// returns before the followers' frame is let through, which fixes the
+/// order the two runs reach the disk in.
 #[test]
 fn a_failing_force_fails_every_participant_of_a_multi_batch() {
     for cc in [CcMode::Locking, CcMode::Optimistic] {
         for fault in [VfsFault::Fsync, VfsFault::Append] {
             let what = format!("{cc:?} {fault:?}");
+            let locking = cc == CcMode::Locking;
             let vfs = GateVfs::closed();
             let db: Db<String, i64> =
                 Db::open_with_vfs(vfs.clone(), LOG, group_fsync_config(cc)).unwrap();
@@ -791,10 +868,21 @@ fn a_failing_force_fails_every_participant_of_a_multi_batch() {
             // optimistic `begin` pins its snapshot under the publish
             // gate, which the optimistic leader holds across the force.
             let followers = [2..4, 4..6].map(|keys| bumped(&db, keys).unwrap());
+            if locking {
+                vfs.hold_appends();
+            }
             let leader = spawn_bump(&db, 0..2);
-            vfs.wait_parked();
+            if locking {
+                vfs.wait_append_parked();
+            } else {
+                vfs.wait_parked();
+            }
             let followers = followers.map(|t| spawn(move || t.commit()));
             let queued = staged_reaches(&db, 3);
+            if locking {
+                vfs.pass_append();
+                vfs.wait_parked();
+            }
             match fault {
                 // The leader's own fsync is the first to reach the inner
                 // MemVfs once the gate opens; the next one fails.
@@ -802,6 +890,12 @@ fn a_failing_force_fails_every_participant_of_a_multi_batch() {
                 // The followers log nothing before staging; the next
                 // append is their batch's commit frame.
                 VfsFault::Append => vfs.mem.arm_append_error(0),
+            }
+            if locking {
+                // The followers' sequencer sits in its held append, under
+                // the publish gate: the leader can force, not publish.
+                vfs.open_fsyncs();
+                vfs.wait_returned(1);
             }
             vfs.open();
             assert!(queued, "{what}: followers never reached the queue");
@@ -935,6 +1029,114 @@ fn a_seed_appends_while_a_force_is_parked() {
     assert_eq!((r.committed_value(&key(0)), r.committed_value(&key(1))), (Some(1), Some(7)));
 }
 
+// ---- Forces overlap; publication and verdicts follow epoch order ----
+
+/// Two locking commits are parked in their forces at once, with the
+/// pipeline off and on: neither the publish gate nor pipeline leadership
+/// is held across a force. Both ack once the disk opens, and both recover.
+#[test]
+fn two_locking_commits_are_forced_at_once() {
+    for group in [false, true] {
+        let vfs = GateVfs::closed();
+        let mut config = group_fsync_config(CcMode::Locking);
+        config.group_commit = group;
+        let db: Db<String, i64> = Db::open_with_vfs(vfs.clone(), LOG, config).unwrap();
+        for k in 0..4 {
+            db.insert(key(k), 0);
+        }
+        let first = spawn_bump(&db, 0..2);
+        vfs.wait_parked();
+        let second = spawn_bump(&db, 2..4);
+        let both = vfs.parks(2);
+        vfs.open();
+        assert!(both, "group_commit={group}: the second force waited for the first");
+        assert_eq!(first.recv_timeout(PATIENCE).unwrap(), Ok(()), "group_commit={group}");
+        assert_eq!(second.recv_timeout(PATIENCE).unwrap(), Ok(()), "group_commit={group}");
+        assert_eq!(db.stats().wal_fsyncs, 2, "group_commit={group}");
+        let r = crash_recover(&vfs.mem, wal_config());
+        for k in 0..4 {
+            assert_eq!(r.committed_value(&key(k)), Some(1), "group_commit={group}: key {k}");
+        }
+    }
+}
+
+/// A snapshot opens while a locking commit is parked in its force, and
+/// reads the state before that commit: the force holds no publish gate
+/// for the pin to queue on, and nothing of the commit is visible yet.
+#[test]
+fn a_snapshot_opens_while_a_locking_force_is_parked() {
+    let vfs = GateVfs::closed();
+    let db: Db<String, i64> = Db::open_with_vfs(vfs.clone(), LOG, fsync_config()).unwrap();
+    db.insert(key(0), 0);
+    let forcing = spawn_bump(&db, 0..1);
+    vfs.wait_parked();
+    let (tx, rx) = std::sync::mpsc::channel();
+    {
+        let db = db.clone();
+        std::thread::spawn(move || {
+            let snapshot = db.snapshot();
+            let _ = tx.send((snapshot.epoch(), snapshot.read(&key(0))));
+        });
+    }
+    let seen = rx.recv_timeout(PATIENCE);
+    vfs.open();
+    assert_eq!(seen, Ok((0, Some(0))), "the snapshot waited for the force, or saw it");
+    assert_eq!(forcing.recv_timeout(PATIENCE).unwrap(), Ok(()));
+    assert_eq!(db.snapshot().read(&key(0)), Some(1));
+}
+
+/// Verdicts follow epoch order, not the order forces finish. Two locking
+/// runs are parked in their forces, and reach the inner disk one at a
+/// time, the first of them failing. A later run's failure retracts
+/// nothing from the earlier run, whose own force covered its frame: it
+/// acks and recovers. An earlier run's failure fails the later run too:
+/// with the earlier frame lost, recovery stops before the later one.
+#[test]
+fn durability_verdicts_follow_epoch_order() {
+    for group in [false, true] {
+        for later_fails in [true, false] {
+            let what = format!("group_commit={group} later_fails={later_fails}");
+            let vfs = GateVfs::closed();
+            let mut config = group_fsync_config(CcMode::Locking);
+            config.group_commit = group;
+            let db: Db<String, i64> = Db::open_with_vfs(vfs.clone(), LOG, config).unwrap();
+            for k in 0..4 {
+                db.insert(key(k), 0);
+            }
+            // Fsync tickets follow arrival: the earlier run's force is 0.
+            let earlier = spawn_bump(&db, 0..2);
+            vfs.wait_parked();
+            let later = spawn_bump(&db, 2..4);
+            let both = vfs.parks(2);
+            vfs.mem.arm_fsync_error(0);
+            let (failing, passing) = if later_fails { (1, 0) } else { (0, 1) };
+            vfs.release(failing);
+            vfs.wait_returned(1);
+            vfs.release(passing);
+            vfs.wait_returned(2);
+            vfs.open();
+            assert!(both, "{what}: the forces did not overlap");
+            let (earlier, later) =
+                (earlier.recv_timeout(PATIENCE).unwrap(), later.recv_timeout(PATIENCE).unwrap());
+            assert!(matches!(later, Err(TxnError::Wal { .. })), "{what}: later got {later:?}");
+            if later_fails {
+                assert_eq!(earlier, Ok(()), "{what}: the earlier run's ack was retracted");
+            } else {
+                assert!(matches!(earlier, Err(TxnError::Wal { .. })), "{what}: got {earlier:?}");
+            }
+            assert_released_and_poisoned(&db, 0..4, &what);
+            let r = crash_recover(&vfs.mem, wal_config());
+            let values: Vec<_> = (0..4).map(|k| r.committed_value(&key(k))).collect();
+            if later_fails {
+                assert_eq!(values[..2], [Some(1), Some(1)], "{what}: the acked run recovers");
+            }
+            for run in values.chunks(2) {
+                assert!(run[0] == run[1] && run[0] <= Some(1), "{what}: recovered {values:?}");
+            }
+        }
+    }
+}
+
 /// A format-03 log, as committed next to the format's golden fixtures, is
 /// refused by recovery at its magic.
 #[test]
@@ -1002,8 +1204,10 @@ fn a_flat_commit_of_four_writes_is_one_frame_within_budget() {
 
 /// A batch of `n` commits, for every `n` from 1 to 4, retires with
 /// exactly one `Vfs::append`: the followers queue behind a leader parked
-/// in its fsync, then retire together once the disk opens. No timing
-/// decides what is asserted.
+/// while it holds leadership — an optimistic one in its fsync, a locking
+/// one in its commit-frame append, after which it parks in its fsync —
+/// then retire together once the disk opens. No timing decides what is
+/// asserted.
 #[test]
 fn a_retired_batch_of_any_size_is_one_append() {
     for cc in [CcMode::Locking, CcMode::Optimistic] {
@@ -1015,12 +1219,20 @@ fn a_retired_batch_of_any_size_is_one_append() {
             // Begun before the leader holds the disk: an optimistic begin
             // pins its snapshot under the gate the leader holds.
             let followers: Vec<_> = (1..=n).map(|i| u64_bumped(&db, 2 * i..2 * i + 2)).collect();
+            let locking = cc == CcMode::Locking;
             vfs.close();
+            if locking {
+                vfs.hold_appends();
+            }
             let leader = {
                 let db = db.clone();
                 std::thread::spawn(move || u64_bumped(&db, 0..2).commit())
             };
-            vfs.wait_parked();
+            if locking {
+                vfs.wait_append_parked();
+            } else {
+                vfs.wait_parked();
+            }
             let followers: Vec<_> =
                 followers.into_iter().map(|t| std::thread::spawn(move || t.commit())).collect();
             let deadline = std::time::Instant::now() + PATIENCE;
@@ -1028,6 +1240,10 @@ fn a_retired_batch_of_any_size_is_one_append() {
                 std::thread::sleep(Duration::from_millis(1));
             }
             let queued = db.stats().commits_staged == n + 1;
+            if locking {
+                vfs.pass_append();
+                vfs.wait_parked();
+            }
             let before = vfs.counts().0;
             vfs.open();
             assert!(queued, "{what}: followers never reached the queue");

@@ -3,9 +3,16 @@
 //! whole contract — locks released and pre-images restored (locking),
 //! buffers discarded and the begin pin released (optimistic) — with and
 //! without the group-commit sequencer in the commit path.
+//!
+//! Panics below the engine: a `Vfs` that unwinds out of a log force takes
+//! down only the commit whose thread was forcing, and wedges nobody else.
 
-use rnt_core::{CcMode, Db, DbConfig, DeadlockPolicy};
+use rnt_core::{CcMode, Db, DbConfig, DeadlockPolicy, Durability, TxnError};
+use rnt_wal::{MemVfs, Vfs, WalError};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+use std::time::Duration;
 
 fn arms() -> impl Iterator<Item = (CcMode, bool)> {
     [CcMode::Locking, CcMode::Optimistic]
@@ -76,5 +83,105 @@ fn panic_in_a_run_child_body_aborts_child_and_parent() {
         }));
         assert!(unwound.is_err(), "{arm:?}: the panic propagates");
         assert_clean(&db, arm);
+    }
+}
+
+/// A [`MemVfs`] whose fsync number `nth` (0-based) panics.
+struct PanickingVfs {
+    mem: MemVfs,
+    nth: u64,
+    fsyncs: AtomicU64,
+}
+
+impl Vfs for PanickingVfs {
+    fn append(&self, path: &str, data: &[u8]) -> Result<(), WalError> {
+        self.mem.append(path, data)
+    }
+    fn fsync(&self, path: &str) -> Result<(), WalError> {
+        if self.fsyncs.fetch_add(1, Ordering::SeqCst) == self.nth {
+            panic!("the disk controller fell over");
+        }
+        self.mem.fsync(path)
+    }
+    fn read(&self, path: &str) -> Result<Vec<u8>, WalError> {
+        self.mem.read(path)
+    }
+    fn replace(&self, path: &str, data: &[u8]) -> Result<(), WalError> {
+        self.mem.replace(path, data)
+    }
+    fn exists(&self, path: &str) -> bool {
+        self.mem.exists(path)
+    }
+}
+
+/// How one commit in [`a_panicking_force_wedges_no_other_commit`] ended.
+#[derive(Debug, PartialEq)]
+enum Outcome {
+    Acked,
+    Wal,
+    Panicked,
+    Other(TxnError),
+}
+
+/// Four committers, five flat commits each on a key of their own, onto a
+/// disk whose fourth fsync panics. The panic reaches only the caller
+/// whose thread was forcing; every other commit returns — acked, or
+/// `Wal` once the log is broken — and what the panicking run held is
+/// released, so a later commit over every key reports `Wal` instead of
+/// dying on a lock.
+#[test]
+fn a_panicking_force_wedges_no_other_commit() {
+    const COMMITTERS: u64 = 4;
+    const COMMITS: u64 = 5;
+    for arm in arms() {
+        let vfs = Arc::new(PanickingVfs { mem: MemVfs::new(), nth: 3, fsyncs: AtomicU64::new(0) });
+        let config = DbConfig::builder()
+            .policy(DeadlockPolicy::NoWait)
+            .cc_mode(arm.0)
+            .group_commit(arm.1)
+            .durability(Durability::WalFsync)
+            .build();
+        let db: Db<u64, i64> = Db::open_with_vfs(vfs, "panic.wal", config).unwrap();
+        for k in 0..COMMITTERS {
+            db.insert(k, 0);
+        }
+        let (tx, rx) = std::sync::mpsc::channel();
+        for k in 0..COMMITTERS {
+            let (db, tx) = (db.clone(), tx.clone());
+            std::thread::spawn(move || {
+                for _ in 0..COMMITS {
+                    let commit = || db.run_with_retries(0, |t| t.rmw(&k, |v| v + 1).map(drop));
+                    let outcome = match catch_unwind(AssertUnwindSafe(commit)) {
+                        Ok(Ok(())) => Outcome::Acked,
+                        Ok(Err(TxnError::Wal { .. })) => Outcome::Wal,
+                        Ok(Err(e)) => Outcome::Other(e),
+                        Err(_) => Outcome::Panicked,
+                    };
+                    let _ = tx.send(outcome);
+                }
+            });
+        }
+        drop(tx);
+        let outcomes: Vec<Outcome> = (0..COMMITTERS * COMMITS)
+            .map(|_| {
+                rx.recv_timeout(Duration::from_secs(20))
+                    .unwrap_or_else(|_| panic!("{arm:?}: a commit never returned"))
+            })
+            .collect();
+        let panicked = outcomes.iter().filter(|o| **o == Outcome::Panicked).count();
+        assert_eq!(panicked, 1, "{arm:?}: {outcomes:?}");
+        assert!(
+            outcomes.iter().all(|o| matches!(o, Outcome::Acked | Outcome::Wal | Outcome::Panicked)),
+            "{arm:?}: {outcomes:?}"
+        );
+        let later = db.run_with_retries(0, |t| {
+            (0..COMMITTERS).try_for_each(|k| t.rmw(&k, |v| v + 1).map(drop))
+        });
+        assert!(matches!(later, Err(TxnError::Wal { .. })), "{arm:?}: later commit got {later:?}");
+        let s = db.stats();
+        if arm.1 {
+            let heard = s.commits_batched + panicked as u64;
+            assert_eq!(s.commits_staged, heard, "{arm:?}: a stager heard no verdict");
+        }
     }
 }

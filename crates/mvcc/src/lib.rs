@@ -40,5 +40,6 @@
 mod store;
 
 pub use store::{
-    MvccCounters, MvccStore, PinError, Publish, PublishBatch, PublishGate, GENESIS_EPOCH,
+    MvccCounters, MvccStore, PinError, Publish, PublishBatch, PublishGate, Reservation,
+    GENESIS_EPOCH,
 };

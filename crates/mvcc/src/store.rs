@@ -7,7 +7,7 @@
 //! re-enters the map lock, so a first-contact seeder (the only map
 //! writer) can never deadlock against scanners, appenders or a sweep.
 
-use parking_lot::{Mutex, MutexGuard, RwLock};
+use parking_lot::{Condvar, Mutex, MutexGuard, RwLock};
 use std::collections::{btree_map::Entry, BTreeMap, HashSet};
 use std::hash::Hash;
 use std::mem::take;
@@ -128,12 +128,18 @@ pub enum PinError {
 /// * `watermark` — the highest *fully published* epoch: every commit with
 ///   epoch ≤ watermark has all its versions appended. Snapshots pin the
 ///   watermark, so a pin never dangles over a half-published commit.
-/// * the **publish lock** — serializes top-level publication (epoch
-///   assignment → chain appends → watermark advance) *and* pin creation.
+/// * the **publish lock** — serializes epoch allocation, top-level
+///   publication (chain appends → watermark advance) *and* pin creation.
 ///   Without it, a commit at epoch `w+1` could garbage-collect the
 ///   version a snapshot racing to pin `w` is about to need; with it, a
 ///   pin either lands before the publisher reads the pin set (and is
 ///   respected) or after the watermark advanced (and pins `w+1`).
+///   Allocation and publication may be two holds
+///   ([`MvccStore::reserve`]): epochs reserved in one hold are published
+///   in a later one, **in epoch order** — a run waits until the watermark
+///   reaches its base. Out of order, a run's in-place head overwrite
+///   (no pin below it) could hide a version a pin on the earlier run's
+///   base still needs.
 /// * `min_pin` — cached minimum live pin (`u64::MAX` when none), read on
 ///   the append path so reclamation needs no pin-table lock.
 ///
@@ -165,17 +171,8 @@ pub enum PinError {
 pub struct MvccStore<K, V> {
     map: RwLock<BTreeMap<K, Mutex<Chain<V>>>>,
     dirty: Mutex<Dirty<K, V>>,
-    /// Highest fully published epoch.
-    watermark: AtomicU64,
-    /// See the struct docs; held by [`MvccStore::begin_publish`] guards
-    /// and briefly by [`MvccStore::pin`] / [`MvccStore::pin_at`].
-    publish: Mutex<()>,
-    /// Seqlock over the publish critical section: odd while a publish
-    /// ticket or gate is live, even otherwise. A fast pin registers in
-    /// the ring and then validates that the sequence is unchanged and
-    /// even — proof that no publisher overlapped its registration, which
-    /// substitutes for taking the publish lock (see [`MvccStore::pin`]).
-    publish_seq: AtomicU64,
+    /// The commit order: watermark, reservations, publish lock.
+    order: Order,
     /// Fast-pin ring: `RING_SLOTS` packed `(epoch << COUNT_BITS) | count`
     /// slots indexed by `epoch % RING_SLOTS`. A slot with count 0 is
     /// free (its epoch bits are stale). Ring pins and tree pins are
@@ -208,18 +205,86 @@ pub struct MvccStore<K, V> {
     reclaimed: AtomicU64,
 }
 
-/// RAII half of the publish seqlock: constructing it flips `publish_seq`
+/// The commit order, which every publication ticket borrows.
+struct Order {
+    /// Highest fully published epoch.
+    watermark: AtomicU64,
+    /// Highest allocated epoch: the watermark plus every epoch reserved
+    /// and not yet published. Written under `lock` only.
+    reserved: AtomicU64,
+    /// The publish lock (see the struct docs), held by publication
+    /// tickets and briefly by [`MvccStore::pin`] / [`MvccStore::pin_at`].
+    /// It guards the number of threads parked on `turn`.
+    lock: Mutex<usize>,
+    /// Signalled, under `lock`, when the watermark advances and someone is
+    /// parked: runs waiting for their turn, and one-hold publications
+    /// waiting for the reservations ahead of them.
+    turn: Condvar,
+    /// Seqlock over the publish critical section: odd while a ticket that
+    /// appends is live, even otherwise. A fast pin registers in the ring
+    /// and then validates that the sequence is unchanged and even — proof
+    /// that no publisher overlapped its registration, which substitutes
+    /// for taking the publish lock (see [`MvccStore::pin`]).
+    seq: AtomicU64,
+}
+
+impl Order {
+    /// Take the publish lock once no reserved epoch is outstanding, for a
+    /// publication that allocates and publishes in one hold.
+    fn lock_idle(&self) -> MutexGuard<'_, usize> {
+        let mut guard = self.lock.lock();
+        while self.reserved.load(Ordering::Relaxed) != self.watermark.load(Ordering::Acquire) {
+            self.park(&mut guard);
+        }
+        guard
+    }
+
+    /// Hold the publish lock (re-taking it if `held` is `None`) at the
+    /// turn of the run based at `base`: once the watermark reached it.
+    fn lock_turn<'a>(
+        &'a self,
+        held: Option<MutexGuard<'a, usize>>,
+        base: u64,
+    ) -> MutexGuard<'a, usize> {
+        let mut guard = held.unwrap_or_else(|| self.lock.lock());
+        while self.watermark.load(Ordering::Acquire) != base {
+            self.park(&mut guard);
+        }
+        guard
+    }
+
+    /// Wait on `turn`, counted in the lock's parked count.
+    fn park(&self, guard: &mut MutexGuard<'_, usize>) {
+        **guard += 1;
+        self.turn.wait(guard);
+        **guard -= 1;
+    }
+
+    /// Publish through `epoch`, under the lock (`guard`), waking whoever
+    /// is parked for a turn. SeqCst: the store must order before the
+    /// ticket's sequence flip, so a fast pin that reads the even sequence
+    /// also reads this watermark (it pins the published epoch, never a
+    /// stale one).
+    fn advance(&self, guard: &MutexGuard<'_, usize>, epoch: u64) {
+        self.watermark.store(epoch, Ordering::SeqCst);
+        if **guard > 0 {
+            self.turn.notify_all();
+        }
+    }
+}
+
+/// RAII half of the publish seqlock: constructing it flips the sequence
 /// odd (publisher active), dropping it flips it back even. Fast pins
 /// validate against the sequence instead of taking the publish lock, so
-/// every ticket that holds the lock must also hold one of these.
+/// every ticket that appends under the lock must also hold one of these.
 struct SeqCrit<'a> {
     seq: &'a AtomicU64,
 }
 
 impl<'a> SeqCrit<'a> {
-    fn enter(seq: &'a AtomicU64) -> Self {
-        seq.fetch_add(1, Ordering::SeqCst);
-        SeqCrit { seq }
+    fn enter(order: &'a Order) -> Self {
+        order.seq.fetch_add(1, Ordering::SeqCst);
+        SeqCrit { seq: &order.seq }
     }
 }
 
@@ -237,11 +302,11 @@ impl Drop for SeqCrit<'_> {
 ///
 /// Field order is load-bearing: the `Drop` body stores the watermark,
 /// then `_crit` drops (sequence goes even — fast pins may now trust the
-/// new watermark), then `_guard` releases the lock.
+/// new watermark), then `guard` releases the lock.
 pub struct Publish<'a> {
-    watermark: &'a AtomicU64,
+    order: &'a Order,
     _crit: SeqCrit<'a>,
-    _guard: MutexGuard<'a, ()>,
+    guard: MutexGuard<'a, usize>,
     epoch: u64,
 }
 
@@ -260,25 +325,22 @@ impl std::fmt::Debug for Publish<'_> {
 
 impl Drop for Publish<'_> {
     fn drop(&mut self) {
-        // Publication is serialized, so this is always watermark + 1.
-        // SeqCst: the store must order before `_crit`'s sequence flip so
-        // a fast pin that reads the even sequence also reads this
-        // watermark (it pins the published epoch, never a stale one).
-        self.watermark.store(self.epoch, Ordering::SeqCst);
+        // Allocated with nothing reserved ahead, so this is watermark + 1.
+        self.order.advance(&self.guard, self.epoch);
     }
 }
 
-/// An exclusive publication ticket for a *batch* of top-level commits,
-/// returned by [`MvccStore::begin_publish_batch`]. Holds the publish lock
-/// once for the whole batch; participant `i` (0-based) appends its
-/// versions at [`PublishBatch::epoch_of(i)`](PublishBatch::epoch_of).
-/// Dropping the ticket advances the watermark past the entire epoch run —
-/// the batch becomes visible to new snapshots as one unit, never as a
-/// prefix.
+/// An exclusive publication ticket for a *batch* of top-level commits:
+/// an optimistic gate converted by [`PublishGate::into_batch`], or a
+/// [`Reservation`] at its turn. Holds the publish lock; participant `i`
+/// (0-based) appends its versions at
+/// [`PublishBatch::epoch_of(i)`](PublishBatch::epoch_of). Dropping the
+/// ticket advances the watermark past the entire epoch run — the batch
+/// becomes visible to new snapshots as one unit, never as a prefix.
 pub struct PublishBatch<'a> {
-    watermark: &'a AtomicU64,
+    order: &'a Order,
     _crit: SeqCrit<'a>,
-    _guard: MutexGuard<'a, ()>,
+    guard: MutexGuard<'a, usize>,
     base: u64,
     len: u64,
 }
@@ -315,10 +377,75 @@ impl std::fmt::Debug for PublishBatch<'_> {
 
 impl Drop for PublishBatch<'_> {
     fn drop(&mut self) {
-        // Serialized like single publication: base was the watermark when
-        // the ticket was taken, so this is a contiguous advance. SeqCst
-        // for the same reason as [`Publish`]'s drop.
-        self.watermark.store(self.base + self.len, Ordering::SeqCst);
+        // Taken at the run's turn: base is the watermark, so this is a
+        // contiguous advance.
+        self.order.advance(&self.guard, self.base + self.len);
+    }
+}
+
+/// A contiguous epoch run allocated ahead of its publication, returned by
+/// [`MvccStore::reserve`]: the two halves of a publication that must not
+/// hold the publish lock in between.
+///
+/// It is born holding the lock, so whatever the caller orders against
+/// the allocation (a log append) happens in the same hold;
+/// [`Reservation::leave_gate`] releases it. [`Reservation::publish`]
+/// then waits for the run's **turn** — every earlier run published —
+/// and returns the [`PublishBatch`] ticket the run appends under.
+/// Reserved epochs stay above the watermark until then: no pin can land
+/// on them, and no later run can publish first.
+///
+/// Dropped unpublished, a reservation still publishes its run in turn,
+/// empty, so no later run waits on it forever.
+pub struct Reservation<'a> {
+    order: &'a Order,
+    gate: Option<MutexGuard<'a, usize>>,
+    base: u64,
+    len: u64,
+    published: bool,
+}
+
+impl<'a> Reservation<'a> {
+    /// The first epoch of the run.
+    pub fn first_epoch(&self) -> u64 {
+        self.base + 1
+    }
+
+    /// The last epoch of the run.
+    pub fn last_epoch(&self) -> u64 {
+        self.base + self.len
+    }
+
+    /// Release the publish lock taken at allocation (idempotent).
+    pub fn leave_gate(&mut self) {
+        self.gate = None;
+    }
+
+    /// Wait for the run's turn and take the publish lock for it.
+    pub fn publish(mut self) -> PublishBatch<'a> {
+        self.published = true;
+        let guard = self.order.lock_turn(self.gate.take(), self.base);
+        let (order, base, len) = (self.order, self.base, self.len);
+        PublishBatch { order, _crit: SeqCrit::enter(order), guard, base, len }
+    }
+}
+
+impl std::fmt::Debug for Reservation<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Reservation")
+            .field("first_epoch", &self.first_epoch())
+            .field("last_epoch", &self.last_epoch())
+            .field("holds_gate", &self.gate.is_some())
+            .finish_non_exhaustive()
+    }
+}
+
+impl Drop for Reservation<'_> {
+    fn drop(&mut self) {
+        if !self.published {
+            let guard = self.order.lock_turn(self.gate.take(), self.base);
+            self.order.advance(&guard, self.base + self.len);
+        }
     }
 }
 
@@ -331,22 +458,23 @@ impl Drop for PublishBatch<'_> {
 /// failure it is simply dropped, releasing the lock **without advancing
 /// the watermark** — an aborted validation leaves no epoch gap.
 pub struct PublishGate<'a> {
-    watermark: &'a AtomicU64,
+    order: &'a Order,
     crit: SeqCrit<'a>,
-    guard: MutexGuard<'a, ()>,
+    guard: MutexGuard<'a, usize>,
 }
 
 impl<'a> PublishGate<'a> {
     /// The epoch the next publication through this gate would receive.
     pub fn next_epoch(&self) -> u64 {
-        self.watermark.load(Ordering::Acquire) + 1
+        self.order.watermark.load(Ordering::Acquire) + 1
     }
 
     /// Convert the gate into a single-commit publication ticket,
     /// allocating the next epoch. The lock is retained throughout.
     pub fn into_publish(self) -> Publish<'a> {
         let epoch = self.next_epoch();
-        Publish { watermark: self.watermark, _crit: self.crit, _guard: self.guard, epoch }
+        self.order.reserved.store(epoch, Ordering::Relaxed);
+        Publish { order: self.order, _crit: self.crit, guard: self.guard, epoch }
     }
 
     /// Convert the gate into a batch publication ticket for `n` commits,
@@ -357,14 +485,9 @@ impl<'a> PublishGate<'a> {
     /// If `n == 0` — an empty batch has no epochs to allocate.
     pub fn into_batch(self, n: usize) -> PublishBatch<'a> {
         assert!(n > 0, "empty publish batch");
-        let base = self.watermark.load(Ordering::Acquire);
-        PublishBatch {
-            watermark: self.watermark,
-            _crit: self.crit,
-            _guard: self.guard,
-            base,
-            len: n as u64,
-        }
+        let base = self.order.watermark.load(Ordering::Acquire);
+        self.order.reserved.store(base + n as u64, Ordering::Relaxed);
+        PublishBatch { order: self.order, _crit: self.crit, guard: self.guard, base, len: n as u64 }
     }
 }
 
@@ -399,7 +522,7 @@ fn resolve<V>(chain: &Chain<V>, epoch: u64) -> Option<&V> {
 impl<K, V> MvccStore<K, V> {
     /// The highest fully published epoch.
     pub fn watermark(&self) -> u64 {
-        self.watermark.load(Ordering::Acquire)
+        self.order.watermark.load(Ordering::Acquire)
     }
 
     /// The oldest epoch a time-travel pin ([`MvccStore::pin_at`]) can
@@ -411,7 +534,8 @@ impl<K, V> MvccStore<K, V> {
     /// Raise the watermark to at least `epoch` (replay only: recovery
     /// learns epochs from the log instead of allocating them).
     pub fn advance_watermark(&self, epoch: u64) {
-        self.watermark.fetch_max(epoch, Ordering::AcqRel);
+        self.order.watermark.fetch_max(epoch, Ordering::AcqRel);
+        self.order.reserved.fetch_max(epoch, Ordering::AcqRel);
     }
 
     /// Concede that epochs below `epoch` are no longer consistently
@@ -553,9 +677,13 @@ where
         MvccStore {
             map: RwLock::new(BTreeMap::new()),
             dirty: Mutex::new(Dirty { keys: HashSet::new(), spare: Vec::new() }),
-            watermark: AtomicU64::new(GENESIS_EPOCH),
-            publish: Mutex::new(()),
-            publish_seq: AtomicU64::new(0),
+            order: Order {
+                watermark: AtomicU64::new(GENESIS_EPOCH),
+                reserved: AtomicU64::new(GENESIS_EPOCH),
+                lock: Mutex::new(0),
+                turn: Condvar::new(),
+                seq: AtomicU64::new(0),
+            },
             ring: (0..RING_SLOTS).map(|_| AtomicU64::new(0)).collect(),
             reg_seq: AtomicU64::new(0),
             live_pins: AtomicU64::new(0),
@@ -572,28 +700,32 @@ where
     /// Enter the publish critical section for one top-level commit,
     /// assigning it the next epoch. Append the commit's versions with
     /// [`MvccStore::append`] at [`Publish::epoch`], then drop the ticket
-    /// to advance the watermark.
+    /// to advance the watermark. Waits out any [`Reservation`] still
+    /// unpublished.
     pub fn begin_publish(&self) -> Publish<'_> {
-        let guard = self.publish.lock();
-        let crit = SeqCrit::enter(&self.publish_seq);
-        let epoch = self.watermark.load(Ordering::Acquire) + 1;
-        Publish { watermark: &self.watermark, _crit: crit, _guard: guard, epoch }
+        let guard = self.order.lock_idle();
+        let crit = SeqCrit::enter(&self.order);
+        let epoch = self.order.watermark.load(Ordering::Acquire) + 1;
+        self.order.reserved.store(epoch, Ordering::Relaxed);
+        Publish { order: &self.order, _crit: crit, guard, epoch }
     }
 
-    /// Enter the publish critical section once for a batch of `n`
-    /// top-level commits, allocating the contiguous epoch run
-    /// `watermark+1 ..= watermark+n`. This is the group-commit
-    /// amortization: one lock acquisition and one watermark advance for
-    /// the whole batch, instead of `n` serialized publish cycles.
+    /// Allocate the contiguous epoch run `reserved+1 ..= reserved+n` for
+    /// a batch of `n` top-level commits, holding the publish lock until
+    /// [`Reservation::leave_gate`]; publish it later, in turn, with
+    /// [`Reservation::publish`]. This is the group-commit amortization —
+    /// one allocation and one watermark advance for the whole batch —
+    /// split so that whatever the caller does between the halves (a log
+    /// force) overlaps other runs' halves.
     ///
     /// # Panics
     /// If `n == 0` — an empty batch has no epochs to allocate.
-    pub fn begin_publish_batch(&self, n: usize) -> PublishBatch<'_> {
+    pub fn reserve(&self, n: usize) -> Reservation<'_> {
         assert!(n > 0, "empty publish batch");
-        let guard = self.publish.lock();
-        let crit = SeqCrit::enter(&self.publish_seq);
-        let base = self.watermark.load(Ordering::Acquire);
-        PublishBatch { watermark: &self.watermark, _crit: crit, _guard: guard, base, len: n as u64 }
+        let gate = self.order.lock.lock();
+        let base = self.order.reserved.load(Ordering::Relaxed);
+        self.order.reserved.store(base + n as u64, Ordering::Relaxed);
+        Reservation { order: &self.order, gate: Some(gate), base, len: n as u64, published: false }
     }
 
     /// Enter the publish critical section *without* allocating an epoch.
@@ -601,10 +733,11 @@ where
     /// under the gate, then convert it ([`PublishGate::into_publish`] /
     /// [`PublishGate::into_batch`]) only if validation succeeds; dropping
     /// an unconverted gate releases the lock with the watermark untouched.
+    /// Waits out any [`Reservation`] still unpublished.
     pub fn begin_publish_gate(&self) -> PublishGate<'_> {
-        let guard = self.publish.lock();
-        let crit = SeqCrit::enter(&self.publish_seq);
-        PublishGate { watermark: &self.watermark, crit, guard }
+        let guard = self.order.lock_idle();
+        let crit = SeqCrit::enter(&self.order);
+        PublishGate { order: &self.order, crit, guard }
     }
 
     /// Append a version to `key`'s chain, entering the key into the map on
@@ -709,17 +842,17 @@ where
     /// enforced by optimistic validation instead of the lock.
     pub fn pin(&self) -> u64 {
         for _ in 0..FAST_PIN_TRIES {
-            let seq = self.publish_seq.load(Ordering::SeqCst);
+            let seq = self.order.seq.load(Ordering::SeqCst);
             if seq & 1 == 1 {
                 break; // publisher active — queue on its lock instead
             }
-            let epoch = self.watermark.load(Ordering::SeqCst);
+            let epoch = self.order.watermark.load(Ordering::SeqCst);
             if !self.ring_register(epoch) {
                 break; // slot collision or overflow — locked path
             }
             self.min_pin.fetch_min(epoch, Ordering::SeqCst);
             self.reg_seq.fetch_add(1, Ordering::SeqCst);
-            if self.publish_seq.load(Ordering::SeqCst) == seq {
+            if self.order.seq.load(Ordering::SeqCst) == seq {
                 self.live_pins.fetch_add(1, Ordering::SeqCst);
                 return epoch;
             }
@@ -736,8 +869,8 @@ where
         }
         // The locked path: serialized against publishers by the publish
         // lock (see the struct docs for why).
-        let _publish = self.publish.lock();
-        let epoch = self.watermark.load(Ordering::Acquire);
+        let _publish = self.order.lock.lock();
+        let epoch = self.order.watermark.load(Ordering::Acquire);
         self.tree_register(&mut self.pins.lock(), epoch);
         epoch
     }
@@ -758,8 +891,8 @@ where
     /// pin-table lock (sweeps concede their bound to `oldest_retained`
     /// inside it, before dropping anything — so this check is race-free).
     pub fn pin_at(&self, epoch: u64) -> Result<u64, PinError> {
-        let _publish = self.publish.lock();
-        let watermark = self.watermark.load(Ordering::Acquire);
+        let _publish = self.order.lock.lock();
+        let watermark = self.order.watermark.load(Ordering::Acquire);
         if epoch > watermark {
             return Err(PinError::Future { requested: epoch, watermark });
         }
@@ -848,11 +981,11 @@ where
     /// capped at the watermark, so a pin-free store still allows pinning
     /// the present.
     fn sweep_locked(&self) {
-        let _publish = self.publish.lock();
+        let _publish = self.order.lock.lock();
         let pins = self.pins.lock();
         let tree_min = pins.keys().next().copied().unwrap_or(u64::MAX);
         let min = self.settle_min(tree_min);
-        let cap = self.watermark.load(Ordering::SeqCst);
+        let cap = self.order.watermark.load(Ordering::SeqCst);
         self.oldest_retained.fetch_max(min.min(cap), Ordering::AcqRel);
         self.unswept.store(0, Ordering::Relaxed);
         self.sweep(min);
@@ -995,7 +1128,7 @@ where
     where
         K: std::fmt::Debug,
     {
-        let _publish = self.publish.lock();
+        let _publish = self.order.lock.lock();
         let spare = self.dirty.lock().spare.len();
         let mut out: Vec<_> = (spare > SPARE_CAP)
             .then(|| format!("{spare} spare buffers, cap {SPARE_CAP}"))
@@ -1160,34 +1293,95 @@ mod tests {
     }
 
     #[test]
-    fn batch_publish_allocates_contiguous_run_and_advances_once() {
+    fn a_reservation_allocates_a_contiguous_run_and_publishes_it_at_once() {
         let s = store();
         s.append(&1, GENESIS_EPOCH, 0);
         commit(&s, 1, 1); // watermark -> 1
-        let batch = s.begin_publish_batch(3);
-        assert_eq!(batch.first_epoch(), 2);
-        assert_eq!(batch.epoch_of(0), 2);
-        assert_eq!(batch.epoch_of(2), 4);
-        assert_eq!(batch.last_epoch(), 4);
+        let mut run = s.reserve(3);
+        assert_eq!((run.first_epoch(), run.last_epoch()), (2, 4));
+        run.leave_gate();
+        // Allocated is not published: a pin still lands on the watermark.
+        assert_eq!(s.watermark(), 1);
+        let pin = s.pin();
+        assert_eq!(pin, 1);
+        let batch = run.publish();
+        assert_eq!((batch.epoch_of(0), batch.epoch_of(2)), (2, 4));
         for i in 0..3 {
             s.append(&(10 + i as u64), batch.epoch_of(i), i as i64);
         }
-        // Nothing visible until the ticket drops: no partial batch. (A
-        // concurrent pin would block on the publish lock the ticket
-        // holds, then land at 4 — never inside the half-published run.)
+        // Nothing visible until the ticket drops: no partial batch.
         assert_eq!(s.watermark(), 1);
         drop(batch);
         assert_eq!(s.watermark(), 4, "whole run published at once");
-        // Numbering continues contiguously after a batch.
+        // Numbering continues contiguously after a run.
         assert_eq!(commit(&s, 1, 9), 5);
+        s.unpin(pin);
     }
 
     #[test]
     #[should_panic(expected = "outside batch")]
     fn batch_epoch_out_of_range_panics() {
         let s = store();
-        let batch = s.begin_publish_batch(2);
+        let batch = s.reserve(2).publish();
         batch.epoch_of(2);
+    }
+
+    #[test]
+    fn a_later_run_waits_for_the_earlier_one_to_publish() {
+        let s = store();
+        for k in 0..2u64 {
+            s.append(&k, GENESIS_EPOCH, 10);
+        }
+        let mut earlier = s.reserve(1);
+        earlier.leave_gate();
+        std::thread::scope(|scope| {
+            let s = &s;
+            let later = scope.spawn(move || {
+                let later = s.reserve(1);
+                assert_eq!(later.first_epoch(), 2);
+                let batch = later.publish();
+                s.append(&1, batch.epoch_of(0), 12);
+            });
+            std::thread::sleep(std::time::Duration::from_millis(20));
+            assert!(!later.is_finished(), "the later run published before its turn");
+            assert_eq!(s.watermark(), GENESIS_EPOCH);
+            // No pin was live, so an out-of-turn publication would have
+            // overwritten key 1's seed in place: this pin would read it
+            // absent. In turn, it reads every key it could before.
+            let pin = s.pin();
+            assert_eq!((s.read_at(&0, pin), s.read_at(&1, pin)), (Some(10), Some(10)));
+            let batch = earlier.publish();
+            s.append(&0, batch.epoch_of(0), 11);
+            drop(batch);
+            later.join().unwrap();
+            assert_eq!(s.watermark(), 2);
+            assert_eq!((s.read_at(&0, pin), s.read_at(&1, pin)), (Some(10), Some(10)));
+            assert_eq!((s.read_at(&0, 2), s.read_at(&1, 2)), (Some(11), Some(12)));
+            s.unpin(pin);
+        });
+    }
+
+    #[test]
+    fn a_dropped_reservation_still_advances_the_watermark() {
+        let s = store();
+        s.append(&1, GENESIS_EPOCH, 0);
+        // Dropped while still holding the gate, a run publishes empty.
+        drop(s.reserve(1));
+        assert_eq!(s.watermark(), 1);
+        let mut abandoned = s.reserve(2);
+        abandoned.leave_gate();
+        let mut next = s.reserve(1);
+        next.leave_gate();
+        assert_eq!(next.first_epoch(), 4);
+        // Dropped after leaving the gate, it takes its turn like any run,
+        // so the run behind it is not stranded.
+        drop(abandoned);
+        assert_eq!(s.watermark(), 3);
+        s.append(&1, next.publish().epoch_of(0), 7);
+        assert_eq!(s.watermark(), 4);
+        // A one-hold publication allocates after every reservation.
+        assert_eq!(commit(&s, 1, 8), 5);
+        assert_eq!(s.chain(&1), vec![(5, 8)]);
     }
 
     #[test]

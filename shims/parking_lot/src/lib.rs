@@ -105,6 +105,13 @@ impl Condvar {
         Condvar { inner: sync::Condvar::new() }
     }
 
+    /// Block on the condvar until notified (or spuriously woken),
+    /// releasing the guard's mutex while asleep.
+    pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
+        let std_guard = guard.inner.take().expect("guard present");
+        guard.inner = Some(self.inner.wait(std_guard).unwrap_or_else(|p| p.into_inner()));
+    }
+
     /// Block on the condvar for at most `timeout`, releasing the guard's
     /// mutex while asleep.
     pub fn wait_for<T>(
@@ -254,6 +261,24 @@ mod tests {
             spins += 1;
         }
         assert!(*guard);
+        drop(guard);
+        h.join().unwrap();
+    }
+
+    #[test]
+    fn wait_blocks_until_notified() {
+        let pair = Arc::new((Mutex::new(false), Condvar::new()));
+        let p2 = pair.clone();
+        let h = std::thread::spawn(move || {
+            let (m, cv) = &*p2;
+            *m.lock() = true;
+            cv.notify_all();
+        });
+        let (m, cv) = &*pair;
+        let mut guard = m.lock();
+        while !*guard {
+            cv.wait(&mut guard);
+        }
         drop(guard);
         h.join().unwrap();
     }
