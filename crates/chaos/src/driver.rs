@@ -5,10 +5,11 @@
 //! Determinism contract: the whole run — workload, interleaving, faults,
 //! audit log, verdict — is a pure function of [`ChaosConfig`] (and thus of
 //! its seed). The driver only uses non-blocking conflict policies
-//! ([`DeadlockPolicy::NoWait`] and [`DeadlockPolicy::Timeout`] with a zero
-//! bound), so no wall-clock waiting can reorder anything; every conflict
-//! resolves immediately into a deterministic victim kill or timeout —
-//! the single-threaded analogue of deadlock-policy victim selection.
+//! ([`DeadlockPolicy::NoWait`] and [`DeadlockPolicy::Timeout`] bounded at
+//! `Duration::ZERO`), so no wall-clock waiting can reorder anything;
+//! every conflict resolves immediately into a deterministic victim kill
+//! or timeout — the single-threaded analogue of deadlock-policy victim
+//! selection.
 //! Thread-interleaving perturbation is modeled by the seeded scheduler
 //! choosing which logical worker advances at each step, plus injector
 //! faults that flip the winner of lock races on the sharded lock table.
@@ -144,7 +145,7 @@ impl ChaosConfig {
         if self.seed.is_multiple_of(2) {
             DeadlockPolicy::NoWait
         } else {
-            DeadlockPolicy::Timeout
+            DeadlockPolicy::Timeout(Duration::ZERO)
         }
     }
 
@@ -198,10 +199,11 @@ pub struct ChaosReport {
     /// off, because singleton batches emit plain `Commit` records.
     pub wal_hash: u64,
     /// FNV-1a over the final committed state (key/value pairs in key
-    /// order). Unlike [`fingerprint`] and [`wal_hash`] — which encode
-    /// record *ordering* and so legitimately differ across CC modes —
-    /// this hashes only what the run left behind, so a conflict-free seed
-    /// must produce the same value under `Locking` and `Optimistic`.
+    /// order). Unlike [`ChaosReport::fingerprint`] and
+    /// [`ChaosReport::wal_hash`] — which encode record *ordering* and so
+    /// legitimately differ across CC modes — this hashes only what the
+    /// run left behind, so a conflict-free seed must produce the same
+    /// value under `Locking` and `Optimistic`.
     pub state_fingerprint: u64,
     /// Lock-manager conflicts the run hit (zero in optimistic mode, where
     /// transactions never contend on locks).
@@ -564,14 +566,17 @@ fn step_snapshots(
     Ok(())
 }
 
-/// Teardown obligations of the snapshot schedule: every still-open
-/// snapshot re-verifies in full, and once all pins drop, epoch GC must
-/// collapse every chain back to length 1 with counters conserving.
+/// Teardown obligations of the snapshot schedule: the full oracle passes
+/// while the still-open snapshots pin (so none sits below the retained
+/// floor), every one of them re-verifies in full, and once all pins drop,
+/// epoch GC must collapse every chain back to length 1 with counters
+/// conserving.
 fn finish_snapshots(
     config: &ChaosConfig,
     db: &Db<u64, i64>,
     snaps: Vec<PinnedSnap>,
 ) -> Result<(), String> {
+    oracle::check(db)?;
     for (snap, expected) in &snaps {
         for k in 0..config.keys.max(1) {
             let got = snap.read(&k);
@@ -680,7 +685,6 @@ pub fn run_with_plan(config: &ChaosConfig, plan: &FaultPlan) -> ChaosReport {
     let db_config = DbConfig::builder()
         .policy(config.policy())
         .cc_mode(config.cc_mode)
-        .lock_timeout(Duration::ZERO)
         .audit(true)
         .durability(if config.wal { Durability::Wal } else { Durability::None })
         // Zero batch window: the single-threaded driver must never have a

@@ -28,7 +28,8 @@ pub enum AccessFault {
     /// deadlock-policy victim kill; retryable).
     Die,
     /// Fail the operation with [`crate::TxnError::Timeout`] (a synthetic
-    /// lock-wait expiry; retryable).
+    /// lock-wait expiry carrying the [`crate::DeadlockPolicy::Timeout`]
+    /// bound, zero under the other policies; retryable).
     Timeout,
 }
 

@@ -8,8 +8,8 @@ use std::time::Duration;
 /// How lock conflicts that could deadlock are resolved.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DeadlockPolicy {
-    /// Wait with a bound; give up with [`TxnError::Timeout`].
-    Timeout,
+    /// Wait at most this long overall; give up with [`TxnError::Timeout`].
+    Timeout(Duration),
     /// Wait-die: older (smaller root id) requesters wait, younger ones get
     /// [`TxnError::Die`] and should abort-and-retry.
     WaitDie,
@@ -21,21 +21,22 @@ pub enum DeadlockPolicy {
     NoWait,
 }
 
-/// When and how transaction events reach stable storage.
+/// When and how committed state reaches stable storage.
 ///
 /// The paper's resilience model (`perm(T)`, Lemma 7) makes *top-level*
 /// commits the only durability points: a subtransaction's commit is
 /// revocable until every ancestor commits, so subtransaction events never
-/// need to be forced to disk — they only need to be *ordered* in the log
-/// so recovery can reconstruct the action tree.
+/// reach the log at all. The log holds seeds and one frame per top-level
+/// commit (or group-commit batch) carrying its write set; recovery
+/// replays those and nothing else.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum Durability {
     /// In-memory only: no write-ahead log, nothing survives a crash.
     #[default]
     None,
-    /// Append every event to the write-ahead log but let the OS schedule
-    /// flushes: recovery sees every record the kernel retired, but a
-    /// crash may lose a suffix of acked commits.
+    /// Append every seed and commit frame to the write-ahead log but let
+    /// the OS schedule flushes: recovery sees every record the kernel
+    /// retired, but a crash may lose a suffix of acked commits.
     Wal,
     /// Like [`Durability::Wal`], plus an fsync before acking each
     /// top-level commit: an acked commit survives any crash.
@@ -74,12 +75,8 @@ pub enum CcMode {
 #[non_exhaustive]
 #[derive(Clone, Debug)]
 pub struct DbConfig {
-    /// Number of lock-table shards (power of two recommended).
-    pub shards: usize,
     /// Deadlock handling policy.
     pub policy: DeadlockPolicy,
-    /// Overall lock-wait bound for [`DeadlockPolicy::Timeout`].
-    pub lock_timeout: Duration,
     /// Fallback re-check bound for a single condvar wait. Notifications
     /// drive progress — a release wakes the waiters of that key, an abort
     /// wakes the parked transactions it orphaned — so this is never a
@@ -93,15 +90,11 @@ pub struct DbConfig {
     /// created with [`Db::open`] or [`Db::recover`] (which supply the log
     /// file); [`Db::new`]/[`Db::with_config`] are always in-memory.
     pub durability: Durability,
-    /// Automatically checkpoint (rewrite the log as a snapshot) after
-    /// every this many top-level commits; 0 disables auto-checkpointing.
-    /// [`Db::checkpoint`] can always be called explicitly.
-    pub checkpoint_every: u64,
     /// Route top-level commits through the group-commit sequencer: staged
-    /// commits share one WAL append + fsync and one publish-mutex
-    /// acquisition per batch (Lemma 7 requires a force *before* a commit
-    /// is visible, not one force *per* commit). Durability and recovery
-    /// semantics are identical either way; batches are atomic-in-log.
+    /// commits share one WAL append + fsync and one contiguous epoch run
+    /// per batch (Lemma 7 requires a force *before* a commit is visible,
+    /// not one force *per* commit). Durability and recovery semantics are
+    /// identical either way; batches are atomic-in-log.
     pub group_commit: bool,
     /// Most commits retired in one batch (≥ 1; meaningful with
     /// [`DbConfig::group_commit`]).
@@ -109,19 +102,9 @@ pub struct DbConfig {
     /// How long a batch leader waits for more commits to arrive before
     /// retiring a partial batch. Zero (the default) retires whatever is
     /// staged immediately — batching then comes purely from commits that
-    /// accumulate while the previous batch is fsyncing, which never
-    /// delays a solo committer.
+    /// queue while a leader is sequencing the batch ahead of them (the
+    /// force holds no leadership), which never delays a solo committer.
     pub max_batch_wait: Duration,
-    /// Per-key bound on committed version-chain length; 0 (the default)
-    /// means unbounded. With a budget set, a commit that grows a chain
-    /// past it force-prunes the oldest versions *even if a live snapshot
-    /// pin holds them* — the escape hatch for a stuck (leaked or wedged)
-    /// snapshot that would otherwise make chains grow without bound.
-    /// Force-pruning expires such a snapshot: the affected keys read as
-    /// absent through it, and the retained-epoch floor reported by
-    /// [`Db::epochs`] rises past its pin. Snapshots at or above the floor
-    /// are never affected.
-    pub max_versions_per_key: usize,
     /// Which concurrency-control subsystem runs transactions (see
     /// [`CcMode`]). Mode is a per-database decision: every transaction of
     /// one [`Db`] runs under the same discipline.
@@ -131,17 +114,13 @@ pub struct DbConfig {
 impl Default for DbConfig {
     fn default() -> Self {
         DbConfig {
-            shards: 16,
             policy: DeadlockPolicy::Detect,
-            lock_timeout: Duration::from_millis(100),
             wait_slice: Duration::from_millis(2),
             audit: false,
             durability: Durability::None,
-            checkpoint_every: 0,
             group_commit: false,
             max_batch: 32,
             max_batch_wait: Duration::ZERO,
-            max_versions_per_key: 0,
             cc_mode: CcMode::Locking,
         }
     }
@@ -152,13 +131,12 @@ impl DbConfig {
     ///
     /// ```
     /// use rnt_core::{DbConfig, DeadlockPolicy};
+    /// use std::time::Duration;
     /// let config = DbConfig::builder()
-    ///     .shards(64)
-    ///     .policy(DeadlockPolicy::Detect)
-    ///     .lock_timeout(std::time::Duration::from_millis(50))
+    ///     .policy(DeadlockPolicy::Timeout(Duration::from_millis(50)))
     ///     .audit(true)
     ///     .build();
-    /// assert_eq!(config.shards, 64);
+    /// assert_eq!(config.policy, DeadlockPolicy::Timeout(Duration::from_millis(50)));
     /// ```
     pub fn builder() -> DbConfigBuilder {
         DbConfigBuilder { config: DbConfig::default() }
@@ -172,21 +150,9 @@ pub struct DbConfigBuilder {
 }
 
 impl DbConfigBuilder {
-    /// Number of lock-table shards.
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.config.shards = shards;
-        self
-    }
-
     /// Deadlock handling policy.
     pub fn policy(mut self, policy: DeadlockPolicy) -> Self {
         self.config.policy = policy;
-        self
-    }
-
-    /// Overall lock-wait bound for [`DeadlockPolicy::Timeout`].
-    pub fn lock_timeout(mut self, timeout: Duration) -> Self {
-        self.config.lock_timeout = timeout;
         self
     }
 
@@ -205,12 +171,6 @@ impl DbConfigBuilder {
     /// Write-ahead logging mode (effective with [`Db::open`]/[`Db::recover`]).
     pub fn durability(mut self, durability: Durability) -> Self {
         self.config.durability = durability;
-        self
-    }
-
-    /// Auto-checkpoint after every `n` top-level commits (0 = never).
-    pub fn checkpoint_every(mut self, n: u64) -> Self {
-        self.config.checkpoint_every = n;
         self
     }
 
@@ -233,14 +193,6 @@ impl DbConfigBuilder {
         self
     }
 
-    /// Per-key bound on committed version-chain length (0 = unbounded).
-    /// See [`DbConfig::max_versions_per_key`] for the stuck-snapshot
-    /// trade-off this knob buys.
-    pub fn max_versions_per_key(mut self, n: usize) -> Self {
-        self.config.max_versions_per_key = n;
-        self
-    }
-
     /// Which concurrency-control subsystem runs transactions.
     pub fn cc_mode(mut self, mode: CcMode) -> Self {
         self.config.cc_mode = mode;
@@ -257,19 +209,37 @@ impl DbConfigBuilder {
 mod tests {
     use super::*;
 
+    /// Every builder method lands in its field, and the destructuring
+    /// names every field: adding a knob fails to compile here until this
+    /// test is edited to cover it.
     #[test]
-    fn builder_sets_all_knobs() {
-        let config = DbConfig::builder()
-            .shards(64)
-            .policy(DeadlockPolicy::WaitDie)
-            .lock_timeout(Duration::from_millis(7))
+    fn builder_sets_every_field() {
+        let DbConfig {
+            policy,
+            wait_slice,
+            audit,
+            durability,
+            group_commit,
+            max_batch,
+            max_batch_wait,
+            cc_mode,
+        } = DbConfig::builder()
+            .policy(DeadlockPolicy::Timeout(Duration::from_millis(7)))
             .wait_slice(Duration::from_micros(300))
             .audit(true)
+            .durability(Durability::WalFsync)
+            .group_commit(true)
+            .max_batch(0)
+            .max_batch_wait(Duration::from_micros(40))
+            .cc_mode(CcMode::Optimistic)
             .build();
-        assert_eq!(config.shards, 64);
-        assert_eq!(config.policy, DeadlockPolicy::WaitDie);
-        assert_eq!(config.lock_timeout, Duration::from_millis(7));
-        assert_eq!(config.wait_slice, Duration::from_micros(300));
-        assert!(config.audit);
+        assert_eq!(policy, DeadlockPolicy::Timeout(Duration::from_millis(7)));
+        assert_eq!(wait_slice, Duration::from_micros(300));
+        assert!(audit);
+        assert_eq!(durability, Durability::WalFsync);
+        assert!(group_commit);
+        assert_eq!(max_batch, 1, "a batch holds at least one commit");
+        assert_eq!(max_batch_wait, Duration::from_micros(40));
+        assert_eq!(cc_mode, CcMode::Optimistic);
     }
 }

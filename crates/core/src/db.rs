@@ -155,9 +155,6 @@ pub(crate) struct WalState<K, V> {
     /// The force side of `log`, usable without the mutex: see
     /// [`DbInner::force_log`].
     force: WalForce,
-    /// Top-level commits since the last auto-checkpoint
-    /// ([`DbConfig::checkpoint_every`]).
-    pub(crate) commits_since_ckpt: AtomicU64,
     /// The lowest-epoch append/fsync failure, if any: the first epoch it
     /// loses and its detail. Once set the log is **fail-stop**: no
     /// further record is appended (a log with a record missing from its
@@ -228,10 +225,14 @@ impl<K, V> WalState<K, V> {
     }
 }
 
+/// Lock-table shards: a key's shard is its hash modulo this. Fixed, like
+/// the registry's shard count, so [`DbInner::shard_of`] is a mask.
+const LOCK_SHARDS: usize = 16;
+
 pub(crate) struct DbInner<K, V> {
     pub(crate) registry: Registry,
     /// The lock tables, one mutex per shard (see [`ShardState`]).
-    pub(crate) shards: Box<[Mutex<ShardState<K, V>>]>,
+    pub(crate) shards: [Mutex<ShardState<K, V>>; LOCK_SHARDS],
     hasher: RandomState,
     pub(crate) stats: Stats,
     pub(crate) wfg: WaitForGraph,
@@ -303,16 +304,13 @@ where
 
     /// Create a database with the given configuration.
     pub fn with_config(config: DbConfig) -> Self {
-        let config_shards = config.shards.max(1);
-        let max_versions = config.max_versions_per_key;
-        let shards = (0..config_shards).map(|_| Mutex::new(ShardState::new())).collect();
         let audit = config
             .audit
             .then(|| AuditState { log: AuditLog::new(), keymap: Mutex::new(HashMap::new()) });
         Db {
             inner: Arc::new(DbInner {
                 registry: Registry::new(),
-                shards,
+                shards: std::array::from_fn(|_| Mutex::new(ShardState::new())),
                 hasher: RandomState::new(),
                 stats: Stats::default(),
                 wfg: WaitForGraph::new(),
@@ -322,7 +320,7 @@ where
                 run_seq: AtomicU64::new(0),
                 wal: std::sync::OnceLock::new(),
                 ckpt: RwLock::new(()),
-                mvcc: MvccStore::with_opts(max_versions),
+                mvcc: MvccStore::new(0),
                 pipeline: CommitPipeline::new(Err(TxnError::Wal {
                     detail: "the thread retiring this commit's batch panicked".to_string(),
                 })),
@@ -385,8 +383,7 @@ where
     /// retained as long as some live pin needs them, so the floor is the
     /// oldest live pin (or the watermark when idle). To hold a restore
     /// point open, keep a snapshot alive — retention never reclaims at or
-    /// above the oldest live pin unless
-    /// [`DbConfig::max_versions_per_key`] forces it to.
+    /// above the oldest live pin.
     pub fn snapshot_at(&self, epoch: u64) -> Result<Snapshot<K, V>, SnapshotError> {
         let epoch = self.inner.mvcc.pin_at(epoch)?;
         Ok(Snapshot { epoch, inner: self.inner.clone() })
@@ -518,7 +515,6 @@ where
         let state = WalState {
             force: log.force_handle(),
             log: Mutex::new(log),
-            commits_since_ckpt: AtomicU64::new(0),
             broken: Mutex::new(None),
             broken_at: AtomicU64::new(u64::MAX),
             enc_key,
@@ -563,7 +559,7 @@ where
     V: Clone + Hash + Send + Sync + 'static,
 {
     pub(crate) fn shard_of(&self, key: &K) -> usize {
-        (self.hasher.hash_one(key) as usize) % self.shards.len()
+        (self.hasher.hash_one(key) as usize) % LOCK_SHARDS
     }
 
     pub(crate) fn audit_record(&self, f: impl FnOnce(&Registry) -> AuditRecord) {
@@ -806,7 +802,12 @@ where
             }
             chaos::AccessFault::Timeout => {
                 self.stats.bump(|b| &b.timeouts);
-                return Err(TxnError::Timeout(self.config.lock_timeout));
+                // The policy's bound, as a real timeout would report it.
+                let bound = match self.config.policy {
+                    DeadlockPolicy::Timeout(bound) => bound,
+                    _ => Duration::ZERO,
+                };
+                return Err(TxnError::Timeout(bound));
             }
         }
         Ok(())
@@ -948,7 +949,7 @@ where
         let inner = &self.inner;
         let id = self.id;
         let top_level = self.mode.is_top_level();
-        let latch = if top_level { inner.wal_latch() } else { None };
+        let _latch = if top_level { inner.wal_latch() } else { None };
         if top_level && matches!(self.mode, TxnMode::Optimistic(_)) {
             // Validation flips this commit's registry state, and freezes
             // the footprint: children must be finished first. A
@@ -1005,15 +1006,12 @@ where
             let batch = vec![StagedCommit { txn: id, payload: footprint }];
             inner.finish(inner.sequence(batch)).pop().expect("a verdict per participant")
         };
-        let committed = is_committed(&verdict);
-        if committed {
+        if is_committed(&verdict) {
             inner.stats.bump(|b| &b.committed);
         }
         if let TxnMode::Optimistic(opt) = &self.mode {
             inner.mvcc.unpin(opt.begin_epoch);
         }
-        drop(latch);
-        inner.maybe_auto_checkpoint(committed);
         verdict
     }
 

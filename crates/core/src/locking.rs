@@ -109,7 +109,8 @@ where
     /// has no lock-table entry at all; additionally, when no transaction
     /// is active, no lock may be held (all versions either published to
     /// base or restored) and every tree must be retired
-    /// (`txns_resident == 0`). The version store's layout is checked too
+    /// (`txns_resident == 0`). The version store's layout, and that no
+    /// live snapshot pin sits below its retained floor, are checked too
     /// ([`MvccStore::layout_violations`](rnt_mvcc::MvccStore::layout_violations)).
     /// Returns human-readable violations, sorted; empty means all
     /// invariants hold. Call
@@ -196,13 +197,13 @@ where
                     self.stats.bump(|b| &b.dies);
                     return Err(TxnError::Die { blocker: conflict.blockers[0] });
                 }
-                DeadlockPolicy::Timeout => {
+                DeadlockPolicy::Timeout(timeout) => {
                     let elapsed = start.elapsed();
-                    if elapsed >= self.config.lock_timeout {
+                    if elapsed >= timeout {
                         self.stats.bump(|b| &b.timeouts);
-                        return Err(TxnError::Timeout(self.config.lock_timeout));
+                        return Err(TxnError::Timeout(timeout));
                     }
-                    let bound = (self.config.lock_timeout - elapsed).min(self.config.wait_slice);
+                    let bound = (timeout - elapsed).min(self.config.wait_slice);
                     self.wait_for_key_change(&mut guard, shard_idx, key, t, bound)?;
                 }
                 DeadlockPolicy::WaitDie => {

@@ -28,7 +28,6 @@ use crate::lock::LockState;
 use rnt_mvcc::GENESIS_EPOCH;
 use rnt_wal::{scan, CommitEntry, Record, StdVfs, Vfs, Wal, WalCodec, WalError, INIT_ACTION};
 use std::hash::Hash;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 fn encode_of<T: WalCodec>(value: &T, out: &mut Vec<u8>) {
@@ -44,21 +43,6 @@ where
     K: Eq + Hash + Ord + Clone + Send + Sync + 'static,
     V: Clone + Hash + Send + Sync + 'static,
 {
-    /// Checkpoint after a top-level commit if the configured cadence says
-    /// so. Must be called *after* the commit's latch guard is dropped (the
-    /// latch is not reentrant).
-    pub(crate) fn maybe_auto_checkpoint(&self, top_level: bool) {
-        let Some(w) = self.wal.get() else { return };
-        let every = self.config.checkpoint_every;
-        if !top_level || every == 0 {
-            return;
-        }
-        let n = w.commits_since_ckpt.fetch_add(1, Ordering::Relaxed) + 1;
-        if n % every == 0 {
-            let _ = self.do_checkpoint(); // failure poisons the log
-        }
-    }
-
     /// Rewrite the log as one `Checkpoint { chain heads }`, so recovery
     /// cost is bounded by the snapshot plus post-checkpoint traffic
     /// instead of the whole history.

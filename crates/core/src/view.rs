@@ -79,11 +79,9 @@ impl EpochBounds {
 #[non_exhaustive]
 pub enum SnapshotError {
     /// The epoch predates the oldest retained one: epoch-based
-    /// reclamation (or the [`max_versions_per_key`] chain budget) has
-    /// already dropped versions a consistent view at this epoch would
-    /// need. Retained history only shrinks, so retrying cannot succeed.
-    ///
-    /// [`max_versions_per_key`]: crate::DbConfig::max_versions_per_key
+    /// reclamation has already dropped versions a consistent view at this
+    /// epoch would need. Retained history only shrinks, so retrying
+    /// cannot succeed.
     Pruned {
         /// The epoch that was requested.
         requested: u64,
@@ -159,15 +157,6 @@ where
         self.inner.stats.bump(|b| &b.range_scans);
         self.inner.mvcc.range_at(bounds, self.epoch)
     }
-
-    /// True iff this snapshot's epoch fell below the retained floor — only
-    /// possible when
-    /// [`DbConfig::max_versions_per_key`](crate::DbConfig::max_versions_per_key)
-    /// force-pruned versions this pin was holding. Reads from an expired
-    /// snapshot may see force-pruned keys as absent.
-    pub fn is_expired(&self) -> bool {
-        self.epoch < self.inner.mvcc.oldest_retained()
-    }
 }
 
 impl<K, V> std::fmt::Debug for Snapshot<K, V>
@@ -176,10 +165,7 @@ where
     V: Clone + Hash + Send + Sync + 'static,
 {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Snapshot")
-            .field("epoch", &self.epoch)
-            .field("expired", &self.is_expired())
-            .finish_non_exhaustive()
+        f.debug_struct("Snapshot").field("epoch", &self.epoch).finish_non_exhaustive()
     }
 }
 

@@ -6,8 +6,8 @@ use rnt_core::{Db, DbConfig, DeadlockPolicy, TxnError};
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
-fn db_with(policy: DeadlockPolicy, lock_timeout: Duration) -> Db<u64, i64> {
-    let db = Db::with_config(DbConfig::builder().policy(policy).lock_timeout(lock_timeout).build());
+fn db_with(policy: DeadlockPolicy) -> Db<u64, i64> {
+    let db = Db::with_config(DbConfig::builder().policy(policy).build());
     db.insert(0, 0);
     db.insert(1, 0);
     db
@@ -15,7 +15,7 @@ fn db_with(policy: DeadlockPolicy, lock_timeout: Duration) -> Db<u64, i64> {
 
 #[test]
 fn no_wait_dies_immediately_naming_the_blocker() {
-    let db = db_with(DeadlockPolicy::NoWait, Duration::from_millis(100));
+    let db = db_with(DeadlockPolicy::NoWait);
     let holder = db.begin();
     holder.write(&0, 1).unwrap();
     let t = db.begin();
@@ -30,7 +30,7 @@ fn no_wait_dies_immediately_naming_the_blocker() {
 
 #[test]
 fn timeout_expires_against_a_held_lock() {
-    let db = db_with(DeadlockPolicy::Timeout, Duration::from_millis(20));
+    let db = db_with(DeadlockPolicy::Timeout(Duration::from_millis(20)));
     let holder = db.begin();
     holder.write(&0, 1).unwrap();
     let t = db.begin();
@@ -50,7 +50,7 @@ fn timeout_expires_against_a_held_lock() {
 
 #[test]
 fn wait_die_kills_the_younger_and_lets_the_older_wait() {
-    let db = db_with(DeadlockPolicy::WaitDie, Duration::from_millis(100));
+    let db = db_with(DeadlockPolicy::WaitDie);
     // Older holds: the younger requester must die, not wait.
     let older = db.begin();
     older.write(&0, 1).unwrap();
@@ -82,7 +82,7 @@ fn wait_die_kills_the_younger_and_lets_the_older_wait() {
 
 #[test]
 fn detect_finds_the_cycle_and_picks_one_victim() {
-    let db = db_with(DeadlockPolicy::Detect, Duration::from_millis(100));
+    let db = db_with(DeadlockPolicy::Detect);
     let barrier = Arc::new(Barrier::new(2));
     let side = |first: u64, second: u64, db: Db<u64, i64>, barrier: Arc<Barrier>| {
         std::thread::spawn(move || {

@@ -8,7 +8,7 @@ use rnt_core::{Db, DbConfig, DeadlockPolicy};
 use std::sync::Arc;
 
 fn db() -> Db<u64, i64> {
-    Db::with_config(DbConfig::builder().policy(DeadlockPolicy::NoWait).shards(4).build())
+    Db::with_config(DbConfig::builder().policy(DeadlockPolicy::NoWait).build())
 }
 
 /// A deterministic single-threaded history commits to exactly the state

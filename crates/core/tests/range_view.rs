@@ -1,5 +1,5 @@
-//! The unified read API: range scans, time travel, the `ReadView` trait,
-//! and the chain budget.
+//! The unified read API: range scans, time travel and the `ReadView`
+//! trait.
 
 use rnt_core::{
     AuditRecord, CcMode, Db, DbConfig, DbConfigBuilder, ReadView, Snapshot, SnapshotError, TxnError,
@@ -151,26 +151,6 @@ fn txn_range_conflicts_surface_as_errors() {
     // ...while the lock-free snapshot scan sails through.
     assert_eq!(db.snapshot().range(0..4).len(), 4);
     writer.commit().unwrap();
-}
-
-#[test]
-fn version_budget_bounds_history_under_a_stuck_snapshot() {
-    let db: Db<u64, i64> = Db::with_config(DbConfig::builder().max_versions_per_key(3).build());
-    db.insert(0, 0);
-    let stuck = db.snapshot();
-    for round in 1..=20i64 {
-        db.run(|t| t.write(&0, round).map(|_| ())).unwrap();
-    }
-    assert!(db.history(&0).len() <= 3, "budget must bound the chain");
-    assert_eq!(db.history(&0).last(), Some(&(20, 20)));
-    // The stuck snapshot expired: detectable, and the key reads as absent.
-    assert!(stuck.is_expired());
-    assert_eq!(stuck.read(&0), None);
-    assert!(db.epochs().oldest_retained > stuck.epoch());
-    // A fresh snapshot is unaffected.
-    let fresh = db.snapshot();
-    assert!(!fresh.is_expired());
-    assert_eq!(fresh.read(&0), Some(20));
 }
 
 #[test]

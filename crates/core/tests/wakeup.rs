@@ -12,11 +12,10 @@ use rnt_core::{Db, DbConfig, DeadlockPolicy, TxnError};
 use std::time::{Duration, Instant};
 
 /// A config where polling cannot masquerade as progress: a waiter that
-/// misses its notification sleeps ~10 s.
-fn notify_only(policy: DeadlockPolicy) -> DbConfig {
+/// misses its notification sleeps ~10 s, well inside its 30 s timeout.
+fn notify_only() -> DbConfig {
     DbConfig::builder()
-        .policy(policy)
-        .lock_timeout(Duration::from_secs(30))
+        .policy(DeadlockPolicy::Timeout(Duration::from_secs(30)))
         .wait_slice(Duration::from_secs(10))
         .build()
 }
@@ -27,7 +26,7 @@ fn notify_only(policy: DeadlockPolicy) -> DbConfig {
 /// wakeup costs 10 s and trips the deadline assert.
 #[test]
 fn release_wakes_all_waiters_on_the_key() {
-    let db: Db<u64, i64> = Db::with_config(notify_only(DeadlockPolicy::Timeout));
+    let db: Db<u64, i64> = Db::with_config(notify_only());
     db.insert(0, 0);
     let holder = db.begin();
     holder.write(&0, 1).unwrap();
@@ -61,7 +60,7 @@ fn release_wakes_all_waiters_on_the_key() {
 /// waiters re-parking between grants. No schedule may lose a wakeup.
 #[test]
 fn writer_churn_single_key_converges() {
-    let db: Db<u64, i64> = Db::with_config(notify_only(DeadlockPolicy::Timeout));
+    let db: Db<u64, i64> = Db::with_config(notify_only());
     db.insert(0, 0);
     let start = Instant::now();
     std::thread::scope(|scope| {
@@ -82,24 +81,20 @@ fn writer_churn_single_key_converges() {
     );
 }
 
-/// Spurious-wakeup accounting: two keys forced into the SAME shard
-/// (shards = 1), each contended by its own pair of threads. Targeted
-/// wakeups never wake the other key's waiters, so with polling disabled
-/// every recorded wakeup is productive and the spurious counter stays at
-/// exactly zero.
+/// Spurious-wakeup accounting: 17 keys over the lock table's 16 shards,
+/// so at least two keys share a shard, each key contended by its own pair
+/// of threads. Targeted wakeups never wake another key's waiters, so with
+/// polling disabled every recorded wakeup is productive and the spurious
+/// counter stays at exactly zero.
 #[test]
 fn disjoint_keys_produce_no_spurious_wakeups() {
-    let config = DbConfig::builder()
-        .shards(1)
-        .policy(DeadlockPolicy::Timeout)
-        .lock_timeout(Duration::from_secs(30))
-        .wait_slice(Duration::from_secs(10))
-        .build();
-    let db: Db<u64, i64> = Db::with_config(config);
-    db.insert(0, 0);
-    db.insert(1, 0);
+    const KEYS: u64 = 17;
+    let db: Db<u64, i64> = Db::with_config(notify_only());
+    for key in 0..KEYS {
+        db.insert(key, 0);
+    }
     std::thread::scope(|scope| {
-        for key in [0u64, 1] {
+        for key in 0..KEYS {
             for _ in 0..2 {
                 let db = db.clone();
                 scope.spawn(move || {
@@ -110,8 +105,9 @@ fn disjoint_keys_produce_no_spurious_wakeups() {
             }
         }
     });
-    assert_eq!(db.committed_value(&0), Some(100));
-    assert_eq!(db.committed_value(&1), Some(100));
+    for key in 0..KEYS {
+        assert_eq!(db.committed_value(&key), Some(100));
+    }
     let s = db.stats();
     assert_eq!(
         s.wakeups_spurious, 0,
@@ -126,7 +122,7 @@ fn disjoint_keys_produce_no_spurious_wakeups() {
 /// waiter from sleeping out the full 10 s slice.
 #[test]
 fn ancestor_abort_wakes_parked_descendant() {
-    let db: Db<u64, i64> = Db::with_config(notify_only(DeadlockPolicy::Timeout));
+    let db: Db<u64, i64> = Db::with_config(notify_only());
     db.insert(0, 0);
     let holder = db.begin();
     holder.write(&0, 1).unwrap();

@@ -44,11 +44,10 @@ struct Dirty<K, V> {
     /// Keys whose chains hold more than one version — the only chains a
     /// pin-release sweep could reclaim from, so [`MvccStore::unpin`]'s
     /// sweep visits the handful of pinned-down chains instead of walking
-    /// the keyspace. A chain enters when an append leaves it long and
-    /// leaves when a prune collapses it (both under the chain's lock); a
+    /// the keyspace. A chain enters when an append spills it and leaves
+    /// when a sweep's prune collapses it (both under the chain's lock); a
     /// sweep works on the set it took and puts the still-long keys back,
-    /// so between sweeps the set covers every long chain and at worst
-    /// also names a few that have since collapsed.
+    /// so between sweeps the set covers every long chain.
     keys: HashSet<K>,
     /// Emptied spill buffers for the next spill, at most `SPARE_CAP`.
     spare: Vec<Spill<V>>,
@@ -95,9 +94,8 @@ pub struct MvccCounters {
 /// Why an epoch could not be pinned by [`MvccStore::pin_at`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PinError {
-    /// The epoch predates the oldest retained one: reclamation (or the
-    /// per-chain version budget) has already dropped versions a consistent
-    /// view at this epoch would need.
+    /// The epoch predates the oldest retained one: reclamation has already
+    /// dropped versions a consistent view at this epoch would need.
     Pruned {
         /// The epoch that was requested.
         requested: u64,
@@ -158,16 +156,12 @@ pub enum PinError {
 /// racing `pin_at` either sees the raise and rejects, or lands its pin
 /// first and is respected by the sweep's bound.
 ///
-/// **Chain budget**: with `max_versions > 0`, an append that grows a chain
-/// past the budget force-prunes the oldest versions regardless of live
-/// pins — the escape hatch for a stuck (leaked or wedged) snapshot pin
-/// that would otherwise make chains grow without bound. Force-pruning
-/// raises `oldest_retained` past the dropped span, so *new* time-travel
-/// pins can never land on an inconsistent epoch; a pre-existing pin below
-/// the raise is **expired** — the budget deliberately sacrifices its
-/// consistency instead of holding memory hostage: a force-pruned key has
-/// no version at or below the expired epoch anymore and reads as absent.
-/// Callers detect expiry by comparing the pin against `oldest_retained`.
+/// Every raise stops at the minimum live pin (replay's
+/// [`MvccStore::concede_retained`] runs before any pin exists), so **a
+/// live pin is never below `oldest_retained`**: whatever a pinned reader
+/// resolves stays resolvable until it unpins, however long it holds on —
+/// a stuck pin costs memory, never consistency.
+/// [`MvccStore::layout_violations`] checks this.
 pub struct MvccStore<K, V> {
     map: RwLock<BTreeMap<K, Mutex<Chain<V>>>>,
     dirty: Mutex<Dirty<K, V>>,
@@ -179,8 +173,8 @@ pub struct MvccStore<K, V> {
     /// fungible per epoch: the live pin count at epoch `e` is the ring
     /// count plus the tree count.
     ring: Box<[AtomicU64]>,
-    /// Bumped once per completed ring registration (after the slot CAS
-    /// and the `min_pin` lowering). [`MvccStore::settle_min`] uses it to
+    /// Bumped once per ring registration, after the slot CAS and before
+    /// the `min_pin` lowering. [`MvccStore::settle_min`] uses it to
     /// detect registrations racing its recompute-and-store of `min_pin`.
     reg_seq: AtomicU64,
     /// Gauge of live pins across ring and tree (the `pins_live` counter
@@ -197,8 +191,6 @@ pub struct MvccStore<K, V> {
     min_pin: AtomicU64,
     /// Oldest epoch still consistently resolvable (see the struct docs).
     oldest_retained: AtomicU64,
-    /// Per-chain version budget; 0 = unbounded.
-    max_versions: usize,
     /// Unpins since the last non-quiescent sweep (see [`MvccStore::unpin`]).
     unswept: AtomicU64,
     created: AtomicU64,
@@ -556,9 +548,17 @@ impl<K, V> MvccStore<K, V> {
         }
     }
 
-    /// Register one pin at `epoch` in the ring. Fails (caller takes the
-    /// locked path) when the slot holds a different epoch with live pins,
-    /// the slot's count would overflow, or the epoch doesn't pack.
+    /// Register one pin at `epoch` in the ring and lower `min_pin` to it.
+    /// Fails (caller takes the locked path) when the slot holds a
+    /// different epoch with live pins, the slot's count would overflow,
+    /// or the epoch doesn't pack.
+    ///
+    /// `reg_seq` is bumped *between* the slot CAS and the lowering. A
+    /// settle whose re-check misses the bump stored before the lowering,
+    /// so the lowering survives; one whose scan missed the slot sees the
+    /// bump and re-scans. Lowering first would let a settle overwrite it
+    /// and still pass its re-check: a live pin under a `min_pin` above
+    /// it, whose version the next append overwrites in place.
     fn ring_register(&self, epoch: u64) -> bool {
         if epoch > MAX_FAST_EPOCH {
             return false;
@@ -579,10 +579,13 @@ impl<K, V> MvccStore<K, V> {
                 return false;
             };
             match slot.compare_exchange_weak(cur, next, Ordering::SeqCst, Ordering::SeqCst) {
-                Ok(_) => return true,
+                Ok(_) => break,
                 Err(now) => cur = now,
             }
         }
+        self.reg_seq.fetch_add(1, Ordering::SeqCst);
+        self.min_pin.fetch_min(epoch, Ordering::SeqCst);
+        true
     }
 
     /// Release one ring pin at `epoch`. Returns false when the ring holds
@@ -651,7 +654,6 @@ impl<K, V> std::fmt::Debug for MvccStore<K, V> {
         f.debug_struct("MvccStore")
             .field("watermark", &self.watermark())
             .field("oldest_retained", &self.oldest_retained())
-            .field("max_versions", &self.max_versions)
             .field("counters", &self.counters())
             .finish_non_exhaustive()
     }
@@ -662,18 +664,10 @@ where
     K: Eq + Hash + Ord + Clone,
     V: Clone,
 {
-    /// An empty store with no per-chain version budget. The argument is
-    /// unused: it sized the hash shards of an earlier layout and stays so
-    /// that callers written against it keep compiling.
+    /// An empty store. The argument is unused: it sized the hash shards
+    /// of an earlier layout and stays so that callers written against it
+    /// keep compiling.
     pub fn new(_shards: usize) -> Self {
-        Self::with_opts(0)
-    }
-
-    /// An empty store with a per-chain version budget (`0` = unbounded):
-    /// an append that grows a chain past `max_versions` force-prunes the
-    /// oldest versions even if a live pin holds them, raising the
-    /// oldest-retained bound past the dropped span.
-    pub fn with_opts(max_versions: usize) -> Self {
         MvccStore {
             map: RwLock::new(BTreeMap::new()),
             dirty: Mutex::new(Dirty { keys: HashSet::new(), spare: Vec::new() }),
@@ -690,7 +684,6 @@ where
             pins: Mutex::new(BTreeMap::new()),
             min_pin: AtomicU64::new(u64::MAX),
             oldest_retained: AtomicU64::new(GENESIS_EPOCH),
-            max_versions,
             unswept: AtomicU64::new(0),
             created: AtomicU64::new(0),
             reclaimed: AtomicU64::new(0),
@@ -743,9 +736,8 @@ where
     /// Append a version to `key`'s chain, entering the key into the map on
     /// first contact. `epoch` must be strictly above the chain's last
     /// (per-key publications are serialized by the lock manager, so
-    /// callers get this for free). Reclaims any versions the append just
-    /// made droppable, and enforces the per-chain version budget if one
-    /// is set.
+    /// callers get this for free). Reclaims the replaced head when no pin
+    /// can resolve to it.
     pub fn append(&self, key: &K, epoch: u64, value: V) {
         {
             let map = self.map.read();
@@ -766,57 +758,36 @@ where
     }
 
     /// [`MvccStore::append`] under `key`'s chain lock.
+    ///
+    /// An append reclaims only the head it replaces, and only while the
+    /// chain has no spill. A spilled chain's older versions are the
+    /// pin-release sweep's: `min_pin` rises only in a sweep, which prunes
+    /// every spilled chain at its new bound under the publish lock that
+    /// publication appends also hold, so nothing in a spill becomes
+    /// droppable between sweeps.
     fn push_version(&self, key: &K, chain: &mut Chain<V>, epoch: u64, value: V) {
         debug_assert!(chain.head.0 < epoch, "chain epochs must ascend");
         self.created.fetch_add(1, Ordering::Relaxed);
         let old = std::mem::replace(&mut chain.head, (epoch, value));
-        let min_pin = self.min_pin.load(Ordering::Acquire);
-        let was_long = chain.older.is_some();
-        // Taken only when the chain crosses between short and long.
-        let mut dirty = None;
-        let mut dropped = if !was_long && epoch <= min_pin {
-            1 // no pin resolves below the new head: it overwrote the old one
-        } else {
-            let older = chain.older.get_or_insert_with(|| {
-                dirty.insert(self.dirty.lock()).spare.pop().unwrap_or_default()
-            });
-            older.push(old);
-            prune(chain, min_pin)
-        };
-        if dropped > 0 {
-            // Epochs below the chain's first version just lost resolution
-            // on this chain: concede them so no later `pin_at` lands there.
-            // That version is ≤ every live pin (the prune rule keeps the
-            // latest version at or below the minimum pin), so no live pin
-            // is invalidated; and publish-path appends hold the publish
-            // lock, serializing this raise against `pin_at`'s check.
-            let first = chain.versions().next().map_or(epoch, |v| v.0);
-            self.oldest_retained.fetch_max(first, Ordering::AcqRel);
+        if chain.older.is_none() && epoch <= self.min_pin.load(Ordering::Acquire) {
+            // No pin resolves below the new head: it overwrote the old
+            // one. Epochs below it just lost resolution on this chain:
+            // concede them so no later `pin_at` lands there. The head is
+            // ≤ every live pin, so no live pin is invalidated; and
+            // publish-path appends hold the publish lock, serializing
+            // this raise against `pin_at`'s check.
+            self.oldest_retained.fetch_max(epoch, Ordering::AcqRel);
+            self.reclaimed.fetch_add(1, Ordering::Relaxed);
+            return;
         }
-        if self.max_versions > 0 && chain.versions().count() > self.max_versions {
-            // Budget overflow: a stuck pin is holding this chain hostage.
-            // Force-prune the oldest versions and concede every epoch
-            // below the new first one — raised *before* the chain lock
-            // drops, so `pin_at` (serialized against this publisher by
-            // the publish lock) can never validate into the dropped span.
-            let cut = chain.versions().count() - self.max_versions;
-            let older = chain.older.as_mut().expect("a long chain has spilled");
-            self.oldest_retained.fetch_max(older.get(cut).map_or(epoch, |v| v.0), Ordering::AcqRel);
-            older.drain(..cut);
-            dropped += cut as u64;
-        }
-        self.reclaimed.fetch_add(dropped, Ordering::Relaxed);
-        // Dirty-set upkeep, only when the chain crossed between short and
-        // long: a live pin just kept a superseded version alive (remember
-        // the chain for the pin-release sweep), or the last one went.
-        if let Some(spill) = chain.older.take_if(|older| older.is_empty()) {
-            let guard = dirty.get_or_insert_with(|| self.dirty.lock());
-            guard.keys.remove(key);
-            guard.spare.push(spill);
-            guard.spare.truncate(SPARE_CAP);
-        } else if !was_long && chain.older.is_some() {
-            dirty.get_or_insert_with(|| self.dirty.lock()).keys.insert(key.clone());
-        }
+        // A live pin may resolve to the old head: spill it, and on the
+        // chain's first spill remember it for the pin-release sweep.
+        let older = chain.older.get_or_insert_with(|| {
+            let mut dirty = self.dirty.lock();
+            dirty.keys.insert(key.clone());
+            dirty.spare.pop().unwrap_or_default()
+        });
+        older.push(old);
     }
 
     /// Pin the current watermark for a snapshot. Balance with
@@ -829,11 +800,11 @@ where
     /// 1. read `publish_seq` — bail to the locked path if odd;
     /// 2. read the watermark `w`;
     /// 3. CAS the ring slot (the pin becomes visible to min scans);
-    /// 4. lower `min_pin` to ≤ `w`;
-    /// 5. bump `reg_seq` (min scans racing us re-check);
+    /// 4. bump `reg_seq` (min scans racing us re-check);
+    /// 5. lower `min_pin` to ≤ `w`;
     /// 6. re-read `publish_seq` — if unchanged, no publisher's critical
     ///    section overlapped steps 1–5, so every later publisher reads
-    ///    `min_pin` ≤ `w` *after* our step 4 and respects the pin; if it
+    ///    `min_pin` ≤ `w` *after* our step 5 and respects the pin; if it
     ///    changed, undo the slot and retry (a publisher may have missed
     ///    us and pruned as if we weren't there).
     ///
@@ -850,8 +821,6 @@ where
             if !self.ring_register(epoch) {
                 break; // slot collision or overflow — locked path
             }
-            self.min_pin.fetch_min(epoch, Ordering::SeqCst);
-            self.reg_seq.fetch_add(1, Ordering::SeqCst);
             if self.order.seq.load(Ordering::SeqCst) == seq {
                 self.live_pins.fetch_add(1, Ordering::SeqCst);
                 return epoch;
@@ -911,8 +880,6 @@ where
     /// — the count lands wherever there is room.
     pub fn repin(&self, epoch: u64) {
         if self.ring_register(epoch) {
-            self.min_pin.fetch_min(epoch, Ordering::SeqCst);
-            self.reg_seq.fetch_add(1, Ordering::SeqCst);
             self.live_pins.fetch_add(1, Ordering::SeqCst);
         } else {
             // The base pin may live in the ring, so a missing tree entry
@@ -929,9 +896,10 @@ where
     /// draining) or the `SWEEP_EVERY` staleness bound, inside
     /// `MvccStore::sweep_locked`, which takes the publish lock so the
     /// recompute can never race a publisher. Skipping a sweep is always
-    /// safe (it only delays reclamation; appends already prune their own
-    /// chains eagerly), and without the amortization every snapshot drop
-    /// and every optimistic commit would serialize behind a chain walk.
+    /// safe (it only delays reclamation; an unspilled chain's append
+    /// still overwrites its head in place), and without the amortization
+    /// every snapshot drop and every optimistic commit would serialize
+    /// behind a chain walk.
     /// Deferring the floor raise is safe too: the floor only ever lags,
     /// admitting `pin_at`s a per-unpin raise would have rejected a little
     /// earlier, and those epochs are still resolvable (nothing was
@@ -994,13 +962,13 @@ where
 
     /// Drop every version reclaimable under `min_pin`, store-wide.
     ///
-    /// Only chains in the dirty set can hold a reclaimable version
-    /// (append prunes eagerly, so a chain is long only when some pin held
-    /// its old versions back), so the sweep visits exactly those — O(live
-    /// multi-version chains), not O(keyspace). It takes the set, prunes
-    /// outside the set's lock, and puts back the chains still long (an
-    /// older pin persists); a key an append dirties meanwhile lands in
-    /// the fresh set and waits for the next sweep.
+    /// Only chains in the dirty set can hold a reclaimable version (an
+    /// append spills only when some pin may hold its old head back), so
+    /// the sweep visits exactly those — O(live multi-version chains),
+    /// not O(keyspace). It takes the set, prunes outside the set's lock,
+    /// and puts back the chains still long (an older pin persists); a key
+    /// an append dirties meanwhile lands in the fresh set and waits for
+    /// the next sweep.
     fn sweep(&self, min_pin: u64) {
         let mut dirty = self.dirty.lock();
         if dirty.keys.is_empty() {
@@ -1120,20 +1088,30 @@ where
         self.map.read().values().map(|slot| slot.lock().versions().count() as u64).sum()
     }
 
-    /// The store's layout faults, empty when there are none: a spill
-    /// buffer present but empty, a long chain missing from the dirty set
-    /// (no pin-release sweep would reclaim it), a spare list over its
-    /// cap. Holds the publish lock, so no sweep has keys out of the set.
+    /// The store's layout faults, empty when there are none: a live pin
+    /// (ring or tree) below `oldest_retained`, a spill buffer present but
+    /// empty, a long chain missing from the dirty set (no pin-release
+    /// sweep would reclaim it), a spare list over its cap. Holds the
+    /// publish lock, so no sweep has keys out of the set.
+    ///
+    /// The pin check is exact only at quiescence: a fast pin that has
+    /// registered in the ring but not yet validated may show a stale
+    /// epoch, which its failed validation then undoes.
     pub fn layout_violations(&self) -> Vec<String>
     where
         K: std::fmt::Debug,
     {
         let _publish = self.order.lock.lock();
+        let mut out = Vec::new();
+        let tree_min = self.pins.lock().keys().next().copied().unwrap_or(u64::MAX);
+        let (pin, floor) = (self.ring_min().min(tree_min), self.oldest_retained());
+        if pin < floor {
+            out.push(format!("live pin at epoch {pin} below oldest retained {floor}"));
+        }
         let spare = self.dirty.lock().spare.len();
-        let mut out: Vec<_> = (spare > SPARE_CAP)
-            .then(|| format!("{spare} spare buffers, cap {SPARE_CAP}"))
-            .into_iter()
-            .collect();
+        if spare > SPARE_CAP {
+            out.push(format!("{spare} spare buffers, cap {SPARE_CAP}"));
+        }
         for (key, slot) in self.map.read().iter() {
             let fault = match &slot.lock().older {
                 Some(older) if older.is_empty() => "empty spill buffer",
@@ -1483,30 +1461,6 @@ mod tests {
     }
 
     #[test]
-    fn version_budget_bounds_chains_under_a_stuck_pin() {
-        let s: MvccStore<u64, i64> = MvccStore::with_opts(3);
-        s.append(&1, GENESIS_EPOCH, 0);
-        let stuck = s.pin(); // never dropped: simulates a wedged reader
-        for i in 1..=10 {
-            commit(&s, 1, i);
-        }
-        let chain = s.chain(&1);
-        assert!(chain.len() <= 3, "budget must bound the chain, got {chain:?}");
-        assert_eq!(chain.last(), Some(&(10, 10)), "newest version always retained");
-        // The stuck pin's epoch was conceded: new time-travel pins below
-        // the force-pruned span are rejected rather than inconsistent.
-        assert!(s.oldest_retained() > GENESIS_EPOCH);
-        assert!(matches!(s.pin_at(GENESIS_EPOCH), Err(PinError::Pruned { .. })));
-        // The expired pin lost its history: the force-pruned key reads as
-        // absent at the stuck epoch (documented budget trade-off), and the
-        // expiry is detectable by comparing the pin to oldest_retained.
-        assert_eq!(s.read_at(&1, stuck), None);
-        assert!(stuck < s.oldest_retained());
-        s.unpin(stuck);
-        assert_eq!(s.chain(&1), vec![(10, 10)]);
-    }
-
-    #[test]
     fn repin_shares_the_epoch() {
         let s = store();
         s.append(&1, GENESIS_EPOCH, 0);
@@ -1737,26 +1691,6 @@ mod tests {
     }
 
     #[test]
-    fn the_version_budget_bounds_the_spill_under_a_stuck_pin() {
-        for budget in [1usize, 2, 3] {
-            let s: MvccStore<u64, i64> = MvccStore::with_opts(budget);
-            s.append(&1, GENESIS_EPOCH, 0);
-            let stuck = s.pin();
-            for i in 1..=10 {
-                commit(&s, 1, i);
-                assert!(s.chain(&1).len() <= budget, "budget {budget}: {:?}", s.chain(&1));
-                assert_eq!(s.layout_violations(), Vec::<String>::new(), "budget {budget}");
-            }
-            assert_eq!(spilled(&s, 1), budget > 1, "a budget of one never keeps a spill");
-            let c = s.counters();
-            assert_eq!(c.created - c.reclaimed, s.total_versions());
-            s.unpin(stuck);
-            assert_eq!(s.chain(&1), vec![(10, 10)]);
-            assert_eq!(spares(&s), 1, "budget {budget}: the buffer was recycled");
-        }
-    }
-
-    #[test]
     fn the_layout_check_reports_each_fault() {
         let s = store();
         for k in 0..3 {
@@ -1766,13 +1700,16 @@ mod tests {
         commit(&s, 0, 1);
         commit(&s, 1, 1);
         assert_eq!(s.layout_violations(), Vec::<String>::new());
-        // A spill left empty, a long chain the dirty set lost, and a
-        // spare list over its cap: each is reported.
+        // A live pin under the floor, a spill left empty, a long chain
+        // the dirty set lost, and a spare list over its cap: each is
+        // reported.
+        s.concede_retained(s.watermark());
         s.map.read()[&2].lock().older = Some(Box::default());
         s.dirty.lock().keys.remove(&1);
         s.dirty.lock().spare.resize_with(SPARE_CAP + 1, Box::default);
         let found = s.layout_violations();
-        assert_eq!(found.len(), 3, "{found:?}");
+        assert_eq!(found.len(), 4, "{found:?}");
+        assert!(found.iter().any(|v| v.starts_with("live pin at epoch 0")), "{found:?}");
         assert!(found.iter().any(|v| v.starts_with("2: empty spill")), "{found:?}");
         assert!(found.iter().any(|v| v.starts_with("1: long chain")), "{found:?}");
         assert!(found.iter().any(|v| v.contains("spare")), "{found:?}");

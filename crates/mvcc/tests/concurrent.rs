@@ -56,11 +56,13 @@ fn scans_at_a_live_pin_are_the_pinned_state_under_appends_and_seeding() {
         // taker of the map's exclusive lock — paced by the scanners'
         // progress so that seeding spans the whole run.
         let seeder = {
-            let (store, start, scanned) = (&store, &start, &scanned);
+            let (store, stop, start, scanned) = (&store, &stop, &start, &scanned);
             scope.spawn(move || {
                 start.wait();
                 for n in 0..SEEDS {
-                    while scanned.load(Ordering::Relaxed) * SEEDS < n * (SCANNERS * SCANS) as u64 {
+                    while scanned.load(Ordering::Relaxed) * SEEDS < n * (SCANNERS * SCANS) as u64
+                        && !stop.load(Ordering::Relaxed)
+                    {
                         std::thread::yield_now();
                     }
                     store.append(&(n * SEED_GAP + 1), GENESIS_EPOCH, -1);
@@ -100,11 +102,12 @@ fn scans_at_a_live_pin_are_the_pinned_state_under_appends_and_seeding() {
                 })
             })
             .collect();
-        // Stop the appenders before surfacing any panic, or the scope
-        // would wait on them forever.
+        // Stop the appenders, and the seeder's wait for scanner progress,
+        // before surfacing any panic, or the scope would wait on them
+        // forever.
         let mut joined: Vec<_> = scanners.into_iter().map(|h| h.join()).collect();
-        joined.push(seeder.join());
         stop.store(true, Ordering::Relaxed);
+        joined.push(seeder.join());
         for outcome in joined {
             outcome.expect("a scanner or the seeder panicked");
         }
@@ -124,7 +127,7 @@ fn scans_at_a_live_pin_are_the_pinned_state_under_appends_and_seeding() {
 fn spills_collapse_and_recycle_under_a_pin_and_sweep_storm() {
     const KEYS: u64 = 512;
     const WINDOW: u64 = 32;
-    let store: MvccStore<u64, u64> = MvccStore::with_opts(8);
+    let store: MvccStore<u64, u64> = MvccStore::new(0);
     for k in 0..KEYS {
         store.append(&k, GENESIS_EPOCH, 0);
     }
@@ -153,20 +156,15 @@ fn spills_collapse_and_recycle_under_a_pin_and_sweep_storm() {
                 for i in 0..2_000u64 {
                     let pin = store.pin();
                     let lo = i * WINDOW % KEYS;
-                    // The version budget may expire a pin that writers
-                    // overtake: it then reads force-pruned keys as absent,
-                    // and the floor, raised before any drop, shows it.
-                    let expired = || pin < store.oldest_retained();
                     let rows = store.range_at(lo..lo + WINDOW, pin);
-                    let whole = rows.len() as u64 == WINDOW.min(KEYS - lo);
-                    assert!(whole || expired(), "a live pin lost a key");
+                    assert_eq!(rows.len() as u64, WINDOW.min(KEYS - lo), "a live pin lost a key");
                     for &(key, value) in &rows {
                         // A value is the epoch that wrote it (or 0, the
                         // seed): never above the pin, and a point read
                         // through the same pin agrees.
                         assert!(value <= pin, "key {key} shows {value} above pin {pin}");
                         let point = store.read_at(&key, pin);
-                        assert!(point == Some(value) || expired(), "key {key}: {point:?}");
+                        assert_eq!(point, Some(value), "key {key}");
                     }
                     store.unpin(pin);
                 }

@@ -247,7 +247,7 @@ pub fn e5b_policies(quick: bool) -> Table {
         DeadlockPolicy::Detect,
         DeadlockPolicy::WaitDie,
         DeadlockPolicy::NoWait,
-        DeadlockPolicy::Timeout,
+        DeadlockPolicy::Timeout(std::time::Duration::from_millis(100)),
     ] {
         let mut w = base_workload(quick);
         w.keys = 16;

@@ -13,7 +13,7 @@ fn transfers_conserve_total_under_all_policies() {
         DeadlockPolicy::Detect,
         DeadlockPolicy::WaitDie,
         DeadlockPolicy::NoWait,
-        DeadlockPolicy::Timeout,
+        DeadlockPolicy::Timeout(std::time::Duration::from_millis(100)),
     ] {
         let db: Db<u64, i64> = Db::with_config(DbConfig::builder().policy(policy).build());
         let n = 16u64;
@@ -164,8 +164,7 @@ fn sustained_mixed_workload() {
 fn timeout_policy_times_out() {
     let db: Db<u64, i64> = Db::with_config(
         DbConfig::builder()
-            .policy(DeadlockPolicy::Timeout)
-            .lock_timeout(std::time::Duration::from_millis(30))
+            .policy(DeadlockPolicy::Timeout(std::time::Duration::from_millis(30)))
             .build(),
     );
     db.insert(0, 0);
