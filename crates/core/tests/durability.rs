@@ -1001,8 +1001,8 @@ fn aborted_and_in_flight_trees_append_zero_bytes() {
 }
 
 /// A seed logs while a commit's force is parked on the disk: the force
-/// holds neither the checkpoint latch exclusively nor the log mutex, so
-/// the seed's record lands behind the parked commit's frame.
+/// holds no engine lock, and a seed takes none a force holds, so the
+/// seed's record lands behind the parked commit's frame.
 #[test]
 fn a_seed_appends_while_a_force_is_parked() {
     let vfs = GateVfs::closed();
@@ -1029,6 +1029,260 @@ fn a_seed_appends_while_a_force_is_parked() {
     ));
     let r = crash_recover(&vfs.mem, wal_config());
     assert_eq!((r.committed_value(&key(0)), r.committed_value(&key(1))), (Some(1), Some(7)));
+}
+
+// ---- A checkpoint stops no seed and no commit ----
+
+/// A checkpoint runs to completion while a locking commit is parked in its
+/// force: it pins the watermark below the parked run, and no seed or
+/// commit holds a lock it waits for. It keeps the parked run's frame, so
+/// once the force returns the acked commit recovers from the rewritten
+/// file.
+#[test]
+fn a_checkpoint_completes_while_a_force_is_parked() {
+    let vfs = GateVfs::closed();
+    vfs.open();
+    let db: Db<String, i64> = Db::open_with_vfs(vfs.clone(), LOG, fsync_config()).unwrap();
+    db.insert(key(0), 0);
+    db.insert(key(1), 0);
+    bump(&db, 1..2).unwrap();
+    vfs.close();
+    let forcing = spawn_bump(&db, 0..1);
+    vfs.wait_parked();
+    // The checkpoint's own fsync, the next to arrive, may pass.
+    let next = vfs.gate.lock().unwrap().arrived;
+    vfs.release(next);
+    let checkpointed = {
+        let db = db.clone();
+        spawn(move || db.checkpoint()).recv_timeout(PATIENCE)
+    };
+    let records = records_of(&vfs.mem);
+    vfs.open();
+    assert_eq!(checkpointed, Ok(Ok(())), "the checkpoint waited for another commit's force");
+    assert_eq!(forcing.recv_timeout(PATIENCE).unwrap(), Ok(()));
+    assert!(
+        matches!(records.as_slice(), [Record::Checkpoint { epoch: 1, .. }, Record::Commit { .. }]),
+        "the image at epoch 1, then the parked run's frame: {records:?}"
+    );
+    let r = crash_recover(&vfs.mem, wal_config());
+    assert_eq!((r.committed_value(&key(0)), r.committed_value(&key(1))), (Some(1), Some(1)));
+}
+
+/// For a quiescent database the checkpointed log is exactly the magic and
+/// one `Checkpoint` frame holding every key's head, in encoded-key order,
+/// at the watermark: the image a stop-the-world walk of the heads writes.
+#[test]
+fn a_quiescent_checkpoint_is_the_magic_and_one_frame_of_the_heads() {
+    let (vfs, db) = open_mem(wal_config());
+    for k in [1, 0, 2] {
+        db.insert(key(k), 1);
+    }
+    for keys in [0..1, 2..3, 0..1] {
+        bump(&db, keys).unwrap();
+    }
+    db.checkpoint().unwrap();
+    let snapshot =
+        vec![(enc("k0"), 3, enc_v(3)), (enc("k1"), 0, enc_v(1)), (enc("k2"), 2, enc_v(2))];
+    let mut expected = MAGIC.to_vec();
+    expected.extend(frame(&Record::Checkpoint { epoch: 3, snapshot }));
+    assert_eq!(vfs.snapshot(LOG), expected);
+}
+
+/// Counters shared by a storm's threads: per key, the increments whose
+/// commit was acked (bumped after `commit` returns `Ok`) and those ever
+/// attempted (bumped before `commit` is called).
+struct Tally {
+    acked: Vec<AtomicU64>,
+    attempted: Vec<AtomicU64>,
+}
+
+impl Tally {
+    fn new(n: usize) -> Self {
+        let zeros = || (0..n).map(|_| AtomicU64::new(0)).collect();
+        Tally { acked: zeros(), attempted: zeros() }
+    }
+}
+
+const STORM_COUNTERS: usize = 8;
+const STORM_SEEDS: usize = 120;
+
+/// Counter `i` of a storm, seeded at 0, and the storm's `i`-th freshly
+/// seeded key, seeded at `i`: [`Tally`] index `i` and `STORM_COUNTERS + i`.
+fn counter(i: usize) -> String {
+    format!("c{i}")
+}
+
+fn fresh(i: usize) -> String {
+    format!("s{i:03}")
+}
+
+/// What a recovered database must hold given a tally read before the log
+/// bytes were taken (`acked`) and one read after (`attempted`): every
+/// acked increment and every seed that had returned, and no increment
+/// that was never attempted.
+fn check_recovered(
+    r: &Db<String, i64>,
+    acked: &[u64],
+    seeded: usize,
+    attempted: &[u64],
+    what: &str,
+) {
+    for (i, (&lo, &hi)) in acked.iter().zip(attempted).enumerate() {
+        let (name, base) = match i.checked_sub(STORM_COUNTERS) {
+            None => (counter(i), 0),
+            Some(j) if j < seeded => (fresh(j), j as i64),
+            Some(_) => continue,
+        };
+        let got = r.committed_value(&name).map(|v| (v - base) as u64);
+        assert!(
+            got.is_some_and(|v| (lo..=hi).contains(&v)),
+            "{what}: {name} recovered {got:?} increments, acked {lo}, attempted {hi}"
+        );
+    }
+}
+
+fn read_all(counts: &[AtomicU64]) -> Vec<u64> {
+    counts.iter().map(|c| c.load(SeqCst)).collect()
+}
+
+/// Committers bump counters and freshly seeded keys, a seeder inserts
+/// those keys, and `checkpointers` threads checkpoint in a loop until the
+/// committers are done — which is not before `CHECKPOINTS` checkpoints
+/// have run (or every checkpointer failed), so they overlap whatever the
+/// build's speed. Each checkpointer, after each checkpoint, recovers from
+/// the bytes the log holds right then; at the end, with nothing in
+/// flight, recovery from the final bytes holds exactly the acked
+/// increments.
+fn storm(cc: CcMode, group: bool, checkpointers: usize) {
+    const COMMITTERS: usize = 3;
+    const COMMITS: usize = 250;
+    const CHECKPOINTS: u64 = 20;
+    let what = format!("{cc:?} group_commit={group} checkpointers={checkpointers}");
+    let mut config = group_fsync_config(cc);
+    config.group_commit = group;
+    let (vfs, db) = open_mem(config);
+    for i in 0..STORM_COUNTERS {
+        db.insert(counter(i), 0);
+    }
+    let tally = Tally::new(STORM_COUNTERS + STORM_SEEDS);
+    let seeded = AtomicU64::new(0);
+    let committing = AtomicU64::new(COMMITTERS as u64);
+    let checkpointing = AtomicU64::new(checkpointers as u64);
+    let checkpoints = AtomicU64::new(0);
+    std::thread::scope(|s| {
+        for c in 0..COMMITTERS {
+            let (db, tally, seeded, committing, checkpointing, checkpoints) =
+                (&db, &tally, &seeded, &committing, &checkpointing, &checkpoints);
+            s.spawn(move || {
+                let _leaving = Leaving(committing);
+                let mut x = 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(c as u64 + 1);
+                for n in 0.. {
+                    let checkpointed = checkpoints.load(SeqCst) >= CHECKPOINTS;
+                    if n >= COMMITS && (checkpointed || checkpointing.load(SeqCst) == 0) {
+                        break;
+                    }
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    let mut bumps = vec![(x % STORM_COUNTERS as u64) as usize];
+                    let fresh_keys = seeded.load(SeqCst) as usize;
+                    if fresh_keys > 0 {
+                        bumps.push(STORM_COUNTERS + (x >> 32) as usize % fresh_keys);
+                    }
+                    commit_bumps(db, tally, &bumps);
+                }
+            });
+        }
+        {
+            let (db, seeded, committing) = (&db, &seeded, &committing);
+            s.spawn(move || {
+                for i in 0..STORM_SEEDS {
+                    assert!(db.insert(fresh(i), i as i64));
+                    seeded.store(i as u64 + 1, SeqCst);
+                    if committing.load(SeqCst) > 0 {
+                        std::thread::yield_now();
+                    }
+                }
+            });
+        }
+        for _ in 0..checkpointers {
+            let (db, vfs, tally, seeded, committing, checkpointing, checkpoints, what) =
+                (&db, &vfs, &tally, &seeded, &committing, &checkpointing, &checkpoints, &what);
+            s.spawn(move || {
+                let _leaving = Leaving(checkpointing);
+                while committing.load(SeqCst) > 0 {
+                    db.checkpoint().unwrap_or_else(|e| panic!("{what}: checkpoint: {e}"));
+                    checkpoints.fetch_add(1, SeqCst);
+                    let (acked, seeds) = (read_all(&tally.acked), seeded.load(SeqCst) as usize);
+                    let r = crash_recover(vfs, wal_config());
+                    let attempted = read_all(&tally.attempted);
+                    check_recovered(&r, &acked, seeds, &attempted, &format!("{what}, mid-run"));
+                }
+            });
+        }
+    });
+    let acked = read_all(&tally.acked);
+    let r = crash_recover(&vfs, wal_config());
+    check_recovered(&r, &acked, STORM_SEEDS, &acked, &what);
+}
+
+/// Counts a storm thread out when it ends, by unwinding too, so a failing
+/// thread cannot leave the others waiting for it forever.
+struct Leaving<'a>(&'a AtomicU64);
+
+impl Drop for Leaving<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, SeqCst);
+    }
+}
+
+/// One flat transaction incrementing every tally index in `bumps`,
+/// retried until it commits.
+fn commit_bumps(db: &Db<String, i64>, tally: &Tally, bumps: &[usize]) {
+    let name = |i: usize| i.checked_sub(STORM_COUNTERS).map_or_else(|| counter(i), fresh);
+    loop {
+        let t = db.begin();
+        if let Err(e) = bumps.iter().try_for_each(|&i| t.rmw(&name(i), |v| v + 1).map(drop)) {
+            assert!(e.is_retryable(), "{e}");
+            t.abort();
+            std::thread::yield_now();
+            continue;
+        }
+        for &i in bumps {
+            tally.attempted[i].fetch_add(1, SeqCst);
+        }
+        match t.commit() {
+            Ok(()) => {
+                for &i in bumps {
+                    tally.acked[i].fetch_add(1, SeqCst);
+                }
+                return;
+            }
+            Err(e) => assert!(e.is_retryable(), "{e}"),
+        }
+    }
+}
+
+/// Commits, seeds and a looping checkpoint at once, in both modes, with
+/// the pipeline off and on: every recovery — from the bytes after any
+/// checkpoint, and from the final ones — holds every acked increment and
+/// seed, and no increment never attempted.
+#[test]
+fn checkpoints_during_a_storm_of_commits_and_seeds_lose_nothing() {
+    for cc in [CcMode::Locking, CcMode::Optimistic] {
+        for group in [false, true] {
+            storm(cc, group, 1);
+        }
+    }
+}
+
+/// Two checkpointers racing each other while commits and seeds run: they
+/// serialize, so neither rewrites over a newer image than its own.
+#[test]
+fn racing_checkpointers_lose_nothing() {
+    for cc in [CcMode::Locking, CcMode::Optimistic] {
+        storm(cc, true, 2);
+    }
 }
 
 // ---- Forces overlap; publication and verdicts follow epoch order ----

@@ -446,9 +446,9 @@ impl Drop for Reservation<'_> {
 /// validation runs under the gate: the lock excludes concurrent
 /// publications *and* new pins, so the chain heads it observes are final
 /// for the duration. On validation success the gate converts into a
-/// [`Publish`] (or [`PublishBatch`]) ticket, allocating epochs; on
-/// failure it is simply dropped, releasing the lock **without advancing
-/// the watermark** — an aborted validation leaves no epoch gap.
+/// [`PublishBatch`] ticket, allocating epochs; on failure it is simply
+/// dropped, releasing the lock **without advancing the watermark** — an
+/// aborted validation leaves no epoch gap.
 pub struct PublishGate<'a> {
     order: &'a Order,
     crit: SeqCrit<'a>,
@@ -459,14 +459,6 @@ impl<'a> PublishGate<'a> {
     /// The epoch the next publication through this gate would receive.
     pub fn next_epoch(&self) -> u64 {
         self.order.watermark.load(Ordering::Acquire) + 1
-    }
-
-    /// Convert the gate into a single-commit publication ticket,
-    /// allocating the next epoch. The lock is retained throughout.
-    pub fn into_publish(self) -> Publish<'a> {
-        let epoch = self.next_epoch();
-        self.order.reserved.store(epoch, Ordering::Relaxed);
-        Publish { order: self.order, _crit: self.crit, guard: self.guard, epoch }
     }
 
     /// Convert the gate into a batch publication ticket for `n` commits,
@@ -502,13 +494,14 @@ fn prune<V>(chain: &mut Chain<V>, min_pin: u64) -> u64 {
     cut as u64
 }
 
-/// The latest version in `chain` with epoch ≤ `epoch`: the head, else a
-/// reverse scan of the spill (short: reclamation keeps only pinned spans).
-fn resolve<V>(chain: &Chain<V>, epoch: u64) -> Option<&V> {
+/// The latest version in `chain` with epoch ≤ `epoch`, as `(epoch,
+/// value)`: the head, else a reverse scan of the spill (short:
+/// reclamation keeps only pinned spans).
+fn resolve<V>(chain: &Chain<V>, epoch: u64) -> Option<&(u64, V)> {
     if chain.head.0 <= epoch {
-        return Some(&chain.head.1);
+        return Some(&chain.head);
     }
-    chain.older.as_ref()?.iter().rev().find(|&&(e, _)| e <= epoch).map(|(_, v)| v)
+    chain.older.as_ref()?.iter().rev().find(|&&(e, _)| e <= epoch)
 }
 
 impl<K, V> MvccStore<K, V> {
@@ -723,9 +716,9 @@ where
 
     /// Enter the publish critical section *without* allocating an epoch.
     /// Optimistic commits validate their footprints against chain heads
-    /// under the gate, then convert it ([`PublishGate::into_publish`] /
-    /// [`PublishGate::into_batch`]) only if validation succeeds; dropping
-    /// an unconverted gate releases the lock with the watermark untouched.
+    /// under the gate, then convert it ([`PublishGate::into_batch`]) only
+    /// if validation succeeds; dropping an unconverted gate releases the
+    /// lock with the watermark untouched.
     /// Waits out any [`Reservation`] still unpublished.
     pub fn begin_publish_gate(&self) -> PublishGate<'_> {
         let guard = self.order.lock_idle();
@@ -1005,7 +998,7 @@ where
     pub fn read_at(&self, key: &K, epoch: u64) -> Option<V> {
         let map = self.map.read();
         let chain = map.get(key)?.lock();
-        resolve(&chain, epoch).cloned()
+        resolve(&chain, epoch).map(|(_, v)| v.clone())
     }
 
     /// A consistent key-ordered walk over every chain in `bounds`,
@@ -1026,7 +1019,7 @@ where
     {
         let map = self.map.read();
         map.range((bounds.start_bound(), bounds.end_bound()))
-            .filter_map(|(k, slot)| resolve(&slot.lock(), epoch).map(|v| (k.clone(), v.clone())))
+            .filter_map(|(k, s)| resolve(&s.lock(), epoch).map(|(_, v)| (k.clone(), v.clone())))
             .collect()
     }
 
@@ -1059,14 +1052,18 @@ where
         Some(self.map.read().get(key)?.lock().head.0)
     }
 
-    /// Visit every chain's head — each key's newest version, the committed
-    /// state — as `(key, epoch, value)`, in key order, without cloning.
-    /// `visit` runs under the map's shared lock and the chain's lock, so it
-    /// must not call back into the store.
-    pub fn for_each_head(&self, mut visit: impl FnMut(&K, u64, &V)) {
+    /// Visit every key's newest version at or below `epoch` — the
+    /// committed state as of `epoch` — as `(key, version epoch, value)`, in
+    /// key order, without cloning; keys with no such version are skipped,
+    /// as in [`MvccStore::range_at`]. Consistent only at an epoch no
+    /// reclamation can pass: the watermark of a quiescent store, or a
+    /// pinned one. `visit` runs under the map's shared lock and the
+    /// chain's lock, so it must not call back into the store.
+    pub fn for_each_at(&self, epoch: u64, mut visit: impl FnMut(&K, u64, &V)) {
         for (key, slot) in self.map.read().iter() {
-            let (epoch, value) = &slot.lock().head;
-            visit(key, *epoch, value);
+            if let Some((version, value)) = resolve(&slot.lock(), epoch) {
+                visit(key, *version, value);
+            }
         }
     }
 
@@ -1169,19 +1166,6 @@ mod tests {
         // The lock was released: the next publication proceeds and gets
         // the epoch the gate previewed.
         assert_eq!(commit(&s, 1, 2), 2);
-    }
-
-    #[test]
-    fn gate_converts_into_single_publication() {
-        let s = store();
-        s.append(&1, GENESIS_EPOCH, 0);
-        let gate = s.begin_publish_gate();
-        let publish = gate.into_publish();
-        assert_eq!(publish.epoch(), 1);
-        s.append(&1, publish.epoch(), 10);
-        drop(publish);
-        assert_eq!(s.watermark(), 1);
-        assert_eq!(s.read_at(&1, 1), Some(10));
     }
 
     #[test]

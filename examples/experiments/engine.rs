@@ -247,7 +247,9 @@ pub fn e5b_policies(quick: bool) -> Table {
         DeadlockPolicy::Detect,
         DeadlockPolicy::WaitDie,
         DeadlockPolicy::NoWait,
-        DeadlockPolicy::Timeout(std::time::Duration::from_millis(100)),
+        // 2.5 default wait slices (2 ms): a waiter sees the conflict clear
+        // or gives up after a few wake-ups, not after a hundred.
+        DeadlockPolicy::Timeout(std::time::Duration::from_millis(5)),
     ] {
         let mut w = base_workload(quick);
         w.keys = 16;
