@@ -47,25 +47,48 @@ pub enum Tail {
 }
 
 /// Parse one frame starting at `offset`. Returns the record and the next
-/// offset. An error here is *positional*: the caller decides whether it is
-/// a tolerable tail tear or mid-log corruption.
-fn parse_frame(bytes: &[u8], offset: usize) -> Result<(Record, usize), WalError> {
+/// offset. `bytes` starts at byte `base` of the file, which errors add to
+/// their offsets. An error here is *positional*: the caller decides
+/// whether it is a tolerable tail tear or mid-log corruption.
+fn parse_frame(bytes: &[u8], offset: usize, base: usize) -> Result<(Record, usize), WalError> {
+    let at = base + offset;
     let remaining = bytes.len() - offset;
     if remaining < 8 {
-        return Err(WalError::TruncatedLength { offset });
+        return Err(WalError::TruncatedLength { offset: at });
     }
     let len = u32::from_le_bytes(bytes[offset..offset + 4].try_into().expect("4")) as usize;
     let stored = u32::from_le_bytes(bytes[offset + 4..offset + 8].try_into().expect("4"));
     if remaining - 8 < len {
-        return Err(WalError::TornRecord { offset, promised: len, present: remaining - 8 });
+        return Err(WalError::TornRecord { offset: at, promised: len, present: remaining - 8 });
     }
     let payload = &bytes[offset + 8..offset + 8 + len];
     let computed = crc32(payload);
     if computed != stored {
-        return Err(WalError::BadCrc { offset, stored, computed });
+        return Err(WalError::BadCrc { offset: at, stored, computed });
     }
-    let record = Record::decode(payload, offset)?;
+    let record = Record::decode(payload, at)?;
     Ok((record, offset + 8 + len))
+}
+
+/// Parse frames from `offset` until end-of-file or the first frame that
+/// does not parse. Returns the records, the offset where they end, and
+/// the error that stopped them short of end-of-file, if one did.
+fn parse_frames(
+    bytes: &[u8],
+    mut offset: usize,
+    base: usize,
+) -> (Vec<Record>, usize, Option<WalError>) {
+    let mut records = Vec::new();
+    while offset < bytes.len() {
+        match parse_frame(bytes, offset, base) {
+            Ok((record, next)) => {
+                records.push(record);
+                offset = next;
+            }
+            Err(e) => return (records, offset, Some(e)),
+        }
+    }
+    (records, offset, None)
 }
 
 fn check_magic(bytes: &[u8]) -> Result<(), WalError> {
@@ -109,19 +132,11 @@ pub fn scan(bytes: &[u8]) -> Result<(Vec<Record>, Tail), WalError> {
             other => Err(other),
         };
     }
-    let mut records = Vec::new();
-    let mut offset = MAGIC.len();
-    while offset < bytes.len() {
-        match parse_frame(bytes, offset) {
-            Ok((record, next)) => {
-                records.push(record);
-                offset = next;
-            }
-            Err(e) if is_tail_tear(&e, bytes) => return Ok((records, Tail::Torn(e))),
-            Err(e) => return Err(e),
-        }
+    match parse_frames(bytes, MAGIC.len(), 0) {
+        (records, _, None) => Ok((records, Tail::Clean)),
+        (records, _, Some(e)) if is_tail_tear(&e, bytes) => Ok((records, Tail::Torn(e))),
+        (.., Some(e)) => Err(e),
     }
-    Ok((records, Tail::Clean))
 }
 
 /// Strict read: magic plus every frame must parse to end-of-file; any
@@ -129,20 +144,16 @@ pub fn scan(bytes: &[u8]) -> Result<(Vec<Record>, Tail), WalError> {
 /// corruption class. Format tests and fixtures use this mode.
 pub fn decode_strict(bytes: &[u8]) -> Result<Vec<Record>, WalError> {
     check_magic(bytes)?;
-    let mut records = Vec::new();
-    let mut offset = MAGIC.len();
-    while offset < bytes.len() {
-        let (record, next) = parse_frame(bytes, offset)?;
-        records.push(record);
-        offset = next;
+    match parse_frames(bytes, MAGIC.len(), 0) {
+        (records, _, None) => Ok(records),
+        (.., Some(e)) => Err(e),
     }
-    Ok(records)
 }
 
-/// The force side of a log: everything an fsync needs and nothing an
-/// append does, so the engine can force the file **without** holding the
-/// lock that serializes appends. Cheap to clone; every clone counts into
-/// the same total, which [`Wal::fsyncs`] reports.
+/// The force side of a log: everything an fsync — or a read-back — needs
+/// and nothing an append does, so the engine can force or read the file
+/// **without** holding the lock that serializes appends. Cheap to clone;
+/// every clone counts into the same total, which [`Wal::fsyncs`] reports.
 #[derive(Clone)]
 pub struct WalForce {
     vfs: Arc<dyn Vfs>,
@@ -158,6 +169,32 @@ impl WalForce {
         // A statistic: publishes no other data.
         self.fsyncs.fetch_add(1, Ordering::Relaxed);
         Ok(())
+    }
+
+    /// Read the log back, holding its appends off for as short a time as
+    /// possible: the frames already in the file are read with no lock
+    /// held, then `hold_appends` runs, and the frames appended before it
+    /// returned are read under the guard it returns — strictly, since
+    /// with appends held off a torn tail is corruption. Sound as long as
+    /// nothing but appends changes the file meanwhile. Returns every
+    /// record in log order, and the guard.
+    pub fn read_back<G>(
+        &self,
+        hold_appends: impl FnOnce() -> G,
+    ) -> Result<(Vec<Record>, G), WalError> {
+        let bytes = self.vfs.read(&self.path)?;
+        check_magic(&bytes)?;
+        // Stops early at a frame still landing, or at corruption, which
+        // the strict read below then reports.
+        let (mut records, end, _) = parse_frames(&bytes, MAGIC.len(), 0);
+        let guard = hold_appends();
+        match parse_frames(&self.vfs.read_from(&self.path, end)?, 0, end) {
+            (rest, _, None) => {
+                records.extend(rest);
+                Ok((records, guard))
+            }
+            (.., Some(e)) => Err(e),
+        }
     }
 }
 
@@ -277,6 +314,41 @@ mod tests {
         assert_eq!(records, sample());
         assert_eq!(tail, Tail::Clean);
         assert_eq!(decode_strict(&vfs.snapshot("t.wal")).unwrap(), sample());
+    }
+
+    /// A read-back returns the frames already there and those appended
+    /// while it was under way, in log order — including one that was
+    /// only half written when the read began.
+    #[test]
+    fn read_back_joins_the_frames_appended_during_it() {
+        let vfs = Arc::new(MemVfs::new());
+        let mut wal = Wal::open(vfs.clone(), "t.wal").unwrap();
+        let force = wal.force_handle();
+        let records = sample();
+        let (before, during) = records.split_at(3);
+        before.iter().for_each(|r| wal.append(r).unwrap());
+        let landing = frame(&during[0]);
+        let (head, tail) = landing.split_at(landing.len() / 2);
+        vfs.append("t.wal", head).unwrap();
+        let hold_appends = || {
+            vfs.append("t.wal", tail).unwrap();
+            during[1..].iter().for_each(|r| wal.append(r).unwrap());
+        };
+        let (read, ()) = force.read_back(hold_appends).unwrap();
+        assert_eq!(read, records);
+    }
+
+    /// Once appends are held off, an incomplete last frame is corruption,
+    /// reported at its offset in the file, not a tail to drop.
+    #[test]
+    fn read_back_rejects_a_tail_torn_while_appends_are_held() {
+        let vfs = Arc::new(MemVfs::new());
+        let mut wal = Wal::open(vfs.clone(), "t.wal").unwrap();
+        sample().iter().for_each(|r| wal.append(r).unwrap());
+        let torn_at = vfs.snapshot("t.wal").len();
+        vfs.append("t.wal", &frame(&commit(4, 5, 1, 50))[..5]).unwrap();
+        let err = wal.force_handle().read_back(|| ()).unwrap_err();
+        assert_eq!(err, WalError::TruncatedLength { offset: torn_at });
     }
 
     #[test]
