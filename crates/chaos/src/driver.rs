@@ -66,13 +66,15 @@ pub struct ChaosConfig {
     /// reference trace's state at the pinned epoch). Off by default so
     /// pre-existing seed fingerprints stay comparable.
     pub snapshots: bool,
-    /// Route top-level commits through the group-commit pipeline. The
-    /// driver is single-threaded, so every batch is a singleton and —
-    /// because singleton batches log a plain `Commit` record — the WAL
-    /// bytes, audit log and verdict must be *identical* to the same seed
-    /// run without the pipeline. The differential suite asserts exactly
-    /// that.
-    pub group_commit: bool,
+    /// Force the log before acking each top-level commit
+    /// ([`Durability::WalFsync`] instead of [`Durability::Wal`];
+    /// meaningful with `wal`). An optimistic run then stages every commit
+    /// through the group-commit sequencer. The driver is single-threaded,
+    /// so every batch is a singleton and — because singleton batches log
+    /// a plain `Commit` record — the WAL bytes, audit log and verdict
+    /// must be *identical* to the same seed run without the force. The
+    /// differential suite asserts exactly that.
+    pub fsync: bool,
     /// Concurrency-control mode the database runs under. `Locking` is the
     /// historical default (so pre-existing seed fingerprints stay
     /// comparable); `Optimistic` runs the same seeded schedule against the
@@ -97,7 +99,7 @@ impl Default for ChaosConfig {
             check_after_each_fault: true,
             wal: false,
             snapshots: false,
-            group_commit: false,
+            fsync: false,
             cc_mode: CcMode::Locking,
         }
     }
@@ -126,10 +128,10 @@ impl ChaosConfig {
         ChaosConfig { snapshots: true, ..ChaosConfig::seeded_wal(seed) }
     }
 
-    /// [`ChaosConfig::seeded_wal`] with top-level commits routed through
-    /// the group-commit pipeline (the differential suite's "on" side).
-    pub fn seeded_wal_group(seed: u64) -> Self {
-        ChaosConfig { group_commit: true, ..ChaosConfig::seeded_wal(seed) }
+    /// [`ChaosConfig::seeded_wal`] with every top-level commit forced
+    /// (the differential suite's staged side, in optimistic mode).
+    pub fn seeded_wal_fsync(seed: u64) -> Self {
+        ChaosConfig { fsync: true, ..ChaosConfig::seeded_wal(seed) }
     }
 
     /// The same schedule under optimistic (first-committer-wins)
@@ -194,9 +196,10 @@ pub struct ChaosReport {
     pub wal_records: usize,
     /// FNV-1a over the raw WAL bytes on (simulated) disk (0 for in-memory
     /// runs). Equal hashes ⇔ byte-identical logs — the differential
-    /// suite's strongest equivalence: a single-threaded run with the
-    /// group-commit pipeline on must log the *same bytes* as one with it
-    /// off, because singleton batches emit plain `Commit` records.
+    /// suite's strongest equivalence: a single-threaded optimistic run
+    /// staged through the group-commit pipeline must log the *same bytes*
+    /// as one retiring directly, because singleton batches emit plain
+    /// `Commit` records.
     pub wal_hash: u64,
     /// FNV-1a over the final committed state (key/value pairs in key
     /// order). Unlike [`ChaosReport::fingerprint`] and
@@ -686,10 +689,13 @@ pub fn run_with_plan(config: &ChaosConfig, plan: &FaultPlan) -> ChaosReport {
         .policy(config.policy())
         .cc_mode(config.cc_mode)
         .audit(true)
-        .durability(if config.wal { Durability::Wal } else { Durability::None })
+        .durability(match (config.wal, config.fsync) {
+            (false, _) => Durability::None,
+            (true, false) => Durability::Wal,
+            (true, true) => Durability::WalFsync,
+        })
         // Zero batch window: the single-threaded driver must never have a
         // leader wait for peers that cannot arrive.
-        .group_commit(config.group_commit)
         .max_batch_wait(Duration::ZERO)
         .build();
     let (vfs, db): (Option<Arc<MemVfs>>, Db<u64, i64>) = if config.wal {

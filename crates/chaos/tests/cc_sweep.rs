@@ -171,14 +171,16 @@ struct CommittedTxn {
     footprint: HashSet<u64>,
 }
 
-fn fcw_db(group_commit: bool) -> (Arc<MemVfs>, Db<u64, i64>) {
+/// An optimistic database on a fresh log: `Wal` retires every commit
+/// directly, `WalFsync` stages every one through the group-commit
+/// sequencer.
+fn fcw_db(durability: Durability) -> (Arc<MemVfs>, Db<u64, i64>) {
     let vfs = Arc::new(MemVfs::new());
     let config = DbConfig::builder()
         .cc_mode(CcMode::Optimistic)
         .policy(DeadlockPolicy::NoWait)
         .audit(true)
-        .durability(Durability::Wal)
-        .group_commit(group_commit)
+        .durability(durability)
         .max_batch_wait(std::time::Duration::ZERO)
         .build();
     let db = Db::open_with_vfs(vfs.clone(), WAL_PATH, config).expect("open");
@@ -189,8 +191,8 @@ fn fcw_db(group_commit: bool) -> (Arc<MemVfs>, Db<u64, i64>) {
 /// assert first-committer-wins soundness plus conflict genuineness as we
 /// go, then cross-check the final state against the reference
 /// interpreter live and after recovery.
-fn check_fcw(keys: u64, script: &[CcOp], group_commit: bool) -> Result<(), TestCaseError> {
-    let (vfs, db) = fcw_db(group_commit);
+fn check_fcw(keys: u64, script: &[CcOp], durability: Durability) -> Result<(), TestCaseError> {
+    let (vfs, db) = fcw_db(durability);
     for k in 0..keys {
         db.insert(k, k as i64 * 10);
     }
@@ -355,15 +357,16 @@ proptest! {
     fn first_committer_wins_is_sound(
         script in prop::collection::vec(cc_op_strategy(KEYS), 0..80),
     ) {
-        check_fcw(KEYS, &script, false)?;
+        check_fcw(KEYS, &script, Durability::Wal)?;
     }
 
-    /// The same property with commits routed through the group-commit
-    /// pipeline: batched validation must enforce the identical rule.
+    /// The same property with every commit forced, and so staged through
+    /// the group-commit pipeline: batched validation must enforce the
+    /// identical rule.
     #[test]
     fn first_committer_wins_is_sound_under_group_commit(
         script in prop::collection::vec(cc_op_strategy(KEYS), 0..80),
     ) {
-        check_fcw(KEYS, &script, true)?;
+        check_fcw(KEYS, &script, Durability::WalFsync)?;
     }
 }

@@ -11,7 +11,7 @@
 
 use rnt_chaos::recovery::{check_crash_recovery, WAL_PATH};
 use rnt_chaos::{run_with_plan, ChaosConfig, FaultEvent, FaultKind, FaultPlan};
-use rnt_core::{Db, DbConfig, DeadlockPolicy, Durability};
+use rnt_core::{CcMode, Db, DbConfig, DeadlockPolicy, Durability};
 use rnt_wal::faults::{cut_at_record, record_count, record_offsets};
 use rnt_wal::{frame, scan, CommitEntry, MemVfs, Record, INIT_ACTION, MAGIC};
 use std::sync::{Arc, Barrier};
@@ -303,16 +303,17 @@ fn batch_is_all_or_nothing_at_every_byte() {
 
 /// The same matrix over a log the *engine* wrote: real threads group-
 /// committed through the pipeline, so the batch frame under test
-/// is production output, not a handcrafted fixture.
+/// is production output, not a handcrafted fixture. Optimistic commits
+/// under `WalFsync` are the ones staged.
 #[test]
 fn engine_written_batch_crash_matrix() {
     const THREADS: usize = 4;
     let vfs = Arc::new(MemVfs::new());
     let config = DbConfig::builder()
+        .cc_mode(CcMode::Optimistic)
         .policy(DeadlockPolicy::NoWait)
         .audit(true)
-        .durability(Durability::Wal)
-        .group_commit(true)
+        .durability(Durability::WalFsync)
         .max_batch(THREADS)
         .max_batch_wait(Duration::from_secs(2))
         .build();
@@ -328,7 +329,7 @@ fn engine_written_batch_crash_matrix() {
             std::thread::spawn(move || {
                 let t = db.begin();
                 t.rmw(&k, |v| v + 100).unwrap();
-                // All writes locked in before anyone stages: every commit
+                // All writes buffered before anyone stages: every commit
                 // lands inside the leader's batch window.
                 barrier.wait();
                 t.commit().unwrap();

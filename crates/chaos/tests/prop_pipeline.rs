@@ -1,28 +1,35 @@
-//! Property-based sequencer checks: arbitrary thread counts, arrival
-//! staggers, and batch configurations (`max_batch` × `max_batch_wait`),
-//! all of which must preserve the pipeline's contract:
+//! Property-based commit-path checks under [`Durability::WalFsync`].
+//!
+//! The sequencer stages optimistic commits — the ones that force under
+//! the publish gate — over arbitrary thread counts, arrival staggers and
+//! batch configurations (`max_batch` × `max_batch_wait`), all of which
+//! must preserve its contract:
 //!
 //! * **conservation** — no commit is lost or invented: every `commit()`
 //!   call returns, `commits_staged == commits_batched`, and every
 //!   thread's writes are all in the committed state;
-//! * **force-before-ack** — under [`Durability::WalFsync`] the pipeline
-//!   issues exactly one fsync per retired batch (`wal_fsyncs ==
-//!   commit_batches`), and every acked commit's frame lies inside a log
-//!   prefix some force had covered before the ack;
+//! * **one force per batch** — exactly one fsync per retired batch
+//!   (`wal_fsyncs == commit_batches`);
 //! * **epoch order = log order** — the independent reference interpreter
 //!   rejects any log whose commit epochs are not strictly increasing in
 //!   record order, so a passing [`reference_trace`] *is* the ordering
 //!   proof; its committed state must equal the live engine's;
 //! * **bounded batches** — no commit frame carries more than `max_batch`
-//!   commits, and each retired batch is exactly one frame;
+//!   commits, and each retired batch is exactly one frame.
+//!
+//! Locking commits retire directly, one frame and one force each, and
+//! force outside the publish gate:
+//!
+//! * **force-before-ack** — every acked commit's frame lies inside a log
+//!   prefix some force had covered before the ack;
 //! * **the force holds no engine lock** — on a disk whose fsync takes
 //!   tens of microseconds, other transactions' begins and `rmw`s run to
-//!   completion *while* a batch is being forced, other batches' forces
-//!   overlap it, and everything above still holds.
+//!   completion *while* a commit is being forced, other commits' forces
+//!   overlap it, and the ordering checks above still hold.
 
 use proptest::prelude::*;
 use rnt_chaos::recovery::{reference_trace, WAL_PATH};
-use rnt_core::{Db, DbConfig, DeadlockPolicy, Durability};
+use rnt_core::{CcMode, Db, DbConfig, DeadlockPolicy, Durability};
 use rnt_wal::{frame, scan, MemVfs, Record, Vfs, WalError, MAGIC};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -116,11 +123,11 @@ struct Overlap {
     forces: u64,
 }
 
-/// `threads` clients, each committing `commits_per` flat transactions of
-/// `rmws` writes to its own keys, through the pipeline onto a [`SlowVfs`].
-/// Checks the sequencer's counters, that commit frames sit in the log in
-/// epoch order, one per batch, and that each acked commit's frame was
-/// durable at its ack.
+/// `threads` locking clients, each committing `commits_per` flat
+/// transactions of `rmws` writes to its own keys, onto a [`SlowVfs`].
+/// Checks that no commit was staged, that commit frames sit in the log
+/// in epoch order, one frame and one force per commit, and that each
+/// acked commit's frame was durable at its ack.
 fn run_on_slow_disk(
     threads: u64,
     commits_per: u64,
@@ -128,11 +135,8 @@ fn run_on_slow_disk(
     latency: Duration,
 ) -> Result<Overlap, TestCaseError> {
     let vfs = Arc::new(SlowVfs::new(latency));
-    let config = DbConfig::builder()
-        .policy(DeadlockPolicy::NoWait)
-        .durability(Durability::WalFsync)
-        .group_commit(true)
-        .build();
+    let config =
+        DbConfig::builder().policy(DeadlockPolicy::NoWait).durability(Durability::WalFsync).build();
     let db = Db::<u64, i64>::open_with_vfs(vfs.clone(), WAL_PATH, config).expect("open");
     for k in 0..threads * rmws {
         db.insert(k, 0);
@@ -159,14 +163,13 @@ fn run_on_slow_disk(
 
     let total = threads * commits_per;
     let stats = db.stats();
-    prop_assert_eq!(stats.commits_staged, total);
-    prop_assert_eq!(stats.commits_batched, total, "conservation: staged = retired");
-    prop_assert_eq!(stats.wal_fsyncs, stats.commit_batches, "one force per retired batch");
+    prop_assert_eq!(stats.commits_staged, 0, "locking commits retire directly");
+    prop_assert_eq!(stats.wal_fsyncs, total, "one force per commit");
     let (records, _) = scan(&vfs.mem.snapshot(WAL_PATH)).expect("live log scans clean");
     prop_assert_eq!(
         records.len() as u64,
-        threads * rmws + stats.commit_batches,
-        "one record per seed and one frame per retired batch"
+        threads * rmws + total,
+        "one record per seed and one frame per commit"
     );
     let epochs: Vec<u64> = records
         .iter()
@@ -212,8 +215,8 @@ fn run_on_slow_disk(
 
 /// Fixed-size run long enough that, if the force let anybody run, somebody
 /// did: with the fsync under an engine lock a begin or an `rmw` needs, the
-/// count is exactly zero; with it under the publish gate or pipeline
-/// leadership, no two forces ever overlap.
+/// count is exactly zero; with it under the publish gate, no two forces
+/// ever overlap.
 #[test]
 fn records_land_while_a_slow_disk_forces() {
     let overlap = run_on_slow_disk(4, 60, 4, Duration::from_micros(50)).unwrap();
@@ -244,9 +247,9 @@ proptest! {
     ) {
         let vfs = Arc::new(MemVfs::new());
         let config = DbConfig::builder()
+            .cc_mode(CcMode::Optimistic)
             .policy(DeadlockPolicy::NoWait)
             .durability(Durability::WalFsync)
-            .group_commit(true)
             .max_batch(max_batch)
             .max_batch_wait(Duration::from_micros(wait_us))
             .build();

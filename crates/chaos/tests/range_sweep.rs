@@ -14,14 +14,15 @@
 //!    `Snapshot::range(a..b)` at any pinned epoch equals the reference
 //!    interpreter's `state_at(epoch)` filtered to `[a, b)` in key order —
 //!    live, and again after recovering the full log.
-//! 3. **Batch publication**: under multithreaded group commit, snapshots
+//! 3. **Batch publication**: under multithreaded group commit (optimistic
+//!    commits under `WalFsync`, the ones staged), snapshots
 //!    never observe a half-published transaction and never pin an epoch
 //!    strictly inside a batch's epoch run.
 
 use proptest::prelude::*;
 use rnt_chaos::recovery::{check_crash_recovery, reference_trace, WAL_PATH};
 use rnt_chaos::{run, run_with_plan, ChaosConfig, FaultEvent, FaultKind, FaultPlan};
-use rnt_core::{Db, DbConfig, DeadlockPolicy, Durability, Snapshot};
+use rnt_core::{CcMode, Db, DbConfig, DeadlockPolicy, Durability, Snapshot};
 use rnt_sim::reference::ScriptOp;
 use rnt_wal::{scan, MemVfs, Record};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -222,17 +223,18 @@ proptest! {
 fn snapshots_never_observe_a_half_published_batch() {
     // Four writers own disjoint key stripes; each transaction rewrites
     // its whole stripe to one uniform stamp, and group commit coalesces
-    // the publications. Concurrent scanners assert every range walk sees
-    // each stripe uniform (publication is atomic even inside a batch),
-    // and that every pinned epoch re-opens via `snapshot_at`.
+    // the publications (optimistic commits under `WalFsync` are the ones
+    // staged). Concurrent scanners assert every range walk sees each
+    // stripe uniform (publication is atomic even inside a batch), and
+    // that every pinned epoch re-opens via `snapshot_at`.
     const WRITERS: u64 = 4;
     const STRIPE: u64 = 4;
     const ROUNDS: i64 = 40;
     let vfs = Arc::new(MemVfs::new());
     let config = DbConfig::builder()
+        .cc_mode(CcMode::Optimistic)
         .policy(DeadlockPolicy::NoWait)
-        .durability(Durability::Wal)
-        .group_commit(true)
+        .durability(Durability::WalFsync)
         .max_batch(8)
         .max_batch_wait(Duration::from_micros(500))
         .build();

@@ -2,11 +2,14 @@
 //! many threads and lets one **leader** retire them as a batch.
 //!
 //! The paper's Lemma 7 requires the log be forced before a top-level
-//! commit becomes visible — it does *not* require one force per commit,
-//! nor a force under any lock. The sequencer exploits both: every staged
-//! commit in a batch shares one WAL append + fsync and one contiguous
-//! epoch run, and the slow half of a batch's retirement (the force)
-//! overlaps other batches' retirement.
+//! commit becomes visible — it does *not* require one force per commit.
+//! Only a commit whose publication forces *under* the publish gate gains
+//! by waiting for company: an optimistic commit under
+//! `Durability::WalFsync` with a log attached, which validates, logs,
+//! forces and publishes in one gate hold. Those commits are staged here,
+//! and every commit in a batch shares that one gate hold, one commit
+//! frame, one fsync and one contiguous epoch run. Every other top-level
+//! commit holds the gate for no force, and retires directly.
 //!
 //! # Protocol (leader with handoff)
 //!
@@ -15,23 +18,18 @@
 //! the leader; otherwise it parks until its result is posted. The leader
 //! optionally waits up to `max_batch_wait` for the queue to reach
 //! `max_batch`, drains a batch, releases the pipeline lock and runs the
-//! caller's `sequence` step on it — the serialized half: epochs reserved
-//! and the commit frame appended. Then it **steps down** at once, waking
-//! the queue so the next batch can be sequenced while this one is being
-//! forced, and runs the caller's `finish` step — the concurrent half:
-//! force, then publication in epoch order — and posts every
-//! participant's result. A thread sequences one batch per leadership, so
-//! a leader whose own commit sat deeper than `max_batch` finishes the
-//! batch it drained and then competes for leadership again, like any
-//! queued stager. Batches form only while a leader sequences; the force
-//! holds no leadership, so a commit arriving during a force is
-//! sequenced (and forced) without waiting for it.
+//! caller's `retire` step on it. Then it steps down and posts every
+//! participant's result. Batches form from the commits that queue while
+//! a leader retires the batch ahead of them. A thread retires one batch
+//! per leadership, so a leader whose own commit sat deeper than
+//! `max_batch` retires the batch it drained and then competes for
+//! leadership again, like any queued stager.
 //!
 //! No thread ever depends on another thread *arriving*, which keeps the
 //! protocol live under a single-threaded deterministic scheduler. And no
-//! thread is left waiting on one that unwound: if `sequence` or `finish`
-//! panics, a guard releases leadership and posts the pipeline's
-//! `unwound` result to every batchmate not yet posted.
+//! thread is left waiting on one that unwound: if `retire` panics, a
+//! guard releases leadership and posts the pipeline's `unwound` result
+//! to every batchmate.
 
 use crate::registry::TxnId;
 use parking_lot::{Condvar, Mutex};
@@ -47,15 +45,14 @@ const STAGER_WAIT_SLICE: Duration = Duration::from_millis(2);
 
 /// One staged top-level commit, queued until a leader retires it.
 ///
-/// `P` is the mode-specific payload: the locking engine stages the key
-/// set whose locks the commit holds; the optimistic engine stages its
-/// whole validation footprint (begin epoch, buffered writes, read set,
-/// buffered audit records) so the leader can validate and publish — or
-/// abort — each participant under one publish-gate acquisition.
+/// `P` is the payload the leader retires: the optimistic engine stages
+/// its whole validation footprint (begin epoch, buffered writes, read
+/// set, buffered audit records), so the leader can validate and publish
+/// — or abort — each participant under one publish-gate acquisition.
 pub(crate) struct StagedCommit<P> {
     /// The committing transaction.
     pub txn: TxnId,
-    /// Mode-specific commit payload.
+    /// What the leader retires.
     pub payload: P,
 }
 
@@ -93,29 +90,21 @@ pub(crate) struct CommitPipeline<P, R> {
     unwound: R,
 }
 
-/// The unwind half of one leadership: armed while a thread leads or owes
-/// a drained batch its results. Dropped armed — `sequence` or `finish`
-/// panicked — it steps down and posts `unwound` to every batchmate, so
-/// nobody parks forever on a thread that is gone.
+/// One leadership's unwind guard, forgotten once the batch retired.
+/// Dropped — `retire` panicked — it steps down and posts `unwound` to
+/// every batchmate, so nobody parks forever on a thread that is gone.
 struct Tenure<'a, P, R: Clone> {
     pipeline: &'a CommitPipeline<P, R>,
     /// The drained batch's tickets.
     batch: Range<u64>,
     /// The unwinding thread's own ticket: nobody waits for its result.
     own: u64,
-    leading: bool,
-    armed: bool,
 }
 
 impl<P, R: Clone> Drop for Tenure<'_, P, R> {
     fn drop(&mut self) {
-        if !self.armed {
-            return;
-        }
         let mut state = self.pipeline.state.lock();
-        if self.leading {
-            state.leader_active = false;
-        }
+        state.leader_active = false;
         let unwound = &self.pipeline.unwound;
         for seq in self.batch.clone().filter(|&s| s != self.own) {
             state.results.insert(seq, unwound.clone());
@@ -145,21 +134,17 @@ impl<P, R: Clone> CommitPipeline<P, R> {
     /// Stage one finished top-level commit and block until a batch
     /// containing it has been durably retired; returns its result.
     ///
-    /// A batch retires in two steps, both outside the pipeline lock (so
-    /// staging never blocks behind an fsync), on the thread that led when
-    /// it was drained: `sequence` runs under leadership and must do
-    /// everything whose order is the commit order; `finish` runs after
-    /// the thread stepped down — concurrently with later batches'
-    /// `sequence` and `finish` — and returns one result per participant,
-    /// in batch order.
-    pub fn stage<S>(
+    /// The thread that led when the batch was drained runs `retire` on
+    /// it, outside the pipeline lock (so staging never blocks behind an
+    /// fsync) and holding leadership throughout; `retire` returns one
+    /// result per participant, in batch order.
+    pub fn stage(
         &self,
         txn: TxnId,
         payload: P,
         max_batch: usize,
         max_batch_wait: Duration,
-        sequence: impl Fn(Vec<StagedCommit<P>>) -> S,
-        finish: impl Fn(S) -> Vec<R>,
+        retire: impl Fn(Vec<StagedCommit<P>>) -> Vec<R>,
     ) -> R {
         let max_batch = max_batch.max(1);
         let mut state = self.state.lock();
@@ -178,7 +163,7 @@ impl<P, R: Clone> CommitPipeline<P, R> {
                 return result;
             }
             // Only a stager whose entry is still queued may lead: one whose
-            // batch was drained waits for the thread finishing it.
+            // batch was drained waits for the thread retiring it.
             if !state.leader_active && state.queued(seq) {
                 state.leader_active = true;
                 if !max_batch_wait.is_zero() {
@@ -199,29 +184,13 @@ impl<P, R: Clone> CommitPipeline<P, R> {
                 debug_assert!(!batch.is_empty(), "leader with an empty queue");
                 drop(state);
                 let batch_seqs = first..first + take as u64;
-                let mut tenure = Tenure {
-                    pipeline: self,
-                    batch: batch_seqs.clone(),
-                    own: seq,
-                    leading: true,
-                    armed: true,
-                };
-                let sequenced = sequence(batch);
-                // Step down before the slow half: whoever is queued behind
-                // this batch can lead the next one while it is forced.
-                state = self.state.lock();
-                state.leader_active = false;
-                tenure.leading = false;
-                let waiting = !state.queue.is_empty();
-                drop(state);
-                if waiting {
-                    self.cv.notify_all();
-                }
-                let results = finish(sequenced);
+                let tenure = Tenure { pipeline: self, batch: batch_seqs.clone(), own: seq };
+                let results = retire(batch);
+                std::mem::forget(tenure);
                 debug_assert_eq!(results.len(), take, "one result per participant");
                 state = self.state.lock();
+                state.leader_active = false;
                 state.results.extend(batch_seqs.zip(results));
-                tenure.armed = false;
                 // Release the lock *before* waking the batch: a notify
                 // under the mutex makes every woken stager immediately
                 // block on it again (two context switches per waiter).
@@ -236,7 +205,7 @@ impl<P, R: Clone> CommitPipeline<P, R> {
                 state = self.state.lock();
                 continue;
             }
-            // A leader is sequencing, or our batch is being finished: park
+            // A leader is retiring a batch, ours or one ahead of it: park
             // until results land or leadership frees up.
             self.cv.wait_for(&mut state, STAGER_WAIT_SLICE);
         }
@@ -269,7 +238,7 @@ mod tests {
     #[test]
     fn solo_stager_leads_itself() {
         let p = pipeline(Err(()));
-        let out = p.stage(TxnId(1), (), 8, Duration::ZERO, |b| b, retire_all);
+        let out = p.stage(TxnId(1), (), 8, Duration::ZERO, retire_all);
         assert_eq!(out, Ok(()));
         assert_eq!(p.queued(), 0);
     }
@@ -284,19 +253,12 @@ mod tests {
             let batches = batches.clone();
             handles.push(std::thread::spawn(move || {
                 for i in 0..25 {
-                    let sequence = |batch: Batch| {
+                    let retire = |batch: Batch| {
                         batches.fetch_add(1, Ordering::Relaxed);
                         assert!(batch.len() <= 4, "batch over max_batch");
-                        batch
+                        retire_all(batch)
                     };
-                    let out = p.stage(
-                        TxnId(t * 100 + i),
-                        (),
-                        4,
-                        Duration::from_micros(50),
-                        sequence,
-                        retire_all,
-                    );
+                    let out = p.stage(TxnId(t * 100 + i), (), 4, Duration::from_micros(50), retire);
                     assert_eq!(out, Ok(()));
                 }
             }));
@@ -319,14 +281,9 @@ mod tests {
             handles.push(std::thread::spawn(move || {
                 // Result = the staging transaction's id: each stager must
                 // get its own back, never a batchmate's.
-                let out = p.stage(
-                    TxnId(t),
-                    (),
-                    8,
-                    Duration::from_micros(200),
-                    |b| b,
-                    |b| b.iter().map(|s| Ok(s.txn.0)).collect(),
-                );
+                let out = p.stage(TxnId(t), (), 8, Duration::from_micros(200), |b| {
+                    b.iter().map(|s| Ok(s.txn.0)).collect()
+                });
                 assert_eq!(out, Ok(t));
             }));
         }
@@ -341,40 +298,11 @@ mod tests {
         // solo stager must retire immediately instead of waiting for 63
         // peers that will never come.
         let p = pipeline(Err(()));
-        let out = p.stage(TxnId(9), (), 64, Duration::ZERO, |b| b, retire_all);
+        let out = p.stage(TxnId(9), (), 64, Duration::ZERO, retire_all);
         assert_eq!(out, Ok(()));
     }
 
-    /// Two batches' `finish` steps run at once: a leader steps down before
-    /// finishing, so the next stager leads while the first batch is still
-    /// in its slow half. Each finish waits (bounded) for the other.
-    #[test]
-    fn finishes_of_consecutive_batches_overlap() {
-        let p = pipeline(Err(()));
-        let in_finish = Arc::new((std::sync::Mutex::new(0usize), std::sync::Condvar::new()));
-        let handles: Vec<_> = (0..2u64)
-            .map(|t| {
-                let (p, in_finish) = (p.clone(), in_finish.clone());
-                std::thread::spawn(move || {
-                    let finish = |batch: Batch| {
-                        let (count, cv) = &*in_finish;
-                        let mut n = count.lock().unwrap();
-                        *n += 1;
-                        cv.notify_all();
-                        let (n, _) =
-                            cv.wait_timeout_while(n, Duration::from_secs(10), |n| *n < 2).unwrap();
-                        vec![if *n >= 2 { Ok(()) } else { Err(()) }; batch.len()]
-                    };
-                    p.stage(TxnId(t), (), 1, Duration::ZERO, |b| b, finish)
-                })
-            })
-            .collect();
-        for h in handles {
-            assert_eq!(h.join().unwrap(), Ok(()), "a finish ran alone");
-        }
-    }
-
-    /// A leader whose `sequence` panics takes only itself down: its
+    /// A leader whose `retire` panics takes only itself down: its
     /// batchmates hear the `unwound` result, and the pipeline keeps
     /// retiring later commits.
     #[test]
@@ -386,13 +314,12 @@ mod tests {
                 let (p, armed) = (p.clone(), armed.clone());
                 std::thread::spawn(move || {
                     catch_unwind(AssertUnwindSafe(|| {
-                        let sequence = |b: Batch| {
-                            assert!(!armed.swap(false, Ordering::SeqCst), "sequencing failed");
-                            b
+                        let retire = |b: Batch| {
+                            assert!(!armed.swap(false, Ordering::SeqCst), "retiring failed");
+                            vec![Ok(()); b.len()]
                         };
                         // The window only closes on a full batch of three.
-                        let wait = Duration::from_secs(10);
-                        p.stage(TxnId(t), (), 3, wait, sequence, |b| vec![Ok(()); b.len()])
+                        p.stage(TxnId(t), (), 3, Duration::from_secs(10), retire)
                     }))
                 })
             })
@@ -402,7 +329,7 @@ mod tests {
         for o in outcomes.into_iter().flatten() {
             assert_eq!(o, Err("unwound"));
         }
-        let later = p.stage(TxnId(9), (), 3, Duration::ZERO, |b| b, |b| vec![Ok(()); b.len()]);
+        let later = p.stage(TxnId(9), (), 3, Duration::ZERO, |b| vec![Ok(()); b.len()]);
         assert_eq!(later, Ok(()), "leadership was released");
         assert_eq!(p.queued(), 0);
     }

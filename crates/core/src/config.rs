@@ -39,7 +39,11 @@ pub enum Durability {
     /// retired, but a crash may lose a suffix of acked commits.
     Wal,
     /// Like [`Durability::Wal`], plus an fsync before acking each
-    /// top-level commit: an acked commit survives any crash.
+    /// top-level commit: an acked commit survives any crash. A locking
+    /// commit forces outside the publish gate, so forces overlap. An
+    /// optimistic one forces inside its validation's gate hold, so its
+    /// commits are staged through the group-commit sequencer and a batch
+    /// shares one frame and one fsync ([`DbConfig::max_batch`]).
     WalFsync,
 }
 
@@ -90,20 +94,18 @@ pub struct DbConfig {
     /// created with [`Db::open`] or [`Db::recover`] (which supply the log
     /// file); [`Db::new`]/[`Db::with_config`] are always in-memory.
     pub durability: Durability,
-    /// Route top-level commits through the group-commit sequencer: staged
-    /// commits share one WAL append + fsync and one contiguous epoch run
-    /// per batch (Lemma 7 requires a force *before* a commit is visible,
-    /// not one force *per* commit). Durability and recovery semantics are
-    /// identical either way; batches are atomic-in-log.
-    pub group_commit: bool,
-    /// Most commits retired in one batch (≥ 1; meaningful with
-    /// [`DbConfig::group_commit`]).
+    /// Most commits retired in one group-commit batch (≥ 1). Only staged
+    /// commits batch: optimistic ones under [`Durability::WalFsync`] with
+    /// a log attached, whose batch shares one validation gate hold, one
+    /// WAL append + fsync and one contiguous epoch run (Lemma 7 requires
+    /// a force *before* a commit is visible, not one force *per* commit).
+    /// Every other top-level commit retires directly.
     pub max_batch: usize,
-    /// How long a batch leader waits for more commits to arrive before
-    /// retiring a partial batch. Zero (the default) retires whatever is
-    /// staged immediately — batching then comes purely from commits that
-    /// queue while a leader is sequencing the batch ahead of them (the
-    /// force holds no leadership), which never delays a solo committer.
+    /// How long a batch leader waits for more staged commits to arrive
+    /// before retiring a partial batch. Zero (the default) retires
+    /// whatever is staged immediately — batching then comes purely from
+    /// commits that queue while a leader retires the batch ahead of them,
+    /// which never delays a solo committer.
     pub max_batch_wait: Duration,
     /// Which concurrency-control subsystem runs transactions (see
     /// [`CcMode`]). Mode is a per-database decision: every transaction of
@@ -118,7 +120,6 @@ impl Default for DbConfig {
             wait_slice: Duration::from_millis(2),
             audit: false,
             durability: Durability::None,
-            group_commit: false,
             max_batch: 32,
             max_batch_wait: Duration::ZERO,
             cc_mode: CcMode::Locking,
@@ -174,9 +175,13 @@ impl DbConfigBuilder {
         self
     }
 
-    /// Route top-level commits through the group-commit sequencer.
-    pub fn group_commit(mut self, on: bool) -> Self {
-        self.config.group_commit = on;
+    /// Accepted and ignored. Whether a commit is batched follows from the
+    /// configuration instead: an optimistic commit under
+    /// [`Durability::WalFsync`] with a log attached is staged through the
+    /// group-commit sequencer, and every other commit retires directly
+    /// (see [`DbConfig::max_batch`]). Kept so that existing callers
+    /// compile.
+    pub fn group_commit(self, _on: bool) -> Self {
         self
     }
 
@@ -214,30 +219,20 @@ mod tests {
     /// test is edited to cover it.
     #[test]
     fn builder_sets_every_field() {
-        let DbConfig {
-            policy,
-            wait_slice,
-            audit,
-            durability,
-            group_commit,
-            max_batch,
-            max_batch_wait,
-            cc_mode,
-        } = DbConfig::builder()
-            .policy(DeadlockPolicy::Timeout(Duration::from_millis(7)))
-            .wait_slice(Duration::from_micros(300))
-            .audit(true)
-            .durability(Durability::WalFsync)
-            .group_commit(true)
-            .max_batch(0)
-            .max_batch_wait(Duration::from_micros(40))
-            .cc_mode(CcMode::Optimistic)
-            .build();
+        let DbConfig { policy, wait_slice, audit, durability, max_batch, max_batch_wait, cc_mode } =
+            DbConfig::builder()
+                .policy(DeadlockPolicy::Timeout(Duration::from_millis(7)))
+                .wait_slice(Duration::from_micros(300))
+                .audit(true)
+                .durability(Durability::WalFsync)
+                .max_batch(0)
+                .max_batch_wait(Duration::from_micros(40))
+                .cc_mode(CcMode::Optimistic)
+                .build();
         assert_eq!(policy, DeadlockPolicy::Timeout(Duration::from_millis(7)));
         assert_eq!(wait_slice, Duration::from_micros(300));
         assert!(audit);
         assert_eq!(durability, Durability::WalFsync);
-        assert!(group_commit);
         assert_eq!(max_batch, 1, "a batch holds at least one commit");
         assert_eq!(max_batch_wait, Duration::from_micros(40));
         assert_eq!(cc_mode, CcMode::Optimistic);

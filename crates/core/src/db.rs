@@ -14,19 +14,20 @@
 //!
 //! This module is what both [`CcMode`]s share: the `Db`/`Txn` surface,
 //! the registry, WAL and audit plumbing, and the dispatch of top-level
-//! commits to the group-commit pipeline. What a mode does differently
+//! commits — staged through the group-commit pipeline only where a force
+//! sits under the publish gate. What a mode does differently
 //! lives in `locking` and `optimistic`; `recover` replays the log and
 //! writes its checkpoints.
 
 use crate::audit::{hash_value, AuditLog, AuditRecord};
 #[cfg(feature = "chaos-hooks")]
 use crate::chaos;
-use crate::commit_pipeline::{CommitPipeline, StagedCommit};
+use crate::commit_pipeline::CommitPipeline;
 pub use crate::config::{CcMode, DbConfig, DbConfigBuilder, DeadlockPolicy, Durability};
 use crate::deadlock::WaitForGraph;
 use crate::error::TxnError;
 use crate::lock::LockState;
-use crate::locking::{LockingRun, ShardState, WaitEntry};
+use crate::locking::{ShardState, WaitEntry};
 use crate::optimistic::{OptCtx, OptFootprint};
 use crate::registry::{Registry, RegistryError, RegistryView, Tree, TxnId, TxnStatus};
 use crate::stats::{Stats, StatsSnapshot};
@@ -61,57 +62,6 @@ impl<K: Eq + Hash + Clone> AuditState<K> {
             self.log.register_object(id, hash_value(value));
         }
     }
-}
-
-/// The mode-specific half of a top-level commit on its way to
-/// publication (see [`Participant`]).
-pub(crate) enum CommitPayload<K, V> {
-    /// Locking mode: the keys whose locks the commit holds.
-    Locking(HashSet<K>),
-    /// Optimistic mode: the whole footprint, so whoever runs the
-    /// publication sequence can validate, publish, or abort it.
-    Optimistic(OptFootprint<K, V>),
-}
-
-impl<K, V> CommitPayload<K, V> {
-    /// The held keys of a commit in a locking database (a [`Db`] runs one
-    /// mode for life, so the other variant never arrives).
-    pub(crate) fn locking(&self) -> &HashSet<K> {
-        match self {
-            CommitPayload::Locking(keys) => keys,
-            CommitPayload::Optimistic(_) => {
-                unreachable!("optimistic payload in a locking database")
-            }
-        }
-    }
-
-    /// The footprint of a commit in an optimistic database (a [`Db`]
-    /// runs one mode for life, so the other variant never arrives).
-    pub(crate) fn optimistic(&mut self) -> &mut OptFootprint<K, V> {
-        match self {
-            CommitPayload::Optimistic(footprint) => footprint,
-            CommitPayload::Locking(_) => unreachable!("locking payload in an optimistic database"),
-        }
-    }
-}
-
-/// One top-level commit on its way through a publication sequence: what
-/// the group-commit sequencer queues for its leader, and what a commit
-/// with the pipeline off retires itself as a batch of one.
-pub(crate) type Participant<K, V> = StagedCommit<CommitPayload<K, V>>;
-
-/// A batch of top-level commits between the two halves of its
-/// retirement ([`DbInner::sequence`], then [`DbInner::finish`]).
-pub(crate) enum Sequenced<'a, K, V>
-where
-    K: Eq + Hash + Ord + Clone + Send + Sync + 'static,
-    V: Clone + Hash + Send + Sync + 'static,
-{
-    /// Locking: epochs reserved and the frame logged; the force and the
-    /// publication in turn are left.
-    Locking(LockingRun<'a, K, V>),
-    /// Optimistic: retired whole under one gate hold; its verdicts.
-    Optimistic(Vec<Result<(), TxnError>>),
 }
 
 /// One commit's write set on its way into a commit frame: the encoded
@@ -260,8 +210,9 @@ pub(crate) struct DbInner<K, V> {
     /// without ever touching the lock tables. Lock order: publish →
     /// shard (locking only) → the store's own locks.
     pub(crate) mvcc: MvccStore<K, V>,
-    /// The group-commit sequencer (used iff [`DbConfig::group_commit`]).
-    pipeline: CommitPipeline<CommitPayload<K, V>, Result<(), TxnError>>,
+    /// The group-commit sequencer, for the commits [`DbInner::stages`]
+    /// picks.
+    pipeline: CommitPipeline<OptFootprint<K, V>, Result<(), TxnError>>,
     /// The installed fault injector, if any (chaos harness only).
     #[cfg(feature = "chaos-hooks")]
     injector: parking_lot::RwLock<Option<Arc<dyn chaos::Injector>>>,
@@ -632,24 +583,22 @@ where
     }
 
     /// The serialized half of making a run of top-level commits durable:
-    /// append ONE `Commit` frame in which participant `i` commits at
-    /// epoch `first + i` with write set `writes[i]`. The caller holds the
+    /// append ONE `Commit` frame in which the `i`-th of `commits` commits
+    /// at epoch `first + i` with its write set. The caller holds the
     /// publish gate from the run's epoch allocation through this call, so
     /// commit-frame log order is epoch order. A batch of one frames
     /// exactly what an unbatched commit does.
     pub(crate) fn log_commit_frame(
         &self,
-        participants: &[Participant<K, V>],
         first: u64,
-        writes: Vec<WriteSet>,
+        commits: impl IntoIterator<Item = (TxnId, WriteSet)>,
     ) {
         if self.wal.get().is_none() {
             return;
         }
         let commits = (first..)
-            .zip(participants)
-            .zip(writes)
-            .map(|((epoch, p), writes)| CommitEntry { action: p.txn.0, epoch, writes })
+            .zip(commits)
+            .map(|(epoch, (txn, writes))| CommitEntry { action: txn.0, epoch, writes })
             .collect();
         self.wal_append(&Record::Commit { commits }, first);
     }
@@ -660,11 +609,13 @@ where
     /// it anyway). The only place the engine fsyncs outside a checkpoint,
     /// and a no-op without a log or without `WalFsync`.
     ///
-    /// **The force holds no engine lock.** No publish gate, no log mutex,
-    /// no pipeline leadership: transactions keep running, seeds keep
-    /// logging, other runs are sequenced and forced, and a checkpoint
-    /// may rewrite the file (keeping this run's frame, see
-    /// [`DbInner::do_checkpoint`]) while the disk works. Why that is safe:
+    /// **The force takes no engine lock.** A locking run forces holding
+    /// none: transactions keep running, seeds keep logging, other runs
+    /// are sequenced and forced, and a checkpoint may rewrite the file
+    /// (keeping this run's frame, see [`DbInner::do_checkpoint`]) while
+    /// the disk works. An optimistic run forces inside the publish-gate
+    /// hold it validated in, which is why it is staged (see
+    /// [`DbInner::stages`]). Why forcing outside the gate is safe:
     ///
     /// * the fsync begins after the run's frame was appended, so it
     ///   covers that frame and every byte logged before it;
@@ -697,50 +648,37 @@ where
         self.wal.get().map_or(Ok(()), |w| w.verdict(last))
     }
 
-    /// Queue one finished top-level commit for the group-commit sequencer
-    /// and park until a batch containing it has been retired — by this
-    /// thread, if it ends up the leader. The sequencer's counters move
-    /// here only, so `commits_staged == commits_batched` (plus, in
-    /// optimistic mode, the losers) holds whatever unstaged commits do:
-    /// each stager counts its own verdict, so only a stager that unwinds
-    /// goes uncounted.
-    fn stage(&self, txn: TxnId, payload: CommitPayload<K, V>) -> Result<(), TxnError> {
+    /// Whether a top-level commit is staged through the group-commit
+    /// sequencer: iff its publication forces under the publish gate,
+    /// which only an optimistic commit does, under
+    /// [`Durability::WalFsync`] with a log attached. Its batchmates share
+    /// that gate hold, frame and force. Every other commit holds the gate
+    /// for no force, gains nothing by waiting for company, and retires
+    /// directly.
+    pub(crate) fn stages(&self) -> bool {
+        self.config.cc_mode == CcMode::Optimistic
+            && self.config.durability == Durability::WalFsync
+            && self.wal.get().is_some()
+    }
+
+    /// Queue one finished optimistic top-level commit for the group-commit
+    /// sequencer and park until a batch containing it has been retired —
+    /// by this thread, if it ends up the leader. The sequencer's counters
+    /// move here only, so `commits_staged == commits_batched` plus the
+    /// losers: each stager counts its own verdict, so only a stager that
+    /// unwinds goes uncounted.
+    pub(crate) fn stage(&self, txn: TxnId, footprint: OptFootprint<K, V>) -> Result<(), TxnError> {
         self.stats.bump(|b| &b.commits_staged);
         let (max_batch, max_wait) = (self.config.max_batch, self.config.max_batch_wait);
-        let sequence = |batch| {
+        let retire = |batch| {
             self.stats.bump(|b| &b.commit_batches);
-            self.sequence(batch)
+            self.process_optimistic_batch(batch)
         };
-        let finish = |run| self.finish(run);
-        let verdict = self.pipeline.stage(txn, payload, max_batch, max_wait, sequence, finish);
+        let verdict = self.pipeline.stage(txn, footprint, max_batch, max_wait, retire);
         if is_committed(&verdict) {
             self.stats.bump(|b| &b.commits_batched);
         }
         verdict
-    }
-
-    /// The serialized half of retiring a batch of top-level commits under
-    /// the mode the database runs in — a leader's drained batch, or one
-    /// commit of its own with the pipeline off. Locking reserves the
-    /// batch's epochs and logs its frame; optimistic, whose validation
-    /// must see the previous batch's writes in the chains, retires the
-    /// batch whole.
-    fn sequence(&self, batch: Vec<Participant<K, V>>) -> Sequenced<'_, K, V> {
-        match self.config.cc_mode {
-            CcMode::Locking => Sequenced::Locking(self.sequence_locking(batch)),
-            CcMode::Optimistic => Sequenced::Optimistic(self.process_optimistic_batch(batch)),
-        }
-    }
-
-    /// The concurrent half: each participant's verdict, in batch order.
-    fn finish(&self, sequenced: Sequenced<'_, K, V>) -> Vec<Result<(), TxnError>> {
-        match sequenced {
-            Sequenced::Locking(run) => {
-                let n = run.len();
-                vec![self.publish_locking(run); n]
-            }
-            Sequenced::Optimistic(verdicts) => verdicts,
-        }
     }
 
     /// The head of every abort: audit `Abort`, then the registry
@@ -981,21 +919,15 @@ where
             inner.stats.bump(|b| &b.committed);
             return Ok(());
         }
-        // The mode's publication sequence, run by a batch leader when
-        // group commit is on (our locks stay held, our footprint
-        // unvalidated, until it runs) and here over a batch of one
-        // otherwise. Either way it publishes or aborts us.
-        let footprint = match &self.mode {
+        // The mode's publication sequence, run here — or, for a staged
+        // commit, by a batch leader, our footprint validated against the
+        // others' only when it runs. Either way it publishes or aborts us.
+        let verdict = match &self.mode {
             TxnMode::Locking { touched, .. } => {
-                CommitPayload::Locking(std::mem::take(&mut *touched.lock()))
+                let keys = std::mem::take(&mut *touched.lock());
+                inner.publish_locking(inner.sequence_locking(id, keys))
             }
-            TxnMode::Optimistic(opt) => CommitPayload::Optimistic(opt.take_footprint()),
-        };
-        let verdict = if inner.config.group_commit {
-            inner.stage(id, footprint)
-        } else {
-            let batch = vec![StagedCommit { txn: id, payload: footprint }];
-            inner.finish(inner.sequence(batch)).pop().expect("a verdict per participant")
+            TxnMode::Optimistic(opt) => inner.commit_optimistic(id, opt.take_footprint()),
         };
         if is_committed(&verdict) {
             inner.stats.bump(|b| &b.committed);

@@ -17,7 +17,7 @@
 
 use crate::audit::{hash_value, AuditRecord};
 use crate::config::DeadlockPolicy;
-use crate::db::{DbInner, Participant, Txn, WalState, WriteSet};
+use crate::db::{DbInner, Txn, WalState, WriteSet};
 use crate::error::TxnError;
 use crate::lock::{Conflict, LockEnv, LockState};
 use crate::registry::{Registry, RegistryView, TxnId};
@@ -388,49 +388,38 @@ where
         }
     }
 
-    /// The serialized half of the locking publication sequence, for
-    /// participants whose registry transition and audit `Commit` are done
-    /// and whose locks are still held: read each one's write set (only
-    /// with a log attached), then, in one publish-gate hold, reserve a
-    /// contiguous epoch run (slice order) and append one commit frame.
-    /// The caller holds pipeline leadership, if any, for exactly this
-    /// long; [`DbInner::publish_locking`] does the rest.
+    /// The serialized half of the locking publication sequence, for a
+    /// top-level `txn` whose registry transition and audit `Commit` are
+    /// done and whose locks on `keys` are still held: read its write set
+    /// (only with a log attached), then, in one publish-gate hold, reserve
+    /// its epoch and append its commit frame. [`DbInner::publish_locking`]
+    /// does the rest.
     ///
-    /// The write sets are read before the gate: they cannot change,
-    /// because every key is still write-locked by its committer. Holding
-    /// the gate from the reservation across the append makes commit-frame
-    /// log order equal epoch order. A run with a force ahead of it leaves
-    /// the gate here; one without (no log, no `WalFsync`, or a log already
+    /// The write set is read before the gate: it cannot change, because
+    /// every key is still write-locked by its committer. Holding the gate
+    /// from the reservation across the append makes commit-frame log
+    /// order equal epoch order. A run with a force ahead of it leaves the
+    /// gate here; one without (no log, no `WalFsync`, or a log already
     /// lost) keeps it and publishes in the same hold — nothing slow runs
     /// under it, and no later run can reserve, reach its turn first and
     /// park.
-    pub(crate) fn sequence_locking(
-        &self,
-        participants: Vec<Participant<K, V>>,
-    ) -> LockingRun<'_, K, V> {
-        let mut run = LockingRun { inner: self, participants, reservation: None };
-        let writes = match self.wal.get() {
-            Some(w) => run
-                .participants
-                .iter()
-                .map(|p| self.write_set(w, p.txn, p.payload.locking()))
-                .collect(),
-            None => Vec::new(),
-        };
-        let reservation = run.reservation.insert(self.mvcc.reserve(run.participants.len()));
-        self.log_commit_frame(&run.participants, reservation.first_epoch(), writes);
-        if self.must_force(reservation.last_epoch()) {
+    pub(crate) fn sequence_locking(&self, txn: TxnId, keys: HashSet<K>) -> LockingRun<'_, K, V> {
+        let mut run = LockingRun { inner: self, txn, keys: Some(keys), reservation: None };
+        let keys = run.keys.as_ref().expect("unpublished");
+        let writes = self.wal.get().map(|w| self.write_set(w, txn, keys));
+        let reservation = run.reservation.insert(self.mvcc.reserve());
+        self.log_commit_frame(reservation.epoch(), writes.map(|w| (txn, w)));
+        if self.must_force(reservation.epoch()) {
             reservation.leave_gate();
         }
         run
     }
 
-    /// The concurrent half, holding no leadership, and no gate while it
-    /// forces: force the log, then — at the run's turn, once every
-    /// earlier run published — release every participant's locks, each
-    /// key it wrote gaining a chain version at its epoch, and let the
-    /// watermark pass the whole run as the ticket drops. Returns the
-    /// durability verdict every participant reports.
+    /// The concurrent half, holding no gate while it forces: force the
+    /// log, then — at the run's turn, once every earlier run published —
+    /// release the committer's locks, each key it wrote gaining a chain
+    /// version at its epoch, and let the watermark pass it as the ticket
+    /// drops. Returns the commit's durability verdict.
     ///
     /// The order is the invariant. No lock moves before the force
     /// returned: once `finish_locks` runs, other threads can acquire
@@ -439,31 +428,28 @@ where
     /// overwritten in place when no pin is below the new epoch, so a run
     /// publishing ahead of an earlier one could hide a version a pin on
     /// the earlier run's base still needs. Holding the gate across
-    /// `finish_locks` means no snapshot can pin one of these epochs until
+    /// `finish_locks` means no snapshot can pin the run's epoch until
     /// every chain append landed. A WAL failure surfaces only after the
     /// locks are cleanly released: in-memory state stays consistent,
     /// durability doesn't.
     ///
-    /// Participants' write sets are necessarily disjoint, from each other
-    /// and from every unpublished run's (each still holds its write locks,
-    /// and none is an ancestor of another), so chain appends never race
-    /// on a key and per-key epoch order stays ascending.
+    /// The run's write set is disjoint from every unpublished run's
+    /// (each still holds its write locks, and no committer is an
+    /// ancestor of another), so chain appends never race on a key and
+    /// per-key epoch order stays ascending.
     pub(crate) fn publish_locking(&self, mut run: LockingRun<'_, K, V>) -> Result<(), TxnError> {
-        let reservation = run.reservation.as_ref().expect("a sequenced run");
-        let (first, last) = (reservation.first_epoch(), reservation.last_epoch());
-        self.force_log(first, last);
-        let participants = std::mem::take(&mut run.participants);
-        self.publish_run(&participants, run.reservation.take().expect("a sequenced run"));
-        self.wal_verdict(last)
+        let epoch = run.reservation.as_ref().expect("a sequenced run").epoch();
+        self.force_log(epoch, epoch);
+        let keys = run.keys.take().expect("published once");
+        self.publish_run(run.txn, &keys, run.reservation.take().expect("a sequenced run"));
+        self.wal_verdict(epoch)
     }
 
-    /// Publish a reserved run at its turn (see
+    /// Publish a reserved commit at its turn (see
     /// [`DbInner::publish_locking`]).
-    fn publish_run(&self, participants: &[Participant<K, V>], reservation: Reservation<'_>) {
+    fn publish_run(&self, txn: TxnId, keys: &HashSet<K>, reservation: Reservation<'_>) {
         let publish = reservation.publish();
-        for (i, p) in participants.iter().enumerate() {
-            self.finish_locks(p.txn, p.payload.locking(), true, Some(publish.epoch_of(i)));
-        }
+        self.finish_locks(txn, keys, true, Some(publish.epoch()));
     }
 
     /// What a committing top-level `t` changes in the committed state:
@@ -485,35 +471,26 @@ where
     }
 }
 
-/// A locking batch between the two halves of its publication:
-/// [`DbInner::sequence_locking`] reserved its epochs and logged its
+/// A locking commit between the two halves of its publication:
+/// [`DbInner::sequence_locking`] reserved its epoch and logged its
 /// frame; [`DbInner::publish_locking`] forces and publishes it.
 ///
-/// Dropped with participants unpublished — a panic between the halves,
-/// say in the force or a key encoder — it marks the log broken from its
-/// epochs on and still publishes the run in turn: locks released,
-/// versions appended at its epochs, watermark advanced. Nothing stays
-/// locked, and no later run waits forever at its turn.
+/// Dropped unpublished — a panic between the halves, say in the force or
+/// a key encoder — it marks the log broken from its epoch on and still
+/// publishes the run in turn: locks released, versions appended at its
+/// epoch, watermark advanced. Nothing stays locked, and no later run
+/// waits forever at its turn.
 pub(crate) struct LockingRun<'a, K, V>
 where
     K: Eq + Hash + Ord + Clone + Send + Sync + 'static,
     V: Clone + Hash + Send + Sync + 'static,
 {
     inner: &'a DbInner<K, V>,
-    participants: Vec<Participant<K, V>>,
-    /// Taken once the write sets are read; `None` before.
+    txn: TxnId,
+    /// The keys whose locks the commit holds; taken once published.
+    keys: Option<HashSet<K>>,
+    /// Taken once the write set is read; `None` before.
     reservation: Option<Reservation<'a>>,
-}
-
-impl<K, V> LockingRun<'_, K, V>
-where
-    K: Eq + Hash + Ord + Clone + Send + Sync + 'static,
-    V: Clone + Hash + Send + Sync + 'static,
-{
-    /// How many commits the run carries.
-    pub(crate) fn len(&self) -> usize {
-        self.participants.len()
-    }
 }
 
 impl<K, V> Drop for LockingRun<'_, K, V>
@@ -522,16 +499,13 @@ where
     V: Clone + Hash + Send + Sync + 'static,
 {
     fn drop(&mut self) {
-        if self.participants.is_empty() {
-            return;
-        }
+        let Some(keys) = self.keys.take() else { return };
         let inner = self.inner;
-        let reservation =
-            self.reservation.take().unwrap_or_else(|| inner.mvcc.reserve(self.participants.len()));
+        let reservation = self.reservation.take().unwrap_or_else(|| inner.mvcc.reserve());
         if let Some(w) = inner.wal.get() {
-            w.mark_broken(reservation.first_epoch(), "a commit's retirement unwound");
+            w.mark_broken(reservation.epoch(), "a commit's retirement unwound");
         }
-        inner.publish_run(&self.participants, reservation);
+        inner.publish_run(self.txn, &keys, reservation);
     }
 }
 

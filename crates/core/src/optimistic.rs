@@ -6,7 +6,8 @@
 //! [`CcMode::Optimistic`]: crate::CcMode::Optimistic
 
 use crate::audit::{hash_value, AuditRecord};
-use crate::db::{map_reg_err, DbInner, Participant, Txn, WriteSet};
+use crate::commit_pipeline::StagedCommit;
+use crate::db::{map_reg_err, DbInner, Txn, WriteSet};
 use crate::error::TxnError;
 use crate::registry::TxnId;
 use parking_lot::Mutex;
@@ -20,6 +21,11 @@ use std::sync::Arc;
 /// A scanned interval, owned: the bounds of one
 /// [`ReadView::range`](crate::ReadView::range) call.
 type KeyRange<K> = (Bound<K>, Bound<K>);
+
+/// One top-level commit on its way through the publication sequence:
+/// what the group-commit sequencer queues for its leader, and what an
+/// unstaged commit retires itself as, in a batch of one.
+type Participant<K, V> = StagedCommit<OptFootprint<K, V>>;
 
 /// Per-transaction optimistic-mode context: the begin snapshot plus the
 /// private buffers that replace lock-table state.
@@ -166,8 +172,8 @@ where
     V: Clone + Hash + Send + Sync + 'static,
 {
     /// Retire optimistic commits — a group-commit leader's drained batch,
-    /// or a lone commit as a batch of one — returning each participant's
-    /// verdict in batch order.
+    /// or an unstaged commit as a batch of one — returning each
+    /// participant's verdict in batch order.
     ///
     /// Validation is two-phase (Kung–Robinson). Phase 1 runs *before* the
     /// gate, against a pre-read watermark: every commit fully published by
@@ -194,13 +200,8 @@ where
         mut batch: Vec<Participant<K, V>>,
     ) -> Vec<Result<(), TxnError>> {
         let pre_watermark = self.mvcc.watermark();
-        let phase1: Vec<Option<u64>> = batch
-            .iter_mut()
-            .map(|p| {
-                let footprint = p.payload.optimistic();
-                self.opt_conflict(footprint, footprint.begin_epoch)
-            })
-            .collect();
+        let phase1: Vec<Option<u64>> =
+            batch.iter().map(|p| self.opt_conflict(&p.payload, p.payload.begin_epoch)).collect();
         let gate = phase1.contains(&None).then(|| self.mvcc.begin_publish_gate());
         // `pre_watermark ≥ begin_epoch` (a begin pin is at or below any
         // later watermark read), so the tighter floor loses no conflicts.
@@ -212,8 +213,8 @@ where
         let mut batch_writes: BTreeMap<K, u64> = BTreeMap::new();
         let n = batch.len();
         let mut verdicts = Vec::with_capacity(n);
-        for (i, (staged, mut newest)) in batch.iter_mut().zip(phase1).enumerate() {
-            let footprint = staged.payload.optimistic();
+        for (i, (staged, mut newest)) in batch.iter().zip(phase1).enumerate() {
+            let footprint = &staged.payload;
             if newest.is_none() {
                 if moved {
                     newest = self.opt_conflict(footprint, pre_watermark);
@@ -257,6 +258,29 @@ where
         verdicts
     }
 
+    /// Retire one finished optimistic top-level commit: staged if
+    /// [`stages`](DbInner::stages), else as a batch of one. A footprint
+    /// already overtaken at its begin epoch loses before it could queue —
+    /// with no epoch, and no wait behind a batch leader's force; the
+    /// batch validates every survivor again. Such a loser still counts
+    /// as staged, so `commits_staged == commits_batched` plus every
+    /// staged loser.
+    pub(crate) fn commit_optimistic(
+        &self,
+        txn: TxnId,
+        footprint: OptFootprint<K, V>,
+    ) -> Result<(), TxnError> {
+        let stages = self.stages();
+        if stages && self.opt_conflict(&footprint, footprint.begin_epoch).is_none() {
+            return self.stage(txn, footprint);
+        }
+        if stages {
+            self.stats.bump(|b| &b.commits_staged);
+        }
+        let commit = StagedCommit { txn, payload: footprint };
+        self.process_optimistic_batch(vec![commit]).pop().expect("one verdict")
+    }
+
     /// The optimistic loser sequence, for every participant whose verdict
     /// is an error: audit `Abort`, registry transition, counters. Whoever
     /// validated runs it — a staged loser's own thread is parked, so
@@ -295,7 +319,7 @@ where
         let mut writes: Vec<WriteSet> = Vec::new();
         for p in survivors.iter_mut() {
             let id = p.txn;
-            let footprint = p.payload.optimistic();
+            let footprint = &mut p.payload;
             if let Some(audit) = &self.audit {
                 for record in footprint.audit.drain(..) {
                     audit.log.push(record);
@@ -308,13 +332,13 @@ where
         }
         let publish = gate.into_batch(survivors.len());
         let (first, last) = (publish.first_epoch(), publish.last_epoch());
-        self.log_commit_frame(survivors, first, writes);
+        self.log_commit_frame(first, survivors.iter().map(|p| p.txn).zip(writes));
         self.force_log(first, last);
         // The chain is the only home of an optimistic commit: there is no
         // lock table to update and no lock waiter to wake, so publication
         // is publish → store, no shard in between.
-        for (i, p) in survivors.iter_mut().enumerate() {
-            for (key, value) in &p.payload.optimistic().writes {
+        for (i, p) in survivors.iter().enumerate() {
+            for (key, value) in &p.payload.writes {
                 self.mvcc.append(key, publish.epoch_of(i), value.clone());
             }
         }
@@ -446,7 +470,7 @@ where
 
 #[cfg(test)]
 mod tests {
-    use crate::{CcMode, Db, DbConfig, TxnError};
+    use crate::{CcMode, Db, DbConfig, Durability, TxnError};
     use std::sync::Arc;
 
     fn opt_db() -> Db<u64, i64> {
@@ -601,9 +625,14 @@ mod tests {
 
     #[test]
     fn optimistic_group_commit_batches_and_validates() {
-        let db: Db<u64, i64> = Db::with_config(
-            DbConfig::builder().cc_mode(CcMode::Optimistic).group_commit(true).max_batch(8).build(),
-        );
+        // Staged: an optimistic commit forcing under the gate.
+        let config = DbConfig::builder()
+            .cc_mode(CcMode::Optimistic)
+            .durability(Durability::WalFsync)
+            .max_batch(8)
+            .build();
+        let vfs = Arc::new(rnt_wal::MemVfs::new());
+        let db: Db<u64, i64> = Db::open_with_vfs(vfs, "group.wal", config).unwrap();
         for k in 0..64 {
             db.insert(k, 0);
         }

@@ -64,7 +64,8 @@ where
     /// with no lock held — appends only extend it, and only a checkpoint
     /// replaces it — and, under the log mutex every append takes, what
     /// was appended since, which must parse to the end (a healthy log
-    /// has no torn tail). Under that mutex, in log order, every commit
+    /// has no torn tail). The previous image, which this one replaces, is
+    /// CRC-checked but not decoded. Under that mutex, in log order, every commit
     /// frame above W is kept — runs are reserved and published whole, so
     /// no frame straddles W — and every seed of a key the walk did not
     /// see, and the file is rewritten. Appends, and so publications, wait

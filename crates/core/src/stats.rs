@@ -70,15 +70,19 @@ pub struct StatsBlock {
     /// Range scans started through any read view (snapshot walks of the
     /// ordered index, plus locked transactional range reads).
     pub range_scans: AtomicU64,
-    /// Top-level commits handed to the group-commit sequencer.
+    /// Top-level commits staged for the group-commit sequencer. Only
+    /// optimistic commits under `WalFsync` with a log attached are staged
+    /// (one already overtaken at its begin epoch loses before it queues,
+    /// and still counts); every other commit retires directly and moves
+    /// none of the three batch counters.
     pub commits_staged: AtomicU64,
-    /// Top-level commits retired (published) by the sequencer.
-    /// Conservation: equals `commits_staged` at quiescence — the pipeline
-    /// never loses or invents a commit.
+    /// Staged commits retired (published) by the sequencer.
+    /// Conservation: equals `commits_staged` less the validation losers
+    /// at quiescence — the pipeline never loses or invents a commit.
     pub commits_batched: AtomicU64,
     /// Group-commit batches retired (each one WAL force + one publish
-    /// acquisition). `commits_batched / commit_batches` is the achieved
-    /// amortization factor.
+    /// acquisition), staged commits only. `commits_batched /
+    /// commit_batches` is the achieved amortization factor.
     pub commit_batches: AtomicU64,
     /// Optimistic (first-committer-wins) validation failures at commit:
     /// a footprint key had a committed version newer than the begin
@@ -232,12 +236,14 @@ pub struct StatsSnapshot {
     pub snapshot_reads: u64,
     /// Range scans started through any read view.
     pub range_scans: u64,
-    /// Top-level commits handed to the group-commit sequencer.
+    /// Top-level commits staged for the group-commit sequencer: optimistic
+    /// commits under `WalFsync` with a log attached (counting those that
+    /// lost before they queued), and no others.
     pub commits_staged: u64,
-    /// Top-level commits retired by the sequencer (= `commits_staged` at
-    /// quiescence).
+    /// Staged commits retired by the sequencer (= `commits_staged` less
+    /// the validation losers at quiescence).
     pub commits_batched: u64,
-    /// Group-commit batches retired.
+    /// Group-commit batches retired, of staged commits only.
     pub commit_batches: u64,
     /// Optimistic validation failures at commit (first-committer-wins
     /// losers, each surfaced as a retryable `Conflict`).
@@ -270,8 +276,8 @@ impl StatsSnapshot {
     /// transactions (`committed` cannot say: it counts nested commits
     /// too). Begins, writes, nested commits and aborts append nothing.
     ///
-    /// Without group commit a frame is one commit. With it, a batch of
-    /// `n` coalesced commits appends ONE frame, which takes
+    /// An unstaged commit's frame is one commit. A staged batch of `n`
+    /// coalesced commits appends ONE frame, which takes
     /// `commits_batched - commit_batches` off the total (a batch whose
     /// every participant lost validation would append nothing and is not
     /// accounted for).

@@ -417,13 +417,14 @@ fn replay_rejects_unseeded_keys_and_loose_writes() {
 
 #[test]
 fn group_commit_log_recovers_identically_to_plain_commit_log() {
-    // The same single-threaded workload, pipeline off and on: a batch of
-    // one frames exactly what an unbatched commit does, so the logs are
-    // byte-identical and so are the recoveries.
-    let run = |group: bool| {
+    // The same single-threaded optimistic workload, direct under `Wal` and
+    // staged under `WalFsync`: a batch of one frames exactly what an
+    // unbatched commit does, so the logs are byte-identical and so are
+    // the recoveries.
+    let run = |durability: Durability| {
         let config = DbConfig::builder()
-            .durability(Durability::Wal)
-            .group_commit(group)
+            .cc_mode(CcMode::Optimistic)
+            .durability(durability)
             .max_batch_wait(Duration::ZERO)
             .build();
         let (vfs, db) = open_mem(config);
@@ -438,7 +439,7 @@ fn group_commit_log_recovers_identically_to_plain_commit_log() {
         }
         vfs.snapshot(LOG)
     };
-    let (off, on) = (run(false), run(true));
+    let (off, on) = (run(Durability::Wal), run(Durability::WalFsync));
     assert_eq!(off, on, "singleton batches must keep the log byte-identical");
 
     let fresh = Arc::new(MemVfs::new());
@@ -450,11 +451,11 @@ fn group_commit_log_recovers_identically_to_plain_commit_log() {
 
 #[test]
 fn group_commit_fsync_acks_are_durable() {
-    // WalFsync + group commit: every acked commit must survive a crash cut
-    // at exactly the bytes on disk at ack time.
+    // Optimistic under WalFsync, so staged: every acked commit must
+    // survive a crash cut at exactly the bytes on disk at ack time.
     let config = DbConfig::builder()
+        .cc_mode(CcMode::Optimistic)
         .durability(Durability::WalFsync)
-        .group_commit(true)
         .max_batch(8)
         .build();
     let (vfs, db) = open_mem(config);
@@ -505,8 +506,7 @@ fn recovered_db_accepts_new_transactions_and_stays_durable() {
 
 /// A [`MemVfs`] the test can stall — a slow disk it controls. Fsyncs
 /// park while the disk is closed, unless let through one by one by
-/// arrival ticket; appends park while held, passing one per token. It
-/// counts the appends that land and their bytes. Everything else passes
+/// arrival ticket; appends park while held. It counts the appends that land and their bytes. Everything else passes
 /// straight through, including the armed faults of the inner `MemVfs`.
 struct GateVfs {
     mem: MemVfs,
@@ -527,8 +527,8 @@ struct Gate {
     returned: u64,
     /// Tickets let through a closed disk.
     released: Vec<u64>,
-    /// `Some(n)`: appends are held, and `n` more may pass.
-    append_tokens: Option<u64>,
+    /// Whether appends must wait; appends parked now.
+    appends_held: bool,
     appends_parked: usize,
 }
 
@@ -583,12 +583,7 @@ impl GateVfs {
 
     /// Open the disk: nothing parks any more.
     fn open(&self) {
-        self.update(|g| (g.closed, g.append_tokens) = (false, None));
-    }
-
-    /// Let fsyncs through; held appends stay held.
-    fn open_fsyncs(&self) {
-        self.update(|g| g.closed = false);
+        self.update(|g| (g.closed, g.appends_held) = (false, false));
     }
 
     fn close(&self) {
@@ -600,14 +595,9 @@ impl GateVfs {
         self.update(|g| g.released.push(ticket));
     }
 
-    /// Park every append from now on, until passed or the disk opens.
+    /// Park every append from now on, until the disk opens.
     fn hold_appends(&self) {
-        self.update(|g| g.append_tokens = Some(0));
-    }
-
-    /// Let one held append through.
-    fn pass_append(&self) {
-        self.update(|g| g.append_tokens = g.append_tokens.map(|n| n + 1));
+        self.update(|g| g.appends_held = true);
     }
 }
 
@@ -616,9 +606,8 @@ impl Vfs for GateVfs {
         let mut gate = self.gate.lock().unwrap();
         gate.appends_parked += 1;
         self.cv.notify_all();
-        gate = self.cv.wait_while(gate, |g| g.append_tokens == Some(0)).unwrap();
+        gate = self.cv.wait_while(gate, |g| g.appends_held).unwrap();
         gate.appends_parked -= 1;
-        gate.append_tokens = gate.append_tokens.map(|n| n - 1);
         drop(gate);
         self.mem.append(path, data)?;
         self.appends.fetch_add(1, SeqCst);
@@ -657,10 +646,11 @@ fn key(i: usize) -> String {
     format!("k{i}")
 }
 
-fn group_fsync_config(cc: CcMode) -> DbConfig {
+/// `WalFsync` in mode `cc`: optimistic commits are staged, locking ones
+/// retire directly.
+fn forced_config(cc: CcMode) -> DbConfig {
     DbConfig::builder()
         .durability(Durability::WalFsync)
-        .group_commit(true)
         .cc_mode(cc)
         // A held lock is an immediate error, not a wait: "the locks were
         // released" is then checkable without a timeout.
@@ -716,64 +706,49 @@ fn staged_reaches(db: &Db<String, i64>, n: u64) -> bool {
     true
 }
 
-/// While the batch leader is parked inside the force, another transaction
-/// must be able to run its whole body and reach the commit queue: the
-/// force holds no engine lock.
-#[test]
-fn transactions_keep_logging_while_a_batch_is_being_forced() {
-    let vfs = GateVfs::closed();
-    let db: Db<String, i64> =
-        Db::open_with_vfs(vfs.clone(), LOG, group_fsync_config(CcMode::Locking)).unwrap();
-    for k in 0..8 {
-        db.insert(key(k), 0);
-    }
-    let first = spawn_bump(&db, 0..4);
-    vfs.wait_parked();
-    assert_eq!(db.stats().commits_staged, 1);
-
-    let second = spawn_bump(&db, 4..8);
-    let reached_queue = staged_reaches(&db, 2);
-    // Whatever happened, let the disk finish so no thread outlives the test.
-    vfs.open();
-    assert!(reached_queue, "begin + 4 rmw + stage must not wait for another batch's fsync");
-    assert_eq!(first.recv_timeout(PATIENCE).unwrap(), Ok(()));
-    assert_eq!(second.recv_timeout(PATIENCE).unwrap(), Ok(()));
-
-    let s = db.stats();
-    assert_eq!((s.commit_batches, s.commits_batched, s.wal_fsyncs), (2, 2, 2));
-    let r = crash_recover(&vfs.mem, wal_config());
-    for k in 0..8 {
-        assert_eq!(r.committed_value(&key(k)), Some(1), "both acked commits recover ({k})");
-    }
-}
-
-/// Optimistic phase-1 validation runs before the publish gate: with the
-/// pipeline off, a commit whose footprint an earlier commit overtook is
-/// refused while another commit holds the gate, parked in its fsync — and
-/// it burns no epoch.
+/// Optimistic phase-1 validation runs before the publish gate: a commit
+/// whose footprint an earlier commit overtook is refused while another
+/// commit holds the gate — and it burns no epoch. Under `WalFsync` both
+/// commits would be staged and the holder is the batch leader, parked in
+/// its fsync: the loser must not queue behind it. Under `Wal` neither is
+/// staged, and the holder parks in its commit-frame append.
 #[test]
 fn an_overtaken_optimistic_commit_loses_outside_the_gate() {
-    let vfs = GateVfs::closed();
-    vfs.open();
-    let config =
-        DbConfig::builder().durability(Durability::WalFsync).cc_mode(CcMode::Optimistic).build();
-    let db: Db<String, i64> = Db::open_with_vfs(vfs.clone(), LOG, config).unwrap();
-    db.insert(key(0), 0);
-    db.insert(key(1), 0);
-    let loser = bumped(&db, 0..1).unwrap();
-    bump(&db, 0..1).unwrap();
-    // Begun before the disk stalls: an optimistic begin pins its snapshot
-    // through the gate's lock while a publisher holds it.
-    let forcer = bumped(&db, 1..2).unwrap();
-    vfs.close();
-    let forcing = spawn(move || forcer.commit());
-    vfs.wait_parked();
-    let watermark = db.epochs().watermark;
-    let lost = spawn(move || loser.commit()).recv_timeout(PATIENCE);
-    vfs.open();
-    assert!(matches!(lost, Ok(Err(TxnError::Conflict { .. }))), "got {lost:?}");
-    assert_eq!(forcing.recv_timeout(PATIENCE).unwrap(), Ok(()));
-    assert_eq!(db.epochs().watermark, watermark + 1, "only the forcing commit took an epoch");
+    for durability in [Durability::WalFsync, Durability::Wal] {
+        let vfs = GateVfs::closed();
+        vfs.open();
+        let config = DbConfig::builder().durability(durability).cc_mode(CcMode::Optimistic).build();
+        let db: Db<String, i64> = Db::open_with_vfs(vfs.clone(), LOG, config).unwrap();
+        db.insert(key(0), 0);
+        db.insert(key(1), 0);
+        let loser = bumped(&db, 0..1).unwrap();
+        bump(&db, 0..1).unwrap();
+        // Begun before the disk stalls: an optimistic begin pins its
+        // snapshot through the gate's lock while a publisher holds it.
+        let publisher = bumped(&db, 1..2).unwrap();
+        let batches = db.stats().commit_batches;
+        let fsync = durability == Durability::WalFsync;
+        if fsync {
+            vfs.close();
+        } else {
+            vfs.hold_appends();
+        }
+        let publishing = spawn(move || publisher.commit());
+        if fsync {
+            vfs.wait_parked();
+        } else {
+            vfs.wait_append_parked();
+        }
+        let watermark = db.epochs().watermark;
+        let lost = spawn(move || loser.commit()).recv_timeout(PATIENCE);
+        vfs.open();
+        assert!(matches!(lost, Ok(Err(TxnError::Conflict { .. }))), "{durability:?}: got {lost:?}");
+        assert_eq!(publishing.recv_timeout(PATIENCE).unwrap(), Ok(()), "{durability:?}");
+        assert_eq!(db.epochs().watermark, watermark + 1, "{durability:?}: the loser took no epoch");
+        // Under `WalFsync` the publisher's batch is the only one: the
+        // loser never reached the sequencer.
+        assert_eq!(db.stats().commit_batches, batches + u64::from(fsync), "{durability:?}");
+    }
 }
 
 #[derive(Clone, Copy, Debug)]
@@ -800,127 +775,99 @@ fn assert_released_and_poisoned(db: &Db<String, i64>, keys: std::ops::Range<usiz
     }
 }
 
-/// A singleton batch (and the inline, pipeline-off path) whose force or
-/// commit-record append fails.
+/// A lone commit whose force or commit-record append fails: a staged
+/// singleton batch (optimistic) or a direct commit (locking).
 #[test]
 fn a_failing_force_poisons_singleton_commits_in_both_modes() {
     for cc in [CcMode::Locking, CcMode::Optimistic] {
-        for group in [false, true] {
-            for fault in [VfsFault::Fsync, VfsFault::Append] {
-                let what = format!("{cc:?} group_commit={group} {fault:?}");
-                let mut config = group_fsync_config(cc);
-                config.group_commit = group;
-                let (vfs, db) = open_mem(config);
-                db.insert(key(0), 0);
-                db.insert(key(1), 0);
-                bump(&db, 0..2).unwrap_or_else(|e| panic!("{what}: healthy commit failed: {e}"));
-                let healthy = vfs.snapshot(LOG);
+        for fault in [VfsFault::Fsync, VfsFault::Append] {
+            let what = format!("{cc:?} {fault:?}");
+            let (vfs, db) = open_mem(forced_config(cc));
+            db.insert(key(0), 0);
+            db.insert(key(1), 0);
+            bump(&db, 0..2).unwrap_or_else(|e| panic!("{what}: healthy commit failed: {e}"));
+            let healthy = vfs.snapshot(LOG);
 
-                match fault {
-                    VfsFault::Fsync => vfs.arm_fsync_error(0),
-                    // The transaction's one append, its commit frame, is
-                    // refused by the disk.
-                    VfsFault::Append => vfs.arm_append_error(0),
-                }
-                let verdict = bump(&db, 0..2);
-                assert!(matches!(verdict, Err(TxnError::Wal { .. })), "{what}: got {verdict:?}");
-                let at_failure = vfs.snapshot(LOG);
-                assert!(at_failure.starts_with(&healthy), "{what}: the log only grows");
-                assert_released_and_poisoned(&db, 0..2, &what);
-                // In memory all four commits happened; only the first was
-                // acked.
-                assert_eq!(db.committed_value(&key(0)), Some(4), "{what}");
-                let s = db.stats();
-                assert_eq!(s.commits_staged, s.commits_batched, "{what}: nobody left in the queue");
-                assert!(db.checkpoint().is_err(), "{what}: a poisoned log refuses checkpoints");
-                // Fail-stop: nothing lands behind the failure, so what is
-                // on disk recovers like a crash there — the acked commit
-                // at least, and never half a transaction.
-                assert_eq!(vfs.snapshot(LOG), at_failure, "{what}: written to after the failure");
-                let r = crash_recover(&vfs, wal_config());
-                let (k0, k1) = (r.committed_value(&key(0)), r.committed_value(&key(1)));
-                assert_eq!(k0, k1, "{what}: recovered half a transaction");
-                assert!((Some(1)..=Some(2)).contains(&k0), "{what}: recovered {k0:?}");
+            match fault {
+                VfsFault::Fsync => vfs.arm_fsync_error(0),
+                // The transaction's one append, its commit frame, is
+                // refused by the disk.
+                VfsFault::Append => vfs.arm_append_error(0),
             }
+            let verdict = bump(&db, 0..2);
+            assert!(matches!(verdict, Err(TxnError::Wal { .. })), "{what}: got {verdict:?}");
+            let at_failure = vfs.snapshot(LOG);
+            assert!(at_failure.starts_with(&healthy), "{what}: the log only grows");
+            assert_released_and_poisoned(&db, 0..2, &what);
+            // In memory all four commits happened; only the first was
+            // acked.
+            assert_eq!(db.committed_value(&key(0)), Some(4), "{what}");
+            let s = db.stats();
+            assert_eq!(s.commits_staged, s.commits_batched, "{what}: nobody left in the queue");
+            assert!(db.checkpoint().is_err(), "{what}: a poisoned log refuses checkpoints");
+            // Fail-stop: nothing lands behind the failure, so what is
+            // on disk recovers like a crash there — the acked commit
+            // at least, and never half a transaction.
+            assert_eq!(vfs.snapshot(LOG), at_failure, "{what}: written to after the failure");
+            let r = crash_recover(&vfs, wal_config());
+            let (k0, k1) = (r.committed_value(&key(0)), r.committed_value(&key(1)));
+            assert_eq!(k0, k1, "{what}: recovered half a transaction");
+            assert!((Some(1)..=Some(2)).contains(&k0), "{what}: recovered {k0:?}");
         }
     }
 }
 
-/// A multi-participant batch whose force fails: the leader is held while
-/// two more commits queue up behind it; they retire as one batch, the
-/// disk refuses it, and **both** must hear `Wal`. An optimistic leader
-/// holds leadership across its force, so it is held in its fsync. A
-/// locking one holds leadership only while it sequences, so it is held
-/// in its commit-frame append — and then, its frame landed, its force
-/// returns before the followers' frame is let through, which fixes the
-/// order the two runs reach the disk in.
+/// A multi-participant batch whose force fails: the leader is held in its
+/// fsync, holding leadership, while two more commits queue up behind it;
+/// they retire as one batch, the disk refuses it, and **both** must hear
+/// `Wal`. Only optimistic commits are staged, so only they form batches.
 #[test]
 fn a_failing_force_fails_every_participant_of_a_multi_batch() {
-    for cc in [CcMode::Locking, CcMode::Optimistic] {
-        for fault in [VfsFault::Fsync, VfsFault::Append] {
-            let what = format!("{cc:?} {fault:?}");
-            let locking = cc == CcMode::Locking;
-            let vfs = GateVfs::closed();
-            let db: Db<String, i64> =
-                Db::open_with_vfs(vfs.clone(), LOG, group_fsync_config(cc)).unwrap();
-            for k in 0..6 {
-                db.insert(key(k), 0);
-            }
-            // The followers begin before the leader takes the disk: an
-            // optimistic `begin` pins its snapshot under the publish
-            // gate, which the optimistic leader holds across the force.
-            let followers = [2..4, 4..6].map(|keys| bumped(&db, keys).unwrap());
-            if locking {
-                vfs.hold_appends();
-            }
-            let leader = spawn_bump(&db, 0..2);
-            if locking {
-                vfs.wait_append_parked();
-            } else {
-                vfs.wait_parked();
-            }
-            let followers = followers.map(|t| spawn(move || t.commit()));
-            let queued = staged_reaches(&db, 3);
-            if locking {
-                vfs.pass_append();
-                vfs.wait_parked();
-            }
-            match fault {
-                // The leader's own fsync is the first to reach the inner
-                // MemVfs once the gate opens; the next one fails.
-                VfsFault::Fsync => vfs.mem.arm_fsync_error(1),
-                // The followers log nothing before staging; the next
-                // append is their batch's commit frame.
-                VfsFault::Append => vfs.mem.arm_append_error(0),
-            }
-            if locking {
-                // The followers' sequencer sits in its held append, under
-                // the publish gate: the leader can force, not publish.
-                vfs.open_fsyncs();
-                vfs.wait_returned(1);
-            }
-            vfs.open();
-            assert!(queued, "{what}: followers never reached the queue");
-            assert_eq!(leader.recv_timeout(PATIENCE).unwrap(), Ok(()), "{what}");
-            for f in followers {
-                let verdict = f.recv_timeout(PATIENCE).expect("a stager stayed parked");
-                assert!(matches!(verdict, Err(TxnError::Wal { .. })), "{what}: got {verdict:?}");
-            }
-            let s = db.stats();
-            assert_eq!(s.commit_batches, 2, "{what}: [leader] then [both followers]");
-            assert_eq!(s.commits_staged, s.commits_batched, "{what}: nobody left in the queue");
-            assert_released_and_poisoned(&db, 0..6, &what);
-
-            // The log stopped at the failure: the leader's acked commit
-            // recovers, the refused batch recovers whole or not at all.
-            let r = crash_recover(&vfs.mem, wal_config());
-            assert_eq!(r.committed_value(&key(0)), Some(1), "{what}: the acked commit");
-            let batch: Vec<_> = (2..6).map(|k| r.committed_value(&key(k))).collect();
-            assert!(
-                batch.iter().all(|v| *v == batch[0]) && batch[0] <= Some(1),
-                "{what}: the refused batch recovered as {batch:?}"
-            );
+    let cc = CcMode::Optimistic;
+    for fault in [VfsFault::Fsync, VfsFault::Append] {
+        let what = format!("{cc:?} {fault:?}");
+        let vfs = GateVfs::closed();
+        let db: Db<String, i64> = Db::open_with_vfs(vfs.clone(), LOG, forced_config(cc)).unwrap();
+        for k in 0..6 {
+            db.insert(key(k), 0);
         }
+        // The followers begin before the leader takes the disk: an
+        // optimistic `begin` pins its snapshot under the publish gate,
+        // which the leader holds across the force.
+        let followers = [2..4, 4..6].map(|keys| bumped(&db, keys).unwrap());
+        let leader = spawn_bump(&db, 0..2);
+        vfs.wait_parked();
+        let followers = followers.map(|t| spawn(move || t.commit()));
+        let queued = staged_reaches(&db, 3);
+        match fault {
+            // The leader's own fsync is the first to reach the inner
+            // MemVfs once the gate opens; the next one fails.
+            VfsFault::Fsync => vfs.mem.arm_fsync_error(1),
+            // The followers log nothing before staging; the next append
+            // is their batch's commit frame.
+            VfsFault::Append => vfs.mem.arm_append_error(0),
+        }
+        vfs.open();
+        assert!(queued, "{what}: followers never reached the queue");
+        assert_eq!(leader.recv_timeout(PATIENCE).unwrap(), Ok(()), "{what}");
+        for f in followers {
+            let verdict = f.recv_timeout(PATIENCE).expect("a stager stayed parked");
+            assert!(matches!(verdict, Err(TxnError::Wal { .. })), "{what}: got {verdict:?}");
+        }
+        let s = db.stats();
+        assert_eq!(s.commit_batches, 2, "{what}: [leader] then [both followers]");
+        assert_eq!(s.commits_staged, s.commits_batched, "{what}: nobody left in the queue");
+        assert_released_and_poisoned(&db, 0..6, &what);
+
+        // The log stopped at the failure: the leader's acked commit
+        // recovers, the refused batch recovers whole or not at all.
+        let r = crash_recover(&vfs.mem, wal_config());
+        assert_eq!(r.committed_value(&key(0)), Some(1), "{what}: the acked commit");
+        let batch: Vec<_> = (2..6).map(|k| r.committed_value(&key(k))).collect();
+        assert!(
+            batch.iter().all(|v| *v == batch[0]) && batch[0] <= Some(1),
+            "{what}: the refused batch recovered as {batch:?}"
+        );
     }
 }
 
@@ -1153,14 +1100,12 @@ fn read_all(counts: &[AtomicU64]) -> Vec<u64> {
 /// the bytes the log holds right then; at the end, with nothing in
 /// flight, recovery from the final bytes holds exactly the acked
 /// increments.
-fn storm(cc: CcMode, group: bool, checkpointers: usize) {
+fn storm(cc: CcMode, checkpointers: usize) {
     const COMMITTERS: usize = 3;
     const COMMITS: usize = 250;
     const CHECKPOINTS: u64 = 20;
-    let what = format!("{cc:?} group_commit={group} checkpointers={checkpointers}");
-    let mut config = group_fsync_config(cc);
-    config.group_commit = group;
-    let (vfs, db) = open_mem(config);
+    let what = format!("{cc:?} checkpointers={checkpointers}");
+    let (vfs, db) = open_mem(forced_config(cc));
     for i in 0..STORM_COUNTERS {
         db.insert(counter(i), 0);
     }
@@ -1263,16 +1208,14 @@ fn commit_bumps(db: &Db<String, i64>, tally: &Tally, bumps: &[usize]) {
     }
 }
 
-/// Commits, seeds and a looping checkpoint at once, in both modes, with
-/// the pipeline off and on: every recovery — from the bytes after any
+/// Commits, seeds and a looping checkpoint at once, in both modes (the
+/// optimistic commits staged): every recovery — from the bytes after any
 /// checkpoint, and from the final ones — holds every acked increment and
 /// seed, and no increment never attempted.
 #[test]
 fn checkpoints_during_a_storm_of_commits_and_seeds_lose_nothing() {
     for cc in [CcMode::Locking, CcMode::Optimistic] {
-        for group in [false, true] {
-            storm(cc, group, 1);
-        }
+        storm(cc, 1);
     }
 }
 
@@ -1281,38 +1224,35 @@ fn checkpoints_during_a_storm_of_commits_and_seeds_lose_nothing() {
 #[test]
 fn racing_checkpointers_lose_nothing() {
     for cc in [CcMode::Locking, CcMode::Optimistic] {
-        storm(cc, true, 2);
+        storm(cc, 2);
     }
 }
 
 // ---- Forces overlap; publication and verdicts follow epoch order ----
 
-/// Two locking commits are parked in their forces at once, with the
-/// pipeline off and on: neither the publish gate nor pipeline leadership
-/// is held across a force. Both ack once the disk opens, and both recover.
+/// Two locking commits are parked in their forces at once: the publish
+/// gate is not held across a force, and locking commits are not staged.
+/// Both ack once the disk opens, and both recover.
 #[test]
 fn two_locking_commits_are_forced_at_once() {
-    for group in [false, true] {
-        let vfs = GateVfs::closed();
-        let mut config = group_fsync_config(CcMode::Locking);
-        config.group_commit = group;
-        let db: Db<String, i64> = Db::open_with_vfs(vfs.clone(), LOG, config).unwrap();
-        for k in 0..4 {
-            db.insert(key(k), 0);
-        }
-        let first = spawn_bump(&db, 0..2);
-        vfs.wait_parked();
-        let second = spawn_bump(&db, 2..4);
-        let both = vfs.parks(2);
-        vfs.open();
-        assert!(both, "group_commit={group}: the second force waited for the first");
-        assert_eq!(first.recv_timeout(PATIENCE).unwrap(), Ok(()), "group_commit={group}");
-        assert_eq!(second.recv_timeout(PATIENCE).unwrap(), Ok(()), "group_commit={group}");
-        assert_eq!(db.stats().wal_fsyncs, 2, "group_commit={group}");
-        let r = crash_recover(&vfs.mem, wal_config());
-        for k in 0..4 {
-            assert_eq!(r.committed_value(&key(k)), Some(1), "group_commit={group}: key {k}");
-        }
+    let vfs = GateVfs::closed();
+    let db: Db<String, i64> =
+        Db::open_with_vfs(vfs.clone(), LOG, forced_config(CcMode::Locking)).unwrap();
+    for k in 0..4 {
+        db.insert(key(k), 0);
+    }
+    let first = spawn_bump(&db, 0..2);
+    vfs.wait_parked();
+    let second = spawn_bump(&db, 2..4);
+    let both = vfs.parks(2);
+    vfs.open();
+    assert!(both, "the second force waited for the first");
+    assert_eq!(first.recv_timeout(PATIENCE).unwrap(), Ok(()));
+    assert_eq!(second.recv_timeout(PATIENCE).unwrap(), Ok(()));
+    assert_eq!(db.stats().wal_fsyncs, 2);
+    let r = crash_recover(&vfs.mem, wal_config());
+    for k in 0..4 {
+        assert_eq!(r.committed_value(&key(k)), Some(1), "key {k}");
     }
 }
 
@@ -1349,46 +1289,43 @@ fn a_snapshot_opens_while_a_locking_force_is_parked() {
 /// with the earlier frame lost, recovery stops before the later one.
 #[test]
 fn durability_verdicts_follow_epoch_order() {
-    for group in [false, true] {
-        for later_fails in [true, false] {
-            let what = format!("group_commit={group} later_fails={later_fails}");
-            let vfs = GateVfs::closed();
-            let mut config = group_fsync_config(CcMode::Locking);
-            config.group_commit = group;
-            let db: Db<String, i64> = Db::open_with_vfs(vfs.clone(), LOG, config).unwrap();
-            for k in 0..4 {
-                db.insert(key(k), 0);
-            }
-            // Fsync tickets follow arrival: the earlier run's force is 0.
-            let earlier = spawn_bump(&db, 0..2);
-            vfs.wait_parked();
-            let later = spawn_bump(&db, 2..4);
-            let both = vfs.parks(2);
-            vfs.mem.arm_fsync_error(0);
-            let (failing, passing) = if later_fails { (1, 0) } else { (0, 1) };
-            vfs.release(failing);
-            vfs.wait_returned(1);
-            vfs.release(passing);
-            vfs.wait_returned(2);
-            vfs.open();
-            assert!(both, "{what}: the forces did not overlap");
-            let (earlier, later) =
-                (earlier.recv_timeout(PATIENCE).unwrap(), later.recv_timeout(PATIENCE).unwrap());
-            assert!(matches!(later, Err(TxnError::Wal { .. })), "{what}: later got {later:?}");
-            if later_fails {
-                assert_eq!(earlier, Ok(()), "{what}: the earlier run's ack was retracted");
-            } else {
-                assert!(matches!(earlier, Err(TxnError::Wal { .. })), "{what}: got {earlier:?}");
-            }
-            assert_released_and_poisoned(&db, 0..4, &what);
-            let r = crash_recover(&vfs.mem, wal_config());
-            let values: Vec<_> = (0..4).map(|k| r.committed_value(&key(k))).collect();
-            if later_fails {
-                assert_eq!(values[..2], [Some(1), Some(1)], "{what}: the acked run recovers");
-            }
-            for run in values.chunks(2) {
-                assert!(run[0] == run[1] && run[0] <= Some(1), "{what}: recovered {values:?}");
-            }
+    for later_fails in [true, false] {
+        let what = format!("later_fails={later_fails}");
+        let vfs = GateVfs::closed();
+        let db: Db<String, i64> =
+            Db::open_with_vfs(vfs.clone(), LOG, forced_config(CcMode::Locking)).unwrap();
+        for k in 0..4 {
+            db.insert(key(k), 0);
+        }
+        // Fsync tickets follow arrival: the earlier run's force is 0.
+        let earlier = spawn_bump(&db, 0..2);
+        vfs.wait_parked();
+        let later = spawn_bump(&db, 2..4);
+        let both = vfs.parks(2);
+        vfs.mem.arm_fsync_error(0);
+        let (failing, passing) = if later_fails { (1, 0) } else { (0, 1) };
+        vfs.release(failing);
+        vfs.wait_returned(1);
+        vfs.release(passing);
+        vfs.wait_returned(2);
+        vfs.open();
+        assert!(both, "{what}: the forces did not overlap");
+        let (earlier, later) =
+            (earlier.recv_timeout(PATIENCE).unwrap(), later.recv_timeout(PATIENCE).unwrap());
+        assert!(matches!(later, Err(TxnError::Wal { .. })), "{what}: later got {later:?}");
+        if later_fails {
+            assert_eq!(earlier, Ok(()), "{what}: the earlier run's ack was retracted");
+        } else {
+            assert!(matches!(earlier, Err(TxnError::Wal { .. })), "{what}: got {earlier:?}");
+        }
+        assert_released_and_poisoned(&db, 0..4, &what);
+        let r = crash_recover(&vfs.mem, wal_config());
+        let values: Vec<_> = (0..4).map(|k| r.committed_value(&key(k))).collect();
+        if later_fails {
+            assert_eq!(values[..2], [Some(1), Some(1)], "{what}: the acked run recovers");
+        }
+        for run in values.chunks(2) {
+            assert!(run[0] == run[1] && run[0] <= Some(1), "{what}: recovered {values:?}");
         }
     }
 }
@@ -1413,12 +1350,8 @@ fn a_format_03_log_is_rejected_with_bad_magic() {
 const FLAT_COMMIT_BUDGET: u64 = 130;
 
 /// A `u64` database on `vfs` with `keys` seeded keys.
-fn u64_db(vfs: &Arc<GateVfs>, cc: CcMode, group: bool, keys: u64) -> Db<u64, u64> {
-    let config = DbConfig::builder()
-        .durability(Durability::WalFsync)
-        .cc_mode(cc)
-        .group_commit(group)
-        .build();
+fn u64_db(vfs: &Arc<GateVfs>, cc: CcMode, keys: u64) -> Db<u64, u64> {
+    let config = DbConfig::builder().durability(Durability::WalFsync).cc_mode(cc).build();
     let db = Db::open_with_vfs(vfs.clone(), LOG, config).unwrap();
     for k in 0..keys {
         db.insert(k, 0);
@@ -1436,83 +1369,119 @@ fn u64_bumped(db: &Db<u64, u64>, keys: std::ops::Range<u64>) -> Txn<u64, u64> {
 }
 
 /// `durable-commit`'s transaction shape: each flat commit of four `u64`
-/// increments appends one frame within budget, in both modes, with the
-/// pipeline off and on. Format 03 took six appends and 208 bytes.
+/// increments appends one frame within budget, in both modes — staged
+/// (optimistic) and direct (locking). Format 03 took six appends and 208
+/// bytes.
 #[test]
 fn a_flat_commit_of_four_writes_is_one_frame_within_budget() {
     for cc in [CcMode::Locking, CcMode::Optimistic] {
-        for group in [false, true] {
-            let vfs = GateVfs::closed();
-            vfs.open();
-            let db = u64_db(&vfs, cc, group, 16);
-            for i in 0..4 {
-                let before = vfs.counts();
-                u64_bumped(&db, i * 4..i * 4 + 4).commit().unwrap();
-                let (appends, bytes) = vfs.counts();
-                let what = format!("{cc:?} group_commit={group} commit {i}");
-                assert_eq!(appends - before.0, 1, "{what}: appends");
-                let framed = bytes - before.1;
-                assert!(framed <= FLAT_COMMIT_BUDGET, "{what}: {framed} B over budget");
-            }
+        let vfs = GateVfs::closed();
+        vfs.open();
+        let db = u64_db(&vfs, cc, 16);
+        for i in 0..4 {
+            let before = vfs.counts();
+            u64_bumped(&db, i * 4..i * 4 + 4).commit().unwrap();
+            let (appends, bytes) = vfs.counts();
+            let what = format!("{cc:?} commit {i}");
+            assert_eq!(appends - before.0, 1, "{what}: appends");
+            let framed = bytes - before.1;
+            assert!(framed <= FLAT_COMMIT_BUDGET, "{what}: {framed} B over budget");
         }
     }
 }
 
 /// A batch of `n` commits, for every `n` from 1 to 4, retires with
-/// exactly one `Vfs::append`: the followers queue behind a leader parked
-/// while it holds leadership — an optimistic one in its fsync, a locking
-/// one in its commit-frame append, after which it parks in its fsync —
-/// then retire together once the disk opens. No timing decides what is
-/// asserted.
+/// exactly one `Vfs::append`: the followers queue behind an optimistic
+/// leader parked in its fsync, holding leadership, then retire together
+/// once the disk opens. Optimistic commits force inside their
+/// validation's gate hold, so every one of them is staged. No timing
+/// decides what is asserted.
 #[test]
 fn a_retired_batch_of_any_size_is_one_append() {
-    for cc in [CcMode::Locking, CcMode::Optimistic] {
-        for n in 1..=4u64 {
-            let what = format!("{cc:?} batch of {n}");
-            let vfs = GateVfs::closed();
-            vfs.open();
-            let db = u64_db(&vfs, cc, true, 2 * (n + 1));
-            // Begun before the leader holds the disk: an optimistic begin
-            // pins its snapshot under the gate the leader holds.
-            let followers: Vec<_> = (1..=n).map(|i| u64_bumped(&db, 2 * i..2 * i + 2)).collect();
-            let locking = cc == CcMode::Locking;
-            vfs.close();
-            if locking {
-                vfs.hold_appends();
-            }
-            let leader = {
-                let db = db.clone();
-                std::thread::spawn(move || u64_bumped(&db, 0..2).commit())
-            };
-            if locking {
-                vfs.wait_append_parked();
-            } else {
-                vfs.wait_parked();
-            }
-            let followers: Vec<_> =
-                followers.into_iter().map(|t| std::thread::spawn(move || t.commit())).collect();
-            let deadline = std::time::Instant::now() + PATIENCE;
-            while db.stats().commits_staged < n + 1 && std::time::Instant::now() < deadline {
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            let queued = db.stats().commits_staged == n + 1;
-            if locking {
-                vfs.pass_append();
-                vfs.wait_parked();
-            }
-            let before = vfs.counts().0;
-            vfs.open();
-            assert!(queued, "{what}: followers never reached the queue");
-            assert_eq!(leader.join().unwrap(), Ok(()), "{what}");
-            for f in followers {
-                assert_eq!(f.join().unwrap(), Ok(()), "{what}");
-            }
-            assert_eq!(vfs.counts().0 - before, 1, "{what}: appends to retire the batch");
-            assert_eq!(db.stats().commit_batches, 2, "{what}: [leader] then the followers");
-            match records_of(&vfs.mem).last() {
-                Some(Record::Commit { commits }) => assert_eq!(commits.len() as u64, n, "{what}"),
-                other => panic!("{what}: the log ends in {other:?}"),
-            }
+    for n in 1..=4u64 {
+        let what = format!("batch of {n}");
+        let vfs = GateVfs::closed();
+        vfs.open();
+        let db = u64_db(&vfs, CcMode::Optimistic, 2 * (n + 1));
+        // Begun before the leader holds the disk: an optimistic begin
+        // pins its snapshot under the gate the leader holds.
+        let followers: Vec<_> = (1..=n).map(|i| u64_bumped(&db, 2 * i..2 * i + 2)).collect();
+        vfs.close();
+        let leader = {
+            let db = db.clone();
+            std::thread::spawn(move || u64_bumped(&db, 0..2).commit())
+        };
+        vfs.wait_parked();
+        let followers: Vec<_> =
+            followers.into_iter().map(|t| std::thread::spawn(move || t.commit())).collect();
+        let deadline = std::time::Instant::now() + PATIENCE;
+        while db.stats().commits_staged < n + 1 && std::time::Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let queued = db.stats().commits_staged == n + 1;
+        let before = vfs.counts().0;
+        vfs.open();
+        assert!(queued, "{what}: followers never reached the queue");
+        assert_eq!(leader.join().unwrap(), Ok(()), "{what}");
+        for f in followers {
+            assert_eq!(f.join().unwrap(), Ok(()), "{what}");
+        }
+        assert_eq!(vfs.counts().0 - before, 1, "{what}: appends to retire the batch");
+        let stats = db.stats();
+        assert_eq!(stats.commit_batches, 2, "{what}: [leader] then the followers");
+        assert_eq!(stats.commits_batched, stats.committed, "{what}: all retired in batches");
+        match records_of(&vfs.mem).last() {
+            Some(Record::Commit { commits }) => assert_eq!(commits.len() as u64, n, "{what}"),
+            other => panic!("{what}: the log ends in {other:?}"),
         }
     }
+}
+
+// ---- Which commits are staged: the configuration decides ----
+//
+// The staged case, optimistic commits on a forced log, is
+// `a_retired_batch_of_any_size_is_one_append`.
+
+/// `threads` flat committers on keys of their own, `commits` each.
+fn commit_concurrently(db: &Db<u64, u64>, threads: u64, commits: u64) {
+    std::thread::scope(|s| {
+        for k in 0..threads {
+            s.spawn(move || {
+                for _ in 0..commits {
+                    db.run(|t| t.rmw(&k, |v| v + 1).map(drop)).unwrap();
+                }
+            });
+        }
+    });
+}
+
+/// Locking commits force outside the publish gate, so nothing is gained
+/// by batching them: concurrent committers under `WalFsync` stage
+/// nothing, and every commit is forced on its own.
+#[test]
+fn concurrent_locking_fsync_committers_never_stage() {
+    let vfs = Arc::new(MemVfs::new());
+    let db: Db<u64, u64> = Db::open_with_vfs(vfs, LOG, forced_config(CcMode::Locking)).unwrap();
+    for k in 0..4 {
+        db.insert(k, 0);
+    }
+    commit_concurrently(&db, 4, 25);
+    let s = db.stats();
+    assert_eq!(s.committed, 100);
+    assert_eq!((s.commits_staged, s.commits_batched, s.commit_batches), (0, 0, 0));
+    assert_eq!(s.wal_fsyncs, s.committed, "one force per commit");
+}
+
+/// Without a log there is no force at all: an in-memory optimistic
+/// database stages nothing, whatever durability its config names.
+#[test]
+fn an_in_memory_optimistic_db_never_stages() {
+    let db: Db<u64, u64> = Db::with_config(forced_config(CcMode::Optimistic));
+    for k in 0..4 {
+        db.insert(k, 0);
+    }
+    commit_concurrently(&db, 4, 25);
+    let s = db.stats();
+    assert_eq!(s.committed, 100);
+    assert_eq!((s.commits_staged, s.commits_batched, s.commit_batches), (0, 0, 0));
 }

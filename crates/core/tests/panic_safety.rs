@@ -1,8 +1,9 @@
 //! Panics in user closures: a `Db::run` or `Txn::run_child` body that
 //! unwinds must leave nothing behind. The handles' `Drop`-abort is the
 //! whole contract — locks released and pre-images restored (locking),
-//! buffers discarded and the begin pin released (optimistic) — with and
-//! without the group-commit sequencer in the commit path.
+//! buffers discarded and the begin pin released (optimistic) — in memory
+//! and on a forced log, where optimistic commits go through the
+//! group-commit sequencer.
 //!
 //! Panics below the engine: a `Vfs` that unwinds out of a log force takes
 //! down only the commit whose thread was forcing, and wedges nobody else.
@@ -14,20 +15,19 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-fn arms() -> impl Iterator<Item = (CcMode, bool)> {
-    [CcMode::Locking, CcMode::Optimistic]
-        .into_iter()
-        .flat_map(|mode| [false, true].map(|group_commit| (mode, group_commit)))
+const MODES: [CcMode; 2] = [CcMode::Locking, CcMode::Optimistic];
+
+fn arms() -> impl Iterator<Item = (CcMode, Durability)> {
+    MODES.into_iter().flat_map(|mode| [Durability::None, Durability::WalFsync].map(|d| (mode, d)))
 }
 
-fn db(mode: CcMode, group_commit: bool) -> Db<u64, i64> {
-    let db = Db::with_config(
-        DbConfig::builder()
-            .policy(DeadlockPolicy::NoWait)
-            .cc_mode(mode)
-            .group_commit(group_commit)
-            .build(),
-    );
+fn db(mode: CcMode, durability: Durability) -> Db<u64, i64> {
+    let config = DbConfig::builder()
+        .policy(DeadlockPolicy::NoWait)
+        .cc_mode(mode)
+        .durability(durability)
+        .build();
+    let db = Db::open_with_vfs(Arc::new(MemVfs::new()), "panic.wal", config).unwrap();
     db.insert(0, 10);
     db.insert(1, 20);
     db
@@ -36,7 +36,7 @@ fn db(mode: CcMode, group_commit: bool) -> Db<u64, i64> {
 /// Nothing of the panicked transaction survives: under `NoWait` a single
 /// attempt gets both keys at once, sees the pre-images, and commits; the
 /// ledger balances and no snapshot pin is left.
-fn assert_clean(db: &Db<u64, i64>, arm: (CcMode, bool)) {
+fn assert_clean(db: &Db<u64, i64>, arm: (CcMode, Durability)) {
     let seen = db
         .run_with_retries(0, |t| Ok((t.rmw(&0, |v| v + 1)?, t.rmw(&1, |v| v + 1)?)))
         .unwrap_or_else(|e| panic!("{arm:?}: keys not writable after the panic: {e}"));
@@ -133,12 +133,11 @@ enum Outcome {
 fn a_panicking_force_wedges_no_other_commit() {
     const COMMITTERS: u64 = 4;
     const COMMITS: u64 = 5;
-    for arm in arms() {
+    for mode in MODES {
         let vfs = Arc::new(PanickingVfs { mem: MemVfs::new(), nth: 3, fsyncs: AtomicU64::new(0) });
         let config = DbConfig::builder()
             .policy(DeadlockPolicy::NoWait)
-            .cc_mode(arm.0)
-            .group_commit(arm.1)
+            .cc_mode(mode)
             .durability(Durability::WalFsync)
             .build();
         let db: Db<u64, i64> = Db::open_with_vfs(vfs, "panic.wal", config).unwrap();
@@ -165,23 +164,24 @@ fn a_panicking_force_wedges_no_other_commit() {
         let outcomes: Vec<Outcome> = (0..COMMITTERS * COMMITS)
             .map(|_| {
                 rx.recv_timeout(Duration::from_secs(20))
-                    .unwrap_or_else(|_| panic!("{arm:?}: a commit never returned"))
+                    .unwrap_or_else(|_| panic!("{mode:?}: a commit never returned"))
             })
             .collect();
         let panicked = outcomes.iter().filter(|o| **o == Outcome::Panicked).count();
-        assert_eq!(panicked, 1, "{arm:?}: {outcomes:?}");
+        assert_eq!(panicked, 1, "{mode:?}: {outcomes:?}");
         assert!(
             outcomes.iter().all(|o| matches!(o, Outcome::Acked | Outcome::Wal | Outcome::Panicked)),
-            "{arm:?}: {outcomes:?}"
+            "{mode:?}: {outcomes:?}"
         );
         let later = db.run_with_retries(0, |t| {
             (0..COMMITTERS).try_for_each(|k| t.rmw(&k, |v| v + 1).map(drop))
         });
-        assert!(matches!(later, Err(TxnError::Wal { .. })), "{arm:?}: later commit got {later:?}");
+        assert!(matches!(later, Err(TxnError::Wal { .. })), "{mode:?}: later commit got {later:?}");
+        // Optimistic commits on a forced log are the staged ones.
         let s = db.stats();
-        if arm.1 {
+        if mode == CcMode::Optimistic {
             let heard = s.commits_batched + panicked as u64;
-            assert_eq!(s.commits_staged, heard, "{arm:?}: a stager heard no verdict");
+            assert_eq!(s.commits_staged, heard, "{mode:?}: a stager heard no verdict");
         }
     }
 }

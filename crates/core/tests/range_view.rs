@@ -2,7 +2,8 @@
 //! trait.
 
 use rnt_core::{
-    AuditRecord, CcMode, Db, DbConfig, DbConfigBuilder, ReadView, Snapshot, SnapshotError, TxnError,
+    AuditRecord, CcMode, Db, DbConfig, DbConfigBuilder, Durability, ReadView, Snapshot,
+    SnapshotError, TxnError,
 };
 
 fn db() -> Db<u64, i64> {
@@ -322,12 +323,18 @@ fn optimistic_batch_writer_defeats_a_range_reader_staged_behind_it() {
     // window makes the leader wait for both: they validate in one batch,
     // where the first staged survives and the second must lose to it
     // through the in-batch write overlay (nothing is in the chains yet).
-    let db = opt_db(
-        DbConfig::builder()
-            .group_commit(true)
-            .max_batch(2)
-            .max_batch_wait(std::time::Duration::from_secs(30)),
-    );
+    // Staged: optimistic commits under `WalFsync`, on an in-memory disk.
+    let config = DbConfig::builder()
+        .cc_mode(CcMode::Optimistic)
+        .durability(Durability::WalFsync)
+        .max_batch(2)
+        .max_batch_wait(std::time::Duration::from_secs(30))
+        .build();
+    let vfs = std::sync::Arc::new(rnt_wal::MemVfs::new());
+    let db: Db<u64, i64> = Db::open_with_vfs(vfs, "range.wal", config).unwrap();
+    for k in 0..10 {
+        db.insert(k, k as i64 * 10);
+    }
     let start = std::sync::Barrier::new(2);
     let verdicts: Vec<Result<(), TxnError>> = std::thread::scope(|scope| {
         let handles: Vec<_> = [3u64, 5]

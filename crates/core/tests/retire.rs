@@ -5,7 +5,8 @@
 //! orphan commit, deadlock victim, optimistic loser, group-commit batch —
 //! and a later writer is never blocked by what it left in the lock table.
 
-use rnt_core::{CcMode, Db, DbConfig, DeadlockPolicy, TxnError};
+use rnt_core::{CcMode, Db, DbConfig, DeadlockPolicy, Durability, TxnError};
+use rnt_wal::MemVfs;
 use std::sync::{Arc, Barrier};
 
 fn db(config: DbConfig) -> Db<u64, i64> {
@@ -105,24 +106,30 @@ fn an_optimistic_loser_leaves_nothing_resident() {
     assert_eq!(resident(&db), 0);
 }
 
+/// Staged commits — optimistic ones under `WalFsync` — retire their
+/// trees too, on whichever thread leads their batch.
 #[test]
 fn group_commit_batches_leave_nothing_resident() {
-    for mode in [CcMode::Locking, CcMode::Optimistic] {
-        let db = db(DbConfig::builder().cc_mode(mode).group_commit(true).build());
-        std::thread::scope(|s| {
-            for k in 0..2u64 {
-                let db = &db;
-                s.spawn(move || {
-                    for _ in 0..200 {
-                        db.run(|t| t.run_child(8, |c| c.rmw(&k, |v| v + 1))).unwrap();
-                    }
-                });
-            }
-        });
-        let stats = db.stats();
-        assert_eq!(stats.commits_batched, 400, "{mode:?}");
-        assert_eq!(stats.txns_resident, 0, "{mode:?}");
+    let config =
+        DbConfig::builder().cc_mode(CcMode::Optimistic).durability(Durability::WalFsync).build();
+    let db: Db<u64, i64> =
+        Db::open_with_vfs(Arc::new(MemVfs::new()), "retire.wal", config).unwrap();
+    for k in 0..4 {
+        db.insert(k, 10 * k as i64);
     }
+    std::thread::scope(|s| {
+        for k in 0..2u64 {
+            let db = &db;
+            s.spawn(move || {
+                for _ in 0..200 {
+                    db.run(|t| t.run_child(8, |c| c.rmw(&k, |v| v + 1))).unwrap();
+                }
+            });
+        }
+    });
+    let stats = db.stats();
+    assert_eq!(stats.commits_batched, 400);
+    assert_eq!(stats.txns_resident, 0);
 }
 
 /// The last-handle race: a top-level transaction aborts on one thread

@@ -133,11 +133,11 @@ pub enum PinError {
 ///   pin either lands before the publisher reads the pin set (and is
 ///   respected) or after the watermark advanced (and pins `w+1`).
 ///   Allocation and publication may be two holds
-///   ([`MvccStore::reserve`]): epochs reserved in one hold are published
-///   in a later one, **in epoch order** — a run waits until the watermark
-///   reaches its base. Out of order, a run's in-place head overwrite
-///   (no pin below it) could hide a version a pin on the earlier run's
-///   base still needs.
+///   ([`MvccStore::reserve`]): an epoch reserved in one hold is published
+///   in a later one, **in epoch order** — it waits until the watermark
+///   reaches the epoch below it. Out of order, a commit's in-place head
+///   overwrite (no pin below it) could hide a version a pin on the
+///   earlier epoch still needs.
 /// * `min_pin` — cached minimum live pin (`u64::MAX` when none), read on
 ///   the append path so reclamation needs no pin-table lock.
 ///
@@ -232,14 +232,14 @@ impl Order {
     }
 
     /// Hold the publish lock (re-taking it if `held` is `None`) at the
-    /// turn of the run based at `base`: once the watermark reached it.
+    /// turn of `epoch`: once the watermark reached the epoch below it.
     fn lock_turn<'a>(
         &'a self,
         held: Option<MutexGuard<'a, usize>>,
-        base: u64,
+        epoch: u64,
     ) -> MutexGuard<'a, usize> {
         let mut guard = held.unwrap_or_else(|| self.lock.lock());
-        while self.watermark.load(Ordering::Acquire) != base {
+        while self.watermark.load(Ordering::Acquire) + 1 != epoch {
             self.park(&mut guard);
         }
         guard
@@ -287,7 +287,8 @@ impl Drop for SeqCrit<'_> {
 }
 
 /// An exclusive publication ticket for one top-level commit, returned by
-/// [`MvccStore::begin_publish`]. Holds the publish lock; the commit
+/// [`MvccStore::begin_publish`], or by [`Reservation::publish`] at the
+/// reserved epoch's turn. Holds the publish lock; the commit
 /// appends its versions at [`Publish::epoch`] and drops the ticket, which
 /// advances the watermark — the instant the commit becomes visible to new
 /// snapshots.
@@ -317,15 +318,15 @@ impl std::fmt::Debug for Publish<'_> {
 
 impl Drop for Publish<'_> {
     fn drop(&mut self) {
-        // Allocated with nothing reserved ahead, so this is watermark + 1.
+        // Allocated with nothing reserved ahead, or published at its
+        // turn: either way this is watermark + 1.
         self.order.advance(&self.guard, self.epoch);
     }
 }
 
 /// An exclusive publication ticket for a *batch* of top-level commits:
-/// an optimistic gate converted by [`PublishGate::into_batch`], or a
-/// [`Reservation`] at its turn. Holds the publish lock; participant `i`
-/// (0-based) appends its versions at
+/// an optimistic gate converted by [`PublishGate::into_batch`]. Holds
+/// the publish lock; participant `i` (0-based) appends its versions at
 /// [`PublishBatch::epoch_of(i)`](PublishBatch::epoch_of). Dropping the
 /// ticket advances the watermark past the entire epoch run — the batch
 /// becomes visible to new snapshots as one unit, never as a prefix.
@@ -369,43 +370,37 @@ impl std::fmt::Debug for PublishBatch<'_> {
 
 impl Drop for PublishBatch<'_> {
     fn drop(&mut self) {
-        // Taken at the run's turn: base is the watermark, so this is a
+        // Allocated at the watermark under this lock, so this is a
         // contiguous advance.
         self.order.advance(&self.guard, self.base + self.len);
     }
 }
 
-/// A contiguous epoch run allocated ahead of its publication, returned by
+/// One commit epoch allocated ahead of its publication, returned by
 /// [`MvccStore::reserve`]: the two halves of a publication that must not
 /// hold the publish lock in between.
 ///
 /// It is born holding the lock, so whatever the caller orders against
 /// the allocation (a log append) happens in the same hold;
 /// [`Reservation::leave_gate`] releases it. [`Reservation::publish`]
-/// then waits for the run's **turn** — every earlier run published —
-/// and returns the [`PublishBatch`] ticket the run appends under.
-/// Reserved epochs stay above the watermark until then: no pin can land
-/// on them, and no later run can publish first.
+/// then waits for the epoch's **turn** — every earlier epoch published —
+/// and returns the [`Publish`] ticket the commit appends under.
+/// A reserved epoch stays above the watermark until then: no pin can
+/// land on it, and no later reservation can publish first.
 ///
-/// Dropped unpublished, a reservation still publishes its run in turn,
-/// empty, so no later run waits on it forever.
+/// Dropped unpublished, a reservation still publishes its epoch in turn,
+/// empty, so no later reservation waits on it forever.
 pub struct Reservation<'a> {
     order: &'a Order,
     gate: Option<MutexGuard<'a, usize>>,
-    base: u64,
-    len: u64,
+    epoch: u64,
     published: bool,
 }
 
 impl<'a> Reservation<'a> {
-    /// The first epoch of the run.
-    pub fn first_epoch(&self) -> u64 {
-        self.base + 1
-    }
-
-    /// The last epoch of the run.
-    pub fn last_epoch(&self) -> u64 {
-        self.base + self.len
+    /// The reserved commit epoch.
+    pub fn epoch(&self) -> u64 {
+        self.epoch
     }
 
     /// Release the publish lock taken at allocation (idempotent).
@@ -413,20 +408,18 @@ impl<'a> Reservation<'a> {
         self.gate = None;
     }
 
-    /// Wait for the run's turn and take the publish lock for it.
-    pub fn publish(mut self) -> PublishBatch<'a> {
+    /// Wait for the epoch's turn and take the publish lock for it.
+    pub fn publish(mut self) -> Publish<'a> {
         self.published = true;
-        let guard = self.order.lock_turn(self.gate.take(), self.base);
-        let (order, base, len) = (self.order, self.base, self.len);
-        PublishBatch { order, _crit: SeqCrit::enter(order), guard, base, len }
+        let guard = self.order.lock_turn(self.gate.take(), self.epoch);
+        Publish { order: self.order, _crit: SeqCrit::enter(self.order), guard, epoch: self.epoch }
     }
 }
 
 impl std::fmt::Debug for Reservation<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Reservation")
-            .field("first_epoch", &self.first_epoch())
-            .field("last_epoch", &self.last_epoch())
+            .field("epoch", &self.epoch)
             .field("holds_gate", &self.gate.is_some())
             .finish_non_exhaustive()
     }
@@ -435,8 +428,8 @@ impl std::fmt::Debug for Reservation<'_> {
 impl Drop for Reservation<'_> {
     fn drop(&mut self) {
         if !self.published {
-            let guard = self.order.lock_turn(self.gate.take(), self.base);
-            self.order.advance(&guard, self.base + self.len);
+            let guard = self.order.lock_turn(self.gate.take(), self.epoch);
+            self.order.advance(&guard, self.epoch);
         }
     }
 }
@@ -696,22 +689,16 @@ where
         Publish { order: &self.order, _crit: crit, guard, epoch }
     }
 
-    /// Allocate the contiguous epoch run `reserved+1 ..= reserved+n` for
-    /// a batch of `n` top-level commits, holding the publish lock until
-    /// [`Reservation::leave_gate`]; publish it later, in turn, with
-    /// [`Reservation::publish`]. This is the group-commit amortization —
-    /// one allocation and one watermark advance for the whole batch —
-    /// split so that whatever the caller does between the halves (a log
-    /// force) overlaps other runs' halves.
-    ///
-    /// # Panics
-    /// If `n == 0` — an empty batch has no epochs to allocate.
-    pub fn reserve(&self, n: usize) -> Reservation<'_> {
-        assert!(n > 0, "empty publish batch");
+    /// Allocate the next epoch, `reserved+1`, for one top-level commit,
+    /// holding the publish lock until [`Reservation::leave_gate`]; publish
+    /// it later, in turn, with [`Reservation::publish`]. The publication
+    /// is split so that whatever the caller does between the halves (a
+    /// log force) overlaps other commits' halves.
+    pub fn reserve(&self) -> Reservation<'_> {
         let gate = self.order.lock.lock();
-        let base = self.order.reserved.load(Ordering::Relaxed);
-        self.order.reserved.store(base + n as u64, Ordering::Relaxed);
-        Reservation { order: &self.order, gate: Some(gate), base, len: n as u64, published: false }
+        let epoch = self.order.reserved.load(Ordering::Relaxed) + 1;
+        self.order.reserved.store(epoch, Ordering::Relaxed);
+        Reservation { order: &self.order, gate: Some(gate), epoch, published: false }
     }
 
     /// Enter the publish critical section *without* allocating an epoch.
@@ -1255,28 +1242,28 @@ mod tests {
     }
 
     #[test]
-    fn a_reservation_allocates_a_contiguous_run_and_publishes_it_at_once() {
+    fn a_reservation_allocates_an_epoch_and_publishes_it_when_the_ticket_drops() {
         let s = store();
         s.append(&1, GENESIS_EPOCH, 0);
         commit(&s, 1, 1); // watermark -> 1
-        let mut run = s.reserve(3);
-        assert_eq!((run.first_epoch(), run.last_epoch()), (2, 4));
-        run.leave_gate();
+        let mut reserved = s.reserve();
+        assert_eq!(reserved.epoch(), 2);
+        reserved.leave_gate();
         // Allocated is not published: a pin still lands on the watermark.
         assert_eq!(s.watermark(), 1);
         let pin = s.pin();
         assert_eq!(pin, 1);
-        let batch = run.publish();
-        assert_eq!((batch.epoch_of(0), batch.epoch_of(2)), (2, 4));
-        for i in 0..3 {
-            s.append(&(10 + i as u64), batch.epoch_of(i), i as i64);
+        let publish = reserved.publish();
+        assert_eq!(publish.epoch(), 2);
+        for k in 10..13u64 {
+            s.append(&k, publish.epoch(), k as i64);
         }
-        // Nothing visible until the ticket drops: no partial batch.
+        // Nothing visible until the ticket drops: no partial commit.
         assert_eq!(s.watermark(), 1);
-        drop(batch);
-        assert_eq!(s.watermark(), 4, "whole run published at once");
-        // Numbering continues contiguously after a run.
-        assert_eq!(commit(&s, 1, 9), 5);
+        drop(publish);
+        assert_eq!(s.watermark(), 2, "the whole commit published at once");
+        // Numbering continues contiguously after a reservation.
+        assert_eq!(commit(&s, 1, 9), 3);
         s.unpin(pin);
     }
 
@@ -1284,7 +1271,7 @@ mod tests {
     #[should_panic(expected = "outside batch")]
     fn batch_epoch_out_of_range_panics() {
         let s = store();
-        let batch = s.reserve(2).publish();
+        let batch = s.begin_publish_gate().into_batch(2);
         batch.epoch_of(2);
     }
 
@@ -1294,15 +1281,15 @@ mod tests {
         for k in 0..2u64 {
             s.append(&k, GENESIS_EPOCH, 10);
         }
-        let mut earlier = s.reserve(1);
+        let mut earlier = s.reserve();
         earlier.leave_gate();
         std::thread::scope(|scope| {
             let s = &s;
             let later = scope.spawn(move || {
-                let later = s.reserve(1);
-                assert_eq!(later.first_epoch(), 2);
-                let batch = later.publish();
-                s.append(&1, batch.epoch_of(0), 12);
+                let later = s.reserve();
+                assert_eq!(later.epoch(), 2);
+                let publish = later.publish();
+                s.append(&1, publish.epoch(), 12);
             });
             std::thread::sleep(std::time::Duration::from_millis(20));
             assert!(!later.is_finished(), "the later run published before its turn");
@@ -1312,9 +1299,9 @@ mod tests {
             // absent. In turn, it reads every key it could before.
             let pin = s.pin();
             assert_eq!((s.read_at(&0, pin), s.read_at(&1, pin)), (Some(10), Some(10)));
-            let batch = earlier.publish();
-            s.append(&0, batch.epoch_of(0), 11);
-            drop(batch);
+            let publish = earlier.publish();
+            s.append(&0, publish.epoch(), 11);
+            drop(publish);
             later.join().unwrap();
             assert_eq!(s.watermark(), 2);
             assert_eq!((s.read_at(&0, pin), s.read_at(&1, pin)), (Some(10), Some(10)));
@@ -1327,23 +1314,24 @@ mod tests {
     fn a_dropped_reservation_still_advances_the_watermark() {
         let s = store();
         s.append(&1, GENESIS_EPOCH, 0);
-        // Dropped while still holding the gate, a run publishes empty.
-        drop(s.reserve(1));
+        // Dropped while still holding the gate, a reservation publishes
+        // its epoch empty.
+        drop(s.reserve());
         assert_eq!(s.watermark(), 1);
-        let mut abandoned = s.reserve(2);
+        let mut abandoned = s.reserve();
         abandoned.leave_gate();
-        let mut next = s.reserve(1);
+        let mut next = s.reserve();
         next.leave_gate();
-        assert_eq!(next.first_epoch(), 4);
-        // Dropped after leaving the gate, it takes its turn like any run,
-        // so the run behind it is not stranded.
+        assert_eq!(next.epoch(), 3);
+        // Dropped after leaving the gate, it takes its turn like any
+        // reservation, so the one behind it is not stranded.
         drop(abandoned);
+        assert_eq!(s.watermark(), 2);
+        s.append(&1, next.publish().epoch(), 7);
         assert_eq!(s.watermark(), 3);
-        s.append(&1, next.publish().epoch_of(0), 7);
-        assert_eq!(s.watermark(), 4);
         // A one-hold publication allocates after every reservation.
-        assert_eq!(commit(&s, 1, 8), 5);
-        assert_eq!(s.chain(&1), vec![(5, 8)]);
+        assert_eq!(commit(&s, 1, 8), 4);
+        assert_eq!(s.chain(&1), vec![(4, 8)]);
     }
 
     #[test]

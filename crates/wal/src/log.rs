@@ -3,7 +3,7 @@
 
 use crate::crc32;
 use crate::error::WalError;
-use crate::record::Record;
+use crate::record::{Record, TAG_CHECKPOINT};
 use crate::vfs::Vfs;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -89,6 +89,22 @@ fn parse_frames(
         }
     }
     (records, offset, None)
+}
+
+/// The offset past the frame at `offset` if it is a whole `Checkpoint`
+/// frame whose CRC checks, else `offset` itself, leaving the frame to the
+/// parse that follows, which reports a bad one. The image is checked,
+/// never decoded.
+fn skip_checkpoint(bytes: &[u8], offset: usize) -> usize {
+    let Some(header) = bytes.get(offset..offset + 8) else { return offset };
+    let len = u32::from_le_bytes(header[..4].try_into().expect("4")) as usize;
+    let stored = u32::from_le_bytes(header[4..].try_into().expect("4"));
+    match bytes.get(offset + 8..offset + 8 + len) {
+        Some(payload) if payload.first() == Some(&TAG_CHECKPOINT) && crc32(payload) == stored => {
+            offset + 8 + len
+        }
+        _ => offset,
+    }
 }
 
 fn check_magic(bytes: &[u8]) -> Result<(), WalError> {
@@ -177,7 +193,9 @@ impl WalForce {
     /// returned are read under the guard it returns — strictly, since
     /// with appends held off a torn tail is corruption. Sound as long as
     /// nothing but appends changes the file meanwhile. Returns every
-    /// record in log order, and the guard.
+    /// record in log order but a leading `Checkpoint`, and the guard. That
+    /// image is one the caller is about to replace, so it is CRC-checked
+    /// and skipped, never decoded.
     pub fn read_back<G>(
         &self,
         hold_appends: impl FnOnce() -> G,
@@ -186,7 +204,8 @@ impl WalForce {
         check_magic(&bytes)?;
         // Stops early at a frame still landing, or at corruption, which
         // the strict read below then reports.
-        let (mut records, end, _) = parse_frames(&bytes, MAGIC.len(), 0);
+        let start = skip_checkpoint(&bytes, MAGIC.len());
+        let (mut records, end, _) = parse_frames(&bytes, start, 0);
         let guard = hold_appends();
         match parse_frames(&self.vfs.read_from(&self.path, end)?, 0, end) {
             (rest, _, None) => {
@@ -336,6 +355,25 @@ mod tests {
         };
         let (read, ()) = force.read_back(hold_appends).unwrap();
         assert_eq!(read, records);
+    }
+
+    /// A read-back CRC-checks a leading checkpoint but does not decode or
+    /// return it: only the records after it come back. A flipped bit
+    /// inside the image is still corruption, reported at its frame.
+    #[test]
+    fn read_back_checks_a_leading_checkpoint_without_returning_it() {
+        let image = (0..1000u32).map(|k| (k.to_le_bytes().to_vec(), 1, vec![7; 16])).collect();
+        let records = [Record::Checkpoint { epoch: 1, snapshot: image }, commit(5, 2, 1, 50)];
+        let vfs = Arc::new(MemVfs::new());
+        vfs.install("t.wal", bytes_of(&records));
+        let force = Wal::open(vfs.clone(), "t.wal").unwrap().force_handle();
+        let (read, ()) = force.read_back(|| ()).unwrap();
+        assert_eq!(read, records[1..]);
+        let mut bytes = vfs.snapshot("t.wal");
+        bytes[MAGIC.len() + 8 + 100] ^= 1;
+        vfs.install("t.wal", bytes);
+        let err = force.read_back(|| ()).unwrap_err();
+        assert!(matches!(err, WalError::BadCrc { offset: 8, .. }), "{err:?}");
     }
 
     /// Once appends are held off, an incomplete last frame is corruption,

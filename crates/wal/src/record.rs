@@ -12,7 +12,7 @@ pub const INIT_ACTION: u64 = u64::MAX;
 
 const TAG_WRITE: u8 = 2;
 const TAG_COMMIT: u8 = 3;
-const TAG_CHECKPOINT: u8 = 5;
+pub(crate) const TAG_CHECKPOINT: u8 = 5;
 
 /// One top-level commit inside a [`Record::Commit`] frame: everything
 /// replay needs to redo it, with no reference to any other record.
