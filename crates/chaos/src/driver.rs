@@ -694,9 +694,6 @@ pub fn run_with_plan(config: &ChaosConfig, plan: &FaultPlan) -> ChaosReport {
             (true, false) => Durability::Wal,
             (true, true) => Durability::WalFsync,
         })
-        // Zero batch window: the single-threaded driver must never have a
-        // leader wait for peers that cannot arrive.
-        .max_batch_wait(Duration::ZERO)
         .build();
     let (vfs, db): (Option<Arc<MemVfs>>, Db<u64, i64>) = if config.wal {
         let vfs = Arc::new(MemVfs::new());

@@ -181,7 +181,6 @@ fn fcw_db(durability: Durability) -> (Arc<MemVfs>, Db<u64, i64>) {
         .policy(DeadlockPolicy::NoWait)
         .audit(true)
         .durability(durability)
-        .max_batch_wait(std::time::Duration::ZERO)
         .build();
     let db = Db::open_with_vfs(vfs.clone(), WAL_PATH, config).expect("open");
     (vfs, db)

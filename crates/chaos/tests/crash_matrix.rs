@@ -14,8 +14,10 @@ use rnt_chaos::{run_with_plan, ChaosConfig, FaultEvent, FaultKind, FaultPlan};
 use rnt_core::{CcMode, Db, DbConfig, DeadlockPolicy, Durability};
 use rnt_wal::faults::{cut_at_record, record_count, record_offsets};
 use rnt_wal::{frame, scan, CommitEntry, MemVfs, Record, INIT_ACTION, MAGIC};
-use std::sync::{Arc, Barrier};
-use std::time::Duration;
+use std::sync::Arc;
+
+mod common;
+use common::gate::{staged_reaches, GateVfs};
 
 fn wal_db() -> (Arc<MemVfs>, Db<u64, i64>) {
     let vfs = Arc::new(MemVfs::new());
@@ -304,40 +306,45 @@ fn batch_is_all_or_nothing_at_every_byte() {
 /// The same matrix over a log the *engine* wrote: real threads group-
 /// committed through the pipeline, so the batch frame under test
 /// is production output, not a handcrafted fixture. Optimistic commits
-/// under `WalFsync` are the ones staged.
+/// under `WalFsync` are the ones staged: the first commit leads with its
+/// force parked on a closed disk, the rest queue behind it, and the next
+/// leader retires them as one multi-participant frame.
 #[test]
 fn engine_written_batch_crash_matrix() {
     const THREADS: usize = 4;
-    let vfs = Arc::new(MemVfs::new());
+    let vfs = GateVfs::closed();
+    vfs.open();
     let config = DbConfig::builder()
         .cc_mode(CcMode::Optimistic)
         .policy(DeadlockPolicy::NoWait)
         .audit(true)
         .durability(Durability::WalFsync)
-        .max_batch(THREADS)
-        .max_batch_wait(Duration::from_secs(2))
         .build();
-    let db = Arc::new(Db::<u64, i64>::open_with_vfs(vfs.clone(), WAL_PATH, config).expect("open"));
+    let db = Db::<u64, i64>::open_with_vfs(vfs.clone(), WAL_PATH, config).expect("open");
     for k in 0..THREADS as u64 {
         db.insert(k, k as i64 * 10);
     }
-    let barrier = Arc::new(Barrier::new(THREADS));
-    let handles: Vec<_> = (0..THREADS as u64)
+    // All writes buffered before the leader takes the disk: an optimistic
+    // begin pins its snapshot under the gate the leader holds.
+    let mut txns: Vec<_> = (0..THREADS as u64)
         .map(|k| {
-            let db = db.clone();
-            let barrier = barrier.clone();
-            std::thread::spawn(move || {
-                let t = db.begin();
-                t.rmw(&k, |v| v + 100).unwrap();
-                // All writes buffered before anyone stages: every commit
-                // lands inside the leader's batch window.
-                barrier.wait();
-                t.commit().unwrap();
-            })
+            let t = db.begin();
+            t.rmw(&k, |v| v + 100).unwrap();
+            t
         })
         .collect();
+    let leader = txns.remove(0);
+    vfs.close();
+    let leading = std::thread::spawn(move || leader.commit());
+    vfs.wait_parked();
+    let handles: Vec<_> =
+        txns.into_iter().map(|t| std::thread::spawn(move || t.commit())).collect();
+    let queued = staged_reaches(&db, THREADS as u64);
+    vfs.open();
+    assert!(queued, "the followers never reached the queue");
+    leading.join().unwrap().unwrap();
     for h in handles {
-        h.join().unwrap();
+        h.join().unwrap().unwrap();
     }
     let stats = db.stats();
     assert_eq!(stats.commits_staged, THREADS as u64);
@@ -348,7 +355,7 @@ fn engine_written_batch_crash_matrix() {
         stats.commit_batches
     );
 
-    let bytes = vfs.snapshot(WAL_PATH);
+    let bytes = vfs.mem.snapshot(WAL_PATH);
     let (records, _) = scan(&bytes).expect("engine log scans");
     assert!(records.iter().any(is_batch), "expected a multi-commit frame in the engine log");
 

@@ -25,9 +25,11 @@
 use rnt_chaos::recovery::{check_crash_recovery, WAL_PATH};
 use rnt_chaos::{run, ChaosConfig};
 use rnt_core::{CcMode, Db, DbConfig, DeadlockPolicy, Durability};
-use rnt_wal::MemVfs;
 use std::sync::Arc;
 use std::time::Duration;
+
+mod common;
+use common::SlowVfs;
 
 /// ≥1000 optimistic seeds, each run direct and staged: identical
 /// fingerprints, WAL bytes, counts, and passing verdicts on both sides.
@@ -69,18 +71,17 @@ fn optimistic_staging_is_invisible_under_snapshot_oracle() {
 }
 
 /// Optimistic committers on disjoint keys, under `durability`: `Wal`
-/// retires every commit directly, `WalFsync` stages every one.
-fn concurrent_run(durability: Durability) -> (Arc<MemVfs>, Db<u64, i64>) {
+/// retires every commit directly, `WalFsync` stages every one, and
+/// batches form from the commits that queue behind a slow force.
+fn concurrent_run(durability: Durability) -> (Arc<SlowVfs>, Db<u64, i64>) {
     const THREADS: u64 = 4;
     const COMMITS: i64 = 12;
-    let vfs = Arc::new(MemVfs::new());
+    let vfs = Arc::new(SlowVfs::new(Duration::from_micros(200)));
     let config = DbConfig::builder()
         .cc_mode(CcMode::Optimistic)
         .policy(DeadlockPolicy::NoWait)
         .audit(true)
         .durability(durability)
-        .max_batch(THREADS as usize)
-        .max_batch_wait(Duration::from_micros(200))
         .build();
     let db = Arc::new(Db::<u64, i64>::open_with_vfs(vfs.clone(), WAL_PATH, config).expect("open"));
     for k in 0..THREADS {
@@ -132,7 +133,7 @@ fn concurrent_group_commit_converges_to_the_same_state() {
     assert_eq!(on.commits_batched, on.commits_staged, "conservation: staged = retired");
     assert!(on.commit_batches >= 1 && on.commit_batches <= on.commits_batched);
     for (mode, vfs) in [("off", vfs_off), ("on", vfs_on)] {
-        if let Err(e) = check_crash_recovery(&vfs.snapshot(WAL_PATH)) {
+        if let Err(e) = check_crash_recovery(&vfs.mem.snapshot(WAL_PATH)) {
             panic!("recovery oracle rejected the {mode} log: {e}");
         }
     }

@@ -2,8 +2,8 @@
 //!
 //! The sequencer stages optimistic commits — the ones that force under
 //! the publish gate — over arbitrary thread counts, arrival staggers and
-//! batch configurations (`max_batch` × `max_batch_wait`), all of which
-//! must preserve its contract:
+//! fsync latencies; batches form from the commits that queue behind a
+//! slow force, and every schedule must preserve its contract:
 //!
 //! * **conservation** — no commit is lost or invented: every `commit()`
 //!   call returns, `commits_staged == commits_batched`, and every
@@ -14,8 +14,8 @@
 //!   rejects any log whose commit epochs are not strictly increasing in
 //!   record order, so a passing [`reference_trace`] *is* the ordering
 //!   proof; its committed state must equal the live engine's;
-//! * **bounded batches** — no commit frame carries more than `max_batch`
-//!   commits, and each retired batch is exactly one frame.
+//! * **one frame per batch** — each retired batch is exactly one commit
+//!   frame.
 //!
 //! Locking commits retire directly, one frame and one force each, and
 //! force outside the publish gate:
@@ -30,90 +30,14 @@
 use proptest::prelude::*;
 use rnt_chaos::recovery::{reference_trace, WAL_PATH};
 use rnt_core::{CcMode, Db, DbConfig, DeadlockPolicy, Durability};
-use rnt_wal::{frame, scan, MemVfs, Record, Vfs, WalError, MAGIC};
+use rnt_wal::{frame, scan, Record, MAGIC};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-/// A [`MemVfs`] whose fsync takes `latency` (a sleep, so the other
-/// threads run even on one core). Each fsync covers the bytes appended
-/// before it began, and publishes that length as durable when it
-/// returns. It counts the forces in flight at once, the appends that
-/// arrive while one is, and the engine calls that start and finish
-/// inside one force ([`SlowVfs::inside`]).
-struct SlowVfs {
-    mem: MemVfs,
-    latency: Duration,
-    /// Forces in flight now, and the most ever at once.
-    forcing: AtomicU64,
-    most_forcing: AtomicU64,
-    /// Forces started so far: tells one force from the next.
-    forces: AtomicU64,
-    /// The longest log prefix a returned force covered.
-    durable: AtomicU64,
-    appends_during_force: AtomicU64,
-    calls_during_force: AtomicU64,
-}
-
-impl SlowVfs {
-    fn new(latency: Duration) -> Self {
-        SlowVfs {
-            mem: MemVfs::new(),
-            latency,
-            forcing: AtomicU64::new(0),
-            most_forcing: AtomicU64::new(0),
-            forces: AtomicU64::new(0),
-            durable: AtomicU64::new(0),
-            appends_during_force: AtomicU64::new(0),
-            calls_during_force: AtomicU64::new(0),
-        }
-    }
-
-    /// Run `call`, counting it if forces were in flight from before it
-    /// began until after it returned, with none starting meanwhile —
-    /// which could not be, were the force holding a lock `call` needs.
-    fn inside<R>(&self, call: impl FnOnce() -> R) -> R {
-        let during = || {
-            (self.forcing.load(Ordering::SeqCst) > 0).then(|| self.forces.load(Ordering::SeqCst))
-        };
-        let before = during();
-        let out = call();
-        if before.is_some() && during() == before {
-            self.calls_during_force.fetch_add(1, Ordering::Relaxed);
-        }
-        out
-    }
-}
-
-impl Vfs for SlowVfs {
-    fn append(&self, path: &str, data: &[u8]) -> Result<(), WalError> {
-        if self.forcing.load(Ordering::SeqCst) > 0 {
-            self.appends_during_force.fetch_add(1, Ordering::Relaxed);
-        }
-        self.mem.append(path, data)
-    }
-    fn fsync(&self, path: &str) -> Result<(), WalError> {
-        let covers = self.mem.snapshot(path).len() as u64;
-        self.forces.fetch_add(1, Ordering::SeqCst);
-        let now = self.forcing.fetch_add(1, Ordering::SeqCst) + 1;
-        self.most_forcing.fetch_max(now, Ordering::SeqCst);
-        std::thread::sleep(self.latency);
-        self.forcing.fetch_sub(1, Ordering::SeqCst);
-        self.mem.fsync(path)?;
-        self.durable.fetch_max(covers, Ordering::SeqCst);
-        Ok(())
-    }
-    fn read(&self, path: &str) -> Result<Vec<u8>, WalError> {
-        self.mem.read(path)
-    }
-    fn replace(&self, path: &str, data: &[u8]) -> Result<(), WalError> {
-        self.mem.replace(path, data)
-    }
-    fn exists(&self, path: &str) -> bool {
-        self.mem.exists(path)
-    }
-}
+mod common;
+use common::SlowVfs;
 
 /// How a run on a [`SlowVfs`] overlapped its forces.
 struct Overlap {
@@ -241,17 +165,14 @@ proptest! {
     fn sequencer_contract_holds(
         threads in 1usize..7,
         commits_per in 1usize..5,
-        max_batch in 1usize..9,
-        wait_us in 0u64..400,
+        fsync_us in 0u64..400,
         staggers in prop::collection::vec(0u64..150, 6),
     ) {
-        let vfs = Arc::new(MemVfs::new());
+        let vfs = Arc::new(SlowVfs::new(Duration::from_micros(fsync_us)));
         let config = DbConfig::builder()
             .cc_mode(CcMode::Optimistic)
             .policy(DeadlockPolicy::NoWait)
             .durability(Durability::WalFsync)
-            .max_batch(max_batch)
-            .max_batch_wait(Duration::from_micros(wait_us))
             .build();
         let db = Arc::new(
             Db::<u64, i64>::open_with_vfs(vfs.clone(), WAL_PATH, config).expect("open"),
@@ -290,11 +211,6 @@ proptest! {
             stats.wal_fsyncs, stats.commit_batches,
             "exactly one force per retired batch"
         );
-        prop_assert!(
-            stats.commit_batches * max_batch as u64 >= total,
-            "{} batches of ≤{} cannot carry {} commits",
-            stats.commit_batches, max_batch, total
-        );
         prop_assert_eq!(db.epochs().watermark, total, "one epoch per top-level commit");
         for k in 0..threads as u64 {
             prop_assert_eq!(
@@ -303,21 +219,12 @@ proptest! {
             );
         }
 
-        // The log side: one bounded frame per batch, and the reference
+        // The log side: one frame per batch, and the reference
         // interpreter's strictly-increasing-epoch rule doubles as the
         // ordering oracle.
-        let bytes = vfs.snapshot(WAL_PATH);
+        let bytes = vfs.mem.snapshot(WAL_PATH);
         let (records, _) = scan(&bytes).expect("live log scans clean");
         prop_assert_eq!(records.len() as u64, threads as u64 + stats.commit_batches);
-        for r in &records {
-            if let Record::Commit { commits } = r {
-                prop_assert!(
-                    commits.len() <= max_batch,
-                    "a frame with {} participants exceeds max_batch {}",
-                    commits.len(), max_batch
-                );
-            }
-        }
         let trace = reference_trace(&records);
         prop_assert!(
             trace.is_ok(),

@@ -26,8 +26,11 @@ use rnt_core::{CcMode, Db, DbConfig, DeadlockPolicy, Durability, Snapshot};
 use rnt_sim::reference::ScriptOp;
 use rnt_wal::{scan, MemVfs, Record};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::time::Duration;
+
+mod common;
+use common::SlowVfs;
 
 #[test]
 fn range_seed_sweep_in_memory() {
@@ -223,29 +226,31 @@ proptest! {
 fn snapshots_never_observe_a_half_published_batch() {
     // Four writers own disjoint key stripes; each transaction rewrites
     // its whole stripe to one uniform stamp, and group commit coalesces
-    // the publications (optimistic commits under `WalFsync` are the ones
-    // staged). Concurrent scanners assert every range walk sees each
+    // the publications that queue behind a slow force (optimistic commits
+    // under `WalFsync` are the ones staged). Concurrent scanners assert every range walk sees each
     // stripe uniform (publication is atomic even inside a batch), and
     // that every pinned epoch re-opens via `snapshot_at`.
     const WRITERS: u64 = 4;
     const STRIPE: u64 = 4;
     const ROUNDS: i64 = 40;
-    let vfs = Arc::new(MemVfs::new());
+    let vfs = Arc::new(SlowVfs::new(Duration::from_micros(500)));
     let config = DbConfig::builder()
         .cc_mode(CcMode::Optimistic)
         .policy(DeadlockPolicy::NoWait)
         .durability(Durability::WalFsync)
-        .max_batch(8)
-        .max_batch_wait(Duration::from_micros(500))
         .build();
     let db = Arc::new(Db::<u64, i64>::open_with_vfs(vfs.clone(), WAL_PATH, config).expect("open"));
     for k in 0..WRITERS * STRIPE {
         db.insert(k, 0);
     }
     let done = Arc::new(AtomicBool::new(false));
+    // Each round's writers finish their writes before any commits: an
+    // optimistic begin waits out a force held under the publish gate, so
+    // only a transaction already begun can queue behind one.
+    let round_start = Arc::new(Barrier::new(WRITERS as usize));
     let writers: Vec<_> = (0..WRITERS)
         .map(|w| {
-            let db = db.clone();
+            let (db, round_start) = (db.clone(), round_start.clone());
             std::thread::spawn(move || {
                 for round in 1..=ROUNDS {
                     let stamp = w as i64 * 10_000 + round;
@@ -253,6 +258,7 @@ fn snapshots_never_observe_a_half_published_batch() {
                     for k in w * STRIPE..(w + 1) * STRIPE {
                         t.write(&k, stamp).expect("stripes are disjoint");
                     }
+                    round_start.wait();
                     t.commit().expect("no conflicts across stripes");
                 }
             })
@@ -295,7 +301,7 @@ fn snapshots_never_observe_a_half_published_batch() {
     // Epoch runs published by one multi-commit frame are atomic: no
     // scanner may have pinned an epoch strictly inside one (the
     // watermark jumps from below the run to its last epoch).
-    let bytes = vfs.snapshot(WAL_PATH);
+    let bytes = vfs.mem.snapshot(WAL_PATH);
     let (records, _) = scan(&bytes).expect("live log scans clean");
     let mut frames = 0usize;
     for r in &records {

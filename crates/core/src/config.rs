@@ -42,8 +42,10 @@ pub enum Durability {
     /// top-level commit: an acked commit survives any crash. A locking
     /// commit forces outside the publish gate, so forces overlap. An
     /// optimistic one forces inside its validation's gate hold, so its
-    /// commits are staged through the group-commit sequencer and a batch
-    /// shares one frame and one fsync ([`DbConfig::max_batch`]).
+    /// commits are staged through the group-commit sequencer: the
+    /// commits that queued while one batch was being forced form the
+    /// next, which shares one frame and one fsync. There is no batch size
+    /// and no batch window to set; a solo committer is never delayed.
     WalFsync,
 }
 
@@ -75,38 +77,25 @@ pub enum CcMode {
 
 /// Engine configuration. Construct via [`DbConfig::builder`] (or start
 /// from [`DbConfig::default`] and adjust fields); the struct is
-/// `#[non_exhaustive]` so new knobs can be added without breaking callers.
+/// `#[non_exhaustive]`.
+///
+/// Each field is a choice that changes what a caller observes: which
+/// conflicts wait, whether an audit log exists, what survives a crash,
+/// and when conflicts are decided. How large a group-commit batch grows
+/// and how often a parked waiter re-checks unprompted are engine facts,
+/// not settings: batches form from the commits that queue behind a
+/// force, and waits are driven by notifications.
 #[non_exhaustive]
 #[derive(Clone, Debug)]
 pub struct DbConfig {
     /// Deadlock handling policy.
     pub policy: DeadlockPolicy,
-    /// Fallback re-check bound for a single condvar wait. Notifications
-    /// drive progress — a release wakes the waiters of that key, an abort
-    /// wakes the parked transactions it orphaned — so this is never a
-    /// poll period: it only caps how long a waiter sleeps before
-    /// re-running its conflict check (and, under
-    /// [`DeadlockPolicy::Timeout`], its deadline check) unprompted.
-    pub wait_slice: Duration,
     /// Record an audit log for serializability checking.
     pub audit: bool,
     /// Write-ahead logging mode. Takes effect only when the database is
     /// created with [`Db::open`] or [`Db::recover`] (which supply the log
     /// file); [`Db::new`]/[`Db::with_config`] are always in-memory.
     pub durability: Durability,
-    /// Most commits retired in one group-commit batch (≥ 1). Only staged
-    /// commits batch: optimistic ones under [`Durability::WalFsync`] with
-    /// a log attached, whose batch shares one validation gate hold, one
-    /// WAL append + fsync and one contiguous epoch run (Lemma 7 requires
-    /// a force *before* a commit is visible, not one force *per* commit).
-    /// Every other top-level commit retires directly.
-    pub max_batch: usize,
-    /// How long a batch leader waits for more staged commits to arrive
-    /// before retiring a partial batch. Zero (the default) retires
-    /// whatever is staged immediately — batching then comes purely from
-    /// commits that queue while a leader retires the batch ahead of them,
-    /// which never delays a solo committer.
-    pub max_batch_wait: Duration,
     /// Which concurrency-control subsystem runs transactions (see
     /// [`CcMode`]). Mode is a per-database decision: every transaction of
     /// one [`Db`] runs under the same discipline.
@@ -117,11 +106,8 @@ impl Default for DbConfig {
     fn default() -> Self {
         DbConfig {
             policy: DeadlockPolicy::Detect,
-            wait_slice: Duration::from_millis(2),
             audit: false,
             durability: Durability::None,
-            max_batch: 32,
-            max_batch_wait: Duration::ZERO,
             cc_mode: CcMode::Locking,
         }
     }
@@ -157,12 +143,6 @@ impl DbConfigBuilder {
         self
     }
 
-    /// Fallback re-check bound for a single condvar wait.
-    pub fn wait_slice(mut self, slice: Duration) -> Self {
-        self.config.wait_slice = slice;
-        self
-    }
-
     /// Record an audit log for serializability checking.
     pub fn audit(mut self, audit: bool) -> Self {
         self.config.audit = audit;
@@ -178,23 +158,9 @@ impl DbConfigBuilder {
     /// Accepted and ignored. Whether a commit is batched follows from the
     /// configuration instead: an optimistic commit under
     /// [`Durability::WalFsync`] with a log attached is staged through the
-    /// group-commit sequencer, and every other commit retires directly
-    /// (see [`DbConfig::max_batch`]). Kept so that existing callers
-    /// compile.
+    /// group-commit sequencer, and every other commit retires directly.
+    /// Kept so that existing callers compile.
     pub fn group_commit(self, _on: bool) -> Self {
-        self
-    }
-
-    /// Most commits retired in one group-commit batch.
-    pub fn max_batch(mut self, n: usize) -> Self {
-        self.config.max_batch = n.max(1);
-        self
-    }
-
-    /// How long a batch leader waits for more arrivals before retiring a
-    /// partial batch (zero = retire immediately).
-    pub fn max_batch_wait(mut self, wait: Duration) -> Self {
-        self.config.max_batch_wait = wait;
         self
     }
 
@@ -219,22 +185,15 @@ mod tests {
     /// test is edited to cover it.
     #[test]
     fn builder_sets_every_field() {
-        let DbConfig { policy, wait_slice, audit, durability, max_batch, max_batch_wait, cc_mode } =
-            DbConfig::builder()
-                .policy(DeadlockPolicy::Timeout(Duration::from_millis(7)))
-                .wait_slice(Duration::from_micros(300))
-                .audit(true)
-                .durability(Durability::WalFsync)
-                .max_batch(0)
-                .max_batch_wait(Duration::from_micros(40))
-                .cc_mode(CcMode::Optimistic)
-                .build();
+        let DbConfig { policy, audit, durability, cc_mode } = DbConfig::builder()
+            .policy(DeadlockPolicy::Timeout(Duration::from_millis(7)))
+            .audit(true)
+            .durability(Durability::WalFsync)
+            .cc_mode(CcMode::Optimistic)
+            .build();
         assert_eq!(policy, DeadlockPolicy::Timeout(Duration::from_millis(7)));
-        assert_eq!(wait_slice, Duration::from_micros(300));
         assert!(audit);
         assert_eq!(durability, Durability::WalFsync);
-        assert_eq!(max_batch, 1, "a batch holds at least one commit");
-        assert_eq!(max_batch_wait, Duration::from_micros(40));
         assert_eq!(cc_mode, CcMode::Optimistic);
     }
 }

@@ -669,12 +669,11 @@ where
     /// unwinds goes uncounted.
     pub(crate) fn stage(&self, txn: TxnId, footprint: OptFootprint<K, V>) -> Result<(), TxnError> {
         self.stats.bump(|b| &b.commits_staged);
-        let (max_batch, max_wait) = (self.config.max_batch, self.config.max_batch_wait);
         let retire = |batch| {
             self.stats.bump(|b| &b.commit_batches);
             self.process_optimistic_batch(batch)
         };
-        let verdict = self.pipeline.stage(txn, footprint, max_batch, max_wait, retire);
+        let verdict = self.pipeline.stage(txn, footprint, retire);
         if is_committed(&verdict) {
             self.stats.bump(|b| &b.commits_batched);
         }

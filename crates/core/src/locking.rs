@@ -30,6 +30,14 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+/// The engine's one fallback re-check bound for a parked thread: a
+/// [`DeadlockPolicy::WaitDie`] or [`DeadlockPolicy::Detect`] lock waiter,
+/// or a stager parked in the group-commit pipeline. Notifications drive
+/// progress; the bound only caps how long a lost race could cost before
+/// the thread re-runs its check unprompted. A
+/// [`DeadlockPolicy::Timeout`] waiter sleeps to its deadline instead.
+pub(crate) const WAIT_SLICE: Duration = Duration::from_millis(2);
+
 /// A per-key wait gate: the condvar transactions blocked on this key park
 /// on, plus a generation counter bumped (under the shard lock) whenever
 /// the key's lock state changes. Comparing generations across a sleep
@@ -60,7 +68,8 @@ impl<K, V> ShardState<K, V> {
 
 /// A parked lock waiter, registered so aborts can wake transactions that
 /// just became orphans (their awaited key's state never changes, so the
-/// per-key gate alone would leave them sleeping a full wait slice).
+/// per-key gate alone would leave them sleeping a full [`WAIT_SLICE`],
+/// or to their deadline).
 pub(crate) struct WaitEntry {
     txn: TxnId,
     shard: usize,
@@ -203,8 +212,9 @@ where
                         self.stats.bump(|b| &b.timeouts);
                         return Err(TxnError::Timeout(timeout));
                     }
-                    let bound = (timeout - elapsed).min(self.config.wait_slice);
-                    self.wait_for_key_change(&mut guard, shard_idx, key, t, bound)?;
+                    // Sleep to the deadline: a release or an orphaning
+                    // abort notifies, so nothing needs an earlier re-check.
+                    self.wait_for_key_change(&mut guard, shard_idx, key, t, timeout - elapsed)?;
                 }
                 DeadlockPolicy::WaitDie => {
                     // Wait-die on (root, id): older requesters wait, younger
@@ -220,8 +230,7 @@ where
                         self.stats.bump(|b| &b.dies);
                         return Err(TxnError::Die { blocker: b });
                     }
-                    let bound = self.config.wait_slice;
-                    self.wait_for_key_change(&mut guard, shard_idx, key, t, bound)?;
+                    self.wait_for_key_change(&mut guard, shard_idx, key, t, WAIT_SLICE)?;
                 }
                 DeadlockPolicy::Detect => {
                     // Waiting on a holder means waiting on its whole active
@@ -237,8 +246,7 @@ where
                         self.stats.bump(|b| &b.deadlocks);
                         return Err(TxnError::Deadlock { cycle });
                     }
-                    let bound = self.config.wait_slice;
-                    let woke = self.wait_for_key_change(&mut guard, shard_idx, key, t, bound);
+                    let woke = self.wait_for_key_change(&mut guard, shard_idx, key, t, WAIT_SLICE);
                     self.wfg.unblock(t);
                     woke?;
                 }

@@ -331,7 +331,7 @@ where
             }
         }
         let publish = gate.into_batch(survivors.len());
-        let (first, last) = (publish.first_epoch(), publish.last_epoch());
+        let (first, last) = (publish.epoch(), publish.last_epoch());
         self.log_commit_frame(first, survivors.iter().map(|p| p.txn).zip(writes));
         self.force_log(first, last);
         // The chain is the only home of an optimistic commit: there is no
@@ -629,7 +629,6 @@ mod tests {
         let config = DbConfig::builder()
             .cc_mode(CcMode::Optimistic)
             .durability(Durability::WalFsync)
-            .max_batch(8)
             .build();
         let vfs = Arc::new(rnt_wal::MemVfs::new());
         let db: Db<u64, i64> = Db::open_with_vfs(vfs, "group.wal", config).unwrap();

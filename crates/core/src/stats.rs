@@ -49,8 +49,12 @@ pub struct StatsBlock {
     /// (a targeted `release-lock` notification did its job).
     pub wakeups_productive: AtomicU64,
     /// Wakeups with the awaited key's lock state unchanged: a
-    /// [`wait_slice`](crate::DbConfig::wait_slice) expiry. Zero when
-    /// per-key notifications, not the fallback slice, drive progress.
+    /// [`DeadlockPolicy::WaitDie`](crate::DeadlockPolicy::WaitDie) or
+    /// [`Detect`](crate::DeadlockPolicy::Detect) waiter's 2 ms fallback
+    /// re-check expiring, or a
+    /// [`Timeout`](crate::DeadlockPolicy::Timeout) waiter reaching its
+    /// deadline (at most one per timed-out wait). Zero when per-key
+    /// notifications drive progress.
     pub wakeups_spurious: AtomicU64,
     /// Release-path notifications issued to waiters.
     pub notifies: AtomicU64,
@@ -219,8 +223,8 @@ pub struct StatsSnapshot {
     pub timeouts: u64,
     /// Wakeups that observed a changed lock state on the awaited key.
     pub wakeups_productive: u64,
-    /// Wakeups that observed an unchanged lock state (a wait-slice
-    /// expiry).
+    /// Wakeups that observed an unchanged lock state (a fallback
+    /// re-check or a deadline expiring).
     pub wakeups_spurious: u64,
     /// Release-path notifications issued.
     pub notifies: u64,

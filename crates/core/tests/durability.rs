@@ -6,8 +6,10 @@ use rnt_core::{CcMode, Db, DbConfig, DeadlockPolicy, Durability, Txn, TxnError};
 use rnt_wal::faults::record_count;
 use rnt_wal::{frame, scan, CommitEntry, MemVfs, Record, Vfs, WalError, INIT_ACTION, MAGIC};
 use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::Duration;
+use std::sync::Arc;
+
+mod common;
+use common::{staged_reaches, GateVfs, PATIENCE};
 
 const LOG: &str = "db.wal";
 
@@ -422,11 +424,7 @@ fn group_commit_log_recovers_identically_to_plain_commit_log() {
     // unbatched commit does, so the logs are byte-identical and so are
     // the recoveries.
     let run = |durability: Durability| {
-        let config = DbConfig::builder()
-            .cc_mode(CcMode::Optimistic)
-            .durability(durability)
-            .max_batch_wait(Duration::ZERO)
-            .build();
+        let config = DbConfig::builder().cc_mode(CcMode::Optimistic).durability(durability).build();
         let (vfs, db) = open_mem(config);
         db.insert("a".to_string(), 0);
         db.insert("b".to_string(), 0);
@@ -453,11 +451,8 @@ fn group_commit_log_recovers_identically_to_plain_commit_log() {
 fn group_commit_fsync_acks_are_durable() {
     // Optimistic under WalFsync, so staged: every acked commit must
     // survive a crash cut at exactly the bytes on disk at ack time.
-    let config = DbConfig::builder()
-        .cc_mode(CcMode::Optimistic)
-        .durability(Durability::WalFsync)
-        .max_batch(8)
-        .build();
+    let config =
+        DbConfig::builder().cc_mode(CcMode::Optimistic).durability(Durability::WalFsync).build();
     let (vfs, db) = open_mem(config);
     db.insert("a".to_string(), 0);
     for _ in 0..3 {
@@ -503,144 +498,6 @@ fn recovered_db_accepts_new_transactions_and_stays_durable() {
 }
 
 // ---- The force runs outside the log mutex; a Vfs that fails poisons ----
-
-/// A [`MemVfs`] the test can stall — a slow disk it controls. Fsyncs
-/// park while the disk is closed, unless let through one by one by
-/// arrival ticket; appends park while held. It counts the appends that land and their bytes. Everything else passes
-/// straight through, including the armed faults of the inner `MemVfs`.
-struct GateVfs {
-    mem: MemVfs,
-    gate: Mutex<Gate>,
-    cv: Condvar,
-    appends: AtomicU64,
-    bytes: AtomicU64,
-}
-
-#[derive(Default)]
-struct Gate {
-    /// Whether fsyncs must wait.
-    closed: bool,
-    /// Fsyncs parked now; fsyncs ever arrived (an fsync's ticket is the
-    /// count before it); fsyncs returned from the inner `MemVfs`.
-    parked: usize,
-    arrived: u64,
-    returned: u64,
-    /// Tickets let through a closed disk.
-    released: Vec<u64>,
-    /// Whether appends must wait; appends parked now.
-    appends_held: bool,
-    appends_parked: usize,
-}
-
-impl GateVfs {
-    fn closed() -> Arc<Self> {
-        Arc::new(GateVfs {
-            mem: MemVfs::new(),
-            gate: Mutex::new(Gate { closed: true, ..Gate::default() }),
-            cv: Condvar::new(),
-            appends: AtomicU64::new(0),
-            bytes: AtomicU64::new(0),
-        })
-    }
-
-    /// `(appends, bytes)` landed so far.
-    fn counts(&self) -> (u64, u64) {
-        (self.appends.load(SeqCst), self.bytes.load(SeqCst))
-    }
-
-    /// Wait (bounded) until `done` holds; false on timeout, so the caller
-    /// can open the disk before failing.
-    fn reaches(&self, done: impl Fn(&Gate) -> bool) -> bool {
-        let guard = self.gate.lock().unwrap();
-        let (_guard, timeout) = self.cv.wait_timeout_while(guard, PATIENCE, |g| !done(g)).unwrap();
-        !timeout.timed_out()
-    }
-
-    /// Wait until `n` fsyncs are parked inside the Vfs at once.
-    fn parks(&self, n: usize) -> bool {
-        self.reaches(|g| g.parked >= n)
-    }
-
-    /// Block until an fsync is parked inside the Vfs.
-    fn wait_parked(&self) {
-        assert!(self.parks(1), "no fsync reached the disk");
-    }
-
-    /// Block until an append is parked inside the Vfs.
-    fn wait_append_parked(&self) {
-        assert!(self.reaches(|g| g.appends_parked > 0), "no append reached the disk");
-    }
-
-    /// Block until `n` fsyncs have returned from the inner `MemVfs`.
-    fn wait_returned(&self, n: u64) {
-        assert!(self.reaches(|g| g.returned >= n), "a released fsync never returned");
-    }
-
-    fn update(&self, change: impl FnOnce(&mut Gate)) {
-        change(&mut self.gate.lock().unwrap());
-        self.cv.notify_all();
-    }
-
-    /// Open the disk: nothing parks any more.
-    fn open(&self) {
-        self.update(|g| (g.closed, g.appends_held) = (false, false));
-    }
-
-    fn close(&self) {
-        self.update(|g| g.closed = true);
-    }
-
-    /// Let the fsync with arrival ticket `ticket` through a closed disk.
-    fn release(&self, ticket: u64) {
-        self.update(|g| g.released.push(ticket));
-    }
-
-    /// Park every append from now on, until the disk opens.
-    fn hold_appends(&self) {
-        self.update(|g| g.appends_held = true);
-    }
-}
-
-impl Vfs for GateVfs {
-    fn append(&self, path: &str, data: &[u8]) -> Result<(), WalError> {
-        let mut gate = self.gate.lock().unwrap();
-        gate.appends_parked += 1;
-        self.cv.notify_all();
-        gate = self.cv.wait_while(gate, |g| g.appends_held).unwrap();
-        gate.appends_parked -= 1;
-        drop(gate);
-        self.mem.append(path, data)?;
-        self.appends.fetch_add(1, SeqCst);
-        self.bytes.fetch_add(data.len() as u64, SeqCst);
-        Ok(())
-    }
-    fn fsync(&self, path: &str) -> Result<(), WalError> {
-        let mut gate = self.gate.lock().unwrap();
-        let ticket = gate.arrived;
-        gate.arrived += 1;
-        gate.parked += 1;
-        self.cv.notify_all();
-        gate = self.cv.wait_while(gate, |g| g.closed && !g.released.contains(&ticket)).unwrap();
-        gate.parked -= 1;
-        drop(gate);
-        let out = self.mem.fsync(path);
-        self.update(|g| g.returned += 1);
-        out
-    }
-    fn read(&self, path: &str) -> Result<Vec<u8>, WalError> {
-        self.mem.read(path)
-    }
-    fn replace(&self, path: &str, data: &[u8]) -> Result<(), WalError> {
-        self.mem.replace(path, data)
-    }
-    fn exists(&self, path: &str) -> bool {
-        self.mem.exists(path)
-    }
-}
-
-/// How long a test waits for something that must happen before it calls
-/// it a hang.
-const PATIENCE: Duration = Duration::from_secs(20);
 
 fn key(i: usize) -> String {
     format!("k{i}")
@@ -691,19 +548,6 @@ fn spawn(f: impl FnOnce() -> Result<(), TxnError> + Send + 'static) -> Verdict {
 fn spawn_bump(db: &Db<String, i64>, keys: std::ops::Range<usize>) -> Verdict {
     let db = db.clone();
     spawn(move || bump(&db, keys))
-}
-
-/// Wait until `n` commits have been handed to the pipeline. False on
-/// timeout, so the caller can open the gate before failing.
-fn staged_reaches(db: &Db<String, i64>, n: u64) -> bool {
-    let deadline = std::time::Instant::now() + PATIENCE;
-    while db.stats().commits_staged < n {
-        if std::time::Instant::now() > deadline {
-            return false;
-        }
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    true
 }
 
 /// Optimistic phase-1 validation runs before the publish gate: a commit
@@ -997,7 +841,7 @@ fn a_checkpoint_completes_while_a_force_is_parked() {
     let forcing = spawn_bump(&db, 0..1);
     vfs.wait_parked();
     // The checkpoint's own fsync, the next to arrive, may pass.
-    let next = vfs.gate.lock().unwrap().arrived;
+    let next = vfs.next_ticket();
     vfs.release(next);
     let checkpointed = {
         let db = db.clone();
@@ -1414,11 +1258,7 @@ fn a_retired_batch_of_any_size_is_one_append() {
         vfs.wait_parked();
         let followers: Vec<_> =
             followers.into_iter().map(|t| std::thread::spawn(move || t.commit())).collect();
-        let deadline = std::time::Instant::now() + PATIENCE;
-        while db.stats().commits_staged < n + 1 && std::time::Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        let queued = db.stats().commits_staged == n + 1;
+        let queued = staged_reaches(&db, n + 1);
         let before = vfs.counts().0;
         vfs.open();
         assert!(queued, "{what}: followers never reached the queue");

@@ -6,6 +6,9 @@ use rnt_core::{
     SnapshotError, TxnError,
 };
 
+mod common;
+use common::{staged_reaches, GateVfs};
+
 fn db() -> Db<u64, i64> {
     let db = Db::new();
     for k in 0..10 {
@@ -319,43 +322,47 @@ fn optimistic_scans_count_one_scan_and_one_read_per_row() {
 #[test]
 fn optimistic_batch_writer_defeats_a_range_reader_staged_behind_it() {
     // Two transactions scan the same interval and write *different* keys
-    // inside it, so only the intervals collide. `max_batch(2)` with a long
-    // window makes the leader wait for both: they validate in one batch,
-    // where the first staged survives and the second must lose to it
-    // through the in-batch write overlay (nothing is in the chains yet).
-    // Staged: optimistic commits under `WalFsync`, on an in-memory disk.
-    let config = DbConfig::builder()
-        .cc_mode(CcMode::Optimistic)
-        .durability(Durability::WalFsync)
-        .max_batch(2)
-        .max_batch_wait(std::time::Duration::from_secs(30))
-        .build();
-    let vfs = std::sync::Arc::new(rnt_wal::MemVfs::new());
-    let db: Db<u64, i64> = Db::open_with_vfs(vfs, "range.wal", config).unwrap();
+    // inside it, so only the intervals collide. Both stage while a third
+    // commit, outside the interval, leads with its force parked on a
+    // closed disk: the next leader drains both, so they validate in one
+    // batch, where the first staged survives and the second must lose to
+    // it through the in-batch write overlay (nothing is in the chains
+    // yet). Staged: optimistic commits under `WalFsync`.
+    let config =
+        DbConfig::builder().cc_mode(CcMode::Optimistic).durability(Durability::WalFsync).build();
+    let vfs = GateVfs::closed();
+    vfs.open();
+    let db: Db<u64, i64> = Db::open_with_vfs(vfs.clone(), "range.wal", config).unwrap();
     for k in 0..10 {
         db.insert(k, k as i64 * 10);
     }
-    let start = std::sync::Barrier::new(2);
-    let verdicts: Vec<Result<(), TxnError>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = [3u64, 5]
-            .into_iter()
-            .map(|key| {
-                let (db, start) = (&db, &start);
-                scope.spawn(move || {
-                    let t = db.begin();
-                    let rows = ReadView::range(&t, 0..8);
-                    let seen = t.rmw(&key, |v| v + 1);
-                    start.wait(); // both footprints are complete before either stages
-                    assert_eq!(rows?.len(), 8);
-                    seen?;
-                    t.commit()
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
+    // Every footprint is complete before the leader takes the disk: an
+    // optimistic begin pins its snapshot under the gate the leader holds.
+    let scanners: Vec<_> = [3u64, 5]
+        .into_iter()
+        .map(|key| {
+            let t = db.begin();
+            assert_eq!(ReadView::range(&t, 0..8).unwrap().len(), 8);
+            t.rmw(&key, |v| v + 1).unwrap();
+            t
+        })
+        .collect();
+    let leader = db.begin();
+    leader.rmw(&9, |v| v + 1).unwrap();
+    vfs.close();
+    let leading = std::thread::spawn(move || leader.commit());
+    vfs.wait_parked();
+    let batches = db.stats().commit_batches;
+    let staging: Vec<_> =
+        scanners.into_iter().map(|t| std::thread::spawn(move || t.commit())).collect();
+    let queued = staged_reaches(&db, 3);
+    vfs.open();
+    assert!(queued, "the scanners never reached the queue");
+    assert_eq!(leading.join().unwrap(), Ok(()));
+    let verdicts: Vec<Result<(), TxnError>> =
+        staging.into_iter().map(|h| h.join().unwrap()).collect();
     let stats = db.stats();
-    assert_eq!(stats.commit_batches, 1, "both were validated in one batch");
+    assert_eq!(stats.commit_batches - batches, 1, "both were validated in one batch");
     let winner_epoch = db.epochs().watermark;
     assert_eq!(verdicts.iter().filter(|v| v.is_ok()).count(), 1, "{verdicts:?}");
     assert!(

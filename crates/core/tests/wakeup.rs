@@ -1,29 +1,27 @@
 //! Targeted-wakeup protocol integration tests: notify-driven progress
-//! (no reliance on `wait_slice` polling), exact spurious/productive
-//! wakeup accounting, orphaned-waiter wakeups, and `Db::run` forward
-//! progress under wait-die.
+//! (no reliance on polling), exact spurious/productive wakeup
+//! accounting, orphaned-waiter wakeups, a timed-out wait that sleeps to
+//! its deadline, and `Db::run` forward progress under wait-die.
 //!
-//! The tests configure a *huge* `wait_slice` so that any progress they
+//! Most tests run under a 30 s `Timeout` policy, whose waiter sleeps
+//! until it is notified or reaches its deadline, so any progress they
 //! observe must come from a targeted notification — if a wakeup were
-//! lost, the test would stall for seconds and the elapsed-time asserts
+//! lost, the test would stall for 30 s and the elapsed-time asserts
 //! would fail.
 
 use rnt_core::{Db, DbConfig, DeadlockPolicy, TxnError};
 use std::time::{Duration, Instant};
 
 /// A config where polling cannot masquerade as progress: a waiter that
-/// misses its notification sleeps ~10 s, well inside its 30 s timeout.
+/// misses its notification sleeps out its whole 30 s timeout.
 fn notify_only() -> DbConfig {
-    DbConfig::builder()
-        .policy(DeadlockPolicy::Timeout(Duration::from_secs(30)))
-        .wait_slice(Duration::from_secs(10))
-        .build()
+    DbConfig::builder().policy(DeadlockPolicy::Timeout(Duration::from_secs(30))).build()
 }
 
 /// Lost-wakeup regression: many waiters pile up on ONE key while a chain
 /// of writers churns it. Every waiter that records a conflict and parks
-/// must observe the release — with the poll loop disabled, a single lost
-/// wakeup costs 10 s and trips the deadline assert.
+/// must observe the release — with no poll loop, a single lost wakeup
+/// costs 30 s and trips the deadline assert.
 #[test]
 fn release_wakes_all_waiters_on_the_key() {
     let db: Db<u64, i64> = Db::with_config(notify_only());
@@ -119,7 +117,7 @@ fn disjoint_keys_produce_no_spurious_wakeups() {
 
 /// An orphaned waiter is woken by its ancestor's abort: the awaited key's
 /// lock state never changes, so only the abort-side wakeup can save the
-/// waiter from sleeping out the full 10 s slice.
+/// waiter from sleeping out its full 30 s timeout.
 #[test]
 fn ancestor_abort_wakes_parked_descendant() {
     let db: Db<u64, i64> = Db::with_config(notify_only());
@@ -134,7 +132,7 @@ fn ancestor_abort_wakes_parked_descendant() {
         std::thread::sleep(Duration::from_millis(100));
         parent.abort();
     });
-    // Parks on the held key; the only scheduled wakeup within 10 s is the
+    // Parks on the held key; the only scheduled wakeup within 30 s is the
     // parent's abort making us an orphan.
     let err = child.read(&0).unwrap_err();
     assert_eq!(err, TxnError::Orphaned);
@@ -144,6 +142,26 @@ fn ancestor_abort_wakes_parked_descendant() {
         start.elapsed()
     );
     aborter.join().unwrap();
+    holder.commit().unwrap();
+}
+
+/// A `Timeout` waiter against a holder that never releases sleeps to its
+/// deadline in one wait: it times out once, and the deadline expiring is
+/// at most one spurious wakeup — not one per re-check slice.
+#[test]
+fn a_timeout_waiter_sleeps_to_its_deadline() {
+    let db: Db<u64, i64> = Db::with_config(
+        DbConfig::builder().policy(DeadlockPolicy::Timeout(Duration::from_millis(20))).build(),
+    );
+    db.insert(0, 0);
+    let holder = db.begin();
+    holder.write(&0, 1).unwrap();
+    let waiter = db.begin();
+    assert_eq!(waiter.read(&0).unwrap_err(), TxnError::Timeout(Duration::from_millis(20)));
+    waiter.abort();
+    let s = db.stats();
+    assert_eq!(s.timeouts, 1);
+    assert!(s.wakeups_spurious <= 1, "{} spurious wakeups in one timed wait", s.wakeups_spurious);
     holder.commit().unwrap();
 }
 

@@ -40,6 +40,5 @@
 mod store;
 
 pub use store::{
-    MvccCounters, MvccStore, PinError, Publish, PublishBatch, PublishGate, Reservation,
-    GENESIS_EPOCH,
+    MvccCounters, MvccStore, PinError, Publish, PublishGate, Reservation, GENESIS_EPOCH,
 };

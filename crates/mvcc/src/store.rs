@@ -286,12 +286,15 @@ impl Drop for SeqCrit<'_> {
     }
 }
 
-/// An exclusive publication ticket for one top-level commit, returned by
-/// [`MvccStore::begin_publish`], or by [`Reservation::publish`] at the
-/// reserved epoch's turn. Holds the publish lock; the commit
-/// appends its versions at [`Publish::epoch`] and drops the ticket, which
-/// advances the watermark — the instant the commit becomes visible to new
-/// snapshots.
+/// An exclusive publication ticket for a run of one or more top-level
+/// commits with contiguous epochs: one commit's, returned by
+/// [`MvccStore::begin_publish`] or by [`Reservation::publish`] at the
+/// reserved epoch's turn, or a batch's, converted from an optimistic gate
+/// by [`PublishGate::into_batch`]. Holds the publish lock; participant
+/// `i` (0-based) appends its versions at
+/// [`Publish::epoch_of(i)`](Publish::epoch_of), and dropping the ticket
+/// advances the watermark past the whole run — the instant the run
+/// becomes visible to new snapshots, as one unit, never as a prefix.
 ///
 /// Field order is load-bearing: the `Drop` body stores the watermark,
 /// then `_crit` drops (sequence goes even — fast pins may now trust the
@@ -301,78 +304,45 @@ pub struct Publish<'a> {
     _crit: SeqCrit<'a>,
     guard: MutexGuard<'a, usize>,
     epoch: u64,
+    len: u64,
 }
 
 impl Publish<'_> {
-    /// The commit epoch assigned to this publication.
+    /// The commit epoch assigned to this publication: the first of its
+    /// run, and the only one for a single commit.
     pub fn epoch(&self) -> u64 {
         self.epoch
+    }
+
+    /// The epoch assigned to the `i`-th participant of the run.
+    ///
+    /// # Panics
+    /// If `i` is outside the run.
+    pub fn epoch_of(&self, i: usize) -> u64 {
+        assert!((i as u64) < self.len, "participant {i} outside batch of {}", self.len);
+        self.epoch + i as u64
+    }
+
+    /// The last epoch of the run (the watermark after publication).
+    pub fn last_epoch(&self) -> u64 {
+        self.epoch + self.len - 1
     }
 }
 
 impl std::fmt::Debug for Publish<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Publish").field("epoch", &self.epoch).finish_non_exhaustive()
+        f.debug_struct("Publish")
+            .field("epoch", &self.epoch)
+            .field("last_epoch", &self.last_epoch())
+            .finish_non_exhaustive()
     }
 }
 
 impl Drop for Publish<'_> {
     fn drop(&mut self) {
         // Allocated with nothing reserved ahead, or published at its
-        // turn: either way this is watermark + 1.
-        self.order.advance(&self.guard, self.epoch);
-    }
-}
-
-/// An exclusive publication ticket for a *batch* of top-level commits:
-/// an optimistic gate converted by [`PublishGate::into_batch`]. Holds
-/// the publish lock; participant `i` (0-based) appends its versions at
-/// [`PublishBatch::epoch_of(i)`](PublishBatch::epoch_of). Dropping the
-/// ticket advances the watermark past the entire epoch run — the batch
-/// becomes visible to new snapshots as one unit, never as a prefix.
-pub struct PublishBatch<'a> {
-    order: &'a Order,
-    _crit: SeqCrit<'a>,
-    guard: MutexGuard<'a, usize>,
-    base: u64,
-    len: u64,
-}
-
-impl PublishBatch<'_> {
-    /// The first epoch of the contiguous run.
-    pub fn first_epoch(&self) -> u64 {
-        self.base + 1
-    }
-
-    /// The epoch assigned to the `i`-th batch participant.
-    ///
-    /// # Panics
-    /// If `i` is outside the batch.
-    pub fn epoch_of(&self, i: usize) -> u64 {
-        assert!((i as u64) < self.len, "participant {i} outside batch of {}", self.len);
-        self.base + 1 + i as u64
-    }
-
-    /// The last epoch of the run (the watermark after publication).
-    pub fn last_epoch(&self) -> u64 {
-        self.base + self.len
-    }
-}
-
-impl std::fmt::Debug for PublishBatch<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PublishBatch")
-            .field("first_epoch", &self.first_epoch())
-            .field("last_epoch", &self.last_epoch())
-            .finish_non_exhaustive()
-    }
-}
-
-impl Drop for PublishBatch<'_> {
-    fn drop(&mut self) {
-        // Allocated at the watermark under this lock, so this is a
-        // contiguous advance.
-        self.order.advance(&self.guard, self.base + self.len);
+        // turn: either way the run starts at watermark + 1.
+        self.order.advance(&self.guard, self.last_epoch());
     }
 }
 
@@ -412,7 +382,8 @@ impl<'a> Reservation<'a> {
     pub fn publish(mut self) -> Publish<'a> {
         self.published = true;
         let guard = self.order.lock_turn(self.gate.take(), self.epoch);
-        Publish { order: self.order, _crit: SeqCrit::enter(self.order), guard, epoch: self.epoch }
+        let crit = SeqCrit::enter(self.order);
+        Publish { order: self.order, _crit: crit, guard, epoch: self.epoch, len: 1 }
     }
 }
 
@@ -439,9 +410,9 @@ impl Drop for Reservation<'_> {
 /// validation runs under the gate: the lock excludes concurrent
 /// publications *and* new pins, so the chain heads it observes are final
 /// for the duration. On validation success the gate converts into a
-/// [`PublishBatch`] ticket, allocating epochs; on failure it is simply
-/// dropped, releasing the lock **without advancing the watermark** — an
-/// aborted validation leaves no epoch gap.
+/// [`Publish`] ticket for the batch, allocating epochs; on failure it is
+/// simply dropped, releasing the lock **without advancing the
+/// watermark** — an aborted validation leaves no epoch gap.
 pub struct PublishGate<'a> {
     order: &'a Order,
     crit: SeqCrit<'a>,
@@ -454,17 +425,17 @@ impl<'a> PublishGate<'a> {
         self.order.watermark.load(Ordering::Acquire) + 1
     }
 
-    /// Convert the gate into a batch publication ticket for `n` commits,
+    /// Convert the gate into a publication ticket for a run of `n` commits,
     /// allocating the contiguous epoch run `watermark+1 ..= watermark+n`.
     /// The lock is retained throughout.
     ///
     /// # Panics
     /// If `n == 0` — an empty batch has no epochs to allocate.
-    pub fn into_batch(self, n: usize) -> PublishBatch<'a> {
+    pub fn into_batch(self, n: usize) -> Publish<'a> {
         assert!(n > 0, "empty publish batch");
-        let base = self.order.watermark.load(Ordering::Acquire);
-        self.order.reserved.store(base + n as u64, Ordering::Relaxed);
-        PublishBatch { order: self.order, _crit: self.crit, guard: self.guard, base, len: n as u64 }
+        let epoch = self.next_epoch();
+        self.order.reserved.store(epoch + n as u64 - 1, Ordering::Relaxed);
+        Publish { order: self.order, _crit: self.crit, guard: self.guard, epoch, len: n as u64 }
     }
 }
 
@@ -686,7 +657,7 @@ where
         let crit = SeqCrit::enter(&self.order);
         let epoch = self.order.watermark.load(Ordering::Acquire) + 1;
         self.order.reserved.store(epoch, Ordering::Relaxed);
-        Publish { order: &self.order, _crit: crit, guard, epoch }
+        Publish { order: &self.order, _crit: crit, guard, epoch, len: 1 }
     }
 
     /// Allocate the next epoch, `reserved+1`, for one top-level commit,
@@ -1162,7 +1133,7 @@ mod tests {
         commit(&s, 1, 1); // watermark -> 1
         let gate = s.begin_publish_gate();
         let batch = gate.into_batch(2);
-        assert_eq!((batch.first_epoch(), batch.last_epoch()), (2, 3));
+        assert_eq!((batch.epoch(), batch.last_epoch()), (2, 3));
         s.append(&1, batch.epoch_of(0), 20);
         s.append(&1, batch.epoch_of(1), 30);
         drop(batch);

@@ -247,8 +247,8 @@ pub fn e5b_policies(quick: bool) -> Table {
         DeadlockPolicy::Detect,
         DeadlockPolicy::WaitDie,
         DeadlockPolicy::NoWait,
-        // 2.5 default wait slices (2 ms): a waiter sees the conflict clear
-        // or gives up after a few wake-ups, not after a hundred.
+        // A waiter is woken by its holder's release; a deadlocked one
+        // sleeps once, to this 5 ms deadline, and gives up.
         DeadlockPolicy::Timeout(std::time::Duration::from_millis(5)),
     ] {
         let mut w = base_workload(quick);

@@ -7,3 +7,9 @@ pub use rnt_model as model;
 pub use rnt_sim as sim;
 pub use rnt_spec as spec;
 pub use rnt_timestamp as timestamp;
+
+// Every ```rust block of the README compiles (and, unless `no_run`, runs)
+// as a doctest, so the README cannot name an item the crates dropped.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+struct ReadmeDoctests;
