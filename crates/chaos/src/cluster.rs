@@ -405,9 +405,9 @@ pub fn run_cluster_chaos(cfg: &ClusterChaosConfig) -> Result<ClusterChaosReport,
     }
 
     // Theorem-29 embedding: per-node apply order ⊑ cluster commit order.
-    let commit_log = driver.cluster.commit_log();
+    let commit_log = driver.cluster.commit_log()?;
     for node in 0..cfg.nodes {
-        let log = driver.cluster.delivery_log(node);
+        let log = driver.cluster.delivery_log(node)?;
         if !log.windows(2).all(|w| w[0].0 < w[1].0) {
             return Err(format!("node {node} applied remote commits out of order: {log:?}"));
         }
@@ -442,7 +442,7 @@ pub fn run_cluster_chaos(cfg: &ClusterChaosConfig) -> Result<ClusterChaosReport,
         fnv(&mut h, &ctid.to_le_bytes());
     }
     for node in 0..cfg.nodes {
-        for (cseq, _) in driver.cluster.delivery_log(node) {
+        for (cseq, _) in driver.cluster.delivery_log(node)? {
             fnv(&mut h, &cseq.to_le_bytes());
         }
     }

@@ -209,7 +209,7 @@ fn commit(action: u64, epoch: u64, writes: &[(u64, i64)]) -> CommitEntry {
     CommitEntry { action, epoch, writes }
 }
 
-/// A handcrafted format-04 log whose centerpiece is a three-participant
+/// A handcrafted format-05 log whose centerpiece is a three-participant
 /// commit frame (participant 1's write set is what a committed child
 /// handed up), followed by a post-batch singleton commit. A transaction
 /// in flight at the crash has no bytes here at all.

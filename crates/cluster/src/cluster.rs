@@ -67,8 +67,12 @@ pub struct ClusterConfig {
     /// [`rnt_core::CcMode::Locking`] (the commit protocol relies on
     /// locking-mode commits being conflict-free).
     pub node_config: DbConfig,
-    /// Record a level-5 event journal of the run (single-threaded
-    /// drivers only; see [`crate::TraceValue`]).
+    /// Record the run: the level-5 event journal
+    /// [`Cluster::validate_trace`] checks and the order logs
+    /// [`Cluster::commit_log`] and [`Cluster::delivery_log`] return. Only
+    /// `validate_trace` needs a single-threaded driver: under concurrent
+    /// committers the journal's order is not the execution order, while
+    /// the order logs are exact at any thread count.
     pub trace: bool,
 }
 
@@ -128,8 +132,11 @@ struct NodeBook<K: Key, V: Value> {
     /// crash of this node dooms. A handful at a time (one per client
     /// thread), so a scan beats a map.
     participants: Vec<Arc<TxnInner<K, V>>>,
-    /// `(cseq, ctid)` of the commits homed here, in completion order.
-    commits: Vec<(u64, u64)>,
+    /// How many cluster transactions homed here committed.
+    commits: u64,
+    /// `(cseq, ctid)` of those commits, in completion order; recorded
+    /// only when tracing.
+    commit_log: Vec<(u64, u64)>,
 }
 
 impl<K: Key, V: Value> NodeBook<K, V> {
@@ -345,7 +352,11 @@ impl<K: Key, V: Value + TraceValue> Cluster<K, V> {
         assert!(config.nodes > 0, "a cluster needs at least one node");
         let node = |slot| Node {
             slot: RwLock::new(slot),
-            book: Mutex::new(NodeBook { participants: Vec::new(), commits: Vec::new() }),
+            book: Mutex::new(NodeBook {
+                participants: Vec::new(),
+                commits: 0,
+                commit_log: Vec::new(),
+            }),
         };
         Cluster {
             inner: Arc::new(ClusterInner {
@@ -367,6 +378,13 @@ impl<K: Key, V: Value + TraceValue> Cluster<K, V> {
         if let Some(rec) = &self.inner.recorder {
             rec.lock().push(op());
         }
+    }
+
+    /// The journal, or the error every record-reading method gives when
+    /// [`ClusterConfig::trace`] is off: never an empty record, which a
+    /// check would pass vacuously.
+    fn recorder(&self) -> Result<&Mutex<Vec<RecOp<K>>>, String> {
+        self.inner.recorder.as_ref().ok_or_else(|| "tracing is disabled for this cluster".into())
     }
 
     /// Number of nodes `k`.
@@ -495,19 +513,23 @@ impl<K: Key, V: Value + TraceValue> Cluster<K, V> {
 
     /// The global commit order as `(cseq, ctid)` pairs, ascending by
     /// `cseq`: conflicting transactions appear in the order they held
-    /// their locks. Sequence numbers may have gaps.
-    pub fn commit_log(&self) -> Vec<(u64, u64)> {
+    /// their locks. Sequence numbers may have gaps. An error unless
+    /// [`ClusterConfig::trace`] is on.
+    pub fn commit_log(&self) -> Result<Vec<(u64, u64)>, String> {
+        self.recorder()?;
         let mut log = Vec::new();
         for n in &self.inner.nodes {
-            log.extend_from_slice(&n.book.lock().commits);
+            log.extend_from_slice(&n.book.lock().commit_log);
         }
         log.sort_unstable();
-        log
+        Ok(log)
     }
 
     /// The order `(cseq, ctid)` in which `node` applied remote commits.
-    pub fn delivery_log(&self, node: NodeId) -> Vec<(u64, u64)> {
-        self.inner.router.lane(node).delivery_log.clone()
+    /// An error unless [`ClusterConfig::trace`] is on.
+    pub fn delivery_log(&self, node: NodeId) -> Result<Vec<(u64, u64)>, String> {
+        self.recorder()?;
+        Ok(self.inner.router.lane(node).delivery_log.clone())
     }
 
     /// Cluster-wide counters.
@@ -515,7 +537,7 @@ impl<K: Key, V: Value + TraceValue> Cluster<K, V> {
         let (router, pending_deliveries) = self.inner.router.totals();
         let nodes = &self.inner.nodes;
         ClusterStats {
-            commits: nodes.iter().map(|n| n.book.lock().commits.len() as u64).sum(),
+            commits: nodes.iter().map(|n| n.book.lock().commits).sum(),
             aborts: self.inner.aborts.load(Ordering::Relaxed),
             router,
             pending_deliveries,
@@ -528,8 +550,7 @@ impl<K: Key, V: Value + TraceValue> Cluster<K, V> {
     /// simulation. Pending deliveries are fine — a valid prefix is still
     /// a valid run.
     pub fn validate_trace(&self, deep: bool) -> Result<TraceReport, String> {
-        let rec = self.inner.recorder.as_ref().ok_or("tracing is disabled for this cluster")?;
-        crate::trace::validate(self.inner.config.nodes, &rec.lock(), deep)
+        crate::trace::validate(self.inner.config.nodes, &self.recorder()?.lock(), deep)
     }
 
     /// Mark `node` failed (fail-stop): its engine is frozen, every live
@@ -575,7 +596,9 @@ impl<K: Key, V: Value + TraceValue> Cluster<K, V> {
         while slot.up && self.inner.router.front_deliverable(lane, node, flush) {
             let delivery = lane.queue.pop_front().expect("front checked");
             let ctid = delivery.ctid;
-            lane.delivery_log.push((delivery.cseq, ctid));
+            if self.inner.recorder.is_some() {
+                lane.delivery_log.push((delivery.cseq, ctid));
+            }
             let released = apply_delivery(delivery, &slot.db, slot.incarnation, &mut lane.stats);
             self.inner.router.learn(node);
             self.record(|| RecOp::Deliver {
@@ -956,7 +979,10 @@ impl<K: Key, V: Value + TraceValue> ClusterTxn<K, V> {
         drop(st);
         {
             let mut book = inner.nodes[home].book.lock();
-            book.commits.push((cseq, ctid));
+            book.commits += 1;
+            if inner.recorder.is_some() {
+                book.commit_log.push((cseq, ctid));
+            }
             book.forget(&self.txn);
         }
         let home_released =

@@ -68,7 +68,8 @@ pub struct RouterStats {
 /// One recipient's share of the message buffer.
 pub(crate) struct Lane<K: Key, V: Value> {
     pub queue: VecDeque<Delivery<K, V>>,
-    /// Applied `(cseq, ctid)` order, for the embedding checks.
+    /// Applied `(cseq, ctid)` order, for the embedding checks; recorded
+    /// only when tracing.
     pub delivery_log: Vec<(u64, u64)>,
     /// Traffic *into* this lane; the cluster's totals are the lanes' sum.
     pub stats: RouterStats,

@@ -31,10 +31,11 @@
 //! readers), hence every journaled perform is model-enabled and the
 //! value stacks coincide exactly.
 //!
-//! Recording is only meaningful for **single-threaded** drivers (the
+//! Validation is only meaningful for **single-threaded** drivers (the
 //! chaos harness, the proptests): with concurrent committers the journal
-//! order is not the execution order. The recorder is therefore an opt-in
-//! ([`crate::ClusterConfig::trace`]), off for benchmarks.
+//! order is not the execution order. The recorder is an opt-in
+//! ([`crate::ClusterConfig::trace`]), off for benchmarks, and so are the
+//! commit and delivery order logs it brings along.
 
 use rnt_distributed::{validate_level5_run, DistEvent, NodeId, Topology, TraceReport};
 use rnt_model::{

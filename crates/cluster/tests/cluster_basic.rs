@@ -189,7 +189,7 @@ fn single_node_footprint_sends_nothing() {
     assert_eq!(txn.home(), Some(node), "later accesses do not move the home");
     txn.commit().unwrap();
     assert_eq!(cluster.stats().router.sends, 1, "one remote participant, one delivery");
-    assert_eq!(cluster.delivery_log(partition.home(&remote_key)).len(), 1);
+    assert_eq!(cluster.delivery_log(partition.home(&remote_key)).unwrap().len(), 1);
 
     // Without an access, the first `child()` or the commit binds `ctid % k`.
     let txn = cluster.begin();
@@ -305,6 +305,31 @@ fn committed_work_survives_remote_crash_via_redo() {
     cluster.validate_trace(true).expect("trace valid");
 }
 
+/// Without tracing the order logs are not kept, and asking for one is
+/// the error `validate_trace` gives, never an empty log a check would
+/// pass on; the commit count stays exact.
+#[test]
+fn order_logs_need_tracing() {
+    let cluster = Cluster::new(ClusterConfig::new(2));
+    for k in 0..8u64 {
+        assert!(cluster.insert(k, 0));
+    }
+    for round in 0..3 {
+        let txn = cluster.begin();
+        for k in 0..8u64 {
+            txn.put(&k, round).unwrap();
+        }
+        txn.commit().unwrap();
+    }
+    assert_eq!(cluster.stats().commits, 3);
+    let disabled = cluster.validate_trace(false).unwrap_err();
+    assert!(disabled.contains("tracing is disabled"), "{disabled}");
+    assert_eq!(cluster.commit_log(), Err(disabled.clone()));
+    for node in 0..2 {
+        assert_eq!(cluster.delivery_log(node), Err(disabled.clone()));
+    }
+}
+
 /// Partitioned links queue deliveries; healing releases them in commit
 /// order.
 #[test]
@@ -328,7 +353,7 @@ fn partition_queues_then_heals() {
     assert_eq!(cluster.stats().pending_deliveries, 0);
     // Each node applied remote commits in cluster commit order.
     for node in 0..2 {
-        let log = cluster.delivery_log(node);
+        let log = cluster.delivery_log(node).unwrap();
         assert!(log.windows(2).all(|w| w[0].0 < w[1].0), "out-of-order delivery at {node}");
     }
     for k in 0..48u64 {

@@ -30,9 +30,11 @@ fn scaled(n: usize) -> usize {
     }
 }
 
-fn cluster(durability: Durability) -> Cluster<u64, i64> {
+/// A cluster of `NODES` with `KEYS` seeded keys; `trace` records the
+/// order logs (and the journal, which nothing here validates).
+fn cluster(durability: Durability, trace: bool) -> Cluster<u64, i64> {
     let node = DbConfig::builder().policy(DeadlockPolicy::NoWait).durability(durability).build();
-    let config = ClusterConfig::new(NODES).node_config(node);
+    let config = ClusterConfig::new(NODES).node_config(node).trace(trace);
     let cluster = match durability {
         Durability::None => Cluster::new(config),
         _ => Cluster::new_durable(config).expect("open"),
@@ -130,13 +132,13 @@ fn assert_sums(cluster: &Cluster<u64, i64>, writers: &BTreeMap<u64, Vec<u64>>) {
 /// `v + 1` in `commit_log()` and in the key's node's `delivery_log`.
 #[test]
 fn conflicting_commits_keep_their_order_everywhere() {
-    let cluster = cluster(Durability::None);
+    let cluster = cluster(Durability::None, true);
     let committed = run_workers(&cluster, scaled(40_000), |_| {});
     cluster.flush();
     let writers = writers_by_key(&committed);
     assert_sums(&cluster, &writers);
 
-    let commit_log = cluster.commit_log();
+    let commit_log = cluster.commit_log().unwrap();
     assert_eq!(commit_log.len(), committed.len());
     assert!(commit_log.windows(2).all(|w| w[0].0 < w[1].0), "commit_log ascends by cseq");
     let cseq_of: BTreeMap<u64, u64> = commit_log.iter().map(|&(cseq, ctid)| (ctid, cseq)).collect();
@@ -145,7 +147,7 @@ fn conflicting_commits_keep_their_order_everywhere() {
         // Where each remote commit sits in the node's apply order; the
         // writers homed at `node` committed in place and are not in it.
         let applied: BTreeMap<u64, usize> =
-            cluster.delivery_log(node).iter().enumerate().map(|(i, e)| (e.1, i)).collect();
+            cluster.delivery_log(node).unwrap().iter().enumerate().map(|(i, e)| (e.1, i)).collect();
         let mut last_applied = None;
         for pair in order.windows(2) {
             assert!(
@@ -168,7 +170,7 @@ fn conflicting_commits_keep_their_order_everywhere() {
 /// nothing is lost, nothing fails, and after a flush nothing is pending.
 #[test]
 fn link_faults_under_load_lose_nothing() {
-    let cluster = cluster(Durability::None);
+    let cluster = cluster(Durability::None, false);
     let committed = run_workers(&cluster, scaled(10_000), |done| {
         let mut round = 0usize;
         while !done.load(Ordering::SeqCst) {
@@ -202,7 +204,7 @@ fn link_faults_under_load_lose_nothing() {
 #[test]
 fn crash_and_recover_under_load() {
     const VICTIM: usize = 1;
-    let cluster = cluster(Durability::WalFsync);
+    let cluster = cluster(Durability::WalFsync, false);
     let barrier = Barrier::new(3);
     let done = AtomicBool::new(false);
     let committed: Vec<Committed> = std::thread::scope(|s| {

@@ -143,10 +143,10 @@ proptest! {
         txns in proptest::collection::vec(txn_strategy(), 1..16),
     ) {
         let cluster = run_workload(nodes, policy, &txns);
-        let commit_log = cluster.commit_log();
+        let commit_log = cluster.commit_log().map_err(TestCaseError)?;
         prop_assert!(commit_log.windows(2).all(|w| w[0].0 < w[1].0));
         for node in 0..nodes {
-            let log = cluster.delivery_log(node);
+            let log = cluster.delivery_log(node).map_err(TestCaseError)?;
             prop_assert!(
                 log.windows(2).all(|w| w[0].0 < w[1].0),
                 "node {} applied out of cluster order: {:?}", node, log

@@ -173,8 +173,9 @@ impl<K, V> WalState<K, V> {
     }
 
     /// Encode a key and a value for a seed, a commit frame's write set or
-    /// a checkpoint entry. Sized for the common fixed-width integer
-    /// encodings, so the two buffers are one allocation each, no regrow.
+    /// a checkpoint entry. Sized for an integer's encoding (at most 8
+    /// bytes, fewer for a smaller value) and short strings, so the two
+    /// buffers are one allocation each, no regrow.
     pub(crate) fn encode(&self, key: &K, value: &V) -> (Vec<u8>, Vec<u8>) {
         let (mut kb, mut vb) = (Vec::with_capacity(16), Vec::with_capacity(16));
         (self.enc_key)(key, &mut kb);

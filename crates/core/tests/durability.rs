@@ -321,7 +321,7 @@ fn durability_none_writes_no_log() {
     assert_eq!(db.stats().wal_appends, 0);
 }
 
-// ---- group commit and hand-written format-04 logs ----
+// ---- group commit and hand-written format-05 logs ----
 
 fn install_log(records: &[Record]) -> Arc<MemVfs> {
     let mut bytes = MAGIC.to_vec();
@@ -1174,24 +1174,44 @@ fn durability_verdicts_follow_epoch_order() {
     }
 }
 
-/// A format-03 log, as committed next to the format's golden fixtures, is
-/// refused by recovery at its magic.
-#[test]
-fn a_format_03_log_is_rejected_with_bad_magic() {
-    let old = include_bytes!("../../wal/tests/golden/format03_single_commit.wal");
-    assert_eq!(&old[..MAGIC.len()], b"RNTWAL03");
+/// Recovery refuses `old`, a log of an earlier format, at its magic.
+fn assert_refused_at_the_magic(old: &[u8], magic: &[u8; 8]) {
+    assert_eq!(&old[..MAGIC.len()], magic);
     let vfs = Arc::new(MemVfs::new());
     vfs.install(LOG, old.to_vec());
     let err = Db::<String, i64>::recover_with_vfs(vfs, LOG, wal_config()).unwrap_err();
     assert_eq!(err, WalError::BadMagic);
 }
 
+/// A format-03 log, as committed next to the format's golden fixtures, is
+/// refused by recovery at its magic.
+#[test]
+fn a_format_03_log_is_rejected_with_bad_magic() {
+    let old = include_bytes!("../../wal/tests/golden/format03_single_commit.wal");
+    assert_refused_at_the_magic(old, b"RNTWAL03");
+}
+
+/// So is a format-04 log: fixed-width integers are not read as varints.
+#[test]
+fn a_format_04_log_is_rejected_with_bad_magic() {
+    let old = include_bytes!("../../wal/tests/golden/format04_single_commit.wal");
+    assert_refused_at_the_magic(old, b"RNTWAL04");
+}
+
 // ---- The log's budget: bytes and appends per commit ----
 
-/// The frame of a flat commit of four `u64` writes: 8 header bytes, a tag
-/// and a count, the entry's action, epoch and write count, and four
-/// length-prefixed `(key, value)` pairs — 129 bytes.
-const FLAT_COMMIT_BUDGET: u64 = 130;
+/// The frame of a flat commit of four `u64` writes whose keys and values
+/// are each one byte long (1 to 255) and whose action id and epoch are
+/// below 128: 8 header bytes; a tag and a commit count; the entry's
+/// action, epoch and write count, a varint byte each; and four `(key,
+/// value)` pairs of a length byte and a value byte each —
+/// 8 + 2 + 3 + 4 × 4 = 29 bytes. Format 04 took 129.
+const FLAT_COMMIT_BUDGET: u64 = 29;
+
+/// The frame of a seed of a one-byte `u64` key and value: 8 header bytes,
+/// a tag, `INIT_ACTION` (stored as the byte `0`) and two length-prefixed
+/// one-byte integers — 8 + 2 + 2 × 2 = 14 bytes. Format 04 took 41.
+const SEED_BUDGET: u64 = 14;
 
 /// A `u64` database on `vfs` with `keys` seeded keys.
 fn u64_db(vfs: &Arc<GateVfs>, cc: CcMode, keys: u64) -> Db<u64, u64> {
@@ -1201,6 +1221,21 @@ fn u64_db(vfs: &Arc<GateVfs>, cc: CcMode, keys: u64) -> Db<u64, u64> {
         db.insert(k, 0);
     }
     db
+}
+
+/// A seed of a `u64` key and value is one append of exactly its frame.
+#[test]
+fn a_seed_is_one_frame_within_budget() {
+    let vfs = GateVfs::closed();
+    vfs.open();
+    let db = u64_db(&vfs, CcMode::Locking, 0);
+    for k in 1..=4 {
+        let before = vfs.counts();
+        db.insert(k, k);
+        let (appends, bytes) = vfs.counts();
+        assert_eq!(appends - before.0, 1, "seed {k}: appends");
+        assert_eq!(bytes - before.1, SEED_BUDGET, "seed {k}: bytes");
+    }
 }
 
 /// A flat transaction that has incremented each of `keys`.
@@ -1215,21 +1250,21 @@ fn u64_bumped(db: &Db<u64, u64>, keys: std::ops::Range<u64>) -> Txn<u64, u64> {
 /// `durable-commit`'s transaction shape: each flat commit of four `u64`
 /// increments appends one frame within budget, in both modes — staged
 /// (optimistic) and direct (locking). Format 03 took six appends and 208
-/// bytes.
+/// bytes. Keys start at 1: key `0` encodes as no bytes at all.
 #[test]
 fn a_flat_commit_of_four_writes_is_one_frame_within_budget() {
     for cc in [CcMode::Locking, CcMode::Optimistic] {
         let vfs = GateVfs::closed();
         vfs.open();
-        let db = u64_db(&vfs, cc, 16);
+        let db = u64_db(&vfs, cc, 17);
         for i in 0..4 {
             let before = vfs.counts();
-            u64_bumped(&db, i * 4..i * 4 + 4).commit().unwrap();
+            u64_bumped(&db, i * 4 + 1..i * 4 + 5).commit().unwrap();
             let (appends, bytes) = vfs.counts();
             let what = format!("{cc:?} commit {i}");
             assert_eq!(appends - before.0, 1, "{what}: appends");
             let framed = bytes - before.1;
-            assert!(framed <= FLAT_COMMIT_BUDGET, "{what}: {framed} B over budget");
+            assert_eq!(framed, FLAT_COMMIT_BUDGET, "{what}: the frame is not the layout's");
         }
     }
 }

@@ -21,17 +21,26 @@
 //! Layout of a log file:
 //!
 //! ```text
-//! [8-byte magic "RNTWAL04"]
+//! [8-byte magic "RNTWAL05"]
 //! [frame]*            frame = [len: u32 LE][crc32(payload): u32 LE][payload]
 //! ```
+//!
+//! Inside a payload every integer is as short as its value: counts, byte
+//! lengths, action ids and epochs are canonical LEB128 varints, and the
+//! engine's integer keys and values ([`WalCodec`]) are little-endian with
+//! their high zero bytes dropped. A flat commit of four small `u64`
+//! writes frames in about 30 bytes. Decoding accepts only the shortest
+//! form of each integer, so a record has one encoding and equal encoded
+//! keys are equal keys.
 //!
 //! Every commit frame is self-contained, so replay needs no record but
 //! the seeds or checkpoint before it. Because one frame carries a whole
 //! batch, the batch is atomic-in-log-or-absent: a crash tears the entire
 //! frame (dropped by [`scan`]'s tail rule) or none of it, and no prefix of
 //! a batch can ever be replayed as committed. Format `02` added the MVCC
-//! commit epoch, `03` the batch frame and `04` the write set in the
-//! commit frame; older logs are refused by the magic check.
+//! commit epoch, `03` the batch frame, `04` the write set in the commit
+//! frame and `05` the value-length integers; older logs are refused by
+//! the magic check.
 //!
 //! Reading is two-mode:
 //!

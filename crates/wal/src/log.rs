@@ -8,11 +8,13 @@ use crate::vfs::Vfs;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// The 8-byte file header every log starts with. `04` logs redo at
-/// commit: one `Commit` frame per top-level commit or batch, carrying the
-/// write set, and no action-tree transitions. `03` added the group-commit
-/// frame; `02` the commit epoch. Older logs are not readable.
-pub const MAGIC: &[u8; 8] = b"RNTWAL04";
+/// The 8-byte file header every log starts with. `05` logs write every
+/// integer of a payload at its value's length (varint framing fields).
+/// `04` made the log redo at commit: one `Commit` frame per top-level
+/// commit or batch, carrying the write set, and no action-tree
+/// transitions. `03` added the group-commit frame; `02` the commit epoch.
+/// Older logs are not readable.
+pub const MAGIC: &[u8; 8] = b"RNTWAL05";
 
 /// Wrap a record payload in a `[len][crc][payload]` frame.
 pub fn frame(record: &Record) -> Vec<u8> {

@@ -2,6 +2,20 @@
 //! resilience model makes durable is a top-level commit (Lemma 7), so a
 //! commit is one record carrying its whole write set; the seeds and the
 //! checkpoint are the other two.
+//!
+//! Payload layout (format 05). `v` is a canonical unsigned LEB128 varint,
+//! `bytes` a `v` length (at most `u32::MAX`) followed by that many bytes:
+//!
+//! ```text
+//! Write       [2] v(action + 1) bytes(key) bytes(version)
+//! Commit      [3] v(n) n × ( v(action) v(epoch) v(w) w × ( bytes(key) bytes(version) ) )
+//! Checkpoint  [5] v(epoch) v(n) n × ( bytes(key) v(last_epoch) bytes(value) )
+//! ```
+//!
+//! A `Write`'s action is stored plus one (wrapping), so [`INIT_ACTION`],
+//! the only action the engine seeds under, is the single byte `0`.
+//! Decoding accepts each integer only in its shortest form, so a record
+//! has exactly one encoding.
 
 use crate::error::WalError;
 
@@ -76,16 +90,18 @@ pub enum Record {
     },
 }
 
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u32(out: &mut Vec<u8>, n: usize) {
-    out.extend_from_slice(&(n as u32).to_le_bytes());
+/// Append `v` as a canonical unsigned LEB128 varint: seven bits a byte,
+/// low group first, the high bit set on every byte but the last.
+fn put_varint(out: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
 }
 
 fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
-    put_u32(out, b.len());
+    put_varint(out, b.len() as u64);
     out.extend_from_slice(b);
 }
 
@@ -108,16 +124,34 @@ impl<'a> Cursor<'a> {
         Ok(self.take(1)?[0])
     }
 
-    fn u32(&mut self) -> Result<u32, String> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
+    /// A varint in its one canonical form: at most 10 bytes, no bits past
+    /// the 64th, and no trailing zero group (`[0x80, 0x00]` is not `0`).
+    fn varint(&mut self) -> Result<u64, String> {
+        let mut v = 0u64;
+        for i in 0..10 {
+            let b = self.u8()?;
+            if i == 9 && b > 1 {
+                return Err("varint overflows u64".to_string());
+            }
+            v |= u64::from(b & 0x7F) << (7 * i);
+            if b & 0x80 == 0 {
+                if b == 0 && i > 0 {
+                    return Err("non-shortest varint".to_string());
+                }
+                return Ok(v);
+            }
+        }
+        unreachable!("the 10th byte has no continuation bit")
     }
 
-    fn u64(&mut self) -> Result<u64, String> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
+    /// A count or byte length: a varint no larger than a `u32`.
+    fn len(&mut self) -> Result<usize, String> {
+        let n = self.varint()?;
+        u32::try_from(n).map(|n| n as usize).map_err(|_| format!("length {n} over u32"))
     }
 
     fn bytes(&mut self) -> Result<Vec<u8>, String> {
-        let n = self.u32()? as usize;
+        let n = self.len()?;
         Ok(self.take(n)?.to_vec())
     }
 
@@ -140,17 +174,17 @@ impl Record {
         match self {
             Record::Write { action, key, version } => {
                 out.push(TAG_WRITE);
-                put_u64(out, *action);
+                put_varint(out, action.wrapping_add(1));
                 put_bytes(out, key);
                 put_bytes(out, version);
             }
             Record::Commit { commits } => {
                 out.push(TAG_COMMIT);
-                put_u32(out, commits.len());
+                put_varint(out, commits.len() as u64);
                 for c in commits {
-                    put_u64(out, c.action);
-                    put_u64(out, c.epoch);
-                    put_u32(out, c.writes.len());
+                    put_varint(out, c.action);
+                    put_varint(out, c.epoch);
+                    put_varint(out, c.writes.len() as u64);
                     for (key, version) in &c.writes {
                         put_bytes(out, key);
                         put_bytes(out, version);
@@ -159,11 +193,11 @@ impl Record {
             }
             Record::Checkpoint { epoch, snapshot } => {
                 out.push(TAG_CHECKPOINT);
-                put_u64(out, *epoch);
-                put_u32(out, snapshot.len());
+                put_varint(out, *epoch);
+                put_varint(out, snapshot.len() as u64);
                 for (k, e, v) in snapshot {
                     put_bytes(out, k);
-                    put_u64(out, *e);
+                    put_varint(out, *e);
                     put_bytes(out, v);
                 }
             }
@@ -179,21 +213,21 @@ impl Record {
             let tag = c.u8()?;
             let record = match tag {
                 TAG_WRITE => {
-                    let action = c.u64()?;
+                    let action = c.varint()?.wrapping_sub(1);
                     let key = c.bytes()?;
                     let version = c.bytes()?;
                     Record::Write { action, key, version }
                 }
                 TAG_COMMIT => {
-                    let n = c.u32()? as usize;
+                    let n = c.len()?;
                     if n == 0 {
                         return Err("empty commit frame".to_string());
                     }
                     let mut commits = Vec::with_capacity(n.min(1 << 16));
                     for _ in 0..n {
-                        let action = c.u64()?;
-                        let epoch = c.u64()?;
-                        let w = c.u32()? as usize;
+                        let action = c.varint()?;
+                        let epoch = c.varint()?;
+                        let w = c.len()?;
                         let mut writes = Vec::with_capacity(w.min(1 << 16));
                         for _ in 0..w {
                             writes.push((c.bytes()?, c.bytes()?));
@@ -203,12 +237,12 @@ impl Record {
                     Record::Commit { commits }
                 }
                 TAG_CHECKPOINT => {
-                    let epoch = c.u64()?;
-                    let n = c.u32()? as usize;
+                    let epoch = c.varint()?;
+                    let n = c.len()?;
                     let mut snapshot = Vec::with_capacity(n.min(1 << 16));
                     for _ in 0..n {
                         let k = c.bytes()?;
-                        let e = c.u64()?;
+                        let e = c.varint()?;
                         let v = c.bytes()?;
                         snapshot.push((k, e, v));
                     }
@@ -266,7 +300,7 @@ mod tests {
         assert!(matches!(err, WalError::BadRecord { offset: 16, .. }), "{err:?}");
         // The retired tags of format 03 (begin, abort, batch commit).
         for tag in [1, 4, 6] {
-            assert!(Record::decode(&[tag, 0, 0, 0, 0], 0).is_err(), "tag {tag}");
+            assert!(Record::decode(&[tag, 0], 0).is_err(), "tag {tag}");
         }
     }
 
@@ -279,7 +313,7 @@ mod tests {
 
     #[test]
     fn empty_commit_frame_rejected() {
-        let err = Record::decode(&[TAG_COMMIT, 0, 0, 0, 0], 0).unwrap_err();
+        let err = Record::decode(&[TAG_COMMIT, 0], 0).unwrap_err();
         assert!(err.to_string().contains("empty commit frame"), "{err}");
     }
 
@@ -289,5 +323,43 @@ mod tests {
         payload.push(0);
         let err = Record::decode(&payload, 0).unwrap_err();
         assert!(err.to_string().contains("trailing"), "{err}");
+    }
+
+    /// A `Write` payload whose action field is the varint `action`.
+    fn write_with_action(action: &[u8]) -> Vec<u8> {
+        [&[TAG_WRITE][..], action, &[0, 0]].concat()
+    }
+
+    fn rejected(payload: &[u8], what: &str) {
+        let err = Record::decode(payload, 0).unwrap_err();
+        assert!(err.to_string().contains(what), "{err}");
+    }
+
+    #[test]
+    fn init_action_is_one_byte() {
+        let seed = Record::Write { action: INIT_ACTION, key: vec![], version: vec![] };
+        assert_eq!(seed.encode(), [TAG_WRITE, 0, 0, 0]);
+        let last = Record::Write { action: u64::MAX - 1, key: vec![], version: vec![] };
+        assert_eq!(last.encode().len(), 1 + 10 + 2, "u64::MAX needs all ten varint bytes");
+    }
+
+    /// Each framing integer has one encoding: a varint that is not the
+    /// shortest, runs past 10 bytes or past 64 bits, or a length past
+    /// `u32`, is a bad record.
+    #[test]
+    fn non_canonical_varints_rejected() {
+        rejected(&write_with_action(&[0x80, 0x00]), "non-shortest");
+        rejected(&write_with_action(&[0xFF, 0x80, 0x00]), "non-shortest");
+        rejected(&write_with_action(&[[0x80; 10].as_slice(), &[0x01]].concat()), "overflows");
+        rejected(&write_with_action(&[[0xFF; 9].as_slice(), &[0x02]].concat()), "overflows");
+        // The 10th byte may hold the 64th bit and nothing more.
+        let max = [[0xFF; 9].as_slice(), &[0x01]].concat();
+        let decoded = Record::decode(&write_with_action(&max), 0).unwrap();
+        assert!(matches!(decoded, Record::Write { action, .. } if action == u64::MAX - 1));
+        // 2^32 as a key length.
+        rejected(&[TAG_WRITE, 0, 0x80, 0x80, 0x80, 0x80, 0x10], "over u32");
+        rejected(&[TAG_COMMIT, 0x80, 0x80, 0x80, 0x80, 0x10], "over u32");
+        // u32::MAX itself is a length, just not one this payload holds.
+        rejected(&[TAG_WRITE, 0, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F], "need 4294967295 bytes");
     }
 }

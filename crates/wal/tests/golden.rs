@@ -3,22 +3,40 @@
 //! Each fixture under `tests/golden/` is a committed byte-exact log. The
 //! tests assert (a) encoding today's records reproduces the committed
 //! bytes bit-for-bit, and (b) decoding the committed bytes reproduces the
-//! records — so any accidental format change fails loudly. Regenerate
-//! fixtures intentionally with `REGEN_GOLDEN=1 cargo test -p rnt-wal`.
+//! records — so any accidental format change fails loudly.
 //!
-//! The committed fixtures are format **04** (`RNTWAL04`): redo at
+//! A deliberate format change bumps [`MAGIC`], copies the previous
+//! `single_commit.wal` to `formatNN_single_commit.wal` (a fixture that
+//! must then be refused at the magic), and regenerates the rest once,
+//! locally and serially:
+//!
+//! ```text
+//! REGEN_GOLDEN=1 cargo test -p rnt-wal --test golden -- --test-threads=1
+//! ```
+//!
+//! Serially, so no fixture is read while another test is halfway through
+//! writing it; the corruption tests read today's encoding, not the file,
+//! while `REGEN_GOLDEN` is set. With `CI` set as well, `REGEN_GOLDEN`
+//! panics: a CI run that rewrote the fixtures it checks would pass
+//! whatever the encoder did.
+//!
+//! The committed fixtures are format **05** (`RNTWAL05`): redo at
 //! commit. A top-level commit — or a group-committed batch — is ONE
 //! `Commit` frame listing, per commit, its action id, its epoch and the
 //! `(key, version)` of every key it changes, in key order; seeds are
 //! `Write` records under `INIT_ACTION`; a rewritten log starts with a
 //! `Checkpoint` of `(key, epoch, value)` triples plus the watermark.
-//! Begins, nested commits and aborts are not logged. Older-format logs
-//! are rejected by the magic check — there is no cross-format migration
-//! path. `format03_single_commit.wal` is the last format-03 fixture, kept
-//! as committed for `rnt-core`'s durability suite to prove it.
+//! Begins, nested commits and aborts are not logged. Every integer in a
+//! payload is as short as its value: framing fields are canonical
+//! varints, and integer keys and values go through `WalCodec`. Older-format
+//! logs are rejected by the magic check — there is no cross-format
+//! migration path. `format03_single_commit.wal` and
+//! `format04_single_commit.wal` are the last fixtures of those formats,
+//! kept as committed for `rnt-core`'s durability suite to prove it.
 
 use rnt_wal::{
-    decode_strict, faults, frame, scan, CommitEntry, Record, Tail, WalError, INIT_ACTION, MAGIC,
+    decode_strict, encode_to_vec, faults, frame, scan, CommitEntry, Record, Tail, WalError,
+    INIT_ACTION, MAGIC,
 };
 
 fn golden_dir() -> std::path::PathBuf {
@@ -37,6 +55,10 @@ fn check_golden(name: &str, records: &[Record]) {
     let path = golden_dir().join(name);
     let bytes = encode_log(records);
     if std::env::var_os("REGEN_GOLDEN").is_some() {
+        assert!(
+            std::env::var_os("CI").is_none(),
+            "REGEN_GOLDEN is set under CI: regenerate fixtures locally, never where they are checked"
+        );
         std::fs::create_dir_all(golden_dir()).unwrap();
         std::fs::write(&path, &bytes).unwrap();
     }
@@ -83,7 +105,7 @@ fn commit(entries: &[Entry<'_>]) -> Record {
 fn golden_single_commit() {
     check_golden(
         "single_commit.wal",
-        &[seed(b"k0", &0u64.to_le_bytes()), commit(&[(0, 1, &[(b"k0", &7u64.to_le_bytes())])])],
+        &[seed(b"k0", &encode_to_vec(&0u64)), commit(&[(0, 1, &[(b"k0", &encode_to_vec(&7u64))])])],
     );
 }
 
@@ -135,9 +157,13 @@ fn golden_checkpoint() {
 // ---- corruption-class rejection over a committed fixture ----
 
 fn nested_fixture() -> Vec<u8> {
-    // Fall back to today's encoding so these tests don't depend on test
-    // ordering during a REGEN_GOLDEN run; golden_nested_tree pins the
+    // During a REGEN_GOLDEN run, and if the file is missing, use today's
+    // encoding: the committed file may still be the previous format's,
+    // whichever order the tests run in. golden_nested_tree pins the
     // committed bytes to the same encoding.
+    if std::env::var_os("REGEN_GOLDEN").is_some() {
+        return encode_log(&nested_records());
+    }
     std::fs::read(golden_dir().join("nested_tree.wal"))
         .unwrap_or_else(|_| encode_log(&nested_records()))
 }
