@@ -68,12 +68,10 @@ pub struct ChaosConfig {
     pub snapshots: bool,
     /// Force the log before acking each top-level commit
     /// ([`Durability::WalFsync`] instead of [`Durability::Wal`];
-    /// meaningful with `wal`). An optimistic run then stages every commit
-    /// through the group-commit sequencer. The driver is single-threaded,
-    /// so every batch is a singleton and — because singleton batches log
-    /// a plain `Commit` record — the WAL bytes, audit log and verdict
-    /// must be *identical* to the same seed run without the force. The
-    /// differential suite asserts exactly that.
+    /// meaningful with `wal`). Every commit then leaves the publish gate
+    /// to force before it publishes; the force changes no byte, so the
+    /// WAL bytes, audit log and verdict must be *identical* to the same
+    /// seed run without it. The differential suite asserts exactly that.
     pub fsync: bool,
     /// Concurrency-control mode the database runs under. `Locking` is the
     /// historical default (so pre-existing seed fingerprints stay
@@ -129,7 +127,7 @@ impl ChaosConfig {
     }
 
     /// [`ChaosConfig::seeded_wal`] with every top-level commit forced
-    /// (the differential suite's staged side, in optimistic mode).
+    /// (the differential suite's forced side, in optimistic mode).
     pub fn seeded_wal_fsync(seed: u64) -> Self {
         ChaosConfig { fsync: true, ..ChaosConfig::seeded_wal(seed) }
     }
@@ -197,9 +195,8 @@ pub struct ChaosReport {
     /// FNV-1a over the raw WAL bytes on (simulated) disk (0 for in-memory
     /// runs). Equal hashes ⇔ byte-identical logs — the differential
     /// suite's strongest equivalence: a single-threaded optimistic run
-    /// staged through the group-commit pipeline must log the *same bytes*
-    /// as one retiring directly, because singleton batches emit plain
-    /// `Commit` records.
+    /// whose commits are forced must log the *same bytes* as one whose
+    /// commits are not.
     pub wal_hash: u64,
     /// FNV-1a over the final committed state (key/value pairs in key
     /// order). Unlike [`ChaosReport::fingerprint`] and

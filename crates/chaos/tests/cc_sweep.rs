@@ -171,9 +171,8 @@ struct CommittedTxn {
     footprint: HashSet<u64>,
 }
 
-/// An optimistic database on a fresh log: `Wal` retires every commit
-/// directly, `WalFsync` stages every one through the group-commit
-/// sequencer.
+/// An optimistic database on a fresh log: under `WalFsync` every commit
+/// leaves the publish gate to force before it publishes.
 fn fcw_db(durability: Durability) -> (Arc<MemVfs>, Db<u64, i64>) {
     let vfs = Arc::new(MemVfs::new());
     let config = DbConfig::builder()
@@ -359,11 +358,11 @@ proptest! {
         check_fcw(KEYS, &script, Durability::Wal)?;
     }
 
-    /// The same property with every commit forced, and so staged through
-    /// the group-commit pipeline: batched validation must enforce the
-    /// identical rule.
+    /// The same property with every commit forced, so every run leaves
+    /// the publish gate before it publishes, and validation also probes
+    /// the in-flight table: it must enforce the identical rule.
     #[test]
-    fn first_committer_wins_is_sound_under_group_commit(
+    fn first_committer_wins_is_sound_when_forced(
         script in prop::collection::vec(cc_op_strategy(KEYS), 0..80),
     ) {
         check_fcw(KEYS, &script, Durability::WalFsync)?;

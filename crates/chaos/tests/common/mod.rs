@@ -1,6 +1,5 @@
 //! Test support shared by the chaos suites: disks whose forces are slow
-//! or parked, so that commits queue behind a force and group-commit
-//! batches form without any timing window.
+//! or parked, so that commits overlap a force without any timing window.
 //!
 //! Each suite compiles this module on its own and uses part of it.
 #![allow(dead_code)]

@@ -17,7 +17,7 @@ use rnt_wal::{frame, scan, CommitEntry, MemVfs, Record, INIT_ACTION, MAGIC};
 use std::sync::Arc;
 
 mod common;
-use common::gate::{staged_reaches, GateVfs};
+use common::gate::GateVfs;
 
 fn wal_db() -> (Arc<MemVfs>, Db<u64, i64>) {
     let vfs = Arc::new(MemVfs::new());
@@ -194,7 +194,11 @@ fn open_snapshots_at_crash_time_never_block_recovery() {
     assert_eq!(mid.read(&2), Some(21));
 }
 
-// ---- the group-commit batch crash matrix ----
+// ---- the multi-commit frame crash matrix ----
+//
+// The engine frames one commit per `Commit` record, but format 05 still
+// decodes frames of several, as earlier engines wrote them: recovery must
+// keep applying such a frame whole or not at all.
 
 fn enc_k(k: u64) -> Vec<u8> {
     rnt_wal::encode_to_vec(&k)
@@ -303,17 +307,16 @@ fn batch_is_all_or_nothing_at_every_byte() {
     );
 }
 
-/// The same matrix over a log the *engine* wrote: real threads group-
-/// committed through the pipeline, so the batch frame under test
-/// is production output, not a handcrafted fixture. Optimistic commits
-/// under `WalFsync` are the ones staged: the first commit leads with its
-/// force parked on a closed disk, the rest queue behind it, and the next
-/// leader retires them as one multi-participant frame.
+/// The same matrix over a log the *engine* wrote with its forces
+/// overlapping: real threads commit optimistically under `WalFsync`, and
+/// every one of them is sequenced — epoch reserved, frame appended —
+/// while the others are parked in their forces on a closed disk. Each
+/// commit is a frame of its own; every record boundary, and every byte
+/// of every commit frame, must recover.
 #[test]
-fn engine_written_batch_crash_matrix() {
+fn engine_written_overlapping_forces_crash_matrix() {
     const THREADS: usize = 4;
     let vfs = GateVfs::closed();
-    vfs.open();
     let config = DbConfig::builder()
         .cc_mode(CcMode::Optimistic)
         .policy(DeadlockPolicy::NoWait)
@@ -324,54 +327,40 @@ fn engine_written_batch_crash_matrix() {
     for k in 0..THREADS as u64 {
         db.insert(k, k as i64 * 10);
     }
-    // All writes buffered before the leader takes the disk: an optimistic
-    // begin pins its snapshot under the gate the leader holds.
-    let mut txns: Vec<_> = (0..THREADS as u64)
+    let committing: Vec<_> = (0..THREADS as u64)
         .map(|k| {
-            let t = db.begin();
-            t.rmw(&k, |v| v + 100).unwrap();
-            t
+            let db = db.clone();
+            std::thread::spawn(move || db.run(|t| t.rmw(&k, |v| v + 100).map(drop)))
         })
         .collect();
-    let leader = txns.remove(0);
-    vfs.close();
-    let leading = std::thread::spawn(move || leader.commit());
-    vfs.wait_parked();
-    let handles: Vec<_> =
-        txns.into_iter().map(|t| std::thread::spawn(move || t.commit())).collect();
-    let queued = staged_reaches(&db, THREADS as u64);
+    let overlapped = vfs.parks(THREADS);
     vfs.open();
-    assert!(queued, "the followers never reached the queue");
-    leading.join().unwrap().unwrap();
-    for h in handles {
+    assert!(overlapped, "the forces never overlapped");
+    for h in committing {
         h.join().unwrap().unwrap();
     }
     let stats = db.stats();
-    assert_eq!(stats.commits_staged, THREADS as u64);
-    assert_eq!(stats.commits_batched, THREADS as u64, "conservation: staged = retired");
-    assert!(
-        stats.commit_batches < THREADS as u64,
-        "no coalescing happened: {} batches for {THREADS} commits",
-        stats.commit_batches
-    );
+    assert_eq!(stats.wal_fsyncs, THREADS as u64, "one force per commit");
 
     let bytes = vfs.mem.snapshot(WAL_PATH);
     let (records, _) = scan(&bytes).expect("engine log scans");
-    assert!(records.iter().any(is_batch), "expected a multi-commit frame in the engine log");
+    let frames = records.iter().filter(|r| matches!(r, Record::Commit { .. })).count();
+    assert_eq!(frames, THREADS, "one frame per commit");
+    assert!(!records.iter().any(is_batch), "no frame carries two commits");
 
     let total = record_count(&bytes);
     for cut in 0..=total {
         let prefix = cut_at_record(&bytes, cut);
         if let Err(e) = check_crash_recovery(&prefix) {
-            panic!("crash after record {cut}/{total} of the engine batch log: {e}");
+            panic!("crash after record {cut}/{total} of the engine log: {e}");
         }
     }
-    // Byte sweep across the batch frame itself.
+    // Byte sweep across every commit frame.
     let offsets = record_offsets(&bytes);
-    let idx = records.iter().position(is_batch).expect("position exists: scan found one above");
-    for len in offsets[idx]..=offsets[idx + 1] {
+    let first = records.iter().position(|r| matches!(r, Record::Commit { .. })).expect("framed");
+    for len in offsets[first]..=offsets[records.len()] {
         if let Err(e) = check_crash_recovery(&bytes[..len]) {
-            panic!("crash {} bytes into the engine batch frame: {e}", len - offsets[idx]);
+            panic!("crash {} bytes into the engine's commit frames: {e}", len - offsets[first]);
         }
     }
 }

@@ -1,26 +1,24 @@
-//! The group-commit differential suite: staging is a *throughput*
-//! device, so it must be observationally invisible. A commit is staged
-//! iff its publication forces under the publish gate — an optimistic
-//! commit under `Durability::WalFsync` — so the comparison is optimistic
-//! `Wal` (every commit retires directly) against optimistic `WalFsync`
-//! (every commit staged). The force itself changes no byte.
+//! The forcing differential suite: a force is a *durability* device, so
+//! it must be observationally invisible. Every optimistic commit takes
+//! the one commit path; under `Durability::Wal` it publishes in the gate
+//! hold that sequenced it, and under `Durability::WalFsync` it leaves the
+//! gate, forces, and publishes at its turn. The force itself changes no
+//! byte.
 //!
 //! Two angles:
 //!
-//! 1. **Seed sweep** — every chaos seed is run twice, direct and staged.
-//!    The driver is single-threaded, so every batch is a singleton, and
-//!    singleton batches log a plain `Commit` record — the two runs must
-//!    therefore agree on *everything*: audit-log fingerprint (which the
-//!    Theorem-9 oracle consumed), commit/abort counts, step count, and
-//!    the raw WAL bytes (hash equality), which pins the recovered state
-//!    and version chains byte-for-byte. Both verdicts must pass, and
-//!    each WAL verdict already includes the full recovery oracle
-//!    (differential vs the reference interpreter, `recover ∘ recover ≡
-//!    recover`).
+//! 1. **Seed sweep** — every chaos seed is run twice, unforced and
+//!    forced. The two runs must agree on *everything*: audit-log
+//!    fingerprint (which the Theorem-9 oracle consumed), commit/abort
+//!    counts, step count, and the raw WAL bytes (hash equality), which
+//!    pins the recovered state and version chains byte-for-byte. Both
+//!    verdicts must pass, and each WAL verdict already includes the full
+//!    recovery oracle (differential vs the reference interpreter,
+//!    `recover ∘ recover ≡ recover`).
 //! 2. **Real concurrency** — multithreaded runs can't be byte-identical
-//!    (batch composition depends on arrival timing), so there the
-//!    obligation is semantic: same final committed state, same version
-//!    chains after quiescence, and a log the recovery oracle accepts.
+//!    (epoch order depends on arrival timing), so there the obligation
+//!    is semantic: same final committed state, same version chains after
+//!    quiescence, and a log the recovery oracle accepts.
 
 use rnt_chaos::recovery::{check_crash_recovery, WAL_PATH};
 use rnt_chaos::{run, ChaosConfig};
@@ -31,23 +29,23 @@ use std::time::Duration;
 mod common;
 use common::SlowVfs;
 
-/// ≥1000 optimistic seeds, each run direct and staged: identical
+/// ≥1000 optimistic seeds, each run unforced and forced: identical
 /// fingerprints, WAL bytes, counts, and passing verdicts on both sides.
 #[test]
-fn optimistic_staging_is_invisible_across_1000_seeds() {
+fn optimistic_forcing_is_invisible_across_1000_seeds() {
     for seed in 0..1000u64 {
-        let direct = run(&ChaosConfig::seeded_wal(seed).optimistic());
-        let staged = run(&ChaosConfig::seeded_wal_fsync(seed).optimistic());
-        assert!(direct.verdict.is_ok(), "seed {seed} (direct): {:?}", direct.verdict);
-        assert!(staged.verdict.is_ok(), "seed {seed} (staged): {:?}", staged.verdict);
+        let unforced = run(&ChaosConfig::seeded_wal(seed).optimistic());
+        let forced = run(&ChaosConfig::seeded_wal_fsync(seed).optimistic());
+        assert!(unforced.verdict.is_ok(), "seed {seed} (unforced): {:?}", unforced.verdict);
+        assert!(forced.verdict.is_ok(), "seed {seed} (forced): {:?}", forced.verdict);
         assert_eq!(
-            direct.fingerprint, staged.fingerprint,
-            "seed {seed}: audit/fault trace diverged under group commit"
+            unforced.fingerprint, forced.fingerprint,
+            "seed {seed}: audit/fault trace diverged under forcing"
         );
-        assert_eq!(direct.wal_hash, staged.wal_hash, "seed {seed}: WAL bytes diverged");
+        assert_eq!(unforced.wal_hash, forced.wal_hash, "seed {seed}: WAL bytes diverged");
         assert_eq!(
-            (direct.commits, direct.aborts, direct.steps, direct.wal_records),
-            (staged.commits, staged.aborts, staged.steps, staged.wal_records),
+            (unforced.commits, unforced.aborts, unforced.steps, unforced.wal_records),
+            (forced.commits, forced.aborts, forced.steps, forced.wal_records),
             "seed {seed}: counters diverged"
         );
     }
@@ -55,24 +53,24 @@ fn optimistic_staging_is_invisible_across_1000_seeds() {
 
 /// The full-oracle variant (interleaved snapshot readers, epoch
 /// cross-checks against the reference trace) over a smaller sweep:
-/// staging must not perturb pinned snapshots or epoch assignment.
+/// forcing must not perturb pinned snapshots or epoch assignment.
 #[test]
-fn optimistic_staging_is_invisible_under_snapshot_oracle() {
+fn optimistic_forcing_is_invisible_under_snapshot_oracle() {
     for seed in 0..150u64 {
-        let direct = run(&ChaosConfig::seeded_wal_snapshots(seed).optimistic());
-        let staged =
+        let unforced = run(&ChaosConfig::seeded_wal_snapshots(seed).optimistic());
+        let forced =
             run(&ChaosConfig { fsync: true, ..ChaosConfig::seeded_wal_snapshots(seed) }
                 .optimistic());
-        assert!(direct.verdict.is_ok(), "seed {seed} (direct): {:?}", direct.verdict);
-        assert!(staged.verdict.is_ok(), "seed {seed} (staged): {:?}", staged.verdict);
-        assert_eq!(direct.fingerprint, staged.fingerprint, "seed {seed}: trace diverged");
-        assert_eq!(direct.wal_hash, staged.wal_hash, "seed {seed}: WAL bytes diverged");
+        assert!(unforced.verdict.is_ok(), "seed {seed} (unforced): {:?}", unforced.verdict);
+        assert!(forced.verdict.is_ok(), "seed {seed} (forced): {:?}", forced.verdict);
+        assert_eq!(unforced.fingerprint, forced.fingerprint, "seed {seed}: trace diverged");
+        assert_eq!(unforced.wal_hash, forced.wal_hash, "seed {seed}: WAL bytes diverged");
     }
 }
 
-/// Optimistic committers on disjoint keys, under `durability`: `Wal`
-/// retires every commit directly, `WalFsync` stages every one, and
-/// batches form from the commits that queue behind a slow force.
+/// Optimistic committers on disjoint keys, under `durability`: under
+/// `WalFsync` their forces on a slow disk overlap, and later commits are
+/// sequenced while earlier ones still force.
 fn concurrent_run(durability: Durability) -> (Arc<SlowVfs>, Db<u64, i64>) {
     const THREADS: u64 = 4;
     const COMMITS: i64 = 12;
@@ -108,11 +106,10 @@ fn concurrent_run(durability: Durability) -> (Arc<SlowVfs>, Db<u64, i64>) {
     (vfs, db)
 }
 
-/// Multithreaded direct and staged runs converge to the same committed
-/// state and version chains, and the batched log passes the full
-/// recovery oracle.
+/// Multithreaded unforced and forced runs converge to the same committed
+/// state and version chains, and both logs pass the full recovery oracle.
 #[test]
-fn concurrent_group_commit_converges_to_the_same_state() {
+fn concurrent_forced_commits_converge_to_the_same_state() {
     let (vfs_off, db_off) = concurrent_run(Durability::Wal);
     let (vfs_on, db_on) = concurrent_run(Durability::WalFsync);
     for k in 0..4u64 {
@@ -127,11 +124,8 @@ fn concurrent_group_commit_converges_to_the_same_state() {
             assert_eq!(chain[0].1, 12, "{mode}: chain head for key {k}");
         }
     }
-    assert_eq!(db_off.stats().commits_staged, 0, "no force under the gate, nothing staged");
-    let on = db_on.stats();
-    assert_eq!(on.commits_staged, 48, "every top-level commit staged");
-    assert_eq!(on.commits_batched, on.commits_staged, "conservation: staged = retired");
-    assert!(on.commit_batches >= 1 && on.commit_batches <= on.commits_batched);
+    assert_eq!(db_off.stats().wal_fsyncs, 0, "off: nothing forced");
+    assert_eq!(db_on.stats().wal_fsyncs, 48, "on: one force per commit");
     for (mode, vfs) in [("off", vfs_off), ("on", vfs_on)] {
         if let Err(e) = check_crash_recovery(&vfs.mem.snapshot(WAL_PATH)) {
             panic!("recovery oracle rejected the {mode} log: {e}");

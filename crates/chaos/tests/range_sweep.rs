@@ -14,19 +14,19 @@
 //!    `Snapshot::range(a..b)` at any pinned epoch equals the reference
 //!    interpreter's `state_at(epoch)` filtered to `[a, b)` in key order —
 //!    live, and again after recovering the full log.
-//! 3. **Batch publication**: under multithreaded group commit (optimistic
-//!    commits under `WalFsync`, the ones staged), snapshots
-//!    never observe a half-published transaction and never pin an epoch
-//!    strictly inside a batch's epoch run.
+//! 3. **Publication under overlapping forces**: with free-running
+//!    optimistic writers under `WalFsync`, whose forces overlap outside
+//!    the publish gate, snapshots never observe a half-published
+//!    transaction, and every pinned epoch re-opens.
 
 use proptest::prelude::*;
 use rnt_chaos::recovery::{check_crash_recovery, reference_trace, WAL_PATH};
 use rnt_chaos::{run, run_with_plan, ChaosConfig, FaultEvent, FaultKind, FaultPlan};
 use rnt_core::{CcMode, Db, DbConfig, DeadlockPolicy, Durability, Snapshot};
 use rnt_sim::reference::ScriptOp;
-use rnt_wal::{scan, MemVfs, Record};
+use rnt_wal::{scan, MemVfs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Barrier};
+use std::sync::Arc;
 use std::time::Duration;
 
 mod common;
@@ -223,13 +223,14 @@ proptest! {
 }
 
 #[test]
-fn snapshots_never_observe_a_half_published_batch() {
-    // Four writers own disjoint key stripes; each transaction rewrites
-    // its whole stripe to one uniform stamp, and group commit coalesces
-    // the publications that queue behind a slow force (optimistic commits
-    // under `WalFsync` are the ones staged). Concurrent scanners assert every range walk sees each
-    // stripe uniform (publication is atomic even inside a batch), and
-    // that every pinned epoch re-opens via `snapshot_at`.
+fn snapshots_never_observe_a_half_published_commit() {
+    // Four free-running writers own disjoint key stripes; each transaction
+    // rewrites its whole stripe to one uniform stamp and forces it on a
+    // slow disk, outside the publish gate, so forces overlap and later
+    // commits are sequenced while earlier ones still force. Concurrent
+    // scanners assert every range walk sees each stripe uniform
+    // (publication is atomic, and in epoch order), and that every pinned
+    // epoch re-opens via `snapshot_at`.
     const WRITERS: u64 = 4;
     const STRIPE: u64 = 4;
     const ROUNDS: i64 = 40;
@@ -244,13 +245,9 @@ fn snapshots_never_observe_a_half_published_batch() {
         db.insert(k, 0);
     }
     let done = Arc::new(AtomicBool::new(false));
-    // Each round's writers finish their writes before any commits: an
-    // optimistic begin waits out a force held under the publish gate, so
-    // only a transaction already begun can queue behind one.
-    let round_start = Arc::new(Barrier::new(WRITERS as usize));
     let writers: Vec<_> = (0..WRITERS)
         .map(|w| {
-            let (db, round_start) = (db.clone(), round_start.clone());
+            let db = db.clone();
             std::thread::spawn(move || {
                 for round in 1..=ROUNDS {
                     let stamp = w as i64 * 10_000 + round;
@@ -258,7 +255,6 @@ fn snapshots_never_observe_a_half_published_batch() {
                     for k in w * STRIPE..(w + 1) * STRIPE {
                         t.write(&k, stamp).expect("stripes are disjoint");
                     }
-                    round_start.wait();
                     t.commit().expect("no conflicts across stripes");
                 }
             })
@@ -269,10 +265,10 @@ fn snapshots_never_observe_a_half_published_batch() {
             let db = db.clone();
             let done = done.clone();
             std::thread::spawn(move || {
-                let mut pinned = Vec::new();
+                let mut pinned = 0usize;
                 while !done.load(Ordering::Acquire) {
                     let snap = db.snapshot();
-                    pinned.push(snap.epoch());
+                    pinned += 1;
                     let all = snap.range(..);
                     assert_eq!(all.len(), (WRITERS * STRIPE) as usize);
                     assert!(all.windows(2).all(|w| w[0].0 < w[1].0), "key order");
@@ -295,35 +291,9 @@ fn snapshots_never_observe_a_half_published_batch() {
         h.join().unwrap();
     }
     done.store(true, Ordering::Release);
-    let pinned: Vec<u64> = scanners.into_iter().flat_map(|h| h.join().unwrap()).collect();
-    assert!(!pinned.is_empty());
-
-    // Epoch runs published by one multi-commit frame are atomic: no
-    // scanner may have pinned an epoch strictly inside one (the
-    // watermark jumps from below the run to its last epoch).
-    let bytes = vfs.mem.snapshot(WAL_PATH);
-    let (records, _) = scan(&bytes).expect("live log scans clean");
-    let mut frames = 0usize;
-    for r in &records {
-        if let Record::Commit { commits } = r {
-            if commits.len() < 2 {
-                continue;
-            }
-            frames += 1;
-            let epochs: Vec<u64> = commits.iter().map(|c| c.epoch).collect();
-            assert!(
-                epochs.windows(2).all(|w| w[1] == w[0] + 1),
-                "batch epochs not consecutive: {epochs:?}"
-            );
-            let (first, last) = (epochs[0], *epochs.last().unwrap());
-            for &p in &pinned {
-                assert!(
-                    p < first || p >= last,
-                    "snapshot pinned epoch {p} strictly inside batch run [{first}, {last}]"
-                );
-            }
-        }
-    }
-    assert!(frames >= 1, "group commit never coalesced; batching untested");
+    let pinned: usize = scanners.into_iter().map(|h| h.join().unwrap()).sum();
+    assert!(pinned > 0);
+    let forces = vfs.most_forcing.load(Ordering::SeqCst);
+    assert!(forces >= 2, "no two forces were ever in flight at once; overlap untested");
     assert_eq!(db.epochs().watermark, WRITERS * ROUNDS as u64);
 }

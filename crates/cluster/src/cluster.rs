@@ -1,7 +1,7 @@
 //! The sharded multi-node engine.
 //!
 //! A [`Cluster`] is `k` full [`Db`] nodes — each with its own lock
-//! manager, MVCC store, commit pipeline and (optionally) write-ahead log
+//! manager, MVCC store, commit path and (optionally) write-ahead log
 //! — behind one transaction surface. Keys are routed by the
 //! deterministic [`Partition`] (`home(x)`, Section 9.1); a cluster
 //! transaction materializes a *participant* engine transaction per node

@@ -3,7 +3,7 @@
 //!
 //! A [`Cluster`] shards the ordered keyspace across `k` in-process nodes
 //! — each a full [`rnt_core::Db`] with its own lock manager, MVCC store,
-//! commit pipeline and optional write-ahead log — routed by the
+//! commit path and optional write-ahead log — routed by the
 //! deterministic [`Partition`] (`home(x)`). Cluster transactions span
 //! nodes transparently: every `get`/`put` runs at the key's home node
 //! under a per-node *participant* transaction, nested

@@ -27,8 +27,8 @@ pub enum DeadlockPolicy {
 /// commits the only durability points: a subtransaction's commit is
 /// revocable until every ancestor commits, so subtransaction events never
 /// reach the log at all. The log holds seeds and one frame per top-level
-/// commit (or group-commit batch) carrying its write set; recovery
-/// replays those and nothing else.
+/// commit carrying its write set; recovery replays those and nothing
+/// else.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum Durability {
     /// In-memory only: no write-ahead log, nothing survives a crash.
@@ -39,13 +39,10 @@ pub enum Durability {
     /// retired, but a crash may lose a suffix of acked commits.
     Wal,
     /// Like [`Durability::Wal`], plus an fsync before acking each
-    /// top-level commit: an acked commit survives any crash. A locking
-    /// commit forces outside the publish gate, so forces overlap. An
-    /// optimistic one forces inside its validation's gate hold, so its
-    /// commits are staged through the group-commit sequencer: the
-    /// commits that queued while one batch was being forced form the
-    /// next, which shares one frame and one fsync. There is no batch size
-    /// and no batch window to set; a solo committer is never delayed.
+    /// top-level commit: an acked commit survives any crash. Every
+    /// commit, in either mode, forces outside the publish gate, after its
+    /// frame is appended and before it publishes, so forces overlap and
+    /// nothing waits for company.
     WalFsync,
 }
 
@@ -81,10 +78,9 @@ pub enum CcMode {
 ///
 /// Each field is a choice that changes what a caller observes: which
 /// conflicts wait, whether an audit log exists, what survives a crash,
-/// and when conflicts are decided. How large a group-commit batch grows
-/// and how often a parked waiter re-checks unprompted are engine facts,
-/// not settings: batches form from the commits that queue behind a
-/// force, and waits are driven by notifications.
+/// and when conflicts are decided. How often a parked waiter re-checks
+/// unprompted is an engine fact, not a setting: waits are driven by
+/// notifications.
 #[non_exhaustive]
 #[derive(Clone, Debug)]
 pub struct DbConfig {
@@ -155,11 +151,9 @@ impl DbConfigBuilder {
         self
     }
 
-    /// Accepted and ignored. Whether a commit is batched follows from the
-    /// configuration instead: an optimistic commit under
-    /// [`Durability::WalFsync`] with a log attached is staged through the
-    /// group-commit sequencer, and every other commit retires directly.
-    /// Kept so that existing callers compile.
+    /// Accepted and ignored: no commit is batched, and every top-level
+    /// commit frames, forces and publishes on its own. Kept so that
+    /// existing callers compile.
     pub fn group_commit(self, _on: bool) -> Self {
         self
     }

@@ -13,31 +13,32 @@
 //! [`Txn::run_child`] one level up.
 //!
 //! This module is what both [`CcMode`]s share: the `Db`/`Txn` surface,
-//! the registry, WAL and audit plumbing, and the dispatch of top-level
-//! commits — staged through the group-commit pipeline only where a force
-//! sits under the publish gate. What a mode does differently
-//! lives in `locking` and `optimistic`; `recover` replays the log and
-//! writes its checkpoints.
+//! the registry, WAL and audit plumbing, and the one commit path every
+//! top-level commit takes. Each mode sequences its commit under the
+//! publish gate — reserve an epoch, append one commit frame — into a
+//! `Run`; [`DbInner::publish`] forces the log outside the gate, then
+//! publishes the run at its turn, in epoch order. What a mode does
+//! differently lives in `locking` and `optimistic`; `recover` replays the
+//! log and writes its checkpoints.
 
 use crate::audit::{hash_value, AuditLog, AuditRecord};
 #[cfg(feature = "chaos-hooks")]
 use crate::chaos;
-use crate::commit_pipeline::CommitPipeline;
 pub use crate::config::{CcMode, DbConfig, DbConfigBuilder, DeadlockPolicy, Durability};
 use crate::deadlock::WaitForGraph;
 use crate::error::TxnError;
 use crate::lock::LockState;
 use crate::locking::{ShardState, WaitEntry};
-use crate::optimistic::{OptCtx, OptFootprint};
+use crate::optimistic::OptCtx;
 use crate::registry::{Registry, RegistryError, RegistryView, Tree, TxnId, TxnStatus};
 use crate::stats::{Stats, StatsSnapshot};
 pub use crate::view::Snapshot;
 use crate::view::{EpochBounds, ReadView, SnapshotError};
 use parking_lot::Mutex;
 use rnt_model::UpdateFn;
-use rnt_mvcc::{MvccStore, GENESIS_EPOCH};
+use rnt_mvcc::{MvccStore, Reservation, GENESIS_EPOCH};
 use rnt_wal::{CommitEntry, Record, Wal, WalError, WalForce, INIT_ACTION};
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::hash::{BuildHasher, Hash, RandomState};
 use std::ops::RangeBounds;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -211,9 +212,12 @@ pub(crate) struct DbInner<K, V> {
     /// without ever touching the lock tables. Lock order: publish →
     /// shard (locking only) → the store's own locks.
     pub(crate) mvcc: MvccStore<K, V>,
-    /// The group-commit sequencer, for the commits [`DbInner::stages`]
-    /// picks.
-    pipeline: CommitPipeline<OptFootprint<K, V>, Result<(), TxnError>>,
+    /// The in-flight table (optimistic only): every key written by an
+    /// optimistic run that has reserved its epoch but not yet published,
+    /// mapped to that epoch. Phase-2 validation probes it by key and by
+    /// interval, as it probes the chains. Touched only under the publish
+    /// lock — lock order: publish → in-flight.
+    pub(crate) in_flight: Mutex<BTreeMap<K, u64>>,
     /// The installed fault injector, if any (chaos harness only).
     #[cfg(feature = "chaos-hooks")]
     injector: parking_lot::RwLock<Option<Arc<dyn chaos::Injector>>>,
@@ -268,9 +272,7 @@ where
                 run_seq: AtomicU64::new(0),
                 wal: std::sync::OnceLock::new(),
                 mvcc: MvccStore::new(0),
-                pipeline: CommitPipeline::new(Err(TxnError::Wal {
-                    detail: "the thread retiring this commit's batch panicked".to_string(),
-                })),
+                in_flight: Mutex::new(BTreeMap::new()),
                 #[cfg(feature = "chaos-hooks")]
                 injector: parking_lot::RwLock::new(None),
             }),
@@ -583,40 +585,27 @@ where
         true
     }
 
-    /// The serialized half of making a run of top-level commits durable:
-    /// append ONE `Commit` frame in which the `i`-th of `commits` commits
-    /// at epoch `first + i` with its write set. The caller holds the
-    /// publish gate from the run's epoch allocation through this call, so
-    /// commit-frame log order is epoch order. A batch of one frames
-    /// exactly what an unbatched commit does.
-    pub(crate) fn log_commit_frame(
-        &self,
-        first: u64,
-        commits: impl IntoIterator<Item = (TxnId, WriteSet)>,
-    ) {
-        if self.wal.get().is_none() {
-            return;
-        }
-        let commits = (first..)
-            .zip(commits)
-            .map(|(epoch, (txn, writes))| CommitEntry { action: txn.0, epoch, writes })
-            .collect();
-        self.wal_append(&Record::Commit { commits }, first);
+    /// The serialized half of making a top-level commit durable: append
+    /// ONE `Commit` frame in which `txn` commits at `epoch` with its write
+    /// set. The caller holds the publish gate from the epoch's
+    /// reservation through this call, so commit-frame log order is epoch
+    /// order.
+    pub(crate) fn log_commit_frame(&self, epoch: u64, txn: TxnId, writes: WriteSet) {
+        let commits = vec![CommitEntry { action: txn.0, epoch, writes }];
+        self.wal_append(&Record::Commit { commits }, epoch);
     }
 
     /// The concurrent half: under [`Durability::WalFsync`], force the log
-    /// for the run `first ..= last` before it publishes — unless a failure
+    /// for the run at `epoch` before it publishes — unless a failure
     /// already lost the run (see [`WalState::verdict`], which then fails
     /// it anyway). The only place the engine fsyncs outside a checkpoint,
     /// and a no-op without a log or without `WalFsync`.
     ///
-    /// **The force takes no engine lock.** A locking run forces holding
-    /// none: transactions keep running, seeds keep logging, other runs
-    /// are sequenced and forced, and a checkpoint may rewrite the file
+    /// **The force takes no engine lock**, in either mode: transactions
+    /// keep running and beginning, seeds keep logging, other runs are
+    /// sequenced and forced, and a checkpoint may rewrite the file
     /// (keeping this run's frame, see [`DbInner::do_checkpoint`]) while
-    /// the disk works. An optimistic run forces inside the publish-gate
-    /// hold it validated in, which is why it is staged (see
-    /// [`DbInner::stages`]). Why forcing outside the gate is safe:
+    /// the disk works. Why forcing outside the gate is safe:
     ///
     /// * the fsync begins after the run's frame was appended, so it
     ///   covers that frame and every byte logged before it;
@@ -625,60 +614,51 @@ where
     ///
     /// Should the force unwind (a panicking [`rnt_wal::Vfs`]), the log is
     /// marked broken from this run on before the panic leaves.
-    pub(crate) fn force_log(&self, first: u64, last: u64) {
-        let Some(w) = self.wal.get().filter(|_| self.must_force(last)) else { return };
-        let unwinding = BreakOnUnwind { wal: w, epoch: first };
+    pub(crate) fn force_log(&self, epoch: u64) {
+        let Some(w) = self.wal.get().filter(|_| self.must_force(epoch)) else { return };
+        let unwinding = BreakOnUnwind { wal: w, epoch };
         match w.force.fsync() {
             Ok(()) => self.stats.bump(|b| &b.wal_fsyncs),
-            Err(e) => w.mark_broken(first, &e),
+            Err(e) => w.mark_broken(epoch, &e),
         }
         std::mem::forget(unwinding);
     }
 
-    /// Whether the run ending at `last` is forced before it publishes:
-    /// under [`Durability::WalFsync`], unless a failure already lost it.
-    /// Once false for a run it stays false (failures only accumulate).
-    pub(crate) fn must_force(&self, last: u64) -> bool {
+    /// Whether the run at `epoch` is forced before it publishes: under
+    /// [`Durability::WalFsync`], unless a failure already lost it. Once
+    /// false for a run it stays false (failures only accumulate).
+    pub(crate) fn must_force(&self, epoch: u64) -> bool {
         self.config.durability == Durability::WalFsync
-            && self.wal.get().is_some_and(|w| !w.loses(last))
+            && self.wal.get().is_some_and(|w| !w.loses(epoch))
     }
 
-    /// The durability verdict of the run ending at `last` (always `Ok`
-    /// without a log): see [`WalState::verdict`].
-    pub(crate) fn wal_verdict(&self, last: u64) -> Result<(), TxnError> {
-        self.wal.get().map_or(Ok(()), |w| w.verdict(last))
+    /// The durability verdict of the run at `epoch` (always `Ok` without
+    /// a log): see [`WalState::verdict`].
+    pub(crate) fn wal_verdict(&self, epoch: u64) -> Result<(), TxnError> {
+        self.wal.get().map_or(Ok(()), |w| w.verdict(epoch))
     }
 
-    /// Whether a top-level commit is staged through the group-commit
-    /// sequencer: iff its publication forces under the publish gate,
-    /// which only an optimistic commit does, under
-    /// [`Durability::WalFsync`] with a log attached. Its batchmates share
-    /// that gate hold, frame and force. Every other commit holds the gate
-    /// for no force, gains nothing by waiting for company, and retires
-    /// directly.
-    pub(crate) fn stages(&self) -> bool {
-        self.config.cc_mode == CcMode::Optimistic
-            && self.config.durability == Durability::WalFsync
-            && self.wal.get().is_some()
-    }
-
-    /// Queue one finished optimistic top-level commit for the group-commit
-    /// sequencer and park until a batch containing it has been retired —
-    /// by this thread, if it ends up the leader. The sequencer's counters
-    /// move here only, so `commits_staged == commits_batched` plus the
-    /// losers: each stager counts its own verdict, so only a stager that
-    /// unwinds goes uncounted.
-    pub(crate) fn stage(&self, txn: TxnId, footprint: OptFootprint<K, V>) -> Result<(), TxnError> {
-        self.stats.bump(|b| &b.commits_staged);
-        let retire = |batch| {
-            self.stats.bump(|b| &b.commit_batches);
-            self.process_optimistic_batch(batch)
-        };
-        let verdict = self.pipeline.stage(txn, footprint, retire);
-        if is_committed(&verdict) {
-            self.stats.bump(|b| &b.commits_batched);
-        }
-        verdict
+    /// The concurrent half of every top-level commit, in both modes, for
+    /// a run its mode has sequenced: force the log (holding no lock),
+    /// then — at the run's turn, once every earlier run published — the
+    /// mode's publication, and the watermark passes the run as its ticket
+    /// drops. Returns the commit's durability verdict.
+    ///
+    /// The order is the invariant. Nothing of the run becomes visible
+    /// before the force returned (Lemma 7): no lock moves, no version
+    /// lands. Publication is in epoch order, not force-completion order:
+    /// a chain head is overwritten in place when no pin is below the new
+    /// epoch, so a run publishing ahead of an earlier one could hide a
+    /// version a pin on the earlier run's base still needs. Holding the
+    /// ticket across the mode's publication means no snapshot can pin
+    /// the run's epoch until every chain append landed. A WAL failure
+    /// surfaces only after the run is published: in-memory state stays
+    /// consistent, durability doesn't.
+    pub(crate) fn publish(&self, mut run: Run<'_, K, V>) -> Result<(), TxnError> {
+        let epoch = run.epoch();
+        self.force_log(epoch);
+        run.publish_in_turn();
+        self.wal_verdict(epoch)
     }
 
     /// The head of every abort: audit `Abort`, then the registry
@@ -741,6 +721,95 @@ where
             }
         }
         Ok(())
+    }
+}
+
+/// What a sequenced top-level commit changes at its turn, by mode.
+pub(crate) enum Effects<K, V> {
+    /// Locking: the keys whose locks the committer holds. At its turn
+    /// they are released, each key it wrote gaining a chain version.
+    Locks(HashSet<K>),
+    /// Optimistic: the buffered write set, appended to the chains at its
+    /// turn; whether its keys entered the in-flight table (they leave it
+    /// then); and the begin pin, released once the run is published.
+    Writes { writes: BTreeMap<K, V>, in_flight: bool, pin: u64 },
+}
+
+/// A top-level commit between the two halves of its publication: its
+/// mode sequenced it (`sequence_locking`, `sequence_optimistic`),
+/// reserving its epoch and logging its frame under the publish gate, and
+/// [`DbInner::publish`] forces and publishes it.
+///
+/// Dropped unpublished — a panic between the halves, say in the force or
+/// a key encoder — it marks the log broken from its epoch on and still
+/// publishes the run in turn: locks released or versions appended at its
+/// epoch, the begin pin released, the watermark advanced. Nothing stays
+/// locked or pinned, and no later run waits forever at its turn.
+pub(crate) struct Run<'a, K, V>
+where
+    K: Eq + Hash + Ord + Clone + Send + Sync + 'static,
+    V: Clone + Hash + Send + Sync + 'static,
+{
+    pub(crate) inner: &'a DbInner<K, V>,
+    pub(crate) txn: TxnId,
+    /// Taken once published.
+    pub(crate) effects: Option<Effects<K, V>>,
+    /// `None` until reserved (a locking run reads its write set first).
+    pub(crate) reservation: Option<Reservation<'a>>,
+}
+
+impl<K, V> Run<'_, K, V>
+where
+    K: Eq + Hash + Ord + Clone + Send + Sync + 'static,
+    V: Clone + Hash + Send + Sync + 'static,
+{
+    fn epoch(&self) -> u64 {
+        self.reservation.as_ref().expect("a sequenced run").epoch()
+    }
+
+    /// Wait for the run's turn and publish its effects (once).
+    fn publish_in_turn(&mut self) {
+        let Some(effects) = self.effects.take() else { return };
+        let inner = self.inner;
+        let publish = self.reservation.take().expect("a sequenced run").publish();
+        let epoch = publish.epoch();
+        match effects {
+            Effects::Locks(keys) => inner.finish_locks(self.txn, &keys, true, Some(epoch)),
+            Effects::Writes { writes, in_flight, pin } => {
+                if in_flight {
+                    let mut table = inner.in_flight.lock();
+                    for key in writes.keys() {
+                        table.remove(key);
+                    }
+                }
+                // The chain is the only home of an optimistic commit:
+                // there is no lock table to update and no waiter to wake.
+                for (key, value) in writes {
+                    inner.mvcc.append(&key, epoch, value);
+                }
+                // Unpinning may sweep, which takes the publish lock.
+                drop(publish);
+                inner.mvcc.unpin(pin);
+            }
+        }
+    }
+}
+
+impl<K, V> Drop for Run<'_, K, V>
+where
+    K: Eq + Hash + Ord + Clone + Send + Sync + 'static,
+    V: Clone + Hash + Send + Sync + 'static,
+{
+    fn drop(&mut self) {
+        if self.effects.is_none() {
+            return;
+        }
+        let inner = self.inner;
+        let epoch = self.reservation.get_or_insert_with(|| inner.mvcc.reserve()).epoch();
+        if let Some(w) = inner.wal.get() {
+            w.mark_broken(epoch, "a commit's publication unwound");
+        }
+        self.publish_in_turn();
     }
 }
 
@@ -875,6 +944,8 @@ where
     /// [`CcMode::Optimistic`], a top-level commit additionally runs
     /// first-committer-wins validation and can fail with the retryable
     /// [`TxnError::Conflict`] — the transaction is then already aborted.
+    /// A commit that lost to one still being forced returns once the
+    /// winner is published, so a retry begins on a snapshot holding it.
     pub fn commit(mut self) -> Result<(), TxnError> {
         let inner = &self.inner;
         let id = self.id;
@@ -919,21 +990,19 @@ where
             inner.stats.bump(|b| &b.committed);
             return Ok(());
         }
-        // The mode's publication sequence, run here — or, for a staged
-        // commit, by a batch leader, our footprint validated against the
-        // others' only when it runs. Either way it publishes or aborts us.
+        // The mode sequences the commit into a run (an optimistic one
+        // validates first, and may lose instead), and the one publish
+        // path forces and publishes it. An optimistic run releases the
+        // begin pin once published; a loser, once aborted.
         let verdict = match &self.mode {
             TxnMode::Locking { touched, .. } => {
                 let keys = std::mem::take(&mut *touched.lock());
-                inner.publish_locking(inner.sequence_locking(id, keys))
+                inner.publish(inner.sequence_locking(id, keys))
             }
             TxnMode::Optimistic(opt) => inner.commit_optimistic(id, opt.take_footprint()),
         };
         if is_committed(&verdict) {
             inner.stats.bump(|b| &b.committed);
-        }
-        if let TxnMode::Optimistic(opt) = &self.mode {
-            inner.mvcc.unpin(opt.begin_epoch);
         }
         verdict
     }

@@ -34,7 +34,6 @@
 mod audit;
 #[cfg(feature = "chaos-hooks")]
 pub mod chaos;
-mod commit_pipeline;
 mod config;
 mod db;
 mod deadlock;

@@ -17,13 +17,12 @@
 
 use crate::audit::{hash_value, AuditRecord};
 use crate::config::DeadlockPolicy;
-use crate::db::{DbInner, Txn, WalState, WriteSet};
+use crate::db::{DbInner, Effects, Run, Txn, WalState, WriteSet};
 use crate::error::TxnError;
 use crate::lock::{Conflict, LockEnv, LockState};
 use crate::registry::{Registry, RegistryView, TxnId};
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use rnt_model::UpdateFn;
-use rnt_mvcc::Reservation;
 use std::collections::{HashMap, HashSet};
 use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -31,12 +30,11 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// The engine's one fallback re-check bound for a parked thread: a
-/// [`DeadlockPolicy::WaitDie`] or [`DeadlockPolicy::Detect`] lock waiter,
-/// or a stager parked in the group-commit pipeline. Notifications drive
-/// progress; the bound only caps how long a lost race could cost before
-/// the thread re-runs its check unprompted. A
+/// [`DeadlockPolicy::WaitDie`] or [`DeadlockPolicy::Detect`] lock waiter.
+/// Notifications drive progress; the bound only caps how long a lost
+/// race could cost before the thread re-runs its check unprompted. A
 /// [`DeadlockPolicy::Timeout`] waiter sleeps to its deadline instead.
-pub(crate) const WAIT_SLICE: Duration = Duration::from_millis(2);
+const WAIT_SLICE: Duration = Duration::from_millis(2);
 
 /// A per-key wait gate: the condvar transactions blocked on this key park
 /// on, plus a generation counter bumped (under the shard lock) whenever
@@ -400,8 +398,8 @@ where
     /// top-level `txn` whose registry transition and audit `Commit` are
     /// done and whose locks on `keys` are still held: read its write set
     /// (only with a log attached), then, in one publish-gate hold, reserve
-    /// its epoch and append its commit frame. [`DbInner::publish_locking`]
-    /// does the rest.
+    /// its epoch and append its commit frame. [`DbInner::publish`] does
+    /// the rest.
     ///
     /// The write set is read before the gate: it cannot change, because
     /// every key is still write-locked by its committer. Holding the gate
@@ -409,55 +407,27 @@ where
     /// order equal epoch order. A run with a force ahead of it leaves the
     /// gate here; one without (no log, no `WalFsync`, or a log already
     /// lost) keeps it and publishes in the same hold — nothing slow runs
-    /// under it, and no later run can reserve, reach its turn first and
-    /// park.
-    pub(crate) fn sequence_locking(&self, txn: TxnId, keys: HashSet<K>) -> LockingRun<'_, K, V> {
-        let mut run = LockingRun { inner: self, txn, keys: Some(keys), reservation: None };
-        let keys = run.keys.as_ref().expect("unpublished");
-        let writes = self.wal.get().map(|w| self.write_set(w, txn, keys));
-        let reservation = run.reservation.insert(self.mvcc.reserve());
-        self.log_commit_frame(reservation.epoch(), writes.map(|w| (txn, w)));
-        if self.must_force(reservation.epoch()) {
-            reservation.leave_gate();
-        }
-        run
-    }
-
-    /// The concurrent half, holding no gate while it forces: force the
-    /// log, then — at the run's turn, once every earlier run published —
-    /// release the committer's locks, each key it wrote gaining a chain
-    /// version at its epoch, and let the watermark pass it as the ticket
-    /// drops. Returns the commit's durability verdict.
-    ///
-    /// The order is the invariant. No lock moves before the force
-    /// returned: once `finish_locks` runs, other threads can acquire
-    /// those locks and commit on what they read (Lemma 7). Publication is
-    /// in epoch order, not force-completion order: a chain head is
-    /// overwritten in place when no pin is below the new epoch, so a run
-    /// publishing ahead of an earlier one could hide a version a pin on
-    /// the earlier run's base still needs. Holding the gate across
-    /// `finish_locks` means no snapshot can pin the run's epoch until
-    /// every chain append landed. A WAL failure surfaces only after the
-    /// locks are cleanly released: in-memory state stays consistent,
-    /// durability doesn't.
+    /// under it.
     ///
     /// The run's write set is disjoint from every unpublished run's
     /// (each still holds its write locks, and no committer is an
     /// ancestor of another), so chain appends never race on a key and
-    /// per-key epoch order stays ascending.
-    pub(crate) fn publish_locking(&self, mut run: LockingRun<'_, K, V>) -> Result<(), TxnError> {
-        let epoch = run.reservation.as_ref().expect("a sequenced run").epoch();
-        self.force_log(epoch, epoch);
-        let keys = run.keys.take().expect("published once");
-        self.publish_run(run.txn, &keys, run.reservation.take().expect("a sequenced run"));
-        self.wal_verdict(epoch)
-    }
-
-    /// Publish a reserved commit at its turn (see
-    /// [`DbInner::publish_locking`]).
-    fn publish_run(&self, txn: TxnId, keys: &HashSet<K>, reservation: Reservation<'_>) {
-        let publish = reservation.publish();
-        self.finish_locks(txn, keys, true, Some(publish.epoch()));
+    /// per-key epoch order stays ascending. No lock moves before the
+    /// force returned: once `finish_locks` runs at the turn, other
+    /// threads can acquire those locks and commit on what they read.
+    pub(crate) fn sequence_locking(&self, txn: TxnId, keys: HashSet<K>) -> Run<'_, K, V> {
+        let mut run =
+            Run { inner: self, txn, effects: Some(Effects::Locks(keys)), reservation: None };
+        let Some(Effects::Locks(keys)) = &run.effects else { unreachable!("built above") };
+        let writes = self.wal.get().map(|w| self.write_set(w, txn, keys));
+        let reservation = run.reservation.insert(self.mvcc.reserve());
+        if let Some(writes) = writes {
+            self.log_commit_frame(reservation.epoch(), txn, writes);
+        }
+        if self.must_force(reservation.epoch()) {
+            reservation.leave_gate();
+        }
+        run
     }
 
     /// What a committing top-level `t` changes in the committed state:
@@ -476,44 +446,6 @@ where
                 Some(w.encode(key, value))
             })
             .collect()
-    }
-}
-
-/// A locking commit between the two halves of its publication:
-/// [`DbInner::sequence_locking`] reserved its epoch and logged its
-/// frame; [`DbInner::publish_locking`] forces and publishes it.
-///
-/// Dropped unpublished — a panic between the halves, say in the force or
-/// a key encoder — it marks the log broken from its epoch on and still
-/// publishes the run in turn: locks released, versions appended at its
-/// epoch, watermark advanced. Nothing stays locked, and no later run
-/// waits forever at its turn.
-pub(crate) struct LockingRun<'a, K, V>
-where
-    K: Eq + Hash + Ord + Clone + Send + Sync + 'static,
-    V: Clone + Hash + Send + Sync + 'static,
-{
-    inner: &'a DbInner<K, V>,
-    txn: TxnId,
-    /// The keys whose locks the commit holds; taken once published.
-    keys: Option<HashSet<K>>,
-    /// Taken once the write set is read; `None` before.
-    reservation: Option<Reservation<'a>>,
-}
-
-impl<K, V> Drop for LockingRun<'_, K, V>
-where
-    K: Eq + Hash + Ord + Clone + Send + Sync + 'static,
-    V: Clone + Hash + Send + Sync + 'static,
-{
-    fn drop(&mut self) {
-        let Some(keys) = self.keys.take() else { return };
-        let inner = self.inner;
-        let reservation = self.reservation.take().unwrap_or_else(|| inner.mvcc.reserve());
-        if let Some(w) = inner.wal.get() {
-            w.mark_broken(reservation.epoch(), "a commit's retirement unwound");
-        }
-        inner.publish_run(self.txn, &keys, reservation);
     }
 }
 

@@ -1,18 +1,16 @@
 //! Optimistic first-committer-wins concurrency control
 //! ([`CcMode::Optimistic`]): per-transaction snapshots and private
 //! buffers, lock-free reads and scans, commit-time validation, and the
-//! optimistic publication and loser sequences.
+//! optimistic sequencing and loser sequences.
 //!
 //! [`CcMode::Optimistic`]: crate::CcMode::Optimistic
 
 use crate::audit::{hash_value, AuditRecord};
-use crate::commit_pipeline::StagedCommit;
-use crate::db::{map_reg_err, DbInner, Txn, WriteSet};
+use crate::db::{map_reg_err, DbInner, Effects, Run, Txn};
 use crate::error::TxnError;
 use crate::registry::TxnId;
 use parking_lot::Mutex;
 use rnt_model::UpdateFn;
-use rnt_mvcc::PublishGate;
 use std::collections::{BTreeMap, HashSet};
 use std::hash::Hash;
 use std::ops::{Bound, RangeBounds};
@@ -21,11 +19,6 @@ use std::sync::Arc;
 /// A scanned interval, owned: the bounds of one
 /// [`ReadView::range`](crate::ReadView::range) call.
 type KeyRange<K> = (Bound<K>, Bound<K>);
-
-/// One top-level commit on its way through the publication sequence:
-/// what the group-commit sequencer queues for its leader, and what an
-/// unstaged commit retires itself as, in a batch of one.
-type Participant<K, V> = StagedCommit<OptFootprint<K, V>>;
 
 /// Per-transaction optimistic-mode context: the begin snapshot plus the
 /// private buffers that replace lock-table state.
@@ -171,180 +164,126 @@ where
     K: Eq + Hash + Ord + Clone + Send + Sync + 'static,
     V: Clone + Hash + Send + Sync + 'static,
 {
-    /// Retire optimistic commits — a group-commit leader's drained batch,
-    /// or an unstaged commit as a batch of one — returning each
-    /// participant's verdict in batch order.
+    /// Commit one finished optimistic top-level transaction: validate its
+    /// footprint and, if it is clean, sequence it into a run that
+    /// [`DbInner::publish`] forces and publishes; otherwise run the loser
+    /// sequence — audit `Abort`, registry transition, counters, the begin
+    /// pin released.
     ///
-    /// Validation is two-phase (Kung–Robinson). Phase 1 runs *before* the
-    /// gate, against a pre-read watermark: every commit fully published by
-    /// then is visible to it, so the O(footprint) walk happens outside the
-    /// publish critical section, and the losers it finds never touch the
-    /// gate. The gate is taken only if some participant survived. Under
-    /// it, phase 2 re-checks each survivor from `pre_watermark` — only if
-    /// the watermark moved in between — and against the write sets of
-    /// earlier in-batch survivors (an ordered overlay, so an interval can
-    /// be probed): exactly what it would have observed had the batch
-    /// committed one by one. A commit racing phase 1 either finished first
-    /// (phase 2 catches it via the `> pre_watermark` floor) or is
-    /// mid-publish holding the gate (its appends may be visible early, but
-    /// it can no longer fail — aborting on it is ordinary first-committer
-    /// loss).
-    ///
-    /// Losers then run the loser sequence and survivors the publication
-    /// sequence (a contiguous epoch run; no epoch is burned on a loser).
-    /// Every participant's registry state flips here, while a staged
-    /// participant's own thread is parked, so by the time a verdict is
-    /// returned the transaction is finished either way.
-    pub(crate) fn process_optimistic_batch(
-        &self,
-        mut batch: Vec<Participant<K, V>>,
-    ) -> Vec<Result<(), TxnError>> {
-        let pre_watermark = self.mvcc.watermark();
-        let phase1: Vec<Option<u64>> =
-            batch.iter().map(|p| self.opt_conflict(&p.payload, p.payload.begin_epoch)).collect();
-        let gate = phase1.contains(&None).then(|| self.mvcc.begin_publish_gate());
-        // `pre_watermark ≥ begin_epoch` (a begin pin is at or below any
-        // later watermark read), so the tighter floor loses no conflicts.
-        let moved = gate.is_some() && self.mvcc.watermark() != pre_watermark;
-        // A survivor's epoch is the gate's next one plus the number of
-        // earlier survivors; its write set joins the in-batch overlay
-        // later participants must also validate against.
-        let mut epoch = gate.as_ref().map_or(0, PublishGate::next_epoch);
-        let mut batch_writes: BTreeMap<K, u64> = BTreeMap::new();
-        let n = batch.len();
-        let mut verdicts = Vec::with_capacity(n);
-        for (i, (staged, mut newest)) in batch.iter().zip(phase1).enumerate() {
-            let footprint = &staged.payload;
-            if newest.is_none() {
-                if moved {
-                    newest = self.opt_conflict(footprint, pre_watermark);
-                }
-                // Every in-batch epoch is above the watermark, hence above
-                // any participant's begin epoch: a hit is a conflict.
-                newest = newest.max(footprint.newest(
-                    |k| batch_writes.get(k).copied(),
-                    |span| batch_writes.range(span).map(|(_, &e)| e).max(),
-                ));
-            }
-            // A clean footprint makes the commit final: the registry state
-            // flips under the gate, so no later observation can see a
-            // validated participant still active.
-            let verdict = match newest {
-                Some(committed_epoch) => {
-                    Err(TxnError::Conflict { begin_epoch: footprint.begin_epoch, committed_epoch })
-                }
-                None => self.registry.commit(staged.txn).map_err(map_reg_err),
-            };
-            if verdict.is_ok() {
-                // The last participant's writes have nobody left to
-                // validate against them.
-                for key in footprint.writes.keys().filter(|_| i + 1 < n) {
-                    batch_writes.insert(key.clone(), epoch);
-                }
-                epoch += 1;
-            }
-            verdicts.push(verdict);
-        }
-        self.abort_optimistic(&batch, &verdicts);
-        let mut fates = verdicts.iter();
-        batch.retain(|_| fates.next().is_some_and(Result::is_ok));
-        if let Some(gate) = gate.filter(|_| !batch.is_empty()) {
-            if let Err(e) = self.publish_optimistic(gate, &mut batch) {
-                for verdict in verdicts.iter_mut().filter(|v| v.is_ok()) {
-                    *verdict = Err(e.clone());
-                }
-            }
-        }
-        verdicts
-    }
-
-    /// Retire one finished optimistic top-level commit: staged if
-    /// [`stages`](DbInner::stages), else as a batch of one. A footprint
-    /// already overtaken at its begin epoch loses before it could queue —
-    /// with no epoch, and no wait behind a batch leader's force; the
-    /// batch validates every survivor again. Such a loser still counts
-    /// as staged, so `commits_staged == commits_batched` plus every
-    /// staged loser.
+    /// A loser overtaken by a run that is still forcing (its
+    /// `committed_epoch` above the watermark) returns only once that run
+    /// is published, waiting outside the gate: a caller that retries at
+    /// once then pins a snapshot that already holds the winner's write,
+    /// instead of losing to it again.
     pub(crate) fn commit_optimistic(
         &self,
         txn: TxnId,
         footprint: OptFootprint<K, V>,
     ) -> Result<(), TxnError> {
-        let stages = self.stages();
-        if stages && self.opt_conflict(&footprint, footprint.begin_epoch).is_none() {
-            return self.stage(txn, footprint);
+        let pin = footprint.begin_epoch;
+        let failure = match self.sequence_optimistic(txn, footprint) {
+            Ok(run) => return self.publish(run),
+            Err(failure) => failure,
+        };
+        self.abort_action(txn);
+        self.stats.bump(|b| &b.aborted);
+        self.mvcc.unpin(pin);
+        if let TxnError::Conflict { committed_epoch, .. } = failure {
+            self.stats.bump(|b| &b.occ_conflicts);
+            self.mvcc.wait_published(committed_epoch);
         }
-        if stages {
-            self.stats.bump(|b| &b.commits_staged);
-        }
-        let commit = StagedCommit { txn, payload: footprint };
-        self.process_optimistic_batch(vec![commit]).pop().expect("one verdict")
+        Err(failure)
     }
 
-    /// The optimistic loser sequence, for every participant whose verdict
-    /// is an error: audit `Abort`, registry transition, counters. Whoever
-    /// validated runs it — a staged loser's own thread is parked, so
-    /// someone must finish it.
-    fn abort_optimistic(
+    /// The serialized half of the optimistic publication sequence:
+    /// validate, then, in the gate hold that validated, commit in the
+    /// registry, flush the audit records, reserve the epoch and append
+    /// the commit frame. Returns the run, or the verdict of a loser.
+    ///
+    /// Validation is two-phase (Kung–Robinson). Phase 1 runs *before* the
+    /// gate, against a pre-read watermark: every run published by then is
+    /// in the chains, so the O(footprint) walk happens outside the
+    /// publish critical section, and the losers it finds never touch the
+    /// gate. Phase 2, under it, checks what phase 1 could not see: the
+    /// chains from `pre_watermark` — only if the watermark moved in
+    /// between — and the in-flight table, which holds the write set of
+    /// every run that reserved its epoch but has not published (it may
+    /// still be forcing). Under the gate every run is in exactly one of
+    /// the two: a run leaves the table in the same hold that appends its
+    /// versions. An in-flight epoch is above the watermark, hence above
+    /// any begin epoch, so a hit is a conflict.
+    ///
+    /// A run that releases the lock before it publishes — to force, or
+    /// because an earlier epoch is still unpublished and it parks for its
+    /// turn — enters the table first. One with nothing to force and
+    /// nothing reserved ahead (no log, `Wal`, or a log already lost)
+    /// publishes in this same hold, and skips it.
+    fn sequence_optimistic(
         &self,
-        participants: &[Participant<K, V>],
-        verdicts: &[Result<(), TxnError>],
-    ) {
-        for (p, verdict) in participants.iter().zip(verdicts) {
-            let Err(failure) = verdict else { continue };
-            self.abort_action(p.txn);
-            if matches!(failure, TxnError::Conflict { .. }) {
-                self.stats.bump(|b| &b.occ_conflicts);
-            }
-            self.stats.bump(|b| &b.aborted);
+        txn: TxnId,
+        footprint: OptFootprint<K, V>,
+    ) -> Result<Run<'_, K, V>, TxnError> {
+        let begin_epoch = footprint.begin_epoch;
+        let lost = |committed_epoch| TxnError::Conflict { begin_epoch, committed_epoch };
+        let pre_watermark = self.mvcc.watermark();
+        if let Some(newest) = self.opt_conflict(&footprint, begin_epoch) {
+            return Err(lost(newest));
         }
-    }
-
-    /// The optimistic publication sequence, for survivors (in epoch
-    /// order) that passed validation under `gate` and are committed in
-    /// the registry: flush each one's buffered Access records and its
-    /// `Commit` to the audit log — under the gate, so audit data order =
-    /// commit (= epoch) order, the Theorem-9 reconstruction invariant —
-    /// append one commit frame carrying every survivor's buffered writes
-    /// and force it with a single fsync, then publish each write set at
-    /// its epoch. The gate becomes the publication ticket: the watermark
-    /// passes the whole run when it drops, WAL-logged before it moves.
-    /// Returns the durability verdict every survivor reports.
-    fn publish_optimistic(
-        &self,
-        gate: PublishGate<'_>,
-        survivors: &mut [Participant<K, V>],
-    ) -> Result<(), TxnError> {
-        let wal = self.wal.get();
-        let mut writes: Vec<WriteSet> = Vec::new();
-        for p in survivors.iter_mut() {
-            let id = p.txn;
-            let footprint = &mut p.payload;
-            if let Some(audit) = &self.audit {
-                for record in footprint.audit.drain(..) {
-                    audit.log.push(record);
-                }
-            }
-            self.audit_record(|reg| AuditRecord::Commit { path: reg.path(id).expect("known") });
-            if let Some(w) = wal {
-                writes.push(footprint.writes.iter().map(|(k, v)| w.encode(k, v)).collect());
-            }
+        let gate = self.mvcc.begin_publish_gate();
+        // `pre_watermark ≥ begin_epoch` (a begin pin is at or below any
+        // later watermark read), so the tighter floor loses no conflicts.
+        let mut newest = None;
+        if self.mvcc.watermark() != pre_watermark {
+            newest = self.opt_conflict(&footprint, pre_watermark);
         }
-        let publish = gate.into_batch(survivors.len());
-        let (first, last) = (publish.epoch(), publish.last_epoch());
-        self.log_commit_frame(first, survivors.iter().map(|p| p.txn).zip(writes));
-        self.force_log(first, last);
-        // The chain is the only home of an optimistic commit: there is no
-        // lock table to update and no lock waiter to wake, so publication
-        // is publish → store, no shard in between.
-        for (i, p) in survivors.iter().enumerate() {
-            for (key, value) in &p.payload.writes {
-                self.mvcc.append(key, publish.epoch_of(i), value.clone());
+        let table = self.in_flight.lock();
+        if !table.is_empty() {
+            newest = newest.max(footprint.newest(
+                |k| table.get(k).copied(),
+                |span| table.range(span).map(|(_, &e)| e).max(),
+            ));
+        }
+        drop(table);
+        if let Some(newest) = newest {
+            return Err(lost(newest));
+        }
+        // A clean footprint makes the commit final: the registry state
+        // flips under the gate, so no later observation can see a
+        // validated transaction still active.
+        self.registry.commit(txn).map_err(map_reg_err)?;
+        let reservation = gate.reserve();
+        let epoch = reservation.epoch();
+        let forces = self.must_force(epoch);
+        let in_flight = forces || epoch != self.mvcc.watermark() + 1;
+        let OptFootprint { writes, audit, .. } = footprint;
+        let effects = Effects::Writes { writes, in_flight, pin: begin_epoch };
+        let mut run =
+            Run { inner: self, txn, effects: Some(effects), reservation: Some(reservation) };
+        let Some(Effects::Writes { writes, .. }) = &run.effects else {
+            unreachable!("built above")
+        };
+        // Flushed under the gate, so audit data order = commit (= epoch)
+        // order, the Theorem-9 reconstruction invariant.
+        if let Some(log) = &self.audit {
+            for record in audit {
+                log.log.push(record);
             }
         }
-        let durable = self.wal_verdict(last);
-        drop(publish);
-        durable
+        self.audit_record(|reg| AuditRecord::Commit { path: reg.path(txn).expect("known") });
+        if let Some(w) = self.wal.get() {
+            let set = writes.iter().map(|(k, v)| w.encode(k, v)).collect();
+            self.log_commit_frame(epoch, txn, set);
+        }
+        if in_flight {
+            let mut table = self.in_flight.lock();
+            for key in writes.keys() {
+                table.insert(key.clone(), epoch);
+            }
+        }
+        if forces {
+            run.reservation.as_mut().expect("reserved above").leave_gate();
+        }
+        Ok(run)
     }
 
     /// Buffer one optimistic Access record into the transaction's private
@@ -624,14 +563,15 @@ mod tests {
     }
 
     #[test]
-    fn optimistic_group_commit_batches_and_validates() {
-        // Staged: an optimistic commit forcing under the gate.
+    fn optimistic_forced_commits_validate_under_contention() {
+        // Forced: every commit's run leaves the gate to force, so runs
+        // validate against each other through the in-flight table.
         let config = DbConfig::builder()
             .cc_mode(CcMode::Optimistic)
             .durability(Durability::WalFsync)
             .build();
         let vfs = Arc::new(rnt_wal::MemVfs::new());
-        let db: Db<u64, i64> = Db::open_with_vfs(vfs, "group.wal", config).unwrap();
+        let db: Db<u64, i64> = Db::open_with_vfs(vfs, "forced.wal", config).unwrap();
         for k in 0..64 {
             db.insert(k, 0);
         }
@@ -641,7 +581,7 @@ mod tests {
                 std::thread::spawn(move || {
                     for j in 0..50u64 {
                         // Disjoint per-thread keys (0..56) plus a shared
-                        // hot key so batches mix survivors and losers.
+                        // hot key, so runs in flight mix winners and losers.
                         db.run(|t| {
                             t.rmw(&(i * 7 + j % 7), |v| v + 1)?;
                             t.rmw(&63, |v| v + 1).map(|_| ())
@@ -657,9 +597,10 @@ mod tests {
         assert_eq!(db.committed_value(&63), Some(400), "hot-key increments all retained");
         let s = db.stats();
         assert_eq!(s.committed, 400);
-        assert_eq!(s.commits_staged, s.committed + s.occ_conflicts, "every staging resolved");
-        assert_eq!(s.commits_batched, s.committed, "survivors retired through batches");
+        assert_eq!(s.wal_fsyncs, s.committed, "one force per commit");
+        assert_eq!(s.wal_appends, 64 + s.committed, "one frame per commit");
         assert_eq!(s.snapshot_pins_live, 0);
+        assert!(db.inner.in_flight.lock().is_empty(), "every run left the in-flight table");
     }
 
     #[test]

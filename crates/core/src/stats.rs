@@ -18,7 +18,7 @@ const DEFAULT_STRIPES: usize = 16;
 
 /// One stripe of monotonic event counters.
 ///
-/// `align(128)` keeps a whole block (23 × 8 = 184 bytes, rounded up to
+/// `align(128)` keeps a whole block (20 × 8 = 160 bytes, rounded up to
 /// 256) on cache lines no other stripe touches, so cross-core false
 /// sharing between stripes is impossible even with adjacent-line
 /// prefetching.
@@ -74,20 +74,6 @@ pub struct StatsBlock {
     /// Range scans started through any read view (snapshot walks of the
     /// ordered index, plus locked transactional range reads).
     pub range_scans: AtomicU64,
-    /// Top-level commits staged for the group-commit sequencer. Only
-    /// optimistic commits under `WalFsync` with a log attached are staged
-    /// (one already overtaken at its begin epoch loses before it queues,
-    /// and still counts); every other commit retires directly and moves
-    /// none of the three batch counters.
-    pub commits_staged: AtomicU64,
-    /// Staged commits retired (published) by the sequencer.
-    /// Conservation: equals `commits_staged` less the validation losers
-    /// at quiescence — the pipeline never loses or invents a commit.
-    pub commits_batched: AtomicU64,
-    /// Group-commit batches retired (each one WAL force + one publish
-    /// acquisition), staged commits only. `commits_batched /
-    /// commit_batches` is the achieved amortization factor.
-    pub commit_batches: AtomicU64,
     /// Optimistic (first-committer-wins) validation failures at commit:
     /// a footprint key had a committed version newer than the begin
     /// snapshot, so the transaction aborted with [`Conflict`] instead of
@@ -189,9 +175,6 @@ impl Stats {
             snap.recovered_commits += b.recovered_commits.load(Ordering::Relaxed);
             snap.snapshot_reads += b.snapshot_reads.load(Ordering::Relaxed);
             snap.range_scans += b.range_scans.load(Ordering::Relaxed);
-            snap.commits_staged += b.commits_staged.load(Ordering::Relaxed);
-            snap.commits_batched += b.commits_batched.load(Ordering::Relaxed);
-            snap.commit_batches += b.commit_batches.load(Ordering::Relaxed);
             snap.occ_conflicts += b.occ_conflicts.load(Ordering::Relaxed);
         }
         snap
@@ -240,14 +223,12 @@ pub struct StatsSnapshot {
     pub snapshot_reads: u64,
     /// Range scans started through any read view.
     pub range_scans: u64,
-    /// Top-level commits staged for the group-commit sequencer: optimistic
-    /// commits under `WalFsync` with a log attached (counting those that
-    /// lost before they queued), and no others.
-    pub commits_staged: u64,
-    /// Staged commits retired by the sequencer (= `commits_staged` less
-    /// the validation losers at quiescence).
+    /// Always 0: every top-level commit frames, forces and publishes on
+    /// its own, and nothing batches commits. Kept only because the
+    /// benchmark harness under `benchmark/` still reads it; no engine
+    /// code or test may.
     pub commits_batched: u64,
-    /// Group-commit batches retired, of staged commits only.
+    /// Always 0, for the same reason as `commits_batched`.
     pub commit_batches: u64,
     /// Optimistic validation failures at commit (first-committer-wins
     /// losers, each surfaced as a retryable `Conflict`).
@@ -279,14 +260,8 @@ impl StatsSnapshot {
     /// sum for `inserts` keys and `top_level_commits` committed top-level
     /// transactions (`committed` cannot say: it counts nested commits
     /// too). Begins, writes, nested commits and aborts append nothing.
-    ///
-    /// An unstaged commit's frame is one commit. A staged batch of `n`
-    /// coalesced commits appends ONE frame, which takes
-    /// `commits_batched - commit_batches` off the total (a batch whose
-    /// every participant lost validation would append nothing and is not
-    /// accounted for).
     pub fn wal_appends_expected(&self, inserts: u64, top_level_commits: u64) -> u64 {
-        inserts + top_level_commits + self.commit_batches - self.commits_batched
+        inserts + top_level_commits
     }
 
     /// Mean blocked time per wait episode, in microseconds (0 if none).
@@ -318,17 +293,14 @@ mod tests {
     #[test]
     fn wal_counters_snapshot_and_conservation() {
         let s = Stats::default();
-        // 3 init records, one unbatched commit frame, and one frame for a
-        // batch of 3 commits.
-        for _ in 0..5 {
+        // 3 init records and 4 commit frames.
+        for _ in 0..7 {
             s.bump(|b| &b.wal_appends);
         }
-        s.bump(|b| &b.commit_batches);
-        s.add(|b| &b.commits_batched, 3);
         s.bump(|b| &b.wal_fsyncs);
         s.add(|b| &b.recovered_commits, 4);
         let snap = s.snapshot();
-        assert_eq!(snap.wal_appends, 5);
+        assert_eq!(snap.wal_appends, 7);
         assert_eq!(snap.wal_fsyncs, 1);
         assert_eq!(snap.recovered_commits, 4);
         assert_eq!(snap.wal_appends_expected(3, 4), snap.wal_appends);

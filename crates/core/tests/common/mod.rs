@@ -1,16 +1,14 @@
 //! Test support shared by the engine's integration suites: a disk the
-//! test can stall, so that commits queue behind a parked force and batches
-//! form without any timing window.
+//! test can stall, so that commits are caught inside a parked force, and
+//! overlap it, without any timing window.
 //!
 //! Each suite compiles this module on its own and uses part of it.
 #![allow(dead_code)]
 
-use rnt_core::Db;
 use rnt_wal::{MemVfs, Vfs, WalError};
-use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// A [`MemVfs`] the test can stall — a slow disk it controls. Fsyncs
 /// park while the disk is closed, unless let through one by one by
@@ -157,21 +155,3 @@ impl Vfs for GateVfs {
 /// How long a test waits for something that must happen before it calls
 /// it a hang.
 pub const PATIENCE: Duration = Duration::from_secs(20);
-
-/// Wait until `n` commits have been handed to `db`'s group-commit
-/// pipeline. False on timeout, so the caller can open the disk before
-/// failing.
-pub fn staged_reaches<K, V>(db: &Db<K, V>, n: u64) -> bool
-where
-    K: Eq + Hash + Ord + Clone + Send + Sync + 'static,
-    V: Clone + Hash + Send + Sync + 'static,
-{
-    let deadline = Instant::now() + PATIENCE;
-    while db.stats().commits_staged < n {
-        if Instant::now() > deadline {
-            return false;
-        }
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    true
-}

@@ -9,7 +9,7 @@ use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
 use std::sync::Arc;
 
 mod common;
-use common::{staged_reaches, GateVfs, PATIENCE};
+use common::{GateVfs, PATIENCE};
 
 const LOG: &str = "db.wal";
 
@@ -321,7 +321,7 @@ fn durability_none_writes_no_log() {
     assert_eq!(db.stats().wal_appends, 0);
 }
 
-// ---- group commit and hand-written format-05 logs ----
+// ---- hand-written format-05 logs, multi-commit frames included ----
 
 fn install_log(records: &[Record]) -> Arc<MemVfs> {
     let mut bytes = MAGIC.to_vec();
@@ -418,11 +418,11 @@ fn replay_rejects_unseeded_keys_and_loose_writes() {
 }
 
 #[test]
-fn group_commit_log_recovers_identically_to_plain_commit_log() {
-    // The same single-threaded optimistic workload, direct under `Wal` and
-    // staged under `WalFsync`: a batch of one frames exactly what an
-    // unbatched commit does, so the logs are byte-identical and so are
-    // the recoveries.
+fn forced_and_unforced_optimistic_logs_recover_identically() {
+    // The same single-threaded optimistic workload, under `Wal` (the run
+    // publishes in the gate hold that sequenced it) and under `WalFsync`
+    // (it leaves the gate to force): the force changes no byte, so the
+    // logs are byte-identical and so are the recoveries.
     let run = |durability: Durability| {
         let config = DbConfig::builder().cc_mode(CcMode::Optimistic).durability(durability).build();
         let (vfs, db) = open_mem(config);
@@ -438,7 +438,7 @@ fn group_commit_log_recovers_identically_to_plain_commit_log() {
         vfs.snapshot(LOG)
     };
     let (off, on) = (run(Durability::Wal), run(Durability::WalFsync));
-    assert_eq!(off, on, "singleton batches must keep the log byte-identical");
+    assert_eq!(off, on, "forcing must keep the log byte-identical");
 
     let fresh = Arc::new(MemVfs::new());
     fresh.install(LOG, on);
@@ -448,9 +448,9 @@ fn group_commit_log_recovers_identically_to_plain_commit_log() {
 }
 
 #[test]
-fn group_commit_fsync_acks_are_durable() {
-    // Optimistic under WalFsync, so staged: every acked commit must
-    // survive a crash cut at exactly the bytes on disk at ack time.
+fn optimistic_fsync_acks_are_durable() {
+    // Optimistic under WalFsync: every acked commit must survive a crash
+    // cut at exactly the bytes on disk at ack time.
     let config =
         DbConfig::builder().cc_mode(CcMode::Optimistic).durability(Durability::WalFsync).build();
     let (vfs, db) = open_mem(config);
@@ -464,10 +464,7 @@ fn group_commit_fsync_acks_are_durable() {
         let r = crash_recover(&vfs, wal_config());
         assert_eq!(r.committed_value(&"a".to_string()), db.committed_value(&"a".to_string()));
     }
-    let s = db.stats();
-    assert_eq!(s.commits_staged, 3);
-    assert_eq!(s.commits_batched, 3);
-    assert_eq!(s.wal_fsyncs, s.commit_batches, "one force per batch");
+    assert_eq!(db.stats().wal_fsyncs, 3, "one force per commit");
 }
 
 #[test]
@@ -503,8 +500,7 @@ fn key(i: usize) -> String {
     format!("k{i}")
 }
 
-/// `WalFsync` in mode `cc`: optimistic commits are staged, locking ones
-/// retire directly.
+/// `WalFsync` in mode `cc`.
 fn forced_config(cc: CcMode) -> DbConfig {
     DbConfig::builder()
         .durability(Durability::WalFsync)
@@ -551,11 +547,11 @@ fn spawn_bump(db: &Db<String, i64>, keys: std::ops::Range<usize>) -> Verdict {
 }
 
 /// Optimistic phase-1 validation runs before the publish gate: a commit
-/// whose footprint an earlier commit overtook is refused while another
-/// commit holds the gate — and it burns no epoch. Under `WalFsync` both
-/// commits would be staged and the holder is the batch leader, parked in
-/// its fsync: the loser must not queue behind it. Under `Wal` neither is
-/// staged, and the holder parks in its commit-frame append.
+/// whose footprint an already published commit overtook is refused while
+/// another commit is still publishing — and it burns no epoch. Under
+/// `WalFsync` the other commit is parked in its fsync, outside the gate;
+/// under `Wal` it is parked in its commit-frame append, holding the gate.
+/// Either way the loser must not wait for it.
 #[test]
 fn an_overtaken_optimistic_commit_loses_outside_the_gate() {
     for durability in [Durability::WalFsync, Durability::Wal] {
@@ -567,10 +563,7 @@ fn an_overtaken_optimistic_commit_loses_outside_the_gate() {
         db.insert(key(1), 0);
         let loser = bumped(&db, 0..1).unwrap();
         bump(&db, 0..1).unwrap();
-        // Begun before the disk stalls: an optimistic begin pins its
-        // snapshot through the gate's lock while a publisher holds it.
         let publisher = bumped(&db, 1..2).unwrap();
-        let batches = db.stats().commit_batches;
         let fsync = durability == Durability::WalFsync;
         if fsync {
             vfs.close();
@@ -589,10 +582,53 @@ fn an_overtaken_optimistic_commit_loses_outside_the_gate() {
         assert!(matches!(lost, Ok(Err(TxnError::Conflict { .. }))), "{durability:?}: got {lost:?}");
         assert_eq!(publishing.recv_timeout(PATIENCE).unwrap(), Ok(()), "{durability:?}");
         assert_eq!(db.epochs().watermark, watermark + 1, "{durability:?}: the loser took no epoch");
-        // Under `WalFsync` the publisher's batch is the only one: the
-        // loser never reached the sequencer.
-        assert_eq!(db.stats().commit_batches, batches + u64::from(fsync), "{durability:?}");
     }
+}
+
+/// A loser overtaken by a run that is still forcing — it lost to the
+/// in-flight table, not to the chains — returns only once that run is
+/// published: retried at once, it would otherwise pin a snapshot below
+/// the winner's write and lose to it again. It waits outside the gate.
+#[test]
+fn a_loser_overtaken_by_a_forcing_run_returns_once_the_run_is_published() {
+    let vfs = GateVfs::closed();
+    let db: Db<String, i64> =
+        Db::open_with_vfs(vfs.clone(), LOG, forced_config(CcMode::Optimistic)).unwrap();
+    db.insert(key(0), 0);
+    db.insert(key(1), 0);
+    let loser = bumped(&db, 0..1).unwrap();
+    let winning = spawn_bump(&db, 0..1);
+    vfs.wait_parked();
+    let (tx, rx) = std::sync::mpsc::channel();
+    {
+        let db = db.clone();
+        std::thread::spawn(move || {
+            let verdict = loser.commit();
+            let _ = tx.send((verdict, db.epochs().watermark));
+        });
+    }
+    let early = rx.recv_timeout(std::time::Duration::from_millis(200));
+    // The gate is free while the winner forces: another commit gets
+    // through it, and is parked in its own force.
+    let other = spawn_bump(&db, 1..2);
+    let both = vfs.parks(2);
+    vfs.open();
+    assert!(early.is_err(), "the loser returned while its winner was forcing: {early:?}");
+    assert!(both, "a commit could not sequence while a loser waited");
+    assert_eq!(winning.recv_timeout(PATIENCE).unwrap(), Ok(()));
+    assert_eq!(other.recv_timeout(PATIENCE).unwrap(), Ok(()));
+    let (verdict, watermark) = rx.recv_timeout(PATIENCE).expect("the loser never returned");
+    match verdict {
+        Err(TxnError::Conflict { committed_epoch, .. }) => {
+            assert!(
+                watermark >= committed_epoch,
+                "returned at {watermark}, below {committed_epoch}"
+            )
+        }
+        other => panic!("expected Conflict, got {other:?}"),
+    }
+    assert_eq!(db.committed_value(&key(0)), Some(1), "only the winner's increment");
+    assert_eq!(db.stats().snapshot_pins_live, 0);
 }
 
 #[derive(Clone, Copy, Debug)]
@@ -601,7 +637,7 @@ enum VfsFault {
     Append,
 }
 
-/// After a batch failed: its keys are writable (locks released / nothing
+/// After a commit failed: its keys are writable (locks released / nothing
 /// left pinned), and the log stays poisoned — every later top-level
 /// commit completes in memory and still reports `Wal`.
 fn assert_released_and_poisoned(db: &Db<String, i64>, keys: std::ops::Range<usize>, what: &str) {
@@ -619,8 +655,8 @@ fn assert_released_and_poisoned(db: &Db<String, i64>, keys: std::ops::Range<usiz
     }
 }
 
-/// A lone commit whose force or commit-record append fails: a staged
-/// singleton batch (optimistic) or a direct commit (locking).
+/// A lone commit whose force or commit-record append fails, in both
+/// modes.
 #[test]
 fn a_failing_force_poisons_singleton_commits_in_both_modes() {
     for cc in [CcMode::Locking, CcMode::Optimistic] {
@@ -646,8 +682,7 @@ fn a_failing_force_poisons_singleton_commits_in_both_modes() {
             // In memory all four commits happened; only the first was
             // acked.
             assert_eq!(db.committed_value(&key(0)), Some(4), "{what}");
-            let s = db.stats();
-            assert_eq!(s.commits_staged, s.commits_batched, "{what}: nobody left in the queue");
+            assert_eq!(db.stats().snapshot_pins_live, 0, "{what}: a pin left behind");
             assert!(db.checkpoint().is_err(), "{what}: a poisoned log refuses checkpoints");
             // Fail-stop: nothing lands behind the failure, so what is
             // on disk recovers like a crash there — the acked commit
@@ -661,57 +696,64 @@ fn a_failing_force_poisons_singleton_commits_in_both_modes() {
     }
 }
 
-/// A multi-participant batch whose force fails: the leader is held in its
-/// fsync, holding leadership, while two more commits queue up behind it;
-/// they retire as one batch, the disk refuses it, and **both** must hear
-/// `Wal`. Only optimistic commits are staged, so only they form batches.
+/// Every run in flight behind a failed force or append hears `Wal`, in
+/// both modes. Three runs are sequenced while the first is parked in its
+/// force. With an fsync fault, the three forces are parked at once and
+/// reach the inner disk in epoch order, and the second fails. With an
+/// append fault, the second run's commit frame is refused. Either way the
+/// first run acks, and the second and third both hear `Wal`: the third's
+/// frame may have been forced, but with the second's lost, recovery stops
+/// before it.
 #[test]
-fn a_failing_force_fails_every_participant_of_a_multi_batch() {
-    let cc = CcMode::Optimistic;
-    for fault in [VfsFault::Fsync, VfsFault::Append] {
-        let what = format!("{cc:?} {fault:?}");
-        let vfs = GateVfs::closed();
-        let db: Db<String, i64> = Db::open_with_vfs(vfs.clone(), LOG, forced_config(cc)).unwrap();
-        for k in 0..6 {
-            db.insert(key(k), 0);
-        }
-        // The followers begin before the leader takes the disk: an
-        // optimistic `begin` pins its snapshot under the publish gate,
-        // which the leader holds across the force.
-        let followers = [2..4, 4..6].map(|keys| bumped(&db, keys).unwrap());
-        let leader = spawn_bump(&db, 0..2);
-        vfs.wait_parked();
-        let followers = followers.map(|t| spawn(move || t.commit()));
-        let queued = staged_reaches(&db, 3);
-        match fault {
-            // The leader's own fsync is the first to reach the inner
-            // MemVfs once the gate opens; the next one fails.
-            VfsFault::Fsync => vfs.mem.arm_fsync_error(1),
-            // The followers log nothing before staging; the next append
-            // is their batch's commit frame.
-            VfsFault::Append => vfs.mem.arm_append_error(0),
-        }
-        vfs.open();
-        assert!(queued, "{what}: followers never reached the queue");
-        assert_eq!(leader.recv_timeout(PATIENCE).unwrap(), Ok(()), "{what}");
-        for f in followers {
-            let verdict = f.recv_timeout(PATIENCE).expect("a stager stayed parked");
-            assert!(matches!(verdict, Err(TxnError::Wal { .. })), "{what}: got {verdict:?}");
-        }
-        let s = db.stats();
-        assert_eq!(s.commit_batches, 2, "{what}: [leader] then [both followers]");
-        assert_eq!(s.commits_staged, s.commits_batched, "{what}: nobody left in the queue");
-        assert_released_and_poisoned(&db, 0..6, &what);
+fn every_run_in_flight_behind_a_failed_force_hears_wal() {
+    for cc in [CcMode::Locking, CcMode::Optimistic] {
+        for fault in [VfsFault::Fsync, VfsFault::Append] {
+            let what = format!("{cc:?} {fault:?}");
+            let vfs = GateVfs::closed();
+            let db: Db<String, i64> =
+                Db::open_with_vfs(vfs.clone(), LOG, forced_config(cc)).unwrap();
+            for k in 0..6 {
+                db.insert(key(k), 0);
+            }
+            let first = spawn_bump(&db, 0..2);
+            vfs.wait_parked();
+            if let VfsFault::Append = fault {
+                // The next append is the second run's commit frame.
+                vfs.mem.arm_append_error(0);
+            }
+            // Fsync tickets follow arrival, hence epoch order.
+            let second = spawn_bump(&db, 2..4);
+            let parked = matches!(fault, VfsFault::Append) || vfs.parks(2);
+            let third = spawn_bump(&db, 4..6);
+            let parked = parked && (matches!(fault, VfsFault::Append) || vfs.parks(3));
+            if let VfsFault::Fsync = fault {
+                vfs.release(0);
+                vfs.wait_returned(1);
+                vfs.mem.arm_fsync_error(0);
+                vfs.release(1);
+                vfs.wait_returned(2);
+            }
+            vfs.open();
+            assert!(parked, "{what}: the forces did not overlap");
+            assert_eq!(first.recv_timeout(PATIENCE).unwrap(), Ok(()), "{what}");
+            for run in [second, third] {
+                let verdict = run.recv_timeout(PATIENCE).expect("a run never returned");
+                assert!(matches!(verdict, Err(TxnError::Wal { .. })), "{what}: got {verdict:?}");
+            }
+            assert_released_and_poisoned(&db, 0..6, &what);
+            assert_eq!(db.stats().snapshot_pins_live, 0, "{what}: a pin left behind");
 
-        // The log stopped at the failure: the leader's acked commit
-        // recovers, the refused batch recovers whole or not at all.
-        let r = crash_recover(&vfs.mem, wal_config());
-        assert_eq!(r.committed_value(&key(0)), Some(1), "{what}: the acked commit");
-        let batch: Vec<_> = (2..6).map(|k| r.committed_value(&key(k))).collect();
-        assert!(
-            batch.iter().all(|v| *v == batch[0]) && batch[0] <= Some(1),
-            "{what}: the refused batch recovered as {batch:?}"
-        );
+            // The log stopped at the failure: the acked commit recovers,
+            // each refused run whole or not at all, and never the third
+            // without the second.
+            let r = crash_recover(&vfs.mem, wal_config());
+            let values: Vec<_> = (0..6).map(|k| r.committed_value(&key(k))).collect();
+            assert_eq!(values[..2], [Some(1), Some(1)], "{what}: the acked commit");
+            for run in values.chunks(2) {
+                assert!(run[0] == run[1] && run[0] <= Some(1), "{what}: recovered {values:?}");
+            }
+            assert!(values[4] <= values[2], "{what}: recovered past a lost frame: {values:?}");
+        }
     }
 }
 
@@ -1052,8 +1094,8 @@ fn commit_bumps(db: &Db<String, i64>, tally: &Tally, bumps: &[usize]) {
     }
 }
 
-/// Commits, seeds and a looping checkpoint at once, in both modes (the
-/// optimistic commits staged): every recovery — from the bytes after any
+/// Commits, seeds and a looping checkpoint at once, in both modes: every
+/// recovery — from the bytes after any
 /// checkpoint, and from the final ones — holds every acked increment and
 /// seed, and no increment never attempted.
 #[test]
@@ -1074,102 +1116,112 @@ fn racing_checkpointers_lose_nothing() {
 
 // ---- Forces overlap; publication and verdicts follow epoch order ----
 
-/// Two locking commits are parked in their forces at once: the publish
-/// gate is not held across a force, and locking commits are not staged.
-/// Both ack once the disk opens, and both recover.
+/// Two commits are parked in their forces at once, in both modes: the
+/// publish gate is not held across a force, and nothing queues one force
+/// behind another. Both ack once the disk opens, and both recover.
 #[test]
-fn two_locking_commits_are_forced_at_once() {
-    let vfs = GateVfs::closed();
-    let db: Db<String, i64> =
-        Db::open_with_vfs(vfs.clone(), LOG, forced_config(CcMode::Locking)).unwrap();
-    for k in 0..4 {
-        db.insert(key(k), 0);
-    }
-    let first = spawn_bump(&db, 0..2);
-    vfs.wait_parked();
-    let second = spawn_bump(&db, 2..4);
-    let both = vfs.parks(2);
-    vfs.open();
-    assert!(both, "the second force waited for the first");
-    assert_eq!(first.recv_timeout(PATIENCE).unwrap(), Ok(()));
-    assert_eq!(second.recv_timeout(PATIENCE).unwrap(), Ok(()));
-    assert_eq!(db.stats().wal_fsyncs, 2);
-    let r = crash_recover(&vfs.mem, wal_config());
-    for k in 0..4 {
-        assert_eq!(r.committed_value(&key(k)), Some(1), "key {k}");
-    }
-}
-
-/// A snapshot opens while a locking commit is parked in its force, and
-/// reads the state before that commit: the force holds no publish gate
-/// for the pin to queue on, and nothing of the commit is visible yet.
-#[test]
-fn a_snapshot_opens_while_a_locking_force_is_parked() {
-    let vfs = GateVfs::closed();
-    let db: Db<String, i64> = Db::open_with_vfs(vfs.clone(), LOG, fsync_config()).unwrap();
-    db.insert(key(0), 0);
-    let forcing = spawn_bump(&db, 0..1);
-    vfs.wait_parked();
-    let (tx, rx) = std::sync::mpsc::channel();
-    {
-        let db = db.clone();
-        std::thread::spawn(move || {
-            let snapshot = db.snapshot();
-            let _ = tx.send((snapshot.epoch(), snapshot.read(&key(0))));
-        });
-    }
-    let seen = rx.recv_timeout(PATIENCE);
-    vfs.open();
-    assert_eq!(seen, Ok((0, Some(0))), "the snapshot waited for the force, or saw it");
-    assert_eq!(forcing.recv_timeout(PATIENCE).unwrap(), Ok(()));
-    assert_eq!(db.snapshot().read(&key(0)), Some(1));
-}
-
-/// Verdicts follow epoch order, not the order forces finish. Two locking
-/// runs are parked in their forces, and reach the inner disk one at a
-/// time, the first of them failing. A later run's failure retracts
-/// nothing from the earlier run, whose own force covered its frame: it
-/// acks and recovers. An earlier run's failure fails the later run too:
-/// with the earlier frame lost, recovery stops before the later one.
-#[test]
-fn durability_verdicts_follow_epoch_order() {
-    for later_fails in [true, false] {
-        let what = format!("later_fails={later_fails}");
+fn two_commits_are_forced_at_once() {
+    for cc in [CcMode::Locking, CcMode::Optimistic] {
         let vfs = GateVfs::closed();
-        let db: Db<String, i64> =
-            Db::open_with_vfs(vfs.clone(), LOG, forced_config(CcMode::Locking)).unwrap();
+        let db: Db<String, i64> = Db::open_with_vfs(vfs.clone(), LOG, forced_config(cc)).unwrap();
         for k in 0..4 {
             db.insert(key(k), 0);
         }
-        // Fsync tickets follow arrival: the earlier run's force is 0.
-        let earlier = spawn_bump(&db, 0..2);
+        let first = spawn_bump(&db, 0..2);
         vfs.wait_parked();
-        let later = spawn_bump(&db, 2..4);
+        let second = spawn_bump(&db, 2..4);
         let both = vfs.parks(2);
-        vfs.mem.arm_fsync_error(0);
-        let (failing, passing) = if later_fails { (1, 0) } else { (0, 1) };
-        vfs.release(failing);
-        vfs.wait_returned(1);
-        vfs.release(passing);
-        vfs.wait_returned(2);
         vfs.open();
-        assert!(both, "{what}: the forces did not overlap");
-        let (earlier, later) =
-            (earlier.recv_timeout(PATIENCE).unwrap(), later.recv_timeout(PATIENCE).unwrap());
-        assert!(matches!(later, Err(TxnError::Wal { .. })), "{what}: later got {later:?}");
-        if later_fails {
-            assert_eq!(earlier, Ok(()), "{what}: the earlier run's ack was retracted");
-        } else {
-            assert!(matches!(earlier, Err(TxnError::Wal { .. })), "{what}: got {earlier:?}");
-        }
-        assert_released_and_poisoned(&db, 0..4, &what);
+        assert!(both, "{cc:?}: the second force waited for the first");
+        assert_eq!(first.recv_timeout(PATIENCE).unwrap(), Ok(()), "{cc:?}");
+        assert_eq!(second.recv_timeout(PATIENCE).unwrap(), Ok(()), "{cc:?}");
+        assert_eq!(db.stats().wal_fsyncs, 2, "{cc:?}");
         let r = crash_recover(&vfs.mem, wal_config());
-        let values: Vec<_> = (0..4).map(|k| r.committed_value(&key(k))).collect();
-        if later_fails {
-            assert_eq!(values[..2], [Some(1), Some(1)], "{what}: the acked run recovers");
+        for k in 0..4 {
+            assert_eq!(r.committed_value(&key(k)), Some(1), "{cc:?}: key {k}");
         }
-        for run in values.chunks(2) {
-            assert!(run[0] == run[1] && run[0] <= Some(1), "{what}: recovered {values:?}");
+    }
+}
+
+/// A snapshot opens, and a transaction begins, while a commit is parked
+/// in its force, in both modes; both read the state before that commit:
+/// the force holds no publish gate for a pin to queue on, and nothing of
+/// the commit is visible yet.
+#[test]
+fn a_snapshot_opens_while_a_force_is_parked() {
+    for cc in [CcMode::Locking, CcMode::Optimistic] {
+        let vfs = GateVfs::closed();
+        let db: Db<String, i64> = Db::open_with_vfs(vfs.clone(), LOG, forced_config(cc)).unwrap();
+        db.insert(key(0), 0);
+        db.insert(key(1), 0);
+        let forcing = spawn_bump(&db, 0..1);
+        vfs.wait_parked();
+        let (tx, rx) = std::sync::mpsc::channel();
+        {
+            let db = db.clone();
+            std::thread::spawn(move || {
+                let snapshot = db.snapshot();
+                let seen = (snapshot.epoch(), snapshot.read(&key(0)));
+                let t = db.begin();
+                let _ = tx.send((seen, t.read(&key(1))));
+            });
+        }
+        let seen = rx.recv_timeout(PATIENCE);
+        vfs.open();
+        assert_eq!(seen, Ok(((0, Some(0)), Ok(0))), "{cc:?}: waited for the force, or saw it");
+        assert_eq!(forcing.recv_timeout(PATIENCE).unwrap(), Ok(()), "{cc:?}");
+        assert_eq!(db.snapshot().read(&key(0)), Some(1), "{cc:?}");
+    }
+}
+
+/// Verdicts follow epoch order, not the order forces finish, in both
+/// modes. Two runs are parked in their forces, and reach the inner disk
+/// one at a time, the first of them failing. A later run's failure
+/// retracts nothing from the earlier run, whose own force covered its
+/// frame: it acks and recovers. An earlier run's failure fails the later
+/// run too: with the earlier frame lost, recovery stops before the later
+/// one.
+#[test]
+fn durability_verdicts_follow_epoch_order() {
+    for cc in [CcMode::Locking, CcMode::Optimistic] {
+        for later_fails in [true, false] {
+            let what = format!("{cc:?} later_fails={later_fails}");
+            let vfs = GateVfs::closed();
+            let db: Db<String, i64> =
+                Db::open_with_vfs(vfs.clone(), LOG, forced_config(cc)).unwrap();
+            for k in 0..4 {
+                db.insert(key(k), 0);
+            }
+            // Fsync tickets follow arrival: the earlier run's force is 0.
+            let earlier = spawn_bump(&db, 0..2);
+            vfs.wait_parked();
+            let later = spawn_bump(&db, 2..4);
+            let both = vfs.parks(2);
+            vfs.mem.arm_fsync_error(0);
+            let (failing, passing) = if later_fails { (1, 0) } else { (0, 1) };
+            vfs.release(failing);
+            vfs.wait_returned(1);
+            vfs.release(passing);
+            vfs.wait_returned(2);
+            vfs.open();
+            assert!(both, "{what}: the forces did not overlap");
+            let (earlier, later) =
+                (earlier.recv_timeout(PATIENCE).unwrap(), later.recv_timeout(PATIENCE).unwrap());
+            assert!(matches!(later, Err(TxnError::Wal { .. })), "{what}: later got {later:?}");
+            if later_fails {
+                assert_eq!(earlier, Ok(()), "{what}: the earlier run's ack was retracted");
+            } else {
+                assert!(matches!(earlier, Err(TxnError::Wal { .. })), "{what}: got {earlier:?}");
+            }
+            assert_released_and_poisoned(&db, 0..4, &what);
+            let r = crash_recover(&vfs.mem, wal_config());
+            let values: Vec<_> = (0..4).map(|k| r.committed_value(&key(k))).collect();
+            if later_fails {
+                assert_eq!(values[..2], [Some(1), Some(1)], "{what}: the acked run recovers");
+            }
+            for run in values.chunks(2) {
+                assert!(run[0] == run[1] && run[0] <= Some(1), "{what}: recovered {values:?}");
+            }
         }
     }
 }
@@ -1248,8 +1300,8 @@ fn u64_bumped(db: &Db<u64, u64>, keys: std::ops::Range<u64>) -> Txn<u64, u64> {
 }
 
 /// `durable-commit`'s transaction shape: each flat commit of four `u64`
-/// increments appends one frame within budget, in both modes — staged
-/// (optimistic) and direct (locking). Format 03 took six appends and 208
+/// increments appends one frame within budget, in both modes. Format 03
+/// took six appends and 208
 /// bytes. Keys start at 1: key `0` encodes as no bytes at all.
 #[test]
 fn a_flat_commit_of_four_writes_is_one_frame_within_budget() {
@@ -1269,53 +1321,7 @@ fn a_flat_commit_of_four_writes_is_one_frame_within_budget() {
     }
 }
 
-/// A batch of `n` commits, for every `n` from 1 to 4, retires with
-/// exactly one `Vfs::append`: the followers queue behind an optimistic
-/// leader parked in its fsync, holding leadership, then retire together
-/// once the disk opens. Optimistic commits force inside their
-/// validation's gate hold, so every one of them is staged. No timing
-/// decides what is asserted.
-#[test]
-fn a_retired_batch_of_any_size_is_one_append() {
-    for n in 1..=4u64 {
-        let what = format!("batch of {n}");
-        let vfs = GateVfs::closed();
-        vfs.open();
-        let db = u64_db(&vfs, CcMode::Optimistic, 2 * (n + 1));
-        // Begun before the leader holds the disk: an optimistic begin
-        // pins its snapshot under the gate the leader holds.
-        let followers: Vec<_> = (1..=n).map(|i| u64_bumped(&db, 2 * i..2 * i + 2)).collect();
-        vfs.close();
-        let leader = {
-            let db = db.clone();
-            std::thread::spawn(move || u64_bumped(&db, 0..2).commit())
-        };
-        vfs.wait_parked();
-        let followers: Vec<_> =
-            followers.into_iter().map(|t| std::thread::spawn(move || t.commit())).collect();
-        let queued = staged_reaches(&db, n + 1);
-        let before = vfs.counts().0;
-        vfs.open();
-        assert!(queued, "{what}: followers never reached the queue");
-        assert_eq!(leader.join().unwrap(), Ok(()), "{what}");
-        for f in followers {
-            assert_eq!(f.join().unwrap(), Ok(()), "{what}");
-        }
-        assert_eq!(vfs.counts().0 - before, 1, "{what}: appends to retire the batch");
-        let stats = db.stats();
-        assert_eq!(stats.commit_batches, 2, "{what}: [leader] then the followers");
-        assert_eq!(stats.commits_batched, stats.committed, "{what}: all retired in batches");
-        match records_of(&vfs.mem).last() {
-            Some(Record::Commit { commits }) => assert_eq!(commits.len() as u64, n, "{what}"),
-            other => panic!("{what}: the log ends in {other:?}"),
-        }
-    }
-}
-
-// ---- Which commits are staged: the configuration decides ----
-//
-// The staged case, optimistic commits on a forced log, is
-// `a_retired_batch_of_any_size_is_one_append`.
+// ---- One frame per commit, and one force per forced commit ----
 
 /// `threads` flat committers on keys of their own, `commits` each.
 fn commit_concurrently(db: &Db<u64, u64>, threads: u64, commits: u64) {
@@ -1330,33 +1336,35 @@ fn commit_concurrently(db: &Db<u64, u64>, threads: u64, commits: u64) {
     });
 }
 
-/// Locking commits force outside the publish gate, so nothing is gained
-/// by batching them: concurrent committers under `WalFsync` stage
-/// nothing, and every commit is forced on its own.
+/// Concurrent committers in both modes: with a log, every top-level
+/// commit appends one frame of its own, and under `WalFsync` is forced
+/// on its own; nothing is coalesced. Without a log, whatever durability
+/// the config names, nothing is appended or forced.
 #[test]
-fn concurrent_locking_fsync_committers_never_stage() {
-    let vfs = Arc::new(MemVfs::new());
-    let db: Db<u64, u64> = Db::open_with_vfs(vfs, LOG, forced_config(CcMode::Locking)).unwrap();
-    for k in 0..4 {
-        db.insert(k, 0);
+fn concurrent_committers_frame_and_force_once_per_commit() {
+    for cc in [CcMode::Locking, CcMode::Optimistic] {
+        for durability in [Durability::Wal, Durability::WalFsync] {
+            let what = format!("{cc:?} {durability:?}");
+            let config = DbConfig::builder().cc_mode(cc).durability(durability).build();
+            let vfs = Arc::new(MemVfs::new());
+            let db: Db<u64, u64> = Db::open_with_vfs(vfs, LOG, config).unwrap();
+            for k in 0..4 {
+                db.insert(k, 0);
+            }
+            commit_concurrently(&db, 4, 25);
+            let s = db.stats();
+            assert_eq!(s.committed, 100, "{what}");
+            assert_eq!(s.wal_appends, 4 + s.committed, "{what}: one frame per commit");
+            let forced = if durability == Durability::WalFsync { s.committed } else { 0 };
+            assert_eq!(s.wal_fsyncs, forced, "{what}: forces");
+        }
+        let db: Db<u64, u64> = Db::with_config(forced_config(cc));
+        for k in 0..4 {
+            db.insert(k, 0);
+        }
+        commit_concurrently(&db, 4, 25);
+        let s = db.stats();
+        assert_eq!(s.committed, 100, "{cc:?} in memory");
+        assert_eq!((s.wal_appends, s.wal_fsyncs), (0, 0), "{cc:?} in memory");
     }
-    commit_concurrently(&db, 4, 25);
-    let s = db.stats();
-    assert_eq!(s.committed, 100);
-    assert_eq!((s.commits_staged, s.commits_batched, s.commit_batches), (0, 0, 0));
-    assert_eq!(s.wal_fsyncs, s.committed, "one force per commit");
-}
-
-/// Without a log there is no force at all: an in-memory optimistic
-/// database stages nothing, whatever durability its config names.
-#[test]
-fn an_in_memory_optimistic_db_never_stages() {
-    let db: Db<u64, u64> = Db::with_config(forced_config(CcMode::Optimistic));
-    for k in 0..4 {
-        db.insert(k, 0);
-    }
-    commit_concurrently(&db, 4, 25);
-    let s = db.stats();
-    assert_eq!(s.committed, 100);
-    assert_eq!((s.commits_staged, s.commits_batched, s.commit_batches), (0, 0, 0));
 }

@@ -7,7 +7,7 @@ use rnt_core::{
 };
 
 mod common;
-use common::{staged_reaches, GateVfs};
+use common::GateVfs;
 
 fn db() -> Db<u64, i64> {
     let db = Db::new();
@@ -320,25 +320,21 @@ fn optimistic_scans_count_one_scan_and_one_read_per_row() {
 }
 
 #[test]
-fn optimistic_batch_writer_defeats_a_range_reader_staged_behind_it() {
+fn an_in_flight_writer_defeats_a_range_reader_behind_it() {
     // Two transactions scan the same interval and write *different* keys
-    // inside it, so only the intervals collide. Both stage while a third
-    // commit, outside the interval, leads with its force parked on a
-    // closed disk: the next leader drains both, so they validate in one
-    // batch, where the first staged survives and the second must lose to
-    // it through the in-batch write overlay (nothing is in the chains
-    // yet). Staged: optimistic commits under `WalFsync`.
+    // inside it, so only the intervals collide. The first commits and is
+    // parked in its force: reserved, unpublished, nothing in the chains
+    // yet. The second must lose to it through the in-flight table's
+    // interval probe, and returns only once the winner is published.
+    // Forced: optimistic commits under `WalFsync`.
     let config =
         DbConfig::builder().cc_mode(CcMode::Optimistic).durability(Durability::WalFsync).build();
     let vfs = GateVfs::closed();
-    vfs.open();
     let db: Db<u64, i64> = Db::open_with_vfs(vfs.clone(), "range.wal", config).unwrap();
     for k in 0..10 {
         db.insert(k, k as i64 * 10);
     }
-    // Every footprint is complete before the leader takes the disk: an
-    // optimistic begin pins its snapshot under the gate the leader holds.
-    let scanners: Vec<_> = [3u64, 5]
+    let mut scanners: Vec<_> = [3u64, 5]
         .into_iter()
         .map(|key| {
             let t = db.begin();
@@ -347,34 +343,25 @@ fn optimistic_batch_writer_defeats_a_range_reader_staged_behind_it() {
             t
         })
         .collect();
-    let leader = db.begin();
-    leader.rmw(&9, |v| v + 1).unwrap();
-    vfs.close();
-    let leading = std::thread::spawn(move || leader.commit());
+    let (second, first) = (scanners.pop().unwrap(), scanners.pop().unwrap());
+    let winning = std::thread::spawn(move || first.commit());
     vfs.wait_parked();
-    let batches = db.stats().commit_batches;
-    let staging: Vec<_> =
-        scanners.into_iter().map(|t| std::thread::spawn(move || t.commit())).collect();
-    let queued = staged_reaches(&db, 3);
+    let losing = std::thread::spawn(move || second.commit());
+    std::thread::sleep(std::time::Duration::from_millis(100));
+    let returned_early = losing.is_finished();
     vfs.open();
-    assert!(queued, "the scanners never reached the queue");
-    assert_eq!(leading.join().unwrap(), Ok(()));
-    let verdicts: Vec<Result<(), TxnError>> =
-        staging.into_iter().map(|h| h.join().unwrap()).collect();
-    let stats = db.stats();
-    assert_eq!(stats.commit_batches - batches, 1, "both were validated in one batch");
+    assert_eq!(winning.join().unwrap(), Ok(()));
+    let verdict = losing.join().unwrap();
+    assert!(!returned_early, "the loser returned while the winner was forcing: {verdict:?}");
     let winner_epoch = db.epochs().watermark;
-    assert_eq!(verdicts.iter().filter(|v| v.is_ok()).count(), 1, "{verdicts:?}");
     assert!(
-        verdicts.iter().any(|v| matches!(
-            v,
-            Err(TxnError::Conflict { committed_epoch, .. }) if *committed_epoch == winner_epoch
-        )),
-        "the loser names the in-batch winner's epoch: {verdicts:?}"
+        matches!(verdict, Err(TxnError::Conflict { committed_epoch, .. }) if committed_epoch == winner_epoch),
+        "the loser names the in-flight winner's epoch: {verdict:?}"
     );
-    let bumped = [3u64, 5].iter().filter(|&&k| db.committed_value(&k) == Some(k as i64 * 10 + 1));
-    assert_eq!(bumped.count(), 1, "exactly one increment was published");
-    assert_eq!(stats.snapshot_pins_live, 0);
+    assert_eq!(db.committed_value(&3), Some(31), "the winner's increment");
+    assert_eq!(db.committed_value(&5), Some(50), "the loser published nothing");
+    let stats = db.stats();
+    assert_eq!((stats.occ_conflicts, stats.snapshot_pins_live), (1, 0));
 }
 
 #[test]

@@ -2,7 +2,7 @@
 //! on it drops, and not before. An open orphan keeps its aborted tree
 //! resolvable; once every handle is gone nothing of the tree is resident
 //! (`txns_resident == 0`), whichever path finished it — commit, abort,
-//! orphan commit, deadlock victim, optimistic loser, group-commit batch —
+//! orphan commit, deadlock victim, optimistic loser, forced commit —
 //! and a later writer is never blocked by what it left in the lock table.
 
 use rnt_core::{CcMode, Db, DbConfig, DeadlockPolicy, Durability, TxnError};
@@ -106,10 +106,10 @@ fn an_optimistic_loser_leaves_nothing_resident() {
     assert_eq!(resident(&db), 0);
 }
 
-/// Staged commits — optimistic ones under `WalFsync` — retire their
-/// trees too, on whichever thread leads their batch.
+/// Forced optimistic commits — sequenced under the gate, forced and
+/// published outside it — retire their trees too.
 #[test]
-fn group_commit_batches_leave_nothing_resident() {
+fn forced_optimistic_commits_leave_nothing_resident() {
     let config =
         DbConfig::builder().cc_mode(CcMode::Optimistic).durability(Durability::WalFsync).build();
     let db: Db<u64, i64> =
@@ -128,7 +128,7 @@ fn group_commit_batches_leave_nothing_resident() {
         }
     });
     let stats = db.stats();
-    assert_eq!(stats.commits_batched, 400);
+    assert_eq!(stats.wal_fsyncs, 400, "one force per top-level commit");
     assert_eq!(stats.txns_resident, 0);
 }
 

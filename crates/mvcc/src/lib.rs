@@ -27,8 +27,8 @@
 //! why it is race-free against pin creation).
 //!
 //! The store *is* an **ordered keyspace**: one map from key to chain, in
-//! key order, so the single-publish, batch-publish, and recovery-replay
-//! paths all keep it consistent by appending. [`MvccStore::range_at`]
+//! key order, so the publish and recovery-replay paths both keep it
+//! consistent by appending. [`MvccStore::range_at`]
 //! walks it to produce key-ordered scans resolved at a pinned epoch,
 //! [`MvccStore::max_epoch_in`] judges a scanned interval for optimistic
 //! validation, and [`MvccStore::pin_at`] pins *past* epochs (time travel)

@@ -209,8 +209,8 @@ struct Order {
     /// It guards the number of threads parked on `turn`.
     lock: Mutex<usize>,
     /// Signalled, under `lock`, when the watermark advances and someone is
-    /// parked: runs waiting for their turn, and one-hold publications
-    /// waiting for the reservations ahead of them.
+    /// parked: runs waiting for their turn, and threads waiting for an
+    /// epoch to publish ([`MvccStore::wait_published`]).
     turn: Condvar,
     /// Seqlock over the publish critical section: odd while a ticket that
     /// appends is live, even otherwise. A fast pin registers in the ring
@@ -221,16 +221,6 @@ struct Order {
 }
 
 impl Order {
-    /// Take the publish lock once no reserved epoch is outstanding, for a
-    /// publication that allocates and publishes in one hold.
-    fn lock_idle(&self) -> MutexGuard<'_, usize> {
-        let mut guard = self.lock.lock();
-        while self.reserved.load(Ordering::Relaxed) != self.watermark.load(Ordering::Acquire) {
-            self.park(&mut guard);
-        }
-        guard
-    }
-
     /// Hold the publish lock (re-taking it if `held` is `None`) at the
     /// turn of `epoch`: once the watermark reached the epoch below it.
     fn lock_turn<'a>(
@@ -286,15 +276,13 @@ impl Drop for SeqCrit<'_> {
     }
 }
 
-/// An exclusive publication ticket for a run of one or more top-level
-/// commits with contiguous epochs: one commit's, returned by
-/// [`MvccStore::begin_publish`] or by [`Reservation::publish`] at the
-/// reserved epoch's turn, or a batch's, converted from an optimistic gate
-/// by [`PublishGate::into_batch`]. Holds the publish lock; participant
-/// `i` (0-based) appends its versions at
-/// [`Publish::epoch_of(i)`](Publish::epoch_of), and dropping the ticket
-/// advances the watermark past the whole run — the instant the run
-/// becomes visible to new snapshots, as one unit, never as a prefix.
+/// An exclusive publication ticket for one top-level commit, returned by
+/// [`Reservation::publish`] at the reserved epoch's turn (or by
+/// [`MvccStore::begin_publish`], which reserves and publishes in one
+/// go). Holds the publish lock; the commit appends its versions at
+/// [`Publish::epoch`], and dropping the ticket advances the watermark to
+/// it — the instant the commit becomes visible to new snapshots, as one
+/// unit, never as a prefix.
 ///
 /// Field order is load-bearing: the `Drop` body stores the watermark,
 /// then `_crit` drops (sequence goes even — fast pins may now trust the
@@ -304,45 +292,25 @@ pub struct Publish<'a> {
     _crit: SeqCrit<'a>,
     guard: MutexGuard<'a, usize>,
     epoch: u64,
-    len: u64,
 }
 
 impl Publish<'_> {
-    /// The commit epoch assigned to this publication: the first of its
-    /// run, and the only one for a single commit.
+    /// The commit epoch assigned to this publication.
     pub fn epoch(&self) -> u64 {
         self.epoch
-    }
-
-    /// The epoch assigned to the `i`-th participant of the run.
-    ///
-    /// # Panics
-    /// If `i` is outside the run.
-    pub fn epoch_of(&self, i: usize) -> u64 {
-        assert!((i as u64) < self.len, "participant {i} outside batch of {}", self.len);
-        self.epoch + i as u64
-    }
-
-    /// The last epoch of the run (the watermark after publication).
-    pub fn last_epoch(&self) -> u64 {
-        self.epoch + self.len - 1
     }
 }
 
 impl std::fmt::Debug for Publish<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Publish")
-            .field("epoch", &self.epoch)
-            .field("last_epoch", &self.last_epoch())
-            .finish_non_exhaustive()
+        f.debug_struct("Publish").field("epoch", &self.epoch).finish_non_exhaustive()
     }
 }
 
 impl Drop for Publish<'_> {
     fn drop(&mut self) {
-        // Allocated with nothing reserved ahead, or published at its
-        // turn: either way the run starts at watermark + 1.
-        self.order.advance(&self.guard, self.last_epoch());
+        // Published at its turn: every earlier epoch is published.
+        self.order.advance(&self.guard, self.epoch);
     }
 }
 
@@ -383,7 +351,7 @@ impl<'a> Reservation<'a> {
         self.published = true;
         let guard = self.order.lock_turn(self.gate.take(), self.epoch);
         let crit = SeqCrit::enter(self.order);
-        Publish { order: self.order, _crit: crit, guard, epoch: self.epoch, len: 1 }
+        Publish { order: self.order, _crit: crit, guard, epoch: self.epoch }
     }
 }
 
@@ -408,42 +376,31 @@ impl Drop for Reservation<'_> {
 /// The publish critical section held *without* an epoch allocated yet,
 /// returned by [`MvccStore::begin_publish_gate`]. Optimistic commit
 /// validation runs under the gate: the lock excludes concurrent
-/// publications *and* new pins, so the chain heads it observes are final
-/// for the duration. On validation success the gate converts into a
-/// [`Publish`] ticket for the batch, allocating epochs; on failure it is
-/// simply dropped, releasing the lock **without advancing the
-/// watermark** — an aborted validation leaves no epoch gap.
+/// publications, so the chain heads it observes are final for the
+/// duration. On validation success the gate converts into a
+/// [`Reservation`] ([`PublishGate::reserve`]), allocating the epoch in
+/// the same hold; on failure it is simply dropped, releasing the lock
+/// **without advancing the watermark** — an aborted validation leaves no
+/// epoch gap. Epochs reserved earlier may still be unpublished: the gate
+/// does not wait for them.
 pub struct PublishGate<'a> {
     order: &'a Order,
-    crit: SeqCrit<'a>,
     guard: MutexGuard<'a, usize>,
 }
 
 impl<'a> PublishGate<'a> {
-    /// The epoch the next publication through this gate would receive.
-    pub fn next_epoch(&self) -> u64 {
-        self.order.watermark.load(Ordering::Acquire) + 1
-    }
-
-    /// Convert the gate into a publication ticket for a run of `n` commits,
-    /// allocating the contiguous epoch run `watermark+1 ..= watermark+n`.
-    /// The lock is retained throughout.
-    ///
-    /// # Panics
-    /// If `n == 0` — an empty batch has no epochs to allocate.
-    pub fn into_batch(self, n: usize) -> Publish<'a> {
-        assert!(n > 0, "empty publish batch");
-        let epoch = self.next_epoch();
-        self.order.reserved.store(epoch + n as u64 - 1, Ordering::Relaxed);
-        Publish { order: self.order, _crit: self.crit, guard: self.guard, epoch, len: n as u64 }
+    /// Allocate the next epoch, one above every epoch reserved so far,
+    /// keeping the lock: the gate becomes that epoch's [`Reservation`].
+    pub fn reserve(self) -> Reservation<'a> {
+        let epoch = self.order.reserved.load(Ordering::Relaxed) + 1;
+        self.order.reserved.store(epoch, Ordering::Relaxed);
+        Reservation { order: self.order, gate: Some(self.guard), epoch, published: false }
     }
 }
 
 impl std::fmt::Debug for PublishGate<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PublishGate")
-            .field("next_epoch", &self.next_epoch())
-            .finish_non_exhaustive()
+        f.debug_struct("PublishGate").finish_non_exhaustive()
     }
 }
 
@@ -653,11 +610,7 @@ where
     /// to advance the watermark. Waits out any [`Reservation`] still
     /// unpublished.
     pub fn begin_publish(&self) -> Publish<'_> {
-        let guard = self.order.lock_idle();
-        let crit = SeqCrit::enter(&self.order);
-        let epoch = self.order.watermark.load(Ordering::Acquire) + 1;
-        self.order.reserved.store(epoch, Ordering::Relaxed);
-        Publish { order: &self.order, _crit: crit, guard, epoch, len: 1 }
+        self.reserve().publish()
     }
 
     /// Allocate the next epoch, `reserved+1`, for one top-level commit,
@@ -666,22 +619,29 @@ where
     /// is split so that whatever the caller does between the halves (a
     /// log force) overlaps other commits' halves.
     pub fn reserve(&self) -> Reservation<'_> {
-        let gate = self.order.lock.lock();
-        let epoch = self.order.reserved.load(Ordering::Relaxed) + 1;
-        self.order.reserved.store(epoch, Ordering::Relaxed);
-        Reservation { order: &self.order, gate: Some(gate), epoch, published: false }
+        self.begin_publish_gate().reserve()
     }
 
     /// Enter the publish critical section *without* allocating an epoch.
     /// Optimistic commits validate their footprints against chain heads
-    /// under the gate, then convert it ([`PublishGate::into_batch`]) only
-    /// if validation succeeds; dropping an unconverted gate releases the
+    /// under the gate, then convert it ([`PublishGate::reserve`]) only if
+    /// validation succeeds; dropping an unconverted gate releases the
     /// lock with the watermark untouched.
-    /// Waits out any [`Reservation`] still unpublished.
     pub fn begin_publish_gate(&self) -> PublishGate<'_> {
-        let guard = self.order.lock_idle();
-        let crit = SeqCrit::enter(&self.order);
-        PublishGate { order: &self.order, crit, guard }
+        PublishGate { order: &self.order, guard: self.order.lock.lock() }
+    }
+
+    /// Block until the watermark reaches `epoch`: every commit up to it
+    /// published. Parks on the publication turn's condvar, holding no
+    /// lock while parked.
+    pub fn wait_published(&self, epoch: u64) {
+        if self.watermark() >= epoch {
+            return;
+        }
+        let mut guard = self.order.lock.lock();
+        while self.order.watermark.load(Ordering::Acquire) < epoch {
+            self.order.park(&mut guard);
+        }
     }
 
     /// Append a version to `key`'s chain, entering the key into the map on
@@ -1116,28 +1076,46 @@ mod tests {
         s.append(&1, GENESIS_EPOCH, 0);
         commit(&s, 1, 1);
         {
-            let gate = s.begin_publish_gate();
-            assert_eq!(gate.next_epoch(), 2);
-            // Validation failed: drop without converting.
+            let _gate = s.begin_publish_gate();
+            // Validation failed: drop without reserving.
         }
         assert_eq!(s.watermark(), 1, "no epoch allocated by an abandoned gate");
         // The lock was released: the next publication proceeds and gets
-        // the epoch the gate previewed.
+        // the next epoch.
         assert_eq!(commit(&s, 1, 2), 2);
     }
 
     #[test]
-    fn gate_converts_into_batch_publication() {
+    fn a_gate_reserves_past_an_unpublished_reservation() {
         let s = store();
         s.append(&1, GENESIS_EPOCH, 0);
-        commit(&s, 1, 1); // watermark -> 1
-        let gate = s.begin_publish_gate();
-        let batch = gate.into_batch(2);
-        assert_eq!((batch.epoch(), batch.last_epoch()), (2, 3));
-        s.append(&1, batch.epoch_of(0), 20);
-        s.append(&1, batch.epoch_of(1), 30);
-        drop(batch);
-        assert_eq!(s.watermark(), 3, "whole run published at once");
+        let mut earlier = s.reserve();
+        earlier.leave_gate();
+        // The gate does not wait for the earlier epoch to publish.
+        let mut later = s.begin_publish_gate().reserve();
+        assert_eq!((earlier.epoch(), later.epoch()), (1, 2));
+        later.leave_gate();
+        drop(earlier.publish());
+        drop(later.publish());
+        assert_eq!(s.watermark(), 2);
+    }
+
+    #[test]
+    fn wait_published_returns_once_the_watermark_reaches_the_epoch() {
+        let s = store();
+        s.append(&1, GENESIS_EPOCH, 0);
+        let mut reserved = s.reserve();
+        reserved.leave_gate();
+        s.wait_published(GENESIS_EPOCH);
+        std::thread::scope(|scope| {
+            let s = &s;
+            let waiter = scope.spawn(move || s.wait_published(1));
+            std::thread::sleep(std::time::Duration::from_millis(10));
+            assert!(!waiter.is_finished(), "returned before the epoch published");
+            drop(reserved.publish());
+            waiter.join().unwrap();
+        });
+        assert_eq!(s.watermark(), 1);
     }
 
     #[test]
@@ -1236,14 +1214,6 @@ mod tests {
         // Numbering continues contiguously after a reservation.
         assert_eq!(commit(&s, 1, 9), 3);
         s.unpin(pin);
-    }
-
-    #[test]
-    #[should_panic(expected = "outside batch")]
-    fn batch_epoch_out_of_range_panics() {
-        let s = store();
-        let batch = s.begin_publish_gate().into_batch(2);
-        batch.epoch_of(2);
     }
 
     #[test]

@@ -10,8 +10,9 @@
 //! The log records exactly that event and nothing else: **redo at
 //! commit**. A top-level commit appends one [`Record::Commit`] frame
 //! holding its action id, its commit epoch and the encoded `(key,
-//! version)` of every key whose committed value it changes; a
-//! group-committed batch appends one frame for all of its commits. Begins,
+//! version)` of every key whose committed value it changes (a frame may
+//! hold several commits, and still decodes, but the engine writes one
+//! per frame). Begins,
 //! subtransaction commits and aborts leave no bytes — an aborted or
 //! in-flight tree is absent from the log, and that absence is how a crash
 //! aborts it. The only other records are the seeds ([`Record::Write`]

@@ -66,14 +66,14 @@ pub enum Record {
         /// Encoded version (the value written).
         version: Vec<u8>,
     },
-    /// Top-level commits made durable as one unit: a lone commit, or a
-    /// group-committed batch. The frame is atomic-in-log-or-absent — a
-    /// crash tears the whole frame (discarded by [`crate::scan`]'s tail
-    /// rule) or none of it, so no prefix of a batch is ever replayed as
-    /// committed. A batch of one is byte-identical to an unbatched commit.
+    /// Top-level commits made durable as one unit. The engine writes one
+    /// commit per frame; a frame of several, in contiguous epochs, as
+    /// earlier engines wrote for a group-committed batch, still decodes.
+    /// The frame is atomic-in-log-or-absent — a crash tears the whole
+    /// frame (discarded by [`crate::scan`]'s tail rule) or none of it, so
+    /// no prefix of a multi-commit frame is ever replayed as committed.
     Commit {
-        /// The commits in epoch order — the contiguous run the sequencer
-        /// allocated for the batch. Never empty.
+        /// The commits in epoch order. Never empty.
         commits: Vec<CommitEntry>,
     },
     /// A full snapshot of the committed key space, written as the first
