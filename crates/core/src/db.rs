@@ -354,6 +354,16 @@ where
         self.inner.mvcc.chain(key)
     }
 
+    /// The version store's layout faults, empty when there are none (see
+    /// [`MvccStore::layout_violations`]): a consistency check for tests
+    /// and harnesses, exact at quiescence.
+    pub fn layout_violations(&self) -> Vec<String>
+    where
+        K: std::fmt::Debug,
+    {
+        self.inner.mvcc.layout_violations()
+    }
+
     /// Begin a top-level transaction.
     ///
     /// In [`CcMode::Optimistic`] this also pins the current commit epoch:
@@ -568,20 +578,22 @@ where
     }
 
     /// Enter `key` into its version chain at `epoch` unless it has one —
-    /// and, in a locking database, into the lock table as an idle entry —
-    /// running `log` first, under the shard guard (which serializes seeds
-    /// of one key). Replay's `log` is a no-op: no log is attached yet, and
-    /// the audit registers the recovered values once replay is done.
+    /// and, in a locking database, into the lock table as an idle entry
+    /// that keeps the chain's id — in one descent of the version store's
+    /// map. `log` runs first, under the shard guard (which serializes
+    /// seeds of one key) and the map's exclusive lock, so it precedes
+    /// every access to the key. Replay's `log` is a no-op: no log is
+    /// attached yet, and the audit registers the recovered values once
+    /// replay is done.
     pub(crate) fn seed(&self, key: K, value: V, epoch: u64, log: impl FnOnce(&K, &V)) -> bool {
         let mut guard = self.shards[self.shard_of(&key)].lock();
-        if self.mvcc.last_epoch(&key).is_some() {
+        if self.config.cc_mode == CcMode::Optimistic {
+            return self.mvcc.insert(key, epoch, value, log).is_some();
+        }
+        let Some(chain) = self.mvcc.insert(key.clone(), epoch, value.clone(), log) else {
             return false;
-        }
-        log(&key, &value);
-        if self.config.cc_mode == CcMode::Locking {
-            guard.objects.insert(key.clone(), LockState::new(value.clone()));
-        }
-        self.mvcc.append(&key, epoch, value);
+        };
+        guard.objects.insert(key, LockState::on_chain(value, chain));
         true
     }
 

@@ -17,6 +17,7 @@
 //!   lazily-performable `lose-lock`.
 
 use crate::registry::TxnId;
+use rnt_mvcc::ChainId;
 
 /// Environment queries the lock logic needs (implemented by the registry).
 pub trait LockEnv {
@@ -33,17 +34,25 @@ pub struct Conflict {
     pub blockers: Vec<TxnId>,
 }
 
-/// The lock/version state of one object: its committed value, plus —
-/// only while someone holds a lock on it — the holders, out of line.
+/// The lock/version state of one object: its committed value and the id
+/// of its committed version chain, plus — only while someone holds a lock
+/// on it — the holders, out of line.
 ///
-/// An idle key is `(key, base)`: 16 bytes for a `u64` value, no heap.
-/// The first grant boxes the holders; whichever commit, abort or reap
-/// drains both of its stacks drops the box again, so a key pays for the
-/// paper's value-map stack only while that stack is non-empty.
+/// An idle key is `(key, base, chain)`: 24 bytes for a `u64` value, no
+/// heap. The first grant boxes the holders; whichever commit, abort or
+/// reap drains both of its stacks drops the box again, so a key pays for
+/// the paper's value-map stack only while that stack is non-empty.
+///
+/// The committed value is kept here as well as at the chain's head: a
+/// grant reads `base` where it already is, under the shard lock, and only
+/// a top-level commit goes through `chain` to publish.
 #[derive(Clone, Debug)]
 pub struct LockState<V> {
     /// The permanently committed value (the paper's `V(x, U)`).
     base: V,
+    /// The object's chain in the version store, where a top-level commit
+    /// appends without a key lookup; `None` for lock logic used on its own.
+    chain: Option<ChainId>,
     /// The lock holders; `None` exactly when nobody holds a lock.
     held: Option<Box<Holders<V>>>,
 }
@@ -65,9 +74,20 @@ impl<V> Default for Holders<V> {
 }
 
 impl<V: Clone> LockState<V> {
-    /// A fresh object with its initial value.
+    /// A fresh object with its initial value, on no version chain.
     pub fn new(initial: V) -> Self {
-        LockState { base: initial, held: None }
+        LockState { base: initial, chain: None, held: None }
+    }
+
+    /// A fresh object with its initial value, whose committed versions go
+    /// to `chain`.
+    pub fn on_chain(initial: V, chain: ChainId) -> Self {
+        LockState { base: initial, chain: Some(chain), held: None }
+    }
+
+    /// The object's version chain, if it has one.
+    pub fn chain(&self) -> Option<ChainId> {
+        self.chain
     }
 
     /// The value the deepest live holder sees (the principal value).
@@ -346,11 +366,12 @@ mod tests {
         e
     }
 
-    /// An idle key costs its committed value plus one pointer: the
-    /// holders live out of line, and only while someone holds a lock.
+    /// An idle key costs its committed value, its chain id and one
+    /// pointer: the holders live out of line, and only while someone
+    /// holds a lock.
     #[test]
-    fn idle_entry_is_base_plus_a_pointer() {
-        assert_eq!(std::mem::size_of::<LockState<u64>>(), 16);
+    fn idle_entry_is_base_chain_id_and_a_pointer() {
+        assert_eq!(std::mem::size_of::<LockState<u64>>(), 24);
         assert!(LockState::new(0u64).held.is_none());
     }
 

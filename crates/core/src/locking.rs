@@ -118,7 +118,7 @@ where
     /// base or restored) and every tree must be retired
     /// (`txns_resident == 0`). The version store's layout, and that no
     /// live snapshot pin sits below its retained floor, are checked too
-    /// ([`MvccStore::layout_violations`](rnt_mvcc::MvccStore::layout_violations)).
+    /// ([`Db::layout_violations`](crate::Db::layout_violations)).
     /// Returns human-readable violations, sorted; empty means all
     /// invariants hold. Call
     /// [`Db::chaos_reap_all`](crate::Db::chaos_reap_all) first so
@@ -148,7 +148,7 @@ where
                 }
             }
         }
-        out.extend(self.inner.mvcc.layout_violations());
+        out.extend(self.layout_violations());
         out.sort();
         out
     }
@@ -336,7 +336,9 @@ where
     /// holds the MVCC publish lock): each key `t` wrote gains a version in
     /// its committed chain, appended under the same shard guard that
     /// publishes the base value — so per-key chain order equals lock-grant
-    /// order. Nested commits and all aborts pass `None`.
+    /// order — through the chain id the lock entry keeps, so the publish
+    /// lock covers no map lock and no descent. Nested commits and all
+    /// aborts pass `None`.
     pub(crate) fn finish_locks(
         &self,
         t: TxnId,
@@ -359,7 +361,8 @@ where
                     state.commit_to_parent(t, parent, &view);
                     if wrote {
                         let epoch = publish_epoch.expect("checked above");
-                        self.mvcc.append(key, epoch, state.base_value().clone());
+                        let chain = state.chain().expect("a seeded entry is on its chain");
+                        self.mvcc.append_at(chain, epoch, state.base_value().clone());
                     }
                 } else {
                     state.abort_discard(t);

@@ -194,13 +194,20 @@ where
         let key = K::decode(kb).ok_or_else(|| replay_err("undecodable key"))?;
         let value = V::decode(vb).ok_or_else(|| replay_err("undecodable version"))?;
         let mut guard = db.shards[db.shard_of(&key)].lock();
-        if db.mvcc.last_epoch(&key).is_none() {
+        // A locking database's entry keeps the chain's id; an optimistic
+        // one has no entry and finds the chain in one descent.
+        let chain = match guard.objects.get_mut(&key) {
+            Some(state) => {
+                let chain = state.chain().expect("a seeded entry is on its chain");
+                *state = LockState::on_chain(value.clone(), chain);
+                Some(chain)
+            }
+            None => db.mvcc.locate(&key),
+        };
+        let Some(chain) = chain else {
             return Err(replay_err(format!("record {i}: action {action} writes an unseeded key")));
-        }
-        if let Some(state) = guard.objects.get_mut(&key) {
-            *state = LockState::new(value.clone());
-        }
-        db.mvcc.append(&key, epoch, value);
+        };
+        db.mvcc.append_at(chain, epoch, value);
     }
     db.mvcc.advance_watermark(epoch);
     Ok(())

@@ -3,9 +3,10 @@
 //! zero-lock guarantee, counter conservation, GC liveness, and chain
 //! equality across crash recovery.
 
-use rnt_core::{Db, DbConfig, Durability};
+use rnt_core::{CcMode, Db, DbConfig, Durability};
 use rnt_wal::MemVfs;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Barrier};
 
 const LOG: &str = "db.wal";
 
@@ -184,6 +185,143 @@ fn snapshot_readers_race_writers() {
     assert_eq!(total, 4 * 200);
     for k in 0..4 {
         assert_eq!(db.history(&k).len(), 1, "all chains reclaimed after readers exit");
+    }
+}
+
+/// Sets the flag when dropped: a thread that ends, even by a panic, stops
+/// the threads paced by it.
+struct StopOnDrop<'a>(&'a AtomicBool);
+
+impl Drop for StopOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::Relaxed);
+    }
+}
+
+/// Seeds of fresh keys grow the version store's chain slab across
+/// segment boundaries while two writers commit to their own key groups —
+/// a locking commit publishing through the chain ids its lock entries
+/// keep — and snapshot readers read points and scan ranges, in both CC
+/// modes. A snapshot held from the start keeps every version, so at the
+/// end each committed value is checked at its own epoch, and the store's
+/// layout holds.
+#[test]
+fn seeds_grow_the_chain_slab_under_commits_point_reads_and_scans() {
+    /// Fresh keys: more than four segments of the slab's 1,024 slots.
+    const FRESH: u64 = 5_000;
+    const GROUP: u64 = 3;
+    const STRIDE: u64 = 1_000;
+    /// Commits per writer at most.
+    const COMMITS: i64 = 20_000;
+    let group_key = |w: u64, i: u64| (w * GROUP + i) * STRIDE;
+    let fresh_key = |n: u64| n / (STRIDE - 1) * STRIDE + n % (STRIDE - 1) + 1;
+    for mode in [CcMode::Locking, CcMode::Optimistic] {
+        let db: Db<u64, i64> = Db::with_config(DbConfig::builder().cc_mode(mode).build());
+        for k in 0..2 * GROUP {
+            db.insert(k * STRIDE, 0);
+        }
+        let history = db.snapshot();
+        let (stop, seeded, commits) =
+            (AtomicBool::new(false), AtomicU64::new(0), AtomicU64::new(0));
+        let start = Barrier::new(5);
+        let written: Vec<i64> = std::thread::scope(|scope| {
+            let writers: Vec<_> = (0..2)
+                .map(|w| {
+                    let (db, stop, start, commits) = (&db, &stop, &start, &commits);
+                    scope.spawn(move || {
+                        let _done = StopOnDrop(stop);
+                        start.wait();
+                        let mut c = 0;
+                        while !stop.load(Ordering::Relaxed) && c < COMMITS {
+                            c += 1;
+                            db.run(|t| {
+                                (0..GROUP).try_for_each(|i| t.write(&group_key(w, i), c).map(drop))
+                            })
+                            .unwrap();
+                            commits.fetch_add(1, Ordering::Relaxed);
+                        }
+                        c
+                    })
+                })
+                .collect();
+            // Paced by the commits, so the growth spans the run.
+            let seeder = {
+                let (db, stop, start, seeded, commits) = (&db, &stop, &start, &seeded, &commits);
+                scope.spawn(move || {
+                    start.wait();
+                    for n in 0..FRESH {
+                        while commits.load(Ordering::Relaxed) < n && !stop.load(Ordering::Relaxed) {
+                            std::thread::yield_now();
+                        }
+                        assert!(db.insert(fresh_key(n), -1), "{mode:?}: fresh key {n} known");
+                        seeded.store(n + 1, Ordering::Release);
+                    }
+                })
+            };
+            let readers: Vec<_> = (0..2u64)
+                .map(|r| {
+                    let (db, stop, start, seeded) = (&db, &stop, &start, &seeded);
+                    scope.spawn(move || {
+                        start.wait();
+                        let mut i = r;
+                        while !stop.load(Ordering::Relaxed) {
+                            i += 1;
+                            let snap = db.snapshot();
+                            for w in 0..2 {
+                                let first = snap.read(&group_key(w, 0));
+                                for k in 1..GROUP {
+                                    assert_eq!(
+                                        snap.read(&group_key(w, k)),
+                                        first,
+                                        "{mode:?}: torn"
+                                    );
+                                }
+                            }
+                            let known = seeded.load(Ordering::Acquire);
+                            if known > 0 {
+                                let key = fresh_key(i * 7919 % known);
+                                assert_eq!(snap.read(&key), Some(-1), "{mode:?}: fresh key {key}");
+                            }
+                            let lo = group_key(i % 2, 0);
+                            let rows = snap.range(lo..lo + 2 * STRIDE);
+                            assert!(rows.windows(2).all(|w| w[0].0 < w[1].0), "{mode:?}: order");
+                            assert!(rows.iter().all(|&(k, v)| (k % STRIDE == 0) == (v >= 0)));
+                        }
+                    })
+                })
+                .collect();
+            // Readers and writers run until the seeder is done (or has
+            // panicked, which must not leave them running).
+            let mut joined = vec![seeder.join()];
+            stop.store(true, Ordering::Relaxed);
+            joined.extend(readers.into_iter().map(|h| h.join()));
+            for outcome in joined {
+                outcome.expect("a reader or the seeder panicked");
+            }
+            writers.into_iter().map(|h| h.join().expect("a writer panicked")).collect()
+        });
+        for (w, &last) in written.iter().enumerate() {
+            let chains: Vec<_> = (0..GROUP).map(|i| db.history(&group_key(w as u64, i))).collect();
+            let values: Vec<i64> = chains[0].iter().map(|&(_, v)| v).collect();
+            assert_eq!(
+                values,
+                (0..=last).collect::<Vec<_>>(),
+                "{mode:?}: writer {w} lost a commit"
+            );
+            assert!(chains.iter().all(|c| c == &chains[0]), "{mode:?}: a commit split its epochs");
+            assert!(chains[0].windows(2).all(|p| p[0].0 < p[1].0), "{mode:?}: epochs ascend");
+            for &(epoch, value) in chains[0].iter().step_by(chains[0].len() / 64 + 1) {
+                let snap = db.snapshot_at(epoch).expect("the history snapshot keeps every epoch");
+                for i in 0..GROUP {
+                    assert_eq!(snap.read(&group_key(w as u64, i)), Some(value), "{mode:?}");
+                }
+            }
+        }
+        drop(history);
+        assert_eq!(db.stats().snapshot_pins_live, 0);
+        assert_eq!(db.history(&group_key(0, 0)).len(), 1, "{mode:?}: chains collapse");
+        assert_eq!(db.snapshot().range(..).len() as u64, 2 * GROUP + FRESH, "{mode:?}");
+        assert_eq!(db.layout_violations(), Vec::<String>::new(), "{mode:?}");
     }
 }
 

@@ -28,7 +28,10 @@
 //!
 //! The store *is* an **ordered keyspace**: one map from key to chain, in
 //! key order, so the publish and recovery-replay paths both keep it
-//! consistent by appending. [`MvccStore::range_at`]
+//! consistent by appending. The map holds each key's [`ChainId`], and
+//! the chains live in a slab indexed by it, so a caller that kept the id
+//! (the engine's lock-table entry) appends with [`MvccStore::append_at`]
+//! without touching the map. [`MvccStore::range_at`]
 //! walks it to produce key-ordered scans resolved at a pinned epoch,
 //! [`MvccStore::max_epoch_in`] judges a scanned interval for optimistic
 //! validation, and [`MvccStore::pin_at`] pins *past* epochs (time travel)
@@ -37,8 +40,9 @@
 
 #![warn(missing_docs)]
 
+mod slab;
 mod store;
 
 pub use store::{
-    MvccCounters, MvccStore, PinError, Publish, PublishGate, Reservation, GENESIS_EPOCH,
+    ChainId, MvccCounters, MvccStore, PinError, Publish, PublishGate, Reservation, GENESIS_EPOCH,
 };

@@ -1,16 +1,22 @@
-//! The version-chain store — one ordered map from key to chain — the
-//! publish critical section, and epoch-based reclamation.
+//! The version-chain store — an ordered map from key to chain id, and
+//! the chains themselves in a slab addressed by id — the publish
+//! critical section, and epoch-based reclamation.
 //!
 //! **Lock order**: publish → pin table → map (`RwLock`, shared except on
 //! a key's first contact) → one chain `Mutex` at a time → dirty set. No
 //! path takes them in any other order, and none holds two chain locks or
 //! re-enters the map lock, so a first-contact seeder (the only map
-//! writer) can never deadlock against scanners, appenders or a sweep.
+//! writer) can never deadlock against scanners, appenders or a sweep. A
+//! chain reached by its id takes no map lock at all: the slab is read
+//! lock-free, and its own push lock is taken only under the map's
+//! exclusive lock.
 
+use crate::slab::Slab;
 use parking_lot::{Condvar, Mutex, MutexGuard, RwLock};
 use std::collections::{btree_map::Entry, BTreeMap, HashSet};
 use std::hash::Hash;
 use std::mem::take;
+use std::num::NonZeroU32;
 use std::ops::RangeBounds;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -22,8 +28,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 pub const GENESIS_EPOCH: u64 = 0;
 
 /// A committed version chain, never empty, epochs strictly ascending: the
-/// newest version (the committed value) inline in the map slot, and the
-/// superseded ones a live pin may still need in a spill, never empty.
+/// newest version (the committed value) inline in the chain's slab slot,
+/// and the superseded ones a live pin may still need in a spill, never
+/// empty.
 struct Chain<V> {
     head: (u64, V),
     older: Option<Spill<V>>,
@@ -39,16 +46,36 @@ impl<V> Chain<V> {
     }
 }
 
+/// A chain's address in the store, stable for the store's life: whoever
+/// keeps it (a lock-table entry) reaches the chain without a key lookup —
+/// no map lock and no descent. Ids are dense from 1, in first-contact
+/// order; the niche makes `Option<ChainId>` four bytes too.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub struct ChainId(NonZeroU32);
+
+impl ChainId {
+    /// The chain's slab slot.
+    fn slot(self) -> u32 {
+        self.0.get() - 1
+    }
+
+    /// The id of the chain in slab slot `slot` (below `u32::MAX`: the
+    /// slab refuses a push past it).
+    fn of_slot(slot: u32) -> Self {
+        ChainId(NonZeroU32::MIN.saturating_add(slot))
+    }
+}
+
 /// The dirty set and, under the same lock, the spare list.
-struct Dirty<K, V> {
-    /// Keys whose chains hold more than one version — the only chains a
+struct Dirty<V> {
+    /// Chains that hold more than one version — the only ones a
     /// pin-release sweep could reclaim from, so [`MvccStore::unpin`]'s
     /// sweep visits the handful of pinned-down chains instead of walking
     /// the keyspace. A chain enters when an append spills it and leaves
     /// when a sweep's prune collapses it (both under the chain's lock); a
-    /// sweep works on the set it took and puts the still-long keys back,
+    /// sweep works on the set it took and puts the still-long chains back,
     /// so between sweeps the set covers every long chain.
-    keys: HashSet<K>,
+    chains: HashSet<ChainId>,
     /// Emptied spill buffers for the next spill, at most `SPARE_CAP`.
     spare: Vec<Spill<V>>,
 }
@@ -114,14 +141,16 @@ pub enum PinError {
 
 /// The multi-version object store.
 ///
-/// One ordered map *is* the store: every key ever written, in key order,
-/// with its version chain inline under a per-chain lock. Point
-/// operations are one descent plus one chain lock under the map's shared
-/// lock; a range scan is a single in-order walk of the same map. Keys are
-/// never deleted (the engine has no transactional delete), so the map's
-/// exclusive lock is taken only on a key's first contact — seeding and
-/// replay. Three pieces of epoch state tie the chains to the commit
-/// order:
+/// One ordered map holds every key ever written, in key order, with its
+/// chain's [`ChainId`]; the chains live once each, under a per-chain
+/// lock, in an append-only slab indexed by that id. A key-based point
+/// operation is one descent under the map's shared lock plus one chain
+/// lock; an id-based one ([`MvccStore::append_at`]) is the chain lock
+/// alone; a range scan is a single in-order walk of the map. Keys are
+/// never deleted (the engine has no transactional delete), so an id stays
+/// valid for the store's life, and the map's exclusive lock is taken only
+/// on a key's first contact — seeding and replay. Three pieces of epoch
+/// state tie the chains to the commit order:
 ///
 /// * `watermark` — the highest *fully published* epoch: every commit with
 ///   epoch ≤ watermark has all its versions appended. Snapshots pin the
@@ -163,8 +192,10 @@ pub enum PinError {
 /// a stuck pin costs memory, never consistency.
 /// [`MvccStore::layout_violations`] checks this.
 pub struct MvccStore<K, V> {
-    map: RwLock<BTreeMap<K, Mutex<Chain<V>>>>,
-    dirty: Mutex<Dirty<K, V>>,
+    map: RwLock<BTreeMap<K, ChainId>>,
+    /// Every chain, at its id's slot, written before the id is handed out.
+    chains: Slab<Mutex<Chain<V>>>,
+    dirty: Mutex<Dirty<V>>,
     /// The commit order: watermark, reservations, publish lock.
     order: Order,
     /// Fast-pin ring: `RING_SLOTS` packed `(epoch << COUNT_BITS) | count`
@@ -584,7 +615,8 @@ where
     pub fn new(_shards: usize) -> Self {
         MvccStore {
             map: RwLock::new(BTreeMap::new()),
-            dirty: Mutex::new(Dirty { keys: HashSet::new(), spare: Vec::new() }),
+            chains: Slab::new(),
+            dirty: Mutex::new(Dirty { chains: HashSet::new(), spare: Vec::new() }),
             order: Order {
                 watermark: AtomicU64::new(GENESIS_EPOCH),
                 reserved: AtomicU64::new(GENESIS_EPOCH),
@@ -644,31 +676,83 @@ where
         }
     }
 
+    /// The chain in `chain`'s slab slot: no map lock, no descent.
+    fn chain_at(&self, chain: ChainId) -> &Mutex<Chain<V>> {
+        self.chains.get(chain.slot())
+    }
+
+    /// `key`'s chain id, if it has a chain: one descent under the map's
+    /// shared lock.
+    pub fn locate(&self, key: &K) -> Option<ChainId> {
+        self.map.read().get(key).copied()
+    }
+
+    /// Enter `key` with the one-version chain `(epoch, value)` unless it
+    /// has a chain already, in one descent under the map's exclusive lock.
+    /// `before` runs under that lock only if the key is entered, just
+    /// before the chain becomes reachable, so whatever it orders (a seed's
+    /// log record) precedes every access to the key. Returns the new
+    /// chain's id, or `None` (dropping `value`) for a known key.
+    pub fn insert(
+        &self,
+        key: K,
+        epoch: u64,
+        value: V,
+        before: impl FnOnce(&K, &V),
+    ) -> Option<ChainId> {
+        self.enter(key, epoch, value, before).ok()
+    }
+
+    /// [`MvccStore::insert`], handing a known key's id and the unused
+    /// value back.
+    fn enter(
+        &self,
+        key: K,
+        epoch: u64,
+        value: V,
+        before: impl FnOnce(&K, &V),
+    ) -> Result<ChainId, (ChainId, V)> {
+        match self.map.write().entry(key) {
+            Entry::Occupied(known) => Err((*known.get(), value)),
+            Entry::Vacant(slot) => {
+                before(slot.key(), &value);
+                // The slot is written before the id exists, and the id
+                // reaches other threads only through the map lock or
+                // whatever the caller publishes it with.
+                let chain = Mutex::new(Chain { head: (epoch, value), older: None });
+                let id = ChainId::of_slot(self.chains.push(chain));
+                self.created.fetch_add(1, Ordering::Relaxed);
+                slot.insert(id);
+                Ok(id)
+            }
+        }
+    }
+
     /// Append a version to `key`'s chain, entering the key into the map on
     /// first contact. `epoch` must be strictly above the chain's last
     /// (per-key publications are serialized by the lock manager, so
     /// callers get this for free). Reclaims the replaced head when no pin
     /// can resolve to it.
     pub fn append(&self, key: &K, epoch: u64, value: V) {
-        {
-            let map = self.map.read();
-            if let Some(slot) = map.get(key) {
-                return self.push_version(key, &mut slot.lock(), epoch, value);
-            }
-        }
-        // First contact: the only exclusive use of the map lock, and the
-        // only key clone. `entry`, because a racing seeder may have won
-        // between the two locks.
-        match self.map.write().entry(key.clone()) {
-            Entry::Occupied(e) => self.push_version(key, e.into_mut().get_mut(), epoch, value),
-            Entry::Vacant(slot) => {
-                slot.insert(Mutex::new(Chain { head: (epoch, value), older: None }));
-                self.created.fetch_add(1, Ordering::Relaxed);
-            }
-        }
+        let (chain, value) = match self.locate(key) {
+            Some(chain) => (chain, value),
+            // First contact: the only key clone. A racing seeder may have
+            // won between the two locks.
+            None => match self.enter(key.clone(), epoch, value, |_, _| {}) {
+                Ok(_) => return,
+                Err(known) => known,
+            },
+        };
+        self.append_at(chain, epoch, value);
     }
 
-    /// [`MvccStore::append`] under `key`'s chain lock.
+    /// [`MvccStore::append`] to the chain `chain`, which a caller that
+    /// kept the id reaches without the map: one chain lock, nothing else.
+    pub fn append_at(&self, chain: ChainId, epoch: u64, value: V) {
+        self.push_version(chain, &mut self.chain_at(chain).lock(), epoch, value);
+    }
+
+    /// [`MvccStore::append_at`] under the chain's lock.
     ///
     /// An append reclaims only the head it replaces, and only while the
     /// chain has no spill. A spilled chain's older versions are the
@@ -676,7 +760,7 @@ where
     /// every spilled chain at its new bound under the publish lock that
     /// publication appends also hold, so nothing in a spill becomes
     /// droppable between sweeps.
-    fn push_version(&self, key: &K, chain: &mut Chain<V>, epoch: u64, value: V) {
+    fn push_version(&self, id: ChainId, chain: &mut Chain<V>, epoch: u64, value: V) {
         debug_assert!(chain.head.0 < epoch, "chain epochs must ascend");
         self.created.fetch_add(1, Ordering::Relaxed);
         let old = std::mem::replace(&mut chain.head, (epoch, value));
@@ -695,7 +779,7 @@ where
         // chain's first spill remember it for the pin-release sweep.
         let older = chain.older.get_or_insert_with(|| {
             let mut dirty = self.dirty.lock();
-            dirty.keys.insert(key.clone());
+            dirty.chains.insert(id);
             dirty.spare.pop().unwrap_or_default()
         });
         older.push(old);
@@ -875,47 +959,42 @@ where
     ///
     /// Only chains in the dirty set can hold a reclaimable version (an
     /// append spills only when some pin may hold its old head back), so
-    /// the sweep visits exactly those — O(live multi-version chains),
-    /// not O(keyspace). It takes the set, prunes outside the set's lock,
-    /// and puts back the chains still long (an older pin persists); a key
-    /// an append dirties meanwhile lands in the fresh set and waits for
-    /// the next sweep.
+    /// the sweep visits exactly those, by id — O(live multi-version
+    /// chains), not O(keyspace), and no map lock. It takes the set,
+    /// prunes outside the set's lock, and puts back the chains still long
+    /// (an older pin persists); a chain an append dirties meanwhile lands
+    /// in the fresh set and waits for the next sweep.
     fn sweep(&self, min_pin: u64) {
         let mut dirty = self.dirty.lock();
-        if dirty.keys.is_empty() {
+        if dirty.chains.is_empty() {
             return;
         }
-        let (mut taken, mut spare) = (take(&mut dirty.keys), take(&mut dirty.spare));
+        let (mut taken, mut spare) = (take(&mut dirty.chains), take(&mut dirty.spare));
         drop(dirty);
         let mut dropped = 0;
-        {
-            let map = self.map.read();
-            taken.retain(|key| {
-                let Some(slot) = map.get(key) else { return false };
-                let mut chain = slot.lock();
-                dropped += prune(&mut chain, min_pin);
-                let Some(spill) = chain.older.take_if(|older| older.is_empty()) else {
-                    return chain.older.is_some();
-                };
-                spare.push(spill);
-                false
-            });
-        }
+        taken.retain(|&id| {
+            let mut chain = self.chain_at(id).lock();
+            dropped += prune(&mut chain, min_pin);
+            let Some(spill) = chain.older.take_if(|older| older.is_empty()) else {
+                return chain.older.is_some();
+            };
+            spare.push(spill);
+            false
+        });
         self.reclaimed.fetch_add(dropped, Ordering::Relaxed);
         // Swapped back to keep the allocations; what landed meanwhile merges in.
         let mut dirty = self.dirty.lock();
-        std::mem::swap(&mut dirty.keys, &mut taken);
-        dirty.keys.extend(taken);
+        std::mem::swap(&mut dirty.chains, &mut taken);
+        dirty.chains.extend(taken);
         std::mem::swap(&mut dirty.spare, &mut spare);
         dirty.spare.extend(spare);
         dirty.spare.truncate(SPARE_CAP);
     }
 
     /// The latest version of `key` with epoch ≤ `epoch`, if any: one
-    /// descent and one chain lock under the map's shared lock.
+    /// descent under the map's shared lock, then one chain lock.
     pub fn read_at(&self, key: &K, epoch: u64) -> Option<V> {
-        let map = self.map.read();
-        let chain = map.get(key)?.lock();
+        let chain = self.chain_at(self.locate(key)?).lock();
         resolve(&chain, epoch).map(|(_, v)| v.clone())
     }
 
@@ -937,7 +1016,9 @@ where
     {
         let map = self.map.read();
         map.range((bounds.start_bound(), bounds.end_bound()))
-            .filter_map(|(k, s)| resolve(&s.lock(), epoch).map(|(_, v)| (k.clone(), v.clone())))
+            .filter_map(|(k, &id)| {
+                resolve(&self.chain_at(id).lock(), epoch).map(|(_, v)| (k.clone(), v.clone()))
+            })
             .collect()
     }
 
@@ -961,13 +1042,13 @@ where
     {
         let map = self.map.read();
         map.range((bounds.start_bound(), bounds.end_bound()))
-            .map(|(_, slot)| slot.lock().head.0)
+            .map(|(_, &id)| self.chain_at(id).lock().head.0)
             .max()
     }
 
     /// The epoch of `key`'s newest version (`None` for unknown keys).
     pub fn last_epoch(&self, key: &K) -> Option<u64> {
-        Some(self.map.read().get(key)?.lock().head.0)
+        Some(self.chain_at(self.locate(key)?).lock().head.0)
     }
 
     /// Visit every key's newest version at or below `epoch` — the
@@ -978,8 +1059,8 @@ where
     /// pinned one. `visit` runs under the map's shared lock and the
     /// chain's lock, so it must not call back into the store.
     pub fn for_each_at(&self, epoch: u64, mut visit: impl FnMut(&K, u64, &V)) {
-        for (key, slot) in self.map.read().iter() {
-            if let Some((version, value)) = resolve(&slot.lock(), epoch) {
+        for (key, &id) in self.map.read().iter() {
+            if let Some((version, value)) = resolve(&self.chain_at(id).lock(), epoch) {
                 visit(key, *version, value);
             }
         }
@@ -987,20 +1068,25 @@ where
 
     /// `key`'s full committed version chain, oldest first.
     pub fn chain(&self, key: &K) -> Vec<(u64, V)> {
-        let map = self.map.read();
-        map.get(key).map(|slot| slot.lock().versions().cloned().collect()).unwrap_or_default()
+        self.locate(key)
+            .map(|id| self.chain_at(id).lock().versions().cloned().collect())
+            .unwrap_or_default()
     }
 
     /// Every key's chain, in key order.
     pub fn chains(&self) -> Vec<(K, Vec<(u64, V)>)> {
         let map = self.map.read();
-        map.iter().map(|(k, slot)| (k.clone(), slot.lock().versions().cloned().collect())).collect()
+        map.iter()
+            .map(|(k, &id)| (k.clone(), self.chain_at(id).lock().versions().cloned().collect()))
+            .collect()
     }
 
     /// Total versions currently held across all chains. Conservation:
     /// always equals `created - reclaimed` (property-tested).
     pub fn total_versions(&self) -> u64 {
-        self.map.read().values().map(|slot| slot.lock().versions().count() as u64).sum()
+        (0..self.chains.len())
+            .map(|slot| self.chains.get(slot).lock().versions().count() as u64)
+            .sum()
     }
 
     /// The store's layout faults, empty when there are none: a live pin
@@ -1027,10 +1113,10 @@ where
         if spare > SPARE_CAP {
             out.push(format!("{spare} spare buffers, cap {SPARE_CAP}"));
         }
-        for (key, slot) in self.map.read().iter() {
-            let fault = match &slot.lock().older {
+        for (key, &id) in self.map.read().iter() {
+            let fault = match &self.chain_at(id).lock().older {
                 Some(older) if older.is_empty() => "empty spill buffer",
-                Some(_) if !self.dirty.lock().keys.contains(key) => {
+                Some(_) if !self.dirty.lock().chains.contains(&id) => {
                     "long chain not in the dirty set"
                 }
                 _ => continue,
@@ -1520,7 +1606,7 @@ mod tests {
         assert_eq!(s.ring_min(), u64::MAX, "ring pins leaked");
         assert_eq!(s.counters().pins_live, 0);
         assert_eq!(s.total_versions(), 2, "nothing pinned: chains collapse");
-        assert!(s.dirty.lock().keys.is_empty());
+        assert!(s.dirty.lock().chains.is_empty());
     }
 
     /// The number of spill buffers waiting on the spare list.
@@ -1530,18 +1616,40 @@ mod tests {
 
     /// Whether `key`'s chain has a spill buffer.
     fn spilled(s: &MvccStore<u64, i64>, key: u64) -> bool {
-        s.map.read()[&key].lock().older.is_some()
+        s.chain_at(s.locate(&key).unwrap()).lock().older.is_some()
     }
 
     #[test]
     fn a_chain_slot_is_as_small_as_an_empty_vec() {
-        // The head lives in the slot, so a key with one committed version
-        // costs its B-tree slot and nothing on the heap.
+        // The head lives in the slab slot, so a key with one committed
+        // version costs its B-tree entry, its slot, and nothing else.
         assert_eq!(std::mem::size_of::<Mutex<Chain<u64>>>(), 32);
         assert_eq!(
             std::mem::size_of::<Mutex<Chain<u64>>>(),
             std::mem::size_of::<Mutex<Vec<u64>>>()
         );
+    }
+
+    #[test]
+    fn a_chain_id_is_four_bytes_with_or_without_an_option() {
+        // What a B-tree entry and a lock-table entry pay to find a chain.
+        assert_eq!(std::mem::size_of::<ChainId>(), 4);
+        assert_eq!(std::mem::size_of::<Option<ChainId>>(), 4);
+    }
+
+    #[test]
+    fn an_id_reaches_its_chain_and_insert_enters_a_key_once() {
+        let s = store();
+        let one = s.insert(1, GENESIS_EPOCH, 10, |_, _| {}).expect("a new key");
+        let mut ran = false;
+        assert_eq!(s.insert(1, GENESIS_EPOCH, 11, |_, _| ran = true), None, "a known key");
+        assert!(!ran, "`before` runs only for a key it enters");
+        assert_eq!(s.locate(&1), Some(one));
+        assert_eq!(s.locate(&2), None);
+        let publish = s.begin_publish();
+        s.append_at(one, publish.epoch(), 12);
+        drop(publish);
+        assert_eq!(s.chain(&1), vec![(1, 12)]);
     }
 
     #[test]
@@ -1554,7 +1662,7 @@ mod tests {
         }
         assert_eq!(s.chain(&1), vec![(5, 5)]);
         assert_eq!(spares(&s), 0, "no buffer was ever allocated");
-        assert!(s.dirty.lock().keys.is_empty());
+        assert!(s.dirty.lock().chains.is_empty());
         assert_eq!(s.layout_violations(), Vec::<String>::new());
     }
 
@@ -1566,7 +1674,7 @@ mod tests {
         let pin = s.pin();
         commit(&s, 1, 1);
         assert!(spilled(&s, 1), "the pin still resolves to the old head");
-        assert!(s.dirty.lock().keys.contains(&1));
+        assert!(s.dirty.lock().chains.contains(&s.locate(&1).unwrap()));
         assert_eq!(s.layout_violations(), Vec::<String>::new());
         s.unpin(pin);
         assert!(!spilled(&s, 1), "the sweep collapsed the chain");
@@ -1596,7 +1704,7 @@ mod tests {
             s.append(&k, publish.epoch(), 1);
         }
         drop(publish);
-        assert_eq!(s.dirty.lock().keys.len() as u64, keys, "every chain spilled");
+        assert_eq!(s.dirty.lock().chains.len() as u64, keys, "every chain spilled");
         s.unpin(pin);
         assert_eq!(spares(&s), SPARE_CAP, "more chains collapsed than the cap keeps");
         assert_eq!(s.total_versions(), keys);
@@ -1617,8 +1725,8 @@ mod tests {
         // the dirty set lost, and a spare list over its cap: each is
         // reported.
         s.concede_retained(s.watermark());
-        s.map.read()[&2].lock().older = Some(Box::default());
-        s.dirty.lock().keys.remove(&1);
+        s.chain_at(s.locate(&2).unwrap()).lock().older = Some(Box::default());
+        s.dirty.lock().chains.remove(&s.locate(&1).unwrap());
         s.dirty.lock().spare.resize_with(SPARE_CAP + 1, Box::default);
         let found = s.layout_violations();
         assert_eq!(found.len(), 4, "{found:?}");

@@ -1,6 +1,7 @@
 //! What the store allocates, counted by a wrapping global allocator: a
-//! committed version costs its B-tree slot and nothing else, and a pinned
-//! commit reuses a recycled spill buffer instead of allocating one.
+//! committed version costs its B-tree entry and its slab slot and nothing
+//! else, and a pinned commit reuses a recycled spill buffer instead of
+//! allocating one.
 //!
 //! One `#[test]` in its own binary, because the counters are global to
 //! the process and libtest would otherwise run other tests beside it.
@@ -59,12 +60,14 @@ fn committed_versions_cost_their_slot_and_pinned_commits_recycle() {
     let appends_allocs = ALLOCS.load(Relaxed) - allocs_before;
     let per_key = (LIVE.load(Relaxed) - live_before) as f64 / KEYS as f64;
     assert_eq!(appends_allocs, 0, "an unpinned append overwrites the head in place");
-    // A B-tree leaf holds 11 slots of an 8-byte key and a 32-byte chain,
-    // 456 bytes with its header, and every leaf but the root keeps at
-    // least 5: at most 92 bytes per key, plus the much rarer internal
-    // nodes. A `Vec`'s first push reserves room for four versions, so a
-    // buffer per key would take the total far past this bound.
-    assert!(per_key <= 96.0, "{per_key:.1} bytes per key: more than the B-tree's nodes");
+    // A B-tree leaf holds 11 entries of an 8-byte key and a 4-byte chain
+    // id, 152 bytes with its header, and every leaf but the root keeps at
+    // least 5: at most 31 bytes per key, plus the much rarer internal
+    // nodes. The chain itself is one 32-byte slab slot, and the slab
+    // allocates whole segments of 1,024 slots, which 65,536 keys fill
+    // exactly. A `Vec`'s first push reserves room for four versions, so
+    // a buffer per key would take the total far past this bound.
+    assert!(per_key <= 64.0, "{per_key:.1} bytes per key: more than a map entry and a slot");
     assert_eq!(store.total_versions(), KEYS);
 
     // Publish -> unpin -> re-pin, with the pin held across each commit.

@@ -199,3 +199,147 @@ fn spills_collapse_and_recycle_under_a_pin_and_sweep_storm() {
     assert!(store.chains().iter().all(|(_, chain)| chain.len() == 1));
     assert_eq!(store.layout_violations(), Vec::<String>::new());
 }
+
+/// Sets the flag when dropped: a thread that ends, even by a panic, stops
+/// the threads paced by it.
+struct StopOnDrop<'a>(&'a AtomicBool);
+
+impl Drop for StopOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::Relaxed);
+    }
+}
+
+/// First-contact inserts grow the chain slab across segment boundaries
+/// (and its directory past its first size) while two appenders publish
+/// through the chain ids they kept, and readers pin, read points and scan
+/// ranges. A pin held from the start keeps every version, so at the end
+/// each committed value is checked at its own epoch; after it drops, the
+/// chains collapse and the layout holds.
+#[test]
+fn first_contact_inserts_grow_the_slab_under_id_appends_point_reads_and_scans() {
+    /// Fresh keys: five segments of 1,024 slots, so the slab's
+    /// four-segment first directory is replaced once.
+    const FRESH: u64 = 5_000;
+    const READERS: usize = 2;
+    /// Commits per appender at most, which bounds the versions the
+    /// history pin keeps.
+    const COMMITS: usize = 50_000;
+    let store: MvccStore<u64, u64> = MvccStore::new(0);
+    let groups: Vec<Vec<_>> = (0..APPENDERS)
+        .map(|a| {
+            (0..GROUP)
+                .map(|i| store.insert(group_key(a, i), GENESIS_EPOCH, 0, |_, _| {}).unwrap())
+                .collect()
+        })
+        .collect();
+    // Fresh keys fill the gaps between the groups' keys, so scans cross
+    // them.
+    let fresh_key = |n: u64| n / (STRIDE - 1) * STRIDE + n % (STRIDE - 1) + 1;
+    let history = store.pin();
+    let (stop, seeded, commits) = (AtomicBool::new(false), AtomicU64::new(0), AtomicU64::new(0));
+    let start = Barrier::new(APPENDERS as usize + READERS + 1);
+    let published: Vec<Vec<u64>> = std::thread::scope(|scope| {
+        let appenders: Vec<_> = groups
+            .iter()
+            .map(|group| {
+                let (store, stop, start, commits) = (&store, &stop, &start, &commits);
+                scope.spawn(move || {
+                    let _done = StopOnDrop(stop);
+                    start.wait();
+                    let mut epochs = Vec::new();
+                    while !stop.load(Ordering::Relaxed) && epochs.len() < COMMITS {
+                        let publish = store.begin_publish();
+                        for &chain in group {
+                            store.append_at(chain, publish.epoch(), publish.epoch());
+                        }
+                        epochs.push(publish.epoch());
+                        commits.fetch_add(1, Ordering::Relaxed);
+                    }
+                    epochs
+                })
+            })
+            .collect();
+        // Paced by the commits, so the growth spans the run.
+        let seeder = {
+            let (store, stop, start, seeded, commits) = (&store, &stop, &start, &seeded, &commits);
+            scope.spawn(move || {
+                start.wait();
+                for n in 0..FRESH {
+                    while commits.load(Ordering::Relaxed) < n && !stop.load(Ordering::Relaxed) {
+                        std::thread::yield_now();
+                    }
+                    assert!(store
+                        .insert(fresh_key(n), GENESIS_EPOCH, u64::MAX, |_, _| {})
+                        .is_some());
+                    seeded.store(n + 1, Ordering::Release);
+                }
+            })
+        };
+        let readers: Vec<_> = (0..READERS as u64)
+            .map(|r| {
+                let (store, stop, start, seeded) = (&store, &stop, &start, &seeded);
+                scope.spawn(move || {
+                    start.wait();
+                    let mut i = r;
+                    while !stop.load(Ordering::Relaxed) {
+                        i += 1;
+                        let pin = store.pin();
+                        let mut newest = 0;
+                        for a in 0..APPENDERS {
+                            let first = store.read_at(&group_key(a, 0), pin).unwrap();
+                            for k in 1..GROUP {
+                                let value = store.read_at(&group_key(a, k), pin);
+                                assert_eq!(value, Some(first), "torn commit at {pin}");
+                            }
+                            newest = newest.max(first);
+                        }
+                        assert_eq!(newest, pin, "point reads are not the state at the pin");
+                        let known = seeded.load(Ordering::Acquire);
+                        if known > 0 {
+                            let key = fresh_key(i * 7919 % known);
+                            assert_eq!(store.read_at(&key, pin), Some(u64::MAX), "fresh key {key}");
+                        }
+                        let lo = group_key(i % APPENDERS, 0);
+                        let rows = store.range_at(lo..lo + 3 * STRIDE, pin);
+                        assert!(rows.windows(2).all(|w| w[0].0 < w[1].0), "scan out of key order");
+                        assert!(rows.iter().all(|&(k, v)| {
+                            if k % STRIDE == 0 {
+                                v <= pin
+                            } else {
+                                v == u64::MAX
+                            }
+                        }));
+                        store.unpin(pin);
+                    }
+                })
+            })
+            .collect();
+        // Readers and appenders run until the seeder is done (or has
+        // panicked, which must not leave them running).
+        let mut joined = vec![seeder.join()];
+        stop.store(true, Ordering::Relaxed);
+        joined.extend(readers.into_iter().map(|h| h.join()));
+        for outcome in joined {
+            outcome.expect("a reader or the seeder panicked");
+        }
+        appenders.into_iter().map(|h| h.join().expect("an appender panicked")).collect()
+    });
+    for (a, epochs) in published.iter().enumerate() {
+        for i in 0..GROUP {
+            let key = group_key(a as u64, i);
+            let want: Vec<_> = [GENESIS_EPOCH].iter().chain(epochs).map(|&e| (e, e)).collect();
+            assert_eq!(store.chain(&key), want, "key {key} lost a version");
+        }
+        // A sample: resolving deep in a long spill scans it from the end.
+        for &epoch in epochs.iter().step_by(epochs.len() / 64 + 1) {
+            let pin = store.pin_at(epoch).expect("the history pin keeps every epoch");
+            assert_eq!(store.read_at(&group_key(a as u64, GROUP - 1), pin), Some(epoch));
+            store.unpin(pin);
+        }
+    }
+    store.unpin(history);
+    assert_eq!(store.counters().pins_live, 0);
+    assert_eq!(store.total_versions(), APPENDERS * GROUP + FRESH, "chains collapse");
+    assert_eq!(store.layout_violations(), Vec::<String>::new());
+}
