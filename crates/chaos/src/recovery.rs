@@ -5,7 +5,7 @@
 //! The engine's own replay ([`rnt_core::Db::recover`]) reuses the engine's
 //! seeding, chain and lock-table machinery, so a bug shared by the forward
 //! path and replay would cancel out there. This module interprets the
-//! *raw record stream* with none of that machinery — each commit entry's
+//! *raw record stream* with none of that machinery — each commit frame's
 //! write set laid over a plain map at its epoch — and demands the
 //! recovered database agree with it. [`check_crash_recovery`] bundles the
 //! full post-crash obligation:
@@ -18,7 +18,7 @@
 //! 3. **Lock invariants**: the recovered engine passes the chaos lock
 //!    oracle (no dead holders, write stacks are ancestor chains, lock
 //!    tables drain at quiescence);
-//! 4. **Accounting**: `recovered_commits` equals the commit entries in
+//! 4. **Accounting**: `recovered_commits` equals the commit frames in
 //!    the surviving prefix;
 //! 5. **Idempotence**: recovering the recovered log changes nothing —
 //!    `recover ∘ recover ≡ recover`, byte-for-byte.
@@ -39,7 +39,7 @@ pub struct RecoveryReport {
     pub records: usize,
     /// Whether the prefix ended in a torn (partially written) record.
     pub torn: bool,
-    /// Top-level commits the engine redid (commit entries replayed).
+    /// Top-level commits the engine redid (commit frames replayed).
     pub recovered_commits: u64,
 }
 
@@ -60,17 +60,17 @@ pub struct ReferenceTrace {
     /// Genesis state: checkpoint snapshot entries plus init writes. These
     /// are epoch-0 (or pre-checkpoint) values, visible at every epoch.
     base: BTreeMap<u64, i64>,
-    /// Per-epoch committed effect batches, one per top-level commit,
-    /// keyed by the epoch its commit entry carries.
-    batches: BTreeMap<u64, BTreeMap<u64, i64>>,
+    /// Each top-level commit's write set, keyed by the epoch its commit
+    /// frame carries.
+    commits: BTreeMap<u64, BTreeMap<u64, i64>>,
 }
 
 impl ReferenceTrace {
-    /// The committed state as of `epoch`: base plus every batch ≤ it.
+    /// The committed state as of `epoch`: base plus every commit ≤ it.
     pub fn state_at(&self, epoch: u64) -> BTreeMap<u64, i64> {
         let mut state = self.base.clone();
-        for batch in self.batches.range(..=epoch).map(|(_, b)| b) {
-            state.extend(batch.iter().map(|(&k, &v)| (k, v)));
+        for writes in self.commits.range(..=epoch).map(|(_, w)| w) {
+            state.extend(writes.iter().map(|(&k, &v)| (k, v)));
         }
         state
     }
@@ -82,13 +82,13 @@ impl ReferenceTrace {
 
     /// The highest commit epoch in the trace (0 if none).
     pub fn max_epoch(&self) -> u64 {
-        self.batches.keys().next_back().copied().unwrap_or(0)
+        self.commits.keys().next_back().copied().unwrap_or(0)
     }
 }
 
 /// Interpret a record stream with plain maps: seeds and the checkpoint
-/// form the base, and each commit entry lays its write set over it at its
-/// epoch. Entries must carry strictly increasing epochs in log order, and
+/// form the base, and each commit frame lays its write set over it at its
+/// epoch. Frames must carry strictly increasing epochs in log order, and
 /// each write set must name seeded keys in ascending key order. Returns
 /// the full epoch-indexed trace; the committed state is
 /// [`ReferenceTrace::committed`] — what a crash immediately after the last
@@ -124,34 +124,25 @@ pub fn reference_trace(records: &[Record]) -> Result<ReferenceTrace, String> {
             // strictly increasing epoch — the engine serializes
             // publication, so the log must prove it did. A frame is
             // atomic: a torn one never reaches `scan`'s output.
-            Record::Commit { commits } => {
-                for c in commits {
-                    if c.epoch <= last_epoch {
-                        return Err(format!(
-                            "record {i}: commit epoch {} not above the last ({last_epoch})",
-                            c.epoch
-                        ));
-                    }
-                    last_epoch = c.epoch;
-                    let mut effects = BTreeMap::new();
-                    for (kb, vb) in &c.writes {
-                        let k = dec_u64(kb, "key")?;
-                        if !trace.base.contains_key(&k) {
-                            return Err(format!(
-                                "record {i}: {} writes unseeded key {k}",
-                                c.action
-                            ));
-                        }
-                        if effects.last_key_value().is_some_and(|(&last, _)| last >= k) {
-                            return Err(format!(
-                                "record {i}: write set of {} not in key order",
-                                c.action
-                            ));
-                        }
-                        effects.insert(k, dec_i64(vb, "value")?);
-                    }
-                    trace.batches.insert(c.epoch, effects);
+            Record::Commit { action, epoch, writes } => {
+                if *epoch <= last_epoch {
+                    return Err(format!(
+                        "record {i}: commit epoch {epoch} not above the last ({last_epoch})"
+                    ));
                 }
+                last_epoch = *epoch;
+                let mut effects = BTreeMap::new();
+                for (kb, vb) in writes {
+                    let k = dec_u64(kb, "key")?;
+                    if !trace.base.contains_key(&k) {
+                        return Err(format!("record {i}: {action} writes unseeded key {k}"));
+                    }
+                    if effects.last_key_value().is_some_and(|(&last, _)| last >= k) {
+                        return Err(format!("record {i}: write set of {action} not in key order"));
+                    }
+                    effects.insert(k, dec_i64(vb, "value")?);
+                }
+                trace.commits.insert(*epoch, effects);
             }
         }
     }
@@ -186,13 +177,7 @@ pub fn check_crash_recovery(bytes: &[u8]) -> Result<RecoveryReport, String> {
     let (records, tail) = scan(bytes).map_err(|e| format!("scan: {e}"))?;
     let trace = reference_trace(&records)?;
     let expected = trace.committed();
-    let commits: u64 = records
-        .iter()
-        .map(|r| match r {
-            Record::Commit { commits } => commits.len() as u64,
-            _ => 0,
-        })
-        .sum();
+    let commits = records.iter().filter(|r| matches!(r, Record::Commit { .. })).count() as u64;
 
     let (vfs, db) = recover_from(bytes)?;
     for (k, v) in &expected {
@@ -283,7 +268,7 @@ pub fn check_crash_recovery(bytes: &[u8]) -> Result<RecoveryReport, String> {
     let recovered_commits = db.stats().recovered_commits;
     if recovered_commits != commits {
         return Err(format!(
-            "recovered_commits miscounts: stat {recovered_commits}, {commits} commit entries"
+            "recovered_commits miscounts: stat {recovered_commits}, {commits} commit frames"
         ));
     }
 
@@ -319,11 +304,10 @@ pub fn check_crash_recovery(bytes: &[u8]) -> Result<RecoveryReport, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rnt_wal::CommitEntry;
 
-    fn commit(action: u64, epoch: u64, writes: &[(u64, i64)]) -> CommitEntry {
+    fn commit(action: u64, epoch: u64, writes: &[(u64, i64)]) -> Record {
         let writes = writes.iter().map(|&(k, v)| (enc(k), enc_v(v))).collect();
-        CommitEntry { action, epoch, writes }
+        Record::Commit { action, epoch, writes }
     }
 
     fn seeds() -> Vec<Record> {
@@ -335,10 +319,9 @@ mod tests {
     #[test]
     fn reference_applies_commit_frames_at_their_epochs() {
         let mut records = seeds();
-        records.push(Record::Commit { commits: vec![commit(1, 1, &[(0, 99)])] });
-        records.push(Record::Commit {
-            commits: vec![commit(2, 2, &[(1, 5), (2, 6)]), commit(3, 3, &[])],
-        });
+        records.push(commit(1, 1, &[(0, 99)]));
+        records.push(commit(2, 2, &[(1, 5), (2, 6)]));
+        records.push(commit(3, 3, &[]));
         let trace = reference_trace(&records).unwrap();
         assert_eq!(trace.state_at(0).get(&0), Some(&10));
         assert_eq!(trace.state_at(1).get(&0), Some(&99));
@@ -354,9 +337,9 @@ mod tests {
             (commit(1, 1, &[(7, 1)]), "unseeded"),
             (commit(1, 1, &[(2, 1), (1, 1)]), "key order"),
         ];
-        for (entry, why) in bad {
+        for (frame, why) in bad {
             let mut records = seeds();
-            records.push(Record::Commit { commits: vec![entry] });
+            records.push(frame);
             let err = reference_trace(&records).unwrap_err();
             assert!(err.contains(why), "{err}");
         }

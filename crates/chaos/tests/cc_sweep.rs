@@ -359,8 +359,9 @@ proptest! {
     }
 
     /// The same property with every commit forced, so every run leaves
-    /// the publish gate before it publishes, and validation also probes
-    /// the in-flight table: it must enforce the identical rule.
+    /// the publish gate before it publishes, and validation also meets
+    /// versions staged above the watermark: it must enforce the
+    /// identical rule.
     #[test]
     fn first_committer_wins_is_sound_when_forced(
         script in prop::collection::vec(cc_op_strategy(KEYS), 0..80),

@@ -13,7 +13,7 @@ use rnt_chaos::recovery::{check_crash_recovery, WAL_PATH};
 use rnt_chaos::{run_with_plan, ChaosConfig, FaultEvent, FaultKind, FaultPlan};
 use rnt_core::{CcMode, Db, DbConfig, DeadlockPolicy, Durability};
 use rnt_wal::faults::{cut_at_record, record_count, record_offsets};
-use rnt_wal::{frame, scan, CommitEntry, MemVfs, Record, INIT_ACTION, MAGIC};
+use rnt_wal::{frame, scan, MemVfs, Record, INIT_ACTION, MAGIC};
 use std::sync::Arc;
 
 mod common;
@@ -194,11 +194,10 @@ fn open_snapshots_at_crash_time_never_block_recovery() {
     assert_eq!(mid.read(&2), Some(21));
 }
 
-// ---- the multi-commit frame crash matrix ----
+// ---- the multi-write frame crash matrix ----
 //
-// The engine frames one commit per `Commit` record, but format 05 still
-// decodes frames of several, as earlier engines wrote them: recovery must
-// keep applying such a frame whole or not at all.
+// A commit frame carries the commit's whole write set: recovery must
+// apply a frame of several writes whole or not at all.
 
 fn enc_k(k: u64) -> Vec<u8> {
     rnt_wal::encode_to_vec(&k)
@@ -208,16 +207,16 @@ fn enc_v(v: i64) -> Vec<u8> {
     rnt_wal::encode_to_vec(&v)
 }
 
-fn commit(action: u64, epoch: u64, writes: &[(u64, i64)]) -> CommitEntry {
+fn commit(action: u64, epoch: u64, writes: &[(u64, i64)]) -> Record {
     let writes = writes.iter().map(|&(k, v)| (enc_k(k), enc_v(v))).collect();
-    CommitEntry { action, epoch, writes }
+    Record::Commit { action, epoch, writes }
 }
 
-/// A handcrafted format-05 log whose centerpiece is a three-participant
-/// commit frame (participant 1's write set is what a committed child
-/// handed up), followed by a post-batch singleton commit. A transaction
-/// in flight at the crash has no bytes here at all.
-fn batch_records() -> Vec<Record> {
+/// A handcrafted log whose centerpiece is one commit writing three keys
+/// (as a top-level commit whose children wrote for it frames them),
+/// followed by a single-write commit. A transaction in flight at the
+/// crash has no bytes here at all.
+fn multi_write_records() -> Vec<Record> {
     let mut records: Vec<Record> = (0..6u64)
         .map(|k| Record::Write {
             action: INIT_ACTION,
@@ -225,16 +224,7 @@ fn batch_records() -> Vec<Record> {
             version: enc_v(k as i64 * 10),
         })
         .collect();
-    records.extend([
-        Record::Commit {
-            commits: vec![
-                commit(0, 1, &[(0, 100)]),
-                commit(1, 2, &[(1, 101)]),
-                commit(2, 3, &[(2, 102)]),
-            ],
-        },
-        Record::Commit { commits: vec![commit(4, 4, &[(3, 104)])] },
-    ]);
+    records.extend([commit(0, 1, &[(0, 100), (1, 101), (2, 102)]), commit(4, 2, &[(3, 104)])]);
     records
 }
 
@@ -254,17 +244,16 @@ fn recover_values(bytes: &[u8], keys: u64) -> Vec<Option<i64>> {
     (0..keys).map(|k| db.committed_value(&k)).collect()
 }
 
-/// A commit frame that coalesced more than one commit.
-fn is_batch(r: &Record) -> bool {
-    matches!(r, Record::Commit { commits } if commits.len() > 1)
+/// A commit frame with more than one write.
+fn is_multi_write(r: &Record) -> bool {
+    matches!(r, Record::Commit { writes, .. } if writes.len() > 1)
 }
 
-/// Every record-boundary and every byte-offset cut of a batch-bearing log
-/// passes the full recovery oracle — the PR-3 matrix extended across a
-/// multi-commit batch.
+/// Every record-boundary and every byte-offset cut of a log with a
+/// multi-write commit passes the full recovery oracle.
 #[test]
-fn batch_log_every_crash_point_recovers() {
-    let bytes = encode_log(&batch_records());
+fn multi_write_log_every_crash_point_recovers() {
+    let bytes = encode_log(&multi_write_records());
     let total = record_count(&bytes);
     for cut in 0..=total {
         let prefix = cut_at_record(&bytes, cut);
@@ -280,31 +269,27 @@ fn batch_log_every_crash_point_recovers() {
 }
 
 /// The all-or-nothing obligation, stated directly on recovered values: a
-/// cut anywhere *inside* the batch frame recovers NONE of the three
-/// participants' effects; a cut at or past the frame end recovers ALL of
-/// them. No crash point exists where the batch is partially applied.
+/// cut anywhere *inside* the multi-write frame recovers NONE of its
+/// three writes; a cut at or past the frame end recovers ALL of them. No
+/// crash point exists where the commit is partially applied.
 #[test]
-fn batch_is_all_or_nothing_at_every_byte() {
-    let records = batch_records();
+fn a_multi_write_commit_is_all_or_nothing_at_every_byte() {
+    let records = multi_write_records();
     let bytes = encode_log(&records);
     let offsets = record_offsets(&bytes);
-    let idx = records.iter().position(is_batch).expect("the log has a batch");
-    let (batch_start, batch_end) = (offsets[idx], offsets[idx + 1]);
-    for cut in batch_start..batch_end {
+    let idx = records.iter().position(is_multi_write).expect("the log has a multi-write commit");
+    let (start, end) = (offsets[idx], offsets[idx + 1]);
+    for cut in start..end {
         let got = recover_values(&bytes[..cut], 3);
         assert_eq!(
             got,
             vec![Some(0), Some(10), Some(20)],
-            "cut {cut} bytes in (batch frame spans {batch_start}..{batch_end}): \
-             a torn batch must leave every participant unapplied"
+            "cut {cut} bytes in (the frame spans {start}..{end}): \
+             a torn commit must leave every write unapplied"
         );
     }
-    let got = recover_values(&bytes[..batch_end], 3);
-    assert_eq!(
-        got,
-        vec![Some(100), Some(101), Some(102)],
-        "the intact frame must apply every participant"
-    );
+    let got = recover_values(&bytes[..end], 3);
+    assert_eq!(got, vec![Some(100), Some(101), Some(102)], "the intact frame applies every write");
 }
 
 /// The same matrix over a log the *engine* wrote with its forces
@@ -346,7 +331,6 @@ fn engine_written_overlapping_forces_crash_matrix() {
     let (records, _) = scan(&bytes).expect("engine log scans");
     let frames = records.iter().filter(|r| matches!(r, Record::Commit { .. })).count();
     assert_eq!(frames, THREADS, "one frame per commit");
-    assert!(!records.iter().any(is_batch), "no frame carries two commits");
 
     let total = record_count(&bytes);
     for cut in 0..=total {

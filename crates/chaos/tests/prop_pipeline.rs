@@ -107,9 +107,9 @@ fn run_on_slow_disk(
     );
     let epochs: Vec<u64> = records
         .iter()
-        .flat_map(|r| match r {
-            Record::Commit { commits } => commits.iter().map(|c| c.epoch).collect(),
-            _ => Vec::new(),
+        .filter_map(|r| match r {
+            Record::Commit { epoch, .. } => Some(*epoch),
+            _ => None,
         })
         .collect();
     prop_assert_eq!(epochs, (1..=total).collect::<Vec<_>>(), "commit-record order = epoch order");
@@ -120,9 +120,9 @@ fn run_on_slow_disk(
     let mut end = MAGIC.len() as u64;
     for record in &records {
         end += frame(record).len() as u64;
-        if let Record::Commit { commits } = record {
-            by_action.extend(commits.iter().map(|c| (c.action, end)));
-            by_epoch.extend(commits.iter().map(|c| (c.epoch, end)));
+        if let Record::Commit { action, epoch, .. } = record {
+            by_action.insert(*action, end);
+            by_epoch.insert(*epoch, end);
         }
     }
     for (action, durable) in acks.into_inner().unwrap() {

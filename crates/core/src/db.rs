@@ -37,8 +37,8 @@ use crate::view::{EpochBounds, ReadView, SnapshotError};
 use parking_lot::Mutex;
 use rnt_model::UpdateFn;
 use rnt_mvcc::{MvccStore, Reservation, GENESIS_EPOCH};
-use rnt_wal::{CommitEntry, Record, Wal, WalError, WalForce, INIT_ACTION};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use rnt_wal::{Record, Wal, WalError, WalForce, INIT_ACTION};
+use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasher, Hash, RandomState};
 use std::ops::RangeBounds;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -212,12 +212,6 @@ pub(crate) struct DbInner<K, V> {
     /// without ever touching the lock tables. Lock order: publish →
     /// shard (locking only) → the store's own locks.
     pub(crate) mvcc: MvccStore<K, V>,
-    /// The in-flight table (optimistic only): every key written by an
-    /// optimistic run that has reserved its epoch but not yet published,
-    /// mapped to that epoch. Phase-2 validation probes it by key and by
-    /// interval, as it probes the chains. Touched only under the publish
-    /// lock — lock order: publish → in-flight.
-    pub(crate) in_flight: Mutex<BTreeMap<K, u64>>,
     /// The installed fault injector, if any (chaos harness only).
     #[cfg(feature = "chaos-hooks")]
     injector: parking_lot::RwLock<Option<Arc<dyn chaos::Injector>>>,
@@ -272,7 +266,6 @@ where
                 run_seq: AtomicU64::new(0),
                 wal: std::sync::OnceLock::new(),
                 mvcc: MvccStore::new(0),
-                in_flight: Mutex::new(BTreeMap::new()),
                 #[cfg(feature = "chaos-hooks")]
                 injector: parking_lot::RwLock::new(None),
             }),
@@ -297,9 +290,12 @@ where
     }
 
     /// The committed (top-level) value of a key, outside any transaction:
-    /// its chain head.
+    /// its published head, the newest version at or below the watermark
+    /// (see [`MvccStore::read_published`]). Neither a commit still forcing
+    /// nor part of one being published is shown, as no snapshot shows
+    /// them.
     pub fn committed_value(&self, key: &K) -> Option<V> {
-        self.inner.mvcc.read_at(key, u64::MAX)
+        self.inner.mvcc.read_published(key)
     }
 
     /// Open a lock-free read-only snapshot of the committed state.
@@ -349,7 +345,9 @@ where
 
     /// The committed version history of a key, oldest first, as
     /// `(commit_epoch, value)` pairs. Introspection for tests and the
-    /// chaos oracle; with no snapshots open every history has length 1.
+    /// chaos oracle; with no snapshots open every history has length 1 at
+    /// quiescence. While an optimistic commit is being forced, the
+    /// history ends with its version, staged above the watermark.
     pub fn history(&self, key: &K) -> Vec<(u64, V)> {
         self.inner.mvcc.chain(key)
     }
@@ -525,9 +523,9 @@ where
         (self.hasher.hash_one(key) as usize) % LOCK_SHARDS
     }
 
-    pub(crate) fn audit_record(&self, f: impl FnOnce(&Registry) -> AuditRecord) {
+    pub(crate) fn audit_record(&self, f: impl FnOnce(&RegistryView<'_>) -> AuditRecord) {
         if let Some(audit) = &self.audit {
-            audit.log.push(f(&self.registry));
+            audit.log.push(f(&self.registry.read_view()));
         }
     }
 
@@ -603,8 +601,7 @@ where
     /// reservation through this call, so commit-frame log order is epoch
     /// order.
     pub(crate) fn log_commit_frame(&self, epoch: u64, txn: TxnId, writes: WriteSet) {
-        let commits = vec![CommitEntry { action: txn.0, epoch, writes }];
-        self.wal_append(&Record::Commit { commits }, epoch);
+        self.wal_append(&Record::Commit { action: txn.0, epoch, writes }, epoch);
     }
 
     /// The concurrent half: under [`Durability::WalFsync`], force the log
@@ -737,14 +734,13 @@ where
 }
 
 /// What a sequenced top-level commit changes at its turn, by mode.
-pub(crate) enum Effects<K, V> {
+pub(crate) enum Effects<K> {
     /// Locking: the keys whose locks the committer holds. At its turn
     /// they are released, each key it wrote gaining a chain version.
     Locks(HashSet<K>),
-    /// Optimistic: the buffered write set, appended to the chains at its
-    /// turn; whether its keys entered the in-flight table (they leave it
-    /// then); and the begin pin, released once the run is published.
-    Writes { writes: BTreeMap<K, V>, in_flight: bool, pin: u64 },
+    /// Optimistic: the begin pin, released once the run is published.
+    /// Its versions were staged on the chains under the gate.
+    Pin(u64),
 }
 
 /// A top-level commit between the two halves of its publication: its
@@ -752,11 +748,12 @@ pub(crate) enum Effects<K, V> {
 /// reserving its epoch and logging its frame under the publish gate, and
 /// [`DbInner::publish`] forces and publishes it.
 ///
-/// Dropped unpublished — a panic between the halves, say in the force or
-/// a key encoder — it marks the log broken from its epoch on and still
-/// publishes the run in turn: locks released or versions appended at its
-/// epoch, the begin pin released, the watermark advanced. Nothing stays
-/// locked or pinned, and no later run waits forever at its turn.
+/// Dropped unpublished — a panic between the halves, say in the force, a
+/// frame append or a locking run's key encoder — it marks the log broken
+/// from its epoch on and still publishes the run in turn: locks released
+/// or staged versions published at its epoch, the begin pin released, the
+/// watermark advanced. Nothing stays locked or pinned, and no later run
+/// waits forever at its turn.
 pub(crate) struct Run<'a, K, V>
 where
     K: Eq + Hash + Ord + Clone + Send + Sync + 'static,
@@ -765,7 +762,7 @@ where
     pub(crate) inner: &'a DbInner<K, V>,
     pub(crate) txn: TxnId,
     /// Taken once published.
-    pub(crate) effects: Option<Effects<K, V>>,
+    pub(crate) effects: Option<Effects<K>>,
     /// `None` until reserved (a locking run reads its write set first).
     pub(crate) reservation: Option<Reservation<'a>>,
 }
@@ -787,18 +784,8 @@ where
         let epoch = publish.epoch();
         match effects {
             Effects::Locks(keys) => inner.finish_locks(self.txn, &keys, true, Some(epoch)),
-            Effects::Writes { writes, in_flight, pin } => {
-                if in_flight {
-                    let mut table = inner.in_flight.lock();
-                    for key in writes.keys() {
-                        table.remove(key);
-                    }
-                }
-                // The chain is the only home of an optimistic commit:
-                // there is no lock table to update and no waiter to wake.
-                for (key, value) in writes {
-                    inner.mvcc.append(&key, epoch, value);
-                }
+            Effects::Pin(pin) => {
+                // The ticket's drop publishes the staged versions.
                 // Unpinning may sweep, which takes the publish lock.
                 drop(publish);
                 inner.mvcc.unpin(pin);

@@ -6,7 +6,7 @@
 //! [`CcMode::Optimistic`]: crate::CcMode::Optimistic
 
 use crate::audit::{hash_value, AuditRecord};
-use crate::db::{map_reg_err, DbInner, Effects, Run, Txn};
+use crate::db::{map_reg_err, DbInner, Effects, Run, Txn, WriteSet};
 use crate::error::TxnError;
 use crate::registry::TxnId;
 use parking_lot::Mutex;
@@ -145,17 +145,30 @@ pub(crate) struct OptFootprint<K, V> {
     audit: Vec<AuditRecord>,
 }
 
-impl<K, V> OptFootprint<K, V> {
-    /// The newest epoch anywhere in the footprint — written keys, read keys
-    /// and scanned intervals, each interval judged as a whole — by a
-    /// key's epoch and an interval's newest.
-    fn newest(
-        &self,
-        key: impl Fn(&K) -> Option<u64>,
-        span: impl Fn((Bound<&K>, Bound<&K>)) -> Option<u64>,
-    ) -> Option<u64> {
-        let keys = self.writes.keys().chain(&self.reads).filter_map(key);
-        keys.chain(self.ranges.iter().filter_map(|(lo, hi)| span((lo.as_ref(), hi.as_ref())))).max()
+/// An optimistic top-level commit not yet committed in the registry.
+/// Dropped before then — it lost validation, the registry refused it, or
+/// its encoder unwound — it runs the loser sequence: audit `Abort`,
+/// registry transition, counter, the begin pin released. Forgotten once
+/// the registry commit succeeds, when the run takes over the pin.
+struct Unsettled<'a, K, V>
+where
+    K: Eq + Hash + Ord + Clone + Send + Sync + 'static,
+    V: Clone + Hash + Send + Sync + 'static,
+{
+    inner: &'a DbInner<K, V>,
+    txn: TxnId,
+    pin: u64,
+}
+
+impl<K, V> Drop for Unsettled<'_, K, V>
+where
+    K: Eq + Hash + Ord + Clone + Send + Sync + 'static,
+    V: Clone + Hash + Send + Sync + 'static,
+{
+    fn drop(&mut self) {
+        self.inner.abort_action(self.txn);
+        self.inner.stats.bump(|b| &b.aborted);
+        self.inner.mvcc.unpin(self.pin);
     }
 }
 
@@ -166,9 +179,8 @@ where
 {
     /// Commit one finished optimistic top-level transaction: validate its
     /// footprint and, if it is clean, sequence it into a run that
-    /// [`DbInner::publish`] forces and publishes; otherwise run the loser
-    /// sequence — audit `Abort`, registry transition, counters, the begin
-    /// pin released.
+    /// [`DbInner::publish`] forces and publishes; otherwise it lost (see
+    /// [`Unsettled`]).
     ///
     /// A loser overtaken by a run that is still forcing (its
     /// `committed_epoch` above the watermark) returns only once that run
@@ -180,14 +192,10 @@ where
         txn: TxnId,
         footprint: OptFootprint<K, V>,
     ) -> Result<(), TxnError> {
-        let pin = footprint.begin_epoch;
         let failure = match self.sequence_optimistic(txn, footprint) {
             Ok(run) => return self.publish(run),
             Err(failure) => failure,
         };
-        self.abort_action(txn);
-        self.stats.bump(|b| &b.aborted);
-        self.mvcc.unpin(pin);
         if let TxnError::Conflict { committed_epoch, .. } = failure {
             self.stats.bump(|b| &b.occ_conflicts);
             self.mvcc.wait_published(committed_epoch);
@@ -197,27 +205,26 @@ where
 
     /// The serialized half of the optimistic publication sequence:
     /// validate, then, in the gate hold that validated, commit in the
-    /// registry, flush the audit records, reserve the epoch and append
-    /// the commit frame. Returns the run, or the verdict of a loser.
+    /// registry, reserve the epoch, stage the write set on the chains at
+    /// it, flush the audit records and append the commit frame. Returns
+    /// the run, or the verdict of a loser.
     ///
-    /// Validation is two-phase (Kung–Robinson). Phase 1 runs *before* the
-    /// gate, against a pre-read watermark: every run published by then is
-    /// in the chains, so the O(footprint) walk happens outside the
-    /// publish critical section, and the losers it finds never touch the
-    /// gate. Phase 2, under it, checks what phase 1 could not see: the
-    /// chains from `pre_watermark` — only if the watermark moved in
-    /// between — and the in-flight table, which holds the write set of
-    /// every run that reserved its epoch but has not published (it may
-    /// still be forcing). Under the gate every run is in exactly one of
-    /// the two: a run leaves the table in the same hold that appends its
-    /// versions. An in-flight epoch is above the watermark, hence above
-    /// any begin epoch, so a hit is a conflict.
+    /// Validation is two-phase (Kung–Robinson) and reads one record of
+    /// every commit: the chains. A run stages its versions in the gate
+    /// hold that reserves its epoch, above the watermark until it
+    /// publishes, so under the gate every reserved run is on the chains.
+    /// Phase 1 runs *before* the gate, against a pre-read watermark: it
+    /// sees every run published by then, so the O(footprint) walk happens
+    /// outside the publish critical section, and the losers it finds
+    /// never touch the gate. Phase 2, under it, re-walks the chains from
+    /// `pre_watermark` only if an epoch above it has been reserved since.
+    /// A staged epoch is above the watermark, hence above any begin
+    /// epoch, so a hit is a conflict.
     ///
-    /// A run that releases the lock before it publishes — to force, or
-    /// because an earlier epoch is still unpublished and it parks for its
-    /// turn — enters the table first. One with nothing to force and
-    /// nothing reserved ahead (no log, `Wal`, or a log already lost)
-    /// publishes in this same hold, and skips it.
+    /// Staging needs no store rule of its own: the begin pin stays below
+    /// the run's epoch until the run is published, so each append spills
+    /// the head it supersedes and no sweep can drop that head, while
+    /// every read resolves at or below the watermark.
     fn sequence_optimistic(
         &self,
         txn: TxnId,
@@ -225,43 +232,41 @@ where
     ) -> Result<Run<'_, K, V>, TxnError> {
         let begin_epoch = footprint.begin_epoch;
         let lost = |committed_epoch| TxnError::Conflict { begin_epoch, committed_epoch };
+        // Declared before the gate, so a loser drops it after the gate.
+        let unsettled = Unsettled { inner: self, txn, pin: begin_epoch };
         let pre_watermark = self.mvcc.watermark();
         if let Some(newest) = self.opt_conflict(&footprint, begin_epoch) {
             return Err(lost(newest));
         }
+        let frame = self
+            .wal
+            .get()
+            .map(|w| footprint.writes.iter().map(|(k, v)| w.encode(k, v)).collect::<WriteSet>());
         let gate = self.mvcc.begin_publish_gate();
         // `pre_watermark ≥ begin_epoch` (a begin pin is at or below any
         // later watermark read), so the tighter floor loses no conflicts.
-        let mut newest = None;
-        if self.mvcc.watermark() != pre_watermark {
-            newest = self.opt_conflict(&footprint, pre_watermark);
-        }
-        let table = self.in_flight.lock();
-        if !table.is_empty() {
-            newest = newest.max(footprint.newest(
-                |k| table.get(k).copied(),
-                |span| table.range(span).map(|(_, &e)| e).max(),
-            ));
-        }
-        drop(table);
-        if let Some(newest) = newest {
-            return Err(lost(newest));
+        if gate.reserved() > pre_watermark {
+            if let Some(newest) = self.opt_conflict(&footprint, pre_watermark) {
+                return Err(lost(newest));
+            }
         }
         // A clean footprint makes the commit final: the registry state
         // flips under the gate, so no later observation can see a
         // validated transaction still active.
         self.registry.commit(txn).map_err(map_reg_err)?;
+        std::mem::forget(unsettled);
         let reservation = gate.reserve();
         let epoch = reservation.epoch();
-        let forces = self.must_force(epoch);
-        let in_flight = forces || epoch != self.mvcc.watermark() + 1;
-        let OptFootprint { writes, audit, .. } = footprint;
-        let effects = Effects::Writes { writes, in_flight, pin: begin_epoch };
-        let mut run =
-            Run { inner: self, txn, effects: Some(effects), reservation: Some(reservation) };
-        let Some(Effects::Writes { writes, .. }) = &run.effects else {
-            unreachable!("built above")
+        let mut run = Run {
+            inner: self,
+            txn,
+            effects: Some(Effects::Pin(begin_epoch)),
+            reservation: Some(reservation),
         };
+        let OptFootprint { writes, audit, .. } = footprint;
+        for (key, value) in writes {
+            self.mvcc.append(&key, epoch, value);
+        }
         // Flushed under the gate, so audit data order = commit (= epoch)
         // order, the Theorem-9 reconstruction invariant.
         if let Some(log) = &self.audit {
@@ -270,17 +275,10 @@ where
             }
         }
         self.audit_record(|reg| AuditRecord::Commit { path: reg.path(txn).expect("known") });
-        if let Some(w) = self.wal.get() {
-            let set = writes.iter().map(|(k, v)| w.encode(k, v)).collect();
-            self.log_commit_frame(epoch, txn, set);
+        if let Some(frame) = frame {
+            self.log_commit_frame(epoch, txn, frame);
         }
-        if in_flight {
-            let mut table = self.in_flight.lock();
-            for key in writes.keys() {
-                table.insert(key.clone(), epoch);
-            }
-        }
-        if forces {
+        if self.must_force(epoch) {
             run.reservation.as_mut().expect("reserved above").leave_gate();
         }
         Ok(run)
@@ -304,11 +302,16 @@ where
         }
     }
 
-    /// First-committer-wins validation: the newest committed epoch above
-    /// `floor` anywhere in the footprint, or `None` if it is clean.
+    /// First-committer-wins validation: the newest epoch above `floor`
+    /// anywhere in the footprint — written keys, read keys and scanned
+    /// intervals, each interval judged as a whole — or `None` if it is
+    /// clean.
     fn opt_conflict(&self, footprint: &OptFootprint<K, V>, floor: u64) -> Option<u64> {
-        let newest = footprint.newest(|k| self.mvcc.last_epoch(k), |s| self.mvcc.max_epoch_in(s));
-        newest.filter(|&e| e > floor)
+        let OptFootprint { writes, reads, ranges, .. } = footprint;
+        let keys = writes.keys().chain(reads).filter_map(|k| self.mvcc.last_epoch(k));
+        let spans =
+            ranges.iter().filter_map(|(lo, hi)| self.mvcc.max_epoch_in((lo.as_ref(), hi.as_ref())));
+        keys.chain(spans).max().filter(|&e| e > floor)
     }
 }
 
@@ -565,7 +568,7 @@ mod tests {
     #[test]
     fn optimistic_forced_commits_validate_under_contention() {
         // Forced: every commit's run leaves the gate to force, so runs
-        // validate against each other through the in-flight table.
+        // validate against each other's versions staged on the chains.
         let config = DbConfig::builder()
             .cc_mode(CcMode::Optimistic)
             .durability(Durability::WalFsync)
@@ -600,7 +603,10 @@ mod tests {
         assert_eq!(s.wal_fsyncs, s.committed, "one force per commit");
         assert_eq!(s.wal_appends, 64 + s.committed, "one frame per commit");
         assert_eq!(s.snapshot_pins_live, 0);
-        assert!(db.inner.in_flight.lock().is_empty(), "every run left the in-flight table");
+        let watermark = db.inner.mvcc.watermark();
+        for (key, chain) in db.inner.mvcc.chains() {
+            assert!(chain.iter().all(|&(e, _)| e <= watermark), "{key}: staged past quiescence");
+        }
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! after the crash:
 //!
 //! * the checkpoint and the `INIT_ACTION` writes seed keys;
-//! * each commit entry, **in log order** (which the engine makes epoch
+//! * each commit frame, **in log order** (which the engine makes epoch
 //!   order), appends its write set at its epoch and advances the
 //!   watermark; an epoch at or below the watermark, or a write to an
 //!   unseeded key, is an error;
@@ -30,10 +30,10 @@
 //! [`WalError`] — a recovered database is never built on a log whose
 //! middle is unreadable.
 
-use crate::db::{Db, DbConfig, DbInner, Durability};
+use crate::db::{Db, DbConfig, DbInner, Durability, WriteSet};
 use crate::lock::LockState;
 use rnt_mvcc::GENESIS_EPOCH;
-use rnt_wal::{scan, CommitEntry, Record, StdVfs, Vfs, Wal, WalCodec, WalError, INIT_ACTION};
+use rnt_wal::{scan, Record, StdVfs, Vfs, Wal, WalCodec, WalError, INIT_ACTION};
 use std::hash::Hash;
 use std::sync::Arc;
 
@@ -94,7 +94,7 @@ where
             return Err(WalError::Io { op: "checkpoint", detail });
         }
         records.retain(|record| match record {
-            Record::Commit { commits } => commits.iter().any(|c| c.epoch > watermark),
+            Record::Commit { epoch, .. } => *epoch > watermark,
             Record::Write { key, .. } => image.binary_search_by(|(kb, ..)| kb.cmp(key)).is_err(),
             Record::Checkpoint { .. } => false,
         });
@@ -166,8 +166,8 @@ where
     }
 }
 
-/// Redo one commit entry of record `i` on the replaying `db`: append each
-/// written version to its key's chain at the entry's epoch — and, in a
+/// Redo the commit of record `i` on the replaying `db`: append each
+/// written version to its key's chain at the commit's epoch — and, in a
 /// locking database, make it the lock entry's base — then advance the
 /// watermark.
 ///
@@ -177,12 +177,17 @@ where
 /// below the watermark carries an epoch that was never durably allocated
 /// — trusting it would replay a commit the pre-crash store never
 /// published (or publish two commits at one epoch).
-fn redo<K, V>(db: &DbInner<K, V>, i: usize, commit: &CommitEntry) -> Result<(), WalError>
+fn redo<K, V>(
+    db: &DbInner<K, V>,
+    i: usize,
+    action: u64,
+    epoch: u64,
+    writes: &WriteSet,
+) -> Result<(), WalError>
 where
     K: Eq + Hash + Ord + Clone + Send + Sync + WalCodec + 'static,
     V: Clone + Hash + Send + Sync + WalCodec + 'static,
 {
-    let (action, epoch) = (commit.action, commit.epoch);
     let watermark = db.mvcc.watermark();
     if epoch <= watermark {
         return Err(replay_err(format!(
@@ -190,7 +195,7 @@ where
              {watermark} — epoch never durably allocated"
         )));
     }
-    for (kb, vb) in &commit.writes {
+    for (kb, vb) in writes {
         let key = K::decode(kb).ok_or_else(|| replay_err("undecodable key"))?;
         let value = V::decode(vb).ok_or_else(|| replay_err("undecodable version"))?;
         let mut guard = db.shards[db.shard_of(&key)].lock();
@@ -214,7 +219,7 @@ where
 }
 
 /// Replay `records` into the (fresh, log-less) `db`. Returns the number of
-/// commit entries replayed.
+/// commits replayed.
 fn replay<K, V>(db: &DbInner<K, V>, records: &[Record]) -> Result<u64, WalError>
 where
     K: Eq + Hash + Ord + Clone + Send + Sync + WalCodec + 'static,
@@ -262,11 +267,9 @@ where
                     return Err(replay_err("duplicate init for an existing key"));
                 }
             }
-            Record::Commit { commits } => {
-                for commit in commits {
-                    redo(db, i, commit)?;
-                    recovered += 1;
-                }
+            Record::Commit { action, epoch, writes } => {
+                redo(db, i, *action, *epoch, writes)?;
+                recovered += 1;
             }
         }
     }

@@ -396,13 +396,6 @@ impl Registry {
         Ok(id)
     }
 
-    /// Allocate the next child *index* under `id` without registering a
-    /// transaction — used to name access leaves in the audit log (accesses
-    /// are children of their transaction in the action tree).
-    pub fn alloc_child_index(&self, id: TxnId) -> Option<u32> {
-        self.read_view().alloc_child_index(id)
-    }
-
     /// The parent of `id`, if any.
     pub fn parent(&self, id: TxnId) -> Option<TxnId> {
         self.read_view().parent(id)
@@ -413,24 +406,9 @@ impl Registry {
         self.read_view().status(id)
     }
 
-    /// The root (top-level ancestor) of `id` — the wait-die timestamp.
-    pub fn root(&self, id: TxnId) -> Option<TxnId> {
-        self.read_view().root(id)
-    }
-
-    /// The action-tree path of `id` (for audit reconstruction).
-    pub fn path(&self, id: TxnId) -> Option<Vec<u32>> {
-        self.read_view().path(id)
-    }
-
     /// Number of still-active children of `id`.
     pub fn active_children(&self, id: TxnId) -> u32 {
         self.read_view().meta(id).map_or(0, |m| m.active_children.load(Ordering::Acquire))
-    }
-
-    /// Convenience wrapper over [`RegistryView`]'s `active_subtree`.
-    pub fn active_subtree(&self, id: TxnId) -> Vec<TxnId> {
-        self.read_view().active_subtree(id)
     }
 
     /// True iff `a` is an ancestor of `b` (reflexively).
@@ -542,7 +520,7 @@ mod tests {
         let t = r.begin_top();
         assert_eq!(r.status(t), Some(TxnStatus::Active));
         assert_eq!(r.parent(t), None);
-        assert_eq!(r.root(t), Some(t));
+        assert_eq!(r.read_view().root(t), Some(t));
         assert!(r.is_live(t));
     }
 
@@ -553,11 +531,12 @@ mod tests {
         let c1 = r.begin_child(t).unwrap();
         let c2 = r.begin_child(t).unwrap();
         let g = r.begin_child(c1).unwrap();
-        let tp = r.path(t).unwrap();
-        assert_eq!(r.path(c1).unwrap(), [tp.clone(), vec![0]].concat());
-        assert_eq!(r.path(c2).unwrap(), [tp.clone(), vec![1]].concat());
-        assert_eq!(r.path(g).unwrap(), [tp, vec![0, 0]].concat());
-        assert_eq!(r.root(g), Some(t));
+        let view = r.read_view();
+        let tp = view.path(t).unwrap();
+        assert_eq!(view.path(c1).unwrap(), [tp.clone(), vec![0]].concat());
+        assert_eq!(view.path(c2).unwrap(), [tp.clone(), vec![1]].concat());
+        assert_eq!(view.path(g).unwrap(), [tp, vec![0, 0]].concat());
+        assert_eq!(view.root(g), Some(t));
     }
 
     #[test]
@@ -565,7 +544,8 @@ mod tests {
         let r = Registry::new();
         let a = r.begin_top();
         let b = r.begin_top();
-        assert_ne!(r.path(a), r.path(b));
+        let view = r.read_view();
+        assert_ne!(view.path(a), view.path(b));
     }
 
     #[test]
@@ -631,7 +611,7 @@ mod tests {
         let b = r.begin_top();
         assert!(a < b, "ids are monotone");
         let ac = r.begin_child(a).unwrap();
-        assert_eq!(r.root(ac), Some(a), "children inherit root timestamp");
+        assert_eq!(r.read_view().root(ac), Some(a), "children inherit root timestamp");
     }
 
     #[test]
@@ -640,11 +620,11 @@ mod tests {
         let t = r.begin_top();
         let c = r.begin_child(t).unwrap();
         let g = r.begin_child(c).unwrap();
-        let mut sub = r.active_subtree(t);
+        let mut sub = r.read_view().active_subtree(t);
         sub.sort();
         assert_eq!(sub, vec![t, c, g]);
         r.commit(g).unwrap();
-        let mut sub = r.active_subtree(t);
+        let mut sub = r.read_view().active_subtree(t);
         sub.sort();
         assert_eq!(sub, vec![t, c]);
     }
@@ -679,7 +659,7 @@ mod tests {
             }));
         }
         let mut all: Vec<TxnId> = handles.into_iter().flat_map(|h| h.join().unwrap()).collect();
-        let mut paths: Vec<_> = all.iter().map(|&id| r.path(id).unwrap()).collect();
+        let mut paths: Vec<_> = all.iter().map(|&id| r.read_view().path(id).unwrap()).collect();
         all.sort();
         all.dedup();
         assert_eq!(all.len(), 400, "ids unique");

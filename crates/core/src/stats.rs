@@ -66,7 +66,7 @@ pub struct StatsBlock {
     pub wal_appends: AtomicU64,
     /// Fsyncs issued for top-level commit durability.
     pub wal_fsyncs: AtomicU64,
-    /// Top-level commits crash recovery redid (commit entries replayed).
+    /// Top-level commits crash recovery redid (commit frames replayed).
     pub recovered_commits: AtomicU64,
     /// Reads served from a pinned snapshot (lock-free: these never touch
     /// the lock tables, so they add nothing to `reads`/`conflicts`/`waits`).
@@ -217,7 +217,7 @@ pub struct StatsSnapshot {
     pub wal_appends: u64,
     /// Fsyncs issued for top-level commit durability.
     pub wal_fsyncs: u64,
-    /// Top-level commits crash recovery redid (commit entries replayed).
+    /// Top-level commits crash recovery redid (commit frames replayed).
     pub recovered_commits: u64,
     /// Reads served from a pinned snapshot (lock-free).
     pub snapshot_reads: u64,

@@ -113,6 +113,11 @@ impl GateVfs {
     pub fn hold_appends(&self) {
         self.update(|g| g.appends_held = true);
     }
+
+    /// Let appends through again, fsyncs staying as they are.
+    pub fn release_appends(&self) {
+        self.update(|g| g.appends_held = false);
+    }
 }
 
 impl Vfs for GateVfs {

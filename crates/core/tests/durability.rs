@@ -4,7 +4,7 @@
 
 use rnt_core::{CcMode, Db, DbConfig, DeadlockPolicy, Durability, Txn, TxnError};
 use rnt_wal::faults::record_count;
-use rnt_wal::{frame, scan, CommitEntry, MemVfs, Record, Vfs, WalError, INIT_ACTION, MAGIC};
+use rnt_wal::{frame, scan, MemVfs, Record, Vfs, WalError, INIT_ACTION, MAGIC};
 use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
 use std::sync::Arc;
 
@@ -345,25 +345,9 @@ fn seed(k: &str, v: i64) -> Record {
     Record::Write { action: INIT_ACTION, key: enc(k), version: enc_v(v) }
 }
 
-fn commit(action: u64, epoch: u64, writes: &[(&str, i64)]) -> CommitEntry {
+fn commit(action: u64, epoch: u64, writes: &[(&str, i64)]) -> Record {
     let writes = writes.iter().map(|&(k, v)| (enc(k), enc_v(v))).collect();
-    CommitEntry { action, epoch, writes }
-}
-
-#[test]
-fn batch_commit_replays_every_participant() {
-    let vfs = install_log(&[
-        seed("a", 1),
-        seed("b", 2),
-        Record::Commit { commits: vec![commit(0, 1, &[("a", 10)]), commit(1, 2, &[("b", 20)])] },
-    ]);
-    let r = Db::<String, i64>::recover_with_vfs(vfs, LOG, wal_config()).unwrap();
-    assert_eq!(r.committed_value(&"a".to_string()), Some(10));
-    assert_eq!(r.committed_value(&"b".to_string()), Some(20));
-    assert_eq!(r.epochs().watermark, 2, "replay advances the watermark over the batch's run");
-    assert_eq!(r.history(&"a".to_string()), vec![(1, 10)]);
-    assert_eq!(r.history(&"b".to_string()), vec![(2, 20)]);
-    assert_eq!(r.stats().recovered_commits, 2);
+    Record::Commit { action, epoch, writes }
 }
 
 /// A commit frame at the log tail whose epoch was never durably
@@ -372,8 +356,7 @@ fn batch_commit_replays_every_participant() {
 #[test]
 fn replay_rejects_a_commit_epoch_at_or_below_the_watermark() {
     // Epoch 0 is the genesis watermark: nothing can commit "at" it.
-    let vfs =
-        install_log(&[seed("a", 1), Record::Commit { commits: vec![commit(0, 0, &[("a", 5)])] }]);
+    let vfs = install_log(&[seed("a", 1), commit(0, 0, &[("a", 5)])]);
     let err = Db::<String, i64>::recover_with_vfs(vfs, LOG, wal_config())
         .expect_err("a never-allocated epoch must fail replay");
     assert!(err.to_string().contains("never durably allocated"), "unexpected error: {err}");
@@ -382,23 +365,10 @@ fn replay_rejects_a_commit_epoch_at_or_below_the_watermark() {
     // reached 5, so a later commit claiming epoch 3 is corrupt.
     let vfs = install_log(&[
         Record::Checkpoint { epoch: 5, snapshot: vec![(enc("a"), 2, enc_v(1))] },
-        Record::Commit { commits: vec![commit(7, 3, &[("a", 9)])] },
+        commit(7, 3, &[("a", 9)]),
     ]);
     let err = Db::<String, i64>::recover_with_vfs(vfs, LOG, wal_config())
         .expect_err("an epoch below the checkpoint watermark must fail replay");
-    assert!(err.to_string().contains("never durably allocated"), "unexpected error: {err}");
-}
-
-/// The same obligation inside a batch frame: a batch whose epoch run dips
-/// to or below the replayed watermark is rejected wholesale.
-#[test]
-fn replay_rejects_a_batch_epoch_at_or_below_the_watermark() {
-    let vfs = install_log(&[
-        Record::Checkpoint { epoch: 4, snapshot: vec![(enc("a"), 2, enc_v(1))] },
-        Record::Commit { commits: vec![commit(0, 5, &[("a", 10)]), commit(1, 4, &[])] },
-    ]);
-    let err = Db::<String, i64>::recover_with_vfs(vfs, LOG, wal_config())
-        .expect_err("a batch epoch at the watermark must fail replay");
     assert!(err.to_string().contains("never durably allocated"), "unexpected error: {err}");
 }
 
@@ -406,8 +376,7 @@ fn replay_rejects_a_batch_epoch_at_or_below_the_watermark() {
 /// key, and a write record outside a commit frame.
 #[test]
 fn replay_rejects_unseeded_keys_and_loose_writes() {
-    let vfs =
-        install_log(&[seed("a", 1), Record::Commit { commits: vec![commit(0, 1, &[("b", 5)])] }]);
+    let vfs = install_log(&[seed("a", 1), commit(0, 1, &[("b", 5)])]);
     let err = Db::<String, i64>::recover_with_vfs(vfs, LOG, wal_config()).unwrap_err();
     assert!(err.to_string().contains("unseeded key"), "unexpected error: {err}");
 
@@ -585,8 +554,8 @@ fn an_overtaken_optimistic_commit_loses_outside_the_gate() {
     }
 }
 
-/// A loser overtaken by a run that is still forcing — it lost to the
-/// in-flight table, not to the chains — returns only once that run is
+/// A loser overtaken by a run that is still forcing — it lost to a
+/// version staged above the watermark — returns only once that run is
 /// published: retried at once, it would otherwise pin a snapshot below
 /// the winner's write and lose to it again. It waits outside the gate.
 #[test]
@@ -792,14 +761,15 @@ fn a_nested_tree_logs_one_commit_entry_holding_its_committed_writes() {
 
         let records = records_of(&vfs);
         assert_eq!(records.len(), 5, "{cc:?}: four seeds and one commit frame");
-        let Record::Commit { commits } = &records[4] else { panic!("{cc:?}: {records:?}") };
-        assert_eq!(commits.len(), 1, "{cc:?}");
+        let Record::Commit { epoch, writes, .. } = &records[4] else {
+            panic!("{cc:?}: {records:?}")
+        };
         let committed: Vec<_> = ["a", "d"]
             .iter()
             .map(|k| (enc(k), enc_v(db.committed_value(&k.to_string()).unwrap())))
             .collect();
-        assert_eq!(commits[0].writes, committed, "{cc:?}");
-        assert_eq!((commits[0].epoch, db.committed_value(&"d".to_string())), (1, Some(22)));
+        assert_eq!(*writes, committed, "{cc:?}");
+        assert_eq!((*epoch, db.committed_value(&"d".to_string())), (1, Some(22)));
     }
 }
 
@@ -1174,6 +1144,96 @@ fn a_snapshot_opens_while_a_force_is_parked() {
     }
 }
 
+/// While a commit is parked in its force, in both modes, neither
+/// `committed_value` nor a fresh snapshot shows any of its writes — an
+/// optimistic run's versions are already staged on the chains, above the
+/// watermark — and once the force returns, both show all of them.
+#[test]
+fn committed_value_shows_a_commit_only_once_its_force_returns() {
+    for cc in [CcMode::Locking, CcMode::Optimistic] {
+        let vfs = GateVfs::closed();
+        let db: Db<String, i64> = Db::open_with_vfs(vfs.clone(), LOG, forced_config(cc)).unwrap();
+        for k in 0..3 {
+            db.insert(key(k), 0);
+        }
+        let forcing = spawn_bump(&db, 0..3);
+        vfs.wait_parked();
+        let parked: Vec<_> =
+            (0..3).map(|k| (db.committed_value(&key(k)), db.snapshot().read(&key(k)))).collect();
+        vfs.open();
+        assert_eq!(forcing.recv_timeout(PATIENCE).unwrap(), Ok(()), "{cc:?}");
+        assert_eq!(parked, vec![(Some(0), Some(0)); 3], "{cc:?}: seen before its force returned");
+        for k in 0..3 {
+            let published = (db.committed_value(&key(k)), db.snapshot().read(&key(k)));
+            assert_eq!(published, (Some(1), Some(1)), "{cc:?}: key {k}");
+        }
+    }
+}
+
+/// Phase-2 validation re-walks the chains whenever an epoch was reserved
+/// past the watermark it read before the gate, even though the watermark
+/// has not moved. Two optimistic runs write one key and pass phase 1
+/// while a third run holds the gate, parked in its frame append; once it
+/// is released, the first of the two to reach the gate stages its write
+/// and forces, and the second must find that staged version. Exactly one
+/// of the two commits, and the watermark never moves while the forces
+/// stay parked.
+#[test]
+fn phase_two_finds_a_run_staged_behind_an_unmoved_watermark() {
+    let vfs = GateVfs::closed();
+    let db: Db<String, i64> =
+        Db::open_with_vfs(vfs.clone(), LOG, forced_config(CcMode::Optimistic)).unwrap();
+    db.insert(key(0), 0);
+    db.insert(key(1), 0);
+    let (a, b) = (bumped(&db, 0..1).unwrap(), bumped(&db, 0..1).unwrap());
+    vfs.hold_appends();
+    let holder = spawn_bump(&db, 1..2);
+    vfs.wait_append_parked();
+    let (a, b) = (spawn(move || a.commit()), spawn(move || b.commit()));
+    // Both validate against the unchanged chains and queue on the gate.
+    std::thread::sleep(std::time::Duration::from_millis(50));
+    vfs.release_appends();
+    let parked = vfs.parks(2);
+    let watermark = db.epochs().watermark;
+    vfs.open();
+    assert!(parked, "the holder's and the winner's forces never parked together");
+    assert_eq!(watermark, 0, "the watermark moved while every force was parked");
+    assert_eq!(holder.recv_timeout(PATIENCE).unwrap(), Ok(()));
+    let verdicts = [a.recv_timeout(PATIENCE).unwrap(), b.recv_timeout(PATIENCE).unwrap()];
+    let won = verdicts.iter().filter(|v| v.is_ok()).count();
+    assert_eq!(won, 1, "exactly one writer of the key commits: {verdicts:?}");
+    assert!(verdicts.iter().any(|v| matches!(v, Err(TxnError::Conflict { .. }))), "{verdicts:?}");
+    assert_eq!(db.committed_value(&key(0)), Some(1));
+    assert_eq!(db.epochs().watermark, 2);
+}
+
+/// A staged optimistic version sits above the watermark, and the version
+/// it superseded is the one every reader resolves to until it publishes.
+/// The run's own begin pin keeps that version: a snapshot opened while
+/// the run is parked in its force, with no other pin live, reads it.
+/// Once the run publishes and unpins, the history collapses to the one
+/// published version.
+#[test]
+fn the_begin_pin_keeps_what_a_staged_version_supersedes() {
+    let vfs = GateVfs::closed();
+    let db: Db<String, i64> =
+        Db::open_with_vfs(vfs.clone(), LOG, forced_config(CcMode::Optimistic)).unwrap();
+    db.insert(key(0), 0);
+    let forcing = spawn_bump(&db, 0..1);
+    vfs.wait_parked();
+    let staged = db.history(&key(0));
+    let snapshot = db.snapshot();
+    let seen = (snapshot.epoch(), snapshot.read(&key(0)));
+    drop(snapshot);
+    vfs.open();
+    assert_eq!(forcing.recv_timeout(PATIENCE).unwrap(), Ok(()));
+    assert_eq!(staged, vec![(0, 0), (1, 1)], "the run's version is staged, spilling the seed");
+    assert_eq!(seen, (0, Some(0)), "a snapshot read past the staged version");
+    assert_eq!(db.history(&key(0)), vec![(1, 1)], "the history did not collapse at quiescence");
+    assert_eq!(db.stats().snapshot_pins_live, 0);
+    assert!(db.layout_violations().is_empty(), "{:?}", db.layout_violations());
+}
+
 /// Verdicts follow epoch order, not the order forces finish, in both
 /// modes. Two runs are parked in their forces, and reach the inner disk
 /// one at a time, the first of them failing. A later run's failure
@@ -1250,15 +1310,22 @@ fn a_format_04_log_is_rejected_with_bad_magic() {
     assert_refused_at_the_magic(old, b"RNTWAL04");
 }
 
+/// And a format-05 log, whose commit frames begin with a commit count.
+#[test]
+fn a_format_05_log_is_rejected_with_bad_magic() {
+    let old = include_bytes!("../../wal/tests/golden/format05_single_commit.wal");
+    assert_refused_at_the_magic(old, b"RNTWAL05");
+}
+
 // ---- The log's budget: bytes and appends per commit ----
 
 /// The frame of a flat commit of four `u64` writes whose keys and values
 /// are each one byte long (1 to 255) and whose action id and epoch are
-/// below 128: 8 header bytes; a tag and a commit count; the entry's
-/// action, epoch and write count, a varint byte each; and four `(key,
-/// value)` pairs of a length byte and a value byte each —
-/// 8 + 2 + 3 + 4 × 4 = 29 bytes. Format 04 took 129.
-const FLAT_COMMIT_BUDGET: u64 = 29;
+/// below 128: 8 header bytes; a tag; the action, epoch and write count, a
+/// varint byte each; and four `(key, value)` pairs of a length byte and a
+/// value byte each — 8 + 1 + 3 + 4 × 4 = 28 bytes. Format 05, with its
+/// commit count, took 29; format 04 took 129.
+const FLAT_COMMIT_BUDGET: u64 = 28;
 
 /// The frame of a seed of a one-byte `u64` key and value: 8 header bytes,
 /// a tag, `INIT_ACTION` (stored as the byte `0`) and two length-prefixed

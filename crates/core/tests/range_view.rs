@@ -323,9 +323,10 @@ fn optimistic_scans_count_one_scan_and_one_read_per_row() {
 fn an_in_flight_writer_defeats_a_range_reader_behind_it() {
     // Two transactions scan the same interval and write *different* keys
     // inside it, so only the intervals collide. The first commits and is
-    // parked in its force: reserved, unpublished, nothing in the chains
-    // yet. The second must lose to it through the in-flight table's
-    // interval probe, and returns only once the winner is published.
+    // parked in its force: reserved and unpublished, its version staged
+    // on the chains above the watermark. The second must lose to it
+    // through the interval's newest epoch, and returns only once the
+    // winner is published.
     // Forced: optimistic commits under `WalFsync`.
     let config =
         DbConfig::builder().cc_mode(CcMode::Optimistic).durability(Durability::WalFsync).build();
@@ -356,7 +357,7 @@ fn an_in_flight_writer_defeats_a_range_reader_behind_it() {
     let winner_epoch = db.epochs().watermark;
     assert!(
         matches!(verdict, Err(TxnError::Conflict { committed_epoch, .. }) if committed_epoch == winner_epoch),
-        "the loser names the in-flight winner's epoch: {verdict:?}"
+        "the loser names the forcing winner's epoch: {verdict:?}"
     );
     assert_eq!(db.committed_value(&3), Some(31), "the winner's increment");
     assert_eq!(db.committed_value(&5), Some(50), "the loser published nothing");

@@ -28,9 +28,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 pub const GENESIS_EPOCH: u64 = 0;
 
 /// A committed version chain, never empty, epochs strictly ascending: the
-/// newest version (the committed value) inline in the chain's slab slot,
-/// and the superseded ones a live pin may still need in a spill, never
-/// empty.
+/// newest version (the committed value, or one not yet published above
+/// it) inline in the chain's slab slot, and the superseded ones a live
+/// pin may still need in a spill, never empty.
 struct Chain<V> {
     head: (u64, V),
     older: Option<Spill<V>>,
@@ -154,7 +154,13 @@ pub enum PinError {
 ///
 /// * `watermark` — the highest *fully published* epoch: every commit with
 ///   epoch ≤ watermark has all its versions appended. Snapshots pin the
-///   watermark, so a pin never dangles over a half-published commit.
+///   watermark, so a pin never dangles over a half-published commit. A
+///   version may sit above it: an append made under the gate that
+///   reserved its epoch ([`PublishGate::reserve`]) waits there until the
+///   epoch publishes. Every read resolves at or below a watermark, so
+///   none sees it; the appender must hold a pin below its epoch until
+///   then, which makes the append spill and keeps the version it
+///   supersedes from any sweep.
 /// * the **publish lock** — serializes epoch allocation, top-level
 ///   publication (chain appends → watermark advance) *and* pin creation.
 ///   Without it, a commit at epoch `w+1` could garbage-collect the
@@ -420,6 +426,12 @@ pub struct PublishGate<'a> {
 }
 
 impl<'a> PublishGate<'a> {
+    /// The highest epoch reserved so far: the watermark plus every epoch
+    /// reserved and not yet published. Stable while the gate is held.
+    pub fn reserved(&self) -> u64 {
+        self.order.reserved.load(Ordering::Relaxed)
+    }
+
     /// Allocate the next epoch, one above every epoch reserved so far,
     /// keeping the lock: the gate becomes that epoch's [`Reservation`].
     pub fn reserve(self) -> Reservation<'a> {
@@ -571,9 +583,10 @@ impl<K, V> MvccStore<K, V> {
     /// the watermark can only exist because some publisher ran after its
     /// validated registration, and we are ordered after that publisher by
     /// the lock). Ring pins still mid-registration can be missed, but
-    /// they pin the current watermark, and no prune at any bound drops a
-    /// chain's newest version — which has epoch ≤ watermark — so they
-    /// are safe regardless.
+    /// they pin the current watermark, and no prune drops a chain's
+    /// newest version at or below it — the head, or the version an
+    /// append above the watermark superseded, which that appender's own
+    /// pin holds back — so they are safe regardless.
     ///
     /// The store may race a concurrent registration's `fetch_min` and
     /// clobber it; `reg_seq` detects that, and the loop re-scans. If
@@ -939,10 +952,10 @@ where
     /// so pin accounting and its sweep are one atomic step against tree
     /// pins; fast pins may still land concurrently, but they pin the
     /// current watermark, and no prune drops a chain's newest version
-    /// (epoch ≤ watermark), so they are safe under any bound this
-    /// computes. The floor is conceded *before* anything is dropped and
-    /// capped at the watermark, so a pin-free store still allows pinning
-    /// the present.
+    /// at or below it (see [`MvccStore::settle_min`]), so they are safe
+    /// under any bound this computes. The floor is conceded *before*
+    /// anything is dropped and capped at the watermark, so a pin-free
+    /// store still allows pinning the present.
     fn sweep_locked(&self) {
         let _publish = self.order.lock.lock();
         let pins = self.pins.lock();
@@ -996,6 +1009,23 @@ where
     pub fn read_at(&self, key: &K, epoch: u64) -> Option<V> {
         let chain = self.chain_at(self.locate(key)?).lock();
         resolve(&chain, epoch).map(|(_, v)| v.clone())
+    }
+
+    /// `key`'s published head: its newest version at or below the
+    /// watermark, read under the chain's lock, where no sweep can drop it
+    /// (a watermark read before the lock may name a version already
+    /// swept). A version appended above the watermark stays hidden. When
+    /// nothing is at or below it, a publication in progress overwrote the
+    /// head in place; the read then waits for that publication under the
+    /// publish lock, so it never shows part of a commit.
+    pub fn read_published(&self, key: &K) -> Option<V> {
+        let id = self.locate(key)?;
+        if let Some((_, value)) = resolve(&self.chain_at(id).lock(), self.watermark()) {
+            return Some(value.clone());
+        }
+        let _publish = self.order.lock.lock();
+        let chain = self.chain_at(id).lock();
+        Some(resolve(&chain, self.watermark()).unwrap_or(&chain.head).1.clone())
     }
 
     /// A consistent key-ordered walk over every chain in `bounds`,
@@ -1154,6 +1184,27 @@ mod tests {
         assert_eq!(s.read_at(&1, s.watermark()), Some(30));
         assert_eq!(s.read_at(&2, pin), None);
         s.unpin(pin);
+    }
+
+    #[test]
+    fn the_published_head_hides_a_publication_in_progress() {
+        let s = store();
+        s.append(&1, GENESIS_EPOCH, 10);
+        s.append(&2, GENESIS_EPOCH, 20);
+        let publish = s.begin_publish();
+        // No pin: the append overwrites key 1's head in place.
+        s.append(&1, publish.epoch(), 11);
+        assert_eq!(s.chain(&1), vec![(1, 11)]);
+        assert_eq!(s.read_published(&2), Some(20), "untouched keys read at once");
+        std::thread::scope(|scope| {
+            let reader = scope.spawn(|| s.read_published(&1));
+            std::thread::sleep(std::time::Duration::from_millis(20));
+            assert!(!reader.is_finished(), "showed a commit before it was published");
+            s.append(&2, publish.epoch(), 21);
+            drop(publish);
+            assert_eq!(reader.join().unwrap(), Some(11));
+        });
+        assert_eq!(s.read_published(&2), Some(21));
     }
 
     #[test]

@@ -59,20 +59,14 @@ pub fn cut_at_record(bytes: &[u8], n: usize) -> Vec<u8> {
 mod tests {
     use super::*;
     use crate::log::frame;
-    use crate::record::{CommitEntry, Record, INIT_ACTION};
+    use crate::record::{Record, INIT_ACTION};
 
     fn sample_log() -> Vec<u8> {
         let mut bytes = MAGIC.to_vec();
         for r in [
             Record::Write { action: INIT_ACTION, key: vec![1, 2, 3], version: vec![0] },
             Record::Write { action: INIT_ACTION, key: vec![4], version: vec![0] },
-            Record::Commit {
-                commits: vec![CommitEntry {
-                    action: 0,
-                    epoch: 1,
-                    writes: vec![(vec![1, 2, 3], vec![9])],
-                }],
-            },
+            Record::Commit { action: 0, epoch: 1, writes: vec![(vec![1, 2, 3], vec![9])] },
         ] {
             bytes.extend_from_slice(&frame(&r));
         }

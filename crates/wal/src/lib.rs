@@ -10,10 +10,8 @@
 //! The log records exactly that event and nothing else: **redo at
 //! commit**. A top-level commit appends one [`Record::Commit`] frame
 //! holding its action id, its commit epoch and the encoded `(key,
-//! version)` of every key whose committed value it changes (a frame may
-//! hold several commits, and still decodes, but the engine writes one
-//! per frame). Begins,
-//! subtransaction commits and aborts leave no bytes — an aborted or
+//! version)` of every key whose committed value it changes: one commit,
+//! one frame. Begins, subtransaction commits and aborts leave no bytes — an aborted or
 //! in-flight tree is absent from the log, and that absence is how a crash
 //! aborts it. The only other records are the seeds ([`Record::Write`]
 //! under [`INIT_ACTION`]) and the [`Record::Checkpoint`] a rewritten log
@@ -22,7 +20,7 @@
 //! Layout of a log file:
 //!
 //! ```text
-//! [8-byte magic "RNTWAL05"]
+//! [8-byte magic "RNTWAL06"]
 //! [frame]*            frame = [len: u32 LE][crc32(payload): u32 LE][payload]
 //! ```
 //!
@@ -36,12 +34,13 @@
 //!
 //! Every commit frame is self-contained, so replay needs no record but
 //! the seeds or checkpoint before it. Because one frame carries a whole
-//! batch, the batch is atomic-in-log-or-absent: a crash tears the entire
-//! frame (dropped by [`scan`]'s tail rule) or none of it, and no prefix of
-//! a batch can ever be replayed as committed. Format `02` added the MVCC
-//! commit epoch, `03` the batch frame, `04` the write set in the commit
-//! frame and `05` the value-length integers; older logs are refused by
-//! the magic check.
+//! write set, a commit is atomic-in-log-or-absent: a crash tears the
+//! entire frame (dropped by [`scan`]'s tail rule) or none of it, and no
+//! prefix of a write set can ever be replayed as committed. Format `02`
+//! added the MVCC commit epoch, `03` the batch frame, `04` the write set
+//! in the commit frame, `05` the value-length integers and `06` the
+//! single-commit frame (no commit count); older logs are refused by the
+//! magic check.
 //!
 //! Reading is two-mode:
 //!
@@ -76,7 +75,7 @@ pub mod faults;
 pub use codec::{encode_to_vec, WalCodec};
 pub use error::WalError;
 pub use log::{decode_strict, frame, frame_into, scan, Tail, Wal, WalForce, MAGIC};
-pub use record::{CommitEntry, Record, INIT_ACTION};
+pub use record::{Record, INIT_ACTION};
 pub use vfs::{MemVfs, StdVfs, Vfs};
 
 /// CRC-32 (IEEE 802.3, reflected) over `bytes` — the frame checksum.

@@ -8,13 +8,14 @@ use crate::vfs::Vfs;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// The 8-byte file header every log starts with. `05` logs write every
-/// integer of a payload at its value's length (varint framing fields).
-/// `04` made the log redo at commit: one `Commit` frame per top-level
-/// commit or batch, carrying the write set, and no action-tree
-/// transitions. `03` added the group-commit frame; `02` the commit epoch.
-/// Older logs are not readable.
-pub const MAGIC: &[u8; 8] = b"RNTWAL05";
+/// The 8-byte file header every log starts with. `06` logs hold exactly
+/// one commit per `Commit` frame. `05` wrote every integer of a payload
+/// at its value's length (varint framing fields). `04` made the log redo
+/// at commit: one `Commit` frame per top-level commit or batch, carrying
+/// the write set, and no action-tree transitions. `03` added the
+/// group-commit frame; `02` the commit epoch. Older logs are not
+/// readable.
+pub const MAGIC: &[u8; 8] = b"RNTWAL06";
 
 /// Wrap a record payload in a `[len][crc][payload]` frame.
 pub fn frame(record: &Record) -> Vec<u8> {
@@ -294,12 +295,12 @@ impl Wal {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::{CommitEntry, INIT_ACTION};
+    use crate::record::INIT_ACTION;
     use crate::vfs::MemVfs;
 
     fn commit(action: u64, epoch: u64, key: u8, value: u8) -> Record {
         let writes = vec![(vec![key], vec![value])];
-        Record::Commit { commits: vec![CommitEntry { action, epoch, writes }] }
+        Record::Commit { action, epoch, writes }
     }
 
     fn sample() -> Vec<Record> {

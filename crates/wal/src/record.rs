@@ -3,12 +3,12 @@
 //! commit is one record carrying its whole write set; the seeds and the
 //! checkpoint are the other two.
 //!
-//! Payload layout (format 05). `v` is a canonical unsigned LEB128 varint,
+//! Payload layout (format 06). `v` is a canonical unsigned LEB128 varint,
 //! `bytes` a `v` length (at most `u32::MAX`) followed by that many bytes:
 //!
 //! ```text
 //! Write       [2] v(action + 1) bytes(key) bytes(version)
-//! Commit      [3] v(n) n × ( v(action) v(epoch) v(w) w × ( bytes(key) bytes(version) ) )
+//! Commit      [3] v(action) v(epoch) v(w) w × ( bytes(key) bytes(version) )
 //! Checkpoint  [5] v(epoch) v(n) n × ( bytes(key) v(last_epoch) bytes(value) )
 //! ```
 //!
@@ -27,23 +27,6 @@ pub const INIT_ACTION: u64 = u64::MAX;
 const TAG_WRITE: u8 = 2;
 const TAG_COMMIT: u8 = 3;
 pub(crate) const TAG_CHECKPOINT: u8 = 5;
-
-/// One top-level commit inside a [`Record::Commit`] frame: everything
-/// replay needs to redo it, with no reference to any other record.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct CommitEntry {
-    /// The committing top-level action (the engine's `TxnId`). A label
-    /// for error messages and oracles: replay needs no id, and a
-    /// recovered engine numbers its transactions afresh.
-    pub action: u64,
-    /// The commit epoch: the monotonically increasing counter the MVCC
-    /// store stamps on the versions this commit publishes.
-    pub epoch: u64,
-    /// `(key, version)` for every key whose committed value this commit
-    /// changes, in key order. Empty for a read-only commit, which still
-    /// takes an epoch.
-    pub writes: Vec<(Vec<u8>, Vec<u8>)>,
-}
 
 /// One durable event. Keys and versions are opaque byte strings — the
 /// engine encodes its `K`/`V` types via [`crate::WalCodec`] before
@@ -66,15 +49,23 @@ pub enum Record {
         /// Encoded version (the value written).
         version: Vec<u8>,
     },
-    /// Top-level commits made durable as one unit. The engine writes one
-    /// commit per frame; a frame of several, in contiguous epochs, as
-    /// earlier engines wrote for a group-committed batch, still decodes.
-    /// The frame is atomic-in-log-or-absent — a crash tears the whole
-    /// frame (discarded by [`crate::scan`]'s tail rule) or none of it, so
-    /// no prefix of a multi-commit frame is ever replayed as committed.
+    /// One top-level commit, made durable as one unit: everything replay
+    /// needs to redo it, with no reference to any other record. The frame
+    /// is atomic-in-log-or-absent — a crash tears the whole frame
+    /// (discarded by [`crate::scan`]'s tail rule) or none of it, so no
+    /// prefix of its write set is ever replayed as committed.
     Commit {
-        /// The commits in epoch order. Never empty.
-        commits: Vec<CommitEntry>,
+        /// The committing top-level action (the engine's `TxnId`). A label
+        /// for error messages and oracles: replay needs no id, and a
+        /// recovered engine numbers its transactions afresh.
+        action: u64,
+        /// The commit epoch: the monotonically increasing counter the MVCC
+        /// store stamps on the versions this commit publishes.
+        epoch: u64,
+        /// `(key, version)` for every key whose committed value this
+        /// commit changes, in key order. Empty for a read-only commit,
+        /// which still takes an epoch.
+        writes: Vec<(Vec<u8>, Vec<u8>)>,
     },
     /// A full snapshot of the committed key space, written as the first
     /// record of a rewritten log so recovery cost stays bounded.
@@ -178,17 +169,14 @@ impl Record {
                 put_bytes(out, key);
                 put_bytes(out, version);
             }
-            Record::Commit { commits } => {
+            Record::Commit { action, epoch, writes } => {
                 out.push(TAG_COMMIT);
-                put_varint(out, commits.len() as u64);
-                for c in commits {
-                    put_varint(out, c.action);
-                    put_varint(out, c.epoch);
-                    put_varint(out, c.writes.len() as u64);
-                    for (key, version) in &c.writes {
-                        put_bytes(out, key);
-                        put_bytes(out, version);
-                    }
+                put_varint(out, *action);
+                put_varint(out, *epoch);
+                put_varint(out, writes.len() as u64);
+                for (key, version) in writes {
+                    put_bytes(out, key);
+                    put_bytes(out, version);
                 }
             }
             Record::Checkpoint { epoch, snapshot } => {
@@ -219,22 +207,14 @@ impl Record {
                     Record::Write { action, key, version }
                 }
                 TAG_COMMIT => {
-                    let n = c.len()?;
-                    if n == 0 {
-                        return Err("empty commit frame".to_string());
+                    let action = c.varint()?;
+                    let epoch = c.varint()?;
+                    let w = c.len()?;
+                    let mut writes = Vec::with_capacity(w.min(1 << 16));
+                    for _ in 0..w {
+                        writes.push((c.bytes()?, c.bytes()?));
                     }
-                    let mut commits = Vec::with_capacity(n.min(1 << 16));
-                    for _ in 0..n {
-                        let action = c.varint()?;
-                        let epoch = c.varint()?;
-                        let w = c.len()?;
-                        let mut writes = Vec::with_capacity(w.min(1 << 16));
-                        for _ in 0..w {
-                            writes.push((c.bytes()?, c.bytes()?));
-                        }
-                        commits.push(CommitEntry { action, epoch, writes });
-                    }
-                    Record::Commit { commits }
+                    Record::Commit { action, epoch, writes }
                 }
                 TAG_CHECKPOINT => {
                     let epoch = c.varint()?;
@@ -269,24 +249,18 @@ mod tests {
         assert_eq!(Record::decode(&payload, 0).unwrap(), r);
     }
 
-    fn entry(action: u64, epoch: u64, writes: &[(&[u8], &[u8])]) -> CommitEntry {
+    fn commit(action: u64, epoch: u64, writes: &[(&[u8], &[u8])]) -> Record {
         let writes = writes.iter().map(|(k, v)| (k.to_vec(), v.to_vec())).collect();
-        CommitEntry { action, epoch, writes }
+        Record::Commit { action, epoch, writes }
     }
 
     #[test]
     fn all_variants_roundtrip() {
         roundtrip(Record::Write { action: 8, key: vec![1, 2], version: vec![] });
         roundtrip(Record::Write { action: INIT_ACTION, key: vec![0; 300], version: vec![9] });
-        roundtrip(Record::Commit { commits: vec![entry(3, 11, &[])] });
-        roundtrip(Record::Commit { commits: vec![entry(3, 11, &[(&[1], &[2, 3])])] });
-        roundtrip(Record::Commit {
-            commits: vec![
-                entry(3, 11, &[(&[1], &[2]), (&[4, 5], &[])]),
-                entry(9, 12, &[]),
-                entry(1, 13, &[(&[], &[7; 40])]),
-            ],
-        });
+        roundtrip(commit(3, 11, &[]));
+        roundtrip(commit(3, 11, &[(&[1], &[2, 3])]));
+        roundtrip(commit(3, 11, &[(&[1], &[2]), (&[4, 5], &[]), (&[], &[7; 40])]));
         roundtrip(Record::Checkpoint { epoch: 0, snapshot: vec![] });
         roundtrip(Record::Checkpoint {
             epoch: 9,
@@ -306,20 +280,20 @@ mod tests {
 
     #[test]
     fn short_payload_rejected() {
-        let mut payload = Record::Commit { commits: vec![entry(5, 1, &[(&[1], &[2])])] }.encode();
+        let mut payload = commit(5, 1, &[(&[1], &[2])]).encode();
         payload.truncate(payload.len() - 1);
         assert!(matches!(Record::decode(&payload, 0), Err(WalError::BadRecord { .. })));
     }
 
     #[test]
-    fn empty_commit_frame_rejected() {
+    fn a_commit_frame_without_its_epoch_is_rejected() {
         let err = Record::decode(&[TAG_COMMIT, 0], 0).unwrap_err();
-        assert!(err.to_string().contains("empty commit frame"), "{err}");
+        assert!(err.to_string().contains("need 1 bytes"), "{err}");
     }
 
     #[test]
     fn trailing_bytes_rejected() {
-        let mut payload = Record::Commit { commits: vec![entry(5, 1, &[])] }.encode();
+        let mut payload = commit(5, 1, &[]).encode();
         payload.push(0);
         let err = Record::decode(&payload, 0).unwrap_err();
         assert!(err.to_string().contains("trailing"), "{err}");
@@ -358,7 +332,7 @@ mod tests {
         assert!(matches!(decoded, Record::Write { action, .. } if action == u64::MAX - 1));
         // 2^32 as a key length.
         rejected(&[TAG_WRITE, 0, 0x80, 0x80, 0x80, 0x80, 0x10], "over u32");
-        rejected(&[TAG_COMMIT, 0x80, 0x80, 0x80, 0x80, 0x10], "over u32");
+        rejected(&[TAG_COMMIT, 0, 0, 0x80, 0x80, 0x80, 0x80, 0x10], "over u32");
         // u32::MAX itself is a length, just not one this payload holds.
         rejected(&[TAG_WRITE, 0, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F], "need 4294967295 bytes");
     }

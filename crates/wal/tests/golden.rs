@@ -20,23 +20,23 @@
 //! panics: a CI run that rewrote the fixtures it checks would pass
 //! whatever the encoder did.
 //!
-//! The committed fixtures are format **05** (`RNTWAL05`): redo at
-//! commit. A top-level commit — or a group-committed batch — is ONE
-//! `Commit` frame listing, per commit, its action id, its epoch and the
-//! `(key, version)` of every key it changes, in key order; seeds are
+//! The committed fixtures are format **06** (`RNTWAL06`): redo at
+//! commit. A top-level commit is ONE `Commit` frame holding its action
+//! id, its epoch and the `(key, version)` of every key it changes, in
+//! key order, and nothing else — a frame is exactly one commit; seeds are
 //! `Write` records under `INIT_ACTION`; a rewritten log starts with a
 //! `Checkpoint` of `(key, epoch, value)` triples plus the watermark.
 //! Begins, nested commits and aborts are not logged. Every integer in a
 //! payload is as short as its value: framing fields are canonical
 //! varints, and integer keys and values go through `WalCodec`. Older-format
 //! logs are rejected by the magic check — there is no cross-format
-//! migration path. `format03_single_commit.wal` and
-//! `format04_single_commit.wal` are the last fixtures of those formats,
-//! kept as committed for `rnt-core`'s durability suite to prove it.
+//! migration path. `format03_single_commit.wal`,
+//! `format04_single_commit.wal` and `format05_single_commit.wal` are the
+//! last fixtures of those formats, kept as committed for `rnt-core`'s
+//! durability suite to prove it.
 
 use rnt_wal::{
-    decode_strict, encode_to_vec, faults, frame, scan, CommitEntry, Record, Tail, WalError,
-    INIT_ACTION, MAGIC,
+    decode_strict, encode_to_vec, faults, frame, scan, Record, Tail, WalError, INIT_ACTION, MAGIC,
 };
 
 fn golden_dir() -> std::path::PathBuf {
@@ -85,19 +85,9 @@ fn seed(key: &[u8], version: &[u8]) -> Record {
     Record::Write { action: INIT_ACTION, key: key.to_vec(), version: version.to_vec() }
 }
 
-/// `(action, epoch, writes)` of one commit entry.
-type Entry<'a> = (u64, u64, &'a [(&'a [u8], &'a [u8])]);
-
-fn commit(entries: &[Entry<'_>]) -> Record {
-    let commits = entries
-        .iter()
-        .map(|&(action, epoch, writes)| CommitEntry {
-            action,
-            epoch,
-            writes: writes.iter().map(|(k, v)| (k.to_vec(), v.to_vec())).collect(),
-        })
-        .collect();
-    Record::Commit { commits }
+fn commit(action: u64, epoch: u64, writes: &[(&[u8], &[u8])]) -> Record {
+    let writes = writes.iter().map(|(k, v)| (k.to_vec(), v.to_vec())).collect();
+    Record::Commit { action, epoch, writes }
 }
 
 /// One top-level action writing one key and committing.
@@ -105,7 +95,7 @@ fn commit(entries: &[Entry<'_>]) -> Record {
 fn golden_single_commit() {
     check_golden(
         "single_commit.wal",
-        &[seed(b"k0", &encode_to_vec(&0u64)), commit(&[(0, 1, &[(b"k0", &encode_to_vec(&7u64))])])],
+        &[seed(b"k0", &encode_to_vec(&0u64)), commit(0, 1, &[(b"k0", &encode_to_vec(&7u64))])],
     );
 }
 
@@ -114,29 +104,12 @@ fn golden_single_commit() {
 /// frame: the root's commit with the surviving write. The rest of the
 /// tree leaves no bytes.
 fn nested_records() -> Vec<Record> {
-    vec![seed(b"x", &[1]), seed(b"y", &[2]), commit(&[(0, 1, &[(b"x", &[10])])])]
+    vec![seed(b"x", &[1]), seed(b"y", &[2]), commit(0, 1, &[(b"x", &[10])])]
 }
 
 #[test]
 fn golden_nested_tree() {
     check_golden("nested_tree.wal", &nested_records());
-}
-
-fn batch_records() -> Vec<Record> {
-    vec![
-        seed(b"a", &[0]),
-        seed(b"b", &[0]),
-        seed(b"c", &[0]),
-        // Three disjoint top-level commits group-committed as one frame:
-        // a contiguous epoch run in staging order.
-        commit(&[(0, 1, &[(b"a", &[10])]), (1, 2, &[(b"b", &[20])]), (2, 3, &[(b"c", &[30])])]),
-    ]
-}
-
-/// Three concurrent top-level commits retired as one group-commit batch.
-#[test]
-fn golden_batch_commit() {
-    check_golden("batch_commit.wal", &batch_records());
 }
 
 /// A checkpointed log: snapshot first, then post-checkpoint traffic.
@@ -149,7 +122,7 @@ fn golden_checkpoint() {
                 epoch: 3,
                 snapshot: vec![(b"a".to_vec(), 2, vec![1]), (b"b".to_vec(), 3, vec![2, 0, 2])],
             },
-            commit(&[(5, 4, &[(b"a", &[9])])]),
+            commit(5, 4, &[(b"a", &[9])]),
         ],
     );
 }
@@ -208,7 +181,7 @@ fn rejects_bad_magic() {
     assert_eq!(decode_strict(&bytes), Err(WalError::BadMagic));
 }
 
-// ---- batch atomicity at the torn tail ----
+// ---- commit atomicity at the torn tail ----
 
 /// Pin the single-commit tail behavior: an INTACT `Commit` frame at the
 /// end of the log is trusted by recovery — its fsync may or may not have
@@ -223,41 +196,50 @@ fn intact_tail_commit_is_replayed() {
     assert_eq!(scanned.last(), records.last());
 }
 
-/// The batch all-or-nothing invariant at the byte level: cutting the log
-/// ANYWHERE inside the batch's `Commit` frame discards the whole batch —
-/// no prefix of a batch ever scans as committed. (Contrast with what n
-/// separate frames would give: a cut between them leaves an arbitrary
-/// prefix of the batch durable without its shared fsync.)
+/// Three seeds and one top-level commit that writes all three keys.
+fn multi_write_records() -> Vec<Record> {
+    vec![
+        seed(b"a", &[0]),
+        seed(b"b", &[0]),
+        seed(b"c", &[0]),
+        commit(0, 1, &[(b"a", &[10]), (b"b", &[20]), (b"c", &[30])]),
+    ]
+}
+
+/// The all-or-nothing invariant at the byte level: cutting the log
+/// ANYWHERE inside a commit's frame discards the whole commit — no prefix
+/// of its write set ever scans as committed. (Contrast with a frame per
+/// write: a cut between them would leave a prefix of the commit durable.)
 #[test]
-fn torn_batch_commit_is_all_or_nothing() {
-    let records = batch_records();
+fn torn_multi_write_commit_is_all_or_nothing() {
+    let records = multi_write_records();
     let bytes = encode_log(&records);
     let offsets = faults::record_offsets(&bytes);
-    let batch_start = offsets[offsets.len() - 2];
-    for cut in (batch_start + 1)..bytes.len() {
+    let start = offsets[offsets.len() - 2];
+    for cut in (start + 1)..bytes.len() {
         let prefix = faults::truncate_to(&bytes, cut);
         let (scanned, tail) = scan(&prefix).unwrap_or_else(|e| panic!("cut {cut}: {e}"));
-        assert!(matches!(tail, Tail::Torn(_)), "cut {cut} inside the batch frame must tear");
+        assert!(matches!(tail, Tail::Torn(_)), "cut {cut} inside the commit frame must tear");
         assert!(
             !scanned.iter().any(|r| matches!(r, Record::Commit { .. })),
-            "cut {cut}: a torn batch must vanish wholly, never partially"
+            "cut {cut}: a torn commit must vanish wholly, never partially"
         );
         assert_eq!(scanned.len(), records.len() - 1, "cut {cut}");
     }
-    // And the intact frame at the tail carries every participant.
+    // And the intact frame at the tail carries every write.
     let (scanned, tail) = scan(&bytes).unwrap();
     assert_eq!(tail, Tail::Clean);
     match scanned.last() {
-        Some(Record::Commit { commits }) => assert_eq!(commits.len(), 3),
-        other => panic!("expected the intact batch, got {other:?}"),
+        Some(Record::Commit { writes, .. }) => assert_eq!(writes.len(), 3),
+        other => panic!("expected the intact commit, got {other:?}"),
     }
 }
 
-/// A tail bitflip inside the batch frame also discards the whole batch
-/// (CRC covers the full multi-commit payload).
+/// A tail bitflip inside a multi-write commit frame also discards the
+/// whole commit (the CRC covers its full write set).
 #[test]
-fn corrupt_tail_batch_commit_is_discarded_wholly() {
-    let bytes = encode_log(&batch_records());
+fn corrupt_tail_multi_write_commit_is_discarded_wholly() {
+    let bytes = encode_log(&multi_write_records());
     for bit in [0, 37, 91] {
         let offsets = faults::record_offsets(&bytes);
         let payload_start = offsets[offsets.len() - 2] + 8;

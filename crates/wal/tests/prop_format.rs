@@ -1,10 +1,10 @@
-//! Format-05 round trips: any record of any variant, with integers at
+//! Format-06 round trips: any record of any variant, with integers at
 //! both ends of their range and keys from empty to longer than a
 //! one-byte varint length, frames and reads back unchanged through both
 //! readers — [`decode_strict`] and the crash-recovery [`scan`].
 
 use proptest::prelude::*;
-use rnt_wal::{decode_strict, frame, scan, CommitEntry, Record, Tail, INIT_ACTION, MAGIC};
+use rnt_wal::{decode_strict, frame, scan, Record, Tail, INIT_ACTION, MAGIC};
 
 /// Action ids: the seed action, the largest id whose stored `action + 1`
 /// does not wrap (ten varint bytes), and ordinary ones.
@@ -37,11 +37,6 @@ fn bytes() -> impl Strategy<Value = Vec<u8>> {
     ]
 }
 
-fn entry() -> impl Strategy<Value = CommitEntry> {
-    (action(), epoch(), prop::collection::vec((bytes(), bytes()), 0..5))
-        .prop_map(|(action, epoch, writes)| CommitEntry { action, epoch, writes })
-}
-
 fn record() -> impl Strategy<Value = Record> {
     prop_oneof![
         (action(), bytes(), bytes()).prop_map(|(action, key, version)| Record::Write {
@@ -49,7 +44,8 @@ fn record() -> impl Strategy<Value = Record> {
             key,
             version
         }),
-        prop::collection::vec(entry(), 1..4).prop_map(|commits| Record::Commit { commits }),
+        (action(), epoch(), prop::collection::vec((bytes(), bytes()), 0..5))
+            .prop_map(|(action, epoch, writes)| Record::Commit { action, epoch, writes }),
         (epoch(), prop::collection::vec((bytes(), epoch(), bytes()), 0..5))
             .prop_map(|(epoch, snapshot)| Record::Checkpoint { epoch, snapshot }),
     ]
