@@ -752,7 +752,7 @@ pub(crate) enum Effects<K> {
 /// frame append or a locking run's key encoder — it marks the log broken
 /// from its epoch on and still publishes the run in turn: locks released
 /// or staged versions published at its epoch, the begin pin released, the
-/// watermark advanced. Nothing stays locked or pinned, and no later run
+/// watermark advanced, the commit counted. Nothing stays locked or pinned, and no later run
 /// waits forever at its turn.
 pub(crate) struct Run<'a, K, V>
 where
@@ -809,6 +809,8 @@ where
             w.mark_broken(epoch, "a commit's publication unwound");
         }
         self.publish_in_turn();
+        // Committed in the registry: the unwind skips the committer's count.
+        inner.stats.bump(|b| &b.committed);
     }
 }
 
@@ -1095,7 +1097,10 @@ where
     /// Optimistic mode reads the begin snapshot in one walk and enters
     /// the *interval* into the read set: at commit, a newer committed
     /// write to any key inside `bounds` — returned by the scan or not —
-    /// is a [`TxnError::Conflict`].
+    /// is a [`TxnError::Conflict`]. The walk keeps the chain id of every
+    /// key it met, so validation reads those chains without a key lookup;
+    /// if keys have been seeded anywhere since, it walks `bounds` again,
+    /// so a write to a key seeded into them after the scan still counts.
     ///
     /// A key seeded by a concurrent [`Db::insert`] mid-walk may or may
     /// not appear (seeding is non-transactional); keys born by replayed

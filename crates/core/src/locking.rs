@@ -178,7 +178,8 @@ where
             &RegistryView<'_>,
         ) -> Result<(R, Option<AuditRecord>), Conflict>,
     ) -> Result<R, TxnError> {
-        let start = Instant::now();
+        // Only a `Timeout` policy reads the clock, from the first conflict.
+        let mut start = None;
         let shard_idx = self.shard_of(key);
         let mut guard = self.shards[shard_idx].lock();
         loop {
@@ -205,7 +206,7 @@ where
                     return Err(TxnError::Die { blocker: conflict.blockers[0] });
                 }
                 DeadlockPolicy::Timeout(timeout) => {
-                    let elapsed = start.elapsed();
+                    let elapsed = start.get_or_insert_with(Instant::now).elapsed();
                     if elapsed >= timeout {
                         self.stats.bump(|b| &b.timeouts);
                         return Err(TxnError::Timeout(timeout));

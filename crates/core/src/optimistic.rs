@@ -11,6 +11,7 @@ use crate::error::TxnError;
 use crate::registry::TxnId;
 use parking_lot::Mutex;
 use rnt_model::UpdateFn;
+use rnt_mvcc::ChainId;
 use std::collections::{BTreeMap, HashSet};
 use std::hash::Hash;
 use std::ops::{Bound, RangeBounds};
@@ -20,8 +21,27 @@ use std::sync::Arc;
 /// [`ReadView::range`](crate::ReadView::range) call.
 type KeyRange<K> = (Bound<K>, Bound<K>);
 
+/// One scanned interval as validation judges it: its bounds, the chain of
+/// every key the scan walked inside them, and the store's chain count the
+/// scan saw. While the count stays there no key has entered, so the
+/// chains are every key in the bounds and validation reads their heads by
+/// id. Once it has grown, a key seeded into the bounds since — entered at
+/// the genesis epoch, and perhaps written since — is not among them, and
+/// validation walks the bounds instead.
+struct Scan<K> {
+    bounds: KeyRange<K>,
+    chains: Vec<ChainId>,
+    seen: u32,
+}
+
 /// Per-transaction optimistic-mode context: the begin snapshot plus the
 /// private buffers that replace lock-table state.
+///
+/// Every entry of the footprint keeps the [`ChainId`] its access found —
+/// a buffered write and a snapshot read their key's, a scan those of
+/// every key in its bounds — so a top-level commit validates and stages
+/// by id, with no map lock, descent or key walk after its reads (bar a
+/// scan the keyspace has outgrown, see `Scan`).
 ///
 /// Children get their own context linked to the parent's: reads overlay
 /// the nearest ancestor's buffered write over the pinned snapshot, a
@@ -38,19 +58,20 @@ pub(crate) struct OptCtx<K, V> {
     pub(crate) begin_epoch: u64,
     /// The parent's context (`None` on the top-level transaction).
     pub(crate) parent: Option<Arc<OptCtx<K, V>>>,
-    /// Private write buffer, newest value per key. A `BTreeMap` so the
-    /// commit publishes (and logs) in deterministic key order, and so
-    /// a scan can overlay the buffered writes inside its bounds.
-    writes: Mutex<BTreeMap<K, V>>,
-    /// Keys read from the snapshot — the rw-antidependency half of the
-    /// validation footprint. Buffered-write hits don't enter: they
-    /// depend on this tree, not on the snapshot.
-    reads: Mutex<HashSet<K>>,
+    /// Private write buffer, newest value per key, with the key's chain.
+    /// A `BTreeMap` so the commit publishes (and logs) in deterministic
+    /// key order, and so a scan can overlay the buffered writes inside
+    /// its bounds.
+    writes: Mutex<BTreeMap<K, (ChainId, V)>>,
+    /// Chains of the keys read from the snapshot — the rw-antidependency
+    /// half of the validation footprint. Buffered-write hits don't enter:
+    /// they depend on this tree, not on the snapshot.
+    reads: Mutex<HashSet<ChainId>>,
     /// Intervals scanned from the snapshot, validated as intervals: one
     /// entry per range call, however many rows it returned. An interval
     /// stands for every key inside it — a superset of the keys the scan
     /// returned, so it can only add conflicts.
-    ranges: Mutex<Vec<KeyRange<K>>>,
+    ranges: Mutex<Vec<Scan<K>>>,
     /// Access records buffered until top-level commit. Flushing them to
     /// the audit log under the publish gate makes audit data order equal
     /// commit (= epoch) order — the invariant the Theorem-9 oracle's
@@ -72,9 +93,9 @@ impl<K: Eq + Hash + Ord + Clone, V: Clone> OptCtx<K, V> {
         }
     }
 
-    /// The nearest buffered value for `key`: own buffer first, then the
-    /// ancestor chain outward.
-    fn buffered(&self, key: &K) -> Option<V> {
+    /// The nearest buffered value for `key`, with its chain: own buffer
+    /// first, then the ancestor chain outward.
+    fn buffered(&self, key: &K) -> Option<(ChainId, V)> {
         if let Some(v) = self.writes.lock().get(key) {
             return Some(v.clone());
         }
@@ -88,7 +109,7 @@ impl<K: Eq + Hash + Ord + Clone, V: Clone> OptCtx<K, V> {
         if let Some(parent) = &self.parent {
             parent.overlay(bounds, rows);
         }
-        for (key, value) in self.writes.lock().range((bounds.0.as_ref(), bounds.1.as_ref())) {
+        for (key, (_, value)) in self.writes.lock().range((bounds.0.as_ref(), bounds.1.as_ref())) {
             match rows.binary_search_by(|(k, _)| k.cmp(key)) {
                 Ok(i) => rows[i].1 = value.clone(),
                 Err(i) => rows.insert(i, (key.clone(), value.clone())),
@@ -96,13 +117,14 @@ impl<K: Eq + Hash + Ord + Clone, V: Clone> OptCtx<K, V> {
         }
     }
 
-    /// Buffer a written value, cloning the key only on first write.
-    fn track_write(&self, key: &K, value: V) {
+    /// Buffer a value written to `key` on `chain`, cloning the key only
+    /// on first write.
+    fn track_write(&self, key: &K, chain: ChainId, value: V) {
         let mut writes = self.writes.lock();
         match writes.get_mut(key) {
-            Some(slot) => *slot = value,
+            Some(slot) => slot.1 = value,
             None => {
-                writes.insert(key.clone(), value);
+                writes.insert(key.clone(), (chain, value));
             }
         }
     }
@@ -135,12 +157,13 @@ impl<K: Eq + Hash + Ord + Clone, V: Clone> OptCtx<K, V> {
 pub(crate) struct OptFootprint<K, V> {
     /// The pinned begin snapshot.
     begin_epoch: u64,
-    /// The buffered write set (key order, for deterministic logs).
-    writes: BTreeMap<K, V>,
-    /// The snapshot read set: keys…
-    reads: HashSet<K>,
+    /// The buffered write set with each key's chain (key order, for
+    /// deterministic logs).
+    writes: BTreeMap<K, (ChainId, V)>,
+    /// The snapshot read set: chains of keys read…
+    reads: HashSet<ChainId>,
     /// …and scanned intervals.
-    ranges: Vec<KeyRange<K>>,
+    ranges: Vec<Scan<K>>,
     /// The buffered audit Access records.
     audit: Vec<AuditRecord>,
 }
@@ -206,8 +229,9 @@ where
     /// The serialized half of the optimistic publication sequence:
     /// validate, then, in the gate hold that validated, commit in the
     /// registry, reserve the epoch, stage the write set on the chains at
-    /// it, flush the audit records and append the commit frame. Returns
-    /// the run, or the verdict of a loser.
+    /// it (through the ids the footprint kept: no map lock under the
+    /// gate), flush the audit records and append the commit frame.
+    /// Returns the run, or the verdict of a loser.
     ///
     /// Validation is two-phase (Kung–Robinson) and reads one record of
     /// every commit: the chains. A run stages its versions in the gate
@@ -238,10 +262,9 @@ where
         if let Some(newest) = self.opt_conflict(&footprint, begin_epoch) {
             return Err(lost(newest));
         }
-        let frame = self
-            .wal
-            .get()
-            .map(|w| footprint.writes.iter().map(|(k, v)| w.encode(k, v)).collect::<WriteSet>());
+        let frame = self.wal.get().map(|w| {
+            footprint.writes.iter().map(|(k, (_, v))| w.encode(k, v)).collect::<WriteSet>()
+        });
         let gate = self.mvcc.begin_publish_gate();
         // `pre_watermark ≥ begin_epoch` (a begin pin is at or below any
         // later watermark read), so the tighter floor loses no conflicts.
@@ -264,8 +287,8 @@ where
             reservation: Some(reservation),
         };
         let OptFootprint { writes, audit, .. } = footprint;
-        for (key, value) in writes {
-            self.mvcc.append(&key, epoch, value);
+        for (chain, value) in writes.into_values() {
+            self.mvcc.append_at(chain, epoch, value);
         }
         // Flushed under the gate, so audit data order = commit (= epoch)
         // order, the Theorem-9 reconstruction invariant.
@@ -305,12 +328,17 @@ where
     /// First-committer-wins validation: the newest epoch above `floor`
     /// anywhere in the footprint — written keys, read keys and scanned
     /// intervals, each interval judged as a whole — or `None` if it is
-    /// clean.
+    /// clean. Every chain is read by the id its access kept; only a scan
+    /// that keys have entered the store since walks its bounds (`Scan`).
     fn opt_conflict(&self, footprint: &OptFootprint<K, V>, floor: u64) -> Option<u64> {
         let OptFootprint { writes, reads, ranges, .. } = footprint;
-        let keys = writes.keys().chain(reads).filter_map(|k| self.mvcc.last_epoch(k));
-        let spans =
-            ranges.iter().filter_map(|(lo, hi)| self.mvcc.max_epoch_in((lo.as_ref(), hi.as_ref())));
+        let count = self.mvcc.chain_count();
+        let head = |&id: &ChainId| self.mvcc.head_epoch(id);
+        let keys = writes.values().map(|(id, _)| id).chain(reads).map(head);
+        let spans = ranges.iter().filter_map(|scan| match scan.seen == count {
+            true => scan.chains.iter().map(head).max(),
+            false => self.mvcc.max_epoch_in((scan.bounds.0.as_ref(), scan.bounds.1.as_ref())),
+        });
         keys.chain(spans).max().filter(|&e| e > floor)
     }
 }
@@ -320,35 +348,34 @@ where
     K: Eq + Hash + Ord + Clone + Send + Sync + 'static,
     V: Clone + Hash + Send + Sync + 'static,
 {
-    /// The value an optimistic access sees: the nearest buffered write in
-    /// this tree (no snapshot dependency), else the pinned snapshot's —
-    /// and then the key joins the read set for validation.
-    fn opt_lookup(&self, key: &K, opt: &OptCtx<K, V>) -> Result<V, TxnError> {
+    /// The value an optimistic access sees, with its key's chain: the
+    /// nearest buffered write in this tree (no snapshot dependency), else
+    /// the pinned snapshot's — and then the chain joins the read set for
+    /// validation.
+    fn opt_lookup(&self, key: &K, opt: &OptCtx<K, V>) -> Result<(ChainId, V), TxnError> {
         let inner = &self.inner;
         inner.access_preamble(self.id, opt.parent.is_none(), inner.shard_of(key))?;
-        if let Some(v) = opt.buffered(key) {
-            return Ok(v);
+        if let Some(found) = opt.buffered(key) {
+            return Ok(found);
         }
         // An absent key in a dead transaction is orphanhood, not absence:
         // a racing ancestor abort may have unpinned our snapshot and let
         // GC compact the chain mid-read.
-        let v = inner.mvcc.read_at(key, opt.begin_epoch).ok_or_else(|| {
+        let (chain, v) = inner.mvcc.find_at(key, opt.begin_epoch).ok_or_else(|| {
             if inner.registry.read_view().is_dead(self.id) {
                 TxnError::Orphaned
             } else {
                 TxnError::UnknownKey
             }
         })?;
-        // One hash, first contact or not: a re-read pays a key clone
-        // instead of a second lookup.
-        opt.reads.lock().insert(key.clone());
-        Ok(v)
+        opt.reads.lock().insert(chain);
+        Ok((chain, v))
     }
 
     /// Optimistic read: an audited access whether it hit the buffers or
     /// the snapshot (mirroring a locked read of an own-held version).
     pub(crate) fn opt_read(&self, key: &K, opt: &OptCtx<K, V>) -> Result<V, TxnError> {
-        let v = self.opt_lookup(key, opt)?;
+        let (_, v) = self.opt_lookup(key, opt)?;
         self.inner.opt_buffer_access(opt, self.id, key, UpdateFn::Read, hash_value(&v));
         Ok(v)
     }
@@ -362,7 +389,7 @@ where
         opt: &OptCtx<K, V>,
     ) -> Result<V, TxnError> {
         let inner = &self.inner;
-        let seen = self.opt_lookup(key, opt)?;
+        let (chain, seen) = self.opt_lookup(key, opt)?;
         let new = f(&seen);
         inner.opt_buffer_access(
             opt,
@@ -371,15 +398,16 @@ where
             UpdateFn::Write(hash_value(&new)),
             hash_value(&seen),
         );
-        opt.track_write(key, new);
+        opt.track_write(key, chain, new);
         Ok(seen)
     }
 
     /// Optimistic scan: one store walk at the begin snapshot with this
     /// tree's buffered writes laid over it, and one read-set entry — the
-    /// *bounds*, validated at commit as an interval — however many rows
-    /// come back. With auditing on, each returned row is one audited
-    /// read, as if read by key.
+    /// *bounds*, validated at commit as an interval, with the chain of
+    /// every key the walk met inside them and the chain count it saw —
+    /// however many rows come back. With auditing on, each returned row
+    /// is one audited read, as if read by key.
     pub(crate) fn opt_range<R: RangeBounds<K>>(
         &self,
         bounds: R,
@@ -389,8 +417,11 @@ where
         let is_top = opt.parent.is_none();
         // A scan crosses every lock-table shard; the injector is told 0.
         inner.access_preamble(self.id, is_top, 0)?;
-        let mut rows =
-            inner.mvcc.range_at((bounds.start_bound(), bounds.end_bound()), opt.begin_epoch);
+        let mut chains = Vec::new();
+        let (mut rows, seen) =
+            inner.mvcc.scan_at((bounds.start_bound(), bounds.end_bound()), opt.begin_epoch, |id| {
+                chains.push(id)
+            });
         let bounds = (bounds.start_bound().cloned(), bounds.end_bound().cloned());
         opt.overlay(&bounds, &mut rows);
         // A racing ancestor abort may have unpinned the snapshot and let
@@ -399,7 +430,7 @@ where
         if !is_top && inner.registry.read_view().is_dead(self.id) {
             return Err(TxnError::Orphaned);
         }
-        opt.ranges.lock().push(bounds);
+        opt.ranges.lock().push(Scan { bounds, chains, seen });
         if inner.audit.is_some() {
             for (key, value) in rows.iter() {
                 inner.opt_buffer_access(opt, self.id, key, UpdateFn::Read, hash_value(value));

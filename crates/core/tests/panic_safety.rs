@@ -6,10 +6,12 @@
 //! gate.
 //!
 //! Panics below the engine: a `Vfs` that unwinds out of a log force takes
-//! down only the commit whose thread was forcing, and wedges nobody else.
+//! down only the commit whose thread was forcing, and wedges nobody else;
+//! a value encoder that unwinds out of a commit leaves no lock, pin or
+//! transaction behind.
 
 use rnt_core::{CcMode, Db, DbConfig, DeadlockPolicy, Durability, TxnError};
-use rnt_wal::{MemVfs, Vfs, WalError};
+use rnt_wal::{MemVfs, Vfs, WalCodec, WalError};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -184,5 +186,88 @@ fn a_panicking_force_wedges_no_other_commit() {
             (0..COMMITTERS).try_for_each(|k| t.rmw(&k, |v| v + 1).map(drop))
         });
         assert!(matches!(later, Err(TxnError::Wal { .. })), "{mode:?}: later commit got {later:?}");
+    }
+}
+
+/// The value [`Touchy`]'s encoder refuses.
+const POISON: i64 = 666;
+
+/// A value whose log encoding panics on [`POISON`]: a user codec with a
+/// bug, reached only when a commit frames its write set.
+#[derive(Clone, Copy, Debug, Hash, PartialEq, Eq)]
+struct Touchy(i64);
+
+impl WalCodec for Touchy {
+    fn encode(&self, out: &mut Vec<u8>) {
+        assert_ne!(self.0, POISON, "the value encoder fell over");
+        self.0.encode(out);
+    }
+    fn decode(bytes: &[u8]) -> Option<Self> {
+        i64::decode(bytes).map(Touchy)
+    }
+}
+
+/// A commit whose write set holds a value the encoder panics on, on a
+/// forced log. The panic reaches the committer in both modes, and leaves
+/// no begin pin, no transaction and no lock behind (a `NoWait` commit
+/// over both keys gets every lock at once). The modes differ in what
+/// the commit was when the encoder ran:
+///
+/// * **optimistic** — not yet committed: the frame is encoded before the
+///   gate, so the unwind takes the loser sequence. The transaction is
+///   aborted, nothing of it is published, and the log stays whole: the
+///   next commit is acked and recovery replays it.
+/// * **locking** — committed in the registry: its `Run` marks the log
+///   broken from the run's epoch and still publishes the run at its
+///   turn, so its writes are in the committed state, every later commit
+///   reports `Wal`, and recovery finds only the seeds.
+#[test]
+fn a_panicking_value_encoder_leaves_nothing_behind() {
+    for mode in MODES {
+        let vfs = Arc::new(MemVfs::new());
+        let config = DbConfig::builder()
+            .policy(DeadlockPolicy::NoWait)
+            .cc_mode(mode)
+            .durability(Durability::WalFsync)
+            .build();
+        let db: Db<u64, Touchy> =
+            Db::open_with_vfs(vfs.clone(), "panic.wal", config.clone()).unwrap();
+        db.insert(0, Touchy(10));
+        db.insert(1, Touchy(20));
+        let unwound = catch_unwind(AssertUnwindSafe(|| {
+            db.run_with_retries(0, |t| {
+                t.rmw(&0, |v| Touchy(v.0 + 1))?;
+                t.write(&1, Touchy(POISON)).map(drop)
+            })
+        }));
+        assert!(unwound.is_err(), "{mode:?}: the panic propagates");
+        let s = db.stats();
+        assert_eq!(s.begun, s.committed + s.aborted, "{mode:?}: ledger");
+        assert_eq!(s.snapshot_pins_live, 0, "{mode:?}: a begin pin left behind");
+        assert_eq!(s.txns_resident, 0, "{mode:?}: a transaction left behind");
+        assert_eq!(db.layout_violations(), Vec::<String>::new(), "{mode:?}");
+        let state = |db: &Db<u64, Touchy>| (db.committed_value(&0), db.committed_value(&1));
+        let published = match mode {
+            CcMode::Optimistic => (Touchy(10), Touchy(20)),
+            CcMode::Locking => (Touchy(11), Touchy(POISON)),
+        };
+        assert_eq!(state(&db), (Some(published.0), Some(published.1)), "{mode:?}");
+        let bump = |v: &Touchy| Touchy(v.0 + 1);
+        let later = db.run_with_retries(0, |t| Ok((t.rmw(&0, bump)?, t.rmw(&1, bump)?)));
+        let recovered = Db::<u64, Touchy>::recover_with_vfs(vfs, "panic.wal", config).unwrap();
+        match mode {
+            CcMode::Optimistic => {
+                assert_eq!((s.committed, s.aborted), (0, 1), "{mode:?}: the loser sequence ran");
+                assert_eq!(later, Ok(published), "{mode:?}: every lock free");
+                let acked = (Some(Touchy(11)), Some(Touchy(21)));
+                assert_eq!(state(&recovered), acked, "{mode:?}: the log went on");
+            }
+            CcMode::Locking => {
+                assert_eq!((s.committed, s.aborted), (1, 0), "{mode:?}: the run published");
+                assert!(matches!(later, Err(TxnError::Wal { .. })), "{mode:?}: got {later:?}");
+                let seeds = (Some(Touchy(10)), Some(Touchy(20)));
+                assert_eq!(state(&recovered), seeds, "{mode:?}: the log broke at the run");
+            }
+        }
     }
 }

@@ -3,7 +3,7 @@
 //! zero-lock guarantee, counter conservation, GC liveness, and chain
 //! equality across crash recovery.
 
-use rnt_core::{CcMode, Db, DbConfig, Durability};
+use rnt_core::{CcMode, Db, DbConfig, Durability, ReadView};
 use rnt_wal::MemVfs;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
@@ -323,6 +323,87 @@ fn seeds_grow_the_chain_slab_under_commits_point_reads_and_scans() {
         assert_eq!(db.snapshot().range(..).len() as u64, 2 * GROUP + FRESH, "{mode:?}");
         assert_eq!(db.layout_violations(), Vec::<String>::new(), "{mode:?}");
     }
+}
+
+/// Write skew on a scanned interval while seeds grow it (optimistic
+/// mode). Each marker transaction scans the interval: if no key in it is
+/// marked, it marks the newest key it saw — often one seeded after other
+/// markers scanned — and otherwise unmarks the marked one. A seeder
+/// enters fresh keys inside the interval meanwhile. Two markers whose
+/// scans both saw no mark each write a key the other scanned, so one of
+/// them must lose validation, also when the key the other marked entered
+/// the store after its scan. Snapshot readers and the end state check
+/// that the interval never holds two marks.
+#[test]
+fn a_scan_conflicts_with_writes_to_keys_seeded_after_it() {
+    const FRESH: u64 = 2_000;
+    const MARKERS: usize = 2;
+    let db: Db<u64, i64> = Db::with_config(DbConfig::builder().cc_mode(CcMode::Optimistic).build());
+    db.insert(0, 0);
+    let marks = |rows: &[(u64, i64)]| -> Vec<u64> {
+        rows.iter().filter(|&&(_, v)| v == 1).map(|&(k, _)| k).collect()
+    };
+    let (stop, commits) = (AtomicBool::new(false), AtomicU64::new(0));
+    let start = Barrier::new(MARKERS + 2);
+    std::thread::scope(|scope| {
+        let mut threads: Vec<_> = (0..MARKERS)
+            .map(|_| {
+                let (db, stop, start, commits) = (&db, &stop, &start, &commits);
+                scope.spawn(move || {
+                    let _done = StopOnDrop(stop);
+                    start.wait();
+                    while !stop.load(Ordering::Relaxed) {
+                        db.run(|t| {
+                            let rows = t.range(..)?;
+                            let seen = marks(&rows);
+                            assert!(seen.len() <= 1, "a transaction saw {seen:?} marked");
+                            // Let a seed and another marker into the
+                            // window between the scan and the commit.
+                            std::thread::yield_now();
+                            match seen.first() {
+                                None => t.write(&rows.last().expect("key 0").0, 1),
+                                Some(key) => t.write(key, 0),
+                            }
+                            .map(drop)
+                        })
+                        .unwrap();
+                        commits.fetch_add(1, Ordering::Relaxed);
+                    }
+                })
+            })
+            .collect();
+        // Paced by the commits, so the growth spans the run.
+        threads.push({
+            let (db, stop, start, commits) = (&db, &stop, &start, &commits);
+            scope.spawn(move || {
+                let _done = StopOnDrop(stop);
+                start.wait();
+                for n in 1..=FRESH {
+                    while commits.load(Ordering::Relaxed) < n && !stop.load(Ordering::Relaxed) {
+                        std::thread::yield_now();
+                    }
+                    assert!(db.insert(n, 0), "fresh key {n} known");
+                }
+            })
+        });
+        threads.push({
+            let (db, stop, start) = (&db, &stop, &start);
+            scope.spawn(move || {
+                start.wait();
+                while !stop.load(Ordering::Relaxed) {
+                    let seen = marks(&db.snapshot().range(..));
+                    assert!(seen.len() <= 1, "a snapshot saw {seen:?} marked");
+                }
+            })
+        });
+        for thread in threads {
+            thread.join().expect("a marker, the seeder or the reader panicked");
+        }
+    });
+    let rows = db.snapshot().range(..);
+    assert_eq!(rows.len() as u64, FRESH + 1);
+    assert!(marks(&rows).len() <= 1, "{:?} marked", marks(&rows));
+    assert_eq!(db.stats().snapshot_pins_live, 0);
 }
 
 #[test]

@@ -32,9 +32,11 @@
 //! the chains live in a slab indexed by it, so a caller that kept the id
 //! (the engine's lock-table entry) appends with [`MvccStore::append_at`]
 //! without touching the map. [`MvccStore::range_at`]
-//! walks it to produce key-ordered scans resolved at a pinned epoch,
-//! [`MvccStore::max_epoch_in`] judges a scanned interval for optimistic
-//! validation, and [`MvccStore::pin_at`] pins *past* epochs (time travel)
+//! walks it to produce key-ordered scans resolved at a pinned epoch
+//! ([`MvccStore::scan_at`] also hands back the ids it walked, which
+//! optimistic validation reads through [`MvccStore::head_epoch`]),
+//! [`MvccStore::max_epoch_in`] judges a scanned interval once keys have
+//! entered since, and [`MvccStore::pin_at`] pins *past* epochs (time travel)
 //! down to the oldest retained one, with [`PinError`] distinguishing
 //! pruned history from the unpublished future.
 

@@ -1007,8 +1007,24 @@ where
     /// The latest version of `key` with epoch ≤ `epoch`, if any: one
     /// descent under the map's shared lock, then one chain lock.
     pub fn read_at(&self, key: &K, epoch: u64) -> Option<V> {
-        let chain = self.chain_at(self.locate(key)?).lock();
-        resolve(&chain, epoch).map(|(_, v)| v.clone())
+        self.find_at(key, epoch).map(|(_, v)| v)
+    }
+
+    /// [`MvccStore::read_at`], with the id of the chain it read.
+    pub fn find_at(&self, key: &K, epoch: u64) -> Option<(ChainId, V)> {
+        let id = self.locate(key)?;
+        resolve(&self.chain_at(id).lock(), epoch).map(|(_, v)| (id, v.clone()))
+    }
+
+    /// How many chains exist: one more on every key's first contact.
+    pub fn chain_count(&self) -> u32 {
+        self.chains.len()
+    }
+
+    /// The epoch of `chain`'s newest version, published or not: the
+    /// chain's lock alone, no map lock and no descent.
+    pub fn head_epoch(&self, chain: ChainId) -> u64 {
+        self.chain_at(chain).lock().head.0
     }
 
     /// `key`'s published head: its newest version at or below the
@@ -1044,12 +1060,32 @@ where
     where
         R: RangeBounds<K>,
     {
+        self.scan_at(bounds, epoch, |_| {}).0
+    }
+
+    /// [`MvccStore::range_at`], handing `each` the id of every chain in
+    /// `bounds`, resolvable at `epoch` or not, and returning with the rows
+    /// the [`MvccStore::chain_count`] seen under the same shared map lock.
+    /// While the count stays there no key has entered, so those ids are
+    /// still every key in `bounds`.
+    pub fn scan_at<R>(
+        &self,
+        bounds: R,
+        epoch: u64,
+        mut each: impl FnMut(ChainId),
+    ) -> (Vec<(K, V)>, u32)
+    where
+        R: RangeBounds<K>,
+    {
         let map = self.map.read();
-        map.range((bounds.start_bound(), bounds.end_bound()))
+        let rows = map
+            .range((bounds.start_bound(), bounds.end_bound()))
             .filter_map(|(k, &id)| {
+                each(id);
                 resolve(&self.chain_at(id).lock(), epoch).map(|(_, v)| (k.clone(), v.clone()))
             })
-            .collect()
+            .collect();
+        (rows, self.chains.len())
     }
 
     /// Every key in `bounds`, ascending. (The key set is insert-only, so
@@ -1064,8 +1100,9 @@ where
     }
 
     /// The newest epoch at which any key in `bounds` was written (`None`
-    /// for an empty range): what first-committer-wins validation compares
-    /// against a begin epoch to judge a scanned interval as a whole.
+    /// for an empty range): how first-committer-wins validation judges a
+    /// scanned interval as a whole once keys have entered since the scan
+    /// (see [`MvccStore::scan_at`]).
     pub fn max_epoch_in<R>(&self, bounds: R) -> Option<u64>
     where
         R: RangeBounds<K>,
@@ -1074,11 +1111,6 @@ where
         map.range((bounds.start_bound(), bounds.end_bound()))
             .map(|(_, &id)| self.chain_at(id).lock().head.0)
             .max()
-    }
-
-    /// The epoch of `key`'s newest version (`None` for unknown keys).
-    pub fn last_epoch(&self, key: &K) -> Option<u64> {
-        Some(self.chain_at(self.locate(key)?).lock().head.0)
     }
 
     /// Visit every key's newest version at or below `epoch` — the
